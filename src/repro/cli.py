@@ -549,52 +549,100 @@ _FLEET_KINDS = {
 _DUAL_KINDS = ("npdq", "auto", "mixed")
 
 
-def _register_fleet(broker, fleet, cfg: dict, process_workers: bool = False):
+def _register_fleet(broker, fleet, cfg: dict):
     """Admit one client per fleet trajectory, cycling the kind list.
 
-    Works against any broker tier (they share the ``register_*`` /
-    ``register_query`` surface); ``process_workers`` switches auto
-    registration to the trajectory form, since a path closure cannot
-    cross the pipe.  Spec-expressible kinds go through the declarative
-    front door so the planner runs and the summary gains its
-    ``planner:`` lines; auto sessions have no spec form (route refresh
-    is a serving-policy knob, not a query property).
+    Works against any broker tier (they share one registration
+    surface).  Spec-expressible kinds go through the declarative front
+    door so the planner runs and the summary gains its ``planner:``
+    lines; auto sessions have no spec form (route refresh is a
+    serving-policy knob, not a query property) and register by
+    trajectory, which every tier accepts.
     """
     from repro.core.query import QuerySpec
-    from repro.workload.observers import path_of
 
     kinds = _FLEET_KINDS[cfg["kind"]]
     half_extents = (cfg["window"] / 2.0,) * 2
+    specs = {
+        "pdq": QuerySpec.range,
+        "npdq": lambda t: QuerySpec.range(t, predictive=False),
+        "knn": lambda t: QuerySpec.knn(t, cfg["knn_k"]),
+        "join": lambda t: QuerySpec.join(t, cfg["join_delta"]),
+        "aggregate": QuerySpec.aggregate,
+    }
     for i, trajectory in enumerate(fleet):
         kind = kinds[i % len(kinds)]
         client_id = f"{kind}-{i}"
-        if kind == "pdq":
-            broker.register_query(client_id, QuerySpec.range(trajectory))
-        elif kind == "npdq":
-            broker.register_query(
-                client_id, QuerySpec.range(trajectory, predictive=False)
-            )
-        elif kind == "knn":
-            broker.register_query(
-                client_id, QuerySpec.knn(trajectory, cfg.get("knn_k", 4))
-            )
-        elif kind == "join":
-            broker.register_query(
-                client_id,
-                QuerySpec.join(trajectory, cfg.get("join_delta", 4.0)),
-            )
-        elif kind == "aggregate":
-            broker.register_query(
-                client_id, QuerySpec.aggregate(trajectory)
-            )
-        elif process_workers:
+        if kind in specs:
+            broker.register_query(client_id, specs[kind](trajectory))
+        else:
             broker.register_auto(
                 client_id, trajectory, half_extents=half_extents
             )
-        else:
-            broker.register_auto(
-                client_id, path_of(trajectory), half_extents=half_extents
-            )
+
+
+def _serve_cfg(args: argparse.Namespace) -> dict:
+    """The ``serve`` flags as the dict a durable store pins in
+    ``store.json`` (and every ``serve`` helper reads)."""
+    return {
+        "scenario": args.scenario,
+        "scale": args.scale,
+        "seed": args.seed,
+        "clients": args.clients,
+        "ticks": args.ticks,
+        "kind": args.kind,
+        "mode": args.mode,
+        "shards": args.shards,
+        "period": args.period,
+        "window": args.window,
+        "queue_depth": args.queue_depth,
+        "shared_scan": not args.no_shared_scan,
+        "promote_after": args.promote_after,
+        "npdq_margin": args.npdq_margin,
+        "accel": args.accel,
+        "churn": args.churn,
+        "checkpoint_every": args.checkpoint_every,
+        "knn_k": args.knn_k,
+        "join_delta": args.join_delta,
+        "route_refresh": args.route_refresh,
+    }
+
+
+def _serve_fleet(cfg: dict, space_side: float, horizon: float):
+    """The observer fleet of a ``serve`` run and the clock that starts
+    where its trajectories do."""
+    from repro.server import SimulatedClock
+    from repro.workload.config import WorkloadConfig
+    from repro.workload.observers import observer_fleet
+
+    duration = min(cfg["ticks"] * cfg["period"], horizon * 0.9)
+    start = min(horizon * 0.1, horizon - duration)
+    fleet = observer_fleet(
+        WorkloadConfig(num_objects=1, space_side=space_side, horizon=horizon),
+        cfg["clients"],
+        mode=cfg["mode"],
+        window_side=cfg["window"],
+        duration=duration,
+        start_time=start,
+        seed=cfg["seed"],
+    )
+    return fleet, SimulatedClock(start=start, period=cfg["period"])
+
+
+def _server_config(cfg: dict):
+    """The :class:`~repro.server.ServerConfig` a ``serve`` run asks for."""
+    from repro.server import ServerConfig
+
+    return ServerConfig(
+        max_clients=max(cfg["clients"], 1),
+        queue_depth=cfg["queue_depth"],
+        shared_scan=cfg["shared_scan"],
+        promote_after=cfg["promote_after"],
+        npdq_predict_margin=cfg["npdq_margin"],
+        accel=_resolve_accel(cfg.get("accel", "off")),
+        join_delta=cfg["join_delta"],
+        auto_route_refresh=cfg["route_refresh"],
+    )
 
 
 def _churn_batch(cfg: dict, tick_index: int):
@@ -653,20 +701,12 @@ def _serve_durable(args: argparse.Namespace) -> int:
     import os
 
     from repro.index import DualTimeIndex, NativeSpaceIndex
-    from repro.server import (
-        MultiplexBroker,
-        QueryBroker,
-        ServerConfig,
-        ShardPlan,
-        SimulatedClock,
-    )
+    from repro.server import MultiplexBroker, QueryBroker, ShardPlan
     from repro.storage.file import (
         TickDurability,
         read_store_config,
         write_store_config,
     )
-    from repro.workload.config import WorkloadConfig
-    from repro.workload.observers import observer_fleet
 
     if getattr(args, "workers", "inprocess") == "process":
         print(
@@ -705,28 +745,7 @@ def _serve_durable(args: argparse.Namespace) -> int:
             flush=True,
         )
     else:
-        cfg = {
-            "scenario": args.scenario,
-            "scale": args.scale,
-            "seed": args.seed,
-            "clients": args.clients,
-            "ticks": args.ticks,
-            "kind": args.kind,
-            "mode": args.mode,
-            "shards": args.shards,
-            "period": args.period,
-            "window": args.window,
-            "queue_depth": args.queue_depth,
-            "shared_scan": not args.no_shared_scan,
-            "promote_after": args.promote_after,
-            "npdq_margin": args.npdq_margin,
-            "accel": args.accel,
-            "churn": args.churn,
-            "checkpoint_every": args.checkpoint_every,
-            "knn_k": args.knn_k,
-            "join_delta": args.join_delta,
-            "route_refresh": args.route_refresh,
-        }
+        cfg = _serve_cfg(args)
 
     segments, space_side, horizon, name = _build_world(
         cfg["scenario"], cfg["scale"], cfg["seed"]
@@ -801,31 +820,8 @@ def _serve_durable(args: argparse.Namespace) -> int:
         # shards > 1: loading needs the broker's router, so the
         # checkpoint-then-pin step happens right after broker.load below.
 
-    duration = min(cfg["ticks"] * cfg["period"], horizon * 0.9)
-    start = min(horizon * 0.1, horizon - duration)
-    geometry = WorkloadConfig(
-        num_objects=1, space_side=space_side, horizon=horizon
-    )
-    fleet = observer_fleet(
-        geometry,
-        cfg["clients"],
-        mode=cfg["mode"],
-        window_side=cfg["window"],
-        duration=duration,
-        start_time=start,
-        seed=cfg["seed"],
-    )
-    clock = SimulatedClock(start=start, period=cfg["period"])
-    server_config = ServerConfig(
-        max_clients=max(cfg["clients"], 1),
-        queue_depth=cfg["queue_depth"],
-        shared_scan=cfg["shared_scan"],
-        promote_after=cfg["promote_after"],
-        npdq_predict_margin=cfg["npdq_margin"],
-        accel=_resolve_accel(cfg.get("accel", "off")),
-        join_delta=cfg["join_delta"],
-        auto_route_refresh=cfg["route_refresh"],
-    )
+    fleet, clock = _serve_fleet(cfg, space_side, horizon)
+    server_config = _server_config(cfg)
     if shards > 1:
         plan = ShardPlan.grid([0.0, 0.0], [space_side, space_side], shards)
         native_iter = iter(natives)
@@ -850,11 +846,10 @@ def _serve_durable(args: argparse.Namespace) -> int:
     # Churn: a deterministic insert batch lands at the start of every
     # not-yet-durable tick.  Batches for recovered ticks are *not*
     # resubmitted — their transactions replayed from the WAL.
-    churn_sink = broker if shards > 1 else broker.dispatcher
     for k in range(through + 1, cfg["ticks"]):
         batch = _churn_batch(cfg, k)
         if batch:
-            churn_sink.submit_inserts(
+            broker.submit_inserts(
                 batch, times=[clock.boundary(k)] * len(batch)
             )
 
@@ -906,7 +901,7 @@ def _serve_durable(args: argparse.Namespace) -> int:
     broker.durability = hook
     for _ in range(remaining):
         broker.run_tick()
-    print(broker.summary() if shards > 1 else broker.metrics.summary())
+    print(broker.summary())
     broker.quiesce()
     hook.close()
     answers.close()
@@ -931,14 +926,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         MultiplexBroker,
         QueryBroker,
         RemoteMultiplexBroker,
-        ServerConfig,
-        ShardPlan,
-        SimulatedClock,
     )
-    from repro.workload.config import WorkloadConfig
-    from repro.workload.objects import generate_motion_segments
-    from repro.workload.observers import observer_fleet
-    from repro.workload.scenarios import battlefield_scenario, city_scenario
 
     if args.clients < 1 or args.ticks < 1:
         print("--clients and --ticks must be >= 1", file=sys.stderr)
@@ -969,22 +957,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--kill-worker requires --workers process", file=sys.stderr)
         return 2
 
-    if args.scenario == "synthetic":
-        config = getattr(WorkloadConfig, args.scale)(seed=args.seed)
-        segments = list(generate_motion_segments(config))
-        space_side, horizon = config.space_side, config.horizon
-        name = f"synthetic/{args.scale}"
-    else:
-        maker = (
-            battlefield_scenario
-            if args.scenario == "battlefield"
-            else city_scenario
-        )
-        world = maker(seed=args.seed)
-        segments = world.segments
-        space_side, horizon = world.space_side, world.horizon.high
-        name = world.name
-
+    segments, space_side, horizon, name = _build_world(
+        args.scenario, args.scale, args.seed
+    )
     need_dual = args.kind in _DUAL_KINDS
     print(
         f"building {name} world ({len(segments)} segments"
@@ -993,51 +968,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
 
-    duration = min(args.ticks * args.period, horizon * 0.9)
-    start = min(horizon * 0.1, horizon - duration)
-    geometry = WorkloadConfig(
-        num_objects=1, space_side=space_side, horizon=horizon
-    )
-    fleet = observer_fleet(
-        geometry,
-        args.clients,
-        mode=args.mode,
-        window_side=args.window,
-        duration=duration,
-        start_time=start,
-        seed=args.seed,
-    )
-
-    clock = SimulatedClock(start=start, period=args.period)
-    server_config = ServerConfig(
-        max_clients=max(args.clients, 1),
-        queue_depth=args.queue_depth,
-        shared_scan=not args.no_shared_scan,
-        promote_after=args.promote_after,
-        npdq_predict_margin=args.npdq_margin,
-        accel=_resolve_accel(args.accel),
-        join_delta=args.join_delta,
-        auto_route_refresh=args.route_refresh,
-    )
-    if process_workers:
-        broker = RemoteMultiplexBroker(
-            ShardPlan.grid([0.0, 0.0], [space_side, space_side], args.shards),
-            dims=2,
+    cfg = _serve_cfg(args)
+    fleet, clock = _serve_fleet(cfg, space_side, horizon)
+    server_config = _server_config(cfg)
+    if process_workers or args.shards > 1:
+        tier = RemoteMultiplexBroker if process_workers else MultiplexBroker
+        broker = tier.over_segments(
+            segments,
+            shards=args.shards,
             dual=need_dual,
             clock=clock,
             config=server_config,
-            kill_plan=kill_plan,
+            bounds=([0.0, 0.0], [space_side, space_side]),
+            **({"kill_plan": kill_plan} if process_workers else {}),
         )
-        broker.load(segments)
-    elif args.shards > 1:
-        broker = MultiplexBroker(
-            ShardPlan.grid([0.0, 0.0], [space_side, space_side], args.shards),
-            lambda: NativeSpaceIndex(dims=2),
-            (lambda: DualTimeIndex(dims=2)) if need_dual else None,
-            clock=clock,
-            config=server_config,
-        )
-        broker.load(segments)
     else:
         native = NativeSpaceIndex(dims=2)
         native.bulk_load(segments)
@@ -1048,17 +992,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         broker = QueryBroker(
             native, dual=dual, clock=clock, config=server_config
         )
-    _register_fleet(
-        broker,
-        fleet,
-        {
-            "kind": args.kind,
-            "window": args.window,
-            "knn_k": args.knn_k,
-            "join_delta": args.join_delta,
-        },
-        process_workers=process_workers,
-    )
+    _register_fleet(broker, fleet, cfg)
     print(
         f"serving {args.clients} {args.kind} client(s) for {args.ticks} "
         f"tick(s) of {args.period} t.u. "
@@ -1078,10 +1012,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             for session in broker.sessions:
                 for result in session.poll():
                     answers.append(session.client_id, result)
-    if args.shards > 1 or process_workers:
-        print(broker.summary())
-    else:
-        print(broker.metrics.summary())
+    print(broker.summary())
     broker.quiesce()
     if answers is not None:
         answers.flush()

@@ -147,7 +147,14 @@ class _BaseCodec:
                     Interval(values[2 * a], values[2 * a + 1])
                     for a in range(self._axes)
                 ]
-                node.entries.append(InternalEntry(Box(extents), values[-1]))
+                # The page stores one stamp per node.  It is the newest
+                # of its entries' stamps, so giving it to every entry
+                # only ever disables NPDQ's update suppression (which
+                # discards a subtree whose stamp predates the previous
+                # query) — a zero here would discard fresh inserts.
+                node.entries.append(
+                    InternalEntry(Box(extents), values[-1], timestamp=timestamp)
+                )
         return node
 
 

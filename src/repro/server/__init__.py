@@ -12,21 +12,31 @@ isolated engines — without changing a single answer:
   physically read at most once per tick across all clients;
 * :mod:`~repro.server.dispatcher` — the single-writer update stream with
   LCA push-down to every live PDQ and crash recovery;
-* :mod:`~repro.server.broker` — the event loop tying them together;
+* :mod:`~repro.server.kinds` — the query-kind table: per kind its
+  session factory, shard-route rule, cross-shard merge rule and wire
+  params; the one place a kind is spelled out;
+* :mod:`~repro.server.broker` — :class:`BrokerCore` (session book,
+  admission, ``register(kind, ...)``, the planner front door and the
+  shed/promote policy, shared by every tier) and :class:`QueryBroker`,
+  the leaf tick engine tying the pieces above together;
 * :mod:`~repro.server.planner` — the cost-based planner behind the
   declarative ``register_query`` front door: engine choice and
   targeted-versus-broadcast shard fan-out from index statistics;
 * :mod:`~repro.server.metrics` — per-client and per-tick accounting;
-* :mod:`~repro.server.shard` — spatial sharding: K index shards behind a
-  multiplexed front-end, answer-invariant by boundary replication;
-* :mod:`~repro.server.remote` — the same front-end over K *spawned*
-  worker processes speaking a framed pipe protocol, with deterministic
-  respawn-and-replay when a worker dies.
+* :mod:`~repro.server.shard` — spatial sharding: the one front-end
+  (:class:`MultiplexBroker`) over K :class:`ShardBackend` shards
+  (in-process: :class:`IndexShard`, a leaf broker each),
+  answer-invariant by boundary replication;
+* :mod:`~repro.server.remote` — the pipe :class:`ShardBackend`: the
+  same front-end over K *spawned* worker processes speaking a framed
+  pipe protocol, with deterministic respawn-and-replay when a worker
+  dies.
 """
 
-from repro.server.broker import QueryBroker, ServerConfig, dispatch_spec
+from repro.server.broker import BrokerCore, QueryBroker, ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import DispatchStats, UpdateDispatcher, UpdateOp
+from repro.server.kinds import KINDS, QueryKind
 from repro.server.metrics import (
     ClientMetrics,
     LatencyModel,
@@ -42,6 +52,7 @@ from repro.server.shard import (
     IndexShard,
     MultiplexBroker,
     MuxClientSession,
+    ShardBackend,
     ShardPlan,
     ShardRouter,
     merge_results,
@@ -61,7 +72,9 @@ from repro.server.session import (
 __all__ = [
     "QueryBroker",
     "ServerConfig",
-    "dispatch_spec",
+    "BrokerCore",
+    "KINDS",
+    "QueryKind",
     "IndexStats",
     "QueryPlan",
     "plan_query",
@@ -88,6 +101,7 @@ __all__ = [
     "merge_tick_metrics",
     "ShardPlan",
     "ShardRouter",
+    "ShardBackend",
     "IndexShard",
     "MuxClientSession",
     "MultiplexBroker",

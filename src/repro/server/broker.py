@@ -25,76 +25,35 @@ the broker:
 5. folds physical/logical read deltas, update counts and simulated
    latency into :class:`~repro.server.metrics.ServerMetrics`.
 
-Admission control is a hard cap: :meth:`register_pdq` & friends raise
-:class:`~repro.errors.AdmissionError` once ``max_clients`` sessions are
-live.  Closing a client frees its slot.
+:class:`BrokerCore` is what this leaf broker and the sharded front-end
+(:class:`~repro.server.shard.MultiplexBroker`) do identically: the
+session book, admission control (a hard ``max_clients`` cap —
+:class:`~repro.errors.AdmissionError` once full, closing a client frees
+its slot), registration through the kind table
+(:mod:`repro.server.kinds`), the planner front door, the
+deliver→shed/promote policy and the report.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
-
-import math
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis import runtime as _sanitize
 from repro.core.query import QuerySpec
-from repro.core.session import DynamicQuerySession
-from repro.core.trajectory import QueryTrajectory
 from repro.errors import AdmissionError, ServerError
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
 from repro.server.clock import SimulatedClock, Tick
-from repro.server.dispatcher import UpdateDispatcher
+from repro.server.dispatcher import UpdateDispatcher, UpdateOp
+from repro.server.kinds import KINDS, QueryKind, kind_named, registration_of
 from repro.server.metrics import LatencyModel, ServerMetrics, TickMetrics
-from repro.server.planner import IndexStats, QueryPlan, plan_query
+from repro.server.planner import IndexStats, plan_query
 from repro.server.scheduler import SharedScanScheduler
-from repro.server.session import (
-    AggregateSession,
-    AutoSession,
-    ClientSession,
-    JoinSession,
-    KNNSession,
-    NPDQSession,
-    PDQSession,
-    SessionState,
-)
+from repro.server.session import ClientSession, NPDQSession, SessionState
 
-__all__ = ["ServerConfig", "QueryBroker", "dispatch_spec"]
-
-
-def dispatch_spec(broker, client_id: str, spec: QuerySpec, **kwargs):
-    """Route a declarative :class:`~repro.core.QuerySpec` to the
-    concrete ``register_*`` call on ``broker``.
-
-    Shared by every front-end tier (in-process broker, sharded mux,
-    process-worker mux); ``broker`` only needs the ``register_pdq`` /
-    ``register_npdq`` / ``register_knn`` / ``register_join`` /
-    ``register_aggregate`` quintet, each of which owns its tier's
-    routing decision.
-    """
-    if spec.kind == "range":
-        if spec.predictive:
-            return broker.register_pdq(client_id, spec.trajectory, **kwargs)
-        return broker.register_npdq(client_id, spec.trajectory, **kwargs)
-    if spec.kind == "knn":
-        return broker.register_knn(
-            client_id,
-            spec.trajectory,
-            spec.k,
-            max_step=spec.max_step,
-            **kwargs,
-        )
-    if spec.kind == "join":
-        if spec.trajectory is None:
-            raise ServerError(
-                "join specs need a trajectory to scope their lifetime"
-            )
-        return broker.register_join(
-            client_id, spec.trajectory, delta=spec.delta, **kwargs
-        )
-    return broker.register_aggregate(client_id, spec.trajectory, **kwargs)
+__all__ = ["ServerConfig", "BrokerCore", "QueryBroker"]
 
 
 @dataclass(frozen=True)
@@ -173,52 +132,35 @@ class ServerConfig:
             raise ServerError("auto_route_refresh must be >= 0")
 
 
-class QueryBroker:
-    """Shared-execution server over one native-space (and optionally one
-    dual-time) index.
+class BrokerCore:
+    """What every serving tier does the same way.
 
-    Parameters
-    ----------
-    native:
-        The native-space index (PDQ/SPDQ/auto clients, writer target).
-    dual:
-        Optional dual-time index over the same population (NPDQ and auto
-        clients; mirrored writer target).
-    clock:
-        Tick source; a fresh period-0.1 clock by default.
-    config:
-        Serving tunables; defaults are benchmark-friendly.
+    A tier supplies four things: ``shard_count``, ``_route`` (the shards
+    a registration lands on), ``_open`` (build the session there) and
+    ``_index_stats`` (what the planner may know); a sharded tier also
+    reports per shard through ``_shard_reports``.
     """
+
+    shard_count = 1
 
     def __init__(
         self,
-        native: NativeSpaceIndex,
-        dual: Optional[DualTimeIndex] = None,
-        clock: Optional[SimulatedClock] = None,
-        config: Optional[ServerConfig] = None,
-        durability: Optional[object] = None,
+        clock: Optional[SimulatedClock],
+        config: Optional[ServerConfig],
+        durability: Optional[object],
+        has_dual: bool,
     ):
-        self.native = native
-        self.dual = dual
         self.clock = clock or SimulatedClock()
         self.config = config or ServerConfig()
         # Duck-typed durability driver (``begin_tick``/``commit_tick``),
         # e.g. repro.storage.file.TickDurability wired in by the CLI —
         # the serving layer itself never touches a storage backend.
         self.durability = durability
-        self.dispatcher = UpdateDispatcher(native, dual)
-        self.scheduler: Optional[SharedScanScheduler] = None
-        if self.config.shared_scan:
-            self.scheduler = SharedScanScheduler(
-                native.tree,
-                self.config.buffer_capacity,
-                extra_trees=(dual.tree,) if dual is not None else (),
-            )
         self.metrics = ServerMetrics()
         self._sessions: "OrderedDict[str, ClientSession]" = OrderedDict()
-        self._logical_seen: Dict[str, int] = {}
+        self._has_dual = has_dual
 
-    # -- registration / admission control -----------------------------------
+    # -- the session book --------------------------------------------------
 
     @property
     def sessions(self) -> List[ClientSession]:
@@ -233,184 +175,212 @@ class QueryBroker:
         """Look up one session (KeyError when never registered)."""
         return self._sessions[client_id]
 
-    def _admit(self, session: ClientSession) -> ClientSession:
+    def close_client(self, client_id: str) -> None:
+        """Close one session, freeing its admission slot."""
+        self._sessions[client_id].close()
+
+    # -- registration / admission control ----------------------------------
+
+    def _check_admission(self, kind: QueryKind, client_id: str) -> None:
+        if kind.needs_dual and not self._has_dual:
+            raise ServerError(
+                f"broker has no dual-time index for {kind.name} clients"
+            )
         if len(self.sessions) >= self.config.max_clients:
             self.metrics.rejections += 1
             raise AdmissionError(
                 f"server full ({self.config.max_clients} clients); "
-                f"rejected {session.client_id!r}"
+                f"rejected {client_id!r}"
             )
-        if session.client_id in self._sessions and (
-            self._sessions[session.client_id].state is not SessionState.CLOSED
+        if client_id in self._sessions and (
+            self._sessions[client_id].state is not SessionState.CLOSED
         ):
-            raise ServerError(
-                f"client id {session.client_id!r} already registered"
-            )
-        self._sessions[session.client_id] = session
-        self._logical_seen[session.client_id] = session.logical_reads
+            raise ServerError(f"client id {client_id!r} already registered")
+
+    def _admit(
+        self,
+        kind: QueryKind,
+        client_id: str,
+        params: Dict[str, Any],
+        route: Sequence[int],
+    ) -> ClientSession:
+        self._check_admission(kind, client_id)
+        session = self._open(kind, client_id, params, route)
+        self._sessions[client_id] = session
         self.metrics.admissions += 1
-        self.metrics.clients[session.client_id] = session.metrics
+        self.metrics.clients[client_id] = session.metrics
         return session
 
-    def register_pdq(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        rebuild_depth: int = 0,
-        track_updates: bool = True,
-        fault_budget: Optional[int] = None,
-    ) -> PDQSession:
-        """Admit a predictive client over the native-space index."""
-        return self._admit(  # type: ignore[return-value]
-            PDQSession(
-                client_id,
-                self.native,
-                trajectory,
-                queue_depth=self.config.queue_depth,
-                rebuild_depth=rebuild_depth,
-                track_updates=track_updates,
-                fault_budget=fault_budget,
-                accel=self.config.accel,
-            )
-        )
-
-    def register_npdq(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        exact: bool = True,
-        fault_budget: Optional[int] = None,
-    ) -> NPDQSession:
-        """Admit a non-predictive client over the dual-time index."""
-        if self.dual is None:
-            raise ServerError("broker has no dual-time index for NPDQ clients")
-        return self._admit(  # type: ignore[return-value]
-            NPDQSession(
-                client_id,
-                self.dual,
-                trajectory,
-                queue_depth=self.config.queue_depth,
-                exact=exact,
-                fault_budget=fault_budget,
-                predict_margin=self.config.npdq_predict_margin,
-                history_weight=self.config.npdq_history_weight,
-                accel=self.config.accel,
-            )
-        )
-
-    def register_auto(
-        self,
-        client_id: str,
-        path: Callable[[float], Sequence[float]],
-        half_extents: Sequence[float],
-        **session_kwargs,
-    ) -> AutoSession:
-        """Admit an auto-mode client (Sect. 4 mode hand-off session)."""
-        if self.dual is None:
-            raise ServerError("broker has no dual-time index for auto clients")
-        session_kwargs.setdefault("accel", self.config.accel)
-        session = DynamicQuerySession(
-            self.native, self.dual, half_extents, **session_kwargs
-        )
-        return self._admit(  # type: ignore[return-value]
-            AutoSession(
-                client_id,
-                session,
-                path,
-                queue_depth=self.config.queue_depth,
-                predict_margin=self.config.npdq_predict_margin,
-                history_weight=self.config.npdq_history_weight,
-                route_refresh=self.config.auto_route_refresh,
-            )
-        )
-
-    def register_knn(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        k: int,
-        max_step: float = math.inf,
-        max_object_step: float = 0.0,
-    ) -> KNNSession:
-        """Admit a continuous-kNN client over the native-space index."""
-        return self._admit(  # type: ignore[return-value]
-            KNNSession(
-                client_id,
-                self.native,
-                trajectory,
-                k,
-                queue_depth=self.config.queue_depth,
-                max_step=max_step,
-                max_object_step=max_object_step,
-            )
-        )
-
-    def register_join(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        delta: Optional[float] = None,
-    ) -> JoinSession:
-        """Admit a moving-join client (δ defaults to ``config.join_delta``)."""
-        if delta is None:
-            delta = self.config.join_delta
-        return self._admit(  # type: ignore[return-value]
-            JoinSession(
-                client_id,
-                self.native,
-                trajectory,
-                delta,
-                queue_depth=self.config.queue_depth,
-            )
-        )
-
-    def register_aggregate(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        track_updates: bool = True,
-        fault_budget: Optional[int] = None,
-    ) -> AggregateSession:
-        """Admit a windowed-aggregate client over the native-space index."""
-        return self._admit(  # type: ignore[return-value]
-            AggregateSession(
-                client_id,
-                self.native,
-                trajectory,
-                queue_depth=self.config.queue_depth,
-                track_updates=track_updates,
-                fault_budget=fault_budget,
-                accel=self.config.accel,
-            )
-        )
-
-    # -- declarative front door ---------------------------------------------
-
-    def _index_stats(self) -> IndexStats:
-        return IndexStats.from_index(self.native)
-
-    def _plan(self, spec: QuerySpec) -> QueryPlan:
-        return plan_query(spec, self._index_stats(), total_shards=1, route=(0,))
+    def register(self, kind: str, client_id: str, **params) -> ClientSession:
+        """Admit a client of any kind in :data:`~repro.server.kinds.KINDS`;
+        ``params`` are the kind's registration parameters."""
+        row = kind_named(kind)
+        return self._admit(row, client_id, params, self._route(row, params))
 
     def register_query(
         self, client_id: str, spec: QuerySpec, **kwargs
     ) -> ClientSession:
         """Admit a client from a declarative :class:`~repro.core.QuerySpec`.
 
-        The planner picks the engine and fan-out from index statistics;
-        the chosen :class:`~repro.server.planner.QueryPlan` is recorded
-        in ``metrics.plans`` so the serving report can show predicted
-        versus actual cost.  Extra keyword arguments flow to the
-        concrete ``register_*`` call.
+        The planner sees the tier's index statistics and the very route
+        the registration then uses, so the recorded
+        :class:`~repro.server.planner.QueryPlan` (``metrics.plans``, for
+        the predicted-versus-actual lines of the report) names the
+        fan-out that was actually registered.  Extra keyword arguments
+        join the registration parameters.
         """
-        plan = self._plan(spec)
-        session = dispatch_spec(self, client_id, spec, **kwargs)
+        kind, params = registration_of(spec)
+        params.update(kwargs)
+        route = self._route(kind, params)
+        plan = plan_query(
+            spec,
+            self._index_stats(),
+            total_shards=self.shard_count,
+            route=route,
+        )
+        session = self._admit(kind, client_id, params, route)
         self.metrics.plans[client_id] = plan
         return session
 
-    def close_client(self, client_id: str) -> None:
-        """Close one session, freeing its admission slot."""
-        self._sessions[client_id].close()
+    def register_pdq(self, client_id, trajectory, **kwargs):
+        """Admit a predictive client over the native-space index."""
+        return self.register("pdq", client_id, trajectory=trajectory, **kwargs)
+
+    def register_npdq(self, client_id, trajectory, **kwargs):
+        """Admit a non-predictive client over the dual-time index."""
+        return self.register("npdq", client_id, trajectory=trajectory, **kwargs)
+
+    def register_auto(self, client_id, trajectory, half_extents, **kwargs):
+        """Admit an auto-mode client (Sect. 4 mode hand-off session) by
+        trajectory or, in-process, by any ``time -> centre`` callable."""
+        return self.register(
+            "auto", client_id, trajectory=trajectory,
+            half_extents=half_extents, **kwargs,
+        )
+
+    def register_knn(self, client_id, trajectory, k, **kwargs):
+        """Admit a continuous-kNN client over the native-space index."""
+        return self.register("knn", client_id, trajectory=trajectory, k=k, **kwargs)
+
+    def register_join(self, client_id, trajectory, delta=None):
+        """Admit a moving-join client (δ defaults to ``config.join_delta``)."""
+        return self.register("join", client_id, trajectory=trajectory, delta=delta)
+
+    def register_aggregate(self, client_id, trajectory, **kwargs):
+        """Admit a windowed-aggregate client over the native-space index."""
+        return self.register(
+            "aggregate", client_id, trajectory=trajectory, **kwargs
+        )
+
+    # -- slow-client policy ------------------------------------------------
+
+    def _deliver(self, session: ClientSession, result) -> None:
+        """Queue ``result``; shed a sheddable client whose queue
+        overflowed, and count a shed one's shallow strides towards
+        promotion."""
+        ok = session.deliver(result)
+        if not KINDS[session.kind].sheddable:
+            return
+        if not ok:
+            if session.state is SessionState.ACTIVE:
+                session.shed(self.config.shed_delta, self.config.shed_stride)
+                session.metrics.shed_events += 1
+                self.metrics.shed_events += 1
+        elif session.observe_queue(
+            self.config.promote_after, self.config.promote_depth
+        ):
+            session.metrics.promote_events += 1
+            self.metrics.promote_events += 1
+
+    # -- the update stream, the loop, the report ---------------------------
+
+    #: "One insert per segment, due at its start time" needs nothing of
+    #: its receiver but ``submit``, so every tier borrows the
+    #: dispatcher's definition rather than repeating it.
+    submit_inserts = UpdateDispatcher.submit_inserts
+
+    def run(self, ticks: int) -> List[TickMetrics]:
+        """Serve ``ticks`` consecutive ticks."""
+        return [self.run_tick() for _ in range(ticks)]
+
+    def _shard_reports(self) -> Sequence[Dict[str, Any]]:
+        return ()
+
+    def summary(self) -> str:
+        """The global rollup, plus one line per shard on a sharded tier."""
+        lines = [self.metrics.summary()]
+        reports = self._shard_reports()
+        if reports:
+            lines.append("per-shard:")
+        for shard_id, m in enumerate(reports):
+            lines.append(
+                f"  shard {shard_id:<2} "
+                f"records={m['records']:<6} "
+                f"clients={m['clients']:<3} "
+                f"physical={m['physical_reads']:<6} "
+                f"({m['reads_per_tick']:.1f}/tick) "
+                f"logical={m['logical_reads']:<6} "
+                f"updates={m['updates_applied']}"
+            )
+        return "\n".join(lines)
+
+
+class QueryBroker(BrokerCore):
+    """Shared-execution server over one native-space (and optionally one
+    dual-time) index — the leaf tick engine of every tier.
+
+    Parameters
+    ----------
+    native:
+        The native-space index (PDQ/SPDQ/auto clients, writer target).
+    dual:
+        Optional dual-time index over the same population (NPDQ and auto
+        clients; mirrored writer target).
+    clock:
+        Tick source; a fresh period-0.1 clock by default.
+    config:
+        Serving tunables; defaults are benchmark-friendly.
+    durability:
+        Optional duck-typed ``begin_tick``/``commit_tick`` driver.
+    """
+
+    def __init__(
+        self,
+        native: NativeSpaceIndex,
+        dual: Optional[DualTimeIndex] = None,
+        clock: Optional[SimulatedClock] = None,
+        config: Optional[ServerConfig] = None,
+        durability: Optional[object] = None,
+    ):
+        super().__init__(clock, config, durability, has_dual=dual is not None)
+        self.native = native
+        self.dual = dual
+        self.dispatcher = UpdateDispatcher(native, dual)
+        self.scheduler: Optional[SharedScanScheduler] = None
+        if self.config.shared_scan:
+            self.scheduler = SharedScanScheduler(
+                native.tree,
+                self.config.buffer_capacity,
+                extra_trees=(dual.tree,) if dual is not None else (),
+            )
+        self._logical_seen: Dict[str, int] = {}
+
+    # -- what this tier supplies to BrokerCore -----------------------------
+
+    def _route(self, kind: QueryKind, params) -> Sequence[int]:
+        return (0,)
+
+    def _open(self, kind, client_id, params, route) -> ClientSession:
+        session = kind.session(self, client_id, **params)
+        self._logical_seen[client_id] = session.logical_reads
+        return session
+
+    def _index_stats(self) -> IndexStats:
+        return IndexStats.from_index(self.native)
+
+    def submit(self, op: UpdateOp) -> None:
+        """Queue one insert/expire for the single writer."""
+        self.dispatcher.submit(op)
 
     # -- the serving loop ----------------------------------------------------
 
@@ -475,20 +445,7 @@ class QueryBroker:
             if result is None:
                 continue
             served += 1
-            ok = session.deliver(result)
-            if not ok and isinstance(session, PDQSession):
-                if session.state is SessionState.ACTIVE:
-                    session.shed(
-                        self.config.shed_delta, self.config.shed_stride
-                    )
-                    session.metrics.shed_events += 1
-                    self.metrics.shed_events += 1
-            elif ok and isinstance(session, PDQSession):
-                if session.observe_queue(
-                    self.config.promote_after, self.config.promote_depth
-                ):
-                    session.metrics.promote_events += 1
-                    self.metrics.promote_events += 1
+            self._deliver(session, result)
         if self.scheduler is not None:
             self.scheduler.end_tick()
         _sanitize.tick_end(self)
@@ -538,10 +495,6 @@ class QueryBroker:
         )
         self.metrics.record_tick(tick_metrics)
         return tick_metrics
-
-    def run(self, ticks: int) -> List[TickMetrics]:
-        """Serve ``ticks`` consecutive ticks."""
-        return [self.run_tick() for _ in range(ticks)]
 
     def quiesce(self) -> int:
         """Close every session and flush deferred expires.

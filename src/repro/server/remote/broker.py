@@ -1,21 +1,20 @@
-"""Async multiplex front-end over out-of-process shard workers.
+"""The pipe backend: shard workers in their own processes.
 
-:class:`RemoteMultiplexBroker` is the spawned-worker twin of the
-in-process :class:`~repro.server.shard.MultiplexBroker`: the same
-:class:`~repro.server.shard.ShardPlan` grid, the same
-:class:`~repro.server.shard.ShardRouter` segment/client routing, the
-same per-client merge (:func:`~repro.server.shard.merge_results`) and
-front-end-only shed/promote machinery — but each shard's broker lives
-in its own worker process (``python -m repro.server.remote.worker``)
-behind a framed pipe, and tick N is broadcast to all K workers
-*concurrently* on a private asyncio event loop, barriering on every
-reply before the merge phase runs.
+:class:`RemoteMultiplexBroker` is :class:`~repro.server.shard.MultiplexBroker`
+over spawned workers: the same front-end — grid plan, kind-table
+routing, master tick, merge phase, shed/promote policy, report — whose
+:class:`~repro.server.shard.ShardBackend` is a ``python -m
+repro.server.remote.worker`` process behind a framed pipe.  What this
+module adds is the transport: a private asyncio event loop on which the
+front-end's backend calls run *concurrently* across the K workers
+(tick N is broadcast to all of them and barriers on every reply before
+the merge phase runs), the per-worker journal, and respawn-and-replay.
 
 **Determinism.**  The master clock is the only clock: workers receive
 explicit tick boundaries, evaluate them with the same engines on the
 same routed state, and the barrier re-serialises their replies into
 shard order before merging — so the answer stream is byte-identical to
-the in-process front-end's on the same seed, whatever order replies
+the in-process backend's on the same seed, whatever order replies
 arrive in.
 
 **Robustness.**  Every request carries a timeout; a timeout, pipe EOF
@@ -29,6 +28,11 @@ that did not arrive as a message, the rebuilt worker is bit-equivalent
 to the lost one and the answer stream is unperturbed.  Retries are
 bounded; per-shard :class:`~repro.server.metrics.ShardHealth` counts
 round-trips, timeouts, crashes and restarts.
+
+Two limits come with the pipe: registration parameters must be
+JSON-encodable (no fault budgets across it), and auto clients register
+by *trajectory* — the worker rebuilds the centre path locally, since a
+path callable cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -36,37 +40,43 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-from collections import OrderedDict
 from dataclasses import fields as _dataclass_fields
-from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import repro
-from repro.core.query import QuerySpec
-from repro.core.trajectory import QueryTrajectory
-from repro.errors import AdmissionError, RemoteWorkerError, ServerError
+from repro.errors import RemoteWorkerError
 from repro.geometry.box import Box
 from repro.motion.segment import MotionSegment
-from repro.server.broker import ServerConfig, dispatch_spec
-from repro.server.planner import IndexStats, plan_query
+from repro.server.broker import ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import UpdateOp
-from repro.server.metrics import (
-    ClientMetrics,
-    ServerMetrics,
-    ShardHealth,
-    TickMetrics,
-    merge_tick_metrics,
-)
+from repro.server.kinds import kind_named, register_payload
+from repro.server.metrics import ClientMetrics, ShardHealth
+from repro.server.planner import IndexStats
 from repro.server.remote import protocol as proto
-from repro.server.session import SessionState, TickResult
+from repro.server.session import TickResult
 from repro.server.shard import (
-    _SHARD_QUEUE_DEPTH,
-    MuxClientSession,
+    MultiplexBroker,
     ShardPlan,
-    ShardRouter,
-    merge_results,
+    ShardTick,
+    leaf_config,
 )
+
+# The benchmark's outside-in tracer times the planner and the merge
+# through a module global of every tier's module; this tier plans in
+# BrokerCore and merges in MultiplexBroker.
+from repro.server.planner import plan_query  # noqa: F401
+from repro.server.shard import merge_results  # noqa: F401
 
 __all__ = ["RemoteMultiplexBroker", "RemoteSubSession"]
 
@@ -102,10 +112,8 @@ class RemoteSubSession:
     take effect before tick N+1 everywhere).
     """
 
-    def __init__(self, broker: "RemoteMultiplexBroker", shard_id: int,
-                 client_id: str, kind: str):
-        self._broker = broker
-        self.shard_id = shard_id
+    def __init__(self, handle: "_WorkerHandle", client_id: str, kind: str):
+        self._handle = handle
         self.client_id = client_id
         self.kind = kind
         self.metrics = ClientMetrics(client_id)
@@ -121,22 +129,19 @@ class RemoteSubSession:
         out, self._pending = self._pending, []
         return out
 
-    def shed(self, delta: float, stride: int) -> None:
-        self._broker._enqueue_command(
-            self.shard_id,
-            proto.MSG_SHED,
-            {"client_id": self.client_id, "delta": delta, "stride": stride},
+    def _command(self, msg_type: int, **fields: Any) -> None:
+        self._handle.pending.append(
+            (msg_type, {"client_id": self.client_id, **fields})
         )
+
+    def shed(self, delta: float, stride: int) -> None:
+        self._command(proto.MSG_SHED, delta=delta, stride=stride)
 
     def promote(self) -> None:
-        self._broker._enqueue_command(
-            self.shard_id, proto.MSG_PROMOTE, {"client_id": self.client_id}
-        )
+        self._command(proto.MSG_PROMOTE)
 
     def close(self) -> None:
-        self._broker._enqueue_command(
-            self.shard_id, proto.MSG_CLOSE, {"client_id": self.client_id}
-        )
+        self._command(proto.MSG_CLOSE)
 
     def _absorb(self, results: Sequence[TickResult], stats: Optional[Dict]):
         self._pending.extend(results)
@@ -148,14 +153,17 @@ class RemoteSubSession:
         m.predicted_pages = int(stats["predicted_pages"])
         m.actual_pages = int(stats["actual_pages"])
         m.mispredicted_pages = int(stats["mispredicted_pages"])
-        # .get(): a pre-zoo worker reply simply has no dormant counter.
-        m.dormant_ticks = int(stats.get("dormant_ticks", 0))
+        m.dormant_ticks = int(stats["dormant_ticks"])
 
 
 class _WorkerHandle:
-    """One spawned worker: process, journal, health, client proxies."""
+    """One spawned worker as a :class:`~repro.server.shard.ShardBackend`:
+    process, journal, health, client proxies.  Every call is a request
+    through the owning front-end's retrying transport, so the replies
+    are awaitables its ``_gather`` resolves."""
 
-    def __init__(self, shard_id: int):
+    def __init__(self, owner: "RemoteMultiplexBroker", shard_id: int):
+        self._owner = owner
         self.shard_id = shard_id
         self.proc: Optional[asyncio.subprocess.Process] = None
         self.health = ShardHealth(shard_id)
@@ -164,18 +172,110 @@ class _WorkerHandle:
         self.journal: List[Tuple[int, Any]] = []
         self.pending: List[Tuple[int, Any]] = []
         self.subs: Dict[str, RemoteSubSession] = {}
+        # The front-end never touches a tree, so the planner's view of
+        # this shard is what flowed through load()/submit().
+        self._records = 0
+        self._domain: Optional[Box] = None
+
+    @property
+    def has_dual(self) -> bool:
+        return bool(self.hello_request["dual"])
+
+    @property
+    def uncertainty(self) -> float:
+        return max(
+            float(self.hello[key])
+            for key in ("native_uncertainty", "dual_uncertainty")
+            if self.hello[key] is not None
+        )
+
+    def _note(self, record: MotionSegment) -> None:
+        box = record.bounding_box()
+        self._records += 1
+        self._domain = box if self._domain is None else self._domain.cover(box)
+
+    def index_stats(self) -> IndexStats:
+        """Estimated from the paper's page-layout arithmetic."""
+        page_size = self.hello_request["page_size"]
+        return IndexStats.estimate(
+            self._records,
+            self._domain,
+            dims=self.hello_request["dims"],
+            **({} if page_size is None else {"page_size": page_size}),
+        )
+
+    def _request(self, msg_type: int, payload: Any) -> Any:
+        return self._owner._request(self, msg_type, payload)
+
+    async def _flush_pending(self) -> None:
+        pending, self.pending = self.pending, []
+        for msg_type, payload in pending:
+            await self._request(msg_type, payload)
+
+    async def load(self, segments: Sequence[MotionSegment]) -> None:
+        for record in segments:
+            self._note(record)
+        await self._request(proto.MSG_LOAD, {"segments": segments})
+
+    async def register(
+        self, kind: str, client_id: str, params: Dict[str, Any]
+    ) -> RemoteSubSession:
+        payload = register_payload(kind_named(kind), client_id, params)
+        # Installed ahead of the request: past the await another shard's
+        # reply may be running, and a proxy whose registration failed
+        # is never shipped a result.
+        sub = self.subs[client_id] = RemoteSubSession(self, client_id, kind)
+        await self._request(proto.MSG_REGISTER, payload)
+        return sub
+
+    async def submit(self, op: UpdateOp) -> None:
+        if op.kind == "insert":
+            self._note(op.segment)
+        await self._request(proto.MSG_SUBMIT, {"op": op})
+
+    async def run_tick(self, tick: Tick) -> ShardTick:
+        if self._owner.kill_plan.get(tick.index) == self.shard_id:
+            # Chaos hook: SIGKILL at the start of the tick; recovery is
+            # the ordinary respawn path.
+            del self._owner.kill_plan[tick.index]
+            if self.proc is not None and self.proc.returncode is None:
+                self.proc.kill()
+        await self._flush_pending()
+        reply = await self._request(
+            proto.MSG_TICK,
+            {
+                "index": tick.index,
+                "start": tick.start,
+                "end": tick.end,
+                "quiet": False,
+            },
+        )
+        for client_id, results in reply["results"]:
+            sub = self.subs.get(client_id)
+            if sub is not None:
+                sub._absorb(results, reply["clients"].get(client_id))
+        return ShardTick(
+            reply["tick"],
+            reply["writer_crashes"],
+            reply["updates_deferred"],
+            reply["updates_dropped"],
+        )
+
+    async def quiesce(self) -> int:
+        await self._flush_pending()
+        reply = await self._request(proto.MSG_SHUTDOWN, {})
+        return int(reply["expired"])
+
+    async def report(self) -> Dict[str, Any]:
+        return await self._request(proto.MSG_METRICS, {})
 
 
-class RemoteMultiplexBroker:
-    """A front-end fanning clients out over K spawned shard workers.
+class RemoteMultiplexBroker(MultiplexBroker):
+    """The front-end over K spawned shard workers.
 
-    Mirrors the in-process :class:`~repro.server.shard.MultiplexBroker`
-    API (``over_segments``/``load``/``register_*``/``submit``/
-    ``run_tick``/``quiesce``/``summary``), with two remote-specific
-    limits: session kwargs must be JSON-encodable (no fault budgets
-    across the pipe), and auto clients are registered by *trajectory* —
-    the worker rebuilds the centre path locally, since an arbitrary
-    path callable cannot cross a process boundary.
+    Owns what the pipe needs and the in-process tier does not: the
+    event loop, the worker processes, each worker's journal with
+    respawn-and-replay, and ``kill_plan``.
     """
 
     def __init__(
@@ -190,490 +290,55 @@ class RemoteMultiplexBroker:
         max_restarts: int = 3,
         kill_plan: Optional[Dict[int, int]] = None,
     ):
-        self.plan = plan
-        self.router = ShardRouter(plan)
-        self.clock = clock or SimulatedClock()
-        self.config = config or ServerConfig()
-        self.dims = dims
-        self.dual = dual
-        self.page_size = page_size
+        clock = clock or SimulatedClock()
+        config = config or ServerConfig()
         self.request_timeout = float(request_timeout)
         self.max_restarts = int(max_restarts)
         #: tick index -> shard id; that worker is SIGKILLed at the start
         #: of the tick (chaos hook for ``--kill-worker`` and tests).
         self.kill_plan = dict(kill_plan or {})
-        self.metrics = ServerMetrics()
-        self._sessions: "OrderedDict[str, MuxClientSession]" = OrderedDict()
         self._loop = asyncio.new_event_loop()
         self._closed = False
-        self.workers = [_WorkerHandle(i) for i in range(plan.shard_count)]
+        self.workers = [_WorkerHandle(self, i) for i in range(plan.shard_count)]
+        shard_config = leaf_config(config)
+        wire_config = {
+            f.name: getattr(shard_config, f.name)
+            for f in _dataclass_fields(shard_config)
+        }
+        latency = wire_config.pop("latency")
+        wire_config["latency"] = [latency.read, latency.cpu]
         for handle in self.workers:
-            self.metrics.shard_health[handle.shard_id] = handle.health
+            handle.hello_request = {
+                "shard_id": handle.shard_id,
+                "dims": dims,
+                "page_size": page_size,
+                "dual": dual,
+                "clock_start": clock.start,
+                "clock_period": clock.period,
+                "config": wire_config,
+            }
         try:
-            self._run(self._start_all())
+            self._gather(partial(self._hello, h) for h in self.workers)
         except BaseException:
             self.close()
             raise
-        first = self.workers[0].hello
-        uncertainties = [float(first["native_uncertainty"])]
-        if dual:
-            uncertainties.append(float(first["dual_uncertainty"]))
-        # δ/2 join slack on top of the index uncertainty — same
-        # co-residency argument as the in-process mux.
-        self._route_inflation = (
-            max(uncertainties) + self.config.join_delta / 2.0
-        )
-        # Population statistics for the planner: the front-end never
-        # touches a tree, so it tracks record count and native-space
-        # bounds as segments flow through load()/submit().
-        self._population = 0
-        self._domain: Optional[Box] = None
-
-    # -- construction ------------------------------------------------------
+        self._front(plan, self.workers, clock, config)
+        for handle in self.workers:
+            self.metrics.shard_health[handle.shard_id] = handle.health
 
     @classmethod
-    def over_segments(
-        cls,
-        segments: Iterable[MotionSegment],
-        shards: int,
-        dims: int = 2,
-        dual: bool = True,
-        clock: Optional[SimulatedClock] = None,
-        config: Optional[ServerConfig] = None,
-        page_size: Optional[int] = None,
-        bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-        **kwargs: Any,
+    def _empty(
+        cls, plan, dims, dual, page_size, **kwargs
     ) -> "RemoteMultiplexBroker":
-        """Spawn a loaded K-worker broker over a segment population.
+        return cls(plan, dims=dims, dual=dual, page_size=page_size, **kwargs)
 
-        Grid-bounds derivation matches the in-process front-end exactly
-        (the answer-invariance property depends on identical plans).
-        """
-        segments = list(segments)
-        if bounds is not None:
-            low, high = list(bounds[0]), list(bounds[1])
-        else:
-            if not segments:
-                raise ServerError(
-                    "cannot derive shard bounds from an empty population"
-                )
-            low = [
-                min(s.bounding_box().extent(1 + a).low for s in segments)
-                for a in range(dims)
-            ]
-            high = [
-                max(s.bounding_box().extent(1 + a).high for s in segments)
-                for a in range(dims)
-            ]
-        plan = ShardPlan.grid(low, high, shards)
-        broker = cls(
-            plan,
-            dims=dims,
-            dual=dual,
-            clock=clock,
-            config=config,
-            page_size=page_size,
-            **kwargs,
-        )
-        try:
-            broker.load(segments)
-        except BaseException:
-            broker.close()
-            raise
-        return broker
+    def _gather(self, calls: Iterable[Callable[[], Any]]) -> List[Any]:
+        """Run the backend calls concurrently on the private loop."""
 
-    def load(self, segments: Iterable[MotionSegment]) -> List[int]:
-        """Bulk-load the population, replicating boundary segments.
+        async def _all() -> List[Any]:
+            return list(await asyncio.gather(*(call() for call in calls)))
 
-        The front-end computes each shard's subset (same record order,
-        same routing as :meth:`MultiplexBroker.load`) and ships it in
-        one LOAD frame; returns per-shard record counts.
-        """
-        segments = list(segments)
-        for record in segments:
-            self._note_record(record)
-        buckets: List[List[MotionSegment]] = [[] for _ in self.workers]
-        for record in segments:
-            for shard_id in self.router.shards_for_segment(
-                record, inflate=self._route_inflation
-            ):
-                buckets[shard_id].append(record)
-
-        async def _load_all() -> None:
-            await asyncio.gather(
-                *(
-                    self._request(
-                        handle,
-                        proto.MSG_LOAD,
-                        {"segments": buckets[handle.shard_id]},
-                    )
-                    for handle in self.workers
-                    if buckets[handle.shard_id]
-                )
-            )
-
-        self._run(_load_all())
-        return [len(bucket) for bucket in buckets]
-
-    def _note_record(self, record: MotionSegment) -> None:
-        box = record.bounding_box()
-        self._population += 1
-        self._domain = box if self._domain is None else self._domain.cover(box)
-
-    # -- registration / admission control ----------------------------------
-
-    @property
-    def sessions(self) -> List[MuxClientSession]:
-        """Live front-end sessions in registration order."""
-        return [
-            s
-            for s in self._sessions.values()
-            if s.state is not SessionState.CLOSED
-        ]
-
-    def session(self, client_id: str) -> MuxClientSession:
-        """Look up one front-end session (KeyError when never registered)."""
-        return self._sessions[client_id]
-
-    def _check_admission(self, client_id: str) -> None:
-        if len(self.sessions) >= self.config.max_clients:
-            self.metrics.rejections += 1
-            raise AdmissionError(
-                f"server full ({self.config.max_clients} clients); "
-                f"rejected {client_id!r}"
-            )
-        if client_id in self._sessions and (
-            self._sessions[client_id].state is not SessionState.CLOSED
-        ):
-            raise ServerError(f"client id {client_id!r} already registered")
-
-    def register_pdq(
-        self, client_id: str, trajectory: QueryTrajectory, **kwargs: Any
-    ) -> MuxClientSession:
-        """Admit a predictive client on every shard its trajectory (plus
-        the shed δ-slack) can touch."""
-        self._check_admission(client_id)
-        shard_ids = self.router.shards_for_trajectory(
-            trajectory, slack=self.config.shed_delta
-        )
-        return self._register(
-            client_id,
-            "pdq",
-            shard_ids,
-            {"trajectory": trajectory, "kwargs": kwargs},
-        )
-
-    def register_npdq(
-        self, client_id: str, trajectory: QueryTrajectory, **kwargs: Any
-    ) -> MuxClientSession:
-        """Admit a non-predictive client on every shard its frame
-        windows can touch (static routing, like the in-process mux)."""
-        if not self.dual:
-            raise ServerError("broker has no dual-time index for NPDQ clients")
-        self._check_admission(client_id)
-        shard_ids = self.router.shards_for_trajectory(trajectory)
-        return self._register(
-            client_id,
-            "npdq",
-            shard_ids,
-            {"trajectory": trajectory, "kwargs": kwargs},
-        )
-
-    def register_auto(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        half_extents: Sequence[float],
-        **session_kwargs: Any,
-    ) -> MuxClientSession:
-        """Admit an auto-mode client on *every* shard.
-
-        Takes the observer's trajectory rather than a path callable;
-        each worker derives the centre path from it locally (the same
-        ``path_of`` construction the CLI uses), since a closure cannot
-        be shipped across the process boundary.
-        """
-        if not self.dual:
-            raise ServerError("broker has no dual-time index for auto clients")
-        self._check_admission(client_id)
-        shard_ids = list(range(self.plan.shard_count))
-        return self._register(
-            client_id,
-            "auto",
-            shard_ids,
-            {
-                "trajectory": trajectory,
-                "half_extents": list(half_extents),
-                "kwargs": session_kwargs,
-            },
-        )
-
-    def register_knn(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        k: int,
-        **kwargs: Any,
-    ) -> MuxClientSession:
-        """Admit a continuous-kNN client on *every* worker (broadcast;
-        the merge re-ranks local top-k lists by ``(distance, key)``)."""
-        self._check_admission(client_id)
-        return self._register(
-            client_id,
-            "knn",
-            list(range(self.plan.shard_count)),
-            {"trajectory": trajectory, "k": int(k), "kwargs": kwargs},
-        )
-
-    def register_join(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        delta: Optional[float] = None,
-    ) -> MuxClientSession:
-        """Admit a moving-join client on *every* worker; δ is capped by
-        ``config.join_delta``, the slack replication was built with."""
-        if delta is None:
-            delta = self.config.join_delta
-        if delta > self.config.join_delta:
-            raise ServerError(
-                f"join delta {delta} exceeds config.join_delta "
-                f"{self.config.join_delta}; replication only guarantees "
-                "pair co-residency up to the configured delta"
-            )
-        self._check_admission(client_id)
-        return self._register(
-            client_id,
-            "join",
-            list(range(self.plan.shard_count)),
-            {"trajectory": trajectory, "kwargs": {"delta": delta}},
-        )
-
-    def register_aggregate(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        **kwargs: Any,
-    ) -> MuxClientSession:
-        """Admit a windowed-aggregate client on the workers its
-        trajectory cover overlaps (key-routable)."""
-        self._check_admission(client_id)
-        shard_ids = self.router.shards_for_trajectory(trajectory)
-        return self._register(
-            client_id,
-            "aggregate",
-            shard_ids,
-            {"trajectory": trajectory, "kwargs": kwargs},
-        )
-
-    def register_query(
-        self, client_id: str, spec: QuerySpec, **kwargs: Any
-    ) -> MuxClientSession:
-        """Admit a client from a declarative :class:`~repro.core.QuerySpec`.
-
-        The front-end never touches an index, so the planner runs on
-        *estimated* statistics — the record count and native-space
-        bounds tracked through :meth:`load`/:meth:`submit`, pushed
-        through the paper's page-layout arithmetic.
-        """
-        stats = IndexStats.estimate(
-            self._population,
-            self._domain,
-            dims=self.dims,
-            **({} if self.page_size is None else {"page_size": self.page_size}),
-        )
-        route = None
-        if spec.kind in ("range", "aggregate") and spec.trajectory is not None:
-            slack = (
-                self.config.shed_delta
-                if spec.kind == "range" and spec.predictive
-                else 0.0
-            )
-            route = self.router.shards_for_trajectory(
-                spec.trajectory, slack=slack
-            )
-        plan = plan_query(
-            spec, stats, total_shards=self.plan.shard_count, route=route
-        )
-        session = dispatch_spec(self, client_id, spec, **kwargs)
-        self.metrics.plans[client_id] = plan
-        return session
-
-    def _register(
-        self,
-        client_id: str,
-        kind: str,
-        shard_ids: Sequence[int],
-        extra: Dict[str, Any],
-    ) -> MuxClientSession:
-        payload = {"client_id": client_id, "kind": kind}
-        payload.update(extra)
-
-        async def _do() -> None:
-            await asyncio.gather(
-                *(
-                    self._request(
-                        self.workers[sid], proto.MSG_REGISTER, payload
-                    )
-                    for sid in shard_ids
-                )
-            )
-
-        self._run(_do())
-        parts = []
-        for sid in shard_ids:
-            sub = RemoteSubSession(self, sid, client_id, kind)
-            self.workers[sid].subs[client_id] = sub
-            parts.append((sid, sub))
-        session = MuxClientSession(client_id, self.config.queue_depth, parts)
-        self._sessions[client_id] = session
-        self.metrics.admissions += 1
-        self.metrics.clients[client_id] = session.metrics
-        return session
-
-    def close_client(self, client_id: str) -> None:
-        """Close one client on every shard, freeing its admission slot."""
-        self._sessions[client_id].close()
-
-    # -- the update stream --------------------------------------------------
-
-    def submit(self, op: UpdateOp) -> None:
-        """Route one insert/expire to every worker holding its segment."""
-        if op.kind == "insert":
-            self._note_record(op.segment)
-        shard_ids = self.router.shards_for_segment(
-            op.segment, inflate=self._route_inflation
-        )
-
-        async def _do() -> None:
-            for sid in shard_ids:
-                await self._request(
-                    self.workers[sid], proto.MSG_SUBMIT, {"op": op}
-                )
-
-        self._run(_do())
-
-    def submit_inserts(self, segments, times=None) -> None:
-        """Queue an insert per segment (due at its start time by default)."""
-        for i, segment in enumerate(segments):
-            due = segment.time.low if times is None else times[i]
-            self.submit(UpdateOp(due, "insert", segment))
-
-    # -- the serving loop ----------------------------------------------------
-
-    def run_tick(self) -> TickMetrics:
-        """One master tick: broadcast, barrier on all replies, merge."""
-        tick = self.clock.next_tick()
-        victim = self.kill_plan.pop(tick.index, None)
-        if victim is not None:
-            self._kill_worker(victim)
-        replies = self._run(self._broadcast_tick(tick))
-        served = self._merge_phase(replies)
-        self.metrics.writer_crashes = sum(
-            r["writer_crashes"] for r in replies
-        )
-        self.metrics.updates_deferred = sum(
-            r["updates_deferred"] for r in replies
-        )
-        self.metrics.updates_dropped = sum(
-            r["updates_dropped"] for r in replies
-        )
-        shard_ticks = [r["tick"] for r in replies]
-        tick_metrics = merge_tick_metrics(shard_ticks, clients_served=served)
-        self.metrics.record_tick(tick_metrics)
-        return tick_metrics
-
-    async def _broadcast_tick(self, tick: Tick) -> List[Any]:
-        return list(
-            await asyncio.gather(
-                *(self._shard_tick(handle, tick) for handle in self.workers)
-            )
-        )
-
-    async def _shard_tick(self, handle: _WorkerHandle, tick: Tick) -> Any:
-        pending, handle.pending = handle.pending, []
-        for msg_type, payload in pending:
-            await self._request(handle, msg_type, payload)
-        return await self._request(
-            handle,
-            proto.MSG_TICK,
-            {
-                "index": tick.index,
-                "start": tick.start,
-                "end": tick.end,
-                "quiet": False,
-            },
-        )
-
-    def _merge_phase(self, replies: Sequence[Any]) -> int:
-        for handle, reply in zip(self.workers, replies):
-            for client_id, results in reply["results"]:
-                sub = handle.subs.get(client_id)
-                if sub is not None:
-                    sub._absorb(results, reply["clients"].get(client_id))
-        served = 0
-        for session in self.sessions:
-            sub_results = [
-                result
-                for _, sub in session.parts
-                for result in sub.poll()
-            ]
-            self._roll_up_client(session)
-            if not sub_results:
-                continue
-            served += 1
-            merged = merge_results(sub_results)
-            ok = session.deliver(merged)
-            if not ok and session.kind == "pdq":
-                if session.state is SessionState.ACTIVE:
-                    session.shed(
-                        self.config.shed_delta, self.config.shed_stride
-                    )
-                    session.metrics.shed_events += 1
-                    self.metrics.shed_events += 1
-            elif ok and session.kind == "pdq":
-                if session.observe_queue(
-                    self.config.promote_after, self.config.promote_depth
-                ):
-                    session.metrics.promote_events += 1
-                    self.metrics.promote_events += 1
-        return served
-
-    def _roll_up_client(self, session: MuxClientSession) -> None:
-        subs = [sub for _, sub in session.parts]
-        m = session.metrics
-        m.logical_reads = sum(s.metrics.logical_reads for s in subs)
-        m.predicted_pages = sum(s.metrics.predicted_pages for s in subs)
-        m.actual_pages = sum(s.metrics.actual_pages for s in subs)
-        m.mispredicted_pages = sum(
-            s.metrics.mispredicted_pages for s in subs
-        )
-        m.dormant_ticks = sum(s.metrics.dormant_ticks for s in subs)
-
-    def run(self, ticks: int) -> List[TickMetrics]:
-        """Serve ``ticks`` consecutive master ticks."""
-        return [self.run_tick() for _ in range(ticks)]
-
-    def quiesce(self) -> int:
-        """Close every client, flush deferred expires, reap the workers."""
-        for session in list(self._sessions.values()):
-            session.close()
-
-        async def _one(handle: _WorkerHandle) -> Any:
-            pending, handle.pending = handle.pending, []
-            for msg_type, payload in pending:
-                await self._request(handle, msg_type, payload)
-            return await self._request(handle, proto.MSG_SHUTDOWN, {})
-
-        async def _do() -> List[Any]:
-            return list(
-                await asyncio.gather(*(_one(h) for h in self.workers))
-            )
-
-        replies = self._run(_do())
-        expired = sum(int(r["expired"]) for r in replies)
-        self.close()
-        return expired
+        return self._run(_all())
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -715,45 +380,6 @@ class RemoteMultiplexBroker:
         if self._closed:
             raise RemoteWorkerError("the remote broker is closed")
         return self._loop.run_until_complete(coro)
-
-    def _enqueue_command(
-        self, shard_id: int, msg_type: int, payload: Any
-    ) -> None:
-        """Queue a command for delivery ahead of the next broadcast."""
-        self.workers[shard_id].pending.append((msg_type, payload))
-
-    def _kill_worker(self, shard_id: int) -> None:
-        """SIGKILL one worker (chaos hook); recovery is the respawn path."""
-        proc = self.workers[shard_id].proc
-        if proc is not None and proc.returncode is None:
-            proc.kill()
-
-    def _config_payload(self) -> Dict[str, Any]:
-        shard_config = replace(
-            self.config,
-            queue_depth=_SHARD_QUEUE_DEPTH,
-            promote_after=0,
-        )
-        payload = {
-            f.name: getattr(shard_config, f.name)
-            for f in _dataclass_fields(shard_config)
-        }
-        latency = payload.pop("latency")
-        payload["latency"] = [latency.read, latency.cpu]
-        return payload
-
-    async def _start_all(self) -> None:
-        for handle in self.workers:
-            handle.hello_request = {
-                "shard_id": handle.shard_id,
-                "dims": self.dims,
-                "page_size": self.page_size,
-                "dual": self.dual,
-                "clock_start": self.clock.start,
-                "clock_period": self.clock.period,
-                "config": self._config_payload(),
-            }
-        await asyncio.gather(*(self._hello(h) for h in self.workers))
 
     async def _hello(self, handle: _WorkerHandle) -> None:
         await self._launch(handle)
@@ -874,30 +500,3 @@ class RemoteMultiplexBroker:
                 payload["quiet"] = True
             await self._roundtrip(handle, msg_type, payload)
 
-    # -- reporting -----------------------------------------------------------
-
-    def summary(self) -> str:
-        """The global rollup (incl. worker health) plus per-shard lines."""
-        lines = [self.metrics.summary(), "per-shard:"]
-
-        async def _collect() -> List[Any]:
-            return list(
-                await asyncio.gather(
-                    *(
-                        self._request(h, proto.MSG_METRICS, {})
-                        for h in self.workers
-                    )
-                )
-            )
-
-        for handle, m in zip(self.workers, self._run(_collect())):
-            lines.append(
-                f"  shard {handle.shard_id:<2} "
-                f"records={m['records']:<6} "
-                f"clients={m['clients']:<3} "
-                f"physical={m['physical_reads']:<6} "
-                f"({m['reads_per_tick']:.1f}/tick) "
-                f"logical={m['logical_reads']:<6} "
-                f"updates={m['updates_applied']}"
-            )
-        return "\n".join(lines)

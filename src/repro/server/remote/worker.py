@@ -3,14 +3,14 @@
 Run as ``python -m repro.server.remote.worker``.  The worker reads
 framed requests (see :mod:`repro.server.remote.protocol`) on stdin and
 writes one framed reply per request on stdout; stderr stays free for
-tracebacks.  It owns one shard's worth of serving machinery — a native
-and (optionally) dual-time index with their own buffer pools, a
-:class:`~repro.server.broker.QueryBroker` with its shared-scan
-scheduler and single-writer dispatcher — and is driven entirely by its
-front-end: the worker's clock never self-advances, every tick boundary
-arrives over the wire, so K workers replay exactly the lockstep
-schedule the in-process :class:`~repro.server.shard.MultiplexBroker`
-would run.
+tracebacks.  It owns one :class:`~repro.server.shard.IndexShard` — the
+very backend the in-process front-end drives directly: a native and
+(optionally) dual-time index with their own buffer pools and the leaf
+:class:`~repro.server.broker.QueryBroker` serving them — and is driven
+entirely by its front-end: the worker's clock never self-advances,
+every tick boundary arrives over the wire, so K workers replay exactly
+the lockstep schedule the in-process
+:class:`~repro.server.shard.MultiplexBroker` would run.
 
 The worker is deliberately *stateless across its own lifetime*: every
 mutation it holds (loaded segments, registrations, submitted update
@@ -27,11 +27,12 @@ from typing import Any, BinaryIO, Dict, Optional
 from repro.errors import RemoteProtocolError, ReproError
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.server.broker import QueryBroker, ServerConfig
+from repro.server.broker import ServerConfig
 from repro.server.clock import SimulatedClock, Tick
+from repro.server.kinds import KINDS, register_params
 from repro.server.metrics import LatencyModel
 from repro.server.remote import protocol as proto
-from repro.workload.observers import path_of
+from repro.server.shard import IndexShard
 
 __all__ = ["ShardWorker", "serve", "main"]
 
@@ -43,13 +44,10 @@ def _decode_config(payload: Any) -> ServerConfig:
 
 
 class ShardWorker:
-    """Message-driven owner of one shard's broker and index pair."""
+    """Message-driven owner of one :class:`~repro.server.shard.IndexShard`."""
 
     def __init__(self) -> None:
-        self.shard_id: Optional[int] = None
-        self.native: Optional[NativeSpaceIndex] = None
-        self.dual: Optional[DualTimeIndex] = None
-        self.broker: Optional[QueryBroker] = None
+        self.shard: Optional[IndexShard] = None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -60,7 +58,7 @@ class ShardWorker:
             raise RemoteProtocolError(
                 f"worker cannot handle {proto.message_name(msg_type)}"
             )
-        if msg_type != proto.MSG_HELLO and self.broker is None:
+        if msg_type != proto.MSG_HELLO and self.shard is None:
             if msg_type == proto.MSG_SHUTDOWN:
                 return {"expired": 0}
             raise RemoteProtocolError(
@@ -74,69 +72,44 @@ class ShardWorker:
         index_kwargs: Dict[str, Any] = {"dims": int(p["dims"])}
         if p.get("page_size") is not None:
             index_kwargs["page_size"] = int(p["page_size"])
-        self.shard_id = int(p["shard_id"])
-        self.native = NativeSpaceIndex(**index_kwargs)
-        self.dual = DualTimeIndex(**index_kwargs) if p["dual"] else None
-        self.broker = QueryBroker(
-            self.native,
-            dual=self.dual,
-            clock=SimulatedClock(
+        native = NativeSpaceIndex(**index_kwargs)
+        dual = DualTimeIndex(**index_kwargs) if p["dual"] else None
+        self.shard = IndexShard(
+            int(p["shard_id"]),
+            native,
+            dual,
+            SimulatedClock(
                 start=float(p["clock_start"]), period=float(p["clock_period"])
             ),
-            config=_decode_config(p["config"]),
+            _decode_config(p["config"]),
         )
         return {
-            "shard_id": self.shard_id,
-            "native_uncertainty": self.native.uncertainty,
-            "dual_uncertainty": (
-                self.dual.uncertainty if self.dual is not None else None
-            ),
+            "shard_id": self.shard.shard_id,
+            "native_uncertainty": native.uncertainty,
+            "dual_uncertainty": dual.uncertainty if dual is not None else None,
         }
 
     def _load(self, p: Any) -> Any:
-        segments = p["segments"]
-        if segments:
-            self.native.bulk_load(segments)
-            if self.dual is not None:
-                self.dual.bulk_load(segments)
-        return {"records": len(self.native)}
+        if p["segments"]:
+            self.shard.load(p["segments"])
+        return {"records": self.shard.record_count}
 
     def _register(self, p: Any) -> Any:
-        kind = p["kind"]
-        client_id = p["client_id"]
-        kwargs = dict(p.get("kwargs") or {})
-        if kind == "pdq":
-            self.broker.register_pdq(client_id, p["trajectory"], **kwargs)
-        elif kind == "npdq":
-            self.broker.register_npdq(client_id, p["trajectory"], **kwargs)
-        elif kind == "auto":
-            self.broker.register_auto(
-                client_id,
-                path_of(p["trajectory"]),
-                [float(x) for x in p["half_extents"]],
-                **kwargs,
-            )
-        elif kind == "knn":
-            self.broker.register_knn(
-                client_id, p["trajectory"], int(p["k"]), **kwargs
-            )
-        elif kind == "join":
-            self.broker.register_join(client_id, p["trajectory"], **kwargs)
-        elif kind == "aggregate":
-            self.broker.register_aggregate(
-                client_id, p["trajectory"], **kwargs
-            )
-        else:
-            raise RemoteProtocolError(f"unknown session kind {kind!r}")
-        return {"client_id": client_id, "kind": kind}
+        kind = KINDS.get(p["kind"])
+        if kind is None:
+            raise RemoteProtocolError(f"unknown session kind {p['kind']!r}")
+        self.shard.register(
+            kind.name, p["client_id"], register_params(kind, p)
+        )
+        return {"client_id": p["client_id"], "kind": kind.name}
 
     def _tick(self, p: Any) -> Any:
         tick = Tick(int(p["index"]), float(p["start"]), float(p["end"]))
-        tick_metrics = self.broker.run_tick(tick)
+        report = self.shard.run_tick(tick)
         quiet = bool(p.get("quiet"))
         results = []
         clients: Dict[str, Any] = {}
-        for session in self.broker.sessions:
+        for session in self.shard.broker.sessions:
             polled = session.poll()
             if not quiet:
                 results.append([session.client_id, polled])
@@ -149,47 +122,38 @@ class ShardWorker:
                 "mispredicted_pages": m.mispredicted_pages,
                 "dormant_ticks": m.dormant_ticks,
             }
-        bm = self.broker.metrics
         return {
-            "tick": tick_metrics,
+            "tick": report.tick,
             "results": results,
             "clients": clients,
-            "writer_crashes": bm.writer_crashes,
-            "updates_deferred": bm.updates_deferred,
-            "updates_dropped": bm.updates_dropped,
+            "writer_crashes": report.writer_crashes,
+            "updates_deferred": report.updates_deferred,
+            "updates_dropped": report.updates_dropped,
         }
 
     def _submit(self, p: Any) -> Any:
-        self.broker.dispatcher.submit(p["op"])
+        self.shard.submit(p["op"])
         return {"queued": True}
 
     def _shed(self, p: Any) -> Any:
-        self.broker.session(p["client_id"]).shed(
+        self.shard.broker.session(p["client_id"]).shed(
             float(p["delta"]), int(p["stride"])
         )
         return {}
 
     def _promote(self, p: Any) -> Any:
-        self.broker.session(p["client_id"]).promote()
+        self.shard.broker.session(p["client_id"]).promote()
         return {}
 
     def _close(self, p: Any) -> Any:
-        self.broker.close_client(p["client_id"])
+        self.shard.broker.close_client(p["client_id"])
         return {}
 
     def _metrics(self, p: Any) -> Any:
-        m = self.broker.metrics
-        return {
-            "records": len(self.native),
-            "clients": len(self.broker.sessions),
-            "physical_reads": m.physical_reads,
-            "reads_per_tick": m.reads_per_tick,
-            "logical_reads": m.logical_reads,
-            "updates_applied": m.updates_applied,
-        }
+        return self.shard.report()
 
     def _shutdown(self, p: Any) -> Any:
-        return {"expired": self.broker.quiesce()}
+        return {"expired": self.shard.quiesce()}
 
 
 _HANDLERS = {

@@ -280,6 +280,7 @@ class ClientSession:
         self.state = SessionState.ACTIVE
         self.queue = _ResultQueue(queue_depth)
         self.metrics = ClientMetrics(client_id)
+        self._shallow_strides = 0  # consecutive shallow-queue strides
 
     # -- the per-tick contract (overridden per kind) -----------------------
 
@@ -336,6 +337,28 @@ class ClientSession:
         """Client-side consumption: drain queued results."""
         return self.queue.drain(limit)
 
+    def observe_queue(self, promote_after: int, promote_depth: int) -> bool:
+        """Hysteresis step after one successfully delivered shed stride
+        (sheddable kinds only — nothing else is ever ``SHED``).
+
+        Counts consecutive strides whose post-delivery queue length is at
+        most ``promote_depth`` (the client is draining as fast as the
+        broker produces); ``promote_after`` such strides trigger
+        :meth:`promote`.  A deep queue resets the streak — one good
+        stride must not flap a still-struggling client back to exact
+        service.  Returns ``True`` when this call promoted.
+        """
+        if self.state is not SessionState.SHED or promote_after < 1:
+            return False
+        if len(self.queue) <= promote_depth:
+            self._shallow_strides += 1
+        else:
+            self._shallow_strides = 0
+        if self._shallow_strides >= promote_after:
+            self.promote()
+            return True
+        return False
+
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
@@ -380,7 +403,6 @@ class PDQSession(ClientSession):
         # (shed/promote swaps); keeps ``logical_reads`` monotonic across
         # engine replacements so the broker's per-tick deltas stay >= 0.
         self._retired_reads = 0
-        self._shallow_strides = 0  # consecutive shallow-queue strides
 
     def will_serve(self, tick: Tick) -> bool:
         if self.state is SessionState.CLOSED:
@@ -488,27 +510,6 @@ class PDQSession(ClientSession):
         self._next_eval = 0
         self._shallow_strides = 0
         self.state = SessionState.ACTIVE
-
-    def observe_queue(self, promote_after: int, promote_depth: int) -> bool:
-        """Hysteresis step after one successfully delivered shed stride.
-
-        Counts consecutive strides whose post-delivery queue length is at
-        most ``promote_depth`` (the client is draining as fast as the
-        broker produces); ``promote_after`` such strides trigger
-        :meth:`promote`.  A deep queue resets the streak — one good
-        stride must not flap a still-struggling client back to exact
-        service.  Returns ``True`` when this call promoted.
-        """
-        if self.state is not SessionState.SHED or promote_after < 1:
-            return False
-        if len(self.queue) <= promote_depth:
-            self._shallow_strides += 1
-        else:
-            self._shallow_strides = 0
-        if self._shallow_strides >= promote_after:
-            self.promote()
-            return True
-        return False
 
     def close(self) -> None:
         if self.state is not SessionState.CLOSED:
@@ -784,8 +785,9 @@ class AggregateSession(ClientSession):
     """A windowed-aggregate client: the visible-object count timeline.
 
     One exact PDQ traversal feeds a live set of answer items keyed by
-    segment; each tick reports the items visible during the tick and the
-    piecewise-constant count timeline over it
+    segment and visibility component; each tick reports the items
+    visible during the tick and the piecewise-constant count timeline
+    over it
     (:func:`~repro.core.count_timeline`'s right-open rule).  Carrying
     the contributing items alongside the timeline is what makes the
     sharded merge exact: per-shard timelines cannot be summed (replicas
@@ -817,7 +819,9 @@ class AggregateSession(ClientSession):
             fault_budget=fault_budget,
             accel=accel,
         )
-        self._live: Dict[Tuple[int, int], AnswerItem] = {}
+        # One entry per visibility component: a segment that leaves and
+        # re-enters a bending observer's window is live once per stay.
+        self._live: Dict[Tuple[Tuple[int, int], float], AnswerItem] = {}
 
     def will_serve(self, tick: Tick) -> bool:
         if self.state is SessionState.CLOSED:
@@ -841,7 +845,7 @@ class AggregateSession(ClientSession):
             return None
         horizon = self._horizon(tick)
         for item in self.engine.window(tick.start, horizon):
-            self._live[item.record.key] = item
+            self._live[(item.record.key, item.visibility.low)] = item
         gone = [
             key
             for key, item in self._live.items()
@@ -855,7 +859,7 @@ class AggregateSession(ClientSession):
             visible = item.visibility.intersect(span)
             if not visible.is_empty and visible.length > 0.0:
                 relevant.append(item)
-        relevant.sort(key=lambda item: item.record.key)
+        relevant.sort(key=lambda item: (item.record.key, item.visibility.low))
         timeline = count_timeline(relevant, span)
         return TickResult(
             index=tick.index,

@@ -14,15 +14,20 @@ client over the shards its query can touch:
 * :class:`ShardRouter` — assignment and routing.  A motion segment is
   *replicated* into every shard whose cell overlaps its spatial
   bounding box (inflated by the index uncertainty, so entry boxes are
-  covered too); a client is routed at registration time to every shard
-  overlapping the spatial cover of its whole trajectory (plus the shed
-  δ-slack for PDQ clients, whose SPDQ fallback inflates windows).
-* :class:`MultiplexBroker` — the front-end.  One master clock drives
-  every shard broker through the same tick; each shard batches its own
-  sub-sessions' frontier demand through its own
+  covered too); a client is routed at registration time by its kind's
+  route rule (:mod:`repro.server.kinds`): the spatial cover of its
+  whole trajectory (plus the shed δ-slack for PDQ clients, whose SPDQ
+  fallback inflates windows), or every shard.
+* :class:`ShardBackend` — one shard as the front-end drives it: load,
+  register, submit, run a tick, quiesce, report.  :class:`IndexShard`
+  is the in-process backend (a leaf broker in this interpreter);
+  :mod:`repro.server.remote` supplies the one behind a pipe.
+* :class:`MultiplexBroker` — the one front-end.  One master clock
+  drives every backend through the same tick; each shard batches its
+  own sub-sessions' frontier demand through its own
   :class:`~repro.server.scheduler.SharedScanScheduler`; the front-end
-  then merges each client's per-shard results, dedups boundary-segment
-  replicas by ``(object_id, segment_id)``, delivers one merged
+  then merges each client's per-shard results by the kind's merge rule
+  (replicas of a boundary segment dedup), delivers one merged
   :class:`~repro.server.session.TickResult` per client, and folds the
   per-shard :class:`~repro.server.metrics.TickMetrics` into the usual
   client/tick/global rollup.
@@ -49,47 +54,44 @@ a sub-session on their own.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
 
-from repro.core.aggregate import count_timeline
-from repro.core.query import QuerySpec
 from repro.core.trajectory import QueryTrajectory
-from repro.errors import AdmissionError, ServerError
+from repro.errors import ServerError
 from repro.geometry.box import Box
-from repro.geometry.interval import Interval
-from repro.index.bulk import sharded_bulk_load
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
 from repro.motion.segment import MotionSegment
-from repro.server.broker import QueryBroker, ServerConfig, dispatch_spec
-from repro.server.planner import IndexStats, plan_query
+from repro.server.broker import BrokerCore, QueryBroker, ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import UpdateOp
-from repro.server.metrics import (
-    ServerMetrics,
-    TickMetrics,
-    merge_tick_metrics,
-)
-from repro.server.session import (
-    ClientSession,
-    SessionState,
-    TickResult,
-)
+from repro.server.kinds import QueryKind, merge_results
+from repro.server.metrics import TickMetrics, merge_tick_metrics
+from repro.server.planner import IndexStats
+from repro.server.session import ClientSession, SessionState
+
+# The benchmark's outside-in tracer times the planner through a module
+# global of every tier's module; this tier plans in BrokerCore.
+from repro.server.planner import plan_query  # noqa: F401
 
 __all__ = [
     "ShardPlan",
     "ShardRouter",
+    "ShardTick",
+    "ShardBackend",
     "IndexShard",
     "MuxClientSession",
     "MultiplexBroker",
@@ -242,20 +244,133 @@ class ShardRouter:
         return self.plan.shards_for_box(cover)
 
 
-@dataclass
-class IndexShard:
-    """One shard: its cell, its index pair, and its private broker."""
+class ShardTick(NamedTuple):
+    """What one shard reports for one master tick."""
 
-    shard_id: int
-    cell: Box
-    native: NativeSpaceIndex
-    dual: Optional[DualTimeIndex]
-    broker: QueryBroker
+    tick: TickMetrics
+    writer_crashes: int
+    updates_deferred: int
+    updates_dropped: int
+
+
+class ShardBackend(Protocol):
+    """One shard as :class:`MultiplexBroker` drives it.
+
+    The front-end issues every call below through its ``_gather``; an
+    in-process backend returns the reply, a backend behind a pipe
+    returns an awaitable its front-end resolves concurrently with the
+    other shards'.  A sub-session (what :meth:`register` returns) is
+    anything with ``kind``, ``metrics``, ``logical_reads``, ``poll``,
+    ``shed``, ``promote`` and ``close`` — a
+    :class:`~repro.server.session.ClientSession` or a proxy for one.
+    """
+
+    has_dual: bool
+    #: widest index uncertainty on the shard (segment replication slack)
+    uncertainty: float
+
+    def load(self, segments: Sequence[MotionSegment]) -> Any:
+        """Bulk-load this shard's subset into its empty indexes."""
+
+    def register(
+        self, kind: str, client_id: str, params: Dict[str, Any]
+    ) -> Any:
+        """Admit one sub-session; replies with it."""
+
+    def submit(self, op: UpdateOp) -> Any:
+        """Queue one insert/expire for the shard's writer."""
+
+    def run_tick(self, tick: Tick) -> Any:
+        """Serve one master tick; replies with a :class:`ShardTick`."""
+
+    def quiesce(self) -> Any:
+        """Close every sub-session; replies with the expires flushed."""
+
+    def report(self) -> Any:
+        """Replies with the counters of the shard's summary line."""
+
+    def index_stats(self) -> IndexStats:
+        """What the planner may know about this shard (never deferred)."""
+
+
+def leaf_config(config: ServerConfig) -> ServerConfig:
+    """The config a shard's leaf broker runs with: the front-end's,
+    minus queue bounds and promotion, which exist only at the front."""
+    return replace(config, queue_depth=_SHARD_QUEUE_DEPTH, promote_after=0)
+
+
+class IndexShard:
+    """The in-process :class:`ShardBackend`: an index pair and the leaf
+    broker serving it, on a private copy of the master clock."""
+
+    def __init__(
+        self,
+        shard_id: int,
+        native: NativeSpaceIndex,
+        dual: Optional[DualTimeIndex],
+        clock: SimulatedClock,
+        config: ServerConfig,
+    ):
+        self.shard_id = shard_id
+        self.native = native
+        self.dual = dual
+        self.broker = QueryBroker(
+            native,
+            dual=dual,
+            clock=SimulatedClock(start=clock.start, period=clock.period),
+            config=config,
+        )
+        self.has_dual = dual is not None
+        self.uncertainty = max(
+            index.uncertainty for index in (native, dual) if index is not None
+        )
 
     @property
     def record_count(self) -> int:
         """Segments (incl. replicas) this shard's native index holds."""
         return len(self.native)
+
+    def load(self, segments: Sequence[MotionSegment]) -> None:
+        # Both flavours take the same subset, so auto-mode sessions see
+        # one consistent population per shard.
+        self.native.bulk_load(segments)
+        if self.dual is not None:
+            self.dual.bulk_load(segments)
+
+    def register(
+        self, kind: str, client_id: str, params: Dict[str, Any]
+    ) -> ClientSession:
+        return self.broker.register(kind, client_id, **params)
+
+    def submit(self, op: UpdateOp) -> None:
+        self.broker.submit(op)
+
+    def run_tick(self, tick: Tick) -> ShardTick:
+        tick_metrics = self.broker.run_tick(tick)
+        m = self.broker.metrics
+        return ShardTick(
+            tick_metrics,
+            m.writer_crashes,
+            m.updates_deferred,
+            m.updates_dropped,
+        )
+
+    def quiesce(self) -> int:
+        return self.broker.quiesce()
+
+    def report(self) -> Dict[str, Any]:
+        m = self.broker.metrics
+        return {
+            "records": self.record_count,
+            "clients": len(self.broker.sessions),
+            "physical_reads": m.physical_reads,
+            "reads_per_tick": m.reads_per_tick,
+            "logical_reads": m.logical_reads,
+            "updates_applied": m.updates_applied,
+        }
+
+    def index_stats(self) -> IndexStats:
+        return IndexStats.from_index(self.native)
 
 
 class MuxClientSession(ClientSession):
@@ -264,9 +379,10 @@ class MuxClientSession(ClientSession):
     Holds one sub-session per routed shard; the
     :class:`MultiplexBroker`'s merge phase drains the sub-sessions each
     tick and delivers one deduplicated result into this session's own
-    bounded queue — which is therefore where slow-client shedding is
-    decided.  Shed and promote fan out to every sub-session in lockstep
-    so strided SPDQ schedules stay aligned across shards.
+    bounded queue — which is therefore where slow-client shedding and
+    the promotion hysteresis are decided.  Shed and promote fan out to
+    every sub-session in lockstep so strided SPDQ schedules stay aligned
+    across shards.
     """
 
     def __init__(
@@ -280,7 +396,6 @@ class MuxClientSession(ClientSession):
             raise ServerError("a multiplexed session needs at least one shard")
         self.parts = tuple(parts)
         self.kind = self.parts[0][1].kind
-        self._shallow_strides = 0
 
     @property
     def shard_ids(self) -> Tuple[int, ...]:
@@ -308,114 +423,26 @@ class MuxClientSession(ClientSession):
             sub.promote()
         self.state = SessionState.ACTIVE
 
-    def observe_queue(self, promote_after: int, promote_depth: int) -> bool:
-        """Same promotion hysteresis as :meth:`PDQSession.observe_queue`,
-        applied to the front-end queue (the only one the client sees)."""
-        if self.state is not SessionState.SHED or promote_after < 1:
-            return False
-        if len(self.queue) <= promote_depth:
-            self._shallow_strides += 1
-        else:
-            self._shallow_strides = 0
-        if self._shallow_strides >= promote_after:
-            self.promote()
-            return True
-        return False
-
     def close(self) -> None:
         for _, sub in self.parts:
             sub.close()
         super().close()
 
 
-def _dedup(items: Iterable) -> Tuple:
-    """Keep the first replica of each ``(object_id, segment_id)`` key.
-
-    Replicated boundary segments produce *identical* answers in every
-    holding shard (exact tests are pure geometry), so keep-first in
-    shard order is deterministic and loses nothing.
-    """
-    seen = set()
-    out = []
-    for item in items:
-        if item.key in seen:
-            continue
-        seen.add(item.key)
-        out.append(item)
-    return tuple(out)
-
-
-def merge_results(results: Sequence[TickResult]) -> TickResult:
-    """Merge one client's per-shard results for one tick.
-
-    The merge rule is mode-specific because each answer shape carries a
-    different global invariant:
-
-    * range modes: replicas are identical in every holding shard, so
-      keep-first dedup by segment key reproduces the unsharded answer;
-    * ``knn``: per-shard *local* top-k lists must be **re-ranked by
-      ``(distance, key)`` and re-truncated to k** — any global top-k
-      member ranks within the top-k of every shard holding it, so the
-      union contains the global top-k, but keep-first order would not
-      recover it;
-    * ``join``: a qualifying pair is co-resident on at least one shard
-      (δ/2 routing inflation — see :class:`MultiplexBroker`) with a
-      shard-independent interval; dedup by unordered pair key and
-      re-sort;
-    * ``aggregate``: per-shard count timelines cannot be summed (a
-      replicated segment would count once per holding shard), so the
-      merge dedups the carried answer *items* and recomputes the
-      timeline over the merged set.
-    """
-    if not results:
-        raise ServerError("cannot merge an empty result set")
-    first = results[0]
-    if any(
-        r.index != first.index or r.mode != first.mode or r.k != first.k
-        for r in results[1:]
-    ):
-        raise ServerError(
-            f"shard results diverged within tick {first.index} "
-            "(mode, boundary, or k mismatch)"
-        )
-    covers = [r.covers_until for r in results if r.covers_until is not None]
-    common = dict(
-        index=first.index,
-        start=first.start,
-        end=first.end,
-        mode=first.mode,
-        degraded=any(r.degraded for r in results),
-        covers_until=max(covers) if covers else None,
-    )
-    if first.mode == "knn":
-        pool = list(_dedup(n for r in results for n in r.neighbors))
-        pool.sort(key=lambda n: (n.distance, n.key))
-        if first.k:
-            pool = pool[: first.k]
-        return TickResult(items=(), neighbors=tuple(pool), k=first.k, **common)
-    if first.mode == "join":
-        pairs = sorted(
-            _dedup(p for r in results for p in r.pairs), key=lambda p: p.key
-        )
-        return TickResult(items=(), pairs=tuple(pairs), **common)
-    if first.mode == "aggregate":
-        items = sorted(
-            _dedup(item for r in results for item in r.items),
-            key=lambda item: item.record.key,
-        )
-        horizon = common["covers_until"]
-        span = Interval(first.start, first.end if horizon is None else horizon)
-        timeline = tuple(count_timeline(items, span))
-        return TickResult(items=tuple(items), aggregate=timeline, **common)
-    return TickResult(
-        items=_dedup(item for r in results for item in r.items),
-        prefetched=_dedup(item for r in results for item in r.prefetched),
-        **common,
+def _spatial_bounds(
+    segments: Sequence[MotionSegment], dims: int
+) -> Tuple[List[float], List[float]]:
+    if not segments:
+        raise ServerError("cannot derive shard bounds from an empty population")
+    boxes = [s.bounding_box() for s in segments]
+    return (
+        [min(b.extent(1 + a).low for b in boxes) for a in range(dims)],
+        [max(b.extent(1 + a).high for b in boxes) for a in range(dims)],
     )
 
 
-class MultiplexBroker:
-    """A front-end fanning clients out over K sharded brokers.
+class MultiplexBroker(BrokerCore):
+    """The front-end fanning clients out over K shard backends.
 
     Parameters
     ----------
@@ -450,44 +477,69 @@ class MultiplexBroker:
         config: Optional[ServerConfig] = None,
         durability: Optional[object] = None,
     ):
+        clock = clock or SimulatedClock()
+        config = config or ServerConfig()
+        shard_config = leaf_config(config)
+        self._front(
+            plan,
+            [
+                IndexShard(
+                    shard_id,
+                    native_factory(),
+                    dual_factory() if dual_factory is not None else None,
+                    clock,
+                    shard_config,
+                )
+                for shard_id in range(plan.shard_count)
+            ],
+            clock,
+            config,
+            durability,
+        )
+
+    def _front(
+        self,
+        plan: ShardPlan,
+        shards: Sequence[ShardBackend],
+        clock: SimulatedClock,
+        config: ServerConfig,
+        durability: Optional[object] = None,
+    ) -> None:
+        """The front-end proper, over backends that already exist (a
+        tier that must spawn its backends calls this once they answer)."""
+        BrokerCore.__init__(
+            self, clock, config, durability, has_dual=shards[0].has_dual
+        )
         self.plan = plan
         self.router = ShardRouter(plan)
-        self.clock = clock or SimulatedClock()
-        self.config = config or ServerConfig()
-        self.durability = durability
-        shard_config = replace(
-            self.config,
-            queue_depth=_SHARD_QUEUE_DEPTH,
-            promote_after=0,
-        )
-        self.shards: List[IndexShard] = []
-        for shard_id, cell in enumerate(plan.cells):
-            native = native_factory()
-            dual = dual_factory() if dual_factory is not None else None
-            broker = QueryBroker(
-                native,
-                dual=dual,
-                clock=SimulatedClock(
-                    start=self.clock.start, period=self.clock.period
-                ),
-                config=shard_config,
-            )
-            self.shards.append(IndexShard(shard_id, cell, native, dual, broker))
-        self.metrics = ServerMetrics()
-        self._sessions: "OrderedDict[str, MuxClientSession]" = OrderedDict()
-        uncertainties = [self.shards[0].native.uncertainty]
-        if self.shards[0].dual is not None:
-            uncertainties.append(self.shards[0].dual.uncertainty)
+        self.shards = list(shards)
+        self.shard_count = plan.shard_count
         # Replication slack: index uncertainty covers entry-box overlap,
         # plus δ/2 for joins — two segments within δ share a midpoint
         # within δ/2 of both, so inflating each segment's box by δ/2
         # guarantees every qualifying pair is co-resident on the shard
         # owning that midpoint.
         self._route_inflation = (
-            max(uncertainties) + self.config.join_delta / 2.0
+            shards[0].uncertainty + self.config.join_delta / 2.0
         )
 
+    def _gather(self, calls: Iterable[Callable[[], Any]]) -> List[Any]:
+        """Issue one backend call per addressed shard; replies in order."""
+        return [call() for call in calls]
+
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _empty(cls, plan, dims, dual, page_size, **kwargs) -> "MultiplexBroker":
+        index_kwargs: Dict[str, Any] = {"dims": dims}
+        if page_size is not None:
+            index_kwargs["page_size"] = page_size
+        return cls(
+            plan,
+            lambda: NativeSpaceIndex(**index_kwargs),
+            (lambda: DualTimeIndex(**index_kwargs)) if dual else None,
+            **kwargs,
+        )
 
     @classmethod
     def over_segments(
@@ -496,287 +548,73 @@ class MultiplexBroker:
         shards: int,
         dims: int = 2,
         dual: bool = True,
-        clock: Optional[SimulatedClock] = None,
-        config: Optional[ServerConfig] = None,
         page_size: Optional[int] = None,
         bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
+        **kwargs: Any,
     ) -> "MultiplexBroker":
         """Build a loaded K-shard broker over a segment population.
 
         The grid bounds default to the population's spatial bounding
         box; pass ``bounds=(low, high)`` to pin them (e.g. the workload
-        config's data space).
+        config's data space).  Remaining keyword arguments (``clock``,
+        ``config``, ...) go to the tier's constructor.
         """
         segments = list(segments)
-        if bounds is not None:
-            low, high = list(bounds[0]), list(bounds[1])
-        else:
-            if not segments:
-                raise ServerError(
-                    "cannot derive shard bounds from an empty population"
-                )
-            low = [
-                min(s.bounding_box().extent(1 + a).low for s in segments)
-                for a in range(dims)
-            ]
-            high = [
-                max(s.bounding_box().extent(1 + a).high for s in segments)
-                for a in range(dims)
-            ]
-        plan = ShardPlan.grid(low, high, shards)
-        index_kwargs: Dict = {"dims": dims}
-        if page_size is not None:
-            index_kwargs["page_size"] = page_size
-        broker = cls(
-            plan,
-            lambda: NativeSpaceIndex(**index_kwargs),
-            (lambda: DualTimeIndex(**index_kwargs)) if dual else None,
-            clock=clock,
-            config=config,
-        )
-        broker.load(segments)
+        low, high = bounds or _spatial_bounds(segments, dims)
+        plan = ShardPlan.grid(list(low), list(high), shards)
+        broker = cls._empty(plan, dims, dual, page_size, **kwargs)
+        try:
+            broker.load(segments)
+        except BaseException:
+            broker.close()
+            raise
         return broker
 
     def load(self, segments: Iterable[MotionSegment]) -> List[int]:
         """Bulk-load the population, replicating boundary segments.
 
-        Returns per-shard record counts.  Both index flavours of a
-        shard receive the same subset, so auto-mode sessions see one
-        consistent population per shard.
+        Returns per-shard record counts (each shard receives its subset
+        in population order).
         """
-        segments = list(segments)
-
-        def assign(record: MotionSegment) -> List[int]:
-            return self.router.shards_for_segment(
+        buckets: List[List[MotionSegment]] = [[] for _ in self.shards]
+        for record in segments:
+            for shard_id in self.router.shards_for_segment(
                 record, inflate=self._route_inflation
-            )
-
-        counts = sharded_bulk_load(
-            [shard.native for shard in self.shards], segments, assign
+            ):
+                buckets[shard_id].append(record)
+        self._gather(
+            partial(shard.load, bucket)
+            for shard, bucket in zip(self.shards, buckets)
+            if bucket
         )
-        if self.shards[0].dual is not None:
-            sharded_bulk_load(
-                [shard.dual for shard in self.shards], segments, assign
-            )
-        return counts
+        return [len(bucket) for bucket in buckets]
 
-    # -- registration / admission control ----------------------------------
+    def close(self) -> None:
+        """Release what the backends hold outside this interpreter
+        (in-process shards hold nothing)."""
 
-    @property
-    def sessions(self) -> List[MuxClientSession]:
-        """Live front-end sessions in registration order."""
-        return [
-            s
-            for s in self._sessions.values()
-            if s.state is not SessionState.CLOSED
-        ]
+    # -- what this tier supplies to BrokerCore -----------------------------
 
-    def session(self, client_id: str) -> MuxClientSession:
-        """Look up one front-end session (KeyError when never registered)."""
-        return self._sessions[client_id]
+    def _route(self, kind: QueryKind, params) -> List[int]:
+        return kind.route(self.router, self.config, params)
 
-    def _check_admission(self, client_id: str) -> None:
-        if len(self.sessions) >= self.config.max_clients:
-            self.metrics.rejections += 1
-            raise AdmissionError(
-                f"server full ({self.config.max_clients} clients); "
-                f"rejected {client_id!r}"
-            )
-        if client_id in self._sessions and (
-            self._sessions[client_id].state is not SessionState.CLOSED
-        ):
-            raise ServerError(f"client id {client_id!r} already registered")
-
-    def _admit(
-        self, client_id: str, parts: Sequence[Tuple[int, ClientSession]]
-    ) -> MuxClientSession:
-        session = MuxClientSession(client_id, self.config.queue_depth, parts)
-        self._sessions[client_id] = session
-        self.metrics.admissions += 1
-        self.metrics.clients[client_id] = session.metrics
-        return session
-
-    def register_pdq(
-        self, client_id: str, trajectory: QueryTrajectory, **kwargs
-    ) -> MuxClientSession:
-        """Admit a predictive client on every shard its trajectory (plus
-        the shed δ-slack) can touch."""
-        self._check_admission(client_id)
-        shard_ids = self.router.shards_for_trajectory(
-            trajectory, slack=self.config.shed_delta
+    def _open(self, kind, client_id, params, route) -> "MuxClientSession":
+        subs = self._gather(
+            partial(self.shards[i].register, kind.name, client_id, params)
+            for i in route
         )
-        return self._admit(
-            client_id,
-            [
-                (
-                    shard_id,
-                    self.shards[shard_id].broker.register_pdq(
-                        client_id, trajectory, **kwargs
-                    ),
-                )
-                for shard_id in shard_ids
-            ],
+        return MuxClientSession(
+            client_id, self.config.queue_depth, list(zip(route, subs))
         )
-
-    def register_npdq(
-        self, client_id: str, trajectory: QueryTrajectory, **kwargs
-    ) -> MuxClientSession:
-        """Admit a non-predictive client on every shard its frame
-        windows can touch.
-
-        Routing is *static* (the full trajectory cover), which is what
-        keeps every routed shard's NPDQ suppression memory consistent
-        with the unsharded engine: each shard sees the client's entire
-        query series, never a gap.
-        """
-        if self.shards[0].dual is None:
-            raise ServerError("broker has no dual-time index for NPDQ clients")
-        self._check_admission(client_id)
-        shard_ids = self.router.shards_for_trajectory(trajectory)
-        return self._admit(
-            client_id,
-            [
-                (
-                    shard_id,
-                    self.shards[shard_id].broker.register_npdq(
-                        client_id, trajectory, **kwargs
-                    ),
-                )
-                for shard_id in shard_ids
-            ],
-        )
-
-    def register_auto(
-        self,
-        client_id: str,
-        path: Callable[[float], Sequence[float]],
-        half_extents: Sequence[float],
-        **session_kwargs,
-    ) -> MuxClientSession:
-        """Admit an auto-mode client on *every* shard: its path is
-        unknown in advance, so no smaller static route is safe."""
-        if self.shards[0].dual is None:
-            raise ServerError("broker has no dual-time index for auto clients")
-        self._check_admission(client_id)
-        return self._admit(
-            client_id,
-            [
-                (
-                    shard.shard_id,
-                    shard.broker.register_auto(
-                        client_id, path, half_extents, **session_kwargs
-                    ),
-                )
-                for shard in self.shards
-            ],
-        )
-
-    def register_knn(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        k: int,
-        max_step: float = math.inf,
-        max_object_step: float = 0.0,
-    ) -> MuxClientSession:
-        """Admit a continuous-kNN client on *every* shard.
-
-        kNN broadcasts: the distance frontier is unbounded a priori, so
-        no spatial route is safe.  Each shard answers its local top-k
-        and :func:`merge_results` re-ranks the union by
-        ``(distance, key)`` — any global top-k member ranks within the
-        local top-k of every shard holding it, so the re-ranked union
-        equals the unsharded answer.
-        """
-        self._check_admission(client_id)
-        return self._admit(
-            client_id,
-            [
-                (
-                    shard.shard_id,
-                    shard.broker.register_knn(
-                        client_id,
-                        trajectory,
-                        k,
-                        max_step=max_step,
-                        max_object_step=max_object_step,
-                    ),
-                )
-                for shard in self.shards
-            ],
-        )
-
-    def register_join(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        delta: Optional[float] = None,
-    ) -> MuxClientSession:
-        """Admit a moving-join client on *every* shard.
-
-        Joins are population-wide, so they broadcast; δ must not exceed
-        ``config.join_delta`` because segment replication was inflated
-        by exactly δ/2 at load time — a wider join could have
-        qualifying pairs co-resident on no shard.
-        """
-        if delta is None:
-            delta = self.config.join_delta
-        if delta > self.config.join_delta:
-            raise ServerError(
-                f"join delta {delta} exceeds config.join_delta "
-                f"{self.config.join_delta}; replication only guarantees "
-                "pair co-residency up to the configured delta"
-            )
-        self._check_admission(client_id)
-        return self._admit(
-            client_id,
-            [
-                (
-                    shard.shard_id,
-                    shard.broker.register_join(
-                        client_id, trajectory, delta=delta
-                    ),
-                )
-                for shard in self.shards
-            ],
-        )
-
-    def register_aggregate(
-        self,
-        client_id: str,
-        trajectory: QueryTrajectory,
-        **kwargs,
-    ) -> MuxClientSession:
-        """Admit a windowed-aggregate client on the shards its
-        trajectory cover overlaps (key-routable, like range clients).
-        :func:`merge_results` recomputes the count timeline over the
-        deduplicated item union, so boundary replicas never double-count.
-        """
-        self._check_admission(client_id)
-        shard_ids = self.router.shards_for_trajectory(trajectory)
-        return self._admit(
-            client_id,
-            [
-                (
-                    shard_id,
-                    self.shards[shard_id].broker.register_aggregate(
-                        client_id, trajectory, **kwargs
-                    ),
-                )
-                for shard_id in shard_ids
-            ],
-        )
-
-    # -- declarative front door ---------------------------------------------
 
     def _index_stats(self) -> IndexStats:
         """Fold per-shard index statistics into one population view.
 
         Record and leaf-page counts sum over shards (replicas inflate
         them slightly — acceptable, the planner's decisions are
-        categorical); the domain is the cover of the shard root MBRs.
+        categorical); the domain is the cover of the shard domains.
         """
-        per = [IndexStats.from_index(shard.native) for shard in self.shards]
+        per = [shard.index_stats() for shard in self.shards]
         records = sum(s.records for s in per)
         if records == 0:
             return IndexStats(0, 0, 0, None)
@@ -791,82 +629,44 @@ class MultiplexBroker:
             domain=domain,
         )
 
-    def register_query(
-        self, client_id: str, spec: QuerySpec, **kwargs
-    ) -> MuxClientSession:
-        """Admit a client from a declarative :class:`~repro.core.QuerySpec`.
-
-        The planner sees the folded per-shard statistics and the spatial
-        route the router would assign, so its targeted-versus-broadcast
-        decision matches what the concrete ``register_*`` call actually
-        does; the plan lands in ``metrics.plans`` for the serving report.
-        """
-        route: Optional[List[int]] = None
-        if spec.kind in ("range", "aggregate") and spec.trajectory is not None:
-            slack = (
-                self.config.shed_delta
-                if spec.kind == "range" and spec.predictive
-                else 0.0
-            )
-            route = self.router.shards_for_trajectory(
-                spec.trajectory, slack=slack
-            )
-        plan = plan_query(
-            spec,
-            self._index_stats(),
-            total_shards=self.plan.shard_count,
-            route=route,
-        )
-        session = dispatch_spec(self, client_id, spec, **kwargs)
-        self.metrics.plans[client_id] = plan
-        return session
-
-    def close_client(self, client_id: str) -> None:
-        """Close one client on every shard, freeing its admission slot."""
-        self._sessions[client_id].close()
+    def _shard_reports(self) -> List[Dict[str, Any]]:
+        return self._gather(shard.report for shard in self.shards)
 
     # -- the update stream ---------------------------------------------------
 
     def submit(self, op: UpdateOp) -> None:
         """Route one insert/expire to every shard holding its segment."""
-        for shard_id in self.router.shards_for_segment(
-            op.segment, inflate=self._route_inflation
-        ):
-            self.shards[shard_id].broker.dispatcher.submit(op)
-
-    def submit_inserts(self, segments, times=None) -> None:
-        """Queue an insert per segment (due at its start time by default)."""
-        for i, segment in enumerate(segments):
-            due = segment.time.low if times is None else times[i]
-            self.submit(UpdateOp(due, "insert", segment))
+        self._gather(
+            partial(self.shards[i].submit, op)
+            for i in self.router.shards_for_segment(
+                op.segment, inflate=self._route_inflation
+            )
+        )
 
     # -- the serving loop ----------------------------------------------------
 
     def run_tick(self) -> TickMetrics:
-        """One master tick: every shard broker, then the merge phase."""
+        """One master tick: every shard, then the merge phase."""
         tick = self.clock.next_tick()
         if self.durability is not None:
             self.durability.begin_tick(tick)
-        shard_ticks = [
-            shard.broker.run_tick(tick) for shard in self.shards
-        ]
-        served = self._merge_phase(tick)
-        self.metrics.writer_crashes = sum(
-            shard.broker.metrics.writer_crashes for shard in self.shards
+        reports: List[ShardTick] = self._gather(
+            partial(shard.run_tick, tick) for shard in self.shards
         )
-        self.metrics.updates_deferred = sum(
-            shard.broker.metrics.updates_deferred for shard in self.shards
+        served = self._merge_phase()
+        m = self.metrics
+        m.writer_crashes = sum(r.writer_crashes for r in reports)
+        m.updates_deferred = sum(r.updates_deferred for r in reports)
+        m.updates_dropped = sum(r.updates_dropped for r in reports)
+        tick_metrics = merge_tick_metrics(
+            [r.tick for r in reports], clients_served=served
         )
-        self.metrics.updates_dropped = sum(
-            shard.broker.metrics.updates_dropped for shard in self.shards
-        )
-        tick_metrics = merge_tick_metrics(shard_ticks, clients_served=served)
-        self.metrics.record_tick(tick_metrics)
+        m.record_tick(tick_metrics)
         if self.durability is not None:
             self.durability.commit_tick(tick)
         return tick_metrics
 
-    def _merge_phase(self, tick: Tick) -> int:
+    def _merge_phase(self) -> int:
         served = 0
         for session in self.sessions:
             sub_results = [
@@ -875,27 +675,12 @@ class MultiplexBroker:
                 for result in sub.poll()
             ]
             self._roll_up_client(session)
-            if not sub_results:
-                continue
-            served += 1
-            merged = merge_results(sub_results)
-            ok = session.deliver(merged)
-            if not ok and session.kind == "pdq":
-                if session.state is SessionState.ACTIVE:
-                    session.shed(
-                        self.config.shed_delta, self.config.shed_stride
-                    )
-                    session.metrics.shed_events += 1
-                    self.metrics.shed_events += 1
-            elif ok and session.kind == "pdq":
-                if session.observe_queue(
-                    self.config.promote_after, self.config.promote_depth
-                ):
-                    session.metrics.promote_events += 1
-                    self.metrics.promote_events += 1
+            if sub_results:
+                served += 1
+                self._deliver(session, merge_results(sub_results))
         return served
 
-    def _roll_up_client(self, session: MuxClientSession) -> None:
+    def _roll_up_client(self, session: "MuxClientSession") -> None:
         subs = [sub for _, sub in session.parts]
         m = session.metrics
         m.logical_reads = sum(s.metrics.logical_reads for s in subs)
@@ -906,30 +691,11 @@ class MultiplexBroker:
         )
         m.dormant_ticks = sum(s.metrics.dormant_ticks for s in subs)
 
-    def run(self, ticks: int) -> List[TickMetrics]:
-        """Serve ``ticks`` consecutive master ticks."""
-        return [self.run_tick() for _ in range(ticks)]
-
     def quiesce(self) -> int:
-        """Close every client and flush deferred expires on every shard."""
+        """Close every client, flush deferred expires on every shard,
+        release the backends."""
         for session in list(self._sessions.values()):
             session.close()
-        return sum(shard.broker.quiesce() for shard in self.shards)
-
-    # -- reporting -----------------------------------------------------------
-
-    def summary(self) -> str:
-        """The global rollup plus one line per shard."""
-        lines = [self.metrics.summary(), "per-shard:"]
-        for shard in self.shards:
-            m = shard.broker.metrics
-            lines.append(
-                f"  shard {shard.shard_id:<2} "
-                f"records={shard.record_count:<6} "
-                f"clients={len(shard.broker.sessions):<3} "
-                f"physical={m.physical_reads:<6} "
-                f"({m.reads_per_tick:.1f}/tick) "
-                f"logical={m.logical_reads:<6} "
-                f"updates={m.updates_applied}"
-            )
-        return "\n".join(lines)
+        expired = sum(self._gather(shard.quiesce for shard in self.shards))
+        self.close()
+        return expired
