@@ -1,18 +1,21 @@
-"""Scalar reference vs numpy batch kernels: same answers, fewer cycles.
+"""Scalar geometry reference vs the batch kernels, on one page.
 
-Two claims gate the ``accel`` switch, and this harness asserts both:
+The engines evaluate every loaded page with the kernels of
+:mod:`repro.geometry.kernels`; the scalar functions in
+:mod:`repro.geometry.trapezoid` are the reference they must equal.
+This harness holds both halves of that bargain on a ~256-entry page:
 
-* **Bit-identical answers.**  On the page-evaluation microbenchmark the
-  kernels return exactly the intervals the scalar loop returns, and at
-  fleet scale a mixed broker run under ``accel="numpy"`` delivers
-  frame-for-frame (full float fidelity) what ``accel="off"`` delivers —
-  with identical physical page reads, because batching changes the
-  arithmetic schedule, never the traversal.
-* **Real speedup.**  One kernel call over a ~256-entry page must beat
-  256 scalar calls by at least 3× (it typically manages 6–10×).
+* **Bit-identical answers.**  The kernels return exactly the intervals
+  the scalar loop returns.
+* **Real speedup.**  One kernel call must beat 256 scalar calls by at
+  least 3× (it typically manages 6–10×).
+
+What the kernels are worth to a whole fleet is not measured here — a
+path cannot be timed against itself — but by the serving benchmark
+(``bench/``; EXPERIMENTS.md has the before/after table).
 
 The committed ``BENCH_geometry_kernels.json`` artifact records the
-structural counts (bit-for-bit reproducible on rerun) plus the measured
+structural fields (bit-for-bit reproducible on rerun) plus the measured
 speedups; timings are wall-clock and listed under
 ``nondeterministic_fields`` so review diffs on them read as machine
 noise, not behaviour change.
@@ -23,10 +26,7 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from _bench_common import emit, write_bench_artifact
-from conftest import _data_config
 
 from repro.geometry import kernels
 from repro.geometry.box import Box
@@ -37,26 +37,11 @@ from repro.geometry.trapezoid import (
     moving_window_box_overlap,
     moving_window_segment_overlap,
 )
-from repro.server import QueryBroker, ServerConfig, SimulatedClock, UpdateOp
-from repro.index.dualtime import DualTimeIndex
-from repro.index.nsi import NativeSpaceIndex
-from repro.motion.segment import MotionSegment
-from repro.workload.objects import generate_motion_segments
-from repro.workload.observers import observer_fleet, path_of
-
-pytestmark = pytest.mark.skipif(
-    not kernels.available(), reason="numpy unavailable; nothing to compare"
-)
 
 PAGE_ENTRIES = 256
 MICRO_REPEATS = 50
 MICRO_ROUNDS = 5
 SPEEDUP_BAR = 3.0
-
-START, PERIOD, TICKS = 1.0, 0.1, 20
-CLIENTS = 6
-HALF = (4.0, 4.0)
-PAGE_SIZE = 2048
 
 
 def _best(timer):
@@ -162,117 +147,15 @@ def test_page_evaluation_microbenchmark():
             f"{name}: {speedup:.2f}x is under the {SPEEDUP_BAR}x bar"
         )
     emit("\n".join(lines))
-    test_page_evaluation_microbenchmark.rows = rows
-
-
-def _run_fleet(segments, fleet, ops, accel):
-    native = NativeSpaceIndex(dims=2, page_size=PAGE_SIZE)
-    native.bulk_load(segments)
-    dual = DualTimeIndex(dims=2, page_size=PAGE_SIZE)
-    dual.bulk_load(segments)
-    broker = QueryBroker(
-        native,
-        dual=dual,
-        clock=SimulatedClock(start=START, period=PERIOD),
-        config=ServerConfig(queue_depth=1000, accel=accel),
-    )
-    kinds = ("pdq", "npdq", "auto")
-    sessions = []
-    for i, traj in enumerate(fleet):
-        kind = kinds[i % len(kinds)]
-        if kind == "pdq":
-            sessions.append(broker.register_pdq(f"pdq-{i}", traj))
-        elif kind == "npdq":
-            sessions.append(broker.register_npdq(f"npdq-{i}", traj))
-        else:
-            sessions.append(
-                broker.register_auto(f"auto-{i}", path_of(traj), HALF)
-            )
-    for op in ops:
-        broker.dispatcher.submit(op)
-    t0 = time.perf_counter()
-    broker.run(TICKS)
-    elapsed = time.perf_counter() - t0
-    frames = {
-        s.client_id: [
-            (r.index, r.mode, r.items, r.prefetched) for r in s.poll()
-        ]
-        for s in sessions
-    }
-    reads = broker.metrics.physical_reads
-    broker.quiesce()
-    return frames, reads, elapsed
-
-
-def test_fleet_scale_answers_and_artifact():
-    """Mixed fleet, both paths: byte-identical frames, identical reads."""
-    config = _data_config()
-    segments = list(generate_motion_segments(config))
-    fleet = observer_fleet(
-        config,
-        CLIENTS,
-        mode="independent",
-        duration=TICKS * PERIOD + 0.5,
-        start_time=START,
-        seed=9,
-    )
-    near = fleet[0].window_at(START + 0.5).center
-    span = fleet[0].time_span
-    churn = MotionSegment(
-        9001,
-        9,
-        SpaceTimeSegment(
-            Interval(span.low, span.high), tuple(near), (0.1, 0.0)
-        ),
-    )
-    ops = [
-        UpdateOp(START + 3 * PERIOD, "insert", churn),
-        UpdateOp(START + 6 * PERIOD, "expire", segments[0]),
-    ]
-
-    frames_off, reads_off, t_off = _run_fleet(segments, fleet, ops, "off")
-    frames_on, reads_on, t_on = _run_fleet(segments, fleet, ops, "numpy")
-
-    assert frames_on == frames_off, "accel=numpy changed a delivered frame"
-    assert reads_on == reads_off, "accel=numpy changed the traversal"
-
-    delivered = sum(len(f) for f in frames_off.values())
-    answers = sum(
-        len(items) for f in frames_off.values() for (_, _, items, _) in f
-    )
-    fleet_speedup = t_off / t_on if t_on > 0 else 0.0
-    emit(
-        f"fleet scale: {CLIENTS} clients x {TICKS} ticks, "
-        f"{delivered} frames, {answers} answer items, "
-        f"reads {reads_off} (both paths), "
-        f"scalar {t_off:.3f}s vs batch {t_on:.3f}s "
-        f"({fleet_speedup:.2f}x)"
-    )
-
-    micro_rows = getattr(test_page_evaluation_microbenchmark, "rows", [])
     write_bench_artifact(
         "geometry_kernels",
         {
-            "page_microbenchmark": micro_rows,
+            "page_microbenchmark": rows,
             "speedup_bar": SPEEDUP_BAR,
-            "fleet": {
-                "clients": CLIENTS,
-                "ticks": TICKS,
-                "frames_identical": True,
-                "frames_delivered": delivered,
-                "answer_items": answers,
-                "physical_reads": reads_off,
-                "scalar_seconds": round(t_off, 3),
-                "batch_seconds": round(t_on, 3),
-                "speedup": round(fleet_speedup, 2),
-            },
             "nondeterministic_fields": [
                 "page_microbenchmark[].scalar_ms",
                 "page_microbenchmark[].batch_ms",
                 "page_microbenchmark[].speedup",
-                "fleet.scalar_seconds",
-                "fleet.batch_seconds",
-                "fleet.speedup",
             ],
         },
     )

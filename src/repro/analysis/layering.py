@@ -422,13 +422,14 @@ class ProcessBoundaryRule(Rule):
 class NumpyIsolationRule(Rule):
     """DQL07 — numpy escaping the batch-kernel boundary.
 
-    **Invariant:** the scalar geometry/engine code is the reference
-    implementation and must run on a numpy-less install; numpy is an
-    *optional accelerator* confined to :mod:`repro.geometry.kernels`
-    (which guards its own import and degrades gracefully).  If any other
-    ``repro`` module imported numpy, the "always-available scalar path"
-    claim — and the accel-matrix CI leg that runs without numpy — would
-    silently rot.
+    **Invariant:** one module owns the array representation.
+    :mod:`repro.geometry.kernels` decides dtype, column layout and the
+    expression order that keeps every kernel bit-identical to the scalar
+    geometry; the engines and :mod:`repro.index.pagearrays` hand its
+    batches around as opaque objects.  If another ``repro`` module
+    imported numpy it could build or reinterpret arrays on its own, and
+    the differential suite — which pins the kernels, not their callers —
+    would no longer cover every place floats are computed.
 
     Flagged: any import of ``numpy`` (including submodules and ``from``
     imports) inside ``repro`` outside ``repro/geometry/kernels.py``.
@@ -464,8 +465,8 @@ class NumpyIsolationRule(Rule):
                         node,
                         path,
                         f"import of {dotted} outside repro.geometry."
-                        "kernels; the scalar path is the reference and "
-                        "must not depend on the optional accelerator",
+                        "kernels, the one module that owns the array "
+                        "representation",
                     )
 
 

@@ -599,7 +599,6 @@ def _serve_cfg(args: argparse.Namespace) -> dict:
         "shared_scan": not args.no_shared_scan,
         "promote_after": args.promote_after,
         "npdq_margin": args.npdq_margin,
-        "accel": args.accel,
         "churn": args.churn,
         "checkpoint_every": args.checkpoint_every,
         "knn_k": args.knn_k,
@@ -630,7 +629,10 @@ def _serve_fleet(cfg: dict, space_side: float, horizon: float):
 
 
 def _server_config(cfg: dict):
-    """The :class:`~repro.server.ServerConfig` a ``serve`` run asks for."""
+    """The :class:`~repro.server.ServerConfig` a ``serve`` run asks for.
+
+    Keys are read by name, so whatever a retired option left in a pinned
+    ``store.json`` is ignored and the store still resumes."""
     from repro.server import ServerConfig
 
     return ServerConfig(
@@ -639,7 +641,6 @@ def _server_config(cfg: dict):
         shared_scan=cfg["shared_scan"],
         promote_after=cfg["promote_after"],
         npdq_predict_margin=cfg["npdq_margin"],
-        accel=_resolve_accel(cfg.get("accel", "off")),
         join_delta=cfg["join_delta"],
         auto_route_refresh=cfg["route_refresh"],
     )
@@ -677,24 +678,6 @@ def _checkpoint_shard_trees(shard_stores, natives, duals) -> None:
         for tree_name, (disk, _log, _index, _report) in stores.items():
             tree = natives[i].tree if tree_name == "native" else duals[i].tree
             disk.checkpoint(meta=tree.recovery_meta())
-
-
-def _resolve_accel(accel: str) -> str:
-    """The accel mode the server will actually run.
-
-    Requesting ``numpy`` on an install without numpy is not an error —
-    the kernels degrade to the scalar reference — but the operator
-    should know their benchmark is running the slow path.
-    """
-    from repro.geometry import kernels
-
-    resolved = kernels.resolve(accel)
-    if resolved != accel:
-        print(
-            f"--accel {accel}: numpy unavailable, running scalar path",
-            file=sys.stderr,
-        )
-    return resolved
 
 
 def _serve_durable(args: argparse.Namespace) -> int:
@@ -1467,15 +1450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="slack of NPDQ frontier prediction, in multiples of the "
         "largest observed inter-frame step (smaller batches fewer pages "
         "but mispredicts more; mispredicts only cost demand fetches)",
-    )
-    p_serve.add_argument(
-        "--accel",
-        choices=("off", "numpy"),
-        default="off",
-        help="geometry evaluation path: 'off' runs the scalar reference, "
-        "'numpy' evaluates whole node pages with the batch kernels "
-        "(answers are bit-identical; silently degrades to the scalar "
-        "path when numpy is not importable)",
     )
     p_serve.add_argument(
         "--data-dir",

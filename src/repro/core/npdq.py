@@ -44,7 +44,6 @@ from repro.errors import CorruptPageError, QueryError, TransientIOError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.dualtime import DualTimeIndex
 from repro.index.pagearrays import page_arrays
 from repro.storage.metrics import QueryCost
@@ -71,12 +70,6 @@ class NPDQEngine:
         The :class:`~repro.index.DualTimeIndex` holding the segments.
     exact:
         Apply exact leaf-level segment tests (on by default).
-    accel:
-        ``"off"`` (default) uses the scalar geometry reference;
-        ``"numpy"`` evaluates each loaded page with the batch kernels of
-        :mod:`repro.geometry.kernels` (bit-identical answers).  Degrades
-        to ``"off"`` when numpy is unavailable; the effective mode is
-        exposed as :attr:`accel`.
     fault_budget:
         ``None`` (default) propagates storage faults.  An integer
         enables graceful degradation: a failing node load is re-enqueued
@@ -91,12 +84,10 @@ class NPDQEngine:
         index: DualTimeIndex,
         exact: bool = True,
         fault_budget: Optional[int] = None,
-        accel: str = "off",
     ):
         self.index = index
         self.exact = exact
         self.fault_budget = fault_budget
-        self.accel = kernels.resolve(accel)
         self.skipped_subtrees: List[int] = []
         self.cost = QueryCost()
         self.last_loaded_pages: List[int] = []
@@ -221,69 +212,45 @@ class NPDQEngine:
                     self._degraded = True
                 continue
             self.last_loaded_pages.append(page_id)
-            # With accel on, one kernels pass per page precomputes every
-            # per-entry geometric value; the entry loop below follows the
-            # scalar control flow (and its conditional cost counters)
-            # exactly, consuming the precomputed values instead.
-            batch = self.accel == "numpy" and len(node.entries) > 0
+            # One kernels pass per page precomputes every per-entry
+            # geometric value (bit-identical to the scalar Box.intersect /
+            # contains_box / segment_box_overlap_interval); the entry
+            # loops below keep the scalar control flow and its
+            # conditional cost counters, consuming the precomputed values.
+            arrays = page_arrays(node)
+            empty_m, covered_m = kernels.box_query_masks(
+                arrays.box_batch(),
+                dual,
+                prev.dual_box if prev is not None else None,
+            )
             if node.is_leaf:
-                empty_m = covered_m = seen_vals = vis_vals = ovl_vals = None
-                if batch:
-                    arrays = page_arrays(node)
-                    empty_m, covered_m = kernels.box_query_masks(
-                        arrays.box_batch(),
-                        dual,
-                        prev.dual_box if prev is not None else None,
-                    )
-                    segb = arrays.segment_batch()
-                    if prev is not None:
-                        seen_vals = kernels.segment_box_overlap_batch(
-                            segb, prev.native_box
-                        )
-                    vis_vals = kernels.segment_box_overlap_batch(
-                        segb, open_native
-                    )
-                    if self.exact:
-                        ovl_vals = kernels.segment_box_overlap_batch(
-                            segb, native
-                        )
+                segb = arrays.segment_batch()
+                seen_vals = (
+                    kernels.segment_box_overlap_batch(segb, prev.native_box)
+                    if prev is not None
+                    else None
+                )
+                vis_vals = kernels.segment_box_overlap_batch(segb, open_native)
+                ovl_vals = (
+                    kernels.segment_box_overlap_batch(segb, native)
+                    if self.exact
+                    else None
+                )
                 for k, e in enumerate(node.entries):
                     self.cost.count_distance_computations()
-                    if batch:
-                        if empty_m[k]:
-                            continue
-                    else:
-                        shared = e.box.intersect(dual)
-                        if shared.is_empty:
-                            continue
+                    if empty_m[k]:
+                        continue
                     if prev is not None and e.timestamp <= prev.clock:  # type: ignore[union-attr]
                         # Suppression mirrors Lemma 1's box semantics: if
                         # P's boxes covered this entry, P's run delivered
                         # it (possibly as a prefetch) and the client has
                         # it.  An exact-P hit is an equivalent witness.
-                        if (
-                            covered_m[k]
-                            if batch
-                            else prev.dual_box.contains_box(shared)
-                        ):
+                        if covered_m[k]:
                             continue
                         self.cost.count_segment_tests()
-                        seen = (
-                            seen_vals[k]
-                            if batch
-                            else segment_box_overlap_interval(
-                                e.record.segment, prev.native_box  # type: ignore[union-attr]
-                            )
-                        )
-                        if not seen.is_empty:
+                        if not seen_vals[k].is_empty:
                             continue
-                    visibility = (
-                        vis_vals[k]
-                        if batch
-                        else segment_box_overlap_interval(
-                            e.record.segment, open_native  # type: ignore[union-attr]
-                        )
-                    )
+                    visibility = vis_vals[k]
                     if not self.exact and visibility.is_empty:
                         # Box-only admission delivered as a plain item in
                         # inexact mode; give it a retention-hint interval.
@@ -292,14 +259,7 @@ class NPDQEngine:
                         )
                     if self.exact:
                         self.cost.count_segment_tests()
-                        overlap = (
-                            ovl_vals[k]
-                            if batch
-                            else segment_box_overlap_interval(
-                                e.record.segment, native  # type: ignore[union-attr]
-                            )
-                        )
-                        if overlap.is_empty:
+                        if ovl_vals[k].is_empty:
                             # Box-only admission: not an answer of Q, but
                             # future snapshots may assume the client got
                             # it (see the module docstring).
@@ -314,33 +274,16 @@ class NPDQEngine:
                     self.cost.count_results()
                     items.append(AnswerItem(e.record, visibility))  # type: ignore[union-attr]
             else:
-                if batch:
-                    empty_m, covered_m = kernels.box_query_masks(
-                        page_arrays(node).box_batch(),
-                        dual,
-                        prev.dual_box if prev is not None else None,
-                    )
                 for k, e in enumerate(node.entries):
                     self.cost.count_distance_computations()
-                    if batch:
-                        if empty_m[k]:
-                            continue
-                        if (
-                            prev is not None
-                            and e.timestamp <= prev.clock  # type: ignore[union-attr]
-                            and covered_m[k]
-                        ):
-                            continue  # discardable (Lemma 1)
-                    else:
-                        shared = e.box.intersect(dual)
-                        if shared.is_empty:
-                            continue
-                        if (
-                            prev is not None
-                            and e.timestamp <= prev.clock  # type: ignore[union-attr]
-                            and prev.dual_box.contains_box(shared)
-                        ):
-                            continue  # discardable (Lemma 1)
+                    if empty_m[k]:
+                        continue
+                    if (
+                        prev is not None
+                        and e.timestamp <= prev.clock  # type: ignore[union-attr]
+                        and covered_m[k]
+                    ):
+                        continue  # discardable (Lemma 1)
                     stack.append(e.child_id)  # type: ignore[union-attr]
         self._prev = _PreviousQuery(dual, native, tree.clock, query.time)
         return SnapshotResult(

@@ -39,7 +39,6 @@ from typing import List, Optional
 from repro.errors import CorruptPageError, QueryError, TransientIOError
 from repro.core.results import AnswerItem, SnapshotResult
 from repro.core.trajectory import QueryTrajectory
-from repro.geometry import kernels
 from repro.geometry.interval import Interval
 from repro.geometry.timeset import TimeSet
 from repro.index.entry import LeafEntry
@@ -82,12 +81,6 @@ class PDQEngine:
         Register for concurrent-insert notifications (on by default;
         turn off for insert-free historical workloads to skip listener
         overhead).
-    accel:
-        ``"off"`` (default) evaluates overlap intervals with the scalar
-        reference; ``"numpy"`` evaluates each loaded page with the batch
-        kernels of :mod:`repro.geometry.kernels` (bit-identical answers).
-        Degrades to ``"off"`` when numpy is unavailable; the effective
-        mode is exposed as :attr:`accel`.
     fault_budget:
         ``None`` (default) propagates storage faults to the caller.  An
         integer enables graceful degradation: a node whose load keeps
@@ -107,7 +100,6 @@ class PDQEngine:
         rebuild_depth: int = 0,
         track_updates: bool = True,
         fault_budget: Optional[int] = None,
-        accel: str = "off",
     ):
         if trajectory.dims != index.dims:
             raise QueryError(
@@ -117,7 +109,6 @@ class PDQEngine:
         self.trajectory = trajectory
         self.rebuild_depth = rebuild_depth
         self.fault_budget = fault_budget
-        self.accel = kernels.resolve(accel)
         self.skipped_subtrees: List[int] = []
         self.cost = QueryCost()
         self._heap: List[tuple] = []
@@ -184,39 +175,27 @@ class PDQEngine:
                 )
 
     def _expand(self, page_id: int) -> None:
-        """Load a node (one disk access) and enqueue its children."""
+        """Load a node (one disk access) and enqueue its children.
+
+        The whole page is evaluated by one batch pass
+        (:mod:`repro.geometry.kernels`, bit-identical to the scalar
+        ``segment_overlap``/``box_overlap``); the entry loop then charges
+        the paper's per-entry costs and enqueues.
+        """
         node = self.index.tree.load_node(page_id, self.cost)
-        batch = self.accel == "numpy" and len(node.entries) > 0
+        arrays = page_arrays(node)
         if node.is_leaf:
-            timesets = (
-                self.trajectory.segment_overlap_page(
-                    page_arrays(node).segment_batch()
-                )
-                if batch
-                else None
+            timesets = self.trajectory.segment_overlap_page(
+                arrays.segment_batch()
             )
-            for k, e in enumerate(node.entries):
+            for e, timeset in zip(node.entries, timesets):
                 self.cost.count_distance_computations()
                 self.cost.count_segment_tests()
-                timeset = (
-                    timesets[k]
-                    if timesets is not None
-                    else self.trajectory.segment_overlap(e.record.segment)  # type: ignore[union-attr]
-                )
                 self._push_components(timeset, entry=e)  # type: ignore[arg-type]
         else:
-            timesets = (
-                self.trajectory.box_overlap_page(page_arrays(node).box_batch())
-                if batch
-                else None
-            )
-            for k, e in enumerate(node.entries):
+            timesets = self.trajectory.box_overlap_page(arrays.box_batch())
+            for e, timeset in zip(node.entries, timesets):
                 self.cost.count_distance_computations()
-                timeset = (
-                    timesets[k]
-                    if timesets is not None
-                    else self.trajectory.box_overlap(e.box)
-                )
                 self._push_components(timeset, page_id=e.child_id)  # type: ignore[union-attr]
 
     # -- frontier inspection (shared-scan support) --------------------------------

@@ -91,9 +91,6 @@ class DynamicQuerySession:
         window and tolerates observer deviation up to δ before falling
         back to NPDQ (Sect. 4's semi-predictive regime); 0 uses plain
         PDQ with the strict ``deviation_tolerance``.
-    accel:
-        Forwarded to every engine the session builds (``"off"`` scalar
-        reference, ``"numpy"`` batch kernels; answers are identical).
     """
 
     def __init__(
@@ -107,7 +104,6 @@ class DynamicQuerySession:
         teleport_overlap: float = 0.05,
         prediction_horizon: float = 5.0,
         spdq_delta: float = 0.0,
-        accel: str = "off",
     ):
         if native_index.dims != dual_index.dims:
             raise SessionError("index dimensionalities differ")
@@ -131,13 +127,12 @@ class DynamicQuerySession:
         self.teleport_overlap = teleport_overlap
         self.prediction_horizon = prediction_horizon
         self.spdq_delta = spdq_delta
-        self.accel = accel
 
         self.cache = ClientCache()
         self.cost = QueryCost()
         self.mode_switches: List[Tuple[float, SessionMode]] = []
 
-        self._npdq = NPDQEngine(dual_index, accel=accel)
+        self._npdq = NPDQEngine(dual_index)
         self._pdq = None  # a PDQEngine or SPDQEngine while predicting
         self._predicted: Optional[QueryTrajectory] = None
         self._pdq_until = -math.inf
@@ -255,15 +250,10 @@ class DynamicQuerySession:
             # Semi-predictive: tolerate up to δ of observer deviation by
             # querying the δ-inflated window (Sect. 4, SPDQ).
             self._pdq = SPDQEngine(
-                self.native_index,
-                trajectory,
-                delta=self.spdq_delta,
-                accel=self.accel,
+                self.native_index, trajectory, delta=self.spdq_delta
             )
         else:
-            self._pdq = PDQEngine(
-                self.native_index, trajectory, accel=self.accel
-            )
+            self._pdq = PDQEngine(self.native_index, trajectory)
         self._predicted = trajectory
         self._pdq_until = t + self.prediction_horizon
         # NPDQ memory becomes unsafe to reuse after a gap in its snapshot

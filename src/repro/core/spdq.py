@@ -41,7 +41,7 @@ class SPDQEngine:
         Deviation bound δ (constant over the query; the paper allows a
         time-varying δ(t), which can be modelled by building the key
         snapshots with per-key inflation before constructing the engine).
-    rebuild_depth, track_updates, accel:
+    rebuild_depth, track_updates:
         Forwarded to :class:`~repro.core.PDQEngine`.
     """
 
@@ -52,7 +52,6 @@ class SPDQEngine:
         delta: float,
         rebuild_depth: int = 0,
         track_updates: bool = True,
-        accel: str = "off",
     ):
         if delta < 0:
             raise QueryError("deviation bound must be non-negative")
@@ -63,13 +62,7 @@ class SPDQEngine:
             predicted.inflated(delta),
             rebuild_depth=rebuild_depth,
             track_updates=track_updates,
-            accel=accel,
         )
-
-    @property
-    def accel(self) -> str:
-        """Effective accel mode of the underlying PDQ engine."""
-        return self.engine.accel
 
     @property
     def cost(self):

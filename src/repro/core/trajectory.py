@@ -78,7 +78,7 @@ class QueryTrajectory:
             MovingWindow(Interval(a.time, b.time), a.window, b.window)
             for a, b in zip(keys, keys[1:])
         )
-        # Per-segment kernels.WindowParams, filled lazily on first batch use.
+        # Per-segment kernels.WindowParams, filled lazily on first page.
         self._params: List = [None] * len(self._segments)
 
     # -- constructors -----------------------------------------------------
@@ -234,43 +234,38 @@ class QueryTrajectory:
             self._params[j] = params
         return params
 
-    def box_overlap_page(self, boxes: "kernels.BoxBatch") -> List[TimeSet]:
-        """``box_overlap`` for every box of one node page, batched.
-
-        One kernel call per trajectory segment covers all entries; each
-        entry's TimeSet is then assembled from exactly the segment range
-        the scalar path would have visited, in the same order — the
-        answers are bit-identical.
-        """
+    def _overlap_page(self, kernel, batch, t_lo, t_hi) -> List[TimeSet]:
+        """Per-entry TimeSets of one page: one ``kernel`` call per
+        trajectory segment covers all entries; each entry's TimeSet is
+        then assembled from exactly the segment range the scalar path
+        would have visited, in the same order — the answers are
+        bit-identical."""
         ranges = [
-            self._segment_range(Interval(lo[0], hi[0]))
-            for lo, hi in zip(boxes.lows, boxes.highs)
+            self._segment_range(Interval(lo, hi)) for lo, hi in zip(t_lo, t_hi)
         ]
         per_j = {
-            j: kernels.moving_window_box_overlap_batch(
-                self._segment_params(j), boxes
-            )
+            j: kernel(self._segment_params(j), batch)
             for j in sorted({j for r in ranges for j in r})
         }
         return [
-            TimeSet([per_j[j][k] for j in ranges[k]]) for k in range(boxes.n)
+            TimeSet([per_j[j][k] for j in r]) for k, r in enumerate(ranges)
         ]
+
+    def box_overlap_page(self, boxes: "kernels.BoxBatch") -> List[TimeSet]:
+        """``box_overlap`` for every box of one node page, batched."""
+        return self._overlap_page(
+            kernels.moving_window_box_overlap_batch,
+            boxes,
+            *boxes.extent_bounds(0),
+        )
 
     def segment_overlap_page(self, segs: "kernels.SegmentBatch") -> List[TimeSet]:
         """``segment_overlap`` for every record of one leaf page, batched."""
-        ranges = [
-            self._segment_range(Interval(lo, hi))
-            for lo, hi in zip(segs.t_lo, segs.t_hi)
-        ]
-        per_j = {
-            j: kernels.moving_window_segment_overlap_batch(
-                self._segment_params(j), segs
-            )
-            for j in sorted({j for r in ranges for j in r})
-        }
-        return [
-            TimeSet([per_j[j][k] for j in ranges[k]]) for k in range(segs.n)
-        ]
+        return self._overlap_page(
+            kernels.moving_window_segment_overlap_batch,
+            segs,
+            *segs.time_bounds(),
+        )
 
     # -- deriving the frame-level snapshot series ---------------------------------
 

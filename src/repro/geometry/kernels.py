@@ -8,9 +8,9 @@ per field, one row per entry) and returns the per-entry results in one
 numpy pass.
 
 The scalar implementations in :mod:`repro.geometry.trapezoid`,
-:mod:`repro.geometry.segment`, :mod:`repro.geometry.box` and
-:mod:`repro.index.tpbox` remain the reference semantics.  The kernels
-are written to be **bit-identical** to them, not merely close:
+:mod:`repro.geometry.segment` and :mod:`repro.geometry.box` remain the
+reference semantics.  The kernels are written to be **bit-identical** to
+them, not merely close:
 
 * numpy float64 ``+ - * /`` are the same IEEE-754 double operations the
   Python scalars use, so replicating the reference's exact expression
@@ -28,79 +28,40 @@ are written to be **bit-identical** to them, not merely close:
   empties *structurally* (an empty box extent, a failed rest-dimension
   containment test) are tracked in an explicit mask instead.
 
-numpy is optional.  :func:`available` reports whether the accelerated
-path can run (set ``REPRO_DISABLE_NUMPY=1`` to force it off) and
-:func:`resolve` maps a requested ``accel`` mode to the effective one;
-callers fall back to the scalar reference rather than raising
-``ImportError``.
+numpy is imported here and nowhere else in ``repro`` (lint rule DQL07):
+this module owns the array representation, and everything above it
+passes batches around as opaque objects.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
 
-try:  # pragma: no cover - exercised via REPRO_DISABLE_NUMPY in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
-    "ACCEL_MODES",
     "available",
-    "resolve",
     "SegmentBatch",
     "BoxBatch",
-    "TPBoxBatch",
     "WindowParams",
     "window_params",
     "moving_window_box_overlap_batch",
     "moving_window_segment_overlap_batch",
     "segment_box_overlap_batch",
     "box_query_masks",
-    "tpbox_overlap_with_box_batch",
-    "tpbox_overlap_with_moving_window_batch",
 ]
-
-ACCEL_MODES = ("off", "numpy")
 
 
 def available() -> bool:
-    """True iff the numpy kernels can run right now.
+    """Always True: numpy is a declared dependency.
 
-    Checked per call so ``REPRO_DISABLE_NUMPY=1`` (the capability
-    kill-switch used by the degradation tests) takes effect without a
-    module reload.
+    Kept because ``bench/layers.py`` gates its kernel micro-timings on it.
     """
-    return _np is not None and os.environ.get("REPRO_DISABLE_NUMPY") != "1"
-
-
-def resolve(accel: str) -> str:
-    """Map a requested accel mode to the effective one.
-
-    ``"numpy"`` degrades to ``"off"`` when numpy is missing or disabled;
-    unknown modes raise :class:`~repro.errors.GeometryError`.
-    """
-    if accel not in ACCEL_MODES:
-        raise GeometryError(
-            f"unknown accel mode {accel!r}; expected one of {ACCEL_MODES}"
-        )
-    if accel == "numpy" and available():
-        return "numpy"
-    return "off"
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - guarded by resolve()/available()
-        raise GeometryError(
-            "numpy kernels invoked without numpy; call kernels.available() "
-            "or kernels.resolve() before taking the accelerated path"
-        )
-    return _np
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +70,14 @@ def _require_numpy():
 
 
 class SegmentBatch:
-    """Struct-of-arrays view of ``n`` motion segments.
+    """Float64 columns of ``n`` motion segments.
 
-    Keeps the plain-float tuples (``t_lo``/``t_hi``) alongside the
-    float64 arrays so callers that only need scalar metadata (e.g. the
-    trajectory's bisect-based segment-range lookup) never touch numpy.
+    The fields are the rows of one array — ``t_lo``, ``t_hi``, then
+    ``dims`` origin rows, then ``dims`` velocity rows — so a cached page
+    costs one allocation and every field a kernel reads is contiguous.
     """
 
-    __slots__ = ("n", "dims", "t_lo", "t_hi", "_t_lo", "_t_hi", "_origin",
-                 "_velocity", "_length")
+    __slots__ = ("n", "dims", "_rows")
 
     def __init__(
         self,
@@ -126,75 +86,61 @@ class SegmentBatch:
         origins: Sequence[Sequence[float]],
         velocities: Sequence[Sequence[float]],
     ):
-        np = _require_numpy()
-        self.t_lo = tuple(t_lo)
-        self.t_hi = tuple(t_hi)
-        self.n = len(self.t_lo)
-        self.dims = len(origins[0]) if self.n else 0
-        self._t_lo = np.asarray(self.t_lo, dtype=np.float64)
-        self._t_hi = np.asarray(self.t_hi, dtype=np.float64)
-        shape = (self.n, self.dims)
-        self._origin = np.asarray(origins, dtype=np.float64).reshape(shape)
-        self._velocity = np.asarray(velocities, dtype=np.float64).reshape(shape)
-        # Interval.length is max(0.0, high - low); mirror Python's max()
-        # branch rather than np.maximum (signed-zero choice differs).
-        d = self._t_hi - self._t_lo
-        self._length = np.where(d > 0.0, d, 0.0)
+        self.n = n = len(t_lo)
+        self.dims = dims = len(origins[0]) if n else 0
+        self._rows = rows = np.empty((2 + 2 * dims, n), dtype=np.float64)
+        rows[0] = t_lo
+        rows[1] = t_hi
+        shape = (n, dims)
+        origin = np.asarray(origins, dtype=np.float64).reshape(shape)
+        velocity = np.asarray(velocities, dtype=np.float64).reshape(shape)
+        rows[2 : 2 + dims] = origin.T
+        rows[2 + dims :] = velocity.T
+
+    @property
+    def t_lo(self):
+        """Validity-interval lows, one per segment."""
+        return self._rows[0]
+
+    @property
+    def t_hi(self):
+        """Validity-interval highs, one per segment."""
+        return self._rows[1]
+
+    def origin(self, i: int):
+        """Coordinate ``i`` of every segment's position at ``t_lo``."""
+        return self._rows[2 + i]
+
+    def velocity(self, i: int):
+        """Coordinate ``i`` of every segment's velocity."""
+        return self._rows[2 + self.dims + i]
+
+    def time_bounds(self) -> Tuple[List[float], List[float]]:
+        """Per-segment validity bounds as plain floats (for bisecting)."""
+        return self.t_lo.tolist(), self.t_hi.tolist()
 
 
 class BoxBatch:
-    """Struct-of-arrays view of ``n`` axis-aligned boxes (``axes`` extents)."""
+    """Float64 columns of ``n`` axis-aligned boxes (``axes`` extents)."""
 
-    __slots__ = ("n", "axes", "lows", "highs", "_lows", "_highs")
+    __slots__ = ("n", "axes", "_lows", "_highs")
 
     def __init__(
         self,
         lows: Sequence[Sequence[float]],
         highs: Sequence[Sequence[float]],
     ):
-        np = _require_numpy()
-        self.lows = tuple(tuple(row) for row in lows)
-        self.highs = tuple(tuple(row) for row in highs)
-        self.n = len(self.lows)
-        self.axes = len(self.lows[0]) if self.n else 0
+        self.n = len(lows)
+        self.axes = len(lows[0]) if self.n else 0
         shape = (self.n, self.axes)
-        self._lows = np.asarray(self.lows, dtype=np.float64).reshape(shape)
-        self._highs = np.asarray(self.highs, dtype=np.float64).reshape(shape)
-
-
-class TPBoxBatch:
-    """Struct-of-arrays view of ``n`` time-parameterized boxes."""
-
-    __slots__ = ("n", "dims", "_ref", "_lows", "_highs", "_vlows", "_vhighs")
-
-    def __init__(
-        self,
-        refs: Sequence[float],
-        lows: Sequence[Sequence[float]],
-        highs: Sequence[Sequence[float]],
-        vlows: Sequence[Sequence[float]],
-        vhighs: Sequence[Sequence[float]],
-    ):
-        np = _require_numpy()
-        self.n = len(refs)
-        self.dims = len(lows[0]) if self.n else 0
-        shape = (self.n, self.dims)
-        self._ref = np.asarray(refs, dtype=np.float64)
         self._lows = np.asarray(lows, dtype=np.float64).reshape(shape)
         self._highs = np.asarray(highs, dtype=np.float64).reshape(shape)
-        self._vlows = np.asarray(vlows, dtype=np.float64).reshape(shape)
-        self._vhighs = np.asarray(vhighs, dtype=np.float64).reshape(shape)
 
-    @classmethod
-    def from_boxes(cls, boxes: Sequence) -> "TPBoxBatch":
-        """Build from a sequence of :class:`repro.index.tpbox.TPBox`."""
-        return cls(
-            [b.ref for b in boxes],
-            [b.lows for b in boxes],
-            [b.highs for b in boxes],
-            [b.vlows for b in boxes],
-            [b.vhighs for b in boxes],
-        )
+    def extent_bounds(self, axis: int) -> Tuple[List[float], List[float]]:
+        """Per-box bounds along one axis as plain floats (for bisecting)."""
+        if self.n == 0:  # an empty page has no axes to index
+            return [], []
+        return self._lows[:, axis].tolist(), self._highs[:, axis].tolist()
 
 
 class WindowParams:
@@ -246,7 +192,7 @@ def window_params(window) -> WindowParams:
 # ---------------------------------------------------------------------------
 
 
-def _solve_ge(np, slope, intercept):
+def _solve_ge(slope, intercept):
     """Row-wise ``solve_linear_ge``: bounds of ``{t : slope·t + c >= 0}``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = -intercept / slope
@@ -259,7 +205,7 @@ def _solve_ge(np, slope, intercept):
     return lo, hi
 
 
-def _intersect(np, lo, hi, other_lo, other_hi):
+def _intersect(lo, hi, other_lo, other_hi):
     """Row-wise ``Interval.intersect`` with (lo, hi) as ``self``.
 
     No empty normalisation: crossed bounds flow through unchanged, which
@@ -296,7 +242,6 @@ def moving_window_box_overlap_batch(
     ``boxes`` carries the temporal extent at axis 0 and one spatial
     extent per window dimension after it.
     """
-    np = _require_numpy()
     if boxes.n == 0:
         return []
     if boxes.axes != params.dims + 1:
@@ -304,7 +249,7 @@ def moving_window_box_overlap_batch(
             f"boxes have {boxes.axes} axes, expected {params.dims + 1}"
         )
     lo, hi = _intersect(
-        np, params.t_lo, params.t_hi, boxes._lows[:, 0], boxes._highs[:, 0]
+        params.t_lo, params.t_hi, boxes._lows[:, 0], boxes._highs[:, 0]
     )
     forced_empty = np.zeros(boxes.n, dtype=bool)
     for i in range(params.dims):
@@ -312,11 +257,11 @@ def moving_window_box_overlap_batch(
         r_hi = boxes._highs[:, i + 1]
         forced_empty |= r_lo > r_hi
         # upper border u(t) = mu·t + uc must satisfy u(t) >= r.low
-        s_lo, s_hi = _solve_ge(np, params.mus[i], params.ucs[i] - r_lo)
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
+        s_lo, s_hi = _solve_ge(params.mus[i], params.ucs[i] - r_lo)
+        lo, hi = _intersect(lo, hi, s_lo, s_hi)
         # lower border l(t) = ml·t + lc must satisfy l(t) <= r.high
-        s_lo, s_hi = _solve_ge(np, -params.mls[i], r_hi - params.lcs[i])
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
+        s_lo, s_hi = _solve_ge(-params.mls[i], r_hi - params.lcs[i])
+        lo, hi = _intersect(lo, hi, s_lo, s_hi)
     return _to_intervals(lo, hi, forced_empty)
 
 
@@ -324,30 +269,28 @@ def moving_window_segment_overlap_batch(
     params: WindowParams, segs: SegmentBatch
 ) -> List[Interval]:
     """Batch ``moving_window_segment_overlap`` over motion segments."""
-    np = _require_numpy()
     if segs.n == 0:
         return []
     if segs.dims != params.dims:
         raise GeometryError(
             f"segments have {segs.dims} dims, window {params.dims}"
         )
-    lo, hi = _intersect(np, params.t_lo, params.t_hi, segs._t_lo, segs._t_hi)
+    lo, hi = _intersect(params.t_lo, params.t_hi, segs.t_lo, segs.t_hi)
     for i in range(params.dims):
-        v = segs._velocity[:, i]
+        v = segs.velocity(i)
         # p(t) = pc + v·t with pc = x0 - v * st0
-        pc = segs._origin[:, i] - v * segs._t_lo
+        pc = segs.origin(i) - v * segs.t_lo
         # u(t) - p(t) >= 0
-        s_lo, s_hi = _solve_ge(np, params.mus[i] - v, params.ucs[i] - pc)
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
+        s_lo, s_hi = _solve_ge(params.mus[i] - v, params.ucs[i] - pc)
+        lo, hi = _intersect(lo, hi, s_lo, s_hi)
         # p(t) - l(t) >= 0
-        s_lo, s_hi = _solve_ge(np, v - params.mls[i], pc - params.lcs[i])
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
+        s_lo, s_hi = _solve_ge(v - params.mls[i], pc - params.lcs[i])
+        lo, hi = _intersect(lo, hi, s_lo, s_hi)
     return _to_intervals(lo, hi)
 
 
 def segment_box_overlap_batch(segs: SegmentBatch, query: Box) -> List[Interval]:
     """Batch ``segment_box_overlap_interval`` against one static query box."""
-    np = _require_numpy()
     if segs.n == 0:
         return []
     if query.dims != segs.dims + 1:
@@ -356,23 +299,27 @@ def segment_box_overlap_batch(segs: SegmentBatch, query: Box) -> List[Interval]:
         )
     q_lows = query.lows
     q_highs = query.highs
-    lo, hi = _intersect(np, segs._t_lo, segs._t_hi, q_lows[0], q_highs[0])
+    lo, hi = _intersect(segs.t_lo, segs.t_hi, q_lows[0], q_highs[0])
     forced_empty = np.zeros(segs.n, dtype=bool)
+    # Interval.length is max(0.0, high - low); mirror Python's max()
+    # branch rather than np.maximum (signed-zero choice differs).
+    d = segs.t_hi - segs.t_lo
+    length = np.where(d > 0.0, d, 0.0)
     for i in range(segs.dims):
         w_lo = q_lows[i + 1]
         w_hi = q_highs[i + 1]
-        x0 = segs._origin[:, i]
-        v = segs._velocity[:, i]
+        x0 = segs.origin(i)
+        v = segs.velocity(i)
         # Rest dimension (exactly the scalar's sub-ulp displacement test):
         # containment decides, the algebraic branch is skipped.
-        rest = (v == 0.0) | (x0 + v * segs._length == x0)
+        rest = (v == 0.0) | (x0 + v * length == x0)
         forced_empty |= rest & ~((w_lo <= x0) & (x0 <= w_hi))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ta = segs._t_lo + (w_lo - x0) / v
-            tb = segs._t_lo + (w_hi - x0) / v
+            ta = segs.t_lo + (w_lo - x0) / v
+            tb = segs.t_lo + (w_hi - x0) / v
         o_lo = np.where(ta <= tb, ta, tb)
         o_hi = np.where(ta <= tb, tb, ta)
-        new_lo, new_hi = _intersect(np, lo, hi, o_lo, o_hi)
+        new_lo, new_hi = _intersect(lo, hi, o_lo, o_hi)
         lo = np.where(rest, lo, new_lo)
         hi = np.where(rest, hi, new_hi)
     return _to_intervals(lo, hi, forced_empty)
@@ -391,7 +338,6 @@ def box_query_masks(
     bounds are exactly the scalar's.  ``covered`` is only meaningful on
     rows where ``empty`` is False, matching the scalar control flow.
     """
-    np = _require_numpy()
     if boxes.n == 0:
         return [], []
     if query.dims != boxes.axes:
@@ -410,68 +356,3 @@ def box_query_masks(
         p_highs = np.asarray(prev.highs, dtype=np.float64)
         covered = ((p_lows <= i_lo) & (i_hi <= p_highs)).all(axis=1)
     return empty.tolist(), covered.tolist()
-
-
-# ---------------------------------------------------------------------------
-# TP-box kernels (TPR-tree pages)
-# ---------------------------------------------------------------------------
-
-
-def tpbox_overlap_with_box_batch(
-    batch: TPBoxBatch, window: Box, time: Interval
-) -> List[Interval]:
-    """Batch ``TPBox.overlap_interval_with_box`` for one static window."""
-    np = _require_numpy()
-    if batch.n == 0:
-        return []
-    if window.dims != batch.dims:
-        raise GeometryError("window dimensionality differs")
-    lo, hi = _intersect(np, time.low, time.high, batch._ref, np.inf)
-    for i in range(batch.dims):
-        w_lo = window.lows[i]
-        w_hi = window.highs[i]
-        # high edge:  highs + vhigh (t - ref) >= w.low
-        s_lo, s_hi = _solve_ge(
-            np,
-            batch._vhighs[:, i],
-            batch._highs[:, i] - batch._vhighs[:, i] * batch._ref - w_lo,
-        )
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
-        # low edge:   lows + vlow (t - ref) <= w.high
-        s_lo, s_hi = _solve_ge(
-            np,
-            -batch._vlows[:, i],
-            w_hi - batch._lows[:, i] + batch._vlows[:, i] * batch._ref,
-        )
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
-    return _to_intervals(lo, hi)
-
-
-def tpbox_overlap_with_moving_window_batch(
-    batch: TPBoxBatch, params: WindowParams
-) -> List[Interval]:
-    """Batch ``TPBox.overlap_interval_with_moving_window``."""
-    np = _require_numpy()
-    if batch.n == 0:
-        return []
-    if params.dims != batch.dims:
-        raise GeometryError("window dimensionality differs")
-    lo, hi = _intersect(np, params.t_lo, params.t_hi, batch._ref, np.inf)
-    for i in range(batch.dims):
-        # window upper border >= box low edge
-        s_lo, s_hi = _solve_ge(
-            np,
-            params.mus[i] - batch._vlows[:, i],
-            params.ucs[i]
-            - (batch._lows[:, i] - batch._vlows[:, i] * batch._ref),
-        )
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
-        # box high edge >= window lower border
-        s_lo, s_hi = _solve_ge(
-            np,
-            batch._vhighs[:, i] - params.mls[i],
-            (batch._highs[:, i] - batch._vhighs[:, i] * batch._ref)
-            - params.lcs[i],
-        )
-        lo, hi = _intersect(np, lo, hi, s_lo, s_hi)
-    return _to_intervals(lo, hi)

@@ -1,175 +1,78 @@
-"""Struct-of-arrays page representation for the batch geometry kernels.
+"""Cached float64 columns of one node page, for the batch geometry kernels.
 
 An R-tree :class:`~repro.index.node.Node` is an object graph — a list of
 entry objects, each holding a :class:`~repro.geometry.box.Box` of
 :class:`~repro.geometry.interval.Interval` objects.  The batch kernels
 in :mod:`repro.geometry.kernels` want the same page as a handful of
-flat arrays.  :class:`PageArrays` is that flattening: one tuple per
-field, one element per entry, carrying **everything the node codec
-serialises** — so the conversion is lossless and
-``arrays_to_node(page_arrays(node))`` rebuilds a node whose encoding is
-byte-identical to the original's.
+flat arrays.  :class:`PageArrays` holds exactly the columns the engines
+read — the entry bounding boxes, and on a leaf the motion segments —
+each built on first use, so a page only ever pays for the view its
+queries ask for.
 
-The flattening itself is pure Python (plain float tuples); numpy enters
-only in the lazily-built :meth:`PageArrays.box_batch` /
-:meth:`PageArrays.segment_batch` views, so array-backed pages work — and
-round-trip — on numpy-less installs too.
-
-``page_arrays(node)`` caches the flattening on the node (invalidated by
-every mutating method alongside the MBR cache), so repeated batch
-queries against a hot page pay the object-graph walk once.
+``page_arrays(node)`` caches the view on the node (invalidated by every
+mutating method alongside the MBR cache), so repeated queries against a
+hot page pay the object-graph walk once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import IndexStructureError
-from repro.geometry.box import Box
-from repro.geometry.interval import Interval
-from repro.geometry.segment import SpaceTimeSegment
-from repro.index.entry import InternalEntry, LeafEntry
+from repro.geometry import kernels
 from repro.index.node import Node
-from repro.motion.segment import MotionSegment
 
-__all__ = ["PageArrays", "page_arrays", "arrays_to_node"]
+__all__ = ["PageArrays", "page_arrays"]
 
 
 class PageArrays:
-    """One node page, flattened to struct-of-arrays form.
+    """The kernel batches of one node page, built lazily.
 
     Box bounds are per-entry rows over all indexed axes (native space:
-    ``1 + d``; dual time: ``2 + d``).  Leaf pages additionally carry the
-    exact motion records (validity interval, origin, velocity, object
-    id, sequence number); internal pages carry child page ids.  Entry
-    timestamps are kept for both kinds — NPDQ's update management reads
-    them next to the batch results.
+    ``1 + d``; dual time: ``2 + d``); leaf pages additionally offer the
+    exact motion segments (validity interval, origin, velocity).
     """
 
-    __slots__ = (
-        "page_id",
-        "level",
-        "timestamp",
-        "count",
-        "entry_timestamps",
-        "box_lows",
-        "box_highs",
-        "child_ids",
-        "object_ids",
-        "seqs",
-        "seg_t_lo",
-        "seg_t_hi",
-        "origins",
-        "velocities",
-        "_box_batch",
-        "_seg_batch",
-    )
+    __slots__ = ("is_leaf", "_entries", "_box_batch", "_seg_batch")
 
     def __init__(self, node: Node):
-        self.page_id = node.page_id
-        self.level = node.level
-        self.timestamp = node.timestamp
-        self.count = len(node.entries)
-        self.entry_timestamps: Tuple[int, ...] = tuple(
-            e.timestamp for e in node.entries
-        )
-        self.box_lows: Tuple[Tuple[float, ...], ...] = tuple(
-            e.box.lows for e in node.entries
-        )
-        self.box_highs: Tuple[Tuple[float, ...], ...] = tuple(
-            e.box.highs for e in node.entries
-        )
-        if node.is_leaf:
-            records = [e.record for e in node.entries]
-            self.child_ids: Tuple[int, ...] = ()
-            self.object_ids = tuple(r.object_id for r in records)
-            self.seqs = tuple(r.seq for r in records)
-            self.seg_t_lo = tuple(r.segment.time.low for r in records)
-            self.seg_t_hi = tuple(r.segment.time.high for r in records)
-            self.origins = tuple(r.segment.origin for r in records)
-            self.velocities = tuple(r.segment.velocity for r in records)
-        else:
-            self.child_ids = tuple(e.child_id for e in node.entries)
-            self.object_ids = ()
-            self.seqs = ()
-            self.seg_t_lo = ()
-            self.seg_t_hi = ()
-            self.origins = ()
-            self.velocities = ()
-        self._box_batch = None
-        self._seg_batch = None
+        self.is_leaf = node.is_leaf
+        # The entry list, not the node: node -> view -> node would be a
+        # cycle only the garbage collector frees when a page is evicted.
+        self._entries = node.entries
+        self._box_batch: Optional[kernels.BoxBatch] = None
+        self._seg_batch: Optional[kernels.SegmentBatch] = None
 
-    @property
-    def is_leaf(self) -> bool:
-        """True for level-0 pages."""
-        return self.level == 0
-
-    # -- numpy views (lazy; callers gate on kernels.available()) ----------
-
-    def box_batch(self):
+    def box_batch(self) -> kernels.BoxBatch:
         """Entry bounding boxes as a :class:`kernels.BoxBatch`."""
         if self._box_batch is None:
-            from repro.geometry import kernels
-
-            self._box_batch = kernels.BoxBatch(self.box_lows, self.box_highs)
+            boxes = [e.box for e in self._entries]
+            self._box_batch = kernels.BoxBatch(
+                [b.lows for b in boxes], [b.highs for b in boxes]
+            )
         return self._box_batch
 
-    def segment_batch(self):
+    def segment_batch(self) -> kernels.SegmentBatch:
         """Leaf motion segments as a :class:`kernels.SegmentBatch`."""
         if self._seg_batch is None:
             if not self.is_leaf:
                 raise IndexStructureError(
                     "internal pages carry no motion segments"
                 )
-            from repro.geometry import kernels
-
+            segments = [e.record.segment for e in self._entries]
             self._seg_batch = kernels.SegmentBatch(
-                self.seg_t_lo, self.seg_t_hi, self.origins, self.velocities
+                [s.time.low for s in segments],
+                [s.time.high for s in segments],
+                [s.origin for s in segments],
+                [s.velocity for s in segments],
             )
         return self._seg_batch
 
 
 def page_arrays(node: Node) -> PageArrays:
-    """The node's struct-of-arrays view, cached until the node mutates."""
+    """The node's kernel view, cached until the node mutates."""
     arrays: Optional[PageArrays] = node._arrays
     if arrays is None:
         arrays = PageArrays(node)
         node._arrays = arrays
     return arrays
-
-
-def arrays_to_node(arrays: PageArrays) -> Node:
-    """Rebuild the entry-object node a :class:`PageArrays` was taken from.
-
-    Inverse of :class:`PageArrays` up to object identity: every field the
-    node codecs serialise is restored exactly, which is what the codec
-    round-trip test pins down.
-    """
-    entries = []
-    if arrays.is_leaf:
-        for k in range(arrays.count):
-            segment = SpaceTimeSegment(
-                Interval(arrays.seg_t_lo[k], arrays.seg_t_hi[k]),
-                arrays.origins[k],
-                arrays.velocities[k],
-            )
-            record = MotionSegment(arrays.object_ids[k], arrays.seqs[k], segment)
-            entries.append(
-                LeafEntry(
-                    Box.from_bounds(arrays.box_lows[k], arrays.box_highs[k]),
-                    record,
-                    timestamp=arrays.entry_timestamps[k],
-                )
-            )
-    else:
-        for k in range(arrays.count):
-            entries.append(
-                InternalEntry(
-                    Box.from_bounds(arrays.box_lows[k], arrays.box_highs[k]),
-                    arrays.child_ids[k],
-                    timestamp=arrays.entry_timestamps[k],
-                )
-            )
-    return Node(
-        arrays.page_id, arrays.level, entries, timestamp=arrays.timestamp
-    )

@@ -25,16 +25,11 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.errors import DimensionalityError, GeometryError
-from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
 from repro.geometry.trapezoid import MovingWindow, solve_linear_ge
 
-__all__ = [
-    "TPBox",
-    "overlap_intervals_with_box",
-    "overlap_intervals_with_moving_window",
-]
+__all__ = ["TPBox"]
 
 
 @dataclass(frozen=True)
@@ -219,34 +214,3 @@ class TPBox:
             if result.is_empty:
                 return EMPTY_INTERVAL
         return result
-
-
-# -- page-level batch evaluation -------------------------------------------
-
-
-def overlap_intervals_with_box(
-    boxes: Sequence[TPBox], window: Box, time: Interval, accel: str = "off"
-) -> "list[Interval]":
-    """Per-box ``overlap_interval_with_box`` for one page of TP-boxes.
-
-    With ``accel="numpy"`` (and numpy available) the whole page is
-    evaluated by one :mod:`repro.geometry.kernels` call; otherwise —
-    always a valid choice — the scalar reference runs per box.  Both
-    paths return bit-identical intervals.
-    """
-    if kernels.resolve(accel) == "numpy" and boxes:
-        return kernels.tpbox_overlap_with_box_batch(
-            kernels.TPBoxBatch.from_boxes(boxes), window, time
-        )
-    return [b.overlap_interval_with_box(window, time) for b in boxes]
-
-
-def overlap_intervals_with_moving_window(
-    boxes: Sequence[TPBox], window: MovingWindow, accel: str = "off"
-) -> "list[Interval]":
-    """Per-box ``overlap_interval_with_moving_window`` for one page."""
-    if kernels.resolve(accel) == "numpy" and boxes:
-        return kernels.tpbox_overlap_with_moving_window_batch(
-            kernels.TPBoxBatch.from_boxes(boxes), kernels.window_params(window)
-        )
-    return [b.overlap_interval_with_moving_window(window) for b in boxes]

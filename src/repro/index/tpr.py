@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexStructureError, QueryError
-from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment
@@ -40,7 +39,7 @@ from repro.geometry.trapezoid import moving_window_segment_overlap
 from repro.core.results import AnswerItem
 from repro.core.trajectory import QueryTrajectory
 from repro.index.split import quadratic_split
-from repro.index.tpbox import TPBox, overlap_intervals_with_moving_window
+from repro.index.tpbox import TPBox
 from repro.motion.linear import LinearMotion
 from repro.motion.segment import MotionSegment
 from repro.storage.disk import DiskManager
@@ -357,16 +356,13 @@ class TPRPDQEngine:
     appearances based on their current motions.
     """
 
-    def __init__(
-        self, tree: TPRTree, trajectory: QueryTrajectory, accel: str = "off"
-    ):
+    def __init__(self, tree: TPRTree, trajectory: QueryTrajectory):
         if trajectory.dims != tree.dims:
             raise QueryError(
                 f"trajectory has {trajectory.dims} dims, tree {tree.dims}"
             )
         self.tree = tree
         self.trajectory = trajectory
-        self.accel = kernels.resolve(accel)
         self.cost = QueryCost()
         self._heap: List[tuple] = []
         self._tie = itertools.count()
@@ -427,27 +423,12 @@ class TPRPDQEngine:
                     self.cost.count_segment_tests()
                     self._push_record(e.record)  # type: ignore[arg-type]
             else:
-                # One batch kernel call per trajectory segment covers all
-                # page entries; the scalar per-entry loop is the reference.
-                per_window = None
-                if self.accel == "numpy" and node.entries:
-                    boxes = [e.box for e in node.entries]
-                    per_window = [
-                        overlap_intervals_with_moving_window(
-                            boxes, mw, accel=self.accel
-                        )
+                for e in node.entries:
+                    self.cost.count_distance_computations()
+                    intervals = [
+                        e.box.overlap_interval_with_moving_window(mw)
                         for mw in self.trajectory.segments
                     ]
-                for k, e in enumerate(node.entries):
-                    self.cost.count_distance_computations()
-                    intervals = (
-                        [row[k] for row in per_window]
-                        if per_window is not None
-                        else [
-                            e.box.overlap_interval_with_moving_window(mw)
-                            for mw in self.trajectory.segments
-                        ]
-                    )
                     for component in TimeSet(intervals):
                         if component.high >= self._frontier:
                             heapq.heappush(

@@ -91,7 +91,6 @@ class ServerConfig:
     buffer_capacity: int = 1024
     npdq_predict_margin: float = 2.0
     npdq_history_weight: float = 0.5
-    accel: str = "off"
     # Largest join distance this server must answer correctly.  Sharded
     # front-ends inflate their routing boxes by half of it (the midpoint
     # of any sub-δ pair is within δ/2 of both sides, so inflating entry
@@ -124,8 +123,6 @@ class ServerConfig:
             raise ServerError("npdq_predict_margin must be >= 0")
         if not 0.0 <= self.npdq_history_weight <= 1.0:
             raise ServerError("npdq_history_weight must be in [0, 1]")
-        if self.accel not in ("off", "numpy"):
-            raise ServerError("accel must be 'off' or 'numpy'")
         if self.join_delta < 0:
             raise ServerError("join_delta must be >= 0")
         if self.auto_route_refresh < 0:

@@ -66,7 +66,6 @@ def _pdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
         broker.native,
         trajectory,
         queue_depth=broker.config.queue_depth,
-        accel=broker.config.accel,
         **kwargs,
     )
 
@@ -80,7 +79,6 @@ def _npdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
         queue_depth=config.queue_depth,
         predict_margin=config.npdq_predict_margin,
         history_weight=config.npdq_history_weight,
-        accel=config.accel,
         **kwargs,
     )
 
@@ -92,7 +90,6 @@ def _auto(
     any ``time -> centre`` callable (a teleporting path has no
     trajectory form)."""
     config = broker.config
-    session_kwargs.setdefault("accel", config.accel)
     path = (
         path_of(trajectory)
         if isinstance(trajectory, QueryTrajectory)
@@ -140,7 +137,6 @@ def _aggregate(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
         broker.native,
         trajectory,
         queue_depth=broker.config.queue_depth,
-        accel=broker.config.accel,
         **kwargs,
     )
 

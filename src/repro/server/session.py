@@ -380,7 +380,6 @@ class PDQSession(ClientSession):
         rebuild_depth: int = 0,
         track_updates: bool = True,
         fault_budget: Optional[int] = None,
-        accel: str = "off",
     ):
         super().__init__(client_id, queue_depth)
         self.index = index
@@ -388,14 +387,12 @@ class PDQSession(ClientSession):
         self.track_updates = track_updates
         self.rebuild_depth = rebuild_depth
         self.fault_budget = fault_budget
-        self.accel = accel
         self.engine = PDQEngine(
             index,
             trajectory,
             rebuild_depth=rebuild_depth,
             track_updates=track_updates,
             fault_budget=fault_budget,
-            accel=accel,
         )
         self._shed_stride = 1
         self._next_eval = 0  # tick index of the next evaluation
@@ -478,7 +475,6 @@ class PDQSession(ClientSession):
             self.trajectory,
             delta=delta,
             track_updates=self.track_updates,
-            accel=self.accel,
         )
         self._shed_stride = stride
         self._shallow_strides = 0
@@ -504,7 +500,6 @@ class PDQSession(ClientSession):
             rebuild_depth=self.rebuild_depth,
             track_updates=self.track_updates,
             fault_budget=self.fault_budget,
-            accel=self.accel,
         )
         self._shed_stride = 1
         self._next_eval = 0
@@ -554,13 +549,10 @@ class NPDQSession(ClientSession):
         fault_budget: Optional[int] = None,
         predict_margin: float = 2.0,
         history_weight: float = 0.5,
-        accel: str = "off",
     ):
         super().__init__(client_id, queue_depth)
         self.trajectory = trajectory
-        self.engine = NPDQEngine(
-            index, exact=exact, fault_budget=fault_budget, accel=accel
-        )
+        self.engine = NPDQEngine(index, exact=exact, fault_budget=fault_budget)
         self.predictor = FrontierPredictor(predict_margin, history_weight)
         self.prediction_cost = QueryCost()
         self.last_prediction: Optional[PredictionRecord] = None
@@ -807,7 +799,6 @@ class AggregateSession(ClientSession):
         queue_depth: int,
         track_updates: bool = True,
         fault_budget: Optional[int] = None,
-        accel: str = "off",
     ):
         super().__init__(client_id, queue_depth)
         self.index = index
@@ -817,7 +808,6 @@ class AggregateSession(ClientSession):
             trajectory,
             track_updates=track_updates,
             fault_budget=fault_budget,
-            accel=accel,
         )
         # One entry per visibility component: a segment that leaves and
         # re-enters a bending observer's window is live once per stay.

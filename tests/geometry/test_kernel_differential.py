@@ -15,12 +15,10 @@ boundaries actually touch.
 
 from __future__ import annotations
 
-import math
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.trajectory import KeySnapshot, QueryTrajectory
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
@@ -32,15 +30,6 @@ from repro.geometry.trapezoid import (
     MovingWindow,
     moving_window_box_overlap,
     moving_window_segment_overlap,
-)
-from repro.index.tpbox import (
-    TPBox,
-    overlap_intervals_with_box,
-    overlap_intervals_with_moving_window,
-)
-
-pytestmark = pytest.mark.skipif(
-    not kernels.available(), reason="numpy unavailable; scalar path only"
 )
 
 # Exactly-representable grid values make "touching" cases genuinely
@@ -88,18 +77,24 @@ def segments(draw, dims):
     return SpaceTimeSegment(time, origin, velocity)
 
 
+# Gaps between key-snapshot times: grid values so entry time bounds can
+# land exactly on a key time, never so small that a border slope
+# overflows.
+_GAP = st.sampled_from([0.5, 1.0, 1.5, 3.0]) | st.floats(
+    min_value=1e-3, max_value=10.0, allow_nan=False
+)
+
+
 @st.composite
-def tpboxes(draw, dims):
-    ref = draw(_COORD)
-    lows, highs, vlows, vhighs = [], [], [], []
-    for _ in range(dims):
-        a, b = sorted((draw(_COORD), draw(_COORD)))
-        lows.append(a)
-        highs.append(b)
-        va, vb = sorted((draw(_VELOCITY), draw(_VELOCITY)))
-        vlows.append(va)
-        vhighs.append(vb)
-    return TPBox(ref, tuple(lows), tuple(highs), tuple(vlows), tuple(vhighs))
+def bending_trajectories(draw, dims):
+    """Three to five key snapshots with unrelated windows: every
+    trajectory segment has its own slopes, so the path bends."""
+    t = draw(_GRID)
+    keys = [KeySnapshot(t, draw(boxes(dims)))]
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        t += draw(_GAP)
+        keys.append(KeySnapshot(t, draw(boxes(dims))))
+    return QueryTrajectory(keys)
 
 
 # Page sizes 0 and 1 are the degenerate shapes the kernels special-case.
@@ -192,29 +187,62 @@ class TestBoxQueryMasks:
                 assert covered[k] == want
 
 
-class TestTPBoxKernels:
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_static_window_matches_scalar(self, data):
-        dims = data.draw(_DIMS)
-        window = data.draw(boxes(dims))
-        time = data.draw(intervals(allow_empty=True))
-        n = data.draw(_PAGE)
-        page = [data.draw(tpboxes(dims)) for _ in range(n)]
-        got = overlap_intervals_with_box(page, window, time, accel="numpy")
-        want = overlap_intervals_with_box(page, window, time, accel="off")
-        assert got == want
+class TestTrajectoryPages:
+    """``QueryTrajectory.*_overlap_page``: the per-entry TimeSet assembled
+    across trajectory segments is the scalar one, entry by entry."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_moving_window_matches_scalar(self, data):
+    def test_segment_overlap_page_matches_scalar(self, data):
         dims = data.draw(_DIMS)
-        window = data.draw(moving_windows(dims))
-        n = data.draw(_PAGE)
-        page = [data.draw(tpboxes(dims)) for _ in range(n)]
-        got = overlap_intervals_with_moving_window(page, window, accel="numpy")
-        want = overlap_intervals_with_moving_window(page, window, accel="off")
-        assert got == want
+        trajectory = data.draw(bending_trajectories(dims))
+        segs = [data.draw(segments(dims)) for _ in range(data.draw(_PAGE))]
+        got = trajectory.segment_overlap_page(_segment_batch(segs))
+        assert got == [trajectory.segment_overlap(s) for s in segs]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_box_overlap_page_matches_scalar(self, data):
+        dims = data.draw(_DIMS)
+        trajectory = data.draw(bending_trajectories(dims))
+        page = [data.draw(boxes(dims + 1)) for _ in range(data.draw(_PAGE))]
+        batch = kernels.BoxBatch(
+            [b.lows for b in page], [b.highs for b in page]
+        )
+        got = trajectory.box_overlap_page(batch)
+        assert got == [trajectory.box_overlap(b) for b in page]
+
+    def test_named_boundaries(self):
+        # window grows 1 -> 3 over [0, 4], then shrinks back over [4, 6]
+        trajectory = QueryTrajectory(
+            [
+                KeySnapshot(0.0, Box.from_bounds([0.0], [1.0])),
+                KeySnapshot(4.0, Box.from_bounds([0.0], [3.0])),
+                KeySnapshot(6.0, Box.from_bounds([0.0], [1.0])),
+            ]
+        )
+        assert trajectory.box_overlap_page(kernels.BoxBatch([], [])) == []
+        assert (
+            trajectory.segment_overlap_page(
+                kernels.SegmentBatch([], [], [], [])
+            )
+            == []
+        )
+        page = [
+            # touches the upper border at exactly t=2, leaves at t=5
+            Box.from_bounds([0.0, 2.0], [6.0, 5.0]),
+            # zero-width time span inside the first trajectory segment
+            Box.from_bounds([3.0, 0.5], [3.0, 0.5]),
+            # zero-width time span past the trajectory's end
+            Box.from_bounds([7.0, 0.5], [7.0, 0.5]),
+        ]
+        got = trajectory.box_overlap_page(
+            kernels.BoxBatch([b.lows for b in page], [b.highs for b in page])
+        )
+        assert got == [trajectory.box_overlap(b) for b in page]
+        assert got[0].components == (Interval(2.0, 5.0),)
+        assert got[1].components == (Interval(3.0, 3.0),)
+        assert got[2].is_empty
 
 
 class TestDegenerateShapes:
@@ -232,7 +260,6 @@ class TestDegenerateShapes:
         assert kernels.moving_window_segment_overlap_batch(params, empty_segs) == []
         assert kernels.segment_box_overlap_batch(empty_segs, q) == []
         assert kernels.box_query_masks(empty_boxes, q) == ([], [])
-        assert overlap_intervals_with_box([], q, Interval(0.0, 1.0), accel="numpy") == []
 
     def test_touching_boundary_is_instantaneous_overlap(self):
         # window upper border meets the box low edge at exactly t=2
@@ -267,39 +294,3 @@ class TestDegenerateShapes:
             moving_window_segment_overlap(window, s)
             for s in (seg_in, seg_out)
         ]
-
-    def test_infinite_tpbox_horizon(self):
-        # static window overlap clips to [ref, inf); a box moving away
-        # forever yields a right-open interval in both paths
-        b = TPBox(0.0, (0.0,), (1.0,), (1.0,), (1.0,))
-        w = Box.from_bounds([5.0], [100.0])
-        got = overlap_intervals_with_box(
-            [b], w, Interval(0.0, math.inf), accel="numpy"
-        )
-        want = overlap_intervals_with_box(
-            [b], w, Interval(0.0, math.inf), accel="off"
-        )
-        assert got == want
-        assert got[0] == Interval(4.0, 100.0)
-
-
-class TestAccelResolution:
-    def test_unknown_mode_rejected(self):
-        from repro.errors import GeometryError
-
-        with pytest.raises(GeometryError):
-            kernels.resolve("cuda")
-
-    def test_off_always_resolves_off(self):
-        assert kernels.resolve("off") == "off"
-
-    def test_disable_env_degrades_to_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert not kernels.available()
-        assert kernels.resolve("numpy") == "off"
-        # dispatch helpers silently take the scalar path
-        b = TPBox(0.0, (0.0,), (1.0,), (0.0,), (0.0,))
-        w = Box.from_bounds([0.0], [2.0])
-        assert overlap_intervals_with_box(
-            [b], w, Interval(0.0, 1.0), accel="numpy"
-        ) == [b.overlap_interval_with_box(w, Interval(0.0, 1.0))]

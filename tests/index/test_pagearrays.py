@@ -1,24 +1,41 @@
-"""The struct-of-arrays page view: lossless codec round-trip + caching.
+"""The cached kernel view of a node page: columns, caching, invalidation.
 
-``page_arrays(node)`` must carry *everything* the node codecs serialise,
-so the round-trip ``arrays_to_node(page_arrays(decode(b)))`` encodes to
-exactly the bytes ``decode(b)`` would — that is the sense in which the
-array-backed representation is lossless, and it is what lets the batch
-kernels read pages without an object-graph walk.
+``page_arrays(node)`` hands the engines the float64 columns the batch
+kernels read.  The columns must be exactly the node's floats — also for
+a page that came back from the codec, since that is what the file
+backend evaluates — and the cached view must never outlive a mutation:
+with one evaluation path a stale view is a wrong answer.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.pdq import PDQEngine
+from repro.core.trajectory import QueryTrajectory
 from repro.errors import IndexStructureError
 from repro.geometry.box import Box
 from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
-from repro.index.pagearrays import PageArrays, arrays_to_node, page_arrays
+from repro.index.nsi import NativeSpaceIndex
+from repro.index.pagearrays import page_arrays
 
 from _helpers import make_segment
+
+
+def box_columns(arrays):
+    batch = arrays.box_batch()
+    return [batch.extent_bounds(axis) for axis in range(batch.axes)]
+
+
+def segment_columns(arrays):
+    batch = arrays.segment_batch()
+    return (
+        batch.time_bounds(),
+        [batch.origin(i).tolist() for i in range(batch.dims)],
+        [batch.velocity(i).tolist() for i in range(batch.dims)],
+    )
 
 
 def leaf_node(codec, page_id=7, n=5, timestamp=3):
@@ -50,65 +67,93 @@ def codec(request):
 
 
 class TestCodecRoundTrip:
+    """A decoded page evaluates to the very floats the encoded one held."""
+
     def test_leaf_round_trip_is_byte_identical(self, codec):
-        encoded = codec.encode(leaf_node(codec))
-        baseline = codec.decode(encoded)
-        rebuilt = arrays_to_node(page_arrays(baseline))
-        assert codec.encode(rebuilt) == codec.encode(baseline)
+        node = leaf_node(codec)
+        decoded = codec.decode(codec.encode(node))
+        assert box_columns(page_arrays(decoded)) == box_columns(
+            page_arrays(node)
+        )
+        assert segment_columns(page_arrays(decoded)) == segment_columns(
+            page_arrays(node)
+        )
 
     def test_internal_round_trip_is_byte_identical(self, codec):
         node = internal_node(axes=codec._axes_count())
-        baseline = codec.decode(codec.encode(node))
-        rebuilt = arrays_to_node(page_arrays(baseline))
-        assert codec.encode(rebuilt) == codec.encode(baseline)
+        decoded = codec.decode(codec.encode(node))
+        assert box_columns(page_arrays(decoded)) == box_columns(
+            page_arrays(node)
+        )
 
     def test_empty_page_round_trip(self, codec):
-        node = Node(11, 0, timestamp=5)
-        baseline = codec.decode(codec.encode(node))
-        rebuilt = arrays_to_node(page_arrays(baseline))
-        assert codec.encode(rebuilt) == codec.encode(baseline)
-        assert rebuilt.page_id == 11
-        assert rebuilt.timestamp == 5
-
-    def test_structure_fields_restored(self, codec):
-        node = leaf_node(codec)
-        rebuilt = arrays_to_node(page_arrays(node))
-        assert rebuilt.page_id == node.page_id
-        assert rebuilt.level == node.level
-        assert rebuilt.timestamp == node.timestamp
-        assert [e.timestamp for e in rebuilt.entries] == [
-            e.timestamp for e in node.entries
-        ]
-        assert [e.record.object_id for e in rebuilt.entries] == [
-            e.record.object_id for e in node.entries
-        ]
-        assert [e.record.seq for e in rebuilt.entries] == [
-            e.record.seq for e in node.entries
-        ]
+        decoded = codec.decode(codec.encode(Node(11, 0, timestamp=5)))
+        arrays = page_arrays(decoded)
+        assert arrays.box_batch().n == 0
+        assert arrays.segment_batch().n == 0
+        assert box_columns(arrays) == []
 
 
 class TestArrayShapes:
     def test_leaf_fields(self):
         codec = NativeNodeCodec(dims=2)
-        arrays = page_arrays(leaf_node(codec, n=3))
+        node = leaf_node(codec, n=3)
+        arrays = page_arrays(node)
         assert arrays.is_leaf
-        assert arrays.count == 3
-        assert len(arrays.box_lows) == 3
-        assert arrays.child_ids == ()
-        assert len(arrays.origins) == 3
-        assert all(len(o) == 2 for o in arrays.origins)
+        boxes = arrays.box_batch()
+        assert (boxes.n, boxes.axes) == (3, 3)
+        assert boxes.extent_bounds(1) == (
+            [e.box.lows[1] for e in node.entries],
+            [e.box.highs[1] for e in node.entries],
+        )
+        segs = arrays.segment_batch()
+        assert (segs.n, segs.dims) == (3, 2)
+        (t_lo, t_hi), origins, velocities = segment_columns(arrays)
+        records = [e.record.segment for e in node.entries]
+        assert t_lo == [r.time.low for r in records]
+        assert t_hi == [r.time.high for r in records]
+        assert origins == [[r.origin[i] for r in records] for i in range(2)]
+        assert velocities == [
+            [r.velocity[i] for r in records] for i in range(2)
+        ]
 
     def test_internal_fields(self):
-        arrays = page_arrays(internal_node(n=4))
+        node = internal_node(n=4)
+        arrays = page_arrays(node)
         assert not arrays.is_leaf
-        assert arrays.child_ids == (50, 51, 52, 53)
-        assert arrays.object_ids == ()
-        assert arrays.seg_t_lo == ()
+        boxes = arrays.box_batch()
+        assert (boxes.n, boxes.axes) == (4, 3)
+        assert boxes.extent_bounds(0) == (
+            [e.box.lows[0] for e in node.entries],
+            [e.box.highs[0] for e in node.entries],
+        )
 
     def test_internal_page_has_no_segment_batch(self):
         arrays = page_arrays(internal_node())
         with pytest.raises(IndexStructureError):
             arrays.segment_batch()
+
+
+def engine_keys(index, trajectory):
+    """Keys a fresh PDQ engine delivers over the whole trajectory."""
+    span = trajectory.time_span
+    with PDQEngine(index, trajectory, track_updates=False) as engine:
+        return sorted(i.key for i in engine.window(span.low, span.high))
+
+
+def scalar_keys(index, trajectory):
+    """The same answer by a scalar walk of the tree as it is now."""
+    tree = index.tree
+    keys, stack = [], [tree.root_id]
+    while stack:
+        node = tree.load_node(stack.pop())
+        for e in node.entries:
+            if not node.is_leaf:
+                if trajectory.box_overlap(e.box):
+                    stack.append(e.child_id)
+            elif trajectory.segment_overlap(e.record.segment):
+                keys.append(e.record.key)
+    return sorted(keys)
 
 
 class TestCaching:
@@ -118,59 +163,73 @@ class TestCaching:
         assert page_arrays(node) is page_arrays(node)
 
     def test_every_mutation_invalidates(self):
-        codec = NativeNodeCodec(dims=2)
+        """Every ``Node`` mutator drops the cached view, and the next
+        engine over the tree evaluates the entry set as it is now."""
+        # a window wide enough to hold every segment for the whole span
+        trajectory = QueryTrajectory.linear(
+            0.0, 4.0, (15.0, 2.0), (0.0, 0.0), (40.0, 40.0)
+        )
+        fresh = make_segment(999, 0, 0.0, 4.0, (5.0, 2.0), (0.0, 0.0))
+        far = Box.from_bounds([0.0, 500.0, 500.0], [4.0, 501.0, 501.0])
 
-        def fresh_internal():
-            return internal_node(axes=3)
+        def world():
+            index = NativeSpaceIndex(dims=2, page_size=512)
+            index.bulk_load(
+                [
+                    make_segment(100 + k, 0, 0.0, 4.0, (1.0 * k, 2.0), (0.25, 0.0))
+                    for k in range(30)
+                ]
+            )
+            root = index.tree.load_node(index.tree.root_id)
+            assert root.level == 1
+            leaf = index.tree.load_node(root.entries[0].child_id)
+            return index, root, leaf
 
-        seg = make_segment(999, 0, 0.0, 2.0, (5.0, 5.0), (0.0, 0.0))
-        cases = [
+        # (which node, mutation) — every mutating method of Node
+        mutations = [
+            ("leaf", lambda n, index: n.add(index._leaf_entry(fresh), clock=9)),
+            ("leaf", lambda n, index: n.replace_entries(n.entries[:2], clock=9)),
             (
-                leaf_node(codec),
-                lambda n: n.add(LeafEntry(codec._leaf_box(seg), seg), clock=9),
-            ),
-            (
-                leaf_node(codec),
-                lambda n: n.replace_entries(list(n.entries[:2]), clock=9),
-            ),
-            (fresh_internal(), lambda n: n.remove_child(51, clock=9)),
-            (
-                leaf_node(codec),
-                lambda n: n.remove_record(
-                    (n.entries[0].record.object_id, n.entries[0].record.seq),
-                    clock=9,
+                "leaf",
+                lambda n, index: n.remove_record(
+                    n.entries[0].record.key, clock=9
                 ),
             ),
             (
-                fresh_internal(),
-                lambda n: n.update_child_box(
-                    52,
-                    Box.from_bounds([0.0, 0.0, 0.0], [9.0, 9.0, 9.0]),
-                    clock=9,
+                "root",
+                lambda n, index: n.remove_child(n.entries[0].child_id, clock=9),
+            ),
+            (
+                "root",
+                lambda n, index: n.update_child_box(
+                    n.entries[0].child_id, far, clock=9
                 ),
             ),
         ]
-        for node, mutate in cases:
-            before = page_arrays(node)
-            mutate(node)
-            after = page_arrays(node)
-            assert after is not before
-            assert after.count == len(node.entries)
+        for which, mutate in mutations:
+            index, root, leaf = world()
+            node = leaf if which == "leaf" else root
+            # the first engine leaves a cached view on every node it read
+            keys_before = engine_keys(index, trajectory)
+            assert keys_before == scalar_keys(index, trajectory)
+            before = node._arrays
+            assert before is not None
+            mutate(node, index)
+            assert page_arrays(node) is not before
+            assert page_arrays(node).box_batch().n == len(node.entries)
+            keys_after = engine_keys(index, trajectory)
+            assert keys_after == scalar_keys(index, trajectory)
+            assert keys_after != keys_before
 
     def test_rebuilt_view_reflects_mutation(self):
         node = internal_node(n=3, axes=3)
-        page_arrays(node)
+        page_arrays(node).box_batch()
         node.remove_child(51, clock=4)
-        assert page_arrays(node).child_ids == (50, 52)
-
-
-class TestPageArraysDirect:
-    def test_constructor_does_not_require_numpy(self, monkeypatch):
-        # the flattening itself is pure Python; only the lazy batch
-        # views touch numpy
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        codec = NativeNodeCodec(dims=2)
-        arrays = PageArrays(leaf_node(codec))
-        assert arrays.count == 5
-        rebuilt = arrays_to_node(arrays)
-        assert codec.encode(rebuilt) == codec.encode(leaf_node(codec))
+        assert box_columns(page_arrays(node)) == [
+            (
+                [e.box.lows[axis] for e in node.entries],
+                [e.box.highs[axis] for e in node.entries],
+            )
+            for axis in range(3)
+        ]
+        assert page_arrays(node).box_batch().n == 2

@@ -251,22 +251,6 @@ class TestTPRPDQ:
                     break
         assert got == want
 
-    def test_accel_numpy_is_bit_identical(self, setup):
-        from repro.geometry import kernels
-
-        if not kernels.available():
-            pytest.skip("numpy unavailable")
-        tree, _, trajectory = setup
-        span = trajectory.time_span
-        scalar = TPRPDQEngine(tree, trajectory, accel="off")
-        batched = TPRPDQEngine(tree, trajectory, accel="numpy")
-        got = batched.window(span.low, span.high)
-        want = scalar.window(span.low, span.high)
-        assert [
-            (i.object_id, i.appears_at, i.visibility) for i in got
-        ] == [(i.object_id, i.appears_at, i.visibility) for i in want]
-        assert batched.cost.segment_tests == scalar.cost.segment_tests
-
     def test_appearance_order(self, setup):
         tree, _, trajectory = setup
         engine = TPRPDQEngine(tree, trajectory)

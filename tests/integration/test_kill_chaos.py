@@ -10,7 +10,9 @@ afterwards, and the tick recorded by the WAL tail must cover any
 snapshot taken before the kill.
 """
 
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -75,25 +77,30 @@ def uninterrupted(tmp_path_factory):
     return _answers(data_dir)
 
 
+def _kill_at_tick(data_dir, tick):
+    """Start a durable serve and SIGKILL it once ``tick`` is on disk."""
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", *SERVE_ARGS,
+         "--data-dir", str(data_dir)],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        assert _wait_for_tick(data_dir, tick), f"serve never reached tick {tick}"
+        victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=60)
+    finally:
+        if victim.poll() is None:
+            victim.kill()
+    assert victim.returncode != 0
+
+
 class TestKillChaos:
     def test_sigkill_mid_run_resumes_to_identical_answers(
         self, tmp_path, uninterrupted
     ):
         data_dir = tmp_path / "store"
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", *SERVE_ARGS,
-             "--data-dir", str(data_dir)],
-            env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            # Seeded mid-run kill point: tick 5 of 10.
-            assert _wait_for_tick(data_dir, 5), "serve never reached tick 5"
-            victim.send_signal(signal.SIGKILL)
-            victim.wait(timeout=60)
-        finally:
-            if victim.poll() is None:
-                victim.kill()
-        assert victim.returncode != 0
+        # Seeded mid-run kill point: tick 5 of 10.
+        _kill_at_tick(data_dir, 5)
 
         resumed = _serve(data_dir)
         assert resumed.returncode == 0, resumed.stderr
@@ -128,3 +135,25 @@ class TestKillChaos:
         check = _cli("fsck", "--data-dir", str(data_dir))
         assert check.returncode == 0, check.stdout + check.stderr
         assert "covered by the WAL tail" in check.stdout
+
+    def test_resume_ignores_a_retired_option(self, tmp_path, uninterrupted):
+        """A store pinned by an earlier ``serve`` still names options
+        that have since been retired (``accel``, either value).  Resume
+        must not trip over the key, and — the two evaluation paths it
+        once chose between were bit-identical — must finish the stream
+        an uninterrupted run writes today."""
+        killed = tmp_path / "killed"
+        _kill_at_tick(killed, 5)
+        for value in ("off", "numpy"):
+            data_dir = tmp_path / f"pinned-{value}"
+            shutil.copytree(killed, data_dir)
+            pinned = data_dir / "store.json"
+            cfg = json.loads(pinned.read_text(encoding="utf-8"))
+            assert "accel" not in cfg
+            cfg["accel"] = value
+            pinned.write_text(json.dumps(cfg), encoding="utf-8")
+
+            resumed = _serve(data_dir)
+            assert resumed.returncode == 0, resumed.stderr
+            assert "resuming" in resumed.stdout
+            assert _answers(data_dir) == uninterrupted

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.pdq import PDQEngine
-from repro.geometry import kernels
 from repro.core.session import DynamicQuerySession
 from repro.errors import AdmissionError, ServerError
 from repro.server import (
@@ -475,77 +474,17 @@ class TestUpdatesAndQuiesce:
         assert len(index) == len(tiny_segments) - 1
         assert broker.sessions == []
 
-class TestAccelInvariance:
-    """``accel="numpy"`` is an implementation detail of evaluation.
+class TestPageViewReuse:
+    """Engines come and go (shed, promote, re-register); the cached
+    page views on the shared index outlive them all and must never
+    change what the next engine delivers."""
 
-    Every frame a hosted fleet receives — items, modes, prefetch
-    markers, tick indices — must be exactly what the scalar path
-    produces, including while sessions shed and promote around the
-    batched engines.  (Full-fidelity float equality: ``ResultItem``
-    compares its interval bounds exactly.)
-    """
-
-    def mixed_frames(
-        self, build_native, build_dual, fleet, tiny_segments, accel
-    ):
-        trajectories = fleet(3, mode="independent")
-        broker = make_broker(
-            build_native(), dual=build_dual(), accel=accel
-        )
-        near = trajectories[0].window_at(START + 0.5).center
-        span = trajectories[0].time_span
-        broker.dispatcher.submit(
-            UpdateOp(
-                START + 3 * PERIOD,
-                "insert",
-                make_segment(7001, 3, span.low, span.high, near, (0.1, 0.0)),
-            )
-        )
-        broker.dispatcher.submit(
-            UpdateOp(START + 6 * PERIOD, "expire", tiny_segments[0])
-        )
-        sessions = [
-            broker.register_pdq("p", trajectories[0]),
-            broker.register_npdq("n", trajectories[1]),
-            broker.register_auto(
-                "a", path_of(trajectories[2]), HALF
-            ),
-        ]
-        broker.run(TICKS)
-        frames = [
-            [(r.index, r.mode, r.items, r.prefetched) for r in s.poll()]
-            for s in sessions
-        ]
-        return frames, broker
-
-    @pytest.mark.skipif(
-        not kernels.available(), reason="numpy unavailable"
-    )
-    def test_mixed_fleet_frames_identical(
-        self, build_native, build_dual, fleet, tiny_segments
-    ):
-        off, _ = self.mixed_frames(
-            build_native, build_dual, fleet, tiny_segments, "off"
-        )
-        on, broker = self.mixed_frames(
-            build_native, build_dual, fleet, tiny_segments, "numpy"
-        )
-        assert on == off
-        # the accel run really took the batched path
-        assert broker.config.accel == "numpy"
-
-    @pytest.mark.skipif(
-        not kernels.available(), reason="numpy unavailable"
-    )
     def test_shed_promote_churn_identical(self, build_native, fleet):
-        def run(accel):
+        index = build_native()
+
+        def run():
             trajectories = fleet(2, mode="independent")
-            broker = make_broker(
-                build_native(),
-                queue_depth=1,
-                promote_after=1,
-                accel=accel,
-            )
+            broker = make_broker(index, queue_depth=1, promote_after=1)
             slow = broker.register_pdq("slow", trajectories[0])
             fast = broker.register_pdq("fast", trajectories[1])
             frames = []
@@ -562,29 +501,8 @@ class TestAccelInvariance:
                     )
             assert slow.metrics.shed_events >= 1
             assert slow.metrics.promote_events >= 1
+            broker.quiesce()
             return frames
 
-        assert run("numpy") == run("off")
-
-    @pytest.mark.skipif(
-        not kernels.available(), reason="numpy unavailable"
-    )
-    def test_engines_degrade_without_numpy(
-        self, monkeypatch, build_native, build_dual, fleet, tiny_segments
-    ):
-        off, _ = self.mixed_frames(
-            build_native, build_dual, fleet, tiny_segments, "off"
-        )
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        degraded, broker = self.mixed_frames(
-            build_native, build_dual, fleet, tiny_segments, "numpy"
-        )
-        assert degraded == off
-        # requesting numpy on a numpy-less install resolves to the
-        # scalar engine, not an ImportError
-        pdq = broker._sessions["p"]
-        assert pdq.engine.accel == "off"
-
-    def test_config_rejects_unknown_accel(self):
-        with pytest.raises(ServerError):
-            ServerConfig(accel="cuda")
+        # first run builds the views, second run serves from them
+        assert run() == run()

@@ -31,7 +31,6 @@ from repro.server import (
     merge_results,
     merge_tick_metrics,
 )
-from repro.geometry import kernels
 from repro.workload.observers import observer_fleet, path_of
 
 from _helpers import make_segment
@@ -448,29 +447,3 @@ def test_auto_clients_route_to_every_shard(tiny_config, tiny_segments):
     assert session.shard_ids == (0, 1, 2, 3)
     mux.run(3)
     mux.quiesce()
-
-@pytest.mark.skipif(
-    not kernels.available(), reason="numpy unavailable"
-)
-@pytest.mark.parametrize("shards", [2, 4])
-def test_accel_answers_identical_under_sharding(
-    shards, tiny_config, tiny_segments
-):
-    """The accel axis composes with sharding: frame-for-frame equality.
-
-    Every shard broker inherits ``accel`` from the front-end config, so
-    a mixed fleet on K batched shards must deliver exactly the frames
-    the K scalar shards do — same merge, same dedup, same prefetches.
-    """
-    fleet = observer_fleet(
-        tiny_config,
-        6,
-        mode="independent",
-        duration=TICKS * PERIOD + 0.5,
-        start_time=START,
-        seed=5,
-    )
-    ops = update_stream(fleet, tiny_segments)
-    off = drive(make_mux(tiny_segments, shards, accel="off"), fleet, ops)
-    on = drive(make_mux(tiny_segments, shards, accel="numpy"), fleet, ops)
-    assert on == off
