@@ -18,11 +18,12 @@ Subcommands:
   the fault-free run; ``--soak N`` sweeps the plan across N seeds and
   aggregates violations into one exit code.
 * ``serve`` — host N concurrent observers on the shared-execution query
-  broker over a scenario world and report per-tick serving metrics.
-  With ``--data-dir`` the indexes live on the durable file backend: every
-  tick group-commits through the redo WAL, the tick-tagged answer stream
-  is fsynced to ``answers.log`` *before* the tick commits, and a killed
-  process restarts exactly where it left off (re-run the same command).
+  broker over a scenario world and report per-tick serving metrics: one
+  loop for every tier (``--shards``, ``--workers process``) and backend.
+  ``--data-dir`` hands that loop indexes on the durable file backend:
+  every tick group-commits through the redo WAL, the tick-tagged answer
+  stream is fsynced to ``answers.log`` *before* the tick commits, and a
+  killed process restarts exactly where it left off (re-run the command).
 * ``snapshot`` / ``restore`` — point-in-time recovery for a durable
   store: per-tree compressed page images plus a checksummed
   ``metadata.json`` manifest.
@@ -35,9 +36,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 __all__ = ["main"]
 
@@ -150,42 +153,112 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fsck_tree(tree, repair: bool, label: str = "", on_disk=None) -> bool:
+    """Check one tree, print what was found, repair on request; returns
+    whether it ends without errors.
+
+    ``on_disk`` is the store's handle of a file-backed tree.  Its repair
+    runs only when the check failed (a clean store's bytes stay as they
+    are), first moves torn page slots aside, and is checkpointed so it
+    outlives the process.  A tree built in memory for this run is
+    repaired whenever asked, and lists what the repair left behind.
+    """
+    from repro.index import fsck
+    from repro.index import repair as run_repair
+
+    prefix = f"{label}: " if label else ""
+    report = fsck(tree)
+    print(f"{prefix}{report.summary()}")
+    for violation in report.violations:
+        print(f"  {violation}")
+    if not repair or (on_disk is not None and report.ok):
+        return report.ok
+    if on_disk is not None:
+        aside = os.path.join(on_disk.directory, "quarantine")
+        quarantined = on_disk.disk.quarantine(aside)
+        if quarantined:
+            print(
+                f"{prefix}quarantined damaged slot(s) "
+                f"{', '.join(map(str, quarantined))} -> {aside}"
+            )
+    repair_report = run_repair(tree)
+    print(f"{prefix}{repair_report.summary()}")
+    if on_disk is not None:
+        on_disk.checkpoint()
+    else:
+        for violation in repair_report.after.violations:
+            print(f"  {violation}")
+    return repair_report.ok
+
+
 def _cmd_fsck(args: argparse.Namespace) -> int:
-    if getattr(args, "data_dir", None):
-        return _fsck_durable(args)
-    from repro.index import DualTimeIndex, NativeSpaceIndex, fsck
+    """Check a store's trees (``--data-dir``) or one built for the run."""
+    from repro.index import DualTimeIndex, NativeSpaceIndex
     from repro.storage.disk import DiskManager
     from repro.storage.faults import FaultInjector
+    from repro.storage.file import list_snapshots, verify_snapshot
     from repro.workload.config import WorkloadConfig
     from repro.workload.objects import generate_motion_segments
 
-    config = getattr(WorkloadConfig, args.scale)(seed=args.seed)
-    disk = DiskManager()
-    if args.index == "native":
-        index = NativeSpaceIndex(dims=2, disk=disk)
-    else:
-        index = DualTimeIndex(dims=2, disk=disk)
-    print(f"building {args.scale} {args.index} index ...", flush=True)
-    index.bulk_load(generate_motion_segments(config))
-    if args.corrupt is not None:
-        if args.corrupt not in disk:
-            print(f"page {args.corrupt} is not allocated", file=sys.stderr)
+    if args.data_dir:
+        store = _DurableStore(args.data_dir)
+        if store.cfg is None:
+            print(f"{args.data_dir} is not a durable store", file=sys.stderr)
             return 2
-        disk.set_faults(FaultInjector().script_corruption(args.corrupt))
-        print(f"deliberately corrupted page {args.corrupt}")
-    report = fsck(index.tree)
-    print(report.summary())
-    for violation in report.violations:
-        print(f"  {violation}")
-    if args.repair:
-        from repro.index import repair as run_repair
+        # Every shard is checked at the cut a resumed serve would use.
+        store.open()
+        targets = [
+            (t.label, t.index, t)
+            for t in sorted(store.trees, key=lambda t: (t.shard, t.name))
+        ]
+    else:
+        store = None
+        config = getattr(WorkloadConfig, args.scale)(seed=args.seed)
+        disk = DiskManager()
+        index_cls = NativeSpaceIndex if args.index == "native" else DualTimeIndex
+        index = index_cls(dims=2, disk=disk)
+        print(f"building {args.scale} {args.index} index ...", flush=True)
+        index.bulk_load(generate_motion_segments(config))
+        if args.corrupt is not None:
+            if args.corrupt not in disk:
+                print(f"page {args.corrupt} is not allocated", file=sys.stderr)
+                return 2
+            disk.set_faults(FaultInjector().script_corruption(args.corrupt))
+            print(f"deliberately corrupted page {args.corrupt}")
+        targets = [("", index, None)]
 
-        repair_report = run_repair(index.tree)
-        print(repair_report.summary())
-        for violation in repair_report.after.violations:
-            print(f"  {violation}")
-        return 0 if repair_report.ok else 1
-    return 0 if report.ok else 1
+    rc = 0
+    for label, index, on_disk in targets:
+        if index is None:
+            print(f"{label}: no recovery metadata; cannot check", file=sys.stderr)
+            rc = 1
+        # One tree's clean repair must not mask another's failure.
+        elif not _fsck_tree(index.tree, args.repair, label, on_disk):
+            rc = 1
+    if store is None:
+        return rc
+    # Snapshot manifests + tick consistency against the WAL tail.
+    through = store.through
+    for sid in list_snapshots(args.data_dir):
+        manifest, problems = verify_snapshot(args.data_dir, sid)
+        tick = manifest.get("tick") if manifest else None
+        snap_tick = tick if tick is not None else -1
+        relation = (
+            "covered by the WAL tail"
+            if snap_tick <= through
+            else "AHEAD of the WAL tail (snapshot from a discarded epoch?)"
+        )
+        state = "ok" if manifest and not problems else "CORRUPT"
+        print(
+            f"snapshot {sid}: {state}, tick "
+            f"{tick if tick is not None else '(base)'} — {relation} "
+            f"(store tick {through if through >= 0 else '(base)'})"
+        )
+        for problem in problems:
+            print(f"  {problem}")
+            rc = 1
+    store.close()
+    return rc
 
 
 def _reseed_plan(plan: str, seed: int) -> str:
@@ -345,99 +418,152 @@ def _build_world(scenario: str, scale: str, seed: int):
     return world.segments, world.space_side, world.horizon.high, world.name
 
 
-def _durable_store(
-    data_dir: str, cfg: dict, through: Optional[int] = None, fresh: bool = False
-):
-    """Open every tree of a durable store, recovered through ``through``.
+#: Why ``snapshot``/``restore`` turn a sharded store away.
+_NO_SHARDED_SNAPSHOTS = (
+    "snapshots of sharded stores are not supported yet "
+    "(use the WAL: every committed tick is already recoverable)"
+)
 
-    ``through=None`` recovers up to the last tick *every* tree has a
-    durable ``TICK`` record for (the group-commit cut that keeps the
-    native and dual trees mutually consistent); an explicit ``-1``
-    creates/opens the store without honouring any logged tick.
-    ``fresh=True`` discards any existing page/WAL files first (see
-    :func:`repro.storage.file.open_durable`).  Returns
-    ``({name: (disk, log, index_or_None, replay_report)}, through)``.
-    """
-    import os
 
-    from repro.index import DualTimeIndex, NativeSpaceIndex
-    from repro.index.codec import (
-        ChecksummedCodec,
-        DualTimeNodeCodec,
-        NativeNodeCodec,
-    )
-    from repro.storage.constants import PAGE_SIZE
-    from repro.storage.file import open_durable
-    from repro.storage.wal import wal_tail_info
+class _StoreTree(NamedTuple):
+    """One index tree of a durable store: where its files live, the open
+    files, and the index over them (``None``: no recovery metadata)."""
 
-    need_dual = cfg["kind"] in _DUAL_KINDS
-    names = ["native"] + (["dual"] if need_dual else [])
-    codecs = {
-        "native": ChecksummedCodec(NativeNodeCodec(2)),
-        "dual": ChecksummedCodec(DualTimeNodeCodec(2)),
-    }
-    if through is None:
-        tails = [
-            wal_tail_info(os.path.join(data_dir, f"{name}.wal"))
-            for name in names
-        ]
-        through = min(
-            (t.last_tick if t.last_tick is not None else -1) for t in tails
+    shard: int
+    name: str  # "native" | "dual"
+    directory: str
+    label: str  # as fsck prints it: "native", "shard-1/dual"
+    disk: Any
+    log: Any
+    meta: Optional[dict]
+    index: Any
+    tick: Optional[int]  # the store's recovery cut (None: no tick yet)
+
+    def checkpoint(self) -> None:
+        """Make the tree's pages and recovery metadata durable."""
+        self.disk.checkpoint(
+            meta=self.index.tree.recovery_meta(), tick=self.tick
         )
-    stores = {}
-    for name in names:
-        disk, log, report = open_durable(
-            data_dir,
-            name,
-            codec=codecs[name],
-            page_size=PAGE_SIZE,
-            sync_on_commit=False,
-            through_tick=through,
-            fresh=fresh,
+
+
+class _DurableStore:
+    """A ``--data-dir`` directory behind one handle: the only code that
+    knows its layout (``store.json`` and ``answers.log`` on top;
+    ``<name>.pages``/``<name>.wal`` per tree beside them or, sharded,
+    under ``shard-<i>/``), its page codecs and its recovery cut.  It
+    lives here because the ``durable-storage-behind-cli`` contract keeps
+    :mod:`repro.storage.file` out of every other layer.  Constructing it
+    only reads ``store.json``; :meth:`open` opens the tree files."""
+
+    def __init__(self, data_dir: str):
+        from repro.storage.file import read_store_config
+
+        self.data_dir = data_dir
+        pinned = read_store_config(data_dir)
+        #: What the store pinned, keys it predates back-filled with their
+        #: defaults; ``None`` when the directory is not a store (yet).
+        self.cfg = None if pinned is None else _with_defaults(pinned)
+        self.answers_path = os.path.join(data_dir, "answers.log")
+        self.trees: List[_StoreTree] = []
+        self.through = -1
+
+    def open(self, cfg: Optional[dict] = None, fresh: bool = False) -> None:
+        """Open every tree of every shard, all recovered to one cut.
+
+        The cut, ``self.through``, is the last tick *every* tree of
+        *every* shard holds a durable ``TICK`` record for (−1: none): a
+        master tick only counts as served once all of them committed it,
+        so the native/dual trees and the lockstep shard schedule restart
+        consistent.  ``cfg`` configures a store that was never pinned,
+        for which ``fresh=True``: files found there are a bulk load that
+        crashed before the pin and are discarded, not adopted (see
+        :func:`repro.storage.file.open_durable`); the trees start empty.
+        """
+        from repro.index import DualTimeIndex, NativeSpaceIndex
+        from repro.index.codec import (
+            ChecksummedCodec,
+            DualTimeNodeCodec,
+            NativeNodeCodec,
         )
-        index = None
-        if report.last_meta:
-            cls = NativeSpaceIndex if name == "native" else DualTimeIndex
-            index = cls(dims=2, disk=disk, restore_meta=dict(report.last_meta))
-        stores[name] = (disk, log, index, report)
-    return stores, through
+        from repro.storage.constants import PAGE_SIZE
+        from repro.storage.file import open_durable
+        from repro.storage.wal import wal_tail_info
 
-
-def _durable_shard_stores(data_dir: str, cfg: dict, fresh: bool = False):
-    """Open per-shard durable stores under ``data_dir/shard-<i>/``.
-
-    The recovery cut is the minimum durable tick over *every* shard's
-    *every* tree: a master tick only counts as served once all K shards
-    committed it, so each shard's WAL replays to the same master
-    boundary and the lockstep schedule restarts in sync.  Returns
-    ``([stores_for_shard_0, ...], through)`` with each element shaped
-    like :func:`_durable_store`'s result.
-    """
-    import os
-
-    from repro.storage.wal import wal_tail_info
-
-    shards = cfg.get("shards", 1)
-    need_dual = cfg["kind"] in _DUAL_KINDS
-    names = ["native"] + (["dual"] if need_dual else [])
-    if fresh:
-        through = -1
-    else:
-        tails = []
-        for i in range(shards):
-            for name in names:
-                info = wal_tail_info(
-                    os.path.join(data_dir, f"shard-{i}", f"{name}.wal")
+        self.cfg = cfg = cfg or self.cfg
+        flavours = [("native", NativeSpaceIndex, NativeNodeCodec)]
+        if cfg["kind"] in _DUAL_KINDS:
+            flavours.append(("dual", DualTimeIndex, DualTimeNodeCodec))
+        places = [(0, self.data_dir, "")]
+        if cfg["shards"] > 1:
+            places = [
+                (i, os.path.join(self.data_dir, f"shard-{i}"), f"shard-{i}/")
+                for i in range(cfg["shards"])
+            ]
+        if not fresh:
+            tails = [
+                wal_tail_info(os.path.join(directory, f"{name}.wal")).last_tick
+                for _, directory, _ in places
+                for name, _, _ in flavours
+            ]
+            self.through = min(-1 if t is None else t for t in tails)
+        for shard, directory, prefix in places:
+            for name, index_cls, codec_cls in flavours:
+                disk, log, report = open_durable(
+                    directory,
+                    name,
+                    codec=ChecksummedCodec(codec_cls(2)),
+                    page_size=PAGE_SIZE,
+                    sync_on_commit=False,
+                    through_tick=self.through,
+                    fresh=fresh,
                 )
-                tails.append(info.last_tick if info.last_tick is not None else -1)
-        through = min(tails)
-    shard_stores = []
-    for i in range(shards):
-        stores, _ = _durable_store(
-            os.path.join(data_dir, f"shard-{i}"), cfg, through=through, fresh=fresh
+                meta = report.last_meta
+                index = None
+                if fresh:
+                    index = index_cls(dims=2, disk=disk)
+                elif meta:
+                    index = index_cls(dims=2, disk=disk, restore_meta=dict(meta))
+                tick = self.through if self.through >= 0 else None
+                self.trees.append(
+                    _StoreTree(
+                        shard, name, directory, prefix + name,
+                        disk, log, meta, index, tick,
+                    )
+                )
+
+    def indexes(self, name: str) -> list:
+        """The ``name`` index of every shard, in shard order."""
+        return [t.index for t in self.trees if t.name == name]
+
+    def pin(self) -> None:
+        """Announce a freshly loaded store resumable.  The base trees
+        must be durable first: checkpoint, then write ``store.json``."""
+        from repro.storage.file import write_store_config
+
+        for tree in self.trees:
+            tree.checkpoint()
+        write_store_config(self.data_dir, self.cfg)
+
+    def durability(self, pre_commit):
+        """The group-commit driver of a broker serving this store: it
+        spans every tree of every shard, so the master tick commits
+        across all of them, after ``pre_commit``.  Its ``close()`` is
+        the clean shutdown (final checkpoint, then the files)."""
+        from repro.storage.file import TickDurability
+
+        hook = TickDurability(
+            [(t.disk, t.log, t.index.tree.recovery_meta) for t in self.trees],
+            checkpoint_every=self.cfg["checkpoint_every"],
         )
-        shard_stores.append(stores)
-    return shard_stores, through
+        hook.pre_commit = pre_commit
+        return hook
+
+    def close(self) -> None:
+        """Release every file handle (idempotent, and no checkpoint:
+        what was committed is recoverable as it stands)."""
+        for tree in self.trees:
+            tree.log.close()
+            tree.disk.close()
 
 
 def _truncate_answer_log(path: str, through: int) -> None:
@@ -450,8 +576,6 @@ def _truncate_answer_log(path: str, through: int) -> None:
     that tick rather than parsed (a torn numeric prefix must not be
     kept, and a non-numeric one must not abort the resume).
     """
-    import os
-
     if not os.path.exists(path):
         return
     kept = []
@@ -477,15 +601,15 @@ def _truncate_answer_log(path: str, through: int) -> None:
 
 
 class _AnswerStream:
-    """The tick-tagged answer log of a durable serve.
+    """The tick-tagged answer log of a serve run (a store's
+    ``answers.log`` or ``--answer-log``).
 
     One line per delivered result —
     ``tick<TAB>client<TAB>mode<TAB>degraded<TAB>key,key,...`` with the
-    segment keys sorted — appended as ticks commit and fsynced by the
-    durability hook's pre-commit callback, so a tick marked durable in
-    the WAL always has its answers on disk.  On resume the file is first
-    truncated to the recovered tick, discarding lines from ticks whose
-    transactions the WAL replay discarded.
+    segment keys sorted — appended as clients read their queues.  The
+    file is first truncated to tick ``through``: on resume that discards
+    lines from ticks whose transactions the WAL replay discarded, and
+    ``-1`` starts the stream empty.
     """
 
     def __init__(self, path: str, through: Optional[int] = None):
@@ -524,13 +648,14 @@ class _AnswerStream:
         self.lines += 1
 
     def flush(self) -> None:
-        import os
-
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        self._fh.close()
+        """Sync what was appended and release the file (idempotent)."""
+        if not self._fh.closed:
+            self.flush()
+            self._fh.close()
 
 
 #: Client kinds a ``--kind`` value cycles through across the fleet.
@@ -581,39 +706,205 @@ def _register_fleet(broker, fleet, cfg: dict):
             )
 
 
+class _ServeOption(NamedTuple):
+    """One ``serve`` flag, declared once: the argparse flags,
+    :func:`_serve_cfg`, the back-fill of an older ``store.json``, the
+    range checks and :func:`_server_config` are read off
+    :data:`_SERVE_OPTIONS`.  ``key`` is what a durable store pins the
+    value under in ``store.json`` (``None``: a per-run flag, never
+    pinned), ``minimum`` the least value accepted, ``feeds`` the
+    :class:`~repro.server.ServerConfig` field it sets."""
+
+    flag: str
+    key: Optional[str]
+    default: Any = None
+    help: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    minimum: Optional[int] = None
+    feeds: Optional[str] = None
+    action: Optional[str] = None
+    metavar: Optional[str] = None
+
+
+_SERVE_OPTIONS = (
+    _ServeOption(
+        "--scenario",
+        "scenario",
+        "synthetic",
+        "world to serve over (synthetic uses --scale)",
+        choices=("synthetic", "battlefield", "city"),
+    ),
+    _ServeOption("--scale", "scale", "tiny", choices=_SCALES),
+    _ServeOption("--seed", "seed", 3),
+    _ServeOption("--clients", "clients", 4, minimum=1, feeds="max_clients"),
+    _ServeOption("--ticks", "ticks", 50, minimum=1),
+    _ServeOption(
+        "--kind",
+        "kind",
+        "pdq",
+        "client session kind (mixed cycles pdq/npdq/auto; zoo "
+        "cycles pdq/knn/join/aggregate — the full query zoo)",
+        choices=tuple(_FLEET_KINDS),
+    ),
+    _ServeOption(
+        "--knn-k",
+        "knn_k",
+        4,
+        "neighbours per frame for --kind knn/zoo clients",
+        minimum=1,
+    ),
+    _ServeOption(
+        "--join-delta",
+        "join_delta",
+        4.0,
+        "distance threshold replicated for moving joins (join "
+        "clients may ask for any delta up to this; shard routing "
+        "inflates boundary replication by delta/2)",
+        minimum=0,
+        feeds="join_delta",
+    ),
+    _ServeOption(
+        "--route-refresh",
+        "route_refresh",
+        0,
+        "re-anchor auto sessions only after the observer drifts "
+        "this many windows from its last route, serving ghost frames "
+        "meanwhile when the route provably sees nothing (0 disables; "
+        "answers are identical either way)",
+        minimum=0,
+        feeds="auto_route_refresh",
+    ),
+    _ServeOption(
+        "--mode",
+        "mode",
+        "clustered",
+        "spatial overlap structure of the observer fleet",
+        choices=("identical", "clustered", "independent", "spread"),
+    ),
+    _ServeOption(
+        "--shards",
+        "shards",
+        1,
+        "partition the spatial domain into this many grid shards, "
+        "each with its own index pair, behind a multiplexed front-end "
+        "(1 = the single unsharded broker; answers are identical)",
+        minimum=1,
+    ),
+    _ServeOption(
+        "--workers",
+        None,
+        help="where shards run: 'inprocess' (the default) hosts them in "
+        "this process, 'process' spawns one worker process per shard "
+        "behind the async multiplex front-end (answers are identical "
+        "either way; refused with --data-dir)",
+        choices=("inprocess", "process"),
+    ),
+    _ServeOption(
+        "--kill-worker",
+        None,
+        help="chaos: SIGKILL the given shard's worker process just "
+        "before the given tick (repeatable; requires --workers process; "
+        "the worker is respawned and replayed, answers unchanged)",
+        action="append",
+        metavar="SHARD@TICK",
+    ),
+    _ServeOption(
+        "--answer-log",
+        None,
+        help="append every delivered result to this tick-tagged answer "
+        "log (same format as a durable store's answers.log; for "
+        "byte-for-byte comparing serving configurations; refused with "
+        "--data-dir, which writes its own)",
+        metavar="PATH",
+    ),
+    _ServeOption("--period", "period", 0.1),
+    _ServeOption("--window", "window", 8.0),
+    _ServeOption("--queue-depth", "queue_depth", 64, minimum=1, feeds="queue_depth"),
+    _ServeOption(
+        "--no-shared-scan",
+        "shared_scan",
+        True,
+        "disable the shared-scan scheduler (ablation baseline)",
+        feeds="shared_scan",
+        action="store_false",
+    ),
+    _ServeOption(
+        "--promote-after",
+        "promote_after",
+        0,
+        "promote a shed client back to exact PDQ after its queue "
+        "stays shallow this many consecutive strides (0 disables)",
+        minimum=0,
+        feeds="promote_after",
+    ),
+    _ServeOption(
+        "--npdq-margin",
+        "npdq_margin",
+        2.0,
+        "slack of NPDQ frontier prediction, in multiples of the "
+        "largest observed inter-frame step (smaller batches fewer pages "
+        "but mispredicts more; mispredicts only cost demand fetches)",
+        minimum=0,
+        feeds="npdq_predict_margin",
+    ),
+    _ServeOption(
+        "--data-dir",
+        None,
+        help="serve from a durable file-backed store in this directory: "
+        "group-commit redo WAL per tick, fsynced answer stream, "
+        "kill-safe restart (re-run the same command to resume); with "
+        "--shards K each shard persists under shard-<i>/ and the master "
+        "tick commits across all of them",
+    ),
+    _ServeOption(
+        "--churn",
+        "churn",
+        0,
+        "deterministic inserts per tick through the single-writer "
+        "dispatcher (with --data-dir they exercise the redo path)",
+        minimum=0,
+    ),
+    _ServeOption(
+        "--checkpoint-every",
+        "checkpoint_every",
+        8,
+        "flush dirty pages and truncate the WAL every N durable "
+        "ticks (default 8; 0 = only at shutdown; requires --data-dir)",
+        minimum=0,
+    ),
+)
+
+
+def _with_defaults(cfg: dict) -> dict:
+    """``cfg`` with every pinned option it lacks at its default — a
+    flag that was not given, or a key a store pinned before the option
+    existed.  Keys no option owns any more (a retired option in an old
+    ``store.json``) stay and are ignored."""
+    for opt in _SERVE_OPTIONS:
+        if opt.key is not None:
+            cfg.setdefault(opt.key, opt.default)
+    return cfg
+
+
 def _serve_cfg(args: argparse.Namespace) -> dict:
     """The ``serve`` flags as the dict a durable store pins in
     ``store.json`` (and every ``serve`` helper reads)."""
-    return {
-        "scenario": args.scenario,
-        "scale": args.scale,
-        "seed": args.seed,
-        "clients": args.clients,
-        "ticks": args.ticks,
-        "kind": args.kind,
-        "mode": args.mode,
-        "shards": args.shards,
-        "period": args.period,
-        "window": args.window,
-        "queue_depth": args.queue_depth,
-        "shared_scan": not args.no_shared_scan,
-        "promote_after": args.promote_after,
-        "npdq_margin": args.npdq_margin,
-        "churn": args.churn,
-        "checkpoint_every": args.checkpoint_every,
-        "knn_k": args.knn_k,
-        "join_delta": args.join_delta,
-        "route_refresh": args.route_refresh,
+    given = {
+        opt.key: getattr(args, opt.key)
+        for opt in _SERVE_OPTIONS
+        if opt.key is not None
     }
+    return _with_defaults({k: v for k, v in given.items() if v is not None})
 
 
-def _serve_fleet(cfg: dict, space_side: float, horizon: float):
+def _serve_fleet(cfg: dict):
     """The observer fleet of a ``serve`` run and the clock that starts
     where its trajectories do."""
     from repro.server import SimulatedClock
     from repro.workload.config import WorkloadConfig
     from repro.workload.observers import observer_fleet
 
+    space_side, horizon = cfg["space_side"], cfg["horizon"]
     duration = min(cfg["ticks"] * cfg["period"], horizon * 0.9)
     start = min(horizon * 0.1, horizon - duration)
     fleet = observer_fleet(
@@ -636,13 +927,7 @@ def _server_config(cfg: dict):
     from repro.server import ServerConfig
 
     return ServerConfig(
-        max_clients=max(cfg["clients"], 1),
-        queue_depth=cfg["queue_depth"],
-        shared_scan=cfg["shared_scan"],
-        promote_after=cfg["promote_after"],
-        npdq_predict_margin=cfg["npdq_margin"],
-        join_delta=cfg["join_delta"],
-        auto_route_refresh=cfg["route_refresh"],
+        **{opt.feeds: cfg[opt.key] for opt in _SERVE_OPTIONS if opt.feeds}
     )
 
 
@@ -672,345 +957,256 @@ def _churn_batch(cfg: dict, tick_index: int):
     ]
 
 
-def _checkpoint_shard_trees(shard_stores, natives, duals) -> None:
-    """Checkpoint every tree of every shard store (base-load durability)."""
-    for i, stores in enumerate(shard_stores):
-        for tree_name, (disk, _log, _index, _report) in stores.items():
-            tree = natives[i].tree if tree_name == "native" else duals[i].tree
-            disk.checkpoint(meta=tree.recovery_meta())
+def _check_serve(args: argparse.Namespace, cfg: dict) -> dict:
+    """Refuse what cannot be served, before anything is created.
 
+    Raises :class:`~repro.errors.ServerError` with the one-line reason:
+    an option below its minimum, or a flag that only means something in
+    the other mode — never silently dropped.  Returns the parsed
+    ``--kill-worker`` plan (tick -> shard), the one flag whose
+    validation is a parse.
+    """
+    from repro.errors import ServerError
 
-def _serve_durable(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.index import DualTimeIndex, NativeSpaceIndex
-    from repro.server import MultiplexBroker, QueryBroker, ShardPlan
-    from repro.storage.file import (
-        TickDurability,
-        read_store_config,
-        write_store_config,
-    )
-
-    if getattr(args, "workers", "inprocess") == "process":
-        print(
-            "--data-dir does not support --workers process; durable "
-            "sharded serving runs in-process (drop --data-dir or "
-            "--workers process)",
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "answer_log", None):
-        print(
-            "--answer-log conflicts with --data-dir (a durable store "
-            "already writes answers.log)",
-            file=sys.stderr,
-        )
-        return 2
-
-    data_dir = args.data_dir
-    pinned = read_store_config(data_dir)
-    resume = pinned is not None
-    if resume:
-        cfg = pinned
-        # Stores pinned before sharded durability existed carry no
-        # "shards" key; they are single-shard by construction.
-        cfg.setdefault("shards", 1)
-        # Stores pinned before the query zoo existed carry none of the
-        # zoo knobs; they served range fleets with the old defaults.
-        cfg.setdefault("knn_k", 4)
-        cfg.setdefault("join_delta", 4.0)
-        cfg.setdefault("route_refresh", 0)
-        print(
-            f"resuming durable store {data_dir} "
-            f"(pinned {cfg['scenario']}/{cfg['scale']}, seed {cfg['seed']}, "
-            f"{cfg['clients']} {cfg['kind']} client(s), {cfg['ticks']} ticks, "
-            f"{cfg['shards']} shard(s))",
-            flush=True,
-        )
-    else:
-        cfg = _serve_cfg(args)
-
-    segments, space_side, horizon, name = _build_world(
-        cfg["scenario"], cfg["scale"], cfg["seed"]
-    )
-    cfg.setdefault("space_side", space_side)
-    cfg.setdefault("horizon", horizon)
-    need_dual = cfg["kind"] in _DUAL_KINDS
-
-    shards = cfg["shards"]
-    # A store that was never pinned must start from empty files: page or
-    # WAL leftovers mean a bulk load crashed before write_store_config,
-    # and adopting their slots would leak orphans into the new store.
-    if shards > 1:
-        shard_stores, through = _durable_shard_stores(
-            data_dir, cfg, fresh=not resume
-        )
-    else:
-        stores, through = _durable_store(
-            data_dir, cfg, through=None if resume else -1, fresh=not resume
-        )
-        shard_stores = [stores]
-    if resume and through >= cfg["ticks"] - 1:
-        print(f"store has already served all {cfg['ticks']} tick(s); nothing to do")
-        for stores in shard_stores:
-            for disk, log, _index, _report in stores.values():
-                log.close()
-                disk.close()
-        return 0
-
-    natives = []
-    duals = []
-    if resume:
-        for i, stores in enumerate(shard_stores):
-            where = os.path.join(data_dir, f"shard-{i}") if shards > 1 else data_dir
-            for tree_name, (_disk, _log, index, _report) in stores.items():
-                if index is None:
-                    print(
-                        f"{tree_name}: no recovery metadata in {where} "
-                        "(store never checkpointed?)",
-                        file=sys.stderr,
-                    )
-                    return 2
-            natives.append(stores["native"][2])
-            duals.append(stores["dual"][2] if "dual" in stores else None)
-        print(
-            f"recovered through tick {through} "
-            f"({sum(len(n) for n in natives)} native segment(s))",
-            flush=True,
-        )
-    else:
-        print(
-            f"building durable {name} world ({len(segments)} segments"
-            f"{', both index flavours' if need_dual else ''}"
-            f"{f', {shards} shards' if shards > 1 else ''}) ...",
-            flush=True,
-        )
-        for stores in shard_stores:
-            natives.append(NativeSpaceIndex(dims=2, disk=stores["native"][0]))
-            duals.append(
-                DualTimeIndex(dims=2, disk=stores["dual"][0])
-                if need_dual
-                else None
+    for opt in _SERVE_OPTIONS:
+        if opt.minimum is not None and cfg[opt.key] < opt.minimum:
+            raise ServerError(f"{opt.flag} must be >= {opt.minimum}")
+    process_workers = args.workers == "process"
+    if args.data_dir:
+        if process_workers:
+            raise ServerError(
+                "--data-dir does not support --workers process; durable "
+                "sharded serving runs in-process (drop --data-dir or "
+                "--workers process)"
             )
-        if shards == 1:
-            natives[0].bulk_load(segments)
-            if need_dual:
-                duals[0].bulk_load(segments)
-            # The base trees must be durable before the store is
-            # announced resumable: checkpoint first, then pin.
-            _checkpoint_shard_trees(shard_stores, natives, duals)
-            write_store_config(data_dir, cfg)
-        # shards > 1: loading needs the broker's router, so the
-        # checkpoint-then-pin step happens right after broker.load below.
-
-    fleet, clock = _serve_fleet(cfg, space_side, horizon)
-    server_config = _server_config(cfg)
-    if shards > 1:
-        plan = ShardPlan.grid([0.0, 0.0], [space_side, space_side], shards)
-        native_iter = iter(natives)
-        dual_iter = iter(duals)
-        broker = MultiplexBroker(
-            plan,
-            lambda: next(native_iter),
-            (lambda: next(dual_iter)) if need_dual else None,
-            clock=clock,
-            config=server_config,
-        )
-        if not resume:
-            broker.load(segments)
-            _checkpoint_shard_trees(shard_stores, natives, duals)
-            write_store_config(data_dir, cfg)
-    else:
-        broker = QueryBroker(
-            natives[0], dual=duals[0], clock=clock, config=server_config
-        )
-    _register_fleet(broker, fleet, cfg)
-
-    # Churn: a deterministic insert batch lands at the start of every
-    # not-yet-durable tick.  Batches for recovered ticks are *not*
-    # resubmitted — their transactions replayed from the WAL.
-    for k in range(through + 1, cfg["ticks"]):
-        batch = _churn_batch(cfg, k)
-        if batch:
-            broker.submit_inserts(
-                batch, times=[clock.boundary(k)] * len(batch)
+        if args.answer_log:
+            raise ServerError(
+                "--answer-log conflicts with --data-dir (a durable store "
+                "already writes answers.log)"
             )
-
-    # On a fresh start ``through`` is -1, which empties any stale
-    # answer log the same way the page/WAL files were reset above.
-    answers = _AnswerStream(
-        os.path.join(data_dir, "answers.log"), through=through
-    )
-    # One durability driver spans every shard's stores: the master tick
-    # commits atomically across all K shards (the recovery cut is the
-    # minimum durable tick over all of them, see _durable_shard_stores).
-    triples = []
-    for i, stores in enumerate(shard_stores):
-        for tree_name, (disk, log, _index, _report) in stores.items():
-            tree = natives[i].tree if tree_name == "native" else duals[i].tree
-            triples.append((disk, log, tree.recovery_meta))
-    hook = TickDurability(triples, checkpoint_every=cfg["checkpoint_every"])
-
-    def flush_answers(_tick) -> None:
-        for session in broker.sessions:
-            for result in session.poll():
-                answers.append(session.client_id, result)
-        answers.flush()
-
-    hook.pre_commit = flush_answers
-
-    # Fast-forward: re-serve the recovered ticks against the restored
-    # index with answers suppressed (they are already on disk) and
-    # durability detached (nothing to re-commit).  Serving is read-only,
-    # so this only rebuilds session state — reported-item sets, NPDQ
-    # predictor history, auto-mode hand-off state — which the engines'
-    # answer-invariance guarantees leaves the *subsequent* stream
-    # identical to an uninterrupted run.
-    if resume and through >= 0:
-        print(f"fast-forwarding {through + 1} recovered tick(s) ...", flush=True)
-        for _ in range(through + 1):
-            broker.run_tick()
-            for session in broker.sessions:
-                session.poll()
-
-    remaining = cfg["ticks"] - (through + 1)
-    print(
-        f"serving {cfg['clients']} {cfg['kind']} client(s) for {remaining} "
-        f"tick(s) of {cfg['period']} t.u. "
-        f"(durable, group commit, checkpoint every "
-        f"{cfg['checkpoint_every'] or 'never'} tick(s)) ...",
-        flush=True,
-    )
-    broker.durability = hook
-    for _ in range(remaining):
-        broker.run_tick()
-    print(broker.summary())
-    broker.quiesce()
-    hook.close()
-    answers.close()
-    print(f"answer stream: {answers.path} ({answers.lines} line(s) appended)")
-    return 0
+    elif args.checkpoint_every is not None:
+        raise ServerError(
+            "--checkpoint-every requires --data-dir (only a durable "
+            "store has checkpoints)"
+        )
+    kill_plan = {}
+    for spec in args.kill_worker or []:
+        shard_s, sep, tick_s = spec.partition("@")
+        if not (sep and shard_s.isdigit() and tick_s.isdigit()):
+            raise ServerError(f"--kill-worker expects SHARD@TICK, got {spec!r}")
+        if not int(shard_s) < cfg["shards"]:
+            raise ServerError(
+                f"--kill-worker shard {shard_s} out of range "
+                f"(store has {cfg['shards']} shard(s))"
+            )
+        kill_plan[int(tick_s)] = int(shard_s)
+    if kill_plan and not process_workers:
+        raise ServerError("--kill-worker requires --workers process")
+    return kill_plan
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.knn_k < 1:
-        print("--knn-k must be >= 1", file=sys.stderr)
-        return 2
-    if args.join_delta < 0:
-        print("--join-delta must be >= 0", file=sys.stderr)
-        return 2
-    if args.route_refresh < 0:
-        print("--route-refresh must be >= 0", file=sys.stderr)
-        return 2
-    if getattr(args, "data_dir", None):
-        return _serve_durable(args)
+    from functools import partial
+
+    from repro.errors import ServerError
     from repro.index import DualTimeIndex, NativeSpaceIndex
     from repro.server import (
         MultiplexBroker,
         QueryBroker,
         RemoteMultiplexBroker,
+        ShardPlan,
     )
 
-    if args.clients < 1 or args.ticks < 1:
-        print("--clients and --ticks must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
+    # Durability is three values the one loop below is handed: the store
+    # (or none), the tick it recovered through, and where answers go.
+    store = _DurableStore(args.data_dir) if args.data_dir else None
+    resume = store is not None and store.cfg is not None
+    cfg = store.cfg if resume else _serve_cfg(args)
+    try:
+        kill_plan = _check_serve(args, cfg)
+    except ServerError as exc:
+        print(exc, file=sys.stderr)
         return 2
     process_workers = args.workers == "process"
-    kill_plan = {}
-    for spec in args.kill_worker or []:
-        shard_s, sep, tick_s = spec.partition("@")
-        if not (sep and shard_s.isdigit() and tick_s.isdigit()):
-            print(
-                f"--kill-worker expects SHARD@TICK, got {spec!r}",
-                file=sys.stderr,
-            )
-            return 2
-        shard_i, tick_i = int(shard_s), int(tick_s)
-        if not 0 <= shard_i < args.shards:
-            print(
-                f"--kill-worker shard {shard_i} out of range "
-                f"(store has {args.shards} shard(s))",
-                file=sys.stderr,
-            )
-            return 2
-        kill_plan[tick_i] = shard_i
-    if kill_plan and not process_workers:
-        print("--kill-worker requires --workers process", file=sys.stderr)
-        return 2
+    shards = cfg["shards"]
+    shards_note = f", {shards} shards" if shards > 1 else ""
+    need_dual = cfg["kind"] in _DUAL_KINDS
 
-    segments, space_side, horizon, name = _build_world(
-        args.scenario, args.scale, args.seed
-    )
-    need_dual = args.kind in _DUAL_KINDS
-    print(
-        f"building {name} world ({len(segments)} segments"
-        f"{', both index flavours' if need_dual else ''}"
-        f"{f', {args.shards} shards' if args.shards > 1 else ''}) ...",
-        flush=True,
-    )
+    with contextlib.ExitStack() as cleanup:
+        through = -1
+        if store is not None:
+            if resume:
+                print(
+                    f"resuming durable store {store.data_dir} "
+                    f"(pinned {cfg['scenario']}/{cfg['scale']}, "
+                    f"seed {cfg['seed']}, {cfg['clients']} {cfg['kind']} "
+                    f"client(s), {cfg['ticks']} ticks, {shards} shard(s))",
+                    flush=True,
+                )
+            cleanup.callback(store.close)
+            store.open(cfg, fresh=not resume)
+            through = store.through
+        if resume:
+            if through >= cfg["ticks"] - 1:
+                print(
+                    f"store has already served all {cfg['ticks']} tick(s); "
+                    "nothing to do"
+                )
+                return 0
+            for tree in store.trees:
+                if tree.index is None:
+                    print(
+                        f"{tree.name}: no recovery metadata in "
+                        f"{tree.directory} (store never checkpointed?)",
+                        file=sys.stderr,
+                    )
+                    return 2
+            recovered = sum(len(index) for index in store.indexes("native"))
+            print(
+                f"recovered through tick {through} "
+                f"({recovered} native segment(s))",
+                flush=True,
+            )
 
-    cfg = _serve_cfg(args)
-    fleet, clock = _serve_fleet(cfg, space_side, horizon)
-    server_config = _server_config(cfg)
-    if process_workers or args.shards > 1:
-        tier = RemoteMultiplexBroker if process_workers else MultiplexBroker
-        broker = tier.over_segments(
-            segments,
-            shards=args.shards,
-            dual=need_dual,
-            clock=clock,
-            config=server_config,
-            bounds=([0.0, 0.0], [space_side, space_side]),
-            **({"kill_plan": kill_plan} if process_workers else {}),
+        segments, space_side, horizon, name = _build_world(
+            cfg["scenario"], cfg["scale"], cfg["seed"]
         )
-    else:
-        native = NativeSpaceIndex(dims=2)
-        native.bulk_load(segments)
-        dual = None
-        if need_dual:
-            dual = DualTimeIndex(dims=2)
-            dual.bulk_load(segments)
-        broker = QueryBroker(
-            native, dual=dual, clock=clock, config=server_config
-        )
-    _register_fleet(broker, fleet, cfg)
-    print(
-        f"serving {args.clients} {args.kind} client(s) for {args.ticks} "
-        f"tick(s) of {args.period} t.u. "
-        f"(shared scan {'off' if args.no_shared_scan else 'on'}"
-        f"{f', {args.shards} shards' if args.shards > 1 else ''}"
-        f"{', process workers' if process_workers else ''}) ...",
-        flush=True,
-    )
-    answers = None
-    if getattr(args, "answer_log", None):
-        answers = _AnswerStream(args.answer_log, through=-1)
-    if answers is None:
-        broker.run(args.ticks)
-    else:
-        for _ in range(args.ticks):
-            broker.run_tick()
+        cfg.setdefault("space_side", space_side)
+        cfg.setdefault("horizon", horizon)
+        if not resume:
+            print(
+                f"building {'durable ' if store is not None else ''}{name} "
+                f"world ({len(segments)} segments"
+                f"{', both index flavours' if need_dual else ''}"
+                f"{shards_note}) ...",
+                flush=True,
+            )
+
+        # The tier's broker, built once.  Each call of a factory hands
+        # the next shard its index: the store's, or a fresh one in
+        # memory (spawned workers build their own).
+        if store is not None:
+            native_of = iter(store.indexes("native")).__next__
+            dual_of = iter(store.indexes("dual")).__next__
+        else:
+            native_of = partial(NativeSpaceIndex, dims=2)
+            dual_of = partial(DualTimeIndex, dims=2)
+        if not need_dual:
+            dual_of = None
+        fleet, clock = _serve_fleet(cfg)
+        server_config = _server_config(cfg)
+        if shards > 1 or process_workers:
+            if process_workers:
+                tier = partial(
+                    RemoteMultiplexBroker, dual=need_dual, kill_plan=kill_plan
+                )
+            else:
+                tier = partial(
+                    MultiplexBroker, native_factory=native_of, dual_factory=dual_of
+                )
+            broker = tier(
+                ShardPlan.grid([0.0, 0.0], [space_side, space_side], shards),
+                clock=clock,
+                config=server_config,
+            )
+            cleanup.callback(broker.close)
+            loaders = [broker.load]
+        else:
+            native, dual = native_of(), dual_of() if dual_of else None
+            broker = QueryBroker(
+                native, dual=dual, clock=clock, config=server_config
+            )
+            loaders = [i.bulk_load for i in (native, dual) if i is not None]
+        if not resume:
+            for load in loaders:
+                load(segments)
+            if store is not None:
+                store.pin()
+        _register_fleet(broker, fleet, cfg)
+
+        # Churn: a deterministic insert batch lands at the start of every
+        # not-yet-durable tick.  Batches for recovered ticks are *not*
+        # resubmitted — their transactions replayed from the WAL.
+        for k in range(through + 1, cfg["ticks"]):
+            batch = _churn_batch(cfg, k)
+            if batch:
+                broker.submit_inserts(
+                    batch, times=[clock.boundary(k)] * len(batch)
+                )
+
+        # Fast-forward: re-serve the recovered ticks against the restored
+        # index with answers suppressed (they are already on disk) and
+        # durability detached (nothing to re-commit).  Serving is read-only,
+        # so this only rebuilds session state — reported-item sets, NPDQ
+        # predictor history, auto-mode hand-off state — which the engines'
+        # answer-invariance guarantees leaves the *subsequent* stream
+        # identical to an uninterrupted run.
+        if through >= 0:
+            print(
+                f"fast-forwarding {through + 1} recovered tick(s) ...",
+                flush=True,
+            )
+            for _ in range(through + 1):
+                broker.run_tick()
+                for session in broker.sessions:
+                    session.poll()
+
+        # Where answers go: the store's answers.log (rewound to the
+        # recovered tick; a fresh start's -1 empties a stale one, as the
+        # page/WAL files were), --answer-log, or nowhere — then nobody
+        # reads the queues, and a long run shows --queue-depth shedding.
+        answers = None
+        path = store.answers_path if store is not None else args.answer_log
+        if path:
+            answers = _AnswerStream(path, through=through)
+            cleanup.callback(answers.close)
+
+        def drain(_tick=None) -> None:
+            # Under a store this runs before the tick's TICK records and
+            # syncs: a tick marked durable always has its answers on disk.
             for session in broker.sessions:
                 for result in session.poll():
                     answers.append(session.client_id, result)
-    print(broker.summary())
-    broker.quiesce()
-    if answers is not None:
-        answers.flush()
-        answers.close()
+            if store is not None:
+                answers.flush()
+
+        remaining = cfg["ticks"] - (through + 1)
+        if store is not None:
+            broker.durability = store.durability(pre_commit=drain)
+            how = (
+                "durable, group commit, checkpoint every "
+                f"{cfg['checkpoint_every'] or 'never'} tick(s)"
+            )
+        else:
+            how = (
+                f"shared scan {'on' if cfg['shared_scan'] else 'off'}"
+                f"{shards_note}{', process workers' if process_workers else ''}"
+            )
         print(
-            f"answer stream: {answers.path} "
-            f"({answers.lines} line(s) appended)"
+            f"serving {cfg['clients']} {cfg['kind']} client(s) for "
+            f"{remaining} tick(s) of {cfg['period']} t.u. ({how}) ...",
+            flush=True,
         )
+        for _ in range(remaining):
+            broker.run_tick()
+            if answers is not None and store is None:
+                drain()
+        print(broker.summary())
+        broker.quiesce()
+        if store is not None:
+            broker.durability.close()
+        if answers is not None:
+            answers.close()
+            print(
+                f"answer stream: {answers.path} "
+                f"({answers.lines} line(s) appended)"
+            )
     return 0
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.storage.file import (
         list_snapshots,
-        read_store_config,
         verify_snapshot,
         write_snapshot,
     )
@@ -1037,32 +1233,23 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         )
         return 0
 
-    cfg = read_store_config(args.data_dir)
-    if cfg is None:
+    store = _DurableStore(args.data_dir)
+    if store.cfg is None:
         print(f"{args.data_dir} is not a durable store", file=sys.stderr)
         return 2
-    if cfg.get("shards", 1) > 1:
-        print(
-            "snapshots of sharded stores are not supported yet "
-            "(use the WAL: every committed tick is already recoverable)",
-            file=sys.stderr,
-        )
+    if store.cfg["shards"] > 1:
+        print(_NO_SHARDED_SNAPSHOTS, file=sys.stderr)
         return 2
-    stores, through = _durable_store(args.data_dir, cfg)
+    store.open()
+    through = store.through
     snapshot_id = args.id or (f"tick{through:06d}" if through >= 0 else "base")
     manifest = write_snapshot(
         args.data_dir,
         snapshot_id,
-        [
-            (name, disk, report.last_meta or {})
-            for name, (disk, _log, _index, report) in stores.items()
-        ],
+        [(t.name, t.disk, t.meta or {}) for t in store.trees],
         tick=through if through >= 0 else None,
     )
-    for _disk, log, _index, _report in stores.values():
-        log.close()
-    for disk, _log, _index, _report in stores.values():
-        disk.close()
+    store.close()
     print(
         f"wrote snapshot {snapshot_id!r} @ tick "
         f"{manifest['tick'] if manifest['tick'] is not None else '(base)'}: "
@@ -1076,18 +1263,12 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    import os
-
     from repro.errors import StorageError
-    from repro.storage.file import read_store_config, restore_snapshot
+    from repro.storage.file import restore_snapshot
 
-    cfg = read_store_config(args.data_dir)
-    if cfg is not None and cfg.get("shards", 1) > 1:
-        print(
-            "snapshots of sharded stores are not supported yet "
-            "(use the WAL: every committed tick is already recoverable)",
-            file=sys.stderr,
-        )
+    store = _DurableStore(args.data_dir)
+    if store.cfg is not None and store.cfg["shards"] > 1:
+        print(_NO_SHARDED_SNAPSHOTS, file=sys.stderr)
         return 2
     try:
         manifest = restore_snapshot(args.data_dir, args.id)
@@ -1098,105 +1279,13 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     through = tick if tick is not None else -1
     # The answer stream must rewind with the store, or a resumed
     # serve would append tick T+1 after lines from a later epoch.
-    _truncate_answer_log(os.path.join(args.data_dir, "answers.log"), through)
+    _truncate_answer_log(store.answers_path, through)
     print(
         f"restored snapshot {args.id!r}: store rewound to tick "
         f"{tick if tick is not None else '(base)'}, "
         f"{len(manifest.get('trees', {}))} tree(s)"
     )
     return 0
-
-
-def _fsck_durable(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.index import fsck
-    from repro.index import repair as run_repair
-    from repro.storage.file import (
-        list_snapshots,
-        read_store_config,
-        verify_snapshot,
-    )
-
-    cfg = read_store_config(args.data_dir)
-    if cfg is None:
-        print(f"{args.data_dir} is not a durable store", file=sys.stderr)
-        return 2
-    cfg.setdefault("shards", 1)
-    # A sharded store recurses into its shard-<i>/ subdirectories; the
-    # recovery cut is the global minimum so every shard is checked at
-    # the same master-tick boundary a resumed serve would use.
-    if cfg["shards"] > 1:
-        shard_stores, through = _durable_shard_stores(args.data_dir, cfg)
-        checks = [
-            (f"shard-{i}/", os.path.join(args.data_dir, f"shard-{i}"), stores)
-            for i, stores in enumerate(shard_stores)
-        ]
-    else:
-        stores, through = _durable_store(args.data_dir, cfg)
-        checks = [("", args.data_dir, stores)]
-    rc = 0
-    for prefix, store_dir, stores in checks:
-        for name, (disk, _log, index, _report) in sorted(stores.items()):
-            label = prefix + name
-            if index is None:
-                print(
-                    f"{label}: no recovery metadata; cannot check",
-                    file=sys.stderr,
-                )
-                rc = 1
-                continue
-            report = fsck(index.tree)
-            print(f"{label}: {report.summary()}")
-            for violation in report.violations:
-                print(f"  {violation}")
-            tree_ok = report.ok
-            if args.repair and not report.ok:
-                quarantined = disk.quarantine(
-                    os.path.join(store_dir, "quarantine")
-                )
-                if quarantined:
-                    print(
-                        f"{label}: quarantined damaged slot(s) "
-                        f"{', '.join(map(str, quarantined))} -> "
-                        f"{os.path.join(store_dir, 'quarantine')}"
-                    )
-                repair_report = run_repair(index.tree)
-                print(f"{label}: {repair_report.summary()}")
-                disk.checkpoint(
-                    meta=index.tree.recovery_meta(),
-                    tick=through if through >= 0 else None,
-                )
-                # A clean repair clears *this* tree's failure, but must
-                # not mask an earlier tree's unrepaired one.
-                tree_ok = repair_report.ok
-            if not tree_ok:
-                rc = 1
-    # Snapshot manifests + tick consistency against the WAL tail.
-    for sid in list_snapshots(args.data_dir):
-        manifest, problems = verify_snapshot(args.data_dir, sid)
-        tick = manifest.get("tick") if manifest else None
-        snap_tick = tick if tick is not None else -1
-        relation = (
-            "covered by the WAL tail"
-            if snap_tick <= through
-            else "AHEAD of the WAL tail (snapshot from a discarded epoch?)"
-        )
-        state = "ok" if manifest and not problems else "CORRUPT"
-        print(
-            f"snapshot {sid}: {state}, tick "
-            f"{tick if tick is not None else '(base)'} — {relation} "
-            f"(store tick {through if through >= 0 else '(base)'})"
-        )
-        for problem in problems:
-            print(f"  {problem}")
-            rc = 1
-    for _prefix, _store_dir, stores in checks:
-        for _disk, log, _index, _report in stores.values():
-            log.close()
-        for disk, _log, _index, _report in stores.values():
-            disk.close()
-    return rc
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1342,137 +1431,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve",
         help="host N concurrent observers on the shared-execution broker",
     )
-    p_serve.add_argument(
-        "--scenario",
-        choices=("synthetic", "battlefield", "city"),
-        default="synthetic",
-        help="world to serve over (synthetic uses --scale)",
-    )
-    p_serve.add_argument("--scale", choices=_SCALES, default="tiny")
-    p_serve.add_argument("--seed", type=int, default=3)
-    p_serve.add_argument("--clients", type=int, default=4)
-    p_serve.add_argument("--ticks", type=int, default=50)
-    p_serve.add_argument(
-        "--kind",
-        choices=(
-            "pdq",
-            "npdq",
-            "auto",
-            "mixed",
-            "knn",
-            "join",
-            "aggregate",
-            "zoo",
-        ),
-        default="pdq",
-        help="client session kind (mixed cycles pdq/npdq/auto; zoo "
-        "cycles pdq/knn/join/aggregate — the full query zoo)",
-    )
-    p_serve.add_argument(
-        "--knn-k",
-        type=int,
-        default=4,
-        help="neighbours per frame for --kind knn/zoo clients",
-    )
-    p_serve.add_argument(
-        "--join-delta",
-        type=float,
-        default=4.0,
-        help="distance threshold replicated for moving joins (join "
-        "clients may ask for any delta up to this; shard routing "
-        "inflates boundary replication by delta/2)",
-    )
-    p_serve.add_argument(
-        "--route-refresh",
-        type=int,
-        default=0,
-        help="re-anchor auto sessions only after the observer drifts "
-        "this many windows from its last route, serving ghost frames "
-        "meanwhile when the route provably sees nothing (0 disables; "
-        "answers are identical either way)",
-    )
-    p_serve.add_argument(
-        "--mode",
-        choices=("identical", "clustered", "independent", "spread"),
-        default="clustered",
-        help="spatial overlap structure of the observer fleet",
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the spatial domain into this many grid shards, "
-        "each with its own index pair, behind a multiplexed front-end "
-        "(1 = the single unsharded broker; answers are identical)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        choices=("inprocess", "process"),
-        default="inprocess",
-        help="where shards run: 'inprocess' hosts them in this process, "
-        "'process' spawns one worker process per shard behind the async "
-        "multiplex front-end (answers are identical either way)",
-    )
-    p_serve.add_argument(
-        "--kill-worker",
-        action="append",
-        metavar="SHARD@TICK",
-        help="chaos: SIGKILL the given shard's worker process just "
-        "before the given tick (repeatable; requires --workers process; "
-        "the worker is respawned and replayed, answers unchanged)",
-    )
-    p_serve.add_argument(
-        "--answer-log",
-        metavar="PATH",
-        help="append every delivered result to this tick-tagged answer "
-        "log (same format as a durable store's answers.log; for "
-        "byte-for-byte comparing serving configurations)",
-    )
-    p_serve.add_argument("--period", type=float, default=0.1)
-    p_serve.add_argument("--window", type=float, default=8.0)
-    p_serve.add_argument("--queue-depth", type=int, default=64)
-    p_serve.add_argument(
-        "--no-shared-scan",
-        action="store_true",
-        help="disable the shared-scan scheduler (ablation baseline)",
-    )
-    p_serve.add_argument(
-        "--promote-after",
-        type=int,
-        default=0,
-        help="promote a shed client back to exact PDQ after its queue "
-        "stays shallow this many consecutive strides (0 disables)",
-    )
-    p_serve.add_argument(
-        "--npdq-margin",
-        type=float,
-        default=2.0,
-        help="slack of NPDQ frontier prediction, in multiples of the "
-        "largest observed inter-frame step (smaller batches fewer pages "
-        "but mispredicts more; mispredicts only cost demand fetches)",
-    )
-    p_serve.add_argument(
-        "--data-dir",
-        help="serve from a durable file-backed store in this directory: "
-        "group-commit redo WAL per tick, fsynced answer stream, "
-        "kill-safe restart (re-run the same command to resume); with "
-        "--shards K each shard persists under shard-<i>/ and the master "
-        "tick commits across all of them",
-    )
-    p_serve.add_argument(
-        "--churn",
-        type=int,
-        default=0,
-        help="deterministic inserts per tick through the single-writer "
-        "dispatcher (durable mode exercises the redo path with these)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=8,
-        help="flush dirty pages and truncate the WAL every N durable "
-        "ticks (0 = only at shutdown)",
-    )
+    for opt in _SERVE_OPTIONS:
+        spec = {
+            name: value
+            for name, value in opt._asdict().items()
+            if name in ("help", "choices", "action", "metavar")
+            and value is not None
+        }
+        if type(opt.default) in (int, float):
+            spec["type"] = type(opt.default)
+        # default=None keeps "not given" distinguishable from the
+        # default, which _with_defaults applies.
+        p_serve.add_argument(opt.flag, dest=opt.key, default=None, **spec)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_snap = sub.add_parser(

@@ -12,7 +12,7 @@ the cached disappearance time.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.core.results import AnswerItem

@@ -14,7 +14,7 @@ once it is known — CPU-only work, no extra I/O.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.pdq import PDQEngine
 from repro.core.results import AnswerItem, SnapshotResult

@@ -17,7 +17,7 @@ answers with visibility intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import DimensionalityError, GeometryError
 from repro.geometry.box import Box

@@ -12,7 +12,7 @@ visibility intervals delivered to the client are exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.interval import EMPTY_INTERVAL, Interval

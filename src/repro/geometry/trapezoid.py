@@ -102,7 +102,8 @@ class MovingWindow:
 
         Returns ``(slope, value0)`` such that the border position at time
         ``t`` is ``value0 + slope * (t - time.low)``.  A zero-length time
-        span yields slope 0 (the window is only probed at that instant).
+        span yields slope 0 (the window is only probed at that instant),
+        and so does a span so short that the slope overflows.
         """
         s = self.start_window.extent(dim)
         e = self.end_window.extent(dim)
@@ -110,9 +111,14 @@ class MovingWindow:
         v1 = e.high if upper else e.low
         span = self.time.length
         slope = 0.0 if span == 0.0 else (v1 - v0) / span
-        if slope != 0.0 and v0 + slope * span == v0:
+        if slope != 0.0 and (
+            v0 + slope * span == v0 or not math.isfinite(slope)
+        ):
             # Sub-ulp drift over the whole span: the border is constant
             # in float arithmetic; keep the algebra consistent with it.
+            # A subnormal span overflows the division instead: an
+            # infinite slope would turn ``value0 - slope * time.low``
+            # into NaN, and the span is an instant in all but name.
             slope = 0.0
         return slope, v0
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import IndexStructureError, QueryError
 from repro.geometry.box import Box

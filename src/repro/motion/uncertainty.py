@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.errors import MotionError
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
-from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
+from repro.geometry.segment import segment_box_overlap_interval
 from repro.motion.segment import MotionSegment
 
 __all__ = ["inflate_box", "UncertainMotionSegment"]

@@ -157,17 +157,17 @@ class ShardPlan:
             raise ServerError("shard count must be >= 1")
         if len(low) != len(high):
             raise ServerError("low and high dimensionalities differ")
-        if any(h <= l for l, h in zip(low, high)):
+        if any(hi <= lo for lo, hi in zip(low, high)):
             raise ServerError("shard domain must have positive extent")
         dims = len(low)
         counts = _grid_shape(shards, dims)
-        widths = [(h - l) / n for l, h, n in zip(low, high, counts)]
+        widths = [(hi - lo) / n for lo, hi, n in zip(low, high, counts)]
         cells = []
         for idx in itertools.product(*(range(n) for n in counts)):
             cells.append(
                 Box.from_bounds(
-                    [l + i * w for l, i, w in zip(low, idx, widths)],
-                    [l + (i + 1) * w for l, i, w in zip(low, idx, widths)],
+                    [lo + i * w for lo, i, w in zip(low, idx, widths)],
+                    [lo + (i + 1) * w for lo, i, w in zip(low, idx, widths)],
                 )
             )
         return cls(tuple(cells))

@@ -14,7 +14,7 @@ deltas and to aggregate across repetitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["QueryCost", "CostSnapshot", "AverageCost"]
 

@@ -11,7 +11,7 @@ survive scaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import WorkloadError

@@ -104,14 +104,14 @@ def observer_fleet(
     side = data_config.space_side
     low = [half] * dims
     high = [side - half] * dims
-    if any(h <= l for l, h in zip(low, high)):
+    if any(hi <= lo for lo, hi in zip(low, high)):
         raise WorkloadError("window larger than the data space")
     # str hashes are randomized per process; derive the mode's salt from
     # its position so fleets are reproducible across runs.
     rng = random.Random((seed << 8) ^ count ^ (FLEET_MODES.index(mode) * 997))
 
     def random_start() -> List[float]:
-        return [rng.uniform(l, h) for l, h in zip(low, high)]
+        return [rng.uniform(lo, hi) for lo, hi in zip(low, high)]
 
     def random_heading() -> List[float]:
         heading = [0.0] * dims
@@ -129,8 +129,8 @@ def observer_fleet(
         anchor, heading = random_start(), random_heading()
         for _ in range(count):
             start = [
-                min(max(a + rng.uniform(-cluster_radius, cluster_radius), l), h)
-                for a, l, h in zip(anchor, low, high)
+                min(max(a + rng.uniform(-cluster_radius, cluster_radius), lo), hi)
+                for a, lo, hi in zip(anchor, low, high)
             ]
             fleet.append(
                 _one_trajectory(
@@ -151,8 +151,8 @@ def observer_fleet(
         cells = itertools.product(*(range(per_axis) for _ in range(dims)))
         for cell in itertools.islice(cells, count):
             start = [
-                l + (i + 0.5) * (h - l) / per_axis
-                for l, h, i in zip(low, high, cell)
+                lo + (i + 0.5) * (hi - lo) / per_axis
+                for lo, hi, i in zip(low, high, cell)
             ]
             fleet.append(
                 _one_trajectory(

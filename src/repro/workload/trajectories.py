@@ -22,9 +22,8 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
-from repro.core.trajectory import KeySnapshot, QueryTrajectory
+from repro.core.trajectory import QueryTrajectory
 from repro.errors import WorkloadError
-from repro.geometry.box import Box
 from repro.workload.config import QueryWorkload, WorkloadConfig
 
 __all__ = [
@@ -86,9 +85,9 @@ def reflecting_waypoints(
         If the start position lies outside the box or bounds are invalid.
     """
     dims = len(start)
-    if any(h <= l for l, h in zip(low, high)):
+    if any(hi <= lo for lo, hi in zip(low, high)):
         raise WorkloadError("invalid reflection bounds")
-    if any(not l <= s <= h for s, l, h in zip(start, low, high)):
+    if any(not lo <= s <= hi for s, lo, hi in zip(start, low, high)):
         raise WorkloadError("start position outside the reflection bounds")
     if duration <= 0:
         raise WorkloadError("duration must be positive")
@@ -122,7 +121,7 @@ def reflecting_waypoints(
         t_next = min(t + hit, end_time)
         step = t_next - t
         position = [p + v * step for p, v in zip(position, velocity)]
-        position = [min(max(p, l), h) for p, l, h in zip(position, low, high)]
+        position = [min(max(p, lo), hi) for p, lo, hi in zip(position, low, high)]
         times.append(t_next)
         points.append(tuple(position))
         if hit_dim >= 0 and t_next < end_time:
@@ -175,12 +174,12 @@ def generate_trajectories(
         )
     low = [half] * dims
     high = [side - half] * dims
-    if any(h <= l for l, h in zip(low, high)):
+    if any(hi <= lo for lo, hi in zip(low, high)):
         raise WorkloadError("window larger than the data space")
     trajectories: List[QueryTrajectory] = []
     for _ in range(count):
         start_time = rng.uniform(0.0, max_start)
-        start = [rng.uniform(l, h) for l, h in zip(low, high)]
+        start = [rng.uniform(lo, hi) for lo, hi in zip(low, high)]
         if axis_aligned:
             direction = [0.0] * dims
             direction[rng.randrange(dims)] = rng.choice([-1.0, 1.0])

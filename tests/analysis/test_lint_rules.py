@@ -6,8 +6,6 @@ it, and asserts the run exits non-zero naming that rule — proving the
 rule fires end to end, not just at the AST-visitor level.
 """
 
-import pytest
-
 from repro.analysis.engine import ALL_RULES
 from repro.analysis.graph import GRAPH_RULES
 from repro.cli import main

@@ -252,7 +252,7 @@ class TestNPDQDegradation:
         injector = FaultInjector().script_corruption(pid)
         index.tree.disk.set_faults(injector)
         engine = NPDQEngine(index, fault_budget=0)
-        frames = engine.run(trajectory(), PERIOD)
+        engine.run(trajectory(), PERIOD)
         assert engine.degraded
         index.tree.disk.set_faults(None)
         engine.reset()

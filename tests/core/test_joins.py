@@ -1,7 +1,6 @@
 """Tests for distance joins (future-work item (ii))."""
 
 import math
-import random
 
 import pytest
 

@@ -36,9 +36,6 @@ class TestIncremental:
                 assert gd == pytest.approx(wd)
 
     def test_distances_non_decreasing(self, tiny_native):
-        dists = [
-            d for _, d in zip(range(20), ())
-        ]  # placeholder to appease linters
         out = []
         for rec, dist in incremental_knn(tiny_native, 5.0, (50.0, 50.0)):
             out.append(dist)

@@ -1,7 +1,5 @@
 """Tests for the naive repeated-snapshot baseline."""
 
-import pytest
-
 from repro.core.naive import NaiveEvaluator
 from repro.core.snapshot import SnapshotQuery
 from repro.geometry.interval import Interval

@@ -10,7 +10,7 @@ from repro.geometry.interval import Interval
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.workload.trajectories import generate_trajectories
 
-from _helpers import make_segment, window
+from _helpers import window
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ from repro.core.naive import NaiveEvaluator
 from repro.core.pdq import PDQEngine
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import QueryError
-from repro.index.nsi import NativeSpaceIndex
 from repro.workload.trajectories import generate_trajectories
 
 
@@ -167,7 +166,7 @@ class TestAPI:
 
     def test_context_manager_detaches_listener(self, tiny_native, trajectories):
         before = len(tiny_native.tree._listeners)
-        with PDQEngine(tiny_native, trajectories[0]) as pdq:
+        with PDQEngine(tiny_native, trajectories[0]):
             assert len(tiny_native.tree._listeners) == before + 1
         assert len(tiny_native.tree._listeners) == before
 

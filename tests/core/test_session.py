@@ -5,7 +5,6 @@ import pytest
 from repro.core.session import DynamicQuerySession, SessionMode
 from repro.errors import SessionError
 from repro.index.dualtime import DualTimeIndex
-from repro.index.nsi import NativeSpaceIndex
 
 
 @pytest.fixture()

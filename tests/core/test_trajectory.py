@@ -9,7 +9,7 @@ from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment
 
-from _helpers import make_segment, window
+from _helpers import window
 
 
 def simple_traj(speed=2.0, half=2.0, t0=0.0, t1=10.0, start=(0.0, 0.0)):

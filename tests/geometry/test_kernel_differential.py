@@ -142,6 +142,28 @@ class TestMovingWindowKernels:
         want = [moving_window_segment_overlap(window, s) for s in segs]
         assert got == want
 
+    def test_subnormal_time_span(self):
+        # (v1 - v0) / 5e-324 overflows to inf; the border algebra then
+        # produced NaN on both paths — unequal by definition, which made
+        # the properties above flake whenever they drew such a span.
+        window = MovingWindow(
+            Interval(0.0, 5e-324),
+            Box.from_bounds([0.0], [1.0]),
+            Box.from_bounds([10.0], [11.0]),
+        )
+        params = kernels.window_params(window)
+        box = Box([Interval(-1.0, 1.0), Interval(0.0, 5.0)])
+        batch = kernels.BoxBatch([box.lows], [box.highs])
+        got = kernels.moving_window_box_overlap_batch(params, batch)
+        assert got == [moving_window_box_overlap(window, box)]
+        assert got == [Interval(0.0, 5e-324)]
+        seg = SpaceTimeSegment(Interval(-1.0, 1.0), (0.5,), (0.25,))
+        got = kernels.moving_window_segment_overlap_batch(
+            params, _segment_batch([seg])
+        )
+        assert got == [moving_window_segment_overlap(window, seg)]
+        assert got == [Interval(0.0, 5e-324)]
+
 
 class TestSegmentBoxKernel:
     @given(st.data())

@@ -165,6 +165,19 @@ class TestBoxOverlap:
         box = Box([Interval(0.0, 1.0), EMPTY_INTERVAL, Interval(0.0, 1.0)])
         assert moving_window_box_overlap(mw, box).is_empty
 
+    def test_subnormal_time_span_stays_inside_the_window(self):
+        # A span this short overflows the border slope to inf; the
+        # result used to be Interval(-inf, nan).
+        mw = MovingWindow(
+            Interval(0.0, 5e-324),
+            Box.from_bounds([0.0], [1.0]),
+            Box.from_bounds([10.0], [11.0]),
+        )
+        box = Box([Interval(-1.0, 1.0), Interval(0.0, 5.0)])
+        overlap = moving_window_box_overlap(mw, box)
+        assert not math.isnan(overlap.low) and not math.isnan(overlap.high)
+        assert mw.time.intersect(box.extent(0)).contains_interval(overlap)
+
     @settings(max_examples=300)
     @given(moving_windows, boxes3)
     def test_matches_dense_sampling(self, mw, box):

@@ -1,7 +1,6 @@
 """Tests for the two spatio-temporal index facades (NSI and dual-time)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.geometry.box import Box

@@ -11,7 +11,6 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.box import Box
-from repro.geometry.interval import Interval
 from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node

@@ -1,12 +1,9 @@
 """Tests for the R-tree: structure, search, deletion, update machinery."""
 
-import random
-
 import pytest
 
 from repro.errors import IndexStructureError
 from repro.geometry.box import Box
-from repro.geometry.interval import Interval
 from repro.index.entry import LeafEntry
 from repro.index.rtree import RTree
 from repro.index.stats import collect_stats, verify_integrity

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import IndexStructureError
 from repro.geometry.box import Box
 from repro.index.entry import InternalEntry
-from repro.index.split import SPLITTERS, linear_split, quadratic_split, rstar_split
+from repro.index.split import SPLITTERS, quadratic_split
 
 
 def entries_from(boxes):

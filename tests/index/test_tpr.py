@@ -264,7 +264,6 @@ class TestTPRPDQ:
         engine = TPRPDQEngine(tree, trajectory)
         span = trajectory.time_span
         engine.window(span.low, span.high)
-        from repro.index.tpr import _TPRNode
 
         total_nodes = 0
         stack = [tree.root_id]

@@ -90,7 +90,6 @@ class TestThreeWayEquivalence:
                 cache.advance(b)
                 visible = cache.visible_ids()
                 # Everything whose trapezoid-visibility covers b is cached.
-                window = trajectory.window_at(b)
                 for cached in list(cache):
                     pass  # iteration sanity
                 assert all(isinstance(v, int) for v in visible)

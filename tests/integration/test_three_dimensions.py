@@ -9,7 +9,6 @@ import pytest
 from repro.core.naive import NaiveEvaluator
 from repro.core.npdq import NPDQEngine
 from repro.core.pdq import PDQEngine
-from repro.core.snapshot import SnapshotQuery
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval

@@ -75,6 +75,8 @@ class TestWorkerKillChaos:
         assert proc.returncode == 0, proc.stderr
         # The kill really happened: shard 2 logged a crash and restart.
         assert re.search(r"shard 2\s.*restarts=1", proc.stdout), proc.stdout
+        # ... and its journal replayed real SUBMITs: --churn took effect.
+        assert re.search(r"updates +: [1-9]\d* applied", proc.stdout), proc.stdout
         assert _read(log) == unsharded_answers
 
     def test_in_process_sharding_matches_too(

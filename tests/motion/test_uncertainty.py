@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import MotionError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
-from repro.motion.segment import MotionSegment
+from repro.geometry.segment import segment_box_overlap_interval
 from repro.motion.uncertainty import UncertainMotionSegment, inflate_box
 
 from _helpers import make_segment

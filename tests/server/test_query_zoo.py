@@ -9,13 +9,11 @@ decision: targeted fan-out for key-routable kinds, broadcast for the
 rest, with the chosen plan visible in the serving report.
 """
 
-import math
-
 import pytest
 
 from repro.core import MovingKNN, QuerySpec
 from repro.core.trajectory import QueryTrajectory
-from repro.errors import QueryError, ServerError
+from repro.errors import ServerError
 from repro.server import (
     IndexStats,
     MultiplexBroker,
@@ -25,7 +23,7 @@ from repro.server import (
     SimulatedClock,
     plan_query,
 )
-from repro.workload.observers import observer_fleet, path_of
+from repro.workload.observers import observer_fleet
 
 START, PERIOD, TICKS = 1.0, 0.1, 10
 PAGE_SIZE = 512

@@ -14,11 +14,7 @@ from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
 from repro.errors import AdmissionError, IndexStructureError, ServerError
 from repro.geometry.box import Box
-from repro.index import (
-    DualTimeIndex,
-    NativeSpaceIndex,
-    sharded_bulk_load,
-)
+from repro.index import NativeSpaceIndex, sharded_bulk_load
 from repro.server import (
     MultiplexBroker,
     QueryBroker,

@@ -1,5 +1,8 @@
 """Tests for the ``repro-dq`` command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -133,6 +136,124 @@ class TestChaos:
         out = capsys.readouterr().out
         assert "chaos answer" in out
         assert "FAIL" not in out
+
+
+class TestServe:
+    """``serve`` is one path: a flag means the same with and without
+    ``--data-dir``, and what cannot be served is refused up front."""
+
+    TINY = ["serve", "--scale", "tiny", "--ticks", "6"]
+
+    #: The ``store.json`` keys of the parent commit's ``_serve_cfg``,
+    #: plus the world's extent.
+    PINNED_KEYS = {
+        "scenario", "scale", "seed", "clients", "ticks", "kind", "mode",
+        "shards", "period", "window", "queue_depth", "shared_scan",
+        "promote_after", "npdq_margin", "churn", "checkpoint_every",
+        "knn_k", "join_delta", "route_refresh", "space_side", "horizon",
+    }
+
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            ("--clients 0", "--clients"),
+            ("--ticks 0", "--ticks"),
+            ("--shards 0", "--shards"),
+            ("--knn-k 0", "--knn-k"),
+            ("--join-delta -1", "--join-delta"),
+            ("--kill-worker 0@1", "--workers process"),
+            ("--checkpoint-every 4", "--data-dir"),
+            ("--clients 0 --data-dir D", "--clients"),
+            ("--ticks 0 --data-dir D", "--ticks"),
+            ("--shards 0 --data-dir D", "--shards"),
+            ("--kill-worker 0@1 --data-dir D", "--workers process"),
+            ("--queue-depth 0 --data-dir D", "--queue-depth"),
+            ("--workers process --data-dir D", "--workers process"),
+            ("--answer-log a.log --data-dir D", "--answer-log"),
+        ],
+    )
+    def test_refused_before_anything_exists(
+        self, tmp_path, capsys, monkeypatch, flags, names
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.TINY + flags.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert names in captured.err
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def _serve(self, capsys, *flags):
+        assert main(self.TINY + list(flags)) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "fleet",
+        [
+            ["--clients", "2", "--kind", "pdq", "--churn", "2"],
+            # mixed *with* churn is excluded on purpose: the file backend
+            # may re-deliver NPDQ items (DESIGN.md §11.4).
+            ["--clients", "3", "--kind", "mixed"],
+        ],
+    )
+    def test_in_memory_stream_equals_the_durable_one(
+        self, tmp_path, capsys, fleet
+    ):
+        log = tmp_path / "answers.log"
+        in_memory = self._serve(capsys, *fleet, "--answer-log", str(log))
+        store = tmp_path / "store"
+        durable = self._serve(capsys, *fleet, "--data-dir", str(store))
+        assert log.read_bytes() == (store / "answers.log").read_bytes()
+        assert log.stat().st_size > 0
+        updates = r"updates +: ([1-9]\d*) applied"
+        if "--churn" in fleet:
+            # --churn takes effect on both, and lands the same inserts.
+            applied = re.search(updates, in_memory)
+            assert applied and applied.group(0) in durable
+        else:
+            assert not re.search(updates, in_memory + durable)
+
+    def test_pinned_keys_and_resume_of_an_older_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro import cli
+
+        fleet = ["--clients", "3", "--kind", "mixed", "--churn", "2"]
+        whole = tmp_path / "whole"
+        self._serve(capsys, *fleet, "--data-dir", str(whole))
+        pinned = json.loads((whole / "store.json").read_text())
+        assert set(pinned) == self.PINNED_KEYS
+        assert pinned["checkpoint_every"] == 8
+
+        # The same run, dying in tick 3's answer flush: ticks 0-2 are
+        # durable, tick 3 is not.
+        class Crash(BaseException):
+            pass
+
+        flushes = []
+
+        def dying_flush(stream):
+            flushes.append(stream)
+            if len(flushes) == 4:
+                raise Crash
+
+        store = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._AnswerStream, "flush", dying_flush)
+            with pytest.raises(Crash):
+                main(self.TINY + fleet + ["--data-dir", str(store)])
+        capsys.readouterr()
+        # A store pinned before sharding (PR 7) and the zoo (PR 10) had
+        # none of these keys; it must resume all the same.
+        for key in ("shards", "knn_k", "join_delta", "route_refresh"):
+            del pinned[key]
+        (store / "store.json").write_text(json.dumps(pinned))
+        resumed = self._serve(capsys, *fleet, "--data-dir", str(store))
+        assert "recovered through tick 2" in resumed
+        assert "1 shard(s)" in resumed
+        assert (store / "answers.log").read_bytes() == (
+            whole / "answers.log"
+        ).read_bytes()
 
 
 class TestAnswerLogTruncation:

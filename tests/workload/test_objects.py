@@ -5,7 +5,6 @@ import statistics
 
 import pytest
 
-from repro.geometry.interval import Interval
 from repro.workload.config import WorkloadConfig
 from repro.workload.objects import (
     generate_mobile_objects,
