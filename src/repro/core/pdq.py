@@ -179,24 +179,26 @@ class PDQEngine:
 
         The whole page is evaluated by one batch pass
         (:mod:`repro.geometry.kernels`, bit-identical to the scalar
-        ``segment_overlap``/``box_overlap``); the entry loop then charges
-        the paper's per-entry costs and enqueues.
+        ``segment_overlap``/``box_overlap``) that hands back only the
+        components still ahead of the frontier; the paper's per-entry
+        costs are charged for the page at once.
         """
         node = self.index.tree.load_node(page_id, self.cost)
         arrays = page_arrays(node)
+        entries = node.entries
+        self.cost.count_distance_computations(len(entries))
         if node.is_leaf:
-            timesets = self.trajectory.segment_overlap_page(
-                arrays.segment_batch()
-            )
-            for e, timeset in zip(node.entries, timesets):
-                self.cost.count_distance_computations()
-                self.cost.count_segment_tests()
-                self._push_components(timeset, entry=e)  # type: ignore[arg-type]
+            self.cost.count_segment_tests(len(entries))
+            batch = arrays.segment_batch()
         else:
-            timesets = self.trajectory.box_overlap_page(arrays.box_batch())
-            for e, timeset in zip(node.entries, timesets):
-                self.cost.count_distance_computations()
-                self._push_components(timeset, page_id=e.child_id)  # type: ignore[union-attr]
+            batch = arrays.box_batch()
+        for k, component in self.trajectory.live_components(
+            batch, self._frontier
+        ):
+            if node.is_leaf:
+                self._push(_Pending(component, entry=entries[k]))  # type: ignore[arg-type]
+            else:
+                self._push(_Pending(component, page_id=entries[k].child_id))  # type: ignore[union-attr]
 
     # -- frontier inspection (shared-scan support) --------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TrajectoryError
 from repro.geometry.box import Box
@@ -78,8 +78,8 @@ class QueryTrajectory:
             MovingWindow(Interval(a.time, b.time), a.window, b.window)
             for a, b in zip(keys, keys[1:])
         )
-        # Per-segment kernels.WindowParams, filled lazily on first page.
-        self._params: List = [None] * len(self._segments)
+        # Per-segment kernels.WindowParams, built on the first page.
+        self._params: Optional[Tuple["kernels.WindowParams", ...]] = None
 
     # -- constructors -----------------------------------------------------
 
@@ -227,44 +227,21 @@ class QueryTrajectory:
 
     # -- page-at-a-time batch evaluation (repro.geometry.kernels) ----------
 
-    def _segment_params(self, j: int) -> "kernels.WindowParams":
-        params = self._params[j]
-        if params is None:
-            params = kernels.window_params(self._segments[j])
-            self._params[j] = params
-        return params
-
-    def _overlap_page(self, kernel, batch, t_lo, t_hi) -> List[TimeSet]:
-        """Per-entry TimeSets of one page: one ``kernel`` call per
-        trajectory segment covers all entries; each entry's TimeSet is
-        then assembled from exactly the segment range the scalar path
-        would have visited, in the same order — the answers are
-        bit-identical."""
-        ranges = [
-            self._segment_range(Interval(lo, hi)) for lo, hi in zip(t_lo, t_hi)
-        ]
-        per_j = {
-            j: kernel(self._segment_params(j), batch)
-            for j in sorted({j for r in ranges for j in r})
-        }
-        return [
-            TimeSet([per_j[j][k] for j in r]) for k, r in enumerate(ranges)
-        ]
-
-    def box_overlap_page(self, boxes: "kernels.BoxBatch") -> List[TimeSet]:
-        """``box_overlap`` for every box of one node page, batched."""
-        return self._overlap_page(
-            kernels.moving_window_box_overlap_batch,
-            boxes,
-            *boxes.extent_bounds(0),
-        )
-
-    def segment_overlap_page(self, segs: "kernels.SegmentBatch") -> List[TimeSet]:
-        """``segment_overlap`` for every record of one leaf page, batched."""
-        return self._overlap_page(
-            kernels.moving_window_segment_overlap_batch,
-            segs,
-            *segs.time_bounds(),
+    def live_components(
+        self, batch: "kernels.SegmentBatch | kernels.BoxBatch", frontier: float
+    ) -> List[Tuple[int, Interval]]:
+        """``(k, component)`` for every visibility component of the
+        page's entry ``k`` that ends at or after ``frontier``, in entry
+        order then start order: :meth:`segment_overlap` (a leaf page's
+        segment batch) or :meth:`box_overlap` (a box batch) of every
+        entry in one pass, bit-identical, minus what a queue whose
+        frontier is ``frontier`` would drop unseen."""
+        if self._params is None:
+            self._params = tuple(
+                kernels.window_params(s) for s in self._segments
+            )
+        return kernels.trajectory_live_components(
+            batch, self._times, self._params, frontier
         )
 
     # -- deriving the frame-level snapshot series ---------------------------------

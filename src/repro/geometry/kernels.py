@@ -35,13 +35,15 @@ passes batches around as opaque objects.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
+from repro.geometry.timeset import TimeSet
 
 __all__ = [
     "available",
@@ -51,6 +53,7 @@ __all__ = [
     "window_params",
     "moving_window_box_overlap_batch",
     "moving_window_segment_overlap_batch",
+    "trajectory_live_components",
     "segment_box_overlap_batch",
     "box_query_masks",
 ]
@@ -116,7 +119,7 @@ class SegmentBatch:
         return self._rows[2 + self.dims + i]
 
     def time_bounds(self) -> Tuple[List[float], List[float]]:
-        """Per-segment validity bounds as plain floats (for bisecting)."""
+        """Per-segment validity bounds as plain floats."""
         return self.t_lo.tolist(), self.t_hi.tolist()
 
 
@@ -137,7 +140,7 @@ class BoxBatch:
         self._highs = np.asarray(highs, dtype=np.float64).reshape(shape)
 
     def extent_bounds(self, axis: int) -> Tuple[List[float], List[float]]:
-        """Per-box bounds along one axis as plain floats (for bisecting)."""
+        """Per-box bounds along one axis as plain floats."""
         if self.n == 0:  # an empty page has no axes to index
             return [], []
         return self._lows[:, axis].tolist(), self._highs[:, axis].tolist()
@@ -234,16 +237,8 @@ def _to_intervals(lo, hi, forced_empty=None) -> List[Interval]:
 # ---------------------------------------------------------------------------
 
 
-def moving_window_box_overlap_batch(
-    params: WindowParams, boxes: BoxBatch
-) -> List[Interval]:
-    """Batch ``moving_window_box_overlap`` over native-space boxes.
-
-    ``boxes`` carries the temporal extent at axis 0 and one spatial
-    extent per window dimension after it.
-    """
-    if boxes.n == 0:
-        return []
+def _box_overlap_bounds(params: WindowParams, boxes: BoxBatch):
+    """Raw ``(lo, hi, forced_empty)`` rows of ``moving_window_box_overlap``."""
     if boxes.axes != params.dims + 1:
         raise GeometryError(
             f"boxes have {boxes.axes} axes, expected {params.dims + 1}"
@@ -262,15 +257,11 @@ def moving_window_box_overlap_batch(
         # lower border l(t) = ml·t + lc must satisfy l(t) <= r.high
         s_lo, s_hi = _solve_ge(-params.mls[i], r_hi - params.lcs[i])
         lo, hi = _intersect(lo, hi, s_lo, s_hi)
-    return _to_intervals(lo, hi, forced_empty)
+    return lo, hi, forced_empty
 
 
-def moving_window_segment_overlap_batch(
-    params: WindowParams, segs: SegmentBatch
-) -> List[Interval]:
-    """Batch ``moving_window_segment_overlap`` over motion segments."""
-    if segs.n == 0:
-        return []
+def _segment_overlap_bounds(params: WindowParams, segs: SegmentBatch):
+    """Raw ``(lo, hi, None)`` rows of ``moving_window_segment_overlap``."""
     if segs.dims != params.dims:
         raise GeometryError(
             f"segments have {segs.dims} dims, window {params.dims}"
@@ -286,7 +277,110 @@ def moving_window_segment_overlap_batch(
         # p(t) - l(t) >= 0
         s_lo, s_hi = _solve_ge(v - params.mls[i], pc - params.lcs[i])
         lo, hi = _intersect(lo, hi, s_lo, s_hi)
-    return _to_intervals(lo, hi)
+    return lo, hi, None
+
+
+def moving_window_box_overlap_batch(
+    params: WindowParams, boxes: BoxBatch
+) -> List[Interval]:
+    """Batch ``moving_window_box_overlap`` over native-space boxes.
+
+    ``boxes`` carries the temporal extent at axis 0 and one spatial
+    extent per window dimension after it.
+    """
+    if boxes.n == 0:
+        return []
+    return _to_intervals(*_box_overlap_bounds(params, boxes))
+
+
+def moving_window_segment_overlap_batch(
+    params: WindowParams, segs: SegmentBatch
+) -> List[Interval]:
+    """Batch ``moving_window_segment_overlap`` over motion segments."""
+    if segs.n == 0:
+        return []
+    return _to_intervals(*_segment_overlap_bounds(params, segs))
+
+
+def trajectory_live_components(
+    batch: Union[SegmentBatch, BoxBatch],
+    key_times: Sequence[float],
+    params: Sequence[WindowParams],
+    frontier: float,
+) -> List[Tuple[int, Interval]]:
+    """One page against a whole key-snapshot trajectory, survivors only.
+
+    ``key_times`` are the trajectory's ``n`` strictly increasing key
+    times and ``params`` its ``n - 1`` trajectory segments.  The result
+    is ``(k, component)`` for every connected component of entry ``k``'s
+    overlap with the trajectory that ends at or after ``frontier``, in
+    entry order, then start order — exactly
+    ``[(k, c) for k, e in enumerate(page) for c in
+    trajectory.segment_overlap(e) if c.high >= frontier]`` (or the
+    ``box_overlap`` form), same floats.  Each entry meets the trajectory
+    segments the scalar ``_segment_range`` would visit: those from the
+    one containing its extent's low (closed on the left) up to, and not
+    including, the one starting at or after its high; none when the
+    extent is empty.
+    """
+    if batch.n == 0:
+        return []
+    if isinstance(batch, SegmentBatch):
+        bounds, t_lo, t_hi = _segment_overlap_bounds, batch.t_lo, batch.t_hi
+    else:
+        bounds = _box_overlap_bounds
+        t_lo, t_hi = batch._lows[:, 0], batch._highs[:, 0]
+    first = np.searchsorted(key_times, t_lo, side="right") - 1
+    first = np.where(first > 0, first, 0)
+    last = np.searchsorted(key_times, t_hi, side="left")
+    last = np.where(last < len(params), last, len(params))
+    last = np.where(t_lo > t_hi, first, last)
+    ranged = first < last
+    if not ranged.any():
+        return []
+    j_lo, j_hi = int(first[ranged].min()), int(last[ranged].max())
+
+    def evaluate(j):
+        lo, hi, forced_empty = bounds(params[j], batch)
+        live = ranged & ~(lo > hi)
+        if forced_empty is not None:
+            live &= ~forced_empty
+        return lo, hi, live
+
+    def components(rows, lo, hi):
+        return zip(
+            rows.tolist(), map(Interval, lo[rows].tolist(), hi[rows].tolist())
+        )
+
+    if j_hi - j_lo == 1:  # the page meets one trajectory segment: the usual case
+        lo, hi, live = evaluate(j_lo)
+        return list(components(np.flatnonzero(live & (hi >= frontier)), lo, hi))
+    per_j = []
+    pieces = np.zeros(batch.n, dtype=np.intp)
+    for j in range(j_lo, j_hi):
+        lo, hi, live = evaluate(j)
+        live &= (first <= j) & (j < last)
+        pieces += live
+        per_j.append((lo, hi, live))
+    # An entry alive in one trajectory segment is that interval.  Only an
+    # entry alive in several needs TimeSet's sort-and-coalesce, and there
+    # the frontier test applies to the coalesced components.
+    out: List[Tuple[int, Interval]] = []
+    for lo, hi, live in per_j:
+        out.extend(
+            components(
+                np.flatnonzero(live & (pieces == 1) & (hi >= frontier)), lo, hi
+            )
+        )
+    for k in np.flatnonzero(pieces > 1).tolist():
+        union = TimeSet(
+            Interval(float(lo[k]), float(hi[k]))
+            for lo, hi, live in per_j
+            if live[k]
+        )
+        out.extend((k, c) for c in union if c.high >= frontier)
+    out.sort(key=itemgetter(0))  # stable: start order within an entry
+    return out
 
 
 def segment_box_overlap_batch(segs: SegmentBatch, query: Box) -> List[Interval]:

@@ -15,9 +15,8 @@ the broker:
    prediction walks over the dual-time tree for NPDQ) is read once per
    distinct page;
 3. serves each session **in registration order** (the determinism the
-   answer-invariance property test depends on), re-pinning the buffer
-   after each so later clients piggyback on pages earlier clients
-   demand-fetched mid-tick;
+   answer-invariance property test depends on), pinning after each
+   what it demand-fetched mid-tick so later clients piggyback on it;
 4. delivers results into bounded per-client queues; a client whose
    queue overflows is *shed* — its exact PDQ engine is swapped for a
    δ-inflated SPDQ evaluated every ``shed_stride`` ticks — rather than
@@ -422,29 +421,33 @@ class QueryBroker(BrokerCore):
         serving = [s for s in live if s.will_serve(tick)]
         batched_pages = 0
         piggybacked = 0
-        if self.scheduler is not None:
-            batch = self.scheduler.begin_tick(serving, tick)
-            batched_pages = batch.fetched
-            piggybacked = batch.piggybacked
-
         served = 0
         predicted = actual = mispredicted = 0
-        for session in serving:
-            result = session.serve(tick)
+        try:
             if self.scheduler is not None:
-                self.scheduler.pin_resident()
-            if isinstance(session, NPDQSession):
-                record = session.last_prediction
-                if record is not None and record.tick_index == tick.index:
-                    predicted += len(record.pages)
-                    actual += len(record.actual)
-                    mispredicted += len(record.mispredicted)
-            if result is None:
-                continue
-            served += 1
-            self._deliver(session, result)
-        if self.scheduler is not None:
-            self.scheduler.end_tick()
+                batch = self.scheduler.begin_tick(serving, tick)
+                batched_pages = batch.fetched
+                piggybacked = batch.piggybacked
+            for session in serving:
+                result = session.serve(tick)
+                if self.scheduler is not None:
+                    self.scheduler.pin_resident()
+                if isinstance(session, NPDQSession):
+                    record = session.last_prediction
+                    if record is not None and record.tick_index == tick.index:
+                        predicted += len(record.pages)
+                        actual += len(record.actual)
+                        mispredicted += len(record.mispredicted)
+                if result is None:
+                    continue
+                served += 1
+                self._deliver(session, result)
+        finally:
+            # A frontier poll or a session that raises must not leave
+            # this tick's pins and the scheduler's open tick behind to
+            # fail every later tick.
+            if self.scheduler is not None:
+                self.scheduler.end_tick()
         _sanitize.tick_end(self)
 
         if self.durability is not None:

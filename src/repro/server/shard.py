@@ -650,9 +650,19 @@ class MultiplexBroker(BrokerCore):
         tick = self.clock.next_tick()
         if self.durability is not None:
             self.durability.begin_tick(tick)
-        reports: List[ShardTick] = self._gather(
-            partial(shard.run_tick, tick) for shard in self.shards
-        )
+        try:
+            reports: List[ShardTick] = self._gather(
+                partial(shard.run_tick, tick) for shard in self.shards
+            )
+        except BaseException:
+            # Sessions served before a shard failed the tick have queued
+            # its results; left there they would be merged with the next
+            # tick's and read as a boundary mismatch.  A failed tick
+            # delivers nothing.
+            for session in self.sessions:
+                for _, sub in session.parts:
+                    sub.poll()
+            raise
         served = self._merge_phase()
         m = self.metrics
         m.writer_crashes = sum(r.writer_crashes for r in reports)

@@ -9,12 +9,20 @@ buffer pool of any size and its *physical* page reads compared against
 PDQ/NPDQ without one.
 
 The serving layer (:mod:`repro.server`) reuses the pool for its
-shared-scan guarantee: pages fetched for the current tick are **pinned**
-so they cannot be evicted until the tick ends, ensuring every client
-whose priority-queue frontier touches the page piggybacks on the single
-physical read.  Pinned pages are exempt from LRU eviction; when every
-resident page is pinned the pool temporarily exceeds its capacity rather
-than break the at-most-once-per-tick read guarantee.
+shared scan: the scheduler **pins** the pages a tick has touched so a
+later client piggybacks on the read an earlier one paid for.  Pinned
+pages are exempt from LRU eviction, and when every resident page is
+pinned ``put`` grows the pool past its capacity instead of evicting.
+The pool does not shrink back when the pins are released: a pool that
+overflowed stays above ``capacity`` until enough pages are invalidated
+(a known defect, pinned by an ``xfail`` test in
+``tests/server/test_scheduler.py``).  What the pins guarantee, and what
+they do not, is stated in :mod:`repro.server.scheduler`.
+
+So that the scheduler can pin what a tick *admitted* instead of
+re-pinning everything resident, the pool records the ids ``put``
+admits; an id leaves the record when its page is evicted or
+invalidated, so the record is always a subset of the resident set.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ class BufferPool:
         Maximum number of resident pages; must be positive.
     """
 
-    __slots__ = ("capacity", "stats", "_pages", "_pinned")
+    __slots__ = ("capacity", "stats", "_pages", "_pinned", "_admitted")
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -65,6 +73,7 @@ class BufferPool:
         self.stats = BufferStats()
         self._pages: "OrderedDict[int, Any]" = OrderedDict()
         self._pinned: Set[int] = set()
+        self._admitted: Set[int] = set()
 
     def get(self, page_id: int) -> Optional[Any]:
         """Return the cached payload and refresh recency, or ``None``."""
@@ -80,21 +89,25 @@ class BufferPool:
         """Insert (or refresh) a page, evicting the LRU page if full.
 
         Pinned pages are never chosen as eviction victims; if every
-        resident page is pinned the pool grows past its capacity until
-        the pins are released.
+        resident page is pinned the pool grows past its capacity (and is
+        not shrunk when the pins are released).
         """
         if page_id in self._pages:
             self._pages.move_to_end(page_id)
             self._pages[page_id] = payload
             return
-        if len(self._pages) >= self.capacity:
+        # Pins are a subset of the resident set, so equal sizes mean
+        # there is no victim to look for.
+        resident = len(self._pages)
+        if resident >= self.capacity and len(self._pinned) < resident:
             victim = next(
-                (pid for pid in self._pages if pid not in self._pinned), None
+                pid for pid in self._pages if pid not in self._pinned
             )
-            if victim is not None:
-                del self._pages[victim]
-                self.stats.evictions += 1
+            del self._pages[victim]
+            self._admitted.discard(victim)
+            self.stats.evictions += 1
         self._pages[page_id] = payload
+        self._admitted.add(page_id)
 
     # -- pinning (shared-scan support) -----------------------------------------
 
@@ -115,6 +128,16 @@ class BufferPool:
         """Release one page's pin (no-op when not pinned)."""
         self._pinned.discard(page_id)
 
+    def pin_all(self) -> None:
+        """Pin every resident page."""
+        self._pinned.update(self._pages)
+
+    def drain_admitted(self) -> Set[int]:
+        """Hand over, and start afresh, the record of page ids ``put``
+        admitted since the previous call and that are still resident."""
+        admitted, self._admitted = self._admitted, set()
+        return admitted
+
     def unpin_all(self) -> None:
         """Release every pin (end of a serving tick)."""
         self._pinned.clear()
@@ -132,11 +155,13 @@ class BufferPool:
         """Drop a page (e.g. after an in-place node update)."""
         self._pages.pop(page_id, None)
         self._pinned.discard(page_id)
+        self._admitted.discard(page_id)
 
     def clear(self) -> None:
         """Drop every resident page, pins included (statistics are kept)."""
         self._pages.clear()
         self._pinned.clear()
+        self._admitted.clear()
 
     def __len__(self) -> int:
         return len(self._pages)

@@ -209,47 +209,85 @@ class TestBoxQueryMasks:
                 assert covered[k] == want
 
 
+# A real node page holds up to a few dozen entries; 64 covers it.
+_TRAJECTORY_PAGE = st.integers(min_value=0, max_value=64)
+_FRONTIER = _GRID | st.floats(
+    min_value=-60.0, max_value=60.0, allow_nan=False, allow_infinity=False
+)
+
+
+def _box_batch(page):
+    return kernels.BoxBatch([b.lows for b in page], [b.highs for b in page])
+
+
+def _scalar_live(overlap, entries, frontier):
+    """The oracle: every entry's scalar TimeSet, minus the components a
+    queue whose frontier is ``frontier`` drops."""
+    return [
+        (k, c)
+        for k, e in enumerate(entries)
+        for c in overlap(e)
+        if c.high >= frontier
+    ]
+
+
 class TestTrajectoryPages:
-    """``QueryTrajectory.*_overlap_page``: the per-entry TimeSet assembled
-    across trajectory segments is the scalar one, entry by entry."""
+    """``QueryTrajectory.live_components``: the surviving components of a
+    whole page are the scalar ones — same floats, same order."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_segment_overlap_page_matches_scalar(self, data):
         dims = data.draw(_DIMS)
         trajectory = data.draw(bending_trajectories(dims))
-        segs = [data.draw(segments(dims)) for _ in range(data.draw(_PAGE))]
-        got = trajectory.segment_overlap_page(_segment_batch(segs))
-        assert got == [trajectory.segment_overlap(s) for s in segs]
+        segs = [
+            data.draw(segments(dims))
+            for _ in range(data.draw(_TRAJECTORY_PAGE))
+        ]
+        frontier = data.draw(_FRONTIER)
+        got = trajectory.live_components(_segment_batch(segs), frontier)
+        assert got == _scalar_live(trajectory.segment_overlap, segs, frontier)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_box_overlap_page_matches_scalar(self, data):
         dims = data.draw(_DIMS)
         trajectory = data.draw(bending_trajectories(dims))
-        page = [data.draw(boxes(dims + 1)) for _ in range(data.draw(_PAGE))]
-        batch = kernels.BoxBatch(
-            [b.lows for b in page], [b.highs for b in page]
-        )
-        got = trajectory.box_overlap_page(batch)
-        assert got == [trajectory.box_overlap(b) for b in page]
+        page = [
+            data.draw(boxes(dims + 1))
+            for _ in range(data.draw(_TRAJECTORY_PAGE))
+        ]
+        frontier = data.draw(_FRONTIER)
+        got = trajectory.live_components(_box_batch(page), frontier)
+        assert got == _scalar_live(trajectory.box_overlap, page, frontier)
 
-    def test_named_boundaries(self):
+    @staticmethod
+    def _tent():
         # window grows 1 -> 3 over [0, 4], then shrinks back over [4, 6]
-        trajectory = QueryTrajectory(
+        return QueryTrajectory(
             [
                 KeySnapshot(0.0, Box.from_bounds([0.0], [1.0])),
                 KeySnapshot(4.0, Box.from_bounds([0.0], [3.0])),
                 KeySnapshot(6.0, Box.from_bounds([0.0], [1.0])),
             ]
         )
-        assert trajectory.box_overlap_page(kernels.BoxBatch([], [])) == []
+
+    def _check_boxes(self, trajectory, page, frontier):
+        got = trajectory.live_components(_box_batch(page), frontier)
+        assert got == _scalar_live(trajectory.box_overlap, page, frontier)
+        return got
+
+    def test_empty_page(self):
+        trajectory = self._tent()
+        assert trajectory.live_components(kernels.BoxBatch([], []), 0.0) == []
         assert (
-            trajectory.segment_overlap_page(
-                kernels.SegmentBatch([], [], [], [])
+            trajectory.live_components(
+                kernels.SegmentBatch([], [], [], []), 0.0
             )
             == []
         )
+
+    def test_named_boundaries(self):
         page = [
             # touches the upper border at exactly t=2, leaves at t=5
             Box.from_bounds([0.0, 2.0], [6.0, 5.0]),
@@ -258,13 +296,121 @@ class TestTrajectoryPages:
             # zero-width time span past the trajectory's end
             Box.from_bounds([7.0, 0.5], [7.0, 0.5]),
         ]
-        got = trajectory.box_overlap_page(
-            kernels.BoxBatch([b.lows for b in page], [b.highs for b in page])
+        got = self._check_boxes(self._tent(), page, 0.0)
+        assert got == [(0, Interval(2.0, 5.0)), (1, Interval(3.0, 3.0))]
+        # the frontier drops a component that ends before it, and keeps
+        # one that ends exactly on it
+        assert self._check_boxes(self._tent(), page, 3.0) == got
+        assert self._check_boxes(self._tent(), page, 4.5) == got[:1]
+        assert self._check_boxes(self._tent(), page, 5.5) == []
+
+    def test_empty_time_extent(self):
+        page = [
+            Box([Interval(3.0, 1.0), Interval(0.0, 1.0)]),
+            Box.from_bounds([1.0, 0.0], [3.0, 1.0]),
+        ]
+        got = self._check_boxes(self._tent(), page, 0.0)
+        assert got == [(1, Interval(1.0, 3.0))]
+
+    def test_extent_ending_or_starting_on_a_key_time(self):
+        page = [
+            # ends exactly on the middle key time: first segment only
+            Box.from_bounds([1.0, 0.0], [4.0, 1.0]),
+            # starts exactly on it: second segment only (closed left)
+            Box.from_bounds([4.0, 0.0], [5.0, 1.0]),
+            # starts on the first key time, ends on the last
+            Box.from_bounds([0.0, 0.0], [6.0, 1.0]),
+        ]
+        got = self._check_boxes(self._tent(), page, 0.0)
+        assert got == [
+            (0, Interval(1.0, 4.0)),
+            (1, Interval(4.0, 5.0)),
+            (2, Interval(0.0, 6.0)),
+        ]
+
+    def test_zero_width_extent_on_a_key_time(self):
+        # ROADMAP item 4: ``_segment_range`` gives a zero-width extent
+        # sitting exactly on a key time no trajectory segment at all, so
+        # the scalar path answers "never" although the window covers the
+        # point.  Reproduced, not fixed.
+        page = [
+            Box.from_bounds([0.0, 0.5], [0.0, 0.5]),
+            Box.from_bounds([4.0, 0.5], [4.0, 0.5]),
+            Box.from_bounds([6.0, 0.5], [6.0, 0.5]),
+            Box.from_bounds([4.5, 0.5], [4.5, 0.5]),  # off a key: found
+        ]
+        trajectory = self._tent()
+        assert trajectory.box_overlap(page[1]).is_empty
+        got = self._check_boxes(trajectory, page, 0.0)
+        assert got == [(3, Interval(4.5, 4.5))]
+        segs = [
+            SpaceTimeSegment(Interval(4.0, 4.0), (0.5,), (0.0,)),
+            SpaceTimeSegment(Interval(4.5, 4.5), (0.5,), (0.0,)),
+        ]
+        got = trajectory.live_components(_segment_batch(segs), 0.0)
+        assert got == _scalar_live(trajectory.segment_overlap, segs, 0.0)
+        assert got == [(1, Interval(4.5, 4.5))]
+
+    def test_structurally_empty_box(self):
+        page = [
+            Box([Interval(0.0, 6.0), Interval(1.0, 0.0)]),  # low > high
+            Box.from_bounds([0.0, 0.0], [6.0, 1.0]),
+        ]
+        got = self._check_boxes(self._tent(), page, 0.0)
+        assert got == [(1, Interval(0.0, 6.0))]
+
+    def test_subnormal_time_span(self):
+        # the window of TestMovingWindowKernels.test_subnormal_time_span
+        # as the first segment of a trajectory
+        trajectory = QueryTrajectory(
+            [
+                KeySnapshot(0.0, Box.from_bounds([0.0], [1.0])),
+                KeySnapshot(5e-324, Box.from_bounds([10.0], [11.0])),
+                KeySnapshot(1.0, Box.from_bounds([10.0], [11.0])),
+            ]
         )
-        assert got == [trajectory.box_overlap(b) for b in page]
-        assert got[0].components == (Interval(2.0, 5.0),)
-        assert got[1].components == (Interval(3.0, 3.0),)
-        assert got[2].is_empty
+        page = [Box([Interval(-1.0, 1.0), Interval(0.0, 5.0)])]
+        got = self._check_boxes(trajectory, page, 0.0)
+        assert got == [(0, Interval(0.0, 5e-324))]
+        segs = [SpaceTimeSegment(Interval(-1.0, 1.0), (0.5,), (0.25,))]
+        got = trajectory.live_components(_segment_batch(segs), 0.0)
+        assert got == _scalar_live(trajectory.segment_overlap, segs, 0.0)
+        assert got == [(0, Interval(0.0, 5e-324))]
+
+    def test_two_trajectory_segments_touching_and_apart(self):
+        page = [
+            # inside the window throughout: [0, 4] and [4, 6] touch at
+            # the key time and coalesce into one component
+            Box.from_bounds([0.0, 0.5], [6.0, 0.5]),
+            # between the borders only while the window is wider than 2:
+            # [2, 4] and [4, 5] coalesce as well
+            Box.from_bounds([0.0, 2.0], [6.0, 2.5]),
+        ]
+        got = self._check_boxes(self._tent(), page, 0.0)
+        assert got == [(0, Interval(0.0, 6.0)), (1, Interval(2.0, 5.0))]
+        # a coalesced component is judged by its own end, not by the
+        # end of the piece the first trajectory segment contributed
+        assert self._check_boxes(self._tent(), page, 4.5) == got
+
+        # a window that covers x = 2 early and late but not in between
+        gap = QueryTrajectory(
+            [
+                KeySnapshot(0.0, Box.from_bounds([0.0], [3.0])),
+                KeySnapshot(2.0, Box.from_bounds([0.0], [1.0])),
+                KeySnapshot(4.0, Box.from_bounds([0.0], [3.0])),
+            ]
+        )
+        page = [
+            Box.from_bounds([0.0, 2.0], [4.0, 2.0]),
+            Box.from_bounds([0.0, 0.5], [1.5, 0.5]),  # one segment only
+        ]
+        got = self._check_boxes(gap, page, 0.0)
+        assert got == [
+            (0, Interval(0.0, 1.0)),
+            (0, Interval(3.0, 4.0)),
+            (1, Interval(0.0, 1.5)),
+        ]
+        assert self._check_boxes(gap, page, 2.0) == [(0, Interval(3.0, 4.0))]
 
 
 class TestDegenerateShapes:

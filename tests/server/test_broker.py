@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.pdq import PDQEngine
 from repro.core.session import DynamicQuerySession
-from repro.errors import AdmissionError, ServerError
+from repro.errors import AdmissionError, QueryError, ServerError
 from repro.server import (
+    MultiplexBroker,
     QueryBroker,
     ServerConfig,
     SessionState,
@@ -473,6 +474,57 @@ class TestUpdatesAndQuiesce:
         assert broker.quiesce() == 1
         assert len(index) == len(tiny_segments) - 1
         assert broker.sessions == []
+
+
+class TestRaisingSession:
+    """A session that raises fails its tick and nothing after it: the
+    tick's pins are released and the scheduler's tick is closed on the
+    way out, so the next ``run_tick`` serves everyone again."""
+
+    @staticmethod
+    def _raise_once(session):
+        serve = session.serve
+
+        def failing(tick):
+            session.serve = serve
+            raise QueryError("engine failed")
+
+        session.serve = failing
+
+    def test_query_broker_serves_the_next_tick(self, build_native, fleet):
+        broker = make_broker(build_native())
+        sessions = [
+            broker.register_pdq(f"c{i}", t)
+            for i, t in enumerate(fleet(4, mode="independent"))
+        ]
+        broker.run(2)
+        self._raise_once(sessions[2])
+        with pytest.raises(QueryError, match="engine failed"):
+            broker.run_tick()
+        pinned = broker.scheduler.pinned_pages
+        assert broker.run_tick().clients_served == 4
+        assert pinned == []
+
+    def test_multiplex_broker_serves_the_next_tick(self, tiny_segments, fleet):
+        mux = MultiplexBroker.over_segments(
+            tiny_segments,
+            shards=2,
+            clock=SimulatedClock(start=START, period=PERIOD),
+            config=ServerConfig(queue_depth=100),
+            page_size=512,
+        )
+        sessions = [
+            mux.register_pdq(f"c{i}", t)
+            for i, t in enumerate(fleet(4, mode="independent"))
+        ]
+        mux.run(2)
+        self._raise_once(sessions[2].parts[0][1])
+        with pytest.raises(QueryError, match="engine failed"):
+            mux.run_tick()
+        pinned = [s.broker.scheduler.pinned_pages for s in mux.shards]
+        assert mux.run_tick().clients_served == 4
+        assert pinned == [[], []]
+
 
 class TestPageViewReuse:
     """Engines come and go (shed, promote, re-register); the cached
