@@ -64,14 +64,11 @@ from repro.storage import (
 )
 from repro.index import (
     ChecksummedCodec,
-    CurrentMotion,
     DualTimeIndex,
     FsckReport,
     NativeSpaceIndex,
     ParametricSpaceIndex,
     RTree,
-    TPRPDQEngine,
-    TPRTree,
     collect_stats,
     fsck,
     str_bulk_load,
@@ -152,9 +149,6 @@ __all__ = [
     "NativeSpaceIndex",
     "DualTimeIndex",
     "ParametricSpaceIndex",
-    "TPRTree",
-    "TPRPDQEngine",
-    "CurrentMotion",
     "str_bulk_load",
     "collect_stats",
     "verify_integrity",

@@ -7,11 +7,13 @@ engines lives or dies by:
 * **determinism** — only :class:`~repro.server.clock.SimulatedClock`
   may source time inside the engine layers, RNGs must be seeded, and
   seeds must never be derived from :func:`hash` (randomized per
-  process);
+  process) — and no engine module may *reach* a wall-clock read or an
+  unseeded RNG through any chain of calls;
 * **layering** — ``server/`` and ``core/`` never touch
-  :mod:`repro.storage.disk` directly (physical reads go through the
-  index layer and its :class:`~repro.storage.buffer.BufferPool`), and
-  ``geometry/`` imports nothing above it;
+  :mod:`repro.storage.disk` except through the index layer and its
+  :class:`~repro.storage.buffer.BufferPool`, ``geometry/`` imports
+  nothing above it, and the filesystem, process and numpy boundaries
+  each have a short list of owners — directly or transitively;
 * **crash safety** — a cached page obtained from the buffer pool must
   not be mutated outside a scope that logged a WAL pre-image (the PR-2
   writer-crash bug class), and session/broker state must not hide
@@ -19,10 +21,14 @@ engines lives or dies by:
 
 Two halves:
 
-* the AST lint engine (:mod:`repro.analysis.engine`, surfaced as
-  ``repro-dq lint``) enforces the rules statically, with per-line
-  ``# repro: disable=RULE`` suppression and a committed baseline for
-  pre-existing violations;
+* the lint (:mod:`repro.analysis.engine`, surfaced as ``repro-dq
+  lint``) is one mechanism: every file is parsed once, one scanner
+  (:mod:`repro.analysis.graph.model`) decides what an effect site is,
+  two tables declare the contracts (import contracts in
+  :mod:`repro.analysis.graph.layers`, effect contracts in
+  :mod:`repro.analysis.graph.effects`), a handful of syntactic rules
+  read single files, and every finding goes through the same per-line
+  ``# repro: disable=RULE`` suppression and committed baseline;
 * the runtime sanitizers (:mod:`repro.analysis.sanitizers`), activated
   by ``REPRO_SANITIZE=1`` through the pytest plugin
   (:mod:`repro.analysis.pytest_plugin`), catch what static analysis
@@ -39,7 +45,7 @@ with them.
 from __future__ import annotations
 
 __all__ = [
-    "ALL_RULES",
+    "CATALOGUE",
     "LintEngine",
     "Violation",
     "SanitizerSuite",
@@ -50,7 +56,7 @@ __all__ = [
 ]
 
 _LAZY = {
-    "ALL_RULES": ("repro.analysis.engine", "ALL_RULES"),
+    "CATALOGUE": ("repro.analysis.engine", "CATALOGUE"),
     "LintEngine": ("repro.analysis.engine", "LintEngine"),
     "Violation": ("repro.analysis.rules", "Violation"),
     "SanitizerSuite": ("repro.analysis.sanitizers", "SanitizerSuite"),

@@ -4,10 +4,10 @@ The remote multiplex front-end (:mod:`repro.server.remote.broker`)
 drives K worker processes from one asyncio event loop; its correctness
 rests on conventions no type checker enforces: never block the loop,
 never drop a coroutine on the floor, and never mutate shared shard
-tables across an ``await`` where another task can interleave.  These
-rules are per-file (they read one module's AST), but they exist for
-the graph pass: ``lint --graph`` is the configuration CI runs them
-under, alongside the whole-program DQG/DQP rules.
+tables across an ``await`` where another task can interleave.  Each
+rule reads one module's AST and is scoped to ``repro/server/``.  Their
+blocking-call list is its own contract — what stalls an event loop,
+not what the effect contracts fence — so it is not the scanner's.
 """
 
 from __future__ import annotations

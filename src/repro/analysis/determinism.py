@@ -1,14 +1,13 @@
-"""Determinism rules: only the simulated clock may source time.
+"""DQD03: seeds are arithmetic on integers, never ``hash()``.
 
 Everything this reproduction claims — bit-identical chaos replays,
 answer-invariance of the shared-scan broker, crash recovery drills —
-rests on runs being pure functions of their seeds.  One wall-clock read
-or unseeded RNG in the engine layers silently voids all of it (the PR-2
-fleet generator seeded from a randomized ``hash()`` was exactly such a
-bug).  These rules fence the engine layers (``core``, ``index``,
-``server``, ``workload``, ``motion``) off from ambient entropy; the CLI
-and experiment harness may still read wall-clock time for progress
-reporting.
+rests on runs being pure functions of their seeds.  Wall-clock reads
+and unseeded RNGs (DQD01/DQD02, and DQG02 for whoever can reach one)
+are effect contracts (:mod:`repro.analysis.graph.effects`); what is
+left here is the one determinism rule that is about the *shape* of an
+expression rather than the call it makes — the PR-2 fleet generator
+seeded from a randomized ``hash()`` was exactly such a bug.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.graph.effects import ENGINE_LAYERS
 from repro.analysis.rules import (
-    ImportMap,
     Rule,
     Violation,
     ancestors,
@@ -25,183 +24,7 @@ from repro.analysis.rules import (
     terminal_name,
 )
 
-__all__ = ["WallClockRule", "UnseededRandomRule", "HashSeedRule"]
-
-_ENGINE_SCOPE = (
-    ("repro", "core"),
-    ("repro", "index"),
-    ("repro", "server"),
-    ("repro", "workload"),
-    ("repro", "motion"),
-)
-
-_TIME_FUNCS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-        "clock_gettime",
-        "sleep",
-    }
-)
-_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
-
-class WallClockRule(Rule):
-    """DQD01 — wall-clock time source in an engine layer.
-
-    **Invariant:** inside ``core``/``index``/``server``/``workload``/
-    ``motion``, the only time source is
-    :class:`~repro.server.clock.SimulatedClock` (or an explicit
-    simulated-time parameter).  ``time.time()``, ``time.sleep()``,
-    ``datetime.now()`` and friends make results depend on when and how
-    fast the host runs, which breaks replayability and poisons the
-    simulated latency accounting the serving benchmarks report.
-    """
-
-    id = "DQD01"
-    title = "wall-clock time source in an engine layer"
-    scope = _ENGINE_SCOPE
-
-    def check(self, module, source, path) -> Iterator[Violation]:
-        imports = ImportMap(module)
-        time_aliases = imports.aliases_of("time")
-        dt_module_aliases = imports.aliases_of("datetime")
-        # from time import time/monotonic/... -> bare-name calls
-        time_members = {
-            local
-            for local, orig in imports.members_from("time").items()
-            if orig in _TIME_FUNCS
-        }
-        # from datetime import datetime/date -> datetime.now() etc.
-        dt_class_aliases = {
-            local
-            for local, orig in imports.members_from("datetime").items()
-            if orig in ("datetime", "date")
-        }
-        for node in ast.walk(module):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in time_members:
-                yield self.violation(
-                    node,
-                    path,
-                    f"call to wall-clock '{func.id}()'; only SimulatedClock "
-                    "may source time here",
-                )
-            elif isinstance(func, ast.Attribute):
-                recv = func.value
-                recv_name = terminal_name(recv)
-                if (
-                    func.attr in _TIME_FUNCS
-                    and isinstance(recv, ast.Name)
-                    and recv.id in time_aliases
-                ):
-                    yield self.violation(
-                        node,
-                        path,
-                        f"call to wall-clock 'time.{func.attr}()'; only "
-                        "SimulatedClock may source time here",
-                    )
-                elif func.attr in _DATETIME_FUNCS and (
-                    (isinstance(recv, ast.Name) and recv.id in dt_class_aliases)
-                    or (
-                        isinstance(recv, ast.Attribute)
-                        and recv.attr in ("datetime", "date")
-                        and isinstance(recv.value, ast.Name)
-                        and recv.value.id in dt_module_aliases
-                    )
-                    or (recv_name in dt_module_aliases)
-                ):
-                    yield self.violation(
-                        node,
-                        path,
-                        f"call to wall-clock 'datetime.{func.attr}()'; only "
-                        "SimulatedClock may source time here",
-                    )
-
-
-class UnseededRandomRule(Rule):
-    """DQD02 — unseeded or process-global randomness in an engine layer.
-
-    **Invariant:** every RNG in the engine layers is a
-    ``random.Random(seed)`` instance threaded in explicitly.  The
-    module-level ``random.*`` functions share one process-global,
-    time-seeded state (any import anywhere can perturb the draw
-    sequence), and a bare ``random.Random()`` seeds itself from the OS
-    — both make workloads unreproducible across runs and machines.
-    """
-
-    id = "DQD02"
-    title = "unseeded or process-global randomness in an engine layer"
-    scope = _ENGINE_SCOPE
-
-    def check(self, module, source, path) -> Iterator[Violation]:
-        imports = ImportMap(module)
-        random_aliases = imports.aliases_of("random")
-        random_members = imports.members_from("random")
-        for node in ast.walk(module):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(
-                func.value, ast.Name
-            ):
-                if func.value.id not in random_aliases:
-                    continue
-                if func.attr == "Random":
-                    if not node.args and not node.keywords:
-                        yield self.violation(
-                            node,
-                            path,
-                            "random.Random() without a seed; thread an "
-                            "explicit seed through instead",
-                        )
-                elif func.attr == "SystemRandom":
-                    yield self.violation(
-                        node,
-                        path,
-                        "random.SystemRandom is OS entropy and can never "
-                        "replay; use a seeded random.Random",
-                    )
-                else:
-                    yield self.violation(
-                        node,
-                        path,
-                        f"module-level 'random.{func.attr}()' uses the "
-                        "process-global RNG; use a seeded random.Random "
-                        "instance",
-                    )
-            elif isinstance(func, ast.Name) and func.id in random_members:
-                original = random_members[func.id]
-                if original == "Random":
-                    if not node.args and not node.keywords:
-                        yield self.violation(
-                            node,
-                            path,
-                            "Random() without a seed; thread an explicit "
-                            "seed through instead",
-                        )
-                elif original == "SystemRandom":
-                    yield self.violation(
-                        node,
-                        path,
-                        "SystemRandom is OS entropy and can never replay; "
-                        "use a seeded random.Random",
-                    )
-                else:
-                    yield self.violation(
-                        node,
-                        path,
-                        f"'{original}()' from the process-global RNG; use a "
-                        "seeded random.Random instance",
-                    )
+__all__ = ["HashSeedRule"]
 
 
 class HashSeedRule(Rule):
@@ -217,7 +40,7 @@ class HashSeedRule(Rule):
 
     id = "DQD03"
     title = "RNG seed derived from hash()"
-    scope = _ENGINE_SCOPE
+    scope = tuple(tuple(layer.split(".")) for layer in ENGINE_LAYERS)
 
     def check(self, module, source, path) -> Iterator[Violation]:
         parents = parent_map(module)

@@ -1,7 +1,9 @@
 """The lint engine: walk, check, suppress, ratchet.
 
-Drives every registered rule over a file tree and reconciles the hits
-against three escape hatches, in order:
+One run parses every file once, runs the syntactic per-file rules
+(:data:`FILE_RULES`) on each and the whole-program rules
+(:data:`~repro.analysis.graph.GRAPH_RULES`) over all of them, and
+reconciles every hit against three escape hatches, in order:
 
 1. **line suppression** — ``# repro: disable=DQD01`` (comma-separate
    several ids, or ``all``) on the offending line;
@@ -24,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.asyncsafety import (
     BlockingAsyncCallRule,
@@ -36,50 +38,36 @@ from repro.analysis.crashsafety import (
     SharedMutableClassAttrRule,
     UnloggedPageMutationRule,
 )
-from repro.analysis.determinism import (
-    HashSeedRule,
-    UnseededRandomRule,
-    WallClockRule,
-)
-from repro.analysis.layering import (
-    DeprecatedAliasRule,
-    FilesystemIsolationRule,
-    FrontEndIsolationRule,
-    GenericRaiseRule,
-    GeometryIsolationRule,
-    NumpyIsolationRule,
-    PhysicalStorageImportRule,
-    ProcessBoundaryRule,
-)
-from repro.analysis.rules import Rule, Violation
+from repro.analysis.determinism import HashSeedRule
+from repro.analysis.graph import GRAPH_RULES, build_program
+from repro.analysis.layering import GenericRaiseRule
+from repro.analysis.rules import Rule, RuleDoc, Violation
 from repro.errors import LintConfigError
 
-__all__ = ["ALL_RULES", "LintEngine", "LintReport", "DEFAULT_BASELINE"]
+__all__ = [
+    "FILE_RULES",
+    "CATALOGUE",
+    "LintEngine",
+    "LintReport",
+    "DEFAULT_BASELINE",
+]
 
-#: Every registered rule, id-sorted; ``repro-dq lint --rules`` prints this.
-ALL_RULES: Tuple[Rule, ...] = tuple(
-    sorted(
-        (
-            WallClockRule(),
-            UnseededRandomRule(),
-            HashSeedRule(),
-            PhysicalStorageImportRule(),
-            GeometryIsolationRule(),
-            GenericRaiseRule(),
-            FrontEndIsolationRule(),
-            FilesystemIsolationRule(),
-            ProcessBoundaryRule(),
-            NumpyIsolationRule(),
-            DeprecatedAliasRule(),
-            UnloggedPageMutationRule(),
-            MutableDefaultArgRule(),
-            SharedMutableClassAttrRule(),
-            BlockingAsyncCallRule(),
-            UnawaitedCoroutineRule(),
-            SharedTableAsyncMutationRule(),
-        ),
-        key=lambda rule: rule.id,
-    )
+#: The syntactic rules: each reads one file's AST and needs no graph.
+FILE_RULES: Tuple[Rule, ...] = (
+    HashSeedRule(),
+    GenericRaiseRule(),
+    UnloggedPageMutationRule(),
+    MutableDefaultArgRule(),
+    SharedMutableClassAttrRule(),
+    BlockingAsyncCallRule(),
+    UnawaitedCoroutineRule(),
+    SharedTableAsyncMutationRule(),
+)
+
+#: Every id the lint can report, id-sorted; ``repro-dq lint --rules``
+#: prints this.
+CATALOGUE: Tuple[RuleDoc, ...] = tuple(
+    sorted(doc for rule in FILE_RULES + GRAPH_RULES for doc in rule.docs())
 )
 
 DEFAULT_BASELINE = "lint-baseline.json"
@@ -158,31 +146,9 @@ class LintReport:
 
 
 class LintEngine:
-    """Run :data:`ALL_RULES` (or a subset) over files and directories.
-
-    With ``graph=True`` a second, whole-program phase runs after the
-    per-file rules: the parsed modules are assembled into a
-    :class:`~repro.analysis.graph.model.Program` and every rule in
-    ``graph_rules`` (default
-    :data:`~repro.analysis.graph.GRAPH_RULES`) checks it.  Graph
-    violations flow through the same suppression comments and baseline
-    allowance as per-file ones.
-    """
-
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        graph_rules: Optional[Sequence] = None,
-        graph: bool = False,
-    ):
-        self.rules: Tuple[Rule, ...] = tuple(rules) if rules else ALL_RULES
-        self.graph = graph
-        if graph_rules is not None:
-            self.graph_rules = tuple(graph_rules)
-        else:
-            from repro.analysis.graph import GRAPH_RULES
-
-            self.graph_rules = GRAPH_RULES
+    """Run :data:`FILE_RULES` and the whole-program rules over files
+    and directories, settling every finding through one suppression /
+    baseline path."""
 
     # -- file discovery -----------------------------------------------------
 
@@ -211,7 +177,7 @@ class LintEngine:
                 unique.append(path)
         return unique
 
-    # -- per-file checking ----------------------------------------------------
+    # -- suppression ----------------------------------------------------------
 
     @staticmethod
     def _file_suppressions(lines: List[str]) -> set:
@@ -221,29 +187,6 @@ class LintEngine:
             if match:
                 suppressed |= _parse_ids(match.group(1))
         return suppressed
-
-    def check_file(self, path: Path) -> Tuple[List[Violation], int, bool]:
-        """Lint one file: (kept violations, suppressed count, parsed ok)."""
-        display = str(path)
-        try:
-            source = path.read_text()
-            module = ast.parse(source, filename=display)
-        except (SyntaxError, ValueError, OSError):
-            return [], 0, False
-        lines = source.splitlines()
-        file_suppressed = self._file_suppressions(lines)
-        parts = path.resolve().parts
-        kept: List[Violation] = []
-        suppressed = 0
-        for rule in self.rules:
-            if not rule.applies(tuple(parts)):
-                continue
-            for violation in rule.check(module, source, display):
-                if self._suppressed(violation, lines, file_suppressed):
-                    suppressed += 1
-                else:
-                    kept.append(violation)
-        return kept, suppressed, True
 
     @staticmethod
     def _suppressed(
@@ -269,15 +212,16 @@ class LintEngine:
         reported separately and do not fail the run.  A baseline
         allowance that goes *unconsumed* for a file that was checked is
         reported as stale and fails the run — the ratchet only ever
-        tightens.  With ``graph=True`` the whole-program rules run
-        over every parsed ``repro.*`` module after the per-file phase.
+        tightens.  The whole-program rules see every parsed ``repro.*``
+        module among ``paths`` (one file is a one-module program).
         """
         report = LintReport()
         allowance: Dict[str, int] = dict(baseline or {})
-        # (display, parts, module) for the graph phase plus the per-file
-        # suppression context graph violations are reconciled against.
+        # Per parsed file, in discovery order: what the program model is
+        # built from and what a finding in it is reconciled against.
         parsed: List[Tuple[str, Tuple[str, ...], ast.Module]] = []
-        suppression: Dict[str, Tuple[List[str], set]] = {}
+        suppression: Dict[str, Tuple[int, List[str], set]] = {}
+        found: List[Violation] = []
         checked: set = set()
         for path in self.discover(paths):
             report.files_checked += 1
@@ -290,66 +234,33 @@ class LintEngine:
                 report.parse_errors.append(display)
                 continue
             lines = source.splitlines()
-            file_suppressed = self._file_suppressions(lines)
             parts = tuple(path.resolve().parts)
+            suppression[display] = (
+                len(parsed), lines, self._file_suppressions(lines)
+            )
             parsed.append((display, parts, module))
-            suppression[display] = (lines, file_suppressed)
-            kept: List[Violation] = []
-            for rule in self.rules:
-                if not rule.applies(parts):
-                    continue
-                for violation in rule.check(module, source, display):
-                    if self._suppressed(violation, lines, file_suppressed):
-                        report.suppressed += 1
-                    else:
-                        kept.append(violation)
-            for violation in sorted(
-                kept, key=lambda v: (v.line, v.col, v.rule)
-            ):
-                self._settle(violation, allowance, report)
-        if self.graph and parsed:
-            self._run_graph(parsed, suppression, allowance, report)
+            for rule in FILE_RULES:
+                if rule.applies(parts):
+                    found.extend(rule.check(module, source, display))
+        program = build_program(parsed)
+        for rule in GRAPH_RULES:
+            found.extend(rule.check_program(program))
+        for violation in sorted(
+            found,
+            key=lambda v: (suppression[v.path][0], v.line, v.col, v.rule),
+        ):
+            _, lines, file_suppressed = suppression[violation.path]
+            if self._suppressed(violation, lines, file_suppressed):
+                report.suppressed += 1
+            elif allowance.get(violation.baseline_key, 0) > 0:
+                allowance[violation.baseline_key] -= 1
+                report.baselined.append(violation)
+            else:
+                report.violations.append(violation)
         for key in sorted(allowance):
             if allowance[key] > 0 and key.rsplit("::", 1)[0] in checked:
                 report.stale.append(key)
         return report
-
-    def _run_graph(
-        self,
-        parsed: List[Tuple[str, Tuple[str, ...], ast.Module]],
-        suppression: Dict[str, Tuple[List[str], set]],
-        allowance: Dict[str, int],
-        report: LintReport,
-    ) -> None:
-        from repro.analysis.graph import build_program
-
-        program = build_program(parsed)
-        kept: List[Violation] = []
-        for rule in self.graph_rules:
-            for violation in rule.check_program(program):
-                lines, file_suppressed = suppression.get(
-                    violation.path, ([], set())
-                )
-                if self._suppressed(violation, lines, file_suppressed):
-                    report.suppressed += 1
-                else:
-                    kept.append(violation)
-        for violation in sorted(
-            kept, key=lambda v: (v.path, v.line, v.col, v.rule)
-        ):
-            self._settle(violation, allowance, report)
-
-    @staticmethod
-    def _settle(
-        violation: Violation,
-        allowance: Dict[str, int],
-        report: LintReport,
-    ) -> None:
-        if allowance.get(violation.baseline_key, 0) > 0:
-            allowance[violation.baseline_key] -= 1
-            report.baselined.append(violation)
-        else:
-            report.violations.append(violation)
 
     # -- baseline persistence ------------------------------------------------------
 

@@ -1,36 +1,36 @@
 """Whole-program analysis: the repo-wide import+call graph.
 
-The per-file rules (DQD/DQL) see one module at a time, so a transitive
-import (``server → workload → storage.disk``) or a wall-clock call two
-hops below an engine module sails through them.  This package closes
-that hole:
+A rule that reads one module at a time cannot see a transitive import
+(``server → workload → storage.disk``) or a wall-clock call two hops
+below an engine module.  This package is the part of ``repro-dq lint``
+that sees the whole program, and the only part that knows what an
+effect or a forbidden layer is:
 
 * :mod:`repro.analysis.graph.model` parses every ``repro.*`` module
   into a :class:`~repro.analysis.graph.model.Program` — import edges
   (top-level, lazy/function-local, and ``__getattr__`` deferred
   re-exports), a name-based call graph at function granularity, and
   primitive *effect sites* (wall-clock, unseeded RNG, filesystem I/O,
-  process/socket APIs);
-* :mod:`repro.analysis.graph.layers` enforces the declared layer
-  contracts in transitive closure (DQG01), with the witness path in
-  every diagnostic;
-* :mod:`repro.analysis.graph.effects` propagates effect sites over the
-  import+call graph (DQG02–DQG04), flagging modules that can *reach*
-  an effect their layer forbids;
+  process/socket APIs, numpy imports).  Its scanner is the one
+  detector every effect rule reads;
+* :mod:`repro.analysis.graph.layers` holds the import contracts
+  (``CONTRACTS``): a direct breach is DQL01/02/04, a transitive one
+  DQG01 with the witness path in the diagnostic;
+* :mod:`repro.analysis.graph.effects` holds the effect contracts
+  (``EFFECT_CONTRACTS``): a site inside a bound module is
+  DQD01/02 or DQL05–07, a bound module that can *reach* one elsewhere
+  is DQG02–DQG04;
 * :mod:`repro.analysis.graph.protocol` cross-references the remote
   protocol registry, the worker's ``_HANDLERS`` table, and every
   front-end send site (DQP01).
 
-Surfaced through ``repro-dq lint --graph`` via the same suppression
-and baseline machinery as the per-file rules.
+:class:`~repro.analysis.engine.LintEngine` runs these over the same
+parsed files as the syntactic per-file rules and settles every finding
+through the same suppression comments and baseline.
 """
 
-from repro.analysis.graph.effects import (
-    EntropyReachRule,
-    FilesystemReachRule,
-    ProcessReachRule,
-)
-from repro.analysis.graph.layers import LayerContract, LayerReachRule
+from repro.analysis.graph.effects import EFFECT_CONTRACTS, EffectRule
+from repro.analysis.graph.layers import CONTRACTS, LayerReachRule
 from repro.analysis.graph.model import (
     EffectSite,
     GraphRule,
@@ -49,26 +49,14 @@ __all__ = [
     "ModuleInfo",
     "ImportEdge",
     "EffectSite",
-    "LayerContract",
+    "CONTRACTS",
+    "EFFECT_CONTRACTS",
     "LayerReachRule",
-    "EntropyReachRule",
-    "FilesystemReachRule",
-    "ProcessReachRule",
+    "EffectRule",
     "ProtocolDriftRule",
     "build_program",
     "module_name_for",
 ]
 
-#: Every registered whole-program rule, id-sorted; run by ``lint --graph``.
-GRAPH_RULES = tuple(
-    sorted(
-        (
-            LayerReachRule(),
-            EntropyReachRule(),
-            FilesystemReachRule(),
-            ProcessReachRule(),
-            ProtocolDriftRule(),
-        ),
-        key=lambda rule: rule.id,
-    )
-)
+#: Every whole-program rule.
+GRAPH_RULES = (LayerReachRule(), EffectRule(), ProtocolDriftRule())

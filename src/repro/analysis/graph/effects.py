@@ -1,22 +1,30 @@
-"""DQG02–DQG04: effect reachability over the import+call graph.
+"""The effect contracts: who may own an effect, and who may reach it.
 
-The per-file determinism/isolation rules (DQD01/02, DQL05/06) flag an
-effect *in the module that performs it*.  This pass flags the modules
-that can **reach** one: every primitive effect site recorded by the
-model (wall-clock reads, unseeded RNG, filesystem I/O, process/socket
-APIs) is propagated backwards over the call graph to a fixpoint, so a
-server module calling a helper that calls ``time.time()`` two modules
-away is charged with the wall-clock dependency even though no rule
-fires on its own text.
+:mod:`repro.analysis.graph.model` records every primitive effect site
+(wall-clock reads, unseeded RNG, filesystem I/O, process/socket APIs,
+numpy imports) where it textually happens.  :data:`EFFECT_CONTRACTS`
+is the one table that says, per kind of site, which modules are bound
+and which may own the effect; :class:`EffectRule` reads it twice:
+
+* a site *inside* a bound module is reported at the site under the
+  row's **direct** id (DQD01/02, DQL05–07);
+* a bound module that can **reach** a site elsewhere is reported under
+  the row's **reach** id (DQG02–04): every call site is propagated
+  backwards over the call graph to a fixpoint, so a server module
+  calling a helper that calls ``time.time()`` two modules away is
+  charged with the wall-clock dependency even though its own text is
+  clean.
 
 Propagation is *call-based*: a function inherits the effects of every
 function it calls, and importing a module inherits only that module's
 import-time (top-level) effects — merely importing a module whose
 *functions* do I/O charges you with nothing until you call one.  That
 asymmetry is what keeps ``import repro`` in a leaf module from
-inheriting the union of the whole library's effects.
+inheriting the union of the whole library's effects.  Import-only
+sites (``import socket``, ``import numpy``) never propagate: they are
+charged to the importing module and nobody else.
 
-Each rule reports one violation per (source module, effect kind,
+A reach finding is reported once per (source module, effect kind,
 defining module), anchored at the reaching function's ``def`` line,
 with the function-level witness chain in the message and the
 module-level chain in :attr:`Violation.witness`.
@@ -25,7 +33,8 @@ module-level chain in :attr:`Violation.witness`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.graph.model import (
     EDGE_EAGER,
@@ -35,13 +44,15 @@ from repro.analysis.graph.model import (
     GraphRule,
     ModuleInfo,
     Program,
+    under_any,
 )
-from repro.analysis.rules import Violation
+from repro.analysis.rules import RuleDoc, Violation
 
 __all__ = [
-    "EntropyReachRule",
-    "FilesystemReachRule",
-    "ProcessReachRule",
+    "ENGINE_LAYERS",
+    "EffectContract",
+    "EFFECT_CONTRACTS",
+    "EffectRule",
     "effect_reach",
 ]
 
@@ -49,32 +60,203 @@ __all__ = [
 _Node = Tuple[str, str]
 
 
-def _under(name: str, prefix: str) -> bool:
-    return name == prefix or name.startswith(prefix + ".")
+@dataclass(frozen=True)
+class EffectContract:
+    """One row: a kind of effect site, who is bound, who may own it.
+
+    ``sources`` selects the bound modules (prefixes; empty means every
+    ``repro`` module) minus ``owners``, the prefixes allowed to hold
+    the effect.  ``direct`` is the catalogue entry a site *in* a bound
+    module is reported under, with ``where`` completing its message;
+    ``reach`` (None for import-only kinds) the entry a bound module
+    *reaching* such a site elsewhere is reported under, with
+    ``describe`` naming the effect there.
+    """
+
+    kind: str
+    direct: RuleDoc
+    where: str
+    sources: Tuple[str, ...] = ()
+    owners: Tuple[str, ...] = ()
+    reach: Optional[RuleDoc] = None
+    describe: str = ""
+
+    def binds(self, module: str) -> bool:
+        if self.sources and not under_any(module, self.sources):
+            return False
+        return not under_any(module, self.owners)
 
 
-def _under_any(name: str, prefixes: Sequence[str]) -> bool:
-    return any(_under(name, p) for p in prefixes)
+#: Everything the reproduction claims — bit-identical chaos replays,
+#: answer-invariance of the shared-scan broker, crash recovery drills —
+#: rests on runs being pure functions of their seeds, so these layers
+#: are fenced off from ambient entropy; the CLI and the experiment
+#: harness may still read wall-clock time for progress reporting.
+ENGINE_LAYERS = (
+    "repro.core",
+    "repro.index",
+    "repro.server",
+    "repro.workload",
+    "repro.motion",
+)
 
+_DQG02 = RuleDoc(
+    "DQG02",
+    "engine layer can transitively reach wall-clock or unseeded RNG",
+    """Engine layers must not be able to reach wall-clock or unseeded RNG.
 
-def _chase(
-    program: Program, module: str, attr: str, depth: int = 8
-) -> Optional[Tuple[str, str]]:
-    """Follow from-import/re-export chains to the defining (module, name)."""
-    current = module
-    for _ in range(depth):
-        info = program.modules.get(current)
-        if info is None:
-            return None
-        origin = info.export_origin.get(attr)
-        if origin is None:
-            return current, attr
-        next_mod, next_attr = origin
-        if f"{next_mod}.{next_attr}" in program.modules:
-            # The name is bound to a submodule, not a callable.
-            return None
-        current, attr = next_mod, next_attr
-    return None
+    Invariant: every run of the PDQ/NPDQ engines, the indexes, and the
+    serving stack is a pure function of the workload and the simulated
+    clock — reproducibility of the paper's experiments depends on it.
+    DQD01/DQD02 flag an entropy source in the module that reads it;
+    this id flags an engine module that can *reach* one through any
+    chain of calls.""",
+)
+
+EFFECT_CONTRACTS: Tuple[EffectContract, ...] = (
+    EffectContract(
+        kind="wallclock",
+        sources=ENGINE_LAYERS,
+        direct=RuleDoc(
+            "DQD01",
+            "wall-clock time source in an engine layer",
+            """**Invariant:** inside ``core``/``index``/``server``/``workload``/
+            ``motion``, the only time source is
+            :class:`~repro.server.clock.SimulatedClock` (or an explicit
+            simulated-time parameter).  ``time.time()``, ``time.sleep()``,
+            ``datetime.now()`` and friends make results depend on when and how
+            fast the host runs, which breaks replayability and poisons the
+            simulated latency accounting the serving benchmarks report.""",
+        ),
+        where="in an engine layer; only SimulatedClock may source time here",
+        reach=_DQG02,
+        describe="entropy source",
+    ),
+    EffectContract(
+        kind="rng",
+        sources=ENGINE_LAYERS,
+        direct=RuleDoc(
+            "DQD02",
+            "unseeded or process-global randomness in an engine layer",
+            """**Invariant:** every RNG in the engine layers is a
+            ``random.Random(seed)`` instance threaded in explicitly.  The
+            module-level ``random.*`` functions share one process-global,
+            time-seeded state (any import anywhere can perturb the draw
+            sequence), and a bare ``random.Random()`` seeds itself from the OS
+            — both make workloads unreproducible across runs and machines.""",
+        ),
+        where="in an engine layer; thread a seeded random.Random instance "
+        "through instead",
+        reach=_DQG02,
+        describe="entropy source",
+    ),
+    EffectContract(
+        kind="fs",
+        owners=(
+            "repro.cli",
+            "repro.analysis",
+            "repro.storage.file",
+            "repro.storage.wal",
+        ),
+        direct=RuleDoc(
+            "DQL05",
+            "filesystem I/O outside repro.storage.file / .wal / the CLI",
+            """**Invariant:** the only modules allowed to touch the filesystem are
+            :mod:`repro.storage.file` (the page files and snapshots),
+            :mod:`repro.storage.wal` (the redo log) and the CLI (answer
+            streams, store config, figure exports).  Everything else operates
+            on in-memory state handed to it — that is what makes every engine
+            and index testable against the simulated
+            :class:`~repro.storage.disk.DiskManager`, and what guarantees crash
+            recovery only ever has *two* on-disk artefact families to reason
+            about.  The :mod:`repro.analysis` package itself is exempt: a
+            linter must read the files it lints and persist its baseline.
+
+            Flagged: calls to builtin ``open`` (and ``io.open``), the ``os``
+            file calls (``open``/``fdopen``/``fsync``/``replace``/``rename``/
+            ``remove``/``unlink``/``link``/``symlink``/``makedirs``/``mkdir``/
+            ``rmdir``/``truncate``/``ftruncate``), and the writing
+            ``pathlib.Path`` methods (``write_text``/``write_bytes``/
+            ``open``/``mkdir``/``touch``/``unlink``).""",
+        ),
+        where="outside the storage boundary; only repro.storage.file, "
+        "repro.storage.wal and the CLI may touch disk",
+        reach=RuleDoc(
+            "DQG03",
+            "module can transitively reach filesystem I/O",
+            """Only the durable-storage boundary may be able to touch the filesystem.
+
+            Invariant: all real file I/O lives behind ``repro.storage.file`` /
+            ``repro.storage.wal`` (plus the CLI and the analysis tooling that
+            reads source trees), so simulation results can never depend on disk
+            state.  DQL05 flags an ``open``/``os`` call in the module that
+            makes it; this id closes the transitive hole where an engine module
+            calls a helper that performs the I/O for it.""",
+        ),
+        describe="filesystem I/O",
+    ),
+    EffectContract(
+        kind="process",
+        owners=("repro.server.remote", "repro.cli"),
+        direct=RuleDoc(
+            "DQL06",
+            "socket/subprocess/multiprocessing outside repro.server.remote",
+            """**Invariant:** the only modules allowed to spawn processes or open
+            sockets are the :mod:`repro.server.remote` package (the worker
+            entrypoint and its multiplex front-end) and the CLI that launches
+            them.  Everything else is single-process by construction — that is
+            what makes the in-process and out-of-process brokers byte-identical
+            (one lockstep clock, one writer per shard, no hidden concurrency),
+            and what keeps the kill-chaos suites honest: a worker SIGKILL can
+            only ever take down state the remote layer knows how to replay.
+
+            Flagged: any import of ``socket``, ``subprocess`` or
+            ``multiprocessing`` (including submodules and ``from`` imports),
+            any call into them, the ``os.fork``/``exec*``/``spawn*``/``kill``/
+            ``wait*`` family and ``asyncio.create_subprocess_*``, outside
+            ``repro/server/remote/`` and ``repro/cli.py``.""",
+        ),
+        where="outside the remote serving boundary; only repro.server.remote "
+        "and the CLI may spawn processes or open sockets",
+        reach=RuleDoc(
+            "DQG04",
+            "module can transitively reach process/socket APIs",
+            """Only the remote stack may be able to spawn processes or open sockets.
+
+            Invariant: the single-process simulation semantics (and CI
+            hermeticity) require that nothing outside
+            ``repro.server.remote`` / the CLI can create subprocesses, sockets,
+            or multiprocessing primitives.  DQL06 flags the import or call in
+            the module that makes it; this id additionally catches a module
+            that reaches ``subprocess.run`` or
+            ``asyncio.create_subprocess_exec`` through an intermediary.""",
+        ),
+        describe="process/socket API",
+    ),
+    EffectContract(
+        kind="numpy",
+        owners=("repro.geometry.kernels",),
+        direct=RuleDoc(
+            "DQL07",
+            "numpy import outside repro.geometry.kernels",
+            """**Invariant:** one module owns the array representation.
+            :mod:`repro.geometry.kernels` decides dtype, column layout and the
+            expression order that keeps every kernel bit-identical to the scalar
+            geometry; the engines and :mod:`repro.index.pagearrays` hand its
+            batches around as opaque objects.  If another ``repro`` module
+            imported numpy it could build or reinterpret arrays on its own, and
+            the differential suite — which pins the kernels, not their callers —
+            would no longer cover every place floats are computed.
+
+            Flagged: any import of ``numpy`` (including submodules and ``from``
+            imports) inside ``repro`` outside ``repro/geometry/kernels.py``.
+            Benchmarks and tests live outside the scoped package and may use
+            numpy freely.""",
+        ),
+        where="outside repro.geometry.kernels, the one module that owns the "
+        "array representation",
+    ),
+)
 
 
 def _resolve_call(
@@ -97,18 +279,11 @@ def _resolve_call(
             for qual in info.functions
             if qual.endswith(f".{attr}")
         ]
-    # ("mod", dotted, attr) and ("member", dotted, orig) resolve the
-    # same way: find the defining module, then the function or class
-    # initializer of that name inside it.
-    dotted, attr = ref[1], ref[2]
-    if f"{dotted}.{attr}" in program.modules:
-        return []
-    resolved = _chase(program, dotted, attr)
-    if resolved is None:
-        return []
-    target_mod, target_attr = resolved
+    # ("mod", dotted, attr): find the defining module, then the function
+    # or class initializer of that name inside it.
+    target_mod, target_attr = program.chase_export(ref[1], ref[2])
     target = program.modules.get(target_mod)
-    if target is None:
+    if target is None or target_attr is None:
         return []
     targets = []
     if target_attr in target.functions:
@@ -126,13 +301,8 @@ def effect_reach(
     The value per (node, site) is the *first hop* — the callee through
     which the site was first discovered — so a witness chain can be
     reconstructed by following hops until ``None`` (the site's own
-    node).  Memoised on the program: the three reach rules share one
-    propagation.
+    node).
     """
-    cached = getattr(program, "_effect_reach", None)
-    if cached is not None:
-        return cached
-
     callers: Dict[_Node, List[_Node]] = {}
     edge_seen: Set[Tuple[_Node, _Node]] = set()
 
@@ -161,13 +331,10 @@ def effect_reach(
     for name in sorted(program.modules):
         info = program.modules[name]
         for qual, fn in info.functions.items():
-            if not fn.effects:
-                continue
-            node = (name, qual)
-            store = reached.setdefault(node, {})
-            for site in fn.effects:
-                store.setdefault(site, None)
-            work.append(node)
+            own = {site: None for site in fn.effects if site.propagates}
+            if own:
+                reached[(name, qual)] = own
+                work.append((name, qual))
     while work:
         node = work.popleft()
         sites = reached.get(node, {})
@@ -181,7 +348,6 @@ def effect_reach(
             if changed:
                 work.append(caller)
 
-    program._effect_reach = reached
     return reached
 
 
@@ -209,121 +375,75 @@ def _witness(
     return funcs, tuple(modules)
 
 
-class _EffectReachRule(GraphRule):
-    """Shared machinery: which kinds, which modules, one report each."""
+class EffectRule(GraphRule):
+    """Every row of :data:`EFFECT_CONTRACTS`, direct and reach alike."""
 
-    kinds: Tuple[str, ...] = ()
-    #: module prefixes the rule binds (empty = every repro module) ...
-    sources: Tuple[str, ...] = ()
-    #: ... minus these prefixes (the layer allowed to own the effect).
-    exempt: Tuple[str, ...] = ()
-    describe: str = "effect"
-
-    def _binds(self, module: str) -> bool:
-        if self.sources and not _under_any(module, self.sources):
-            return False
-        return not _under_any(module, self.exempt)
+    def docs(self) -> Tuple[RuleDoc, ...]:
+        docs = (
+            doc
+            for contract in EFFECT_CONTRACTS
+            for doc in (contract.direct, contract.reach)
+            if doc is not None
+        )
+        return tuple(dict.fromkeys(docs))  # DQG02 is shared by two rows
 
     def check_program(self, program: Program) -> Iterator[Violation]:
         reached = effect_reach(program)
-        for name in sorted(program.modules):
-            if not self._binds(name):
-                continue
-            info = program.modules[name]
-            seen: Set[Tuple[str, str]] = set()
-            ordered = sorted(
-                info.functions.items(), key=lambda kv: (kv[1].lineno, kv[0])
-            )
-            for qual, fn in ordered:
-                node = (name, qual)
-                sites = reached.get(node)
-                if not sites:
+        for contract in EFFECT_CONTRACTS:
+            for name in sorted(program.modules):
+                if not contract.binds(name):
                     continue
-                for site in sorted(
-                    sites, key=lambda s: (s.module, s.kind, s.line, s.col)
+                info = program.modules[name]
+                yield from self._direct(contract, info)
+                if contract.reach is not None:
+                    yield from self._reaching(contract, info, reached)
+
+    @staticmethod
+    def _direct(
+        contract: EffectContract, info: ModuleInfo
+    ) -> Iterator[Violation]:
+        for fn in info.functions.values():
+            for site in fn.effects:
+                if site.kind == contract.kind:
+                    yield Violation(
+                        rule=contract.direct.id,
+                        path=info.display,
+                        line=site.line,
+                        col=site.col,
+                        message=f"{site.what} {contract.where}",
+                    )
+
+    @staticmethod
+    def _reaching(
+        contract: EffectContract,
+        info: ModuleInfo,
+        reached: Dict[_Node, Dict[EffectSite, Optional[_Node]]],
+    ) -> Iterator[Violation]:
+        seen: Set[str] = set()
+        ordered = sorted(
+            info.functions.items(), key=lambda kv: (kv[1].lineno, kv[0])
+        )
+        for qual, fn in ordered:
+            node = (info.name, qual)
+            sites = reached.get(node, {})
+            for site in sorted(sites, key=lambda s: (s.module, s.line, s.col)):
+                if (
+                    site.kind != contract.kind
+                    or site.module == info.name
+                    or site.module in seen
                 ):
-                    if site.kind not in self.kinds or site.module == name:
-                        continue
-                    key = (site.module, site.kind)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    funcs, witness = _witness(reached, node, site)
-                    message = (
-                        f"{name} can reach {self.describe} {site.what} in "
-                        f"{site.module}:{site.line}"
-                        f" via {' -> '.join(funcs)}"
-                    )
-                    yield self.violation(
-                        info.display,
-                        fn.lineno,
-                        0,
-                        message,
-                        witness=witness,
-                    )
-
-
-class EntropyReachRule(_EffectReachRule):
-    """Engine layers must not be able to reach wall-clock or unseeded RNG.
-
-    Invariant: every run of the PDQ/NPDQ engines, the indexes, and the
-    serving stack is a pure function of the workload and the simulated
-    clock — reproducibility of the paper's experiments depends on it.
-    DQD01/DQD02 flag an entropy source in the module that reads it;
-    this rule flags an engine module that can *reach* one through any
-    chain of calls, which a per-file rule cannot see.
-    """
-
-    id = "DQG02"
-    title = "engine layer can transitively reach wall-clock or unseeded RNG"
-    kinds = ("wallclock", "rng")
-    sources = (
-        "repro.core",
-        "repro.index",
-        "repro.server",
-        "repro.workload",
-        "repro.motion",
-    )
-    describe = "entropy source"
-
-
-class FilesystemReachRule(_EffectReachRule):
-    """Only the durable-storage boundary may be able to touch the filesystem.
-
-    Invariant: all real file I/O lives behind ``repro.storage.file`` /
-    ``repro.storage.wal`` (plus the CLI and the analysis tooling that
-    reads source trees), so simulation results can never depend on disk
-    state.  DQL05 flags direct ``open``/``os`` calls per file; this
-    rule closes the transitive hole where an engine module calls a
-    helper that performs the I/O for it.
-    """
-
-    id = "DQG03"
-    title = "module can transitively reach filesystem I/O"
-    kinds = ("fs",)
-    exempt = (
-        "repro.cli",
-        "repro.analysis",
-        "repro.storage.file",
-        "repro.storage.wal",
-    )
-    describe = "filesystem I/O"
-
-
-class ProcessReachRule(_EffectReachRule):
-    """Only the remote stack may be able to spawn processes or open sockets.
-
-    Invariant: the single-process simulation semantics (and CI
-    hermeticity) require that nothing outside
-    ``repro.server.remote`` / the CLI can create subprocesses, sockets,
-    or multiprocessing primitives.  DQL06 bans the *imports* per file;
-    this rule additionally catches a module that reaches
-    ``subprocess.run`` or ``asyncio.create_subprocess_exec`` through an
-    intermediary — which the import-based check misses entirely.
-    """
-
-    id = "DQG04"
-    title = "module can transitively reach process/socket APIs"
-    kinds = ("process",)
-    exempt = ("repro.server.remote", "repro.cli")
-    describe = "process/socket API"
+                    continue
+                seen.add(site.module)
+                funcs, witness = _witness(reached, node, site)
+                yield Violation(
+                    rule=contract.reach.id,
+                    path=info.display,
+                    line=fn.lineno,
+                    col=0,
+                    message=(
+                        f"{info.name} can reach {contract.describe} "
+                        f"{site.what} in {site.module}:{site.line} "
+                        f"via {' -> '.join(funcs)}"
+                    ),
+                    witness=witness,
+                )

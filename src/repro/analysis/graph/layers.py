@@ -1,12 +1,17 @@
-"""DQG01: layer contracts enforced in transitive closure.
+"""DQL01/02/04 and DQG01: the import contracts, edge and closure alike.
 
-The per-file layering rules (DQL01/02/04/05/06) catch a *direct*
-import of a forbidden layer; this rule walks the whole import graph so
-``server.broker → workload.runner → storage.disk`` fails even though
-no single file names the forbidden module.
+The package is a strict stack — ``geometry`` at the bottom, then
+``motion``/``storage``, then ``index``, then ``core``, then ``server``
+on top — and :data:`CONTRACTS` is the one table that declares which
+arrows are forbidden.  :class:`LayerReachRule` walks the whole import
+graph from every module a row binds: a *direct* import of a forbidden
+module (a two-module chain) is reported under the row's own id
+(DQL01/02/04), anything longer under DQG01 with its witness path, so
+``server.broker → workload.runner → storage.disk`` fails even though no
+single file names the forbidden module — and one import is never
+reported twice.
 
-Each :class:`LayerContract` is the graph-level form of one per-file
-rule, with two escape valves the flat rules cannot express:
+Two escape valves:
 
 * **mediators** — layers that are *allowed* to cross the boundary on
   the source's behalf (``repro.index`` legitimately reaches
@@ -28,7 +33,7 @@ rule, with two escape valves the flat rules cannot express:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.graph.model import (
     EDGE_EAGER,
@@ -36,26 +41,18 @@ from repro.analysis.graph.model import (
     GraphRule,
     ImportEdge,
     Program,
+    under_any,
 )
-from repro.analysis.rules import Violation
+from repro.analysis.rules import RuleDoc, Violation
 
 __all__ = ["LayerContract", "LayerReachRule", "CONTRACTS"]
 
 _TRAVERSABLE = (EDGE_EAGER, EDGE_LAZY)
 
 
-def _under(name: str, prefix: str) -> bool:
-    """Dotted-boundary prefix test: ``a.b`` covers ``a.b.c``, not ``a.bc``."""
-    return name == prefix or name.startswith(prefix + ".")
-
-
-def _under_any(name: str, prefixes: Sequence[str]) -> bool:
-    return any(_under(name, p) for p in prefixes)
-
-
 @dataclass(frozen=True)
 class LayerContract:
-    """One transitive reachability contract over the layer DAG.
+    """One reachability contract over the layer DAG.
 
     ``sources`` selects the modules the contract binds (prefixes; empty
     means every ``repro`` module).  A source matching ``exempt`` (by
@@ -64,63 +61,97 @@ class LayerContract:
     source can reach a module under any listed prefix; ``allowed``
     fails when a source can reach a repro module *outside* every listed
     prefix (confinement).  ``mediators`` are stop prefixes: checked as
-    targets, never expanded.
+    targets, never expanded.  ``direct`` is the catalogue entry a
+    source *itself importing* the offending module is reported under;
+    without one every breach, direct or not, is a DQG01.
     """
 
     name: str
-    rule_hint: str  # the per-file rule this generalises, for the message
     sources: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
     exempt_exact: Tuple[str, ...] = ()
     forbidden: Tuple[str, ...] = ()
     allowed: Tuple[str, ...] = ()
     mediators: Tuple[str, ...] = ()
+    direct: Optional[RuleDoc] = None
 
     def binds(self, module: str) -> bool:
-        if self.sources and not _under_any(module, self.sources):
+        if self.sources and not under_any(module, self.sources):
             return False
         if module in self.exempt_exact:
             return False
-        return not _under_any(module, self.exempt)
+        return not under_any(module, self.exempt)
 
     def offends(self, module: str) -> bool:
         if self.forbidden:
-            return _under_any(module, self.forbidden)
-        return not _under_any(module, self.allowed)
+            return under_any(module, self.forbidden)
+        return not under_any(module, self.allowed)
 
 
 #: The declared layer DAG, as reachability contracts.
 CONTRACTS: Tuple[LayerContract, ...] = (
     LayerContract(
         name="engine-over-physical-storage",
-        rule_hint="DQL01",
         sources=("repro.server", "repro.core"),
         forbidden=("repro.storage.disk",),
         mediators=("repro.index",),
+        direct=RuleDoc(
+            "DQL01",
+            "server/core importing repro.storage.disk",
+            """**Invariant:** query engines and the serving layer never talk to
+            :class:`~repro.storage.disk.DiskManager` directly; every physical
+            read flows through an index object and its attached
+            :class:`~repro.storage.buffer.BufferPool`.  A direct disk import up
+            here is how pages get read outside the shared scan's pin window —
+            uncounted, unbatched, and invisible to the crash-safety pre-image
+            capture.""",
+        ),
     ),
     LayerContract(
         name="geometry-leaf-confinement",
-        rule_hint="DQL02",
         sources=("repro.geometry",),
         allowed=("repro.geometry", "repro.errors"),
+        direct=RuleDoc(
+            "DQL02",
+            "geometry importing a layer above itself",
+            """**Invariant:** ``repro.geometry`` depends on the standard library
+            and ``repro.errors`` only.  It is the foundation every other layer
+            builds on; an upward import here is an import cycle waiting to
+            happen and would make the geometry property suites drag index and
+            storage machinery into every run.""",
+        ),
     ),
     LayerContract(
         name="server-internals-below-front-end",
-        rule_hint="DQL04",
         sources=("repro.server",),
         exempt=("repro.server.shard", "repro.server.remote"),
         exempt_exact=("repro.server",),
         forbidden=("repro.server.shard",),
+        direct=RuleDoc(
+            "DQL04",
+            "server internals importing repro.server.shard",
+            """**Invariant:** :mod:`repro.server.shard` sits at the *top* of the
+            serving stack: it may import the schedulers, dispatchers, sessions
+            and brokers it multiplexes, but no other ``repro.server`` module
+            may import it back.  An inward arrow from broker/scheduler/session
+            code into the front-end is an import cycle in waiting, and would
+            let per-shard machinery grow behavioural dependencies on how (or
+            whether) it is being multiplexed — exactly what the answer-
+            invariance property forbids.  The package ``__init__`` is exempt:
+            re-exporting the public surface is not a dependency of the inner
+            layers.  So is :mod:`repro.server.remote`: the out-of-process
+            front-end sits *beside* ``shard`` at the top of the stack and
+            shares its :class:`~repro.server.shard.ShardPlan` routing — an
+            import between two top-of-stack peers points sideways, not inward.""",
+        ),
     ),
     LayerContract(
         name="durable-storage-behind-cli",
-        rule_hint="DQL05",
         exempt=("repro.cli", "repro.analysis", "repro.storage.file"),
         forbidden=("repro.storage.file",),
     ),
     LayerContract(
         name="remote-stack-behind-front-end",
-        rule_hint="DQL06",
         exempt=("repro.cli", "repro.server.remote"),
         exempt_exact=("repro.server",),
         forbidden=("repro.server.remote",),
@@ -140,7 +171,7 @@ class _Reach:
 class LayerReachRule(GraphRule):
     """Layer contracts must hold in *transitive* closure of imports.
 
-    Invariant: the layer DAG the per-file rules enforce edge-by-edge
+    Invariant: the layer DAG :data:`CONTRACTS` declares edge-by-edge
     (engines never touch physical storage except through the index,
     geometry stays a leaf, server internals sit below the front-end,
     the durable-file and remote stacks stay behind their entry points)
@@ -152,13 +183,13 @@ class LayerReachRule(GraphRule):
     id = "DQG01"
     title = "transitive import reaches a forbidden layer"
 
-    def __init__(self, contracts: Optional[Sequence[LayerContract]] = None):
-        self.contracts: Tuple[LayerContract, ...] = (
-            tuple(contracts) if contracts is not None else CONTRACTS
+    def docs(self) -> Tuple[RuleDoc, ...]:
+        return super().docs() + tuple(
+            c.direct for c in CONTRACTS if c.direct is not None
         )
 
     def check_program(self, program: Program) -> Iterator[Violation]:
-        for contract in self.contracts:
+        for contract in CONTRACTS:
             for name in sorted(program.modules):
                 if not contract.binds(name):
                     continue
@@ -172,7 +203,8 @@ class LayerReachRule(GraphRule):
     ) -> List[_Reach]:
         """BFS from ``source`` over eager+lazy edges; returns one
         :class:`_Reach` per distinct offending module, shortest path
-        first."""
+        first.  An offending name need not be among the linted files:
+        a single-file run still fails on the import that names it."""
         hits: Dict[str, _Reach] = {}
         seen = {source}
         # queue entries: (module, chain-so-far, first edge on the chain)
@@ -196,24 +228,16 @@ class LayerReachRule(GraphRule):
                     continue
                 seen.add(target)
                 head = first if first is not None else edge
-                if contract.offends(target) and (
-                    target in program.modules or contract.allowed
-                ):
-                    # A forbidden target must exist in the program; the
-                    # confinement form also flags unknown repro names
-                    # (a geometry module importing a typo'd layer is
-                    # still an escape from the leaf).
-                    hits.setdefault(
-                        target, _Reach(target, chain + (target,), head)
-                    )
-                    continue
-                queue.append((target, chain + (target,), head))
+                if contract.offends(target):
+                    hits[target] = _Reach(target, chain + (target,), head)
+                else:
+                    queue.append((target, chain + (target,), head))
         return [hits[t] for t in sorted(hits)]
 
     def _stops(
         self, program: Program, contract: LayerContract, module: str
     ) -> bool:
-        if _under_any(module, contract.mediators):
+        if under_any(module, contract.mediators):
             return True
         info = program.module(module)
         return info is not None and info.is_package
@@ -225,9 +249,7 @@ class LayerReachRule(GraphRule):
         source: str,
         reach: _Reach,
     ) -> Violation:
-        info = program.module(source)
         edge = reach.first_edge
-        arrow = " -> ".join(reach.chain)
         if contract.forbidden:
             what = f"reaches forbidden layer {reach.target}"
         else:
@@ -235,14 +257,15 @@ class LayerReachRule(GraphRule):
                 f"escapes its layer to {reach.target} "
                 f"(allowed: {', '.join(contract.allowed)})"
             )
-        message = (
-            f"{source} {what} [{contract.name}, generalises "
-            f"{contract.rule_hint}]: {arrow}"
-        )
-        return self.violation(
-            info.display if info is not None else source,
-            edge.line if edge is not None else 1,
-            edge.col if edge is not None else 0,
-            message,
+        direct = len(reach.chain) == 2 and contract.direct is not None
+        return Violation(
+            rule=contract.direct.id if direct else self.id,
+            path=program.modules[source].display,
+            line=edge.line,
+            col=edge.col,
+            message=(
+                f"{source} {what} [{contract.name}]: "
+                f"{' -> '.join(reach.chain)}"
+            ),
             witness=reach.chain,
         )

@@ -25,6 +25,16 @@ re-export is API surface, not a dependency of the module holding it —
 but a *consumer* that from-imports the deferred name gets a direct
 resolved edge to the defining module, so the dependency is charged to
 whoever actually takes it.
+
+The scanner in this module is the **only** code in the lint that
+decides what counts as an effect: which ``time``/``datetime``/
+``random``/``os``/``io``/``pathlib``/``asyncio`` calls and which
+``socket``/``subprocess``/``multiprocessing``/``numpy`` imports are
+sites.  The effect contracts (:mod:`repro.analysis.graph.effects`)
+only say who may own a kind of site and who may reach it, so the
+direct rules (DQD01/02, DQL05–07), the reach rules (DQG02–04) and
+``tests/analysis/test_wallclock_sites.py`` cannot disagree about what
+a wall-clock read or a filesystem write is.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.rules import Violation
+from repro.analysis.rules import RuleDoc, Violation
 
 __all__ = [
     "EDGE_EAGER",
@@ -48,6 +58,7 @@ __all__ = [
     "GraphRule",
     "build_program",
     "module_name_for",
+    "under_any",
 ]
 
 EDGE_EAGER = "eager"
@@ -119,17 +130,47 @@ _PROC_MODULES = ("subprocess", "socket", "multiprocessing")
 _ASYNC_PROC_CALLS = frozenset(
     {"create_subprocess_exec", "create_subprocess_shell"}
 )
+_DATETIME_OWNERS = ("datetime", "datetime.datetime", "datetime.date")
+_PATHLIB_WRITES = frozenset(
+    {"write_text", "write_bytes", "open", "mkdir", "touch", "unlink"}
+)
+_PATHLIB_ROOTS = frozenset(
+    {
+        "pathlib",
+        "pathlib.Path",
+        "pathlib.PurePath",
+        "pathlib.PosixPath",
+        "pathlib.WindowsPath",
+    }
+)
+#: Modules whose mere import is a site (root module -> effect kind).
+_IMPORT_SITES = {
+    **{module: "process" for module in _PROC_MODULES},
+    "numpy": "numpy",
+}
+
+
+def under_any(name: str, prefixes: Sequence[str]) -> bool:
+    """Dotted-boundary prefix test: ``a.b`` covers ``a.b.c``, not ``a.bc``."""
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
 
 
 @dataclass(frozen=True)
 class EffectSite:
-    """One primitive effect call, anchored where it textually happens."""
+    """One primitive effect, anchored where it textually happens.
 
-    kind: str  # "wallclock" | "rng" | "fs" | "process"
-    module: str  # dotted repro module holding the call
+    A *call* site propagates to every function that can reach it; an
+    import-only site (``propagates=False``: the import of a
+    process/socket module or of numpy) is charged to the importing
+    module alone.
+    """
+
+    kind: str  # "wallclock" | "rng" | "fs" | "process" | "numpy"
+    module: str  # dotted repro module holding the site
     line: int
     col: int
-    what: str  # e.g. "time.sleep()" — for diagnostics
+    what: str  # e.g. "time.sleep()", "import of socket" — for diagnostics
+    propagates: bool = True
 
 
 @dataclass(frozen=True)
@@ -151,8 +192,7 @@ class FunctionInfo:
     qualname: str
     lineno: int = 0
     #: raw call references, resolved lazily by the effect propagation:
-    #: ("local", name) | ("self", attr) | ("mod", dotted, attr) |
-    #: ("member", dotted, orig)
+    #: ("local", name) | ("self", attr) | ("mod", dotted, attr)
     calls: List[Tuple] = field(default_factory=list)
     effects: List[EffectSite] = field(default_factory=list)
 
@@ -190,32 +230,22 @@ class Program:
     def module(self, name: str) -> Optional[ModuleInfo]:
         return self.modules.get(name)
 
-    def edges_from(self, name: str) -> List[ImportEdge]:
-        info = self.modules.get(name)
-        return info.edges if info is not None else []
-
     def chase_export(
         self, module: str, name: str, _depth: int = 8
-    ) -> Optional[str]:
-        """The module that actually defines ``module.name``, following
-        from-import and deferred re-export chains; None if unknown."""
-        current, attr = module, name
+    ) -> Tuple[str, Optional[str]]:
+        """The ``(module, attribute)`` that actually defines
+        ``module.name``, following from-import and deferred re-export
+        chains as far as the program knows them.  The attribute is None
+        when the name is bound to a submodule, not a member."""
         for _ in range(_depth):
-            info = self.modules.get(current)
-            if info is None:
-                return None
-            origin = info.export_origin.get(attr)
+            if f"{module}.{name}" in self.modules:
+                return f"{module}.{name}", None
+            info = self.modules.get(module)
+            origin = info.export_origin.get(name) if info else None
             if origin is None:
-                # Defined here (or at least not re-exported onward).
-                return current
-            current, attr = origin
-            # ``from pkg import submodule`` binds a module, not a member.
-            if attr in self.modules and current == attr.rsplit(".", 1)[0]:
-                return attr
-            sub = f"{current}.{attr}"
-            if sub in self.modules:
-                return sub
-        return current if current in self.modules else None
+                break
+            module, name = origin
+        return module, name
 
 
 class GraphRule:
@@ -229,6 +259,10 @@ class GraphRule:
 
     id: str = ""
     title: str = ""
+
+    def docs(self) -> Tuple[RuleDoc, ...]:
+        """The catalogue entries for the ids this rule can report."""
+        return (RuleDoc(self.id, self.title, self.__doc__ or ""),)
 
     def check_program(self, program: Program) -> Iterator[Violation]:
         raise NotImplementedError
@@ -342,8 +376,20 @@ class _ModuleScanner:
             )
         )
 
+    def _import_site(self, node: ast.AST, dotted: str, func: str) -> None:
+        kind = _IMPORT_SITES.get(dotted.split(".")[0])
+        if kind is not None:
+            self._site(
+                node,
+                kind,
+                f"import of {dotted}",
+                self.info.functions[func],
+                propagates=False,
+            )
+
     def record_import(self, node: ast.Import, kind: str, func: str) -> None:
         for alias in node.names:
+            self._import_site(node, alias.name, func)
             local = alias.asname or alias.name.split(".")[0]
             self.info.module_aliases[local] = (
                 alias.name if alias.asname else alias.name.split(".")[0]
@@ -370,15 +416,22 @@ class _ModuleScanner:
         dotted = self._resolve_from(node)
         if dotted is None:
             return
+        self._import_site(node, dotted, func)
         for alias in node.names:
             local = alias.asname or alias.name
-            self.members[local] = (dotted, alias.name)
+            if kind == EDGE_TYPING:
+                # A typing-only name must not shadow a runtime binding.
+                self.members.setdefault(local, (dotted, alias.name))
+            else:
+                self.members[local] = (dotted, alias.name)
             if func == MODULE_BODY and kind == EDGE_EAGER:
                 self.info.export_origin.setdefault(
                     local, (dotted, alias.name)
                 )
         if dotted == "repro" or dotted.startswith("repro."):
             self._edge(dotted, kind, func, node)
+            if kind == EDGE_TYPING:
+                return
             for alias in node.names:
                 # ``from pkg import name``: charge the importer with a
                 # direct edge to whatever module defines ``name`` (a
@@ -398,7 +451,12 @@ class _ModuleScanner:
     # -- call / effect classification ---------------------------------------
 
     def _site(
-        self, node: ast.Call, kind: str, what: str, func: FunctionInfo
+        self,
+        node: ast.AST,
+        kind: str,
+        what: str,
+        func: FunctionInfo,
+        propagates: bool = True,
     ) -> None:
         func.effects.append(
             EffectSite(
@@ -407,92 +465,100 @@ class _ModuleScanner:
                 line=node.lineno,
                 col=node.col_offset,
                 what=what,
+                propagates=propagates,
             )
         )
+
+    @staticmethod
+    def _classify(
+        node: ast.Call, dotted: str, attr: str
+    ) -> Optional[Tuple[str, str]]:
+        """(kind, what) when calling ``dotted.attr`` is an effect site."""
+        if dotted == "time" and attr in _TIME_FUNCS:
+            return "wallclock", f"time.{attr}()"
+        if dotted in _DATETIME_OWNERS and attr in _DATETIME_FUNCS:
+            return "wallclock", f"datetime.{attr}()"
+        if dotted == "random":
+            if attr != "Random":
+                return "rng", f"random.{attr}()"
+            if not node.args and not node.keywords:
+                return "rng", "random.Random() unseeded"
+            return None  # an explicitly seeded instance
+        if dotted == "os" and attr in _FS_OS_CALLS:
+            return "fs", f"os.{attr}()"
+        if dotted == "io" and attr == "open":
+            return "fs", "io.open()"
+        if dotted == "os" and attr in _PROC_OS_CALLS:
+            return "process", f"os.{attr}()"
+        if dotted.split(".")[0] in _PROC_MODULES:
+            return "process", f"{dotted}.{attr}()"
+        if dotted == "asyncio" and attr in _ASYNC_PROC_CALLS:
+            return "process", f"asyncio.{attr}()"
+        return None
 
     def record_call(self, node: ast.Call, func: FunctionInfo) -> None:
         target = node.func
         if isinstance(target, ast.Name):
-            self._record_name_call(node, target.id, func)
+            origin = self.members.get(target.id)
+            if origin is not None:
+                self._record_resolved(node, *origin, func)
+            elif target.id == "open":
+                self._site(node, "fs", "open()", func)
+            else:
+                func.calls.append(("local", target.id))
         elif isinstance(target, ast.Attribute):
-            self._record_attr_call(node, target, func)
-
-    def _record_name_call(
-        self, node: ast.Call, name: str, func: FunctionInfo
-    ) -> None:
-        origin = self.members.get(name)
-        if origin is not None:
-            dotted, orig = origin
-            if dotted == "time" and orig in _TIME_FUNCS:
-                self._site(node, "wallclock", f"{orig}()", func)
-            elif dotted == "random":
-                if orig == "Random":
-                    if not node.args and not node.keywords:
-                        self._site(node, "rng", "Random() unseeded", func)
-                elif orig == "SystemRandom":
-                    self._site(node, "rng", "SystemRandom()", func)
-                else:
-                    self._site(node, "rng", f"random.{orig}()", func)
-            elif dotted == "os" and orig in _FS_OS_CALLS:
-                self._site(node, "fs", f"os.{orig}()", func)
-            elif dotted == "io" and orig == "open":
-                self._site(node, "fs", "io.open()", func)
-            elif dotted == "os" and orig in _PROC_OS_CALLS:
-                self._site(node, "process", f"os.{orig}()", func)
-            elif dotted.split(".")[0] in _PROC_MODULES:
-                self._site(node, "process", f"{dotted}.{orig}()", func)
-            elif dotted == "repro" or dotted.startswith("repro."):
-                func.calls.append(("member", dotted, orig))
-            return
-        if name == "open":
-            self._site(node, "fs", "open()", func)
-            return
-        func.calls.append(("local", name))
-
-    def _record_attr_call(
-        self, node: ast.Call, target: ast.Attribute, func: FunctionInfo
-    ) -> None:
-        attr = target.attr
-        recv = target.value
-        if isinstance(recv, ast.Name):
-            if recv.id == "self":
-                func.calls.append(("self", attr))
+            recv = target.value
+            if isinstance(recv, ast.Name) and recv.id == "self":
+                func.calls.append(("self", target.attr))
                 return
-            dotted = self.module_of(recv.id)
-            if dotted is None:
-                return
-            root = dotted.split(".")[0]
-            if dotted == "time" and attr in _TIME_FUNCS:
-                self._site(node, "wallclock", f"time.{attr}()", func)
-            elif dotted == "datetime" and attr in _DATETIME_FUNCS:
-                self._site(node, "wallclock", f"datetime.{attr}()", func)
-            elif dotted == "random":
-                if attr == "Random":
-                    if not node.args and not node.keywords:
-                        self._site(node, "rng", "random.Random() unseeded", func)
-                elif attr == "SystemRandom":
-                    self._site(node, "rng", "random.SystemRandom()", func)
-                else:
-                    self._site(node, "rng", f"random.{attr}()", func)
-            elif dotted == "os" and attr in _FS_OS_CALLS:
-                self._site(node, "fs", f"os.{attr}()", func)
-            elif dotted == "io" and attr == "open":
-                self._site(node, "fs", "io.open()", func)
-            elif dotted == "os" and attr in _PROC_OS_CALLS:
-                self._site(node, "process", f"os.{attr}()", func)
-            elif root in _PROC_MODULES:
-                self._site(node, "process", f"{dotted}.{attr}()", func)
-            elif dotted == "asyncio" and attr in _ASYNC_PROC_CALLS:
-                self._site(node, "process", f"asyncio.{attr}()", func)
-            elif dotted == "repro" or dotted.startswith("repro."):
-                func.calls.append(("mod", dotted, attr))
-        elif isinstance(recv, ast.Attribute) and attr in _DATETIME_FUNCS:
-            # datetime.datetime.now() / dt.date.today()
-            if recv.attr in ("datetime", "date") and isinstance(
-                recv.value, ast.Name
+            dotted = self._dotted_of(recv)
+            if dotted is not None and self._record_resolved(
+                node, dotted, target.attr, func
             ):
-                if self.module_of(recv.value.id) == "datetime":
-                    self._site(node, "wallclock", f"datetime.{attr}()", func)
+                return
+            # Path("x").write_text(...) / pathlib.Path.home().mkdir():
+            # only receiver chains rooted at a pathlib binding count;
+            # the same attribute on an unrelated object is ignored.
+            if target.attr in _PATHLIB_WRITES:
+                root = recv
+                while isinstance(root, (ast.Attribute, ast.Call)):
+                    root = (
+                        root.func if isinstance(root, ast.Call) else root.value
+                    )
+                if (
+                    isinstance(root, ast.Name)
+                    and self.module_of(root.id) in _PATHLIB_ROOTS
+                ):
+                    self._site(node, "fs", f"pathlib {target.attr}()", func)
+
+    def _record_resolved(
+        self,
+        node: ast.Call,
+        dotted: str,
+        attr: str,
+        func: FunctionInfo,
+    ) -> bool:
+        """Record a call of ``dotted.attr``: an effect site, or a call
+        reference into another ``repro`` module.  False if neither."""
+        site = self._classify(node, dotted, attr)
+        if site is not None:
+            self._site(node, site[0], site[1], func)
+        elif dotted == "repro" or dotted.startswith("repro."):
+            func.calls.append(("mod", dotted, attr))
+        else:
+            return False
+        return True
+
+    def _dotted_of(self, expr: ast.AST) -> Optional[str]:
+        """Dotted name of a ``Name``/``Attribute`` chain rooted at an
+        import binding (``datetime.datetime`` -> ``"datetime.datetime"``)."""
+        if isinstance(expr, ast.Name):
+            return self.module_of(expr.id)
+        if isinstance(expr, ast.Attribute):
+            base = self._dotted_of(expr.value)
+            if base is not None:
+                return f"{base}.{expr.attr}"
+        return None
 
     def module_of(self, local: str) -> Optional[str]:
         dotted = self.info.module_aliases.get(local)
@@ -652,15 +718,7 @@ def _scan_typing_block(
         if isinstance(stmt, ast.Import):
             scanner.record_import(stmt, EDGE_TYPING, qual)
         elif isinstance(stmt, ast.ImportFrom):
-            dotted = scanner._resolve_from(stmt)
-            if dotted is None:
-                continue
-            for alias in stmt.names:
-                scanner.members.setdefault(
-                    alias.asname or alias.name, (dotted, alias.name)
-                )
-            if dotted == "repro" or dotted.startswith("repro."):
-                scanner._edge(dotted, EDGE_TYPING, qual, stmt)
+            scanner.record_import_from(stmt, EDGE_TYPING, qual)
 
 
 def _scan_stmt(
@@ -696,14 +754,8 @@ def _scan_exprs(scanner: _ModuleScanner, expr: ast.AST, qual: str) -> None:
 def _link_member_imports(program: Program, pending: List[Tuple]) -> None:
     """Second pass: ``from pkg import name`` edges to defining modules."""
     for info, dotted, name, kind, func, line, col in pending:
-        sub = f"{dotted}.{name}"
-        if sub in program.modules:
-            target = sub
-        else:
-            target = program.chase_export(dotted, name)
-            if target is None or target == dotted:
-                continue
-        if target == info.name:
+        target, _ = program.chase_export(dotted, name)
+        if target in (dotted, info.name):
             continue
         info.edges.append(
             ImportEdge(

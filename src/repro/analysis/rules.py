@@ -4,18 +4,20 @@ A rule is a small class with an ``id`` (stable, referenced by
 ``# repro: disable=ID`` comments and the committed baseline), a
 ``scope`` restricting it to the package layers whose invariant it
 guards, and a ``check`` generator over a parsed module.  The rule's
-docstring *is* its catalog entry: it must state the invariant and why
-the codebase needs it, because a rule nobody can justify gets disabled
-instead of obeyed.
+docstring *is* its catalogue entry (:class:`RuleDoc`): it must state
+the invariant and why the codebase needs it, because a rule nobody can
+justify gets disabled instead of obeyed.  Rules that are rows of a
+contract table (:mod:`repro.analysis.graph`) carry the same three
+fields as table text.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["Violation", "Rule", "ImportMap", "terminal_name"]
+__all__ = ["Violation", "RuleDoc", "Rule", "ImportMap", "terminal_name"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,16 @@ class Violation:
         return f"{self.path}::{self.rule}"
 
 
+class RuleDoc(NamedTuple):
+    """One catalogue entry: what ``lint --rules`` lists and the hygiene
+    tests read.  ``why`` states the invariant the id protects — a rule
+    nobody can justify gets disabled instead of obeyed."""
+
+    id: str
+    title: str
+    why: str
+
+
 class Rule:
     """Base class: subclasses set ``id``/``scope`` and implement ``check``.
 
@@ -70,6 +82,10 @@ class Rule:
                 if parts[i : i + n] == tuple(want):
                     return True
         return False
+
+    def docs(self) -> Tuple[RuleDoc, ...]:
+        """The catalogue entries for the ids this rule can report."""
+        return (RuleDoc(self.id, self.title, self.__doc__ or ""),)
 
     def check(
         self, module: ast.Module, source: str, path: str
@@ -122,24 +138,6 @@ class ImportMap:
                     local = alias.asname or alias.name
                     self.members[local] = (node.module, alias.name)
 
-    def aliases_of(self, dotted: str) -> Set[str]:
-        """Local names bound to the module ``dotted``."""
-        return {
-            local for local, mod in self.modules.items() if mod == dotted
-        } | {
-            local
-            for local, (mod, name) in self.members.items()
-            if f"{mod}.{name}" == dotted
-        }
-
-    def members_from(self, dotted: str) -> Dict[str, str]:
-        """Local name -> original name, for from-imports out of ``dotted``."""
-        return {
-            local: name
-            for local, (mod, name) in self.members.items()
-            if mod == dotted
-        }
-
 
 def parent_map(module: ast.Module) -> Dict[ast.AST, ast.AST]:
     """Child -> parent links for ancestor walks (ast has none built in)."""
@@ -158,8 +156,3 @@ def ancestors(
     while current is not None:
         yield current
         current = parents.get(current)
-
-
-def call_names(module: ast.Module) -> List[ast.Call]:
-    """Every call node, in source order."""
-    return [n for n in ast.walk(module) if isinstance(n, ast.Call)]

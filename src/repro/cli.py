@@ -1289,18 +1289,15 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.engine import ALL_RULES, DEFAULT_BASELINE, LintEngine
-    from repro.analysis.graph import GRAPH_RULES
+    from repro.analysis.engine import CATALOGUE, DEFAULT_BASELINE, LintEngine
     from repro.errors import LintConfigError
 
     if args.rules:
-        for rule in ALL_RULES:
-            print(f"{rule.id}  {rule.title}")
-        for rule in GRAPH_RULES:
-            print(f"{rule.id}  {rule.title}  [--graph]")
+        for doc in CATALOGUE:
+            print(f"{doc.id}  {doc.title}")
         return 0
 
-    engine = LintEngine(graph=args.graph)
+    engine = LintEngine()
     baseline_path = args.baseline or DEFAULT_BASELINE
     try:
         baseline = (
@@ -1509,12 +1506,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rules",
         action="store_true",
         help="list every rule id with its one-line summary and exit",
-    )
-    p_lint.add_argument(
-        "--graph",
-        action="store_true",
-        help="also run the whole-program pass (transitive layering, "
-        "effect reachability, protocol drift) over the import+call graph",
     )
     p_lint.add_argument(
         "--format",

@@ -69,8 +69,8 @@ class IndexStructureError(ReproError):
 
     Formerly exported as ``IndexError_`` (trailing underscore to avoid
     shadowing the built-in :class:`IndexError`); that alias finished its
-    deprecation cycle and was removed.  Lint rule ``DQX01`` keeps it
-    from coming back.
+    deprecation cycle and was removed (``tests/test_errors.py`` pins
+    that it stays gone).
     """
 
 

@@ -28,8 +28,6 @@ from repro.index.bulk import sharded_bulk_load, str_bulk_load
 from repro.index.nsi import NativeSpaceIndex
 from repro.index.dualtime import DualTimeIndex
 from repro.index.psi import ParametricSpaceIndex
-from repro.index.tpbox import TPBox
-from repro.index.tpr import CurrentMotion, TPRPDQEngine, TPRTree
 from repro.index.stats import TreeStats, collect_stats, verify_integrity
 from repro.index.check import FsckReport, RepairReport, Violation, fsck, repair
 from repro.index.codec import ChecksummedCodec
@@ -55,10 +53,6 @@ __all__ = [
     "NativeSpaceIndex",
     "DualTimeIndex",
     "ParametricSpaceIndex",
-    "TPBox",
-    "TPRTree",
-    "TPRPDQEngine",
-    "CurrentMotion",
     "TreeStats",
     "collect_stats",
     "verify_integrity",

@@ -29,7 +29,6 @@ from repro.storage.wal import DurableIntentLog, IntentLog, ReplayReport, replay_
 if TYPE_CHECKING:
     from repro.storage.file import (  # noqa: F401
         FileDiskManager,
-        PickledPageCodec,
         TickDurability,
         list_snapshots,
         open_durable,
@@ -62,7 +61,6 @@ __all__ = [
     "replay_wal",
     "wal_tail_info",
     "FileDiskManager",
-    "PickledPageCodec",
     "TickDurability",
     "open_durable",
     "scan_page_file",
@@ -75,12 +73,11 @@ __all__ = [
 # The durable file-backed layer is deferred: ``repro.storage`` sits on
 # every engine import path, and eagerly importing ``storage.file`` here
 # would hand the whole library a transitive dependency on real
-# filesystem I/O (the graph pass's DQG01/DQG03 would rightly flag it).
+# filesystem I/O (the lint's DQG01/DQG03 would rightly flag it).
 # Consumers still get ``from repro.storage import open_durable`` — the
 # import happens when the name is first touched.
 _LAZY = {
     "FileDiskManager": ("repro.storage.file", "FileDiskManager"),
-    "PickledPageCodec": ("repro.storage.file", "PickledPageCodec"),
     "TickDurability": ("repro.storage.file", "TickDurability"),
     "list_snapshots": ("repro.storage.file", "list_snapshots"),
     "open_durable": ("repro.storage.file", "open_durable"),

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -55,7 +54,6 @@ from repro.storage.wal import (
 )
 
 __all__ = [
-    "PickledPageCodec",
     "FileDiskManager",
     "PageScanReport",
     "scan_page_file",
@@ -67,13 +65,7 @@ __all__ = [
     "verify_snapshot",
     "restore_snapshot",
     "list_snapshots",
-    "PICKLE_PAGE_SIZE",
 ]
-
-#: default page capacity when the fallback pickle codec is in use —
-#: pickled object-mode payloads are far bulkier than the packed structs
-#: of the real node codecs, so the 4 KiB layout claim does not apply.
-PICKLE_PAGE_SIZE = 65536
 
 _FILE_MAGIC = b"RDQPAGE1"
 #: file header: magic, version, flags, page size, reserved.
@@ -97,23 +89,6 @@ class _Freed:
 
 
 _FREED = _Freed()
-
-
-class PickledPageCodec:
-    """Codec of last resort: pickle round-trip for object payloads.
-
-    Lets benchmark-style object-mode workloads run against the file
-    backend without a real node codec.  The packed
-    :class:`~repro.index.codec.ChecksummedCodec` stack is what the
-    serving path uses; this one exists so the *storage* contract (bytes
-    on disk, CRC-framed slots) holds for arbitrary picklable payloads.
-    """
-
-    def encode(self, payload: Any) -> bytes:
-        return pickle.dumps(payload, protocol=4)
-
-    def decode(self, data: bytes) -> Any:
-        return pickle.loads(data)
 
 
 @dataclass
@@ -196,8 +171,9 @@ class FileDiskManager(DiskManager):
 
     Parameters mirror the base class; ``path`` names the page file
     (created with an fsynced header if absent, scanned and adopted if
-    present) and ``codec`` defaults to :class:`PickledPageCodec` — the
-    backend is always binary, there is no object mode on disk.
+    present) and ``codec`` is required — the backend is always binary,
+    there is no object mode on disk, and what decodes a page file's
+    bytes is the caller's choice, never a default.
 
     Mutations are deferred: cells live in memory and in a dirty map
     until :meth:`checkpoint` flushes them.  Crash recovery is the
@@ -210,19 +186,13 @@ class FileDiskManager(DiskManager):
     def __init__(
         self,
         path: str,
-        codec: Optional[PageCodec] = None,
+        codec: PageCodec,
         buffer_pool: Optional[BufferPool] = None,
-        page_size: Optional[int] = None,
+        page_size: int = PAGE_SIZE,
         faults: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
         intent_log: Optional[IntentLog] = None,
     ):
-        if codec is None:
-            codec = PickledPageCodec()
-            if page_size is None:
-                page_size = PICKLE_PAGE_SIZE
-        elif page_size is None:
-            page_size = PAGE_SIZE
         super().__init__(
             codec=codec,
             buffer_pool=buffer_pool,
@@ -436,8 +406,8 @@ class FileDiskManager(DiskManager):
 def open_durable(
     data_dir: str,
     name: str,
-    codec: Optional[PageCodec] = None,
-    page_size: Optional[int] = None,
+    codec: PageCodec,
+    page_size: int = PAGE_SIZE,
     buffer_pool: Optional[BufferPool] = None,
     retry: Optional[RetryPolicy] = None,
     auto_rollback: bool = True,

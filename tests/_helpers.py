@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment
@@ -25,3 +27,13 @@ def make_segment(
 def window(x0: float, y0: float, x1: float, y1: float) -> Box:
     """2-d spatial box literal."""
     return Box.from_bounds((x0, y0), (x1, y1))
+
+
+class JsonPageCodec:
+    """Page codec for storage tests: any JSON value as its bytes."""
+
+    def encode(self, payload) -> bytes:
+        return json.dumps(payload).encode()
+
+    def decode(self, data: bytes):
+        return json.loads(data)

@@ -224,6 +224,17 @@ class TestRepoIsClean:
         assert main(["lint"]) == 0
 
     def test_shipped_tree_passes_the_graph_pass(self, capsys):
-        # And the whole-program pass finds no transitive leak, effect
-        # reachability, or protocol drift either — CI runs this form.
-        assert main(["lint", "--graph"]) == 0
+        # The same run covers the whole-program rules (transitive
+        # leaks, effect reachability, protocol drift) — CI uploads this
+        # form — and the flag that used to select them is gone, not
+        # aliased.
+        assert main(["lint", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True and payload["suppressed"] == 0
+        assert sorted(payload) == [
+            "baselined", "files_checked", "ok", "parse_errors",
+            "stale_baseline", "suppressed", "violations",
+        ]
+        with pytest.raises(SystemExit) as refused:
+            main(["lint", "--graph"])
+        assert refused.value.code == 2

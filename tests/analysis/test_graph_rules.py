@@ -1,20 +1,21 @@
 """Fixture tests for the whole-program rules (DQG01–04, DQP01).
 
-Each violating fixture is built so *no per-file rule fires* — the
+Each violating fixture is built so *no direct rule fires* — the
 effect site lives in a module its layer allows, and the forbidden
-dependency is only reachable transitively — proving the graph pass
-catches what the flat rules cannot.  Every fixture also has a fixed
-form the pass must stay silent on.
+dependency is only reachable transitively — proving the reach rules
+catch what no single file shows.  Every fixture also has a fixed
+form the lint must stay silent on.
 """
 
 import json
 
-from repro.analysis.graph import GRAPH_RULES, build_program, module_name_for
+from repro.analysis.engine import CATALOGUE
+from repro.analysis.graph import build_program, module_name_for
 from repro.cli import main
 
 
 def lint_graph(tmp_path, capsys, files):
-    """Write fixture files into a fresh tree and run ``lint --graph``.
+    """Write fixture files into a fresh tree and run ``lint`` on it.
 
     Each call gets its own subdirectory so consecutive scenarios in one
     test (violating form, fixed form) cannot see each other's files.
@@ -25,7 +26,7 @@ def lint_graph(tmp_path, capsys, files):
         target = root / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source)
-    code = main(["lint", str(root), "--no-baseline", "--graph"])
+    code = main(["lint", str(root), "--no-baseline"])
     return code, capsys.readouterr().out
 
 
@@ -106,7 +107,8 @@ class TestLayerReach:
             },
         )
         assert code == 1
-        assert "DQG01" in out
+        # A two-module chain is the direct form of the contract.
+        assert "DQL01" in out and "DQG01" not in out
         assert "repro.storage.disk" in out
         # The package holding the deferred table is itself clean.
         code, out = lint_graph(
@@ -343,8 +345,7 @@ class TestGraphPlumbing:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(source)
         code = main(
-            ["lint", str(tmp_path), "--no-baseline", "--graph",
-             "--format", "json"]
+            ["lint", str(tmp_path), "--no-baseline", "--format", "json"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -356,26 +357,13 @@ class TestGraphPlumbing:
             "repro.storage.disk",
         ]
 
-    def test_without_graph_flag_the_leak_passes(self, tmp_path, capsys):
-        # The control: the same transitive leak is invisible per-file.
-        for relpath, source in {
-            "repro/server/mod.py": "from repro.helper import go\n",
-            "repro/helper.py": "import repro.storage.disk\n",
-            "repro/storage/disk.py": DISK,
-        }.items():
-            target = tmp_path / relpath
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(source)
-        assert main(["lint", str(tmp_path), "--no-baseline"]) == 0
-        capsys.readouterr()
-
     def test_rule_hygiene(self):
         seen = set()
-        for rule in GRAPH_RULES:
-            assert rule.id and rule.id not in seen
-            seen.add(rule.id)
-            assert rule.title
-            assert rule.__doc__ and "Invariant" in rule.__doc__
+        for doc in CATALOGUE:
+            assert doc.id and doc.id not in seen
+            seen.add(doc.id)
+            assert doc.title
+            assert "Invariant" in doc.why
 
     def test_build_program_skips_non_repro_files(self, tmp_path):
         import ast

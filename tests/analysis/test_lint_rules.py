@@ -6,8 +6,7 @@ it, and asserts the run exits non-zero naming that rule — proving the
 rule fires end to end, not just at the AST-visitor level.
 """
 
-from repro.analysis.engine import ALL_RULES
-from repro.analysis.graph import GRAPH_RULES
+from repro.analysis.engine import CATALOGUE
 from repro.cli import main
 
 
@@ -18,6 +17,23 @@ def lint_file(tmp_path, capsys, relpath, source):
     target.write_text(source)
     code = main(["lint", str(target), "--no-baseline"])
     return code, capsys.readouterr().out
+
+
+FS_CALLS = (
+    "import os\n\n\n"
+    "def shrink(fd, a, b):\n"
+    "    os.ftruncate(fd, 0)\n"
+    "    os.link(a, b)\n"
+    "    return os.open(a, os.O_RDONLY)\n"
+)
+PROC_CALLS = (
+    "import asyncio\n"
+    "import os\n\n\n"
+    "async def spawn():\n"
+    "    if os.fork() == 0:\n"
+    "        return None\n"
+    "    return await asyncio.create_subprocess_exec('true')\n"
+)
 
 
 def assert_flags(tmp_path, capsys, rule_id, relpath, source):
@@ -48,6 +64,26 @@ class TestDeterminismRules:
         )
         assert code == 1
         assert out.count("DQD01") == 2
+
+    def test_dqd01_datetime_class_import_site_and_its_caller(
+        self, tmp_path, capsys
+    ):
+        # One detector: the spelling DQD01 flags at the site is the
+        # spelling DQG02 charges to a caller in another engine module.
+        for relpath, source in {
+            "repro/core/mod.py": "from datetime import datetime\n\n\n"
+            "def stamp():\n    return datetime.now()\n",
+            "repro/server/mod.py": "from repro.core.mod import stamp\n\n\n"
+            "def tick():\n    return stamp()\n",
+        }.items():
+            target = tmp_path / relpath
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+        assert main(["lint", str(tmp_path), "--no-baseline"]) == 1
+        site, caller = capsys.readouterr().out.splitlines()[:2]
+        assert "core/mod.py:5:11: DQD01 " in site and "datetime.now()" in site
+        assert "server/mod.py:4:0: DQG02 " in caller
+        assert "repro.core.mod:5" in caller
 
     def test_dqd02_unseeded_random(self, tmp_path, capsys):
         assert_flags(
@@ -89,6 +125,23 @@ class TestLayeringRules:
             "repro/server/mod.py",
             "from repro.storage.disk import DiskManager\n",
         )
+
+    def test_dql01_is_reported_once_under_one_id(self, tmp_path, capsys):
+        source = "from repro.storage.disk import DiskManager"
+        code, out = lint_file(
+            tmp_path, capsys, "repro/server/mod.py", source + "\n"
+        )
+        assert code == 1
+        findings = [line for line in out.splitlines() if ":1:0: " in line]
+        assert len(findings) == 1 and ": DQL01 " in findings[0]
+        code, out = lint_file(
+            tmp_path,
+            capsys,
+            "repro/server/mod.py",
+            source + "  # repro: disable=DQL01\n",
+        )
+        assert code == 0, out
+        assert "1 suppressed" in out
 
     def test_dql01_core_importing_disk_module(self, tmp_path, capsys):
         assert_flags(
@@ -184,6 +237,18 @@ class TestLayeringRules:
         assert code == 1
         assert out.count("DQL05") == 2
 
+    def test_dql05_direct_os_file_calls(self, tmp_path, capsys):
+        code, out = lint_file(tmp_path, capsys, "repro/core/mod.py", FS_CALLS)
+        assert code == 1
+        assert out.count("DQL05") == 3
+        for call in ("os.ftruncate()", "os.link()", "os.open()"):
+            assert call in out
+
+    def test_dql05_direct_calls_are_fine_in_the_owners(self, tmp_path, capsys):
+        for owner in ("repro/storage/file.py", "repro/cli.py"):
+            code, out = lint_file(tmp_path, capsys, owner, FS_CALLS)
+            assert code == 0, f"{owner} owns filesystem I/O:\n{out}"
+
     def test_dql05_storage_boundary_is_exempt(self, tmp_path, capsys):
         for exempt in (
             "repro/storage/file.py",
@@ -240,6 +305,20 @@ class TestLayeringRules:
             )
             assert code == 0, f"{exempt} must be exempt from DQL06"
 
+    def test_dql06_direct_process_calls(self, tmp_path, capsys):
+        # os.fork-family and asyncio.create_subprocess_* need no import
+        # of a process module: the call itself is the site.
+        code, out = lint_file(tmp_path, capsys, "repro/core/mod.py", PROC_CALLS)
+        assert code == 1
+        assert out.count("DQL06") == 2
+        assert "os.fork()" in out
+        assert "asyncio.create_subprocess_exec()" in out
+
+    def test_dql06_direct_calls_are_fine_in_the_owners(self, tmp_path, capsys):
+        for owner in ("repro/server/remote/mod.py", "repro/cli.py"):
+            code, out = lint_file(tmp_path, capsys, owner, PROC_CALLS)
+            assert code == 0, f"{owner} owns process APIs:\n{out}"
+
     def test_dql07_numpy_outside_kernels(self, tmp_path, capsys):
         assert_flags(
             tmp_path,
@@ -280,15 +359,6 @@ class TestLayeringRules:
             "import numpy\n",
         )
         assert code == 0
-
-    def test_dqx01_resurrected_alias(self, tmp_path, capsys):
-        assert_flags(
-            tmp_path,
-            capsys,
-            "DQX01",
-            "anywhere/mod.py",
-            "from repro.errors import IndexError_ as Legacy\n",
-        )
 
 
 class TestCrashSafetyRules:
@@ -337,16 +407,18 @@ class TestCrashSafetyRules:
 class TestRuleHygiene:
     def test_every_rule_has_id_title_and_why(self):
         seen = set()
-        for rule in ALL_RULES + GRAPH_RULES:
-            assert rule.id and rule.id not in seen
-            seen.add(rule.id)
-            assert rule.title
-            # The docstring is the catalog entry: it must state the
-            # invariant being protected, not just restate the title.
-            assert rule.__doc__ and "Invariant" in rule.__doc__
+        for doc in CATALOGUE:
+            assert doc.id and doc.id not in seen
+            seen.add(doc.id)
+            assert doc.title
+            # The catalogue entry must state the invariant being
+            # protected, not just restate the title.
+            assert "Invariant" in doc.why
+        assert len(seen) == 21
 
     def test_rules_listing_via_cli(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ALL_RULES + GRAPH_RULES:
-            assert rule.id in out
+        assert out.splitlines() == [
+            f"{doc.id}  {doc.title}" for doc in CATALOGUE
+        ]

@@ -1,6 +1,6 @@
 """Edge cases in the runtime hook registry and the wall-clock guard.
 
-The graph pass leans on both: DQG02's "engine code cannot reach
+The lint leans on both: DQG02's "engine code cannot reach
 wall-clock" claim is only as strong as the runtime guard that backs it
 in sanitized runs, and the hook registry is the single global slot
 every product hot path consults.  These tests pin the corner behavior:

@@ -6,79 +6,37 @@ directions: a wall-clock call added anywhere in ``src/repro`` without
 extending the allow-list fails here (before the runtime guard ever sees
 it), and a stale allow-list entry whose call site has been removed fails
 too, so the exemption surface can only shrink deliberately.
+
+What counts as a wall-clock read is whatever the lint's one scanner
+records as a ``wallclock`` site — the same sites DQD01 and DQG02 report
+— so this test cannot disagree with them.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Set, Tuple
 
-from repro.analysis.determinism import _TIME_FUNCS
+from repro.analysis.graph import build_program
 from repro.analysis.sanitizers import WallClockGuard
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def _module_name(path: Path) -> str:
-    rel = path.relative_to(SRC.parent)
-    parts = list(rel.with_suffix("").parts)
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
-
-
-def _wallclock_sites(tree: ast.Module, module: str) -> Set[Tuple[str, str]]:
-    """(module, enclosing function) of every wall-clock call in ``tree``."""
-    aliases: Set[str] = set()
-    members: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "time":
-                    aliases.add(alias.asname or "time")
-        elif isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in _TIME_FUNCS:
-                    members.add(alias.asname or alias.name)
-    sites: Set[Tuple[str, str]] = set()
-
-    class Visitor(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.stack = ["<module>"]
-
-        def _in_function(self, node: ast.AST) -> None:
-            self.stack.append(node.name)  # type: ignore[attr-defined]
-            self.generic_visit(node)
-            self.stack.pop()
-
-        visit_FunctionDef = _in_function
-        visit_AsyncFunctionDef = _in_function
-
-        def visit_Call(self, node: ast.Call) -> None:
-            func = node.func
-            hit = isinstance(func, ast.Name) and func.id in members
-            if (
-                not hit
-                and isinstance(func, ast.Attribute)
-                and func.attr in _TIME_FUNCS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in aliases
-            ):
-                hit = True
-            if hit:
-                sites.add((module, self.stack[-1]))
-            self.generic_visit(node)
-
-    Visitor().visit(tree)
-    return sites
-
-
 def test_wallclock_call_sites_match_the_guard_allow_list():
-    found: Set[Tuple[str, str]] = set()
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found |= _wallclock_sites(tree, _module_name(path))
+    program = build_program(
+        [
+            (str(path), path.parts, ast.parse(path.read_text()))
+            for path in sorted(SRC.rglob("*.py"))
+        ]
+    )
+    found = {
+        (module.name, function.qualname)
+        for module in program.modules.values()
+        for function in module.functions.values()
+        for site in function.effects
+        if site.kind == "wallclock"
+    }
     assert found == set(WallClockGuard._ALLOWED_SITES), (
         "wall-clock call sites in src/repro drifted from "
         "WallClockGuard._ALLOWED_SITES; update the allow-list (or remove "

@@ -17,14 +17,16 @@ from repro.storage.wal import (
     wal_tail_info,
 )
 
-from _helpers import make_segment
+from _helpers import JsonPageCodec, make_segment
 
 SMALL_PAGE = 256  # shrinks fanout to ~8 so a handful of inserts split
 
 
 def durable_pair(tmp_path, sync_on_commit=True):
     log = DurableIntentLog(str(tmp_path / "t.wal"), sync_on_commit=sync_on_commit)
-    disk = FileDiskManager(str(tmp_path / "t.pages"), intent_log=log)
+    disk = FileDiskManager(
+        str(tmp_path / "t.pages"), JsonPageCodec(), intent_log=log
+    )
     return disk, log
 
 

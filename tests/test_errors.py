@@ -64,7 +64,7 @@ class TestHierarchy:
 class TestRemovedAlias:
     def test_old_name_is_gone(self):
         with pytest.raises(AttributeError):
-            errors.IndexError_  # repro: disable=DQX01
+            errors.IndexError_
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
