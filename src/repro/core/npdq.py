@@ -170,6 +170,14 @@ class NPDQEngine:
         range search; subsequent ones skip discardable subtrees and
         suppress answers the previous snapshot already delivered.
         Snapshots must advance in time (``P.t̄ ⪯ Q.t̄``).
+
+        Every loaded page goes through :func:`kernels.live_rows` — the
+        discard rule the prediction walk also descends through — and only
+        its live rows are looked at again: children are pushed in entry
+        order, and a leaf's segment tests run over row subsets, so the
+        cost counters are sums over masks (one distance computation per
+        entry of a loaded page, one segment test per row that reached the
+        exact-``P`` test, one per row that reached the exact-``Q`` test).
         """
         if query.dims != self.index.dims:
             raise QueryError(
@@ -187,6 +195,11 @@ class NPDQEngine:
         # the object stays inside the *current* window from now on.
         open_native = Box(
             [Interval(query.time.low, math.inf)] + list(query.window)
+        )
+        rule = (
+            kernels.DiscardRule(dual)
+            if prev is None
+            else kernels.DiscardRule(dual, prev.dual_box, prev.clock)
         )
         before = self.cost.snapshot()
         items: List[AnswerItem] = []
@@ -212,79 +225,51 @@ class NPDQEngine:
                     self._degraded = True
                 continue
             self.last_loaded_pages.append(page_id)
-            # One kernels pass per page precomputes every per-entry
-            # geometric value (bit-identical to the scalar Box.intersect /
-            # contains_box / segment_box_overlap_interval); the entry
-            # loops below keep the scalar control flow and its
-            # conditional cost counters, consuming the precomputed values.
+            entries = node.entries
+            self.cost.count_distance_computations(len(entries))
             arrays = page_arrays(node)
-            empty_m, covered_m = kernels.box_query_masks(
-                arrays.box_batch(),
-                dual,
-                prev.dual_box if prev is not None else None,
-            )
-            if node.is_leaf:
-                segb = arrays.segment_batch()
-                seen_vals = (
-                    kernels.segment_box_overlap_batch(segb, prev.native_box)
-                    if prev is not None
-                    else None
+            live = kernels.live_rows(arrays.box_batch(), arrays.stamps(), rule)
+            if not node.is_leaf:
+                stack.extend(entries[k].child_id for k in live)  # type: ignore[union-attr]
+                continue
+            if not live:
+                continue  # the usual leaf: its segment column is never built
+            segb = arrays.segment_batch()
+            if prev is not None:
+                # Suppression mirrors Lemma 1's box semantics: if P's
+                # boxes covered an entry, P's run delivered it (possibly
+                # as a prefetch) and the client has it — those rows are
+                # already dead.  An exact-P hit is an equivalent witness,
+                # asked only of rows old enough for P to have seen them.
+                old = [k for k in live if entries[k].timestamp <= prev.clock]
+                self.cost.count_segment_tests(len(old))
+                seen = kernels.segment_box_overlap_batch(
+                    segb.take(old), prev.native_box
                 )
-                vis_vals = kernels.segment_box_overlap_batch(segb, open_native)
-                ovl_vals = (
-                    kernels.segment_box_overlap_batch(segb, native)
-                    if self.exact
-                    else None
-                )
-                for k, e in enumerate(node.entries):
-                    self.cost.count_distance_computations()
-                    if empty_m[k]:
-                        continue
-                    if prev is not None and e.timestamp <= prev.clock:  # type: ignore[union-attr]
-                        # Suppression mirrors Lemma 1's box semantics: if
-                        # P's boxes covered this entry, P's run delivered
-                        # it (possibly as a prefetch) and the client has
-                        # it.  An exact-P hit is an equivalent witness.
-                        if covered_m[k]:
-                            continue
-                        self.cost.count_segment_tests()
-                        if not seen_vals[k].is_empty:
-                            continue
-                    visibility = vis_vals[k]
-                    if not self.exact and visibility.is_empty:
-                        # Box-only admission delivered as a plain item in
-                        # inexact mode; give it a retention-hint interval.
-                        visibility = Interval(
-                            query.time.low, e.record.time.high  # type: ignore[union-attr]
-                        )
-                    if self.exact:
-                        self.cost.count_segment_tests()
-                        if ovl_vals[k].is_empty:
-                            # Box-only admission: not an answer of Q, but
-                            # future snapshots may assume the client got
-                            # it (see the module docstring).
-                            if visibility.is_empty:
-                                visibility = Interval(
-                                    query.time.low, e.record.time.high  # type: ignore[union-attr]
-                                )
-                            prefetched.append(
-                                AnswerItem(e.record, visibility)  # type: ignore[union-attr]
-                            )
-                            continue
-                    self.cost.count_results()
-                    items.append(AnswerItem(e.record, visibility))  # type: ignore[union-attr]
-            else:
-                for k, e in enumerate(node.entries):
-                    self.cost.count_distance_computations()
-                    if empty_m[k]:
-                        continue
-                    if (
-                        prev is not None
-                        and e.timestamp <= prev.clock  # type: ignore[union-attr]
-                        and covered_m[k]
-                    ):
-                        continue  # discardable (Lemma 1)
-                    stack.append(e.child_id)  # type: ignore[union-attr]
+                delivered = {k for k, s in zip(old, seen) if not s.is_empty}
+                live = [k for k in live if k not in delivered]
+                if not live:
+                    continue
+            segb = segb.take(live)
+            vis_vals = kernels.segment_box_overlap_batch(segb, open_native)
+            if self.exact:
+                self.cost.count_segment_tests(len(live))
+                ovl_vals = kernels.segment_box_overlap_batch(segb, native)
+            for j, k in enumerate(live):
+                record = entries[k].record  # type: ignore[union-attr]
+                visibility = vis_vals[j]
+                if visibility.is_empty:
+                    # A box-only admission never enters the window: give
+                    # it a retention-hint interval instead.
+                    visibility = Interval(query.time.low, record.time.high)
+                if self.exact and ovl_vals[j].is_empty:
+                    # Box-only admission: not an answer of Q, but future
+                    # snapshots may assume the client got it (see the
+                    # module docstring).
+                    prefetched.append(AnswerItem(record, visibility))
+                    continue
+                self.cost.count_results()
+                items.append(AnswerItem(record, visibility))
         self._prev = _PreviousQuery(dual, native, tree.clock, query.time)
         return SnapshotResult(
             query_time=query.time,

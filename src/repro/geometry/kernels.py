@@ -55,6 +55,9 @@ __all__ = [
     "moving_window_segment_overlap_batch",
     "trajectory_live_components",
     "segment_box_overlap_batch",
+    "stamp_column",
+    "DiscardRule",
+    "live_rows",
     "box_query_masks",
 ]
 
@@ -121,6 +124,16 @@ class SegmentBatch:
     def time_bounds(self) -> Tuple[List[float], List[float]]:
         """Per-segment validity bounds as plain floats."""
         return self.t_lo.tolist(), self.t_hi.tolist()
+
+    def take(self, rows: Sequence[int]) -> "SegmentBatch":
+        """The batch of just ``rows``, in that order.
+
+        The kernels are elementwise, so a row evaluates to the same
+        floats in the subset as in the whole page.
+        """
+        sub = SegmentBatch.__new__(SegmentBatch)
+        sub.n, sub.dims, sub._rows = len(rows), self.dims, self._rows[:, rows]
+        return sub
 
 
 class BoxBatch:
@@ -419,34 +432,84 @@ def segment_box_overlap_batch(segs: SegmentBatch, query: Box) -> List[Interval]:
     return _to_intervals(lo, hi, forced_empty)
 
 
+def stamp_column(stamps: Sequence[int]):
+    """Per-entry operation-clock stamps as the int64 column :func:`live_rows` reads."""
+    return np.asarray(stamps, dtype=np.int64)
+
+
+class DiscardRule:
+    """Query side of the dual-tree discard rule ``(Q ∩ R) ⊆ P`` (Lemma 1).
+
+    ``query`` is ``Q`` in dual-time space; ``prev`` is ``P``, read at
+    operation clock ``clock``.  The bounds become arrays here, once per
+    descent, so each page costs only the row arithmetic.  Without a
+    ``prev`` (or with an empty one, which contains nothing) no row is
+    ever covered and the rule is a plain overlap test.
+    """
+
+    __slots__ = ("axes", "q_lows", "q_highs", "p_lows", "p_highs", "clock")
+
+    def __init__(self, query: Box, prev: Optional[Box] = None, clock: int = -1):
+        self.axes = query.dims
+        self.q_lows = np.asarray(query.lows, dtype=np.float64)
+        self.q_highs = np.asarray(query.highs, dtype=np.float64)
+        self.p_lows = self.p_highs = None
+        if prev is not None and not prev.is_empty:
+            if prev.dims != query.dims:
+                raise GeometryError(
+                    f"prev has {prev.dims} axes, query {query.dims}"
+                )
+            self.p_lows = np.asarray(prev.lows, dtype=np.float64)
+            self.p_highs = np.asarray(prev.highs, dtype=np.float64)
+        self.clock = clock
+
+
+def _discard_masks(boxes: BoxBatch, rule: DiscardRule):
+    """Row masks ``(empty, covered)`` of one non-empty page under ``rule``.
+
+    ``empty[k]`` iff ``boxes[k].intersect(Q)`` is empty; ``covered[k]``
+    iff ``P`` contains that intersection — the scalar
+    ``prev.contains_box(shared)`` with ``shared`` known non-empty, so the
+    raw (unnormalised) bounds are exactly the scalar's and ``covered``
+    means nothing on an ``empty`` row.  Without a ``P`` nothing is covered.
+    """
+    if rule.axes != boxes.axes:
+        raise GeometryError(f"query has {rule.axes} axes, boxes {boxes.axes}")
+    i_lo = np.where(boxes._lows >= rule.q_lows, boxes._lows, rule.q_lows)
+    i_hi = np.where(boxes._highs <= rule.q_highs, boxes._highs, rule.q_highs)
+    empty = (i_lo > i_hi).any(axis=1)
+    if rule.p_lows is None:
+        return empty, np.zeros(boxes.n, dtype=bool)
+    return empty, ((rule.p_lows <= i_lo) & (i_hi <= rule.p_highs)).all(axis=1)
+
+
+def live_rows(boxes: BoxBatch, stamps, rule: DiscardRule) -> List[int]:
+    """Rows of one dual-tree page a descent for ``rule`` must still look at.
+
+    Entry ``k`` (box ``boxes[k]``, stamp ``stamps[k]`` from
+    :func:`stamp_column`) is *dead* when its box misses ``Q``, or when it
+    is no newer than ``P``'s clock reading and ``P`` covers its share of
+    ``Q`` — ``P``'s run already inspected everything of it that matters.
+    Returns the others, in entry order.  This is the only implementation
+    of the rule: the prediction walk and ``NPDQEngine.snapshot`` both
+    descend through it.
+    """
+    if boxes.n == 0:
+        return []
+    empty, covered = _discard_masks(boxes, rule)
+    dead = empty | (covered & (stamps <= rule.clock))
+    return (~dead).nonzero()[0].tolist()
+
+
 def box_query_masks(
     boxes: BoxBatch, query: Box, prev: Optional[Box] = None
 ) -> Tuple[List[bool], List[bool]]:
-    """Per-entry NPDQ pruning masks against a dual-space query box.
+    """The ``(empty, covered)`` masks behind :func:`live_rows`, as lists.
 
-    Returns ``(empty, covered)`` where ``empty[k]`` is True iff
-    ``boxes[k].intersect(query)`` is empty, and ``covered[k]`` is True
-    iff ``prev`` (when given and non-empty) contains that non-empty
-    intersection — the scalar ``prev.contains_box(shared)`` with
-    ``shared`` known non-empty, so the raw (unnormalised) intersection
-    bounds are exactly the scalar's.  ``covered`` is only meaningful on
-    rows where ``empty`` is False, matching the scalar control flow.
+    Kept for ``bench/layers.py``, which times the rule's row arithmetic
+    through this name.
     """
     if boxes.n == 0:
         return [], []
-    if query.dims != boxes.axes:
-        raise GeometryError(
-            f"query has {query.dims} axes, boxes {boxes.axes}"
-        )
-    q_lows = np.asarray(query.lows, dtype=np.float64)
-    q_highs = np.asarray(query.highs, dtype=np.float64)
-    i_lo = np.where(boxes._lows >= q_lows, boxes._lows, q_lows)
-    i_hi = np.where(boxes._highs <= q_highs, boxes._highs, q_highs)
-    empty = (i_lo > i_hi).any(axis=1)
-    if prev is None or prev.is_empty:
-        covered = np.zeros(boxes.n, dtype=bool)
-    else:
-        p_lows = np.asarray(prev.lows, dtype=np.float64)
-        p_highs = np.asarray(prev.highs, dtype=np.float64)
-        covered = ((p_lows <= i_lo) & (i_hi <= p_highs)).all(axis=1)
+    empty, covered = _discard_masks(boxes, DiscardRule(query, prev))
     return empty.tolist(), covered.tolist()

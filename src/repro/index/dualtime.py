@@ -21,11 +21,13 @@ import math
 from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import CorruptPageError, QueryError, TransientIOError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.bulk import str_bulk_load
 from repro.index.entry import LeafEntry
+from repro.index.pagearrays import page_arrays
 from repro.index.rtree import RTree
 from repro.motion.segment import MotionSegment
 from repro.motion.uncertainty import inflate_box
@@ -220,8 +222,8 @@ class DualTimeIndex:
         query (Lemma 1).  Returns every page id visited, in descent
         order — the page set :meth:`~repro.core.NPDQEngine.snapshot`
         would load for the same query against the same previous state,
-        because the walk replays exactly the pruning decisions the
-        engine makes on internal entries.
+        because both descend through the one implementation of the
+        rule, :func:`repro.geometry.kernels.live_rows`, a page at a time.
 
         **Monotonicity** (the shared-scan superset lemma): enlarging
         ``query_box`` can only grow the result.  A bigger box passes the
@@ -235,6 +237,7 @@ class DualTimeIndex:
         ``failed``, but its subtree cannot be enumerated — the engine's
         own retry/degradation machinery deals with it during evaluation.
         """
+        rule = kernels.DiscardRule(query_box, prev_box, prev_clock)
         pages: List[int] = []
         stack = [self.tree.root_id]
         while stack:
@@ -248,19 +251,16 @@ class DualTimeIndex:
                 continue
             if node.is_leaf:
                 continue
-            for e in node.entries:
-                if cost is not None:
-                    cost.count_distance_computations()
-                shared = e.box.intersect(query_box)
-                if shared.is_empty:
-                    continue
-                if (
-                    prev_box is not None
-                    and e.timestamp <= prev_clock
-                    and prev_box.contains_box(shared)
-                ):
-                    continue
-                stack.append(e.child_id)
+            entries = node.entries
+            if cost is not None:
+                cost.count_distance_computations(len(entries))
+            arrays = page_arrays(node)
+            stack.extend(
+                entries[k].child_id
+                for k in kernels.live_rows(
+                    arrays.box_batch(), arrays.stamps(), rule
+                )
+            )
         return pages
 
     def __len__(self) -> int:

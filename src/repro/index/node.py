@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.errors import IndexStructureError
+from repro.errors import DimensionalityError, IndexStructureError
 from repro.geometry.box import Box
+from repro.geometry.interval import Interval
 from repro.index.entry import Entry, InternalEntry, LeafEntry
 
 __all__ = ["Node"]
@@ -72,10 +73,23 @@ class Node:
         if self._mbr is None:
             if not self.entries:
                 raise IndexStructureError(f"node {self.page_id} has no entries")
-            box = self.entries[0].box
-            for e in self.entries[1:]:
-                box = box.cover(e.box)
-            self._mbr = box
+            # One pass, same result as folding Box.cover over the entries:
+            # empty boxes are skipped (when every box is empty the fold
+            # ends on the last), min/max keep the first of equal bounds.
+            boxes = [e.box for e in self.entries]
+            dims = boxes[0].dims
+            if any(b.dims != dims for b in boxes):
+                raise DimensionalityError(
+                    f"node {self.page_id} mixes box dimensionalities"
+                )
+            full = [b for b in boxes if not b.is_empty]
+            if len(full) < 2:
+                self._mbr = full[0] if full else boxes[-1]
+            else:
+                self._mbr = Box(
+                    Interval(min(x.low for x in axis), max(x.high for x in axis))
+                    for axis in zip(*(b.extents for b in full))
+                )
         return self._mbr
 
     # -- mutation (invalidates the cached MBR) -----------------------------------

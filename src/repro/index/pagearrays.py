@@ -5,9 +5,9 @@ entry objects, each holding a :class:`~repro.geometry.box.Box` of
 :class:`~repro.geometry.interval.Interval` objects.  The batch kernels
 in :mod:`repro.geometry.kernels` want the same page as a handful of
 flat arrays.  :class:`PageArrays` holds exactly the columns the engines
-read — the entry bounding boxes, and on a leaf the motion segments —
-each built on first use, so a page only ever pays for the view its
-queries ask for.
+read — the entry bounding boxes, the entry timestamps (the dual tree's
+discard rule reads them) and on a leaf the motion segments — each built
+on first use, so a page only ever pays for the view its queries ask for.
 
 ``page_arrays(node)`` caches the view on the node (invalidated by every
 mutating method alongside the MBR cache), so repeated queries against a
@@ -33,7 +33,7 @@ class PageArrays:
     exact motion segments (validity interval, origin, velocity).
     """
 
-    __slots__ = ("is_leaf", "_entries", "_box_batch", "_seg_batch")
+    __slots__ = ("is_leaf", "_entries", "_box_batch", "_seg_batch", "_stamps")
 
     def __init__(self, node: Node):
         self.is_leaf = node.is_leaf
@@ -42,6 +42,7 @@ class PageArrays:
         self._entries = node.entries
         self._box_batch: Optional[kernels.BoxBatch] = None
         self._seg_batch: Optional[kernels.SegmentBatch] = None
+        self._stamps = None
 
     def box_batch(self) -> kernels.BoxBatch:
         """Entry bounding boxes as a :class:`kernels.BoxBatch`."""
@@ -51,6 +52,14 @@ class PageArrays:
                 [b.lows for b in boxes], [b.highs for b in boxes]
             )
         return self._box_batch
+
+    def stamps(self):
+        """Entry timestamps as the int64 column of :func:`kernels.live_rows`."""
+        if self._stamps is None:
+            self._stamps = kernels.stamp_column(
+                [e.timestamp for e in self._entries]
+            )
+        return self._stamps
 
     def segment_batch(self) -> kernels.SegmentBatch:
         """Leaf motion segments as a :class:`kernels.SegmentBatch`."""

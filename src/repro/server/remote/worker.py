@@ -105,7 +105,14 @@ class ShardWorker:
 
     def _tick(self, p: Any) -> Any:
         tick = Tick(int(p["index"]), float(p["start"]), float(p["end"]))
-        report = self.shard.run_tick(tick)
+        try:
+            report = self.shard.run_tick(tick)
+        except BaseException:
+            # A failed tick delivers nothing: what earlier sessions queued
+            # would otherwise ship with the next tick's RESULT frame.
+            for session in self.shard.broker.sessions:
+                session.poll()
+            raise
         quiet = bool(p.get("quiet"))
         results = []
         clients: Dict[str, Any] = {}

@@ -15,10 +15,14 @@ boundaries actually touch.
 
 from __future__ import annotations
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.trajectory import KeySnapshot, QueryTrajectory
+from repro.errors import GeometryError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
@@ -31,6 +35,9 @@ from repro.geometry.trapezoid import (
     moving_window_box_overlap,
     moving_window_segment_overlap,
 )
+from repro.index.entry import InternalEntry
+
+from _helpers import scalar_live_rows
 
 # Exactly-representable grid values make "touching" cases genuinely
 # touch; the continuous component exercises arbitrary doubles.
@@ -211,6 +218,100 @@ class TestBoxQueryMasks:
 
 # A real node page holds up to a few dozen entries; 64 covers it.
 _TRAJECTORY_PAGE = st.integers(min_value=0, max_value=64)
+
+
+@st.composite
+def dual_boxes(draw, axes):
+    """A box some of whose extents run to infinity, as a dual-time query's
+    first two do (``t_s <= q_h`` and ``t_e >= q_l``)."""
+    extents = []
+    for _ in range(axes):
+        ext = draw(intervals())
+        shape = draw(st.sampled_from(["closed", "left-open", "right-open"]))
+        if shape == "left-open":
+            ext = Interval(-math.inf, ext.high)
+        elif shape == "right-open":
+            ext = Interval(ext.low, math.inf)
+        extents.append(ext)
+    return Box(extents)
+
+
+class TestLiveRows:
+    """``kernels.live_rows`` — the one implementation of the dual tree's
+    discard rule — against the scalar rule it replaced, entry by entry."""
+
+    @staticmethod
+    def _check(page, stamps, query, prev, clock):
+        entries = [
+            InternalEntry(box, k, timestamp=stamp)
+            for k, (box, stamp) in enumerate(zip(page, stamps))
+        ]
+        got = kernels.live_rows(
+            _box_batch(page),
+            kernels.stamp_column(stamps),
+            kernels.DiscardRule(query, prev, clock),
+        )
+        assert got == scalar_live_rows(entries, query, prev, clock)
+        return got
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rule(self, data):
+        axes = data.draw(st.integers(min_value=1, max_value=4))
+        query = data.draw(dual_boxes(axes))
+        # P is usually Q moved by a sliver, so coverage is the common
+        # case and the stamp decides; sometimes unrelated, empty or absent
+        prev = data.draw(
+            st.none()
+            | st.just(Box.empty(axes))
+            | dual_boxes(axes)
+            | st.just(query)
+            | st.builds(
+                lambda d: Box(
+                    Interval(e.low - d, e.high - d) for e in query.extents
+                ),
+                st.sampled_from([0.0, 0.5, 1.0]),
+            )
+        )
+        clock = data.draw(st.integers(min_value=-1, max_value=6))
+        n = data.draw(_TRAJECTORY_PAGE)
+        # allow_empty: a structurally empty entry box (low > high) is dead
+        page = [
+            Box(tuple(data.draw(intervals(allow_empty=True)) for _ in range(axes)))
+            for _ in range(n)
+        ]
+        stamps = [
+            data.draw(st.integers(min_value=0, max_value=7)) for _ in range(n)
+        ]
+        self._check(page, stamps, query, prev, clock)
+
+    def test_touching_bounds_intersect_and_are_covered(self):
+        query = Box([Interval(-math.inf, 2.0), Interval(1.0, math.inf)])
+        prev = Box([Interval(-math.inf, 1.5), Interval(1.0, math.inf)])
+        page = [
+            Box([Interval(2.0, 3.0), Interval(0.0, 1.0)]),  # touches Q at a corner
+            Box([Interval(0.0, 1.5), Interval(1.0, 4.0)]),  # Q's share ends on P's edge
+            Box([Interval(0.0, 1.75), Interval(1.0, 4.0)]),  # pokes out of P
+            Box([Interval(2.5, 3.0), Interval(1.0, 4.0)]),  # misses Q
+        ]
+        assert self._check(page, [0, 0, 0, 0], query, prev, clock=0) == [0, 2]
+        # a stamp newer than P's clock reading un-discards a covered row
+        assert self._check(page, [0, 1, 0, 0], query, prev, clock=0) == [0, 1, 2]
+        assert self._check(page, [0, 0, 0, 0], query, None, clock=0) == [0, 1, 2]
+
+    def test_empty_page_and_empty_prev(self):
+        query = Box([Interval(0.0, 1.0)])
+        assert self._check([], [], query, query, clock=3) == []
+        page = [Box([Interval(0.0, 1.0)]), Box([Interval(3.0, 2.0)])]
+        assert self._check(page, [0, 0], query, Box.empty(1), clock=3) == [0]
+
+    def test_axes_mismatch_is_refused(self):
+        rule = kernels.DiscardRule(Box([Interval(0.0, 1.0)]))
+        page = [Box([Interval(0.0, 1.0), Interval(0.0, 1.0)])]
+        with pytest.raises(GeometryError):
+            kernels.live_rows(_box_batch(page), kernels.stamp_column([0]), rule)
+        with pytest.raises(GeometryError):
+            kernels.DiscardRule(page[0], Box([Interval(0.0, 1.0)]))
 _FRONTIER = _GRID | st.floats(
     min_value=-60.0, max_value=60.0, allow_nan=False, allow_infinity=False
 )

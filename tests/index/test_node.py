@@ -1,8 +1,13 @@
 """Tests for R-tree node mechanics."""
 
-import pytest
+import math
+from functools import reduce
 
-from repro.errors import IndexStructureError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import DimensionalityError, IndexStructureError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.index.entry import InternalEntry, LeafEntry
@@ -65,6 +70,40 @@ class TestMBR:
         node.mbr()
         node.remove_child(2, clock=3)
         assert node.mbr().extent(0).high == 1.0
+
+    # ±0.0 and repeated values make first-wins ties matter; a > b draws a
+    # structurally empty extent, which the fold skips
+    _BOUND = st.sampled_from([-0.0, 0.0, -1.0, 1.0, 2.5, math.inf, -math.inf]) | (
+        st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+    )
+
+    @staticmethod
+    def _bits(box):
+        """Bounds with the sign of zero made visible."""
+        return [
+            (x, math.copysign(1.0, x)) for e in box.extents for x in (e.low, e.high)
+        ]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mbr_equals_the_cover_fold(self, data):
+        axes = data.draw(st.integers(min_value=1, max_value=3))
+        boxes = [
+            Box(
+                Interval(data.draw(self._BOUND), data.draw(self._BOUND))
+                for _ in range(axes)
+            )
+            for _ in range(data.draw(st.integers(min_value=1, max_value=12)))
+        ]
+        node = Node(0, 1, [InternalEntry(b, k) for k, b in enumerate(boxes)])
+        want = reduce(Box.cover, boxes)  # what Node.mbr() used to compute
+        assert self._bits(node.mbr()) == self._bits(want)
+        assert node.mbr().is_empty == want.is_empty
+
+    def test_mbr_refuses_mixed_dimensionalities(self):
+        node = Node(0, 1, [internal_entry(1), InternalEntry(Box.from_point((0.0,)), 2)])
+        with pytest.raises(DimensionalityError):
+            node.mbr()
 
 
 class TestKindChecks:

@@ -214,9 +214,15 @@ class TestCaching:
             assert keys_before == scalar_keys(index, trajectory)
             before = node._arrays
             assert before is not None
+            # all three lazy columns are built and cached on the old view
+            stale = before.stamps().tolist()
+            assert stale == [e.timestamp for e in node.entries]
             mutate(node, index)
             assert page_arrays(node) is not before
             assert page_arrays(node).box_batch().n == len(node.entries)
+            stamps = page_arrays(node).stamps().tolist()
+            assert stamps == [e.timestamp for e in node.entries]
+            assert stamps != stale
             keys_after = engine_keys(index, trajectory)
             assert keys_after == scalar_keys(index, trajectory)
             assert keys_after != keys_before

@@ -15,7 +15,12 @@ from dataclasses import fields as dataclass_fields
 import pytest
 
 from repro.core.trajectory import KeySnapshot, QueryTrajectory
-from repro.errors import RemoteProtocolError, RemoteWorkerError, ServerError
+from repro.errors import (
+    QueryError,
+    RemoteProtocolError,
+    RemoteWorkerError,
+    ServerError,
+)
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.server import (
@@ -227,6 +232,49 @@ class TestShardWorkerInProcess:
         )
         assert reply["results"] == []
         assert "c0" in reply["clients"]
+
+    def test_failed_tick_ships_nothing_with_the_next(self, fleet):
+        """Sessions served before the one that raised have queued the
+        failed tick's results; the ERROR reply must not leave them to
+        ride along in the next tick's RESULT frame."""
+        worker = ShardWorker()
+        worker.handle(proto.MSG_HELLO, hello_payload())
+        worker.handle(
+            proto.MSG_LOAD,
+            {"segments": [
+                make_segment(i, 0, START, START + 2.0, (float(i), 0.0), (0.1, 0.0))
+                for i in range(8)
+            ]},
+        )
+        for cid, traj in zip(("c0", "c1", "c2"), fleet(3, duration=1.0)):
+            worker.handle(
+                proto.MSG_REGISTER,
+                {"client_id": cid, "kind": "pdq", "trajectory": traj,
+                 "kwargs": {}},
+            )
+
+        def tick(index):
+            return worker.handle(
+                proto.MSG_TICK,
+                {"index": index, "start": START + index * PERIOD,
+                 "end": START + (index + 1) * PERIOD, "quiet": False},
+            )
+
+        tick(0)
+        failing = worker.shard.broker.session("c1")
+        serve_c1 = failing.serve
+
+        def raise_once(tick):
+            failing.serve = serve_c1
+            raise QueryError("engine failed")
+
+        failing.serve = raise_once
+        with pytest.raises(QueryError, match="engine failed"):
+            tick(1)
+        reply = tick(2)
+        assert [
+            (cid, [r.index for r in polled]) for cid, polled in reply["results"]
+        ] == [("c0", [2]), ("c1", [2]), ("c2", [2])]
 
 
 def frames_of(broker, ticks):
