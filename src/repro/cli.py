@@ -838,16 +838,6 @@ _SERVE_OPTIONS = (
         feeds="promote_after",
     ),
     _ServeOption(
-        "--npdq-margin",
-        "npdq_margin",
-        2.0,
-        "slack of NPDQ frontier prediction, in multiples of the "
-        "largest observed inter-frame step (smaller batches fewer pages "
-        "but mispredicts more; mispredicts only cost demand fetches)",
-        minimum=0,
-        feeds="npdq_predict_margin",
-    ),
-    _ServeOption(
         "--data-dir",
         None,
         help="serve from a durable file-backed store in this directory: "
@@ -1138,7 +1128,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # index with answers suppressed (they are already on disk) and
         # durability detached (nothing to re-commit).  Serving is read-only,
         # so this only rebuilds session state — reported-item sets, NPDQ
-        # predictor history, auto-mode hand-off state — which the engines'
+        # suppression memory, auto-mode hand-off state — which the engines'
         # answer-invariance guarantees leaves the *subsequent* stream
         # identical to an uninterrupted run.
         if through >= 0:

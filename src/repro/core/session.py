@@ -180,27 +180,70 @@ class DynamicQuerySession:
 
     def npdq_frontier_pages(
         self,
-        time: Interval,
-        window: Box,
+        t: float,
+        center: Sequence[float],
         cost: Optional[QueryCost] = None,
-        failed: Optional[List[int]] = None,
     ) -> List[int]:
-        """Dual-tree pages a forecast NPDQ frame over ``window`` would read.
+        """Dual-tree pages a non-predictive frame at ``(t, center)`` reads.
 
         A read-only coverage-pruned walk
-        (:meth:`~repro.core.NPDQEngine.predict_pages`) against the
-        session's own NPDQ memory; it never perturbs engine state or
-        answers.  Empty while a predictive engine is live — predictive
-        frames do not touch the dual-time tree, and the NPDQ memory is
-        reset at hand-off anyway.  Lets the serving layer batch an
-        auto-mode session's non-predictive frames exactly like a raw
-        NPDQ client's.
+        (:meth:`~repro.core.NPDQEngine.predict_pages`) for the frame's
+        own query (:meth:`_frame_query`) against the session's own NPDQ
+        memory; it never perturbs engine state or answers.  Empty while
+        a predictive engine is live — predictive frames do not touch the
+        dual-time tree — and on a fresh frame (the first, or a
+        teleport), which :meth:`observe` evaluates only after resetting
+        the very memory the walk would prune against.  Lets the serving
+        layer batch an auto-mode session's non-predictive frames exactly
+        like a raw NPDQ client's.
         """
         if self._pdq is not None:
             return []
-        return self._npdq.predict_pages(
-            SnapshotQuery(time, window), cost=cost, failed=failed
-        )
+        window, swept_from = self._frame_windows(center)
+        if swept_from is None:
+            return []
+        query = self._frame_query(t, window, swept_from)
+        return self._npdq.predict_pages(query, cost=cost)
+
+    def _frame_windows(
+        self, center: Sequence[float]
+    ) -> Tuple[Box, Optional[Box]]:
+        """``(window, swept_from)`` of a frame with the observer at
+        ``center``.  Read-only.
+
+        ``swept_from`` is the previous frame's window when this frame
+        continues the series, and ``None`` on a fresh frame: the first,
+        or a teleport — a window that overlaps the previous one by less
+        than ``teleport_overlap``.
+        """
+        window = self._window(center)
+        if self._last_time is None:
+            return window, None
+        prev_window = self._window(self._last_center)  # type: ignore[arg-type]
+        inter = prev_window.intersect(window)
+        overlap = inter.volume() / window.volume() if window.volume() else 0.0
+        if overlap < self.teleport_overlap:
+            return window, None
+        return window, prev_window
+
+    def _frame_query(
+        self, t: float, window: Box, swept_from: Optional[Box]
+    ) -> SnapshotQuery:
+        """What a non-predictive frame at ``t`` asks of the dual-time
+        tree, given its :meth:`_frame_windows`.  Read-only.
+
+        A fresh frame starts afresh as an instantaneous snapshot of the
+        window.  Any other frame continues the series: it spans the time
+        since the previous frame and the cover of both windows (the
+        region the sweep crossed).  Built only where it is consumed —
+        the NPDQ branch of :meth:`observe` and the walk of
+        :meth:`npdq_frontier_pages` — so predictive and ghost frames do
+        not pay for a query nothing reads.
+        """
+        if swept_from is None:
+            return SnapshotQuery(Interval.point(t), window)
+        span = Interval(self._last_time, t)  # type: ignore[arg-type]
+        return SnapshotQuery(span, window.cover(swept_from))
 
     def window_for(self, center: Sequence[float]) -> Box:
         """The observer's view window centred at ``center``."""
@@ -301,22 +344,13 @@ class DynamicQuerySession:
         if self._last_time is not None and t <= self._last_time:
             raise SessionError("frames must advance strictly in time")
 
-        window = self._window(center)
+        window, swept_from = self._frame_windows(center)
+        fresh = swept_from is None
         report = FrameReport(time=t, mode=self._mode)
-
-        first = self._last_time is None
-        teleported = False
-        if not first:
-            prev_window = self._window(self._last_center)  # type: ignore[arg-type]
-            inter = prev_window.intersect(window)
-            overlap = (
-                inter.volume() / window.volume() if window.volume() else 0.0
-            )
-            teleported = overlap < self.teleport_overlap
 
         # -- update the motion estimate --------------------------------------
         velocity: Optional[Tuple[float, ...]] = None
-        if not first and not teleported:
+        if not fresh:
             dt = t - self._last_time  # type: ignore[operator]
             velocity = tuple(
                 (c - p) / dt for c, p in zip(center, self._last_center)  # type: ignore[arg-type]
@@ -332,7 +366,7 @@ class DynamicQuerySession:
             self._stable_count = 0
 
         # -- pick the mode ------------------------------------------------------
-        if first or teleported:
+        if fresh:
             self._drop_pdq()
             self._npdq.reset()
             self._set_mode(t, SessionMode.SNAPSHOT)
@@ -358,21 +392,12 @@ class DynamicQuerySession:
             items = []
         elif self._mode is SessionMode.PREDICTIVE:
             assert self._pdq is not None
-            frame_start = t if first else self._last_time
-            items = self._pdq.window(frame_start, t)  # type: ignore[arg-type]
+            # a fresh frame is never predictive, so there is a last frame
+            items = self._pdq.window(self._last_time, t)  # type: ignore[arg-type]
         else:
-            time = (
-                Interval.point(t)
-                if first or teleported
-                else Interval(self._last_time, t)  # type: ignore[arg-type]
-            )
-            span_window = (
-                window
-                if first or teleported
-                else window.cover(self._window(self._last_center))  # type: ignore[arg-type]
-            )
             before = self._npdq.cost.snapshot()
-            result = self._npdq.snapshot(SnapshotQuery(time, span_window))
+            query = self._frame_query(t, window, swept_from)
+            result = self._npdq.snapshot(query)
             self._harvest_npdq_cost(before)
             items = result.items
             # Box-only prefetches must reach the cache: the next

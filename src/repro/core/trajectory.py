@@ -259,26 +259,32 @@ class QueryTrajectory:
         times.append(span.high)
         return times
 
-    def frame_queries(self, period: float) -> Iterator[SnapshotQuery]:
-        """The snapshot query series the application would pose.
+    def frame_query(self, start: float, end: float) -> SnapshotQuery:
+        """The snapshot query of the frame ``[start, end]``.
 
-        Each frame query covers one frame period temporally and a
-        rectangular cover of the window's sweep during the frame
-        spatially — the endpoint windows plus any key-snapshot window
-        falling inside the frame (the sweep is linear between key
+        It covers the frame temporally and a rectangular cover of the
+        window's sweep during it spatially — the endpoint windows
+        (clamped to the span) plus any key-snapshot window falling
+        strictly inside the frame (the sweep is linear between key
         snapshots, so covering those extremes covers the whole swept
-        trapezoid).  This is the series Definition 4 composes into the
-        dynamic query, and the series the naive approach evaluates one
-        by one.
+        trapezoid).
+        """
+        window = self.window_at(start).cover(self.window_at(end))
+        for j in self._segment_range(Interval(start, end)):
+            key = self._keys[j + 1]
+            if start < key.time < end:
+                window = window.cover(key.window)
+        return SnapshotQuery(Interval(start, end), window)
+
+    def frame_queries(self, period: float) -> Iterator[SnapshotQuery]:
+        """The snapshot query series the application would pose: one
+        :meth:`frame_query` per frame period.  This is the series
+        Definition 4 composes into the dynamic query, and the series the
+        naive approach evaluates one by one.
         """
         times = self.frame_times(period)
         for a, b in zip(times, times[1:]):
-            window = self.window_at(a).cover(self.window_at(b))
-            for j in self._segment_range(Interval(a, b)):
-                key_time = self._times[j + 1]
-                if a < key_time < b:
-                    window = window.cover(self.window_at(key_time))
-            yield SnapshotQuery(Interval(a, b), window)
+            yield self.frame_query(a, b)
 
     def __len__(self) -> int:
         return len(self._keys)

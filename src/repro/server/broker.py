@@ -11,9 +11,9 @@ the broker:
    strictly *between* ticks, so readers always see a frozen index);
 2. runs the :class:`~repro.server.scheduler.SharedScanScheduler` batch
    phase — the merged frontier of all live clients (priority-queue
-   frontiers over the native tree for PDQ/auto, motion-forecast
-   prediction walks over the dual-time tree for NPDQ) is read once per
-   distinct page;
+   frontiers over the native tree for PDQ/auto, prediction walks over
+   the dual-time tree for the frames NPDQ/auto clients submitted for
+   this tick) is read once per distinct page;
 3. serves each session **in registration order** (the determinism the
    answer-invariance property test depends on), pinning after each
    what it demand-fetched mid-tick so later clients piggyback on it;
@@ -69,15 +69,6 @@ class ServerConfig:
     ``promote_depth`` for ``promote_after`` consecutive strides is
     promoted back to an exact per-tick PDQ engine.  ``promote_after=0``
     (the default) disables promotion — once shed, always shed.
-
-    ``npdq_predict_margin`` scales the slack of NPDQ frontier
-    prediction: each client's forecast window is inflated by this many
-    multiples of the largest inter-frame step observed for it.  A
-    smaller margin predicts (and batch-reads) fewer pages but
-    mispredicts more often under erratic motion; mispredicts only cost
-    demand fetches, never answers.  ``npdq_history_weight`` is the EW
-    weight of the predictor's velocity-trend history (0 falls back to
-    last-displacement-only forecasting).
     """
 
     max_clients: int = 64
@@ -88,8 +79,6 @@ class ServerConfig:
     promote_depth: int = 1
     shared_scan: bool = True
     buffer_capacity: int = 1024
-    npdq_predict_margin: float = 2.0
-    npdq_history_weight: float = 0.5
     # Largest join distance this server must answer correctly.  Sharded
     # front-ends inflate their routing boxes by half of it (the midpoint
     # of any sub-δ pair is within δ/2 of both sides, so inflating entry
@@ -118,10 +107,6 @@ class ServerConfig:
             raise ServerError("promote_depth must be >= 1")
         if self.buffer_capacity < 1:
             raise ServerError("buffer_capacity must be >= 1")
-        if self.npdq_predict_margin < 0:
-            raise ServerError("npdq_predict_margin must be >= 0")
-        if not 0.0 <= self.npdq_history_weight <= 1.0:
-            raise ServerError("npdq_history_weight must be in [0, 1]")
         if self.join_delta < 0:
             raise ServerError("join_delta must be >= 0")
         if self.auto_route_refresh < 0:

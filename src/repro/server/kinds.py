@@ -71,14 +71,11 @@ def _pdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
 
 
 def _npdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
-    config = broker.config
     return NPDQSession(
         client_id,
         broker.dual,
         trajectory,
-        queue_depth=config.queue_depth,
-        predict_margin=config.npdq_predict_margin,
-        history_weight=config.npdq_history_weight,
+        queue_depth=broker.config.queue_depth,
         **kwargs,
     )
 
@@ -102,8 +99,6 @@ def _auto(
         ),
         path,
         queue_depth=config.queue_depth,
-        predict_margin=config.npdq_predict_margin,
-        history_weight=config.npdq_history_weight,
         route_refresh=config.auto_route_refresh,
     )
 

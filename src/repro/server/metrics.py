@@ -52,9 +52,11 @@ class ClientMetrics:
     shed_events: int = 0
     promote_events: int = 0
     degraded_ticks: int = 0
-    # NPDQ frontier prediction (zero for other session kinds): pages the
-    # prediction walk enumerated, pages the evaluation actually loaded,
-    # and loaded pages the walk missed (demand-fetched, never wrong).
+    # NPDQ prediction walk (zero for other session kinds): pages the
+    # walk enumerated, pages the evaluation actually loaded, and loaded
+    # pages the walk missed.  The walk descends for the frame that is
+    # evaluated, so a miss is a page under one the walk failed to read
+    # (a storage fault) — demand-fetched, never wrong, never a bad guess.
     predicted_pages: int = 0
     actual_pages: int = 0
     mispredicted_pages: int = 0
@@ -229,10 +231,12 @@ class ServerMetrics:
 
     @property
     def mispredict_rate(self) -> float:
-        """Fraction of NPDQ-loaded pages the prediction walks missed.
+        """Fraction of NPDQ-loaded pages the prediction walks missed —
+        non-zero only when a walk hit a storage fault and stopped short
+        of a subtree.
 
-        Mispredicts never change answers; each costs one demand fetch
-        during the drain phase instead of a batched read.
+        A miss never changes answers; it costs one demand fetch during
+        the drain phase instead of a batched read.
         """
         if not self.actual_pages:
             return 0.0

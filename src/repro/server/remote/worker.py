@@ -21,6 +21,7 @@ journal against a fresh process — the respawn path leans on this.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from typing import Any, BinaryIO, Dict, Optional
 
@@ -38,9 +39,26 @@ __all__ = ["ShardWorker", "serve", "main"]
 
 
 def _decode_config(payload: Any) -> ServerConfig:
-    fields = dict(payload)
-    read, cpu = fields.pop("latency")
-    return ServerConfig(latency=LatencyModel(float(read), float(cpu)), **fields)
+    """The HELLO config, field for field: both ends must serve under the
+    same :class:`ServerConfig`, so a key this worker does not know, or
+    one it would have to default, refuses the HELLO — as does a value of
+    the wrong shape (a protocol error the worker survives, never a bare
+    ``TypeError`` out of :func:`serve`)."""
+    try:
+        fields = dict(payload)
+        known = {f.name for f in dataclasses.fields(ServerConfig)}
+        unknown = sorted(set(fields) - known)
+        missing = sorted(known - set(fields))
+        if unknown or missing:
+            raise RemoteProtocolError(
+                "HELLO config does not match this worker's ServerConfig: "
+                f"unknown fields {unknown}, missing fields {missing}"
+            )
+        read, cpu = fields.pop("latency")
+        latency = LatencyModel(float(read), float(cpu))
+        return ServerConfig(latency=latency, **fields)
+    except (TypeError, ValueError) as exc:
+        raise RemoteProtocolError(f"malformed HELLO config: {exc}") from exc
 
 
 class ShardWorker:

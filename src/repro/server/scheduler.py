@@ -9,27 +9,29 @@ traversed once per *batch*, not once per client), the scheduler makes
 node reads shared across the whole client population within a tick:
 
 1. **batch phase** — at tick start it polls every live session's
-   frontier (:meth:`PDQEngine.frontier_pages` for predictive clients,
-   the motion-forecast prediction walk of
-   :meth:`NPDQSession.frontier_pages` for non-predictive ones), merges
-   the per-client page demand *per index tree* — PDQ/auto frontiers
-   live in the native-space tree, NPDQ frontiers in the dual-time tree,
-   and the two trees' page-id namespaces are independent — and reads
-   each distinct page once, in page-id order (the simulated analogue of
-   an elevator pass).  NPDQ prediction walks read pages while
-   enumerating them; those reads flow through the same shared buffer
-   pool, so overlapping walks piggyback on each other exactly like
-   explicit batch reads.  Each batched page is **pinned** in its tree's
-   shared :class:`~repro.storage.BufferPool` so no client's traversal
-   can evict another client's pending page mid-tick;
+   :meth:`~repro.server.session.ClientSession.frontier_demand` (the
+   priority-queue frontier of :meth:`PDQEngine.frontier_pages` for
+   predictive clients; for non-predictive ones the prediction walk of
+   :meth:`NPDQEngine.predict_pages` over the frame the client submitted
+   for this tick), merges the per-client page demand *per index tree* —
+   PDQ/auto frontiers live in the native-space tree, NPDQ and auto
+   walks in the dual-time tree, and the two trees' page-id namespaces
+   are independent — and reads each distinct page once, in page-id
+   order (the simulated analogue of an elevator pass).  NPDQ prediction
+   walks read pages while enumerating them; those reads flow through
+   the same shared buffer pool, so overlapping walks piggyback on each
+   other exactly like explicit batch reads.  Each batched page is
+   **pinned** in its tree's shared :class:`~repro.storage.BufferPool`
+   so no client's traversal can evict another client's pending page
+   mid-tick;
 2. **drain phase** — sessions then run their normal engine code.  Every
    ``load_node`` goes through the shared disk: pages fetched in the
    batch (or by an earlier client this tick) are buffer hits, i.e.
    late-joining queries piggyback on the in-flight read; pages first
    discovered mid-expansion (children enqueued during this very tick,
-   or NPDQ mispredicts) are fetched once on demand and pinned when the
-   drain of the session that fetched them ends
-   (:meth:`SharedScanScheduler.pin_resident`);
+   or the subtree under a page an NPDQ walk failed to read) are fetched
+   once on demand and pinned when the drain of the session that fetched
+   them ends (:meth:`SharedScanScheduler.pin_resident`);
 3. **end of tick** — all pins are released; the pools keep pages around
    under plain LRU for cross-tick locality.
 
@@ -163,12 +165,7 @@ class SharedScanScheduler:
         demand: List[Tuple[RTree, Dict[int, int]]] = []
         buckets: Dict[int, Dict[int, int]] = {}
         for session in sessions:
-            collect = getattr(session, "frontier_demand", None)
-            if collect is not None:
-                pairs = collect(tick)
-            else:  # duck-typed session: primary-tree frontier only
-                pairs = [(self.tree, session.frontier_pages(tick))]
-            for tree, pages in pairs:
+            for tree, pages in session.frontier_demand(tick):
                 self._adopt(tree)
                 bucket = buckets.get(id(tree))
                 if bucket is None:

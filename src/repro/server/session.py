@@ -8,8 +8,9 @@ uniform per-tick interface:
 * :meth:`serve` evaluates the session's slice of one tick and returns a
   :class:`TickResult` (or ``None`` when a shed session is coasting on a
   previous conservative answer);
-* :meth:`frontier_pages` exposes the priority-queue frontier so the
-  shared-scan scheduler can batch page reads across clients;
+* :meth:`frontier_demand` names the pages that evaluation will read,
+  per index tree, so the shared-scan scheduler can batch page reads
+  across clients;
 * :meth:`deliver` / :meth:`poll` implement the bounded result queue that
   admission control and slow-client shedding are built on.
 
@@ -40,6 +41,7 @@ from typing import (
     Deque,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -53,7 +55,7 @@ from repro.core.npdq import NPDQEngine
 from repro.core.pdq import PDQEngine
 from repro.core.query import JoinAnswer, KNNAnswer
 from repro.core.results import AnswerItem
-from repro.core.session import DynamicQuerySession, SessionMode
+from repro.core.session import DynamicQuerySession
 from repro.core.snapshot import SnapshotQuery
 from repro.core.spdq import SPDQEngine
 from repro.core.trajectory import QueryTrajectory
@@ -67,7 +69,6 @@ from repro.storage.metrics import QueryCost
 __all__ = [
     "SessionState",
     "TickResult",
-    "FrontierPredictor",
     "PredictionRecord",
     "ClientSession",
     "PDQSession",
@@ -150,128 +151,37 @@ class _ResultQueue:
         return len(self.items)
 
 
-class FrontierPredictor:
-    """Forecasts an NPDQ client's next frame window from observed motion.
-
-    The broker never sees a non-predictive client's trajectory — only
-    the frame windows the client has already submitted.  The predictor
-    keeps the last observed window, an exponentially-weighted velocity
-    history of its centre, and the largest per-axis step seen so far;
-    the next window is forecast as *translate the last window by the
-    forecast displacement, cover with the untranslated window*
-    (direction reversals cost nothing extra that way) *and inflate by
-    ``margin`` times the largest observed per-axis step* (speed jitter,
-    wall reflections landing mid-tick).  ``margin >= 1`` suffices for
-    any motion whose per-axis speed never exceeds the observed maximum;
-    the default 2.0 adds reflection headroom.
-
-    The forecast displacement is the last observed displacement plus an
-    EW mean of the successive displacement *deltas*, weighted by
-    ``history_weight``: for constant velocity the deltas are zero and
-    the forecast reduces to the last displacement exactly, while for a
-    smoothly accelerating observer the EW mean converges to the
-    per-frame acceleration and the forecast tracks it instead of
-    lagging one step behind.  ``history_weight=0`` disables the history
-    term (the pre-history last-displacement-only forecast).
-
-    A bad forecast is *safe*: the prediction walk then under-enumerates
-    and evaluation demand-fetches the difference (counted as
-    mispredicts), so the forecast need only be good, never sound.
-    """
-
-    def __init__(self, margin: float = 2.0, history_weight: float = 0.5):
-        if margin < 0:
-            raise ServerError("prediction margin must be >= 0")
-        if not 0.0 <= history_weight <= 1.0:
-            raise ServerError("history_weight must be in [0, 1]")
-        self.margin = margin
-        self.history_weight = history_weight
-        self._window: Optional[Box] = None
-        self._center: Optional[Tuple[float, ...]] = None
-        self._displacement: Optional[Tuple[float, ...]] = None
-        self._trend: Optional[Tuple[float, ...]] = None
-        self._max_step: Optional[List[float]] = None
-
-    def observe(self, window: Box) -> None:
-        """Record one frame window the client actually queried."""
-        center = window.center
-        if self._center is not None:
-            disp = tuple(c - p for c, p in zip(center, self._center))
-            if self._displacement is not None and self.history_weight > 0:
-                delta = tuple(
-                    d - p for d, p in zip(disp, self._displacement)
-                )
-                w = self.history_weight
-                if self._trend is None:
-                    self._trend = delta
-                else:
-                    self._trend = tuple(
-                        w * d + (1.0 - w) * t
-                        for d, t in zip(delta, self._trend)
-                    )
-            self._displacement = disp
-            if self._max_step is None:
-                self._max_step = [abs(d) for d in disp]
-            else:
-                self._max_step = [
-                    max(m, abs(d)) for m, d in zip(self._max_step, disp)
-                ]
-        self._window = window
-        self._center = center
-
-    def predict(self) -> Optional[Box]:
-        """The forecast window, or ``None`` until two frames were seen."""
-        if self._window is None or self._displacement is None:
-            return None
-        forecast = self._displacement
-        if self._trend is not None:
-            forecast = tuple(d + t for d, t in zip(forecast, self._trend))
-        moved = self._window.translate(forecast)
-        slack = [self.margin * m for m in self._max_step or ()]
-        return self._window.cover(moved).inflate(slack)
-
-    def reset(self) -> None:
-        """Forget all observed motion (e.g. after a client teleport)."""
-        self._window = None
-        self._center = None
-        self._displacement = None
-        self._trend = None
-        self._max_step = None
-
-
 @dataclass
 class PredictionRecord:
-    """One tick's frontier prediction and, after evaluation, its outcome.
+    """One tick's prediction walk and, after evaluation, its outcome.
 
-    ``exact`` marks the cold-start ticks whose window came from the
-    client's admission handshake rather than the motion forecast.
-    ``covered`` is filled by :meth:`NPDQSession.serve`: did the
-    predicted window contain the window actually evaluated?  When it
-    did and the walk hit no storage faults (``strict``), the superset
-    lemma guarantees ``set(actual) <= pages`` — the invariant the test
-    suite's checking wrapper asserts.
+    The walk descends for the very frame :meth:`NPDQSession.serve`
+    evaluates, so ``set(actual) == pages`` whenever the walk read every
+    page it reached (``walk_faults == 0``) — the invariant the test
+    suite's checking wrapper asserts.  ``mispredicted`` is what
+    evaluation loaded beyond ``pages``: the subtrees under a page the
+    walk could not read, never a bad guess.
     """
 
     tick_index: int
     pages: FrozenSet[int]
-    query: SnapshotQuery
     walk_faults: int
-    exact: bool
     actual: Tuple[int, ...] = ()
     mispredicted: Tuple[int, ...] = ()
-    covered: bool = False
     served: bool = False
-
-    @property
-    def strict(self) -> bool:
-        """True when the superset invariant applies unconditionally."""
-        return self.served and self.covered and self.walk_faults == 0
 
 
 class ClientSession:
     """Common state and queue plumbing for every session kind."""
 
     kind = "abstract"
+    #: The kind's evaluator, where it has one: :attr:`logical_reads`
+    #: reads its ``cost`` and :meth:`close` closes it.
+    engine = None
+    #: End of the trajectory's span, set by the kinds whose queries are
+    #: defined only inside it: a window past the span has no answers,
+    #: and ``[tick.start, span_end]`` would be inverted.
+    span_end = math.inf
 
     def __init__(self, client_id: str, queue_depth: int):
         if queue_depth < 1:
@@ -286,21 +196,29 @@ class ClientSession:
 
     def will_serve(self, tick: Tick) -> bool:
         """Does this session need evaluation work during ``tick``?"""
-        return self.state is not SessionState.CLOSED
-
-    def frontier_pages(self, tick: Tick) -> List[int]:
-        """Node pages this session's engine will read during ``tick``."""
-        return []
+        return (
+            self.state is not SessionState.CLOSED
+            and tick.start <= self.span_end
+        )
 
     def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
         """``(tree, page ids)`` demand pairs for the batch phase.
 
         Each pair names the R-tree the pages belong to, so the shared
         scan can batch sessions over different indexes (native-space for
-        PDQ/auto, dual-time for NPDQ) without conflating the two trees'
-        page-id namespaces.
+        PDQ/auto frontiers, dual-time for NPDQ/auto walks) without
+        conflating the two trees' page-id namespaces.
         """
-        return []
+        if not self.will_serve(tick):
+            return []
+        return [
+            (tree, pages) for tree, pages in self._frontiers(tick) if pages
+        ]
+
+    def _frontiers(self, tick: Tick) -> Iterable[Tuple[object, List[int]]]:
+        """Per kind: each tree the evaluation of ``tick`` will read,
+        with the page ids it will read there."""
+        return ()
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         """Evaluate this session's slice of ``tick``."""
@@ -310,13 +228,10 @@ class ClientSession:
     def logical_reads(self) -> int:
         """Cumulative node reads this session's engine has *demanded*
         (possibly served from the shared buffer without physical I/O)."""
-        cost = getattr(self._cost_source(), "cost", None)
-        if cost is None:
+        if self.engine is None:
             return 0
+        cost = self.engine.cost
         return cost.internal_reads + cost.leaf_reads
-
-    def _cost_source(self):
-        return None
 
     # -- queue -----------------------------------------------------------------
 
@@ -363,6 +278,9 @@ class ClientSession:
 
     def close(self) -> None:
         """Release engine resources; the session stops being served."""
+        release = getattr(self.engine, "close", None)
+        if release is not None and self.state is not SessionState.CLOSED:
+            release()
         self.state = SessionState.CLOSED
 
 
@@ -384,6 +302,7 @@ class PDQSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.index = index
         self.trajectory = trajectory
+        self.span_end = trajectory.time_span.high
         self.track_updates = track_updates
         self.rebuild_depth = rebuild_depth
         self.fault_budget = fault_budget
@@ -402,33 +321,21 @@ class PDQSession(ClientSession):
         self._retired_reads = 0
 
     def will_serve(self, tick: Tick) -> bool:
-        if self.state is SessionState.CLOSED:
-            return False
-        if tick.start > self._span_end():
-            # The trajectory has ended: a window past its span has no
-            # answers, and [tick.start, span_end] would be inverted.
-            return False
-        return tick.index >= self._next_eval
+        return super().will_serve(tick) and tick.index >= self._next_eval
 
-    def frontier_pages(self, tick: Tick) -> List[int]:
-        if not self.will_serve(tick):
-            return []
-        horizon = tick.start + self._shed_stride * tick.duration
-        return self.engine.frontier_pages(min(horizon, self._span_end()))
+    def _horizon(self, tick: Tick) -> float:
+        """End of the stride an evaluation at ``tick`` covers."""
+        return min(
+            tick.start + self._shed_stride * tick.duration, self.span_end
+        )
 
-    def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
-        pages = self.frontier_pages(tick)
-        return [(self.index.tree, pages)] if pages else []
-
-    def _span_end(self) -> float:
-        return self.trajectory.time_span.high
+    def _frontiers(self, tick: Tick):
+        yield self.index.tree, self.engine.frontier_pages(self._horizon(tick))
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
             return None
-        horizon = min(
-            tick.start + self._shed_stride * tick.duration, self._span_end()
-        )
+        horizon = self._horizon(tick)
         items = self.engine.window(tick.start, horizon)
         self._next_eval = tick.index + self._shed_stride
         shed = self.state is SessionState.SHED
@@ -443,13 +350,9 @@ class PDQSession(ClientSession):
             covers_until=horizon if shed else None,
         )
 
-    def _cost_source(self):
-        return self.engine
-
     @property
     def logical_reads(self) -> int:
-        cost = self.engine.cost
-        return self._retired_reads + cost.internal_reads + cost.leaf_reads
+        return self._retired_reads + super().logical_reads
 
     def _retire_engine(self) -> None:
         """Close the current engine, folding its reads into the total."""
@@ -506,33 +409,26 @@ class PDQSession(ClientSession):
         self._shallow_strides = 0
         self.state = SessionState.ACTIVE
 
-    def close(self) -> None:
-        if self.state is not SessionState.CLOSED:
-            self.engine.close()
-        super().close()
-
 
 class NPDQSession(ClientSession):
     """A non-predictive client: per-tick snapshots with NPDQ memory.
 
-    Although the client's trajectory is unknown in advance (that is what
-    *non-predictive* means), the session still contributes a frontier to
-    the shared scan: a :class:`FrontierPredictor` forecasts the next
-    frame window from the inter-frame motion observed so far, and the
-    engine's coverage-pruned prediction walk
-    (:meth:`~repro.core.NPDQEngine.predict_pages`) turns that window
-    into the page set the tick's evaluation will touch.  The first two
-    frames have no motion history; their windows come from the
-    registration handshake instead (a client's admission request carries
-    its opening frames), so those predictions are exact by construction.
+    *Non-predictive* means the server cannot know the client's **next**
+    frame — not the one it is serving: in the closed tick the frame of
+    tick *t* has been submitted before the batch phase runs.  So the
+    session joins the shared scan with that very frame
+    (:meth:`~repro.core.QueryTrajectory.frame_query` over the tick,
+    built once and read by both phases): the engine's coverage-pruned
+    prediction walk (:meth:`~repro.core.NPDQEngine.predict_pages`) turns
+    it into the page set :meth:`serve` is about to load.  The session
+    keeps serving past the trajectory's span, over the clamped window.
 
-    Prediction is read-only and conservatively safe: when the forecast
-    window covers the frame actually submitted, the walk's page set is a
-    superset of the pages :meth:`serve` loads (the walk replays the
-    evaluation's own pruning over a monotone query box); when the
-    forecast misses, the difference is demand-fetched during evaluation
-    and counted in ``mispredicted_pages`` — answers never change.  Walk
-    I/O is charged to :attr:`prediction_cost`, never to the engine's own
+    The walk is read-only and replays the evaluation's own pruning over
+    the evaluation's own query, so its page set *is* the set
+    :meth:`serve` loads — unless a storage fault stops the walk short of
+    a subtree, whose pages evaluation then demand-fetches and
+    ``mispredicted_pages`` counts; answers never change.  Walk I/O is
+    charged to :attr:`prediction_cost`, never to the engine's own
     :class:`~repro.storage.metrics.QueryCost`, so per-client logical
     accounting stays identical to isolated execution.
     """
@@ -547,58 +443,35 @@ class NPDQSession(ClientSession):
         queue_depth: int,
         exact: bool = True,
         fault_budget: Optional[int] = None,
-        predict_margin: float = 2.0,
-        history_weight: float = 0.5,
     ):
         super().__init__(client_id, queue_depth)
         self.trajectory = trajectory
         self.engine = NPDQEngine(index, exact=exact, fault_budget=fault_budget)
-        self.predictor = FrontierPredictor(predict_margin, history_weight)
         self.prediction_cost = QueryCost()
         self.last_prediction: Optional[PredictionRecord] = None
+        self._frame: Optional[Tuple[Tick, SnapshotQuery]] = None
 
     def _frame_query(self, tick: Tick) -> SnapshotQuery:
-        """The tick's frame query (same cover rule as ``frame_queries``)."""
-        traj = self.trajectory
-        window = traj.window_at(tick.start).cover(traj.window_at(tick.end))
-        for key in traj.key_snapshots:
-            if tick.start < key.time < tick.end:
-                window = window.cover(key.window)
-        return SnapshotQuery(Interval(tick.start, tick.end), window)
+        """The frame the client submitted for ``tick``."""
+        if self._frame is None or self._frame[0] != tick:
+            query = self.trajectory.frame_query(tick.start, tick.end)
+            self._frame = (tick, query)
+        return self._frame[1]
 
-    def _cost_source(self):
-        return self.engine
-
-    def frontier_pages(self, tick: Tick) -> List[int]:
-        if not self.will_serve(tick):
-            return []
-        window = self.predictor.predict()
-        exact = window is None
-        query = (
-            self._frame_query(tick)
-            if exact
-            else SnapshotQuery(Interval(tick.start, tick.end), window)
-        )
+    def _frontiers(self, tick: Tick):
         failed: List[int] = []
         pages = self.engine.predict_pages(
-            query, cost=self.prediction_cost, failed=failed
+            self._frame_query(tick), cost=self.prediction_cost, failed=failed
         )
         self.last_prediction = PredictionRecord(
             tick_index=tick.index,
             pages=frozenset(pages),
-            query=query,
             walk_faults=len(failed),
-            exact=exact,
         )
-        return pages
-
-    def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
-        pages = self.frontier_pages(tick)
-        return [(self.engine.index.tree, pages)] if pages else []
+        yield self.engine.index.tree, pages
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
-        query = self._frame_query(tick)
-        result = self.engine.snapshot(query)
+        result = self.engine.snapshot(self._frame_query(tick))
         record = self.last_prediction
         if record is not None and record.tick_index == tick.index:
             actual = tuple(self.engine.last_loaded_pages)
@@ -606,14 +479,10 @@ class NPDQSession(ClientSession):
             record.mispredicted = tuple(
                 p for p in actual if p not in record.pages
             )
-            record.covered = record.query.time.contains_interval(
-                query.time
-            ) and record.query.window.contains_box(query.window)
             record.served = True
             self.metrics.predicted_pages += len(record.pages)
             self.metrics.actual_pages += len(actual)
             self.metrics.mispredicted_pages += len(record.mispredicted)
-        self.predictor.observe(query.window)
         return TickResult(
             index=tick.index,
             start=tick.start,
@@ -659,33 +528,23 @@ class KNNSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.index = index
         self.trajectory = trajectory
+        self.span_end = trajectory.time_span.high
         self.engine = MovingKNN(
             index, k, max_step=max_step, max_object_step=max_object_step
         )
         self.prediction_cost = QueryCost()
 
-    def will_serve(self, tick: Tick) -> bool:
-        if self.state is SessionState.CLOSED:
-            return False
-        return tick.start <= self.trajectory.time_span.high
-
     def _point(self, tick: Tick) -> Tuple[float, ...]:
         return self.trajectory.window_at(tick.end).center
 
-    def frontier_pages(self, tick: Tick) -> List[int]:
-        if not self.will_serve(tick):
-            return []
-        return knn_frontier_pages(
+    def _frontiers(self, tick: Tick):
+        yield self.index.tree, knn_frontier_pages(
             self.index,
             tick.end,
             self._point(tick),
             self.engine.prune_bound,
             cost=self.prediction_cost,
         )
-
-    def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
-        pages = self.frontier_pages(tick)
-        return [(self.index.tree, pages)] if pages else []
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
@@ -702,9 +561,6 @@ class KNNSession(ClientSession):
             ),
             k=self.engine.k,
         )
-
-    def _cost_source(self):
-        return self.engine
 
 
 class JoinSession(ClientSession):
@@ -736,13 +592,9 @@ class JoinSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.index = index
         self.trajectory = trajectory
+        self.span_end = trajectory.time_span.high
         self.delta = delta
         self.cost = QueryCost()
-
-    def will_serve(self, tick: Tick) -> bool:
-        if self.state is SessionState.CLOSED:
-            return False
-        return tick.start <= self.trajectory.time_span.high
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
@@ -769,8 +621,9 @@ class JoinSession(ClientSession):
             pairs=tuple(answers),
         )
 
-    def _cost_source(self):
-        return self
+    @property
+    def logical_reads(self) -> int:
+        return self.cost.internal_reads + self.cost.leaf_reads
 
 
 class AggregateSession(ClientSession):
@@ -803,6 +656,7 @@ class AggregateSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.index = index
         self.trajectory = trajectory
+        self.span_end = trajectory.time_span.high
         self.engine = PDQEngine(
             index,
             trajectory,
@@ -813,22 +667,11 @@ class AggregateSession(ClientSession):
         # re-enters a bending observer's window is live once per stay.
         self._live: Dict[Tuple[Tuple[int, int], float], AnswerItem] = {}
 
-    def will_serve(self, tick: Tick) -> bool:
-        if self.state is SessionState.CLOSED:
-            return False
-        return tick.start <= self.trajectory.time_span.high
-
     def _horizon(self, tick: Tick) -> float:
-        return min(tick.end, self.trajectory.time_span.high)
+        return min(tick.end, self.span_end)
 
-    def frontier_pages(self, tick: Tick) -> List[int]:
-        if not self.will_serve(tick):
-            return []
-        return self.engine.frontier_pages(self._horizon(tick))
-
-    def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
-        pages = self.frontier_pages(tick)
-        return [(self.index.tree, pages)] if pages else []
+    def _frontiers(self, tick: Tick):
+        yield self.index.tree, self.engine.frontier_pages(self._horizon(tick))
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
@@ -862,14 +705,6 @@ class AggregateSession(ClientSession):
             degraded=getattr(self.engine, "degraded", False),
         )
 
-    def _cost_source(self):
-        return self.engine
-
-    def close(self) -> None:
-        if self.state is not SessionState.CLOSED:
-            self.engine.close()
-        super().close()
-
 
 class AutoSession(ClientSession):
     """An auto-mode client: the Sect. 4 mode hand-off session.
@@ -882,13 +717,13 @@ class AutoSession(ClientSession):
 
     Both trees contribute to the shared scan's batch phase: the live
     predictive engine's priority-queue frontier over the native tree,
-    and — during non-predictive phases — a :class:`FrontierPredictor`
-    forecast turned into dual-tree pages by the inner session's
-    read-only prediction walk.  Teleports void the motion history the
-    forecast relies on, so :meth:`serve` resets the predictor on every
-    snapshot-mode frame and reseeds it with that frame's window; after
-    this cold-start handshake (one more frame to observe a
-    displacement) the session's NPDQ phases re-enter batching.
+    and — while no predictive engine is live — the dual-tree pages of
+    the frame the inner session is about to pose
+    (:meth:`~repro.core.DynamicQuerySession.npdq_frontier_pages` at the
+    tick's end), enumerated by its read-only prediction walk.  A first
+    frame and a teleport contribute no dual pages (the inner session
+    resets its NPDQ memory before evaluating them, so there is nothing
+    to walk against); batching resumes on the very next frame.
 
     ``route_refresh > 0`` enables *ghost frames*: before evaluating a
     tick, the session proves the frame query can match nothing — its
@@ -916,8 +751,6 @@ class AutoSession(ClientSession):
         session: DynamicQuerySession,
         path: Callable[[float], Sequence[float]],
         queue_depth: int,
-        predict_margin: float = 2.0,
-        history_weight: float = 0.5,
         route_refresh: int = 0,
     ):
         if route_refresh < 0:
@@ -925,7 +758,6 @@ class AutoSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.session = session
         self.path = path
-        self.predictor = FrontierPredictor(predict_margin, history_weight)
         self.prediction_cost = QueryCost()
         self.route_refresh = route_refresh
         self._last_window: Optional[Box] = None
@@ -1039,28 +871,14 @@ class AutoSession(ClientSession):
 
     # -- the per-tick contract ---------------------------------------------
 
-    def frontier_pages(self, tick: Tick) -> List[int]:
-        if self.state is SessionState.CLOSED or self._should_ghost(tick):
-            return []
-        return self.session.frontier_pages(tick.end)
-
-    def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
-        if self.state is SessionState.CLOSED or self._should_ghost(tick):
-            return []
-        demand: List[Tuple[object, List[int]]] = []
-        pages = self.session.frontier_pages(tick.end)
-        if pages:
-            demand.append((self.session.native_index.tree, pages))
-        forecast = self.predictor.predict()
-        if forecast is not None and self.session.predictive_engine is None:
-            dual_pages = self.session.npdq_frontier_pages(
-                Interval(tick.start, tick.end),
-                forecast,
-                cost=self.prediction_cost,
-            )
-            if dual_pages:
-                demand.append((self.session.dual_index.tree, dual_pages))
-        return demand
+    def _frontiers(self, tick: Tick):
+        if self._should_ghost(tick):
+            return
+        session = self.session
+        yield session.native_index.tree, session.frontier_pages(tick.end)
+        yield session.dual_index.tree, session.npdq_frontier_pages(
+            tick.end, tuple(self.path(tick.end)), cost=self.prediction_cost
+        )
 
     @property
     def logical_reads(self) -> int:
@@ -1076,26 +894,10 @@ class AutoSession(ClientSession):
     def serve(self, tick: Tick) -> Optional[TickResult]:
         center = tuple(self.path(tick.end))
         window = self.session.window_for(center)
-        prev_window = self._last_window
         ghost = self._should_ghost(tick)
         report = self.session.observe(tick.end, center, assume_empty=ghost)
         if ghost:
             self.metrics.dormant_ticks += 1
-        if report.mode is SessionMode.SNAPSHOT:
-            # First frame or teleport: the inner session reset its NPDQ
-            # memory, so the motion history is void too.  Reseed from
-            # this frame's window; one more observed frame completes the
-            # cold-start handshake and forecasts resume.
-            self.predictor.reset()
-            self.predictor.observe(window)
-        elif prev_window is None:
-            self.predictor.observe(window)
-        else:
-            # Non-snapshot frames query the cover of the previous and
-            # current windows (the span the sweep crossed); observing
-            # the same covers makes consecutive forecasts line up with
-            # the frame queries the NPDQ engine actually evaluates.
-            self.predictor.observe(window.cover(prev_window))
         if self._last_center is not None:
             steps = [abs(c - p) for c, p in zip(center, self._last_center)]
             if self._max_step is None:

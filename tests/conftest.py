@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
@@ -17,6 +18,13 @@ from repro.workload.config import QueryWorkload, WorkloadConfig
 from repro.workload.objects import generate_motion_segments
 
 from _helpers import make_segment, window
+
+# Tier-1 runs hypothesis's own ``default`` profile (100 examples for a
+# property test that pins no ``max_examples``); the nightly job runs the
+# page-kernel differentials under ``--hypothesis-profile deep`` — they
+# need the deep count to reach their rare page shapes, and are too slow
+# for it on every push.
+settings.register_profile("deep", max_examples=300)
 
 
 @pytest.fixture(scope="session")

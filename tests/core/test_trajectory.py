@@ -184,6 +184,29 @@ class TestFrames:
         assert q.window.contains_box(traj.window_at(0.0))
         assert q.window.contains_box(traj.window_at(0.5))
 
+    @pytest.mark.parametrize("bend", [0.75, 0.5])
+    def test_frame_queries_loop_over_frame_query(self, bend):
+        # A zig-zag whose turning point falls strictly inside a frame
+        # (0.75, period 0.5) or exactly on a frame boundary (0.5): the
+        # series is one frame_query per period, and only a key time
+        # strictly inside a frame adds its window to the frame's cover.
+        traj = QueryTrajectory.through_waypoints(
+            [0.0, bend, 2.0], [(0.0, 0.0), (8.0, 3.0), (0.0, 6.0)], (1.0, 1.0)
+        )
+        times = traj.frame_times(0.5)
+        frames = list(traj.frame_queries(0.5))
+        assert frames == [
+            traj.frame_query(a, b) for a, b in zip(times, times[1:])
+        ]
+        key = traj.key_snapshots[1]
+        bent = []
+        for q in frames:
+            ends = traj.window_at(q.time.low).cover(traj.window_at(q.time.high))
+            inside = q.time.low < key.time < q.time.high
+            assert q.window == (ends.cover(key.window) if inside else ends)
+            bent.append(inside and q.window != ends)
+        assert any(bent) == (bend not in times)
+
     def test_frame_count(self):
         traj = simple_traj(t0=0.0, t1=5.0)
         assert len(list(traj.frame_queries(0.1))) == len(traj.frame_times(0.1)) - 1

@@ -255,7 +255,7 @@ class TestLiveRows:
         return got
 
     @given(st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(deadline=None)
     def test_matches_scalar_rule(self, data):
         axes = data.draw(st.integers(min_value=1, max_value=4))
         query = data.draw(dual_boxes(axes))
@@ -337,7 +337,7 @@ class TestTrajectoryPages:
     whole page are the scalar ones — same floats, same order."""
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     def test_segment_overlap_page_matches_scalar(self, data):
         dims = data.draw(_DIMS)
         trajectory = data.draw(bending_trajectories(dims))
@@ -350,7 +350,7 @@ class TestTrajectoryPages:
         assert got == _scalar_live(trajectory.segment_overlap, segs, frontier)
 
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     def test_box_overlap_page_matches_scalar(self, data):
         dims = data.draw(_DIMS)
         trajectory = data.draw(bending_trajectories(dims))

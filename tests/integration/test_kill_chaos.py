@@ -138,19 +138,21 @@ class TestKillChaos:
 
     def test_resume_ignores_a_retired_option(self, tmp_path, uninterrupted):
         """A store pinned by an earlier ``serve`` still names options
-        that have since been retired (``accel``, either value).  Resume
-        must not trip over the key, and — the two evaluation paths it
-        once chose between were bit-identical — must finish the stream
-        an uninterrupted run writes today."""
+        that have since been retired (``accel``, either value;
+        ``npdq_margin``, whose forecast only ever steered batching).
+        Resume must not trip over the key, and — nothing it once chose
+        between could move an answer — must finish the stream an
+        uninterrupted run writes today."""
         killed = tmp_path / "killed"
         _kill_at_tick(killed, 5)
-        for value in ("off", "numpy"):
-            data_dir = tmp_path / f"pinned-{value}"
+        retired = [("accel", "off"), ("accel", "numpy"), ("npdq_margin", 0.5)]
+        for key, value in retired:
+            data_dir = tmp_path / f"pinned-{key}-{value}"
             shutil.copytree(killed, data_dir)
             pinned = data_dir / "store.json"
             cfg = json.loads(pinned.read_text(encoding="utf-8"))
-            assert "accel" not in cfg
-            cfg["accel"] = value
+            assert key not in cfg
+            cfg[key] = value
             pinned.write_text(json.dumps(cfg), encoding="utf-8")
 
             resumed = _serve(data_dir)

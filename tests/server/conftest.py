@@ -21,30 +21,17 @@ from repro.workload.observers import observer_fleet
 PAGE_SIZE = 512
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "no_superset_check: disable the NPDQ frontier superset-checking "
-        "wrapper for tests that deliberately sabotage prediction",
-    )
-
-
 @pytest.fixture(autouse=True)
-def _npdq_superset_check(request, monkeypatch):
-    """Suite-wide safety net for NPDQ frontier prediction.
+def _npdq_walk_check(monkeypatch):
+    """Suite-wide safety net for the NPDQ prediction walk.
 
     Wraps :meth:`NPDQSession.serve` so that, on every serve in the whole
-    serving-layer suite, each page the evaluation actually loaded is
-    accounted for by the tick's prediction: inside the predicted
-    frontier or counted as a mispredict — and, when the forecast window
-    covered the frame actually submitted and the walk hit no storage
-    faults (``PredictionRecord.strict``), strictly inside the predicted
-    frontier (the superset lemma, which is what makes mispredict-free
-    batching sound).
+    serving-layer suite, the tick's walk is held to what evaluation
+    loaded: the mispredict count is exactly the loaded-but-unwalked
+    pages, always — and when the walk hit no storage fault the two page
+    sets are *equal* (the walk descends for the very frame that is
+    evaluated, under the evaluation's own pruning).
     """
-    if request.node.get_closest_marker("no_superset_check"):
-        yield
-        return
     original = NPDQSession.serve
 
     def checked(self, tick):
@@ -61,16 +48,15 @@ def _npdq_superset_check(request, monkeypatch):
                 f"{tick.index}: loaded-but-unpredicted {sorted(missing)} vs "
                 f"counted {sorted(record.mispredicted)}"
             )
-            if record.strict:
-                assert not missing, (
-                    f"{self.client_id}: superset invariant violated at tick "
-                    f"{tick.index}: the forecast window covered the frame "
-                    f"but pages {sorted(missing)} were loaded unpredicted"
+            if record.walk_faults == 0:
+                assert set(record.actual) == set(record.pages), (
+                    f"{self.client_id}: the walk of tick {tick.index} hit "
+                    f"no fault but enumerated {sorted(record.pages)} where "
+                    f"evaluation loaded {sorted(record.actual)}"
                 )
         return result
 
     monkeypatch.setattr(NPDQSession, "serve", checked)
-    yield
 
 
 @pytest.fixture()

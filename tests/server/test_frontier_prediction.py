@@ -1,39 +1,32 @@
-"""NPDQ frontier prediction: forecast, walk, superset, mispredicts.
+"""NPDQ prediction walk: the submitted frame, walk, equality, faults.
 
 The shared scan can only batch a non-predictive client's reads if the
-client's next page set is known *before* evaluation.  These tests pin
-the three layers of that machinery: the motion forecast
-(:class:`FrontierPredictor`), the coverage-pruned prediction walk
-(:meth:`NPDQEngine.predict_pages`), and the serving-layer accounting
+client's page set is known *before* evaluation.  In the closed tick the
+frame is: it was submitted before the batch phase runs.  These tests pin
+the two layers of that machinery: the coverage-pruned prediction walk
+(:meth:`NPDQEngine.predict_pages`) and the serving-layer accounting
 (:class:`PredictionRecord`, mispredict counters, scheduler batching) —
-including the safety half of the design: a deliberately sabotaged
-forecast may only cost demand fetches, never answers.
+including the safety half of the design: a walk cut short by a storage
+fault may only cost demand fetches, never answers.
 """
-
-import pytest
 
 from repro.core.npdq import NPDQEngine
 from repro.core.trajectory import QueryTrajectory
-from repro.errors import ServerError
-from repro.geometry.box import Box
-from repro.geometry.interval import Interval
 from repro.server import (
     QueryBroker,
     ServerConfig,
     SimulatedClock,
 )
-from repro.server.session import FrontierPredictor, NPDQSession
+from repro.server.session import NPDQSession
+from repro.storage.faults import FaultInjector
 from repro.workload.observers import path_of
 
 START, PERIOD, TICKS = 1.0, 0.1, 20
 
 
 def accelerating_trajectory(ticks=TICKS, acc=8.0):
-    """A constant-acceleration observer sampled at every tick boundary.
-
-    Last-displacement forecasting systematically lags such motion by the
-    per-frame acceleration; the EW velocity trend converges to it.
-    """
+    """A constant-acceleration observer sampled at every tick boundary:
+    no frame's window can be extrapolated from the frames before it."""
     times = [START + k * PERIOD for k in range(ticks + 2)]
     centers = [(4.0 + 0.5 * acc * (t - START) ** 2, 16.0) for t in times]
     return QueryTrajectory.through_waypoints(times, centers, (4.0, 4.0))
@@ -60,86 +53,15 @@ def isolated_npdq_frames(build_dual, trajectory, ticks=TICKS):
     return frames
 
 
-def box2(xlo, xhi, ylo, yhi):
-    return Box([Interval(xlo, xhi), Interval(ylo, yhi)])
-
-
-class TestFrontierPredictor:
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ServerError):
-            FrontierPredictor(margin=-0.1)
-
-    def test_no_forecast_until_two_frames(self):
-        predictor = FrontierPredictor()
-        assert predictor.predict() is None
-        predictor.observe(box2(0, 2, 0, 2))
-        assert predictor.predict() is None
-        predictor.observe(box2(1, 3, 0, 2))
-        assert predictor.predict() is not None
-
-    def test_forecast_covers_continuation_and_reversal(self):
-        # margin >= 1 guarantees the forecast holds whether the observer
-        # keeps going or bounces back, as long as per-axis speed never
-        # exceeds the observed maximum.
-        predictor = FrontierPredictor(margin=1.0)
-        predictor.observe(box2(0, 2, 0, 2))
-        predictor.observe(box2(1, 3, 0, 2))
-        forecast = predictor.predict()
-        assert forecast.contains_box(box2(2, 4, 0, 2))  # kept going
-        assert forecast.contains_box(box2(0, 2, 0, 2))  # reversed
-
-    def test_reset_forgets_motion(self):
-        predictor = FrontierPredictor()
-        predictor.observe(box2(0, 2, 0, 2))
-        predictor.observe(box2(1, 3, 0, 2))
-        predictor.reset()
-        assert predictor.predict() is None
-
-    def test_history_weight_validated(self):
-        with pytest.raises(ServerError):
-            FrontierPredictor(history_weight=-0.1)
-        with pytest.raises(ServerError):
-            FrontierPredictor(history_weight=1.5)
-
-    def test_trend_tracks_constant_acceleration(self):
-        # Displacements 1, 2, 3, ... (acceleration 1/frame).  The EW
-        # trend converges to the per-frame delta, so the forecast window
-        # contains the true next window without needing margin slack;
-        # the history-free predictor's forecast lags behind it.
-        ew = FrontierPredictor(margin=0.0, history_weight=0.5)
-        flat = FrontierPredictor(margin=0.0, history_weight=0.0)
-        x = 0.0
-        for step in range(1, 6):
-            x += step
-            for p in (ew, flat):
-                p.observe(box2(x, x + 2, 0, 2))
-        true_next = box2(x + 6, x + 8, 0, 2)
-        assert ew.predict().contains_box(true_next)
-        assert not flat.predict().contains_box(true_next)
-
-    def test_zero_weight_reproduces_last_displacement_forecast(self):
-        ew = FrontierPredictor(margin=1.0, history_weight=0.0)
-        ew.observe(box2(0, 2, 0, 2))
-        ew.observe(box2(1, 3, 0, 2))
-        ew.observe(box2(3, 5, 0, 2))
-        moved = box2(3, 5, 0, 2).translate((2.0, 0.0))
-        expected = box2(3, 5, 0, 2).cover(moved).inflate([2.0, 0.0])
-        assert ew.predict() == expected
-
-
 class TestPredictionWalk:
     def ticks(self, n=TICKS):
         return SimulatedClock(start=START, period=PERIOD).ticks(n)
 
-    def frame_query(self, session, tick):
-        return session._frame_query(tick)
-
     def test_walk_is_superset_of_evaluation(self, build_dual, fleet):
         (trajectory,) = fleet(1)
         engine = NPDQEngine(build_dual())
-        session = NPDQSession("c", engine.index, trajectory, queue_depth=100)
         for tick in self.ticks():
-            query = self.frame_query(session, tick)
+            query = trajectory.frame_query(tick.start, tick.end)
             pages = set(engine.predict_pages(query))
             engine.snapshot(query)
             assert set(engine.last_loaded_pages) <= pages
@@ -150,9 +72,8 @@ class TestPredictionWalk:
         (trajectory,) = fleet(1)
         plain = NPDQEngine(build_dual())
         walked = NPDQEngine(build_dual())
-        session = NPDQSession("c", walked.index, trajectory, queue_depth=100)
         for tick in self.ticks():
-            query = self.frame_query(session, tick)
+            query = trajectory.frame_query(tick.start, tick.end)
             walked.predict_pages(query)
             a = plain.snapshot(query)
             b = walked.snapshot(query)
@@ -162,48 +83,53 @@ class TestPredictionWalk:
         assert plain.cost.leaf_reads == walked.cost.leaf_reads
 
     def test_session_predictions_converge_to_motion(self, build_dual, fleet):
-        # The fleet moves at constant axis-aligned speed, so once two
-        # frames are on record the forecast is exact: zero mispredicts,
-        # and only the cold-start ticks are flagged ``exact``.
+        # The walk descends for the frame the tick evaluates, so there is
+        # nothing to converge to: on every tick, the first included, it
+        # enumerates exactly the pages evaluation then reads.
         (trajectory,) = fleet(1)
         session = NPDQSession("c", build_dual(), trajectory, queue_depth=100)
-        exact_flags = []
         for tick in self.ticks():
-            session.frontier_pages(tick)
-            exact_flags.append(session.last_prediction.exact)
+            ((_, pages),) = session.frontier_demand(tick)
             session.serve(tick)
             record = session.last_prediction
             assert record.served
+            assert record.walk_faults == 0
             assert record.mispredicted == ()
-        assert exact_flags[0] and exact_flags[1]
-        assert not any(exact_flags[2:])
+            assert set(record.actual) == record.pages == set(pages)
         assert session.metrics.mispredicted_pages == 0
-        assert session.metrics.predicted_pages >= session.metrics.actual_pages
+        assert session.metrics.predicted_pages == session.metrics.actual_pages
         assert session.metrics.actual_pages > 0
 
 
 class TestMispredictSafety:
-    @pytest.mark.no_superset_check
     def test_deliberate_mispredict_only_costs_demand_fetches(
         self, build_native, build_dual, fleet
     ):
-        # Sabotage the forecast: predict a window far outside the data
-        # space.  The walk enumerates almost nothing, evaluation
-        # demand-fetches everything, the mispredict counters light up —
-        # and the answers stay tick-for-tick identical.
+        # Sabotage the walk the one way left to under-enumerate: fail
+        # its read of the dual tree's root.  The walk enumerates the
+        # root alone, evaluation demand-fetches the rest, the mispredict
+        # counters light up — and the answers stay tick-for-tick
+        # identical.
         (trajectory,) = fleet(1)
         baseline = isolated_npdq_frames(build_dual, trajectory)
-        broker = make_broker(build_native(), build_dual())
+        dual = build_dual()
+        broker = make_broker(build_native(), dual)
         session = broker.register_npdq("c", trajectory)
-        far = trajectory.window_at(START).translate((500.0, 500.0))
-        session.predictor.predict = lambda: far
-        broker.run(TICKS)
+        dual.tree.disk.set_faults(
+            FaultInjector().script_read_fault(dual.tree.root_id, times=1)
+        )
+        broker.run_tick()
+        record = session.last_prediction
+        assert record.walk_faults == 1
+        assert record.pages == {dual.tree.root_id}
+        assert set(record.mispredicted) == set(record.actual) - record.pages
+        assert record.mispredicted
+        broker.run(TICKS - 1)
         assert [(r.items, r.prefetched) for r in session.poll()] == baseline
-        assert session.metrics.mispredicted_pages > 0
-        assert broker.metrics.mispredicted_pages > 0
+        # Only the faulted walk differs from what was read.
+        assert session.metrics.mispredicted_pages == len(record.mispredicted)
+        assert broker.metrics.mispredicted_pages == len(record.mispredicted)
         assert broker.metrics.mispredict_rate > 0.0
-        # Uncovered forecasts are never held to the superset invariant.
-        assert not session.last_prediction.covered
 
     def test_accurate_fleet_has_zero_mispredict_rate(
         self, build_native, build_dual, fleet
@@ -233,7 +159,7 @@ class TestSharedScanBatching:
     def test_identical_npdq_fleet_costs_one_walk(
         self, build_native, build_dual, fleet
     ):
-        # Identical observers produce identical forecasts, so every
+        # Identical observers submit identical frames, so every
         # client past the first piggybacks on the first walk's fetches:
         # 8 clients cost exactly the physical dual-tree I/O of 1.  One
         # fleet, sliced, so both runs observe the same trajectory.
@@ -285,90 +211,40 @@ class TestSharedScanBatching:
 
 
 class TestAcceleratingObserverRegression:
-    """The bug: forecasting from the last displacement alone lags any
-    accelerating observer by the per-frame acceleration, burning demand
-    fetches every tick.  The EW velocity history closes that gap.
-
-    A dense stationary grid keeps the dual tree's leaf MBRs fine enough
-    that the forecast lag actually crosses page boundaries; margin 0
-    isolates the forecast itself from the max-step slack (which would
-    otherwise paper over the lag — at a proportional page cost)."""
-
-    ACC = 15.0
-
-    def dense_world(self, segment_factory):
-        segments = []
-        oid = 0
-        y = 12.0
-        while y <= 20.0:
-            x = 0.0
-            while x <= 90.0:
-                segments.append(
-                    segment_factory(oid, 0, 0.0, 12.0, (x, y), (0.0, 0.0))
-                )
-                oid += 1
-                x += 0.7
-            y += 0.9
-        return segments
-
-    def mispredicts(self, build_native, build_dual, segments, weight):
-        broker = make_broker(
-            build_native(segments),
-            build_dual(segments),
-            npdq_predict_margin=0.0,
-            npdq_history_weight=weight,
-        )
-        session = broker.register_npdq(
-            "c", accelerating_trajectory(acc=self.ACC)
-        )
-        broker.run(TICKS)
-        broker.quiesce()
-        m = session.metrics
-        assert m.actual_pages > 0
-        return m.mispredicted_pages, m.mispredicted_pages / m.actual_pages
-
-    def test_ew_history_beats_last_displacement(
-        self, build_native, build_dual, segment_factory
-    ):
-        segments = self.dense_world(segment_factory)
-        flat_pages, flat_rate = self.mispredicts(
-            build_native, build_dual, segments, weight=0.0
-        )
-        ew_pages, ew_rate = self.mispredicts(
-            build_native, build_dual, segments, weight=0.5
-        )
-        # The history-free forecast must demonstrably lag (otherwise
-        # this regression test is testing nothing) ...
-        assert flat_pages > 0
-        # ... and the EW forecast must strictly beat it.
-        assert ew_pages < flat_pages
-        assert ew_rate < flat_rate
+    """An accelerating observer is the motion no extrapolation from past
+    frames tracks; the walk reads the submitted frame instead, so it is
+    as exact here as anywhere and batching moves no answer."""
 
     def test_answers_identical_either_way(
         self, build_native, build_dual
     ):
-        # The predictor only steers batching; answers never move.
+        # Answers equal the unbatched broker's on the accelerating
+        # observer, and the walk never missed a page on the way.
         trajectory = accelerating_trajectory()
-        baseline = isolated_npdq_frames(build_dual, trajectory)
-        broker = make_broker(
-            build_native(), build_dual(), npdq_history_weight=0.5
-        )
-        session = broker.register_npdq("c", trajectory)
-        broker.run(TICKS)
-        assert [(r.items, r.prefetched) for r in session.poll()] == baseline
+        streams = []
+        for shared in (True, False):
+            broker = make_broker(
+                build_native(), build_dual(), shared_scan=shared
+            )
+            session = broker.register_npdq("c", trajectory)
+            broker.run(TICKS)
+            streams.append([(r.items, r.prefetched) for r in session.poll()])
+        batched, unbatched = streams
+        assert batched == unbatched
+        assert batched == isolated_npdq_frames(build_dual, trajectory)
 
 
 class TestAutoDualFrontier:
-    """The bug: auto sessions never contributed dual-tree frontier
-    demand, so their NPDQ phases ran entirely on demand fetches — and a
-    teleport (which voids the motion history) kept it that way forever.
-    The fix resets and reseeds the session's predictor on snapshot-mode
-    frames, so after the cold-start handshake batching resumes."""
+    """Auto sessions contribute dual-tree demand for the frame their
+    inner session is about to pose; a first frame and a teleport (whose
+    evaluation starts from a reset NPDQ memory) contribute none, and
+    batching resumes on the very next frame."""
 
     TELEPORT_TICK = 10
 
     def teleporting_path(self, base):
-        teleport_at = START + self.TELEPORT_TICK * PERIOD
+        # a tick's frame is observed at the tick's end
+        teleport_at = START + (self.TELEPORT_TICK + 1) * PERIOD
 
         def path(t):
             center = base(t)
@@ -402,10 +278,9 @@ class TestAutoDualFrontier:
             "a", path_of(trajectory), (4.0, 4.0)
         )
         seen = self.dual_demand_ticks(broker, session, dual)
-        # Cold start: tick 0 observes the first frame, tick 1 the
-        # second; forecasts (and dual demand) exist from tick 1 on.
-        assert seen
-        assert min(seen) <= 2
+        # Tick 0 poses the first frame (a fresh snapshot, nothing to
+        # walk against); every later frame continues the series.
+        assert seen == list(range(1, TICKS))
         assert session.session.predictive_engine is None
 
     def test_teleport_resets_then_resumes_batching(
@@ -423,37 +298,8 @@ class TestAutoDualFrontier:
         jump = self.TELEPORT_TICK
         # Batching before the teleport ...
         assert any(t < jump for t in seen)
-        # ... none on the teleport frame itself (history voided) ...
+        # ... none on the teleport frame itself (its evaluation starts
+        # from a reset memory) ...
         assert jump not in seen
-        # ... and again within two frames of the handshake.
-        resumed = [t for t in seen if t > jump]
-        assert resumed and min(resumed) <= jump + 2
-
-
-class TestConfigPlumbing:
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ServerError):
-            ServerConfig(npdq_predict_margin=-1.0)
-
-    def test_margin_reaches_the_session(self, build_native, build_dual, fleet):
-        broker = make_broker(
-            build_native(), build_dual(), npdq_predict_margin=3.5
-        )
-        session = broker.register_npdq("c", fleet(1)[0])
-        assert session.predictor.margin == 3.5
-
-    def test_bad_history_weight_rejected(self):
-        with pytest.raises(ServerError):
-            ServerConfig(npdq_history_weight=1.5)
-
-    def test_history_weight_reaches_every_session_kind(
-        self, build_native, build_dual, fleet
-    ):
-        broker = make_broker(
-            build_native(), build_dual(), npdq_history_weight=0.25
-        )
-        (trajectory,) = fleet(1)
-        npdq = broker.register_npdq("n", trajectory)
-        auto = broker.register_auto("a", path_of(trajectory), (4.0, 4.0))
-        assert npdq.predictor.history_weight == 0.25
-        assert auto.predictor.history_weight == 0.25
+        # ... and again from the very next frame on.
+        assert seen == [t for t in range(1, TICKS) if t != jump]

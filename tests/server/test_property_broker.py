@@ -164,4 +164,10 @@ def test_broker_answers_match_isolated_sessions(
             build_dual,
         )
         assert hosted_frames == isolated_frames
+        if spec["kind"] == "npdq":
+            # No fault is injected, so every walk enumerated exactly
+            # the pages its tick then read.
+            m = session.metrics
+            assert m.predicted_pages == m.actual_pages > 0
+            assert m.mispredicted_pages == 0
     broker.quiesce()

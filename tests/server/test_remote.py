@@ -160,6 +160,32 @@ class TestShardWorkerInProcess:
         with pytest.raises(RemoteProtocolError, match="cannot handle"):
             ShardWorker().handle(99, {})
 
+    def test_hello_config_must_match_field_for_field(self):
+        # Outside input: a key the worker does not know, or one it
+        # would have to default, is refused by name with a protocol
+        # error (an ERROR reply, not a dead worker), and the worker
+        # lives to take a well-formed HELLO.
+        worker = ShardWorker()
+        stale = hello_payload()
+        stale["config"]["npdq_predict_margin"] = 2.0
+        with pytest.raises(
+            RemoteProtocolError, match=r"unknown fields \['npdq_predict_margin'\]"
+        ):
+            worker.handle(proto.MSG_HELLO, stale)
+        sparse = hello_payload()
+        del sparse["config"]["queue_depth"]
+        with pytest.raises(
+            RemoteProtocolError, match=r"missing fields \['queue_depth'\]"
+        ):
+            worker.handle(proto.MSG_HELLO, sparse)
+        for bad_config in (5, {**hello_payload()["config"], "latency": 5}):
+            with pytest.raises(RemoteProtocolError, match="malformed HELLO"):
+                worker.handle(
+                    proto.MSG_HELLO, {**hello_payload(), "config": bad_config}
+                )
+        assert worker.shard is None
+        assert worker.handle(proto.MSG_HELLO, hello_payload())["shard_id"] == 0
+
     def test_full_session_over_bytesio_pipes(self, fleet):
         traj = fleet(1, duration=1.0)[0]
         segments = [

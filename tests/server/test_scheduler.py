@@ -21,6 +21,11 @@ def make_sessions(index, trajectories):
     ]
 
 
+def frontier_pages(session, tick):
+    """The pages a (single-tree) session demands for ``tick``."""
+    return [p for _, pages in session.frontier_demand(tick) for p in pages]
+
+
 class TestBatchPhase:
     def test_duplicate_demand_is_read_once(self, build_native, fleet):
         index = build_native()
@@ -28,7 +33,7 @@ class TestBatchPhase:
         scheduler = SharedScanScheduler(index.tree)
         tick = SimulatedClock(start=1.0, period=0.1).next_tick()
 
-        demand = [s.frontier_pages(tick) for s in sessions]
+        demand = [frontier_pages(s, tick) for s in sessions]
         assert all(demand[0] == d for d in demand)  # identical frontiers
         assert demand[0]  # the root, at least
 
@@ -58,7 +63,7 @@ class TestBatchPhase:
         session = PDQSession("c0", index, trajectory, queue_depth=100)
         scheduler = SharedScanScheduler(index.tree)
         tick = SimulatedClock(start=1.0, period=0.1).next_tick()
-        frontier = session.frontier_pages(tick)
+        frontier = frontier_pages(session, tick)
         scheduler.begin_tick([session], tick)
         reads_before = index.tree.disk.stats.reads
         session.serve(tick)
@@ -79,7 +84,7 @@ class TestBatchPhase:
         session = PDQSession("c0", index, trajectory, queue_depth=100)
         scheduler = SharedScanScheduler(index.tree)
         tick = SimulatedClock(start=1.0, period=0.1).next_tick()
-        frontier = session.frontier_pages(tick)
+        frontier = frontier_pages(session, tick)
         assert frontier
         # The default disk has no retry policy, so a single scripted
         # fault fails the batch read; the engine's own load during the

@@ -9,6 +9,8 @@ registered.  A kind added to the table is covered by adding its front
 door to ``FRONT_DOOR`` — the test fails until it is.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core import QuerySpec
@@ -167,7 +169,7 @@ def test_unknown_kind_is_refused_on_every_surface(tiny_segments, fleet):
         {
             "shard_id": 0, "dims": 2, "page_size": PAGE_SIZE, "dual": False,
             "clock_start": START, "clock_period": PERIOD,
-            "config": {"latency": [0.0, 0.0]},
+            "config": {**asdict(ServerConfig()), "latency": [0.0, 0.0]},
         },
     )
     with pytest.raises(RemoteProtocolError, match="unknown session kind"):

@@ -144,12 +144,12 @@ class TestServe:
 
     TINY = ["serve", "--scale", "tiny", "--ticks", "6"]
 
-    #: The ``store.json`` keys of the parent commit's ``_serve_cfg``,
-    #: plus the world's extent.
+    #: The ``store.json`` keys ``_serve_cfg`` pins, plus the world's
+    #: extent.
     PINNED_KEYS = {
         "scenario", "scale", "seed", "clients", "ticks", "kind", "mode",
         "shards", "period", "window", "queue_depth", "shared_scan",
-        "promote_after", "npdq_margin", "churn", "checkpoint_every",
+        "promote_after", "churn", "checkpoint_every",
         "knn_k", "join_delta", "route_refresh", "space_side", "horizon",
     }
 
