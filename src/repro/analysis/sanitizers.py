@@ -44,22 +44,28 @@ _Key = Tuple[int, int]  # (id(disk), page_id)
 
 
 def _fingerprint(payload: Any) -> Optional[Tuple]:
-    """Cheap structural state of an object-mode page, or None.
+    """Cheap structural state of a node page, or None.
 
-    R-tree nodes expose ``entries`` (immutable entry objects — identity
-    comparison is sound) and a modification ``timestamp``; every
-    legitimate mutation path changes one of the two.  Binary-mode pages
-    are ``bytes`` and cannot be mutated in place, so they need no
-    tracking.
+    R-tree nodes expose ``entries`` and a modification ``timestamp``;
+    every legitimate mutation path changes one of the two.  An
+    object-mode node's entries are immutable objects in a list, so their
+    identities are the state.  A page-backed node has no entry objects
+    of its own — ``entries[k]`` is built on demand from the page's
+    columns — so its ``entries`` offers ``fingerprint()``, a hash of the
+    columns.  Stored binary-mode cells are ``bytes`` and cannot be
+    mutated in place, so they need no tracking.
     """
     entries = getattr(payload, "entries", None)
     if entries is None:
         return None
+    fingerprint = getattr(entries, "fingerprint", None)
     return (
         getattr(payload, "level", None),
         getattr(payload, "timestamp", None),
         len(entries),
-        tuple(id(entry) for entry in entries),
+        fingerprint()
+        if fingerprint is not None
+        else tuple(id(entry) for entry in entries),
     )
 
 

@@ -17,26 +17,48 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptPageError, QueryError, TransientIOError
 from repro.index.nsi import NativeSpaceIndex
+from repro.index.pagearrays import page_arrays
 from repro.motion.segment import MotionSegment
 from repro.storage.metrics import QueryCost
 
 __all__ = ["incremental_knn", "knn_frontier_pages", "MovingKNN"]
 
 
-def _spatial_min_dist_sq(box, point: Sequence[float]) -> float:
+def _spatial_min_dist_sq(
+    lows: Sequence[float], highs: Sequence[float], point: Sequence[float]
+) -> float:
     """Min squared distance from ``point`` to the spatial part of a
-    native-space box (axes 1..d)."""
+    native-space box given by its corners (axes 1..d)."""
     total = 0.0
     for i, c in enumerate(point):
-        ext = box.extent(i + 1)
-        if c < ext.low:
-            d = ext.low - c
-        elif c > ext.high:
-            d = c - ext.high
+        low, high = lows[i + 1], highs[i + 1]
+        if c < low:
+            d = low - c
+        elif c > high:
+            d = c - high
         else:
             d = 0.0
         total += d * d
     return total
+
+
+def _children_in_reach(
+    node, t: float, point: Sequence[float], bound_sq: float
+) -> Iterator[Tuple[float, int]]:
+    """``(min squared distance, child page)`` of the internal entries alive
+    at ``t`` and within ``bound_sq`` of ``point``, in entry order.
+
+    The rows are masked on the page's columns; the distances stay scalar
+    expressions over the surviving rows' floats — they order the answer
+    stream, and an array form rounds differently.
+    """
+    arrays = page_arrays(node)
+    boxes = arrays.box_batch()
+    rows = boxes.rows_containing(0, t)
+    for row, lows, highs in zip(rows, *boxes.bounds(rows)):
+        d_sq = _spatial_min_dist_sq(lows, highs, point)
+        if d_sq <= bound_sq:
+            yield d_sq, arrays.child_id(row)
 
 
 def incremental_knn(
@@ -68,6 +90,7 @@ def incremental_knn(
             f"point has {len(point)} dims, index has {index.dims}"
         )
     tree = index.tree
+    dims = index.dims
     tie = itertools.count()
     bound_sq = max_distance * max_distance
     heap: List[tuple] = [(0.0, next(tie), tree.root_id, None)]
@@ -79,28 +102,22 @@ def incremental_knn(
             yield record, math.sqrt(dist_sq)
             continue
         node = tree.load_node(page_id, cost)
-        if node.is_leaf:
-            for e in node.entries:
-                if cost is not None:
-                    cost.count_distance_computations()
-                rec = e.record  # type: ignore[union-attr]
-                if not rec.time.contains(t):
-                    continue
-                pos = rec.position_at(t)
-                d_sq = sum((a - b) ** 2 for a, b in zip(pos, point))
-                if d_sq <= bound_sq:
-                    heapq.heappush(heap, (d_sq, next(tie), -1, rec))
-        else:
-            for e in node.entries:
-                if cost is not None:
-                    cost.count_distance_computations()
-                if not e.box.extent(0).contains(t):
-                    continue
-                d_sq = _spatial_min_dist_sq(e.box, point)
-                if d_sq <= bound_sq:
-                    heapq.heappush(
-                        heap, (d_sq, next(tie), e.child_id, None)  # type: ignore[union-attr]
-                    )
+        if cost is not None:
+            cost.count_distance_computations(len(node.entries))
+        if not node.is_leaf:
+            for d_sq, child_id in _children_in_reach(node, t, point, bound_sq):
+                heapq.heappush(heap, (d_sq, next(tie), child_id, None))
+            continue
+        arrays = page_arrays(node)
+        segments = arrays.segment_batch()
+        rows = segments.rows_valid_at(t)
+        for row, (t_lo, _, *motion) in zip(rows, segments.values(rows)):
+            # MotionSegment.position_at(t), on the row's own floats
+            dt = t - t_lo
+            pos = [o + v * dt for o, v in zip(motion[:dims], motion[dims:])]
+            d_sq = sum((a - b) ** 2 for a, b in zip(pos, point))
+            if d_sq <= bound_sq:
+                heapq.heappush(heap, (d_sq, next(tie), -1, arrays.record(row)))
 
 
 def knn_frontier_pages(
@@ -146,12 +163,8 @@ def knn_frontier_pages(
             continue
         if node.is_leaf:
             continue
-        for e in node.entries:
-            if not e.box.extent(0).contains(t):
-                continue
-            d_sq = _spatial_min_dist_sq(e.box, point)
-            if d_sq <= bound_sq:
-                heapq.heappush(heap, (d_sq, next(tie), e.child_id))  # type: ignore[union-attr]
+        for d_sq, child_id in _children_in_reach(node, t, point, bound_sq):
+            heapq.heappush(heap, (d_sq, next(tie), child_id))
     return sorted(set(pages))
 
 

@@ -198,7 +198,7 @@ class PDQEngine:
             if node.is_leaf:
                 self._push(_Pending(component, entry=entries[k]))  # type: ignore[arg-type]
             else:
-                self._push(_Pending(component, page_id=entries[k].child_id))  # type: ignore[union-attr]
+                self._push(_Pending(component, page_id=arrays.child_id(k)))
 
     # -- frontier inspection (shared-scan support) --------------------------------
 

@@ -28,6 +28,12 @@ them, not merely close:
   empties *structurally* (an empty box extent, a failed rest-dimension
   containment test) are tracked in an explicit mask instead.
 
+The same columns are what a node page *is* on the durable tier:
+:class:`RecordLayout` moves a page's fixed-width records between bytes
+and columns (the page codecs in :mod:`repro.index.codec` own what the
+fields mean), the batches take, hand back and mutate rows, and
+:func:`choose_subtree` is the insert path's ChooseLeaf over them.
+
 numpy is imported here and nowhere else in ``repro`` (lint rule DQL07):
 this module owns the array representation, and everything above it
 passes batches around as opaque objects.
@@ -35,6 +41,7 @@ passes batches around as opaque objects.
 
 from __future__ import annotations
 
+import struct
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -49,6 +56,11 @@ __all__ = [
     "available",
     "SegmentBatch",
     "BoxBatch",
+    "RecordLayout",
+    "append_row",
+    "delete_row",
+    "columns_digest",
+    "choose_subtree",
     "WindowParams",
     "window_params",
     "moving_window_box_overlap_batch",
@@ -135,6 +147,61 @@ class SegmentBatch:
         sub.n, sub.dims, sub._rows = len(rows), self.dims, self._rows[:, rows]
         return sub
 
+    @classmethod
+    def from_records(cls, records) -> "SegmentBatch":
+        """The batch of a leaf page's unpacked records.
+
+        ``records`` is the ``(n, 2 + 2·dims)`` float array of
+        :meth:`RecordLayout.unpack` — ``t_lo, t_hi``, origin, velocity
+        per row, the field order of this batch.  A crossed validity
+        interval is refused, as ``SpaceTimeSegment`` refuses it.
+        """
+        batch = cls.__new__(cls)
+        batch.n = records.shape[0]
+        batch.dims = (records.shape[1] - 2) // 2
+        batch._rows = np.ascontiguousarray(records.T)
+        if (batch._rows[0] > batch._rows[1]).any():
+            raise GeometryError("segment validity interval is empty")
+        return batch
+
+    def records(self):
+        """The ``(n, 2 + 2·dims)`` record rows :meth:`from_records` took."""
+        return self._rows.T
+
+    def values(self, rows: Sequence[int]) -> List[List[float]]:
+        """``[t_lo, t_hi, *origin, *velocity]`` of each of ``rows``, as
+        plain floats."""
+        return self._rows[:, rows].T.tolist()
+
+    def rows_valid_at(self, t: float) -> List[int]:
+        """Rows whose validity interval contains ``t`` (closed bounds)."""
+        return ((self._rows[0] <= t) & (t <= self._rows[1])).nonzero()[0].tolist()
+
+    def spatial_bounds(self, i: int):
+        """Per-segment extent along spatial dimension ``i``: the columns
+        of ``SpaceTimeSegment.spatial_extent(i)``, same floats."""
+        a = self.origin(i)
+        # position_at(t_hi): origin + velocity * (t_hi - t_lo)
+        b = a + self.velocity(i) * (self.t_hi - self.t_lo)
+        return np.where(a <= b, a, b), np.where(a <= b, b, a)
+
+    def append(
+        self,
+        t_lo: float,
+        t_hi: float,
+        origin: Sequence[float],
+        velocity: Sequence[float],
+    ) -> None:
+        """Add one segment as the last row."""
+        row = np.asarray([t_lo, t_hi, *origin, *velocity], dtype=np.float64)
+        self._rows = np.concatenate((self._rows, row[:, None]), axis=1)
+        self.n += 1
+
+    def delete(self, row: int) -> None:
+        """Drop one row; later rows move up."""
+        self._rows = np.delete(self._rows, row, axis=1)
+        self.n -= 1
+
 
 class BoxBatch:
     """Float64 columns of ``n`` axis-aligned boxes (``axes`` extents)."""
@@ -157,6 +224,222 @@ class BoxBatch:
         if self.n == 0:  # an empty page has no axes to index
             return [], []
         return self._lows[:, axis].tolist(), self._highs[:, axis].tolist()
+
+    @classmethod
+    def _of(cls, lows, highs) -> "BoxBatch":
+        batch = cls.__new__(cls)
+        batch._lows, batch._highs = lows, highs
+        batch.n = lows.shape[0]
+        batch.axes = lows.shape[1] if batch.n else 0
+        return batch
+
+    @classmethod
+    def from_columns(cls, lows: Sequence, highs: Sequence, pad: float) -> "BoxBatch":
+        """Boxes given one low and one high column per axis, grown by
+        ``pad`` on both sides of every axis (``Interval.inflate``)."""
+        return cls._of(
+            np.stack(lows, axis=1) - pad, np.stack(highs, axis=1) + pad
+        )
+
+    @classmethod
+    def from_records(cls, records) -> "BoxBatch":
+        """The batch of an internal page's unpacked records: ``(n, 2·axes)``
+        floats, ``low, high`` per axis."""
+        return cls._of(
+            np.ascontiguousarray(records[:, 0::2]),
+            np.ascontiguousarray(records[:, 1::2]),
+        )
+
+    @property
+    def width(self) -> int:
+        """Axes of the stored rows — also of a page-built batch with no
+        rows, where :attr:`axes` reads 0."""
+        return self._lows.shape[1]
+
+    def records(self):
+        """The ``(n, 2·axes)`` record rows :meth:`from_records` took."""
+        return np.stack((self._lows, self._highs), axis=2).reshape(
+            self.n, 2 * self.width
+        )
+
+    def bounds(self, rows: Sequence[int]) -> Tuple[List[List[float]], List[List[float]]]:
+        """Low and high corners of each of ``rows``, as plain floats."""
+        return self._lows[rows].tolist(), self._highs[rows].tolist()
+
+    def rows_containing(self, axis: int, value: float) -> List[int]:
+        """Rows whose extent along ``axis`` contains ``value`` (closed)."""
+        if self.n == 0:
+            return []
+        inside = (self._lows[:, axis] <= value) & (value <= self._highs[:, axis])
+        return inside.nonzero()[0].tolist()
+
+    def cover(self) -> Tuple[List[float], List[float]]:
+        """Corners of the minimum bounding box, by ``Node.mbr``'s rule.
+
+        Empty boxes are skipped; when every box is empty the last one's
+        own bounds come back.  ``argmin``/``argmax`` keep the first of
+        equal bounds, as Python's ``min``/``max`` do (a ``-0.0`` after a
+        ``0.0`` does not replace it).
+        """
+        lows, highs = self._lows, self._highs
+        full = ~(lows > highs).any(axis=1)
+        if not full.any():
+            return lows[-1].tolist(), highs[-1].tolist()
+        if not full.all():
+            lows, highs = lows[full], highs[full]
+        axes = np.arange(lows.shape[1])
+        return (
+            lows[lows.argmin(axis=0), axes].tolist(),
+            highs[highs.argmax(axis=0), axes].tolist(),
+        )
+
+    def append(self, lows: Sequence[float], highs: Sequence[float]) -> None:
+        """Add one box as the last row."""
+        self._lows = append_row(self._lows, lows)
+        self._highs = append_row(self._highs, highs)
+        self.n += 1
+        self.axes = self._lows.shape[1]
+
+    def set_row(self, row: int, lows: Sequence[float], highs: Sequence[float]) -> None:
+        """Overwrite one box in place."""
+        self._lows[row] = lows
+        self._highs[row] = highs
+
+    def delete(self, row: int) -> None:
+        """Drop one row; later rows move up."""
+        self._lows = delete_row(self._lows, row)
+        self._highs = delete_row(self._highs, row)
+        self.n -= 1
+        if self.n == 0:
+            self.axes = 0
+
+
+# ---------------------------------------------------------------------------
+# Packed page records and the plain columns beside the batches
+# ---------------------------------------------------------------------------
+
+
+class RecordLayout:
+    """Fixed-width page records: ``floats`` float32 then ``ints`` uint32,
+    little-endian, back to back — ``struct`` format ``<f…fI…I``.
+
+    The page codecs own what the fields mean; this only moves a run of
+    such records between bytes and a pair of columns.
+    """
+
+    __slots__ = ("struct", "_dtype")
+
+    def __init__(self, floats: int, ints: int):
+        #: the same layout for one record at a time
+        self.struct = struct.Struct("<" + "f" * floats + "I" * ints)
+        self._dtype = np.dtype(
+            [("f", "<f4", (floats,)), ("i", "<u4", (ints,))]
+        )
+
+    def unpack(self, data: bytes, offset: int, count: int):
+        """``count`` records at ``offset`` as ``(float64 (count, floats),
+        int64 (count, ints))``; raises ``ValueError`` on short data."""
+        records = np.frombuffer(data, self._dtype, count, offset)
+        return records["f"].astype(np.float64), records["i"].astype(np.int64)
+
+    def pack(self, floats, ints, clip_inf: bool) -> bytes:
+        """The bytes of one record per row of the two columns.
+
+        Floats round to float32 as ``struct`` ``'f'`` rounds them, and
+        like it a finite value outside float32 range is refused
+        (``OverflowError`` carrying the value) rather than stored as
+        ``inf``; so is an id outside uint32.  With ``clip_inf`` an
+        infinite value is stored as the largest finite float32 of its
+        sign.
+        """
+        records = np.empty(floats.shape[0], dtype=self._dtype)
+        with np.errstate(over="ignore"):
+            narrow = floats.astype(np.float32)
+        infinite = np.isinf(narrow)
+        lost = infinite & ~np.isinf(floats)
+        if lost.any():
+            raise OverflowError(float(floats[lost][0]))
+        if clip_inf and infinite.any():
+            limit = np.finfo(np.float32).max
+            narrow = np.where(infinite, np.copysign(limit, narrow), narrow)
+        wide = (ints < 0) | (ints > 0xFFFFFFFF)
+        if wide.any():
+            raise OverflowError(int(ints[wide][0]))
+        records["f"] = narrow
+        records["i"] = ints
+        return records.tobytes()
+
+
+def append_row(column, row):
+    """``column`` with ``row`` added last (a new array)."""
+    return np.concatenate((column, np.asarray([row], dtype=column.dtype)))
+
+
+def delete_row(column, row: int):
+    """``column`` without row ``row`` (a new array)."""
+    return np.delete(column, row, axis=0)
+
+
+def columns_digest(*columns) -> int:
+    """A hash of the columns' contents (``None`` columns skipped)."""
+    return hash(tuple(c.tobytes() for c in columns if c is not None))
+
+
+def _volume(lows, highs):
+    """Row-wise ``Box.volume`` of non-empty boxes: the product of the
+    extent lengths ``max(0.0, high - low)``, multiplied in axis order."""
+    d = highs - lows
+    lengths = np.where(d > 0.0, d, 0.0)
+    volume = lengths[:, 0]
+    for axis in range(1, lengths.shape[1]):
+        volume = volume * lengths[:, axis]
+    return volume
+
+
+def choose_subtree(
+    boxes: BoxBatch, lows: Sequence[float], highs: Sequence[float]
+) -> int:
+    """Guttman's ChooseLeaf over one page: the row needing the least
+    enlargement to cover the box ``[lows, highs]``, then the one of
+    least volume, then the first.
+
+    Exactly the fold of ``(e.box.enlargement(box), e.box.volume())``
+    under ``<`` over the page's entries — same floats, so the same row,
+    including ``Box.cover``'s rules for an empty entry box (the cover is
+    ``box``) and an empty ``box`` (the cover is the entry box).
+    """
+    if boxes.n == 0:
+        raise GeometryError("no entries to choose from")
+    q_lo = np.asarray(lows, dtype=np.float64)
+    q_hi = np.asarray(highs, dtype=np.float64)
+    if q_lo.shape[0] != boxes.axes:
+        raise GeometryError(
+            f"box has {q_lo.shape[0]} axes, entries {boxes.axes}"
+        )
+    e_lo, e_hi = boxes._lows, boxes._highs
+    with np.errstate(invalid="ignore", over="ignore"):
+        empty = (e_lo > e_hi).any(axis=1)
+        volume = np.where(empty, 0.0, _volume(e_lo, e_hi))
+        if (q_lo > q_hi).any():
+            covered = volume
+        else:
+            # Interval.cover: min(self.low, other.low), max(self.high, other.high)
+            c_lo = np.where(q_lo < e_lo, q_lo, e_lo)
+            c_hi = np.where(q_hi > e_hi, q_hi, e_hi)
+            hollow = empty[:, None]
+            covered = _volume(
+                np.where(hollow, q_lo, c_lo), np.where(hollow, q_hi, c_hi)
+            )
+        enlargement = covered - volume
+    # The fold itself runs over plain floats: tuple ``<`` is not a total
+    # order once a NaN (inf - inf, 0 * inf) is among the keys, and the
+    # reference's answer then depends on the visiting order.
+    keys = list(zip(enlargement.tolist(), volume.tolist()))
+    best = 0
+    for row in range(1, len(keys)):
+        if keys[row] < keys[best]:
+            best = row
+    return best
 
 
 class WindowParams:

@@ -1,11 +1,11 @@
-"""Binary page codecs: proof that nodes fit the claimed 4 KB layout.
+"""Binary page codecs: the paper's 4 KB page layout, byte for byte.
 
 The fanouts in :mod:`repro.storage.constants` (145/127, matching Sect. 5)
-assume a concrete byte layout.  These codecs implement that layout with
-:mod:`struct` so the storage tests can round-trip real nodes through
-at-most-4096-byte pages.  Benchmarks run in object mode (the paper's
-metric is access *counts*), but any index can be built in binary mode by
-passing ``DiskManager(codec=...)``.
+assume a concrete byte layout.  These codecs implement it, and they are
+what the durable tier serves through: ``serve --data-dir`` (and any
+``DiskManager(codec=...)``) writes every node as one of these pages and
+reads every node back from one.  In-memory indexes run in object mode
+and never meet a codec.
 
 Layout (little-endian):
 
@@ -15,12 +15,25 @@ Layout (little-endian):
 * leaf entry: float32 ``t_lo, t_hi``, ``d`` float32 origin, ``d`` float32
   velocity, ``I`` object id, ``I`` sequence number.
 
+A page *is* its columns: ``decode`` unpacks the records once into the
+float64 columns the batch kernels read
+(:class:`~repro.index.pagearrays.PageRows`) and hands back a page-backed
+:class:`~repro.index.node.Node` over them — no entry object is built
+until somebody asks for ``entries[k]``.  ``encode`` packs a page-backed
+node's columns back to the same bytes; an object-mode node (a bulk-load
+or split product that was never on a page) is packed one entry object at
+a time, which for a node with no columns yet is the cheaper way and
+leaves none behind.
+
 Coordinates are float32, as the paper's fanout arithmetic implies; the
-decoded box is recomputed from the (rounded) segment and conservatively
-*widened* by one ULP-scale epsilon so float32 rounding can never make the
-index miss a result.  Decoded leaf-entry timestamps fall back to the node
-timestamp — an over-approximation that can only make NPDQ's update check
-more conservative (extra work, never missed answers).
+decoded leaf box is recomputed from the (rounded) segment and
+conservatively *widened* by one ULP-scale epsilon so float32 rounding can
+never make the index miss a result.  Decoded entry timestamps fall back
+to the node timestamp — an over-approximation that can only make NPDQ's
+update check more conservative (extra work, never missed answers).  A
+finite bound outside float32 range cannot be stored and is refused with
+:class:`~repro.errors.StorageError`; an infinite internal bound is
+stored as the largest finite float32 of its sign.
 """
 
 from __future__ import annotations
@@ -28,14 +41,14 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Any, List
+from typing import Any, Callable, Iterator, List, Tuple
 
 from repro.errors import CorruptPageError, StorageError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.geometry.segment import SpaceTimeSegment
-from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
+from repro.index.pagearrays import PageRows, page_arrays
 from repro.motion.segment import MotionSegment
 from repro.motion.uncertainty import inflate_box
 
@@ -59,6 +72,14 @@ def _f32_clip(value: float) -> float:
     return value
 
 
+def _packed(pack: Callable[..., bytes], values: tuple) -> bytes:
+    try:
+        return pack(*values)
+    except (OverflowError, struct.error):
+        # struct names neither the field nor the number: say which record
+        raise OverflowError(f"record {values!r} does not fit") from None
+
+
 class _BaseCodec:
     """Shared encode/decode machinery; subclasses define the leaf box."""
 
@@ -76,86 +97,102 @@ class _BaseCodec:
     def __init__(self, dims: int, uncertainty: float = 0.0):
         if dims < 1:
             raise StorageError("need at least one spatial dimension")
+        if uncertainty < 0:
+            raise StorageError("uncertainty radius must be non-negative")
         self.dims = dims
         self.uncertainty = uncertainty
         self._axes = self._axes_count()
-        self._internal = struct.Struct("<" + "f" * (2 * self._axes) + "I")
-        self._leaf = struct.Struct("<" + "f" * (2 + 2 * dims) + "II")
+        self._internal = kernels.RecordLayout(2 * self._axes, 1)
+        self._leaf = kernels.RecordLayout(2 + 2 * dims, 2)
 
     def _axes_count(self) -> int:
         raise NotImplementedError
 
     def _leaf_box(self, record: MotionSegment) -> Box:
+        """The box a decoded leaf entry is indexed under — the scalar
+        definition :meth:`_leaf_box_columns` is the column form of."""
         raise NotImplementedError
+
+    def _leaf_box_columns(self, segments: kernels.SegmentBatch) -> Tuple[List, List]:
+        """Per axis, the low and the high column of :meth:`_leaf_box`
+        over a whole leaf, before the pad."""
+        raise NotImplementedError
+
+    def _spatial_columns(self, segments: kernels.SegmentBatch) -> Tuple[List, List]:
+        bounds = [segments.spatial_bounds(i) for i in range(self.dims)]
+        return [lo for lo, _ in bounds], [hi for _, hi in bounds]
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self, node: Node) -> bytes:
-        parts: List[bytes] = [
-            _HEADER.pack(node.page_id, node.level, len(node.entries), node.timestamp, 0)
-        ]
+        header = _HEADER.pack(
+            node.page_id, node.level, len(node.entries), node.timestamp, 0
+        )
+        try:
+            if node._page_backed:
+                return header + self._pack_rows(node.entries)
+            return header + b"".join(self._pack_entries(node))
+        except (OverflowError, struct.error) as exc:
+            raise StorageError(
+                f"page {node.page_id}: {exc}; a page holds float32 bounds "
+                "and uint32 ids"
+            ) from None
+
+    def _pack_rows(self, rows: PageRows) -> bytes:
+        """A page-backed node's records: its columns, packed as they are."""
+        if rows.is_leaf:
+            return self._leaf.pack(
+                rows.segment_batch().records(), rows.ids(), clip_inf=False
+            )
+        return self._internal.pack(
+            rows.box_batch().records(), rows.ids(), clip_inf=True
+        )
+
+    def _pack_entries(self, node: Node) -> Iterator[bytes]:
+        """An object-mode node's records, one entry object at a time."""
         if node.is_leaf:
+            pack = self._leaf.struct.pack
             for e in node.entries:
                 rec = e.record  # type: ignore[union-attr]
                 seg = rec.segment
-                parts.append(
-                    self._leaf.pack(
-                        seg.time.low,
-                        seg.time.high,
-                        *seg.origin,
-                        *seg.velocity,
-                        rec.object_id,
-                        rec.seq,
-                    )
+                values = (
+                    seg.time.low, seg.time.high, *seg.origin, *seg.velocity,
+                    rec.object_id, rec.seq,
                 )
+                yield _packed(pack, values)
         else:
+            pack = self._internal.struct.pack
             for e in node.entries:
                 coords: List[float] = []
                 for ext in e.box:
                     coords.append(_f32_clip(ext.low))
                     coords.append(_f32_clip(ext.high))
-                parts.append(self._internal.pack(*coords, e.child_id))  # type: ignore[union-attr]
-        return b"".join(parts)
+                yield _packed(pack, (*coords, e.child_id))  # type: ignore[union-attr]
 
     # -- decoding -------------------------------------------------------------
 
     def decode(self, data: bytes) -> Node:
         page_id, level, count, timestamp, _flags = _HEADER.unpack_from(data, 0)
-        node = Node(page_id, level, timestamp=timestamp)
-        offset = _HEADER.size
         if level == 0:
-            for _ in range(count):
-                values = self._leaf.unpack_from(data, offset)
-                offset += self._leaf.size
-                t_lo, t_hi = values[0], values[1]
-                origin = tuple(values[2 : 2 + self.dims])
-                velocity = tuple(values[2 + self.dims : 2 + 2 * self.dims])
-                oid, seq = values[-2], values[-1]
-                record = MotionSegment(
-                    oid,
-                    seq,
-                    SpaceTimeSegment(Interval(t_lo, t_hi), origin, velocity),
-                )
-                node.entries.append(
-                    LeafEntry(self._leaf_box(record), record, timestamp=timestamp)
-                )
+            records, ids = self._leaf.unpack(data, _HEADER.size, count)
+            segments = kernels.SegmentBatch.from_records(records)
+            boxes = kernels.BoxBatch.from_columns(
+                *self._leaf_box_columns(segments),
+                pad=self.uncertainty + self._ROUNDING_EPS,
+            )
         else:
-            for _ in range(count):
-                values = self._internal.unpack_from(data, offset)
-                offset += self._internal.size
-                extents = [
-                    Interval(values[2 * a], values[2 * a + 1])
-                    for a in range(self._axes)
-                ]
-                # The page stores one stamp per node.  It is the newest
-                # of its entries' stamps, so giving it to every entry
-                # only ever disables NPDQ's update suppression (which
-                # discards a subtree whose stamp predates the previous
-                # query) — a zero here would discard fresh inserts.
-                node.entries.append(
-                    InternalEntry(Box(extents), values[-1], timestamp=timestamp)
-                )
-        return node
+            records, ids = self._internal.unpack(data, _HEADER.size, count)
+            segments = None
+            boxes = kernels.BoxBatch.from_records(records)
+        # The page stores one stamp per node.  It is the newest of its
+        # entries' stamps, so giving it to every row only ever disables
+        # NPDQ's update suppression (which discards a subtree whose
+        # stamp predates the previous query) — a zero here would
+        # discard fresh inserts.
+        stamps = kernels.stamp_column([timestamp] * count)
+        return Node.from_rows(
+            page_id, level, timestamp, PageRows(boxes, stamps, ids, segments)
+        )
 
 
 _CHECKSUM_FRAME = struct.Struct("<2sHI")
@@ -233,6 +270,10 @@ class NativeNodeCodec(_BaseCodec):
         pad = self.uncertainty + self._ROUNDING_EPS
         return inflate_box(box, pad, spatial_dims_from=0)
 
+    def _leaf_box_columns(self, segments):
+        lows, highs = self._spatial_columns(segments)
+        return [segments.t_lo] + lows, [segments.t_hi] + highs
+
 
 class DualTimeNodeCodec(_BaseCodec):
     """Codec for :class:`~repro.index.DualTimeIndex` nodes
@@ -251,3 +292,8 @@ class DualTimeNodeCodec(_BaseCodec):
         )
         pad = self.uncertainty + self._ROUNDING_EPS
         return inflate_box(box, pad, spatial_dims_from=0)
+
+    def _leaf_box_columns(self, segments):
+        lows, highs = self._spatial_columns(segments)
+        times = [segments.t_lo, segments.t_hi]
+        return times + lows, times + highs

@@ -8,6 +8,16 @@ Each node carries a ``timestamp`` — the index operation clock value of
 its last structural modification.  Sect. 4.2's NPDQ update management
 reads it: if a node changed after the previous query ran, discardability
 against that query must not be applied to the node.
+
+A node keeps its entries in one of two forms.  An **object-mode** node
+(built by the index in memory) holds a plain ``list`` of entry objects;
+that list is its state.  A **page-backed** node (built by a page codec,
+:meth:`Node.from_rows`) holds the page's columns
+(:class:`~repro.index.pagearrays.PageRows`): ``entries`` is then a
+sequence view over the rows that builds an entry object only for the row
+asked for, and the mutators below write rows instead of list items.
+Either way the methods mean the same thing; ``replace_entries`` (a
+split) turns a page-backed node into an object-mode one.
 """
 
 from __future__ import annotations
@@ -43,6 +53,24 @@ class Node:
         self._mbr: Optional[Box] = None
         self._arrays = None  # cached PageArrays view (repro.index.pagearrays)
 
+    @classmethod
+    def from_rows(cls, page_id: int, level: int, timestamp: int, rows) -> "Node":
+        """A page-backed node over ``rows``
+        (:class:`~repro.index.pagearrays.PageRows`), which is both its
+        ``entries`` and the kernel view ``page_arrays`` hands out."""
+        node = cls.__new__(cls)
+        node.page_id = page_id
+        node.level = level
+        node.entries = rows
+        node.timestamp = timestamp
+        node._mbr = None
+        node._arrays = rows
+        return node
+
+    @property
+    def _page_backed(self) -> bool:
+        return self._arrays is self.entries
+
     # -- classification ------------------------------------------------------
 
     @property
@@ -73,6 +101,9 @@ class Node:
         if self._mbr is None:
             if not self.entries:
                 raise IndexStructureError(f"node {self.page_id} has no entries")
+            if self._page_backed:
+                self._mbr = self.entries.mbr()
+                return self._mbr
             # One pass, same result as folding Box.cover over the entries:
             # empty boxes are skipped (when every box is empty the fold
             # ends on the last), min/max keep the first of equal bounds.
@@ -94,22 +125,25 @@ class Node:
 
     # -- mutation (invalidates the cached MBR) -----------------------------------
 
+    def _touched(self, clock: int) -> None:
+        self.timestamp = max(self.timestamp, clock)
+        self._mbr = None
+        if not self._page_backed:
+            self._arrays = None
+
     def add(self, entry: Entry, clock: int) -> None:
         """Append an entry and stamp the modification time."""
         self._check_entry_kind(entry)
         self.entries.append(entry)
-        self.timestamp = max(self.timestamp, clock)
-        self._mbr = None
-        self._arrays = None
+        self._touched(clock)
 
     def replace_entries(self, entries: Sequence[Entry], clock: int) -> None:
         """Swap in a whole new entry list (used by splits)."""
         for e in entries:
             self._check_entry_kind(e)
         self.entries = list(entries)
-        self.timestamp = max(self.timestamp, clock)
-        self._mbr = None
         self._arrays = None
+        self._touched(clock)
 
     def remove_child(self, child_id: int, clock: int) -> InternalEntry:
         """Remove and return the entry pointing at ``child_id``.
@@ -119,16 +153,7 @@ class Node:
         IndexStructureError
             If absent or if the node is a leaf.
         """
-        if self.is_leaf:
-            raise IndexStructureError("leaves have no child entries")
-        for i, e in enumerate(self.entries):
-            if e.child_id == child_id:  # type: ignore[union-attr]
-                del self.entries[i]
-                self.timestamp = max(self.timestamp, clock)
-                self._mbr = None
-                self._arrays = None
-                return e  # type: ignore[return-value]
-        raise IndexStructureError(f"node {self.page_id} has no child {child_id}")
+        return self._remove(self._child_row(child_id), clock)  # type: ignore[return-value]
 
     def remove_record(self, key: "tuple", clock: int) -> LeafEntry:
         """Remove and return the leaf entry with the given segment key.
@@ -140,33 +165,50 @@ class Node:
         """
         if not self.is_leaf:
             raise IndexStructureError("internal nodes have no records")
-        for i, e in enumerate(self.entries):
-            if e.record.key == key:  # type: ignore[union-attr]
-                del self.entries[i]
-                self.timestamp = max(self.timestamp, clock)
-                self._mbr = None
-                self._arrays = None
-                return e  # type: ignore[return-value]
-        raise IndexStructureError(f"node {self.page_id} has no record {key}")
+        return self._remove(self._row("record", key), clock)  # type: ignore[return-value]
 
     def update_child_box(self, child_id: int, box: Box, clock: int) -> None:
         """Tighten/grow the box of the entry pointing at ``child_id``."""
-        if self.is_leaf:
-            raise IndexStructureError("leaves have no child entries")
-        for i, e in enumerate(self.entries):
-            if e.child_id == child_id:  # type: ignore[union-attr]
-                self.entries[i] = InternalEntry(box, child_id, timestamp=clock)
-                self.timestamp = max(self.timestamp, clock)
-                self._mbr = None
-                self._arrays = None
-                return
-        raise IndexStructureError(f"node {self.page_id} has no child {child_id}")
+        row = self._child_row(child_id)
+        if self._page_backed:
+            self.entries.set_box(row, box, clock)
+        else:
+            self.entries[row] = InternalEntry(box, child_id, timestamp=clock)
+        self._touched(clock)
 
     def child_ids(self) -> "tuple[int, ...]":
         """Page ids of all children (internal nodes only)."""
         if self.is_leaf:
             raise IndexStructureError("leaves have no child entries")
-        return tuple(e.child_id for e in self.entries)  # type: ignore[union-attr]
+        return tuple(self._keys())
+
+    def _keys(self) -> list:
+        """Per entry, what it is looked up by: the child page id, or on a
+        leaf the record's segment key."""
+        if self._page_backed:
+            return self.entries.keys()
+        if self.is_leaf:
+            return [e.record.key for e in self.entries]  # type: ignore[union-attr]
+        return [e.child_id for e in self.entries]  # type: ignore[union-attr]
+
+    def _row(self, what: str, key) -> int:
+        try:
+            return self._keys().index(key)
+        except ValueError:
+            raise IndexStructureError(
+                f"node {self.page_id} has no {what} {key}"
+            ) from None
+
+    def _child_row(self, child_id: int) -> int:
+        if self.is_leaf:
+            raise IndexStructureError("leaves have no child entries")
+        return self._row("child", child_id)
+
+    def _remove(self, row: int, clock: int) -> Entry:
+        entry = self.entries[row]
+        del self.entries[row]
+        self._touched(clock)
+        return entry
 
     # -- validation -----------------------------------------------------------------
 

@@ -28,9 +28,11 @@ from repro.errors import (
     IndexStructureError,
     TransientIOError,
 )
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.index.entry import Entry, InternalEntry, LeafEntry
 from repro.index.node import Node
+from repro.index.pagearrays import page_arrays
 from repro.index.split import SPLITTERS, Splitter
 from repro.storage.constants import DEFAULT_FILL_FACTOR
 from repro.storage.disk import DiskManager
@@ -390,24 +392,16 @@ class RTree:
             return ()
         return node.child_ids()
 
-    def _choose_path(self, box: Box) -> List[Node]:
-        """Guttman ChooseLeaf: least enlargement, then volume, then count."""
-        path = [self.disk.read(self._root_id)]
-        node = path[0]
-        while not node.is_leaf:
-            best: Optional[InternalEntry] = None
-            best_key: Tuple[float, float, int] = (0.0, 0.0, 0)
-            for e in node.entries:
-                key = (
-                    e.box.enlargement(box),
-                    e.box.volume(),
-                    0,
-                )
-                if best is None or key < best_key:
-                    best = e  # type: ignore[assignment]
-                    best_key = key
-            assert best is not None
-            node = self.disk.read(best.child_id)
+    def _choose_path(self, box: Box, stop_level: int = 0) -> List[Node]:
+        """Guttman ChooseLeaf, root down to a node at ``stop_level``:
+        least enlargement, then least volume, then the first entry."""
+        lows, highs = box.lows, box.highs
+        node = self.disk.read(self._root_id)
+        path = [node]
+        while node.level > stop_level:
+            arrays = page_arrays(node)
+            row = kernels.choose_subtree(arrays.box_batch(), lows, highs)
+            node = self.disk.read(arrays.child_id(row))
             path.append(node)
         return path
 
@@ -485,7 +479,7 @@ class RTree:
         root = self.disk.read(self._root_id)
         if not root.is_leaf and len(root.entries) == 1:
             # Shrink the tree: the lone child becomes the root.
-            child_id = root.entries[0].child_id  # type: ignore[union-attr]
+            child_id = root.child_ids()[0]
             self.disk.free(root.page_id)
             del self._parents[child_id]
             self._root_id = child_id
@@ -511,15 +505,8 @@ class RTree:
                 self.insert(leaf)
             return
         self._clock += 1
-        path = [self.disk.read(self._root_id)]
-        node = path[0]
-        while node.level > child_level + 1:
-            best = min(
-                node.entries,
-                key=lambda e: (e.box.enlargement(entry.box), e.box.volume()),
-            )
-            node = self.disk.read(best.child_id)  # type: ignore[union-attr]
-            path.append(node)
+        path = self._choose_path(entry.box, stop_level=child_level + 1)
+        node = path[-1]
         node.add(
             InternalEntry(entry.box, entry.child_id, timestamp=self._clock),
             self._clock,

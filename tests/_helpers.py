@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
+import struct
 
 from repro.core.npdq import NPDQEngine, _PreviousQuery
 from repro.core.results import AnswerItem, SnapshotResult
@@ -11,6 +14,9 @@ from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
+from repro.index.codec import CHECKSUM_FRAME_BYTES
+from repro.index.entry import InternalEntry, LeafEntry
+from repro.index.node import Node
 from repro.motion.segment import MotionSegment
 
 
@@ -41,6 +47,123 @@ class JsonPageCodec:
 
     def decode(self, data: bytes):
         return json.loads(data)
+
+
+# -- the page codecs and the insert path, one entry object at a time ---------
+#
+# What ``index/codec.py`` and ``RTree._choose_path`` ran before a decoded
+# page became its columns, kept as the reference the column forms are
+# tested against.
+
+_PAGE_HEADER = struct.Struct("<IHHII")
+
+
+def reference_decode(codec, data: bytes) -> Node:
+    """The eager page decode: an object-mode node, one entry object per
+    record, every float a ``struct`` ``'f'`` unpacked one.
+
+    ``codec`` is a ``NativeNodeCodec`` / ``DualTimeNodeCodec``, bare or
+    inside a ``ChecksummedCodec`` (whose frame it then checks and strips).
+    """
+    inner = getattr(codec, "inner", None)
+    if inner is not None:
+        codec.decode(data)  # magic, length and CRC are the frame's own checks
+        codec, data = inner, data[CHECKSUM_FRAME_BYTES:]
+    dims, axes = codec.dims, codec._axes_count()
+    internal = struct.Struct("<" + "f" * (2 * axes) + "I")
+    leaf = struct.Struct("<" + "f" * (2 + 2 * dims) + "II")
+    page_id, level, count, timestamp, _flags = _PAGE_HEADER.unpack_from(data, 0)
+    node = Node(page_id, level, timestamp=timestamp)
+    offset = _PAGE_HEADER.size
+    for _ in range(count):
+        if level == 0:
+            values = leaf.unpack_from(data, offset)
+            offset += leaf.size
+            record = MotionSegment(
+                values[-2],
+                values[-1],
+                SpaceTimeSegment(
+                    Interval(values[0], values[1]),
+                    tuple(values[2 : 2 + dims]),
+                    tuple(values[2 + dims : 2 + 2 * dims]),
+                ),
+            )
+            node.entries.append(
+                LeafEntry(codec._leaf_box(record), record, timestamp=timestamp)
+            )
+        else:
+            values = internal.unpack_from(data, offset)
+            offset += internal.size
+            box = Box(
+                [Interval(values[2 * a], values[2 * a + 1]) for a in range(axes)]
+            )
+            node.entries.append(InternalEntry(box, values[-1], timestamp=timestamp))
+    return node
+
+
+class ReferenceDecodeCodec:
+    """A page codec that writes ``codec``'s bytes and reads them back
+    through :func:`reference_decode`: the same store, served as
+    object-mode nodes."""
+
+    def __init__(self, codec):
+        self.codec = codec
+        self.containment_slack = codec.containment_slack
+
+    def encode(self, payload) -> bytes:
+        return self.codec.encode(payload)
+
+    def decode(self, data: bytes) -> Node:
+        return reference_decode(self.codec, data)
+
+
+def scalar_choose_subtree(boxes, box) -> int:
+    """Guttman ChooseLeaf as ``RTree._choose_path`` folded it: the first
+    index whose ``(enlargement, volume)`` is least under tuple ``<``."""
+    best = 0
+    best_key = (boxes[0].enlargement(box), boxes[0].volume())
+    for k in range(1, len(boxes)):
+        key = (boxes[k].enlargement(box), boxes[k].volume())
+        if key < best_key:
+            best, best_key = k, key
+    return best
+
+
+def scalar_incremental_knn(index, t, point, cost=None, max_distance=math.inf):
+    """``incremental_knn`` as it walked entry objects: one distance
+    computation charged per entry, ``Box``/``MotionSegment`` arithmetic."""
+    tree = index.tree
+    tie = itertools.count()
+    bound_sq = max_distance * max_distance
+    heap = [(0.0, next(tie), tree.root_id, None)]
+    while heap:
+        dist_sq, _, page_id, record = heapq.heappop(heap)
+        if dist_sq > bound_sq:
+            return
+        if record is not None:
+            yield record, math.sqrt(dist_sq)
+            continue
+        node = tree.load_node(page_id, cost)
+        for e in node.entries:
+            if cost is not None:
+                cost.count_distance_computations()
+            if node.is_leaf:
+                if not e.record.time.contains(t):
+                    continue
+                pos = e.record.position_at(t)
+                d_sq = sum((a - b) ** 2 for a, b in zip(pos, point))
+                item = (-1, e.record)
+            else:
+                if not e.box.extent(0).contains(t):
+                    continue
+                d_sq = 0.0
+                for i, c in enumerate(point):
+                    ext = e.box.extent(i + 1)
+                    d = ext.low - c if c < ext.low else c - ext.high if c > ext.high else 0.0
+                    d_sq += d * d
+                item = (e.child_id, None)
+            if d_sq <= bound_sq:
+                heapq.heappush(heap, (d_sq, next(tie), *item))
 
 
 # -- the dual-tree discard rule and the NPDQ traversals, one entry at a time --

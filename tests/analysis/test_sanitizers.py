@@ -17,10 +17,14 @@ from repro.analysis.sanitizers import (
     WallClockGuard,
 )
 from repro.errors import SanitizerError
+from repro.geometry.box import Box
+from repro.index.codec import ChecksummedCodec, NativeNodeCodec
+from repro.index.entry import InternalEntry
 from repro.index.node import Node
 from repro.server.clock import SimulatedClock
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
+from repro.storage.file import open_durable
 from repro.storage.wal import IntentLog
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -66,6 +70,51 @@ class TestPageWriteSanitizer:
         node.entries.append(object())  # never re-read before teardown
         with pytest.raises(SanitizerError, match="detected at checkpoint"):
             suite.checkpoint_and_reset()
+
+    def test_unlogged_row_write_on_a_file_backed_page_caught(self, suite, tmp_path):
+        # The same bug on the file backend, where a cached page is its
+        # columns: entry objects are built on demand, so their identities
+        # say nothing — the fingerprint has to read the rows.
+        disk, log, _ = open_durable(
+            str(tmp_path), "native",
+            codec=ChecksummedCodec(NativeNodeCodec(2)),
+            buffer_pool=BufferPool(8),
+        )
+        unit = Box.from_bounds([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        pid = disk.allocate()
+        disk.write(pid, Node(pid, 1, [InternalEntry(unit, 7)], timestamp=5))
+        node = disk.read(pid)
+        assert not isinstance(node.entries, list)  # page-backed
+        list(node.entries)  # building the views is not a mutation
+        disk.read(pid)
+        # one row rewritten in place: same count, same page stamp
+        node.update_child_box(7, Box.from_bounds([0.0] * 3, [2.0] * 3), clock=1)
+        assert node.timestamp == 5 and len(node.entries) == 1
+        with pytest.raises(SanitizerError, match="without a WAL pre-image"):
+            disk.read(pid)
+        suite.page_writes.reset()
+        log.close()
+        disk.close()
+
+    def test_logged_row_write_on_a_file_backed_page_is_fine(self, suite, tmp_path):
+        disk, log, _ = open_durable(
+            str(tmp_path), "native",
+            codec=ChecksummedCodec(NativeNodeCodec(2)),
+            buffer_pool=BufferPool(8),
+        )
+        unit = Box.from_bounds([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        pid = disk.allocate()
+        disk.write(pid, Node(pid, 1, [InternalEntry(unit, 7)], timestamp=5))
+        disk.read(pid)
+        log.begin()
+        node = disk.read(pid)  # the in-flight txn records the pre-image
+        node.update_child_box(7, Box.from_bounds([0.0] * 3, [2.0] * 3), clock=6)
+        disk.write(pid, node)
+        log.commit()
+        assert disk.read(pid).mbr() == Box.from_bounds([0.0] * 3, [2.0] * 3)
+        suite.checkpoint_and_reset()
+        log.close()
+        disk.close()
 
     def test_logged_mutation_is_fine(self, suite):
         disk, pid = make_disk()
@@ -212,6 +261,7 @@ class TestPytestPluginEndToEnd:
 from repro.index.node import Node
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
+from repro.storage.file import open_durable
 from repro.storage.wal import IntentLog
 
 

@@ -4,9 +4,15 @@ import math
 
 import pytest
 
-from repro.core.knn import MovingKNN, incremental_knn
+from repro.core.knn import MovingKNN, incremental_knn, knn_frontier_pages
 from repro.errors import QueryError
+from repro.index.codec import ChecksummedCodec, NativeNodeCodec
+from repro.index.nsi import NativeSpaceIndex
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager
 from repro.storage.metrics import QueryCost
+
+from _helpers import ReferenceDecodeCodec, scalar_incremental_knn
 
 
 def brute_knn(segments, t, point, k):
@@ -63,6 +69,55 @@ class TestIncremental:
     def test_dim_mismatch(self, tiny_native):
         with pytest.raises(QueryError):
             next(incremental_knn(tiny_native, 5.0, (50.0,)))
+
+
+class TestPageBackedIndex:
+    """A store served as its pages' columns answers exactly as the same
+    store served as entry objects, and as the entry-at-a-time walk did."""
+
+    @pytest.fixture()
+    def stores(self, tiny_segments):
+        codec = ChecksummedCodec(NativeNodeCodec(2))
+        out = []
+        for page_codec in (codec, ReferenceDecodeCodec(codec)):
+            disk = DiskManager(codec=page_codec, buffer_pool=BufferPool(64))
+            index = NativeSpaceIndex(dims=2, disk=disk)
+            index.bulk_load(tiny_segments[:600])
+            for record in tiny_segments[600:700]:  # rows written after a decode
+                index.insert(record)
+            out.append(index)
+        return out
+
+    @pytest.mark.parametrize("max_distance", [25.0, math.inf])
+    def test_same_stream_and_cost_as_entry_objects(
+        self, stores, rng, max_distance
+    ):
+        columns, objects = stores
+        # instants exactly on a stored validity endpoint (closed both sides)
+        stored = list(objects.tree.all_leaf_entries())[::97]
+        endpoints = [e.record.time.high for e in stored[:2]]
+        endpoints.append(stored[2].record.time.low)
+        answers = 0
+        for t in endpoints + [rng.uniform(1, 14) for _ in range(4)]:
+            point = (rng.uniform(0, 100), rng.uniform(0, 100))
+            runs = []
+            for walk, index in (
+                (incremental_knn, columns),
+                (incremental_knn, objects),
+                (scalar_incremental_knn, objects),
+            ):
+                cost = QueryCost()
+                stream = list(
+                    zip(range(40), walk(index, t, point, cost, max_distance))
+                )
+                runs.append(([pair for _, pair in stream], cost))
+            assert runs[0] == runs[1] == runs[2]
+            answers += len(runs[0][0])
+            pages = [
+                knn_frontier_pages(index, t, point, 25.0) for index in stores
+            ]
+            assert pages[0] == pages[1] and pages[0]
+        assert answers > 40, "the probes found too little to compare"
 
 
 class TestMovingKNN:

@@ -35,9 +35,11 @@ from repro.geometry.trapezoid import (
     moving_window_box_overlap,
     moving_window_segment_overlap,
 )
+from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry
+from repro.motion.segment import MotionSegment
 
-from _helpers import scalar_live_rows
+from _helpers import scalar_choose_subtree, scalar_live_rows
 
 # Exactly-representable grid values make "touching" cases genuinely
 # touch; the continuous component exercises arbitrary doubles.
@@ -312,6 +314,102 @@ class TestLiveRows:
             kernels.live_rows(_box_batch(page), kernels.stamp_column([0]), rule)
         with pytest.raises(GeometryError):
             kernels.DiscardRule(page[0], Box([Interval(0.0, 1.0)]))
+
+
+_F32_MAX = 3.4028235e38
+
+
+@st.composite
+def stored_boxes(draw, axes):
+    """An internal entry's box as a page can hold it: usually plain,
+    sometimes empty (``low > high``), unbounded, or clipped to the
+    float32 range an unbounded one is stored as."""
+    extents = []
+    for _ in range(axes):
+        shape = draw(
+            st.sampled_from(["plain"] * 5 + ["empty", "unbounded", "clipped"])
+        )
+        if shape == "plain":
+            extents.append(draw(intervals()))
+        elif shape == "empty":
+            extents.append(Interval(1.0, -1.0))
+        elif shape == "unbounded":
+            extents.append(Interval(-math.inf, math.inf))
+        else:
+            extents.append(Interval(-_F32_MAX, _F32_MAX))
+    return Box(extents)
+
+
+class TestChooseSubtree:
+    """``kernels.choose_subtree`` — the insert path's one ChooseLeaf —
+    against the ``(enlargement, volume)`` fold over ``Box`` objects."""
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_matches_scalar_fold(self, data):
+        axes = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=1, max_value=64))
+        # grid coordinates make equal enlargements and equal volumes common
+        page = [data.draw(stored_boxes(axes)) for _ in range(n)]
+        box = data.draw(stored_boxes(axes))
+        got = kernels.choose_subtree(_box_batch(page), box.lows, box.highs)
+        assert got == scalar_choose_subtree(page, box)
+
+    def test_ties_go_to_the_first_row(self):
+        unit = Box.from_bounds([0.0, 0.0], [1.0, 1.0])
+        inside = Box.from_bounds([0.25, 0.25], [0.5, 0.5])
+        page = [Box.from_bounds([0.0, 0.0], [2.0, 2.0]), unit, unit]
+        # no row needs enlarging: the smaller volume wins, its first copy
+        assert kernels.choose_subtree(_box_batch(page), inside.lows, inside.highs) == 1
+        assert scalar_choose_subtree(page, inside) == 1
+
+    def test_empty_entry_and_empty_box(self):
+        empty = Box([Interval(1.0, -1.0), Interval(0.0, 1.0)])
+        unit = Box.from_bounds([0.0, 0.0], [1.0, 1.0])
+        far = Box.from_bounds([5.0, 5.0], [6.0, 6.0])
+        # an empty entry "covers" a box at the cost of the box's own volume
+        page = [unit, empty]
+        assert kernels.choose_subtree(_box_batch(page), far.lows, far.highs) == 1
+        assert scalar_choose_subtree(page, far) == 1
+        # an empty box enlarges nothing: least volume, then first
+        page = [unit, empty, empty]
+        assert kernels.choose_subtree(_box_batch(page), empty.lows, empty.highs) == 1
+        assert scalar_choose_subtree(page, empty) == 1
+
+    def test_one_row_and_no_rows(self):
+        unit = Box.from_bounds([0.0], [1.0])
+        assert kernels.choose_subtree(_box_batch([unit]), unit.lows, unit.highs) == 0
+        with pytest.raises(GeometryError):
+            kernels.choose_subtree(_box_batch([]), unit.lows, unit.highs)
+        with pytest.raises(GeometryError):
+            kernels.choose_subtree(_box_batch([unit]), [0.0, 0.0], [1.0, 1.0])
+
+
+class TestLeafBoxColumns:
+    """The boxes a decoded leaf's rows are indexed under — computed as
+    columns by the codecs — against ``_leaf_box``, record by record."""
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_match_the_per_record_box(self, data):
+        dims = data.draw(_DIMS)
+        codec_cls = data.draw(st.sampled_from([NativeNodeCodec, DualTimeNodeCodec]))
+        codec = codec_cls(dims, data.draw(st.sampled_from([0.0, 0.75])))
+        # (an empty leaf goes through the codecs in tests/index/test_codec.py)
+        n = data.draw(st.integers(min_value=1, max_value=64))
+        segs = [data.draw(segments(dims)) for _ in range(n)]
+        batch = kernels.SegmentBatch.from_records(_segment_batch(segs).records())
+        got = kernels.BoxBatch.from_columns(
+            *codec._leaf_box_columns(batch),
+            pad=codec.uncertainty + codec._ROUNDING_EPS,
+        )
+        want = [codec._leaf_box(MotionSegment(k, 0, s)) for k, s in enumerate(segs)]
+        assert got.n == n
+        lows, highs = got.bounds(list(range(n)))
+        assert lows == [list(b.lows) for b in want]
+        assert highs == [list(b.highs) for b in want]
+
+
 _FRONTIER = _GRID | st.floats(
     min_value=-60.0, max_value=60.0, allow_nan=False, allow_infinity=False
 )

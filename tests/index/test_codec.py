@@ -1,6 +1,12 @@
 """Tests for the binary page codecs (4 KB layout proof)."""
 
+import math
+import random
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.index.codec import (
     CHECKSUM_FRAME_BYTES,
@@ -13,12 +19,13 @@ from repro.index.node import Node
 from repro.index.nsi import NativeSpaceIndex
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.errors import CorruptPageError
-from repro.storage.constants import PAGE_SIZE, leaf_fanout
+from repro.errors import CorruptPageError, ReproError, StorageError
+from repro.index.pagearrays import page_arrays
+from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
 from repro.storage.faults import FaultInjector
 from repro.storage.disk import DiskManager
 
-from _helpers import make_segment
+from _helpers import make_segment, reference_decode
 
 
 class TestNativeCodec:
@@ -241,3 +248,198 @@ class TestChecksummedCodec:
         got = nsi.snapshot_search(Interval(2.0, 3.0), window)
         expected = twin.snapshot_search(Interval(2.0, 3.0), window)
         assert {r.key for r, _ in got} == {r.key for r, _ in expected}
+
+
+class TestUnstorableValues:
+    """A value the page format cannot hold is refused as a storage error
+    before anything is written, not packed as ``inf`` or leaked as a raw
+    ``OverflowError``."""
+
+    @pytest.mark.parametrize("codec_cls", [NativeNodeCodec, DualTimeNodeCodec])
+    def test_finite_bound_outside_float32_is_refused(self, codec_cls):
+        codec = codec_cls(2)
+        axes = codec._axes_count()
+        box = Box([Interval(0.0, 1.0)] * (axes - 1) + [Interval(0.0, 1e39)])
+        disk = DiskManager(codec=codec)
+        pid = disk.allocate()
+        node = Node(pid, 1, [InternalEntry(box, 9)])
+        with pytest.raises(StorageError, match=rf"page {pid}.*1e\+39"):
+            disk.write(pid, node)
+        assert disk.raw_page(pid) is None
+        assert disk.stats.writes == 0
+        # the same row on a page-backed node
+        fine = Box([Interval(0.0, 1.0)] * axes)
+        disk.write(pid, Node(pid, 1, [InternalEntry(fine, 9)]))
+        stored = disk.raw_page(pid)
+        decoded = disk.read(pid)
+        decoded.update_child_box(9, box, clock=1)
+        with pytest.raises(StorageError, match=rf"page {pid}.*1e\+39"):
+            disk.write(pid, decoded)
+        assert disk.raw_page(pid) == stored
+
+    @pytest.mark.parametrize("codec_cls", [NativeNodeCodec, DualTimeNodeCodec])
+    def test_finite_leaf_coordinate_outside_float32_is_refused(self, codec_cls):
+        codec = codec_cls(2)
+        rec = make_segment(1, 0, 0.0, 1.0, (-1e39, 0.0), (0.0, 0.0))
+        node = Node(4, 0, [LeafEntry(rec.bounding_box(), rec)])
+        with pytest.raises(StorageError, match="page 4"):
+            codec.encode(node)
+
+    def test_id_outside_uint32_is_refused(self):
+        codec = NativeNodeCodec(2)
+        rec = make_segment(2**32, 0)
+        node = Node(4, 0, [LeafEntry(rec.bounding_box(), rec)])
+        with pytest.raises(StorageError, match="page 4"):
+            codec.encode(node)
+
+    def test_negative_uncertainty_is_refused(self):
+        with pytest.raises(ReproError):
+            NativeNodeCodec(2, uncertainty=-0.5)
+
+
+# -- a decoded page against the eager decode it replaced ---------------------
+
+_F32_MAX = 3.4028235e38
+#: exactly representable in float32, so equal bounds really are equal
+_GRID = [-8.0, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 64.0]
+
+
+def _coord(rng):
+    return rng.choice(_GRID) if rng.random() < 0.4 else rng.uniform(-90.0, 90.0)
+
+
+def _record(rng, oid, dims):
+    t_lo = _coord(rng)
+    t_hi = t_lo if rng.random() < 0.25 else t_lo + rng.choice([0.5, rng.uniform(0.0, 9.0)])
+    velocity = tuple(
+        0.0 if rng.random() < 0.3 else rng.choice([-2.0, 0.5, rng.uniform(-4.0, 4.0)])
+        for _ in range(dims)
+    )
+    origin = tuple(_coord(rng) for _ in range(dims))
+    return make_segment(oid, rng.randrange(0, 50), t_lo, t_hi, origin, velocity)
+
+
+def _box(rng, axes):
+    extents = []
+    for _ in range(axes):
+        roll = rng.random()
+        if roll < 0.08:
+            extents.append(Interval(-math.inf, math.inf))  # stored clipped
+        elif roll < 0.16:
+            extents.append(Interval(-_F32_MAX, _F32_MAX))
+        elif roll < 0.20:
+            extents.append(Interval(1.0, -1.0))  # an empty box
+        else:
+            low = _coord(rng)
+            extents.append(Interval(low, low + rng.choice([0.0, 0.5, rng.uniform(0.0, 30.0)])))
+    return Box(extents)
+
+
+def _leaf_entry(codec, rng, oid):
+    record = _record(rng, oid, codec.dims)
+    # an inserted entry is indexed under a box of the index's making, not
+    # the codec's: any box of the right shape will do
+    return LeafEntry(codec._leaf_box(record).inflate([rng.choice([0.0, 0.25])] * codec._axes_count()), record)
+
+
+def _page(codec, rng, leaf, count):
+    level = 0 if leaf else rng.randrange(1, 4)
+    node = Node(rng.randrange(0, 10_000), level, timestamp=rng.randrange(0, 500))
+    for k in range(count):
+        if leaf:
+            node.entries.append(_leaf_entry(codec, rng, k))
+        else:
+            node.entries.append(InternalEntry(_box(rng, codec._axes_count()), 100 + k))
+    return node
+
+
+def _bits(box):
+    return struct.pack(f"<{2 * box.dims}d", *box.lows, *box.highs)
+
+
+def _assert_same_state(framed, decoded, reference):
+    """The page-backed node and the entry-list node are one node."""
+    assert len(decoded.entries) == len(reference.entries) == len(decoded)
+    assert list(decoded.entries) == reference.entries
+    assert decoded.timestamp == reference.timestamp
+    assert [e.timestamp for e in decoded.entries] == [
+        e.timestamp for e in reference.entries
+    ]
+    if reference.entries:
+        assert decoded.mbr() == reference.mbr()
+        if not reference.mbr().is_empty:
+            assert _bits(decoded.mbr()) == _bits(reference.mbr())
+    assert framed.encode(decoded) == framed.encode(reference)
+    # what the kernels are handed is what the entry list would build
+    got, want = page_arrays(decoded), page_arrays(reference)
+    assert got.stamps().tolist() == want.stamps().tolist()
+    assert [tuple(row) for row in got.ids().tolist()] == [
+        e.record.key if reference.is_leaf else (e.child_id,)
+        for e in reference.entries
+    ]
+    if reference.entries:
+        assert got.box_batch().records().tolist() == want.box_batch().records().tolist()
+        if reference.is_leaf:
+            assert (
+                got.segment_batch().records().tolist()
+                == want.segment_batch().records().tolist()
+            )
+
+
+class TestPageBackedNodeMatchesEagerDecode:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dual=st.booleans(),
+        framed=st.booleans(),
+        uncertainty=st.sampled_from([0.0, 0.75]),
+        leaf=st.booleans(),
+        fill=st.sampled_from(["empty", "one", "some", "full"]),
+        ops=st.lists(
+            st.sampled_from(["add", "update", "remove", "readd"]), max_size=6
+        ),
+    )
+    def test_decode_mutate_encode(self, seed, dual, framed, uncertainty, leaf, fill, ops):
+        rng = random.Random(seed)
+        inner = (DualTimeNodeCodec if dual else NativeNodeCodec)(2, uncertainty)
+        codec = ChecksummedCodec(inner) if framed else inner
+        fanout = leaf_fanout(2) if leaf else internal_fanout(inner._axes_count())
+        count = {"empty": 0, "one": 1, "some": rng.randrange(2, 12), "full": fanout}[fill]
+        page = codec.encode(_page(inner, rng, leaf, count))
+        assert len(page) <= PAGE_SIZE
+
+        decoded, reference = codec.decode(page), reference_decode(codec, page)
+        assert (decoded.page_id, decoded.level) == (reference.page_id, reference.level)
+        _assert_same_state(codec, decoded, reference)
+        assert codec.encode(decoded) == page
+
+        clock = reference.timestamp
+        next_id = 1000
+        for op in ops:
+            clock += rng.randrange(0, 3)
+            if op in ("add", "readd"):
+                next_id += 1
+                if leaf:
+                    entry = _leaf_entry(inner, rng, next_id)
+                    entry = LeafEntry(entry.box, entry.record, timestamp=clock)
+                else:
+                    entry = InternalEntry(
+                        _box(rng, inner._axes_count()), next_id, timestamp=clock
+                    )
+                for node in (decoded, reference):
+                    node.add(entry, clock)
+            elif not reference.entries:
+                continue
+            elif leaf:  # "update" has no leaf form: both remove a record
+                key = rng.choice(reference.entries).record.key
+                gone = [n.remove_record(key, clock) for n in (decoded, reference)]
+                assert gone[0] == gone[1]
+            elif op == "update":
+                child = rng.choice(reference.entries).child_id
+                box = _box(rng, inner._axes_count())
+                for node in (decoded, reference):
+                    node.update_child_box(child, box, clock)
+            else:
+                child = rng.choice(reference.entries).child_id
+                gone = [n.remove_child(child, clock) for n in (decoded, reference)]
+                assert gone[0] == gone[1]
+            _assert_same_state(codec, decoded, reference)

@@ -1,10 +1,12 @@
-"""The cached kernel view of a node page: columns, caching, invalidation.
+"""The kernel view of a node page: columns, caching, invalidation.
 
 ``page_arrays(node)`` hands the engines the float64 columns the batch
 kernels read.  The columns must be exactly the node's floats — also for
 a page that came back from the codec, since that is what the file
-backend evaluates — and the cached view must never outlive a mutation:
-with one evaluation path a stale view is a wrong answer.
+backend evaluates.  On an object-mode node the view is a cache and must
+never outlive a mutation (with one evaluation path a stale view is a
+wrong answer); on a page-backed node it is the storage, so it stays and
+the mutation lands in it.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ import pytest
 
 from repro.core.pdq import PDQEngine
 from repro.core.trajectory import QueryTrajectory
-from repro.errors import IndexStructureError
+from repro.errors import DimensionalityError, IndexStructureError
 from repro.geometry.box import Box
 from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.pagearrays import page_arrays
+from repro.index.pagearrays import PageRows, page_arrays
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager
 
 from _helpers import make_segment
 
@@ -239,3 +243,80 @@ class TestCaching:
             for axis in range(3)
         ]
         assert page_arrays(node).box_batch().n == 2
+
+
+class TestPageBackedNode:
+    """A decoded node's columns are its state, and its entries are views."""
+
+    def test_view_is_the_storage_and_survives_mutation(self, codec):
+        node = codec.decode(codec.encode(internal_node(axes=codec._axes_count())))
+        rows = page_arrays(node)
+        assert isinstance(rows, PageRows) and rows is node.entries
+        far = Box.from_bounds([500.0] * rows.box_batch().axes, [501.0] * rows.box_batch().axes)
+        node.update_child_box(51, far, clock=9)
+        assert page_arrays(node) is rows
+        assert node.entries[1] == InternalEntry(far, 51, timestamp=9)
+        assert rows.stamps().tolist() == [2, 9, 2, 2]
+        node.remove_child(50, clock=9)
+        assert page_arrays(node) is rows and node.child_ids() == (51, 52, 53)
+        assert node.entries[0] == InternalEntry(far, 51, timestamp=9)
+
+    def test_entries_are_built_per_row_and_kept(self, codec):
+        node = codec.decode(codec.encode(leaf_node(codec)))
+        rows = node.entries
+        assert len(rows) == 5 and not rows._built
+        third = rows[2]
+        assert list(rows._built) == [2] and rows[2] is third and rows[-3] is third
+        assert [e.record.key for e in rows[1:3]] == [(101, 1), (102, 2)]
+        with pytest.raises(IndexError):
+            rows[5]
+        # a split hands the node a list: it is an object-mode node again
+        node.replace_entries(rows[:2], clock=4)
+        assert isinstance(node.entries, list) and not isinstance(
+            page_arrays(node), PageRows
+        )
+
+    def test_wrong_shape_is_refused_before_any_row_is_written(self, codec):
+        node = codec.decode(codec.encode(leaf_node(codec)))
+        seg = make_segment(7, 0)
+        with pytest.raises(DimensionalityError):
+            node.add(LeafEntry(Box.from_bounds([0.0], [1.0]), seg), clock=9)
+        assert len(node.entries) == 5
+        assert page_arrays(node).segment_batch().n == 5
+
+
+class TestUnsplitInsertBuildsNoEntries:
+    def test_only_the_stamped_copy_is_constructed(self, monkeypatch):
+        """The insert path of a codec-backed tree reads, searches and
+        writes columns: over a run of inserts that split nothing the only
+        entry object the index layer makes is each record's stamped copy."""
+        disk = DiskManager(codec=NativeNodeCodec(2), buffer_pool=BufferPool(64))
+        index = NativeSpaceIndex(dims=2, disk=disk)
+        index.bulk_load(
+            [
+                make_segment(k, 0, 0.1 * (k % 40), 0.1 * (k % 40) + 2.0,
+                             (1.0 * (k % 97), 1.0 * (k % 89)), (0.25, -0.5))
+                for k in range(20_000)
+            ]
+        )
+        assert index.tree.height == 3
+        fresh = [
+            index._leaf_entry(
+                make_segment(90_000 + k, 0, 0.5, 2.5, (3.0 * k, 2.0 * k), (0.5, 0.5))
+            )
+            for k in range(30)
+        ]
+        built = {LeafEntry: 0, InternalEntry: 0}
+        for cls in built:
+            original = cls.__init__
+
+            def counting(self, *args, _cls=cls, _init=original, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        notices = [index.tree.insert(entry) for entry in fresh]
+        monkeypatch.undo()
+        assert all(n.subtree_id is None for n in notices), "an insert split"
+        assert built == {LeafEntry: len(fresh), InternalEntry: 0}
+        assert len(index) == 20_030

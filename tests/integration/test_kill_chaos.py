@@ -65,7 +65,9 @@ def _wait_for_tick(data_dir, tick, timeout=240.0):
                         return True
         except FileNotFoundError:
             pass
-        time.sleep(0.05)
+        # the ticks after the kill point take a few ms each: poll finer
+        # than that, or the serve is over before the signal is sent
+        time.sleep(0.002)
     return False
 
 
