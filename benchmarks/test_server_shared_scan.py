@@ -2,8 +2,8 @@
 
 The broker's batch phase reads each distinct R-tree page at most once
 per tick across all clients — priority-queue frontiers over the native
-tree for PDQ observers, prediction walks over the dual-time tree for
-the frames NPDQ observers submitted — so a fleet of fully-overlapping
+tree for PDQ observers, the dual-time pages of the one sweep that
+evaluates every NPDQ observer's frame — so a fleet of fully-overlapping
 clients should cost barely more physical I/O than a single one.  The
 headline assertions: 64 identical PDQ clients cost **less than 2x** the
 node reads of 1 client, and 16 identical NPDQ observers batched cost
@@ -91,8 +91,8 @@ def sweep(segments, fleet, kind):
     for n in CLIENT_COUNTS:
         reads, metrics = serve_fleet(segments, fleet, n, kind=kind)
         reads_by_n[n] = reads
-        # The walk descends for the frame that is evaluated: what it
-        # enumerates is what is read (both 0 for a PDQ-only fleet).
+        # The NPDQ demand is the sweep's own reads: predicted = read
+        # (both 0 for a PDQ-only fleet).
         assert metrics.predicted_pages == metrics.actual_pages
         rows.append(
             f"{n:>8} {reads:>10} {metrics.logical_reads:>10} "
@@ -134,8 +134,8 @@ def test_shared_scan_is_sublinear(segments, fleet):
 
 def test_npdq_shared_scan_is_sublinear(segments, fleet):
     reads_by_n = sweep(segments, fleet, "npdq")
-    # The prediction walk gives non-predictive clients the same batching
-    # economics the PDQ frontier gives predictive ones.
+    # The sweep gives non-predictive clients the same batching economics
+    # the PDQ frontier gives predictive ones.
     assert reads_by_n[64] < 2 * reads_by_n[1]
 
 
@@ -148,9 +148,10 @@ def test_mixed_fleet_shares_both_trees(segments, fleet):
 
 
 def test_npdq_batched_halves_unbatched_reads(segments, fleet):
-    # The PR's acceptance bar: 16 fully-overlapping NPDQ observers
-    # served through the shared scan cost at most half the physical
-    # reads of the same fleet unbatched.
+    # 16 fully-overlapping NPDQ observers served through the shared scan
+    # cost at most half the physical reads of the same fleet unbatched.
+    # Unbatched, the 16 still share one sweep a tick (each page read once
+    # a tick); batched, the buffer pool keeps the pages across ticks.
     n = 16
     batched, metrics = serve_fleet(segments, fleet, n, kind="npdq")
     unbatched, _ = serve_fleet(segments, fleet, n, shared=False, kind="npdq")

@@ -197,13 +197,22 @@ class QueryTrajectory:
     # -- the paper's overlap-time computations ---------------------------------
 
     def _segment_range(self, time: Interval) -> range:
-        """Indices of trajectory segments whose span overlaps ``time``."""
+        """Indices of trajectory segments whose span overlaps ``time``.
+
+        Closed on the left, open on the right — except that a zero-width
+        ``[t, t]`` on a key time selects the segment starting at ``t``
+        (the last segment at the final key): both neighbours give the
+        same window there, and an instant must meet one of them.
+        """
         if time.is_empty:
             return range(0)
         lo = bisect.bisect_right(self._times, time.low) - 1
         lo = max(lo, 0)
-        hi = bisect.bisect_left(self._times, time.high)
-        hi = min(hi, len(self._segments))
+        at = bisect.bisect_left(self._times, time.high)
+        hi = min(at, len(self._segments))
+        if at < len(self._times) and self._times[at] == time.low:
+            lo = hi - (at == len(self._segments))
+            hi = lo + 1
         return range(lo, hi)
 
     def box_overlap(self, box: Box) -> TimeSet:

@@ -137,15 +137,18 @@ class SegmentBatch:
         """Per-segment validity bounds as plain floats."""
         return self.t_lo.tolist(), self.t_hi.tolist()
 
-    def take(self, rows: Sequence[int]) -> "SegmentBatch":
-        """The batch of just ``rows``, in that order.
+    @classmethod
+    def gather(cls, pieces: Sequence[Tuple["SegmentBatch", Sequence[int]]]):
+        """The rows of several batches, ``[(batch, rows), …]``, as one
+        batch in that order.
 
         The kernels are elementwise, so a row evaluates to the same
-        floats in the subset as in the whole page.
+        floats in the gathered batch as in its own page.
         """
-        sub = SegmentBatch.__new__(SegmentBatch)
-        sub.n, sub.dims, sub._rows = len(rows), self.dims, self._rows[:, rows]
-        return sub
+        batch = cls.__new__(cls)
+        batch._rows = np.concatenate([b._rows[:, r] for b, r in pieces], axis=1)
+        batch.n, batch.dims = batch._rows.shape[1], pieces[0][0].dims
+        return batch
 
     @classmethod
     def from_records(cls, records) -> "SegmentBatch":
@@ -617,7 +620,8 @@ def trajectory_live_components(
     segments the scalar ``_segment_range`` would visit: those from the
     one containing its extent's low (closed on the left) up to, and not
     including, the one starting at or after its high; none when the
-    extent is empty.
+    extent is empty.  A zero-width extent on a key time meets the one
+    segment starting there (the last one at the final key).
     """
     if batch.n == 0:
         return []
@@ -626,10 +630,16 @@ def trajectory_live_components(
     else:
         bounds = _box_overlap_bounds
         t_lo, t_hi = batch._lows[:, 0], batch._highs[:, 0]
-    first = np.searchsorted(key_times, t_lo, side="right") - 1
+    keys = np.asarray(key_times)
+    first = np.searchsorted(keys, t_lo, side="right") - 1
     first = np.where(first > 0, first, 0)
-    last = np.searchsorted(key_times, t_hi, side="left")
-    last = np.where(last < len(params), last, len(params))
+    at = np.searchsorted(keys, t_hi, side="left")
+    last = np.where(at < len(params), at, len(params))
+    instant = t_lo == t_hi
+    if instant.any():
+        on_key = instant & (keys[np.minimum(at, len(params))] == t_lo)
+        first = np.where(on_key, last - (at == len(params)), first)
+        last = np.where(on_key, first + 1, last)
     last = np.where(t_lo > t_hi, first, last)
     ranged = first < last
     if not ranged.any():
@@ -679,16 +689,24 @@ def trajectory_live_components(
     return out
 
 
-def segment_box_overlap_batch(segs: SegmentBatch, query: Box) -> List[Interval]:
-    """Batch ``segment_box_overlap_interval`` against one static query box."""
+def segment_box_overlap_batch(
+    segs: SegmentBatch, query: Union[Box, BoxBatch]
+) -> List[Interval]:
+    """Batch ``segment_box_overlap_interval`` against static query boxes.
+
+    ``query`` is one :class:`Box` for every row, or a :class:`BoxBatch`
+    holding each row's own box — the same arithmetic, broadcast.
+    """
     if segs.n == 0:
         return []
-    if query.dims != segs.dims + 1:
-        raise GeometryError(
-            f"query has {query.dims} dims, expected {segs.dims + 1}"
-        )
-    q_lows = query.lows
-    q_highs = query.highs
+    if isinstance(query, BoxBatch):
+        if query.n != segs.n:
+            raise GeometryError(f"{query.n} query boxes for {segs.n} segments")
+        dims, q_lows, q_highs = query.width, query._lows.T, query._highs.T
+    else:
+        dims, q_lows, q_highs = query.dims, query.lows, query.highs
+    if dims != segs.dims + 1:
+        raise GeometryError(f"query has {dims} dims, expected {segs.dims + 1}")
     lo, hi = _intersect(segs.t_lo, segs.t_hi, q_lows[0], q_highs[0])
     forced_empty = np.zeros(segs.n, dtype=bool)
     # Interval.length is max(0.0, high - low); mirror Python's max()
@@ -728,60 +746,97 @@ class DiscardRule:
     descent, so each page costs only the row arithmetic.  Without a
     ``prev`` (or with an empty one, which contains nothing) no row is
     ever covered and the rule is a plain overlap test.
+
+    The arrays are ``(clients, axes)`` blocks: a rule built here is a
+    block of one row, :meth:`stack` makes one block of many clients'
+    rules and :meth:`take` a block of some of its rows, so one
+    :func:`live_rows` call evaluates a page for every client reading it.
     """
 
-    __slots__ = ("axes", "q_lows", "q_highs", "p_lows", "p_highs", "clock")
+    __slots__ = ("axes", "block", "stacked")
 
     def __init__(self, query: Box, prev: Optional[Box] = None, clock: int = -1):
-        self.axes = query.dims
-        self.q_lows = np.asarray(query.lows, dtype=np.float64)
-        self.q_highs = np.asarray(query.highs, dtype=np.float64)
-        self.p_lows = self.p_highs = None
-        if prev is not None and not prev.is_empty:
-            if prev.dims != query.dims:
-                raise GeometryError(
-                    f"prev has {prev.dims} axes, query {query.dims}"
-                )
-            self.p_lows = np.asarray(prev.lows, dtype=np.float64)
-            self.p_highs = np.asarray(prev.highs, dtype=np.float64)
-        self.clock = clock
+        self.axes, self.stacked = query.dims, False
+        has_prev = prev is not None and not prev.is_empty
+        if has_prev and prev.dims != query.dims:
+            raise GeometryError(f"prev has {prev.dims} axes, query {query.dims}")
+        p = prev if has_prev else query  # masked out by has_prev: any will do
+        #: ``(Q lows, Q highs, P lows, P highs, has P, clock)``, a row each
+        self.block = (
+            np.asarray([query.lows], dtype=np.float64),
+            np.asarray([query.highs], dtype=np.float64),
+            np.asarray([p.lows], dtype=np.float64),
+            np.asarray([p.highs], dtype=np.float64),
+            np.asarray([has_prev]),
+            np.asarray([clock], dtype=np.int64),
+        )
+
+    def _of(self, block) -> "DiscardRule":
+        rule = DiscardRule.__new__(DiscardRule)
+        rule.axes, rule.block, rule.stacked = self.axes, tuple(block), True
+        return rule
+
+    @classmethod
+    def stack(cls, rules: Sequence["DiscardRule"]) -> "DiscardRule":
+        """One block of ``rules``, one row each, in order."""
+        if any(r.axes != rules[0].axes for r in rules):
+            raise GeometryError("stacked rules differ in axes")
+        return rules[0]._of(map(np.concatenate, zip(*(r.block for r in rules))))
+
+    def take(self, rows: Sequence[int]) -> "DiscardRule":
+        """The block of just ``rows`` of this one, in that order."""
+        return self._of(column[rows] for column in self.block)
 
 
 def _discard_masks(boxes: BoxBatch, rule: DiscardRule):
-    """Row masks ``(empty, covered)`` of one non-empty page under ``rule``.
+    """``(clients, rows)`` masks ``(empty, covered)`` of one non-empty
+    page under each row of ``rule``.
 
-    ``empty[k]`` iff ``boxes[k].intersect(Q)`` is empty; ``covered[k]``
-    iff ``P`` contains that intersection — the scalar
+    ``empty[c, k]`` iff ``boxes[k].intersect(Q_c)`` is empty;
+    ``covered[c, k]`` iff ``P_c`` contains that intersection — the scalar
     ``prev.contains_box(shared)`` with ``shared`` known non-empty, so the
     raw (unnormalised) bounds are exactly the scalar's and ``covered``
-    means nothing on an ``empty`` row.  Without a ``P`` nothing is covered.
+    means nothing on an ``empty`` row.  Without a ``P_c`` nothing is
+    covered.
     """
     if rule.axes != boxes.axes:
         raise GeometryError(f"query has {rule.axes} axes, boxes {boxes.axes}")
-    i_lo = np.where(boxes._lows >= rule.q_lows, boxes._lows, rule.q_lows)
-    i_hi = np.where(boxes._highs <= rule.q_highs, boxes._highs, rule.q_highs)
-    empty = (i_lo > i_hi).any(axis=1)
-    if rule.p_lows is None:
-        return empty, np.zeros(boxes.n, dtype=bool)
-    return empty, ((rule.p_lows <= i_lo) & (i_hi <= rule.p_highs)).all(axis=1)
+    q_lows, q_highs, p_lows, p_highs, has_prev, _clock = rule.block
+    lows, highs = boxes._lows[None], boxes._highs[None]
+    i_lo = np.where(lows >= q_lows[:, None], lows, q_lows[:, None])
+    i_hi = np.where(highs <= q_highs[:, None], highs, q_highs[:, None])
+    empty = (i_lo > i_hi).any(axis=2)
+    if not has_prev.any():
+        return empty, np.zeros(empty.shape, dtype=bool)
+    covered = (p_lows[:, None] <= i_lo) & (i_hi <= p_highs[:, None])
+    return empty, covered.all(axis=2) & has_prev[:, None]
 
 
-def live_rows(boxes: BoxBatch, stamps, rule: DiscardRule) -> List[int]:
+def live_rows(boxes: BoxBatch, stamps, rule: DiscardRule):
     """Rows of one dual-tree page a descent for ``rule`` must still look at.
 
     Entry ``k`` (box ``boxes[k]``, stamp ``stamps[k]`` from
     :func:`stamp_column`) is *dead* when its box misses ``Q``, or when it
     is no newer than ``P``'s clock reading and ``P`` covers its share of
     ``Q`` — ``P``'s run already inspected everything of it that matters.
-    Returns the others, in entry order.  This is the only implementation
-    of the rule: the prediction walk and ``NPDQEngine.snapshot`` both
-    descend through it.
+    Returns the others, in entry order: one list for a rule, one list
+    per row for a :meth:`~DiscardRule.stack` of rules.  This is the only
+    implementation of the rule: the prediction walk and the NPDQ sweep
+    both descend through it.
     """
+    clock = rule.block[-1]
     if boxes.n == 0:
-        return []
+        return [[] for _ in clock] if rule.stacked else []
     empty, covered = _discard_masks(boxes, rule)
-    dead = empty | (covered & (stamps <= rule.clock))
-    return (~dead).nonzero()[0].tolist()
+    live = ~(empty | (covered & (stamps <= clock[:, None])))
+    if not rule.stacked:
+        return live[0].nonzero()[0].tolist()
+    rows = live.nonzero()[1].tolist()
+    out, at = [], 0
+    for count in live.sum(axis=1).tolist():
+        out.append(rows[at : at + count])
+        at += count
+    return out
 
 
 def box_query_masks(
@@ -795,4 +850,4 @@ def box_query_masks(
     if boxes.n == 0:
         return [], []
     empty, covered = _discard_masks(boxes, DiscardRule(query, prev))
-    return empty.tolist(), covered.tolist()
+    return empty[0].tolist(), covered[0].tolist()

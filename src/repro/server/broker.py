@@ -12,8 +12,10 @@ the broker:
 2. runs the :class:`~repro.server.scheduler.SharedScanScheduler` batch
    phase — the merged frontier of all live clients (priority-queue
    frontiers over the native tree for PDQ/auto, prediction walks over
-   the dual-time tree for the frames NPDQ/auto clients submitted for
-   this tick) is read once per distinct page;
+   the dual-time tree for the frames auto clients pose, and the pages
+   the :class:`~repro.server.session.NPDQSweep` read evaluating every
+   NPDQ client's frame of this tick at once) is read once per distinct
+   page;
 3. serves each session **in registration order** (the determinism the
    answer-invariance property test depends on), pinning after each
    what it demand-fetched mid-tick so later clients piggyback on it;
@@ -50,7 +52,7 @@ from repro.server.kinds import KINDS, QueryKind, kind_named, registration_of
 from repro.server.metrics import LatencyModel, ServerMetrics, TickMetrics
 from repro.server.planner import IndexStats, plan_query
 from repro.server.scheduler import SharedScanScheduler
-from repro.server.session import ClientSession, NPDQSession, SessionState
+from repro.server.session import ClientSession, NPDQSweep, SessionState
 
 __all__ = ["ServerConfig", "BrokerCore", "QueryBroker"]
 
@@ -344,6 +346,8 @@ class QueryBroker(BrokerCore):
                 self.config.buffer_capacity,
                 extra_trees=(dual.tree,) if dual is not None else (),
             )
+        #: every NPDQ session of this broker, evaluated in one sweep a tick
+        self.npdq_sweep = NPDQSweep()
         self._logical_seen: Dict[str, int] = {}
 
     # -- what this tier supplies to BrokerCore -----------------------------
@@ -407,7 +411,6 @@ class QueryBroker(BrokerCore):
         batched_pages = 0
         piggybacked = 0
         served = 0
-        predicted = actual = mispredicted = 0
         try:
             if self.scheduler is not None:
                 batch = self.scheduler.begin_tick(serving, tick)
@@ -417,12 +420,6 @@ class QueryBroker(BrokerCore):
                 result = session.serve(tick)
                 if self.scheduler is not None:
                     self.scheduler.pin_resident()
-                if isinstance(session, NPDQSession):
-                    record = session.last_prediction
-                    if record is not None and record.tick_index == tick.index:
-                        predicted += len(record.pages)
-                        actual += len(record.actual)
-                        mispredicted += len(record.mispredicted)
                 if result is None:
                     continue
                 served += 1
@@ -451,6 +448,9 @@ class QueryBroker(BrokerCore):
             session.metrics.logical_reads += now - seen
             self._logical_seen[session.client_id] = now
 
+        # The sweep is the batch read: what it loaded was predicted, by
+        # construction, and nothing it loaded was mispredicted.
+        npdq_pages = self.npdq_sweep.loaded_pages(tick)
         physical = self._physical_reads() - reads_before
         latency = (
             physical * self.config.latency.read
@@ -472,9 +472,8 @@ class QueryBroker(BrokerCore):
             logical_reads=logical,
             batched_pages=batched_pages,
             piggybacked_reads=piggybacked,
-            predicted_pages=predicted,
-            actual_pages=actual,
-            mispredicted_pages=mispredicted,
+            predicted_pages=npdq_pages,
+            actual_pages=npdq_pages,
             updates_applied=updates,
             latency=latency,
         )

@@ -71,13 +71,15 @@ def _pdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
 
 
 def _npdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
-    return NPDQSession(
+    session = NPDQSession(
         client_id,
         broker.dual,
         trajectory,
         queue_depth=broker.config.queue_depth,
         **kwargs,
     )
+    broker.npdq_sweep.join(session)  # one sweep a tick for all of them
+    return session
 
 
 def _auto(

@@ -52,11 +52,10 @@ class ClientMetrics:
     shed_events: int = 0
     promote_events: int = 0
     degraded_ticks: int = 0
-    # NPDQ prediction walk (zero for other session kinds): pages the
-    # walk enumerated, pages the evaluation actually loaded, and loaded
-    # pages the walk missed.  The walk descends for the frame that is
-    # evaluated, so a miss is a page under one the walk failed to read
-    # (a storage fault) — demand-fetched, never wrong, never a bad guess.
+    # NPDQ batch demand (zero for other session kinds): the pages the
+    # tick's sweep read for the client, reported to the batch phase and
+    # read — equal by construction, so nothing is ever mispredicted.
+    # Kept because the worker METRICS frame carries them.
     predicted_pages: int = 0
     actual_pages: int = 0
     mispredicted_pages: int = 0
@@ -80,8 +79,8 @@ class TickMetrics:
     piggybacked_reads: int
     updates_applied: int
     latency: float
-    # NPDQ frontier prediction, summed over the tick's NPDQ sessions
-    # (defaults keep pre-prediction call sites constructible unchanged).
+    # NPDQ batch demand, summed over the tick's NPDQ sessions (defaults
+    # keep call sites without NPDQ clients constructible unchanged).
     predicted_pages: int = 0
     actual_pages: int = 0
     mispredicted_pages: int = 0
@@ -95,7 +94,7 @@ class TickMetrics:
 
     @property
     def mispredict_rate(self) -> float:
-        """Fraction of NPDQ-loaded pages the prediction walks missed."""
+        """Fraction of NPDQ-loaded pages the batch phase did not name (0)."""
         if not self.actual_pages:
             return 0.0
         return self.mispredicted_pages / self.actual_pages
@@ -231,12 +230,10 @@ class ServerMetrics:
 
     @property
     def mispredict_rate(self) -> float:
-        """Fraction of NPDQ-loaded pages the prediction walks missed —
-        non-zero only when a walk hit a storage fault and stopped short
-        of a subtree.
+        """Fraction of NPDQ-loaded pages the batch phase did not name:
+        0 by construction, the NPDQ sweep's reads *are* its demand.
 
-        A miss never changes answers; it costs one demand fetch during
-        the drain phase instead of a batched read.
+        Kept for the benchmark's ``server.scheduler.mispredict_share``.
         """
         if not self.actual_pages:
             return 0.0

@@ -10,7 +10,10 @@ uniform per-tick interface:
   previous conservative answer);
 * :meth:`frontier_demand` names the pages that evaluation will read,
   per index tree, so the shared-scan scheduler can batch page reads
-  across clients;
+  across clients — for NPDQ clients, the pages their evaluation *did*
+  read: the first NPDQ session's demand runs the :class:`NPDQSweep` that
+  evaluates every NPDQ session of the broker in one page-major pass, so
+  its reads are the batch's and :meth:`serve` only hands out the result;
 * :meth:`deliver` / :meth:`poll` implement the bounded result queue that
   admission control and slow-client shedding are built on.
 
@@ -34,13 +37,13 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Deque,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -51,10 +54,10 @@ from typing import (
 from repro.core.aggregate import count_timeline
 from repro.core.joins import snapshot_distance_join
 from repro.core.knn import MovingKNN, knn_frontier_pages
-from repro.core.npdq import NPDQEngine
+from repro.core.npdq import NPDQEngine, snapshot_all
 from repro.core.pdq import PDQEngine
 from repro.core.query import JoinAnswer, KNNAnswer
-from repro.core.results import AnswerItem
+from repro.core.results import AnswerItem, SnapshotResult
 from repro.core.session import DynamicQuerySession
 from repro.core.snapshot import SnapshotQuery
 from repro.core.spdq import SPDQEngine
@@ -69,7 +72,7 @@ from repro.storage.metrics import QueryCost
 __all__ = [
     "SessionState",
     "TickResult",
-    "PredictionRecord",
+    "NPDQSweep",
     "ClientSession",
     "PDQSession",
     "NPDQSession",
@@ -149,26 +152,6 @@ class _ResultQueue:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-@dataclass
-class PredictionRecord:
-    """One tick's prediction walk and, after evaluation, its outcome.
-
-    The walk descends for the very frame :meth:`NPDQSession.serve`
-    evaluates, so ``set(actual) == pages`` whenever the walk read every
-    page it reached (``walk_faults == 0``) — the invariant the test
-    suite's checking wrapper asserts.  ``mispredicted`` is what
-    evaluation loaded beyond ``pages``: the subtrees under a page the
-    walk could not read, never a bad guess.
-    """
-
-    tick_index: int
-    pages: FrozenSet[int]
-    walk_faults: int
-    actual: Tuple[int, ...] = ()
-    mispredicted: Tuple[int, ...] = ()
-    served: bool = False
 
 
 class ClientSession:
@@ -410,27 +393,78 @@ class PDQSession(ClientSession):
         self.state = SessionState.ACTIVE
 
 
+class NPDQSweep:
+    """The non-predictive sessions of one broker, evaluated together.
+
+    Per tick, the first :meth:`run` evaluates the frame of every member
+    that serves the tick in one :func:`~repro.core.npdq.snapshot_all`
+    over their shared dual tree — in the scheduler's batch phase that is
+    the first member's :meth:`~ClientSession.frontier_demand`, without a
+    scheduler its :meth:`~NPDQSession.serve` — and :meth:`take` then
+    hands each member its result, once.
+
+    Members are held weakly (each holds its sweep): the broker's session
+    book owns them, and a torn-down broker's indexes are freed at once,
+    not at the next cycle collection.
+    """
+
+    def __init__(self) -> None:
+        self._members: List["weakref.ref[NPDQSession]"] = []
+        self._tick: Optional[Tick] = None
+        self._results: Dict[int, SnapshotResult] = {}  # by id(session)
+        self._pages = 0
+
+    def join(self, session: "NPDQSession") -> None:
+        """Evaluate ``session`` with the other members from now on."""
+        session.sweep = self
+        self._members.append(weakref.ref(session))
+
+    def run(self, tick: Tick) -> None:
+        """Evaluate every serving member's frame of ``tick`` (once a tick)."""
+        if self._tick == tick:
+            return
+        members = [ref() for ref in self._members]
+        self._members = [
+            ref for ref, s in zip(self._members, members)
+            if s is not None and s.state is not SessionState.CLOSED
+        ]
+        serving = [s for s in members if s is not None and s.will_serve(tick)]
+        results = snapshot_all(
+            [(s.engine, s._frame_query(tick)) for s in serving]
+        )
+        self._tick = tick
+        self._results = {id(s): result for s, result in zip(serving, results)}
+        self._pages = sum(len(s.engine.last_loaded_pages) for s in serving)
+
+    def take(self, session: "NPDQSession", tick: Tick) -> SnapshotResult:
+        """``session``'s result of the sweep of ``tick``."""
+        self.run(tick)
+        try:
+            return self._results.pop(id(session))
+        except KeyError:
+            raise ServerError(
+                f"{session.client_id} has no result left in tick {tick.index}"
+            ) from None
+
+    def loaded_pages(self, tick: Tick) -> int:
+        """(client, page) reads of the sweep of ``tick``; 0 if none ran."""
+        return self._pages if self._tick == tick else 0
+
+
 class NPDQSession(ClientSession):
     """A non-predictive client: per-tick snapshots with NPDQ memory.
 
     *Non-predictive* means the server cannot know the client's **next**
     frame — not the one it is serving: in the closed tick the frame of
-    tick *t* has been submitted before the batch phase runs.  So the
-    session joins the shared scan with that very frame
-    (:meth:`~repro.core.QueryTrajectory.frame_query` over the tick,
-    built once and read by both phases): the engine's coverage-pruned
-    prediction walk (:meth:`~repro.core.NPDQEngine.predict_pages`) turns
-    it into the page set :meth:`serve` is about to load.  The session
-    keeps serving past the trajectory's span, over the clamped window.
-
-    The walk is read-only and replays the evaluation's own pruning over
-    the evaluation's own query, so its page set *is* the set
-    :meth:`serve` loads — unless a storage fault stops the walk short of
-    a subtree, whose pages evaluation then demand-fetches and
-    ``mispredicted_pages`` counts; answers never change.  Walk I/O is
-    charged to :attr:`prediction_cost`, never to the engine's own
-    :class:`~repro.storage.metrics.QueryCost`, so per-client logical
-    accounting stays identical to isolated execution.
+    tick *t* has been submitted before the batch phase runs
+    (:meth:`~repro.core.QueryTrajectory.frame_query` over the tick).  So
+    the batch phase does not predict the session's pages, it evaluates
+    the frame: the session's :class:`NPDQSweep` — every NPDQ session of
+    its broker — runs one page-major sweep of the dual tree for all of
+    them, and the pages it loaded are the demand :meth:`frontier_demand`
+    reports.  :meth:`serve` returns the sweep's result.  A session
+    built alone is a sweep of one.  The session keeps serving past the
+    trajectory's span, over the clamped window.
     """
 
     kind = "npdq"
@@ -447,9 +481,8 @@ class NPDQSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.trajectory = trajectory
         self.engine = NPDQEngine(index, exact=exact, fault_budget=fault_budget)
-        self.prediction_cost = QueryCost()
-        self.last_prediction: Optional[PredictionRecord] = None
         self._frame: Optional[Tuple[Tick, SnapshotQuery]] = None
+        NPDQSweep().join(self)
 
     def _frame_query(self, tick: Tick) -> SnapshotQuery:
         """The frame the client submitted for ``tick``."""
@@ -459,30 +492,14 @@ class NPDQSession(ClientSession):
         return self._frame[1]
 
     def _frontiers(self, tick: Tick):
-        failed: List[int] = []
-        pages = self.engine.predict_pages(
-            self._frame_query(tick), cost=self.prediction_cost, failed=failed
-        )
-        self.last_prediction = PredictionRecord(
-            tick_index=tick.index,
-            pages=frozenset(pages),
-            walk_faults=len(failed),
-        )
-        yield self.engine.index.tree, pages
+        self.sweep.run(tick)
+        yield self.engine.index.tree, self.engine.last_loaded_pages
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
-        result = self.engine.snapshot(self._frame_query(tick))
-        record = self.last_prediction
-        if record is not None and record.tick_index == tick.index:
-            actual = tuple(self.engine.last_loaded_pages)
-            record.actual = actual
-            record.mispredicted = tuple(
-                p for p in actual if p not in record.pages
-            )
-            record.served = True
-            self.metrics.predicted_pages += len(record.pages)
-            self.metrics.actual_pages += len(actual)
-            self.metrics.mispredicted_pages += len(record.mispredicted)
+        result = self.sweep.take(self, tick)
+        loaded = len(self.engine.last_loaded_pages)
+        self.metrics.predicted_pages += loaded
+        self.metrics.actual_pages += loaded
         return TickResult(
             index=tick.index,
             start=tick.start,

@@ -1,13 +1,15 @@
 """The mask-first NPDQ traversals against the per-entry code they replaced.
 
-``NPDQEngine.snapshot`` and ``DualTimeIndex.frontier_walk`` descend
-through one page routine (``kernels.live_rows``) and touch segment
-columns only for the rows that survive it.  The reference is the scalar
-code both ran before (``tests/_helpers.py``): every snapshot must repeat
-its items, order, visibility floats, page lists and every ``QueryCost``
-field, and the walk its page list and prediction cost.  The last class
-pins the mechanism rather than the clock: what a snapshot that moved by
-a sliver does *not* build.
+``NPDQEngine.snapshot`` (the one-engine case of the page-major sweep,
+``snapshot_all``) and ``DualTimeIndex.frontier_walk`` descend through
+one page routine (``kernels.live_rows``) and touch segment columns only
+for the rows that survive it.  The reference is the scalar code both ran
+before (``tests/_helpers.py``): every snapshot must repeat its items,
+order, visibility floats, page lists and every ``QueryCost`` field, and
+the walk its page list and prediction cost.  A sweep of many engines
+must give each one exactly that, too.  The last class pins the mechanism
+rather than the clock: what a snapshot that moved by a sliver does
+*not* build.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.npdq import NPDQEngine
+from repro.core.npdq import NPDQEngine, snapshot_all
 from repro.core.snapshot import SnapshotQuery
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
@@ -142,6 +146,64 @@ class TestAgainstTheScalarTraversals:
             segments, "bulk", True, fault_budget=1, faults=faults, churn=False
         )
         assert engine.degraded and engine.skipped_subtrees
+
+
+class TestTheSweepIsEachEngineAlone:
+    """``snapshot_all`` evaluates many engines in one page-major sweep;
+    each must get exactly what it gets evaluated alone, and what the
+    scalar per-entry traversal gives it — answers in order, page list in
+    order, every cost count, and the memory the next tick starts from."""
+
+    TICKS = 5
+
+    @staticmethod
+    def client(data):
+        """One engine's setup: its trajectory, ``exact``, the tick it
+        joins at (so some enter with history, some without) and the tick
+        it is reset at, if any."""
+        draw = data.draw
+        center = (draw(st.floats(15.0, 85.0)), draw(st.floats(15.0, 85.0)))
+        velocity = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
+        half = draw(st.sampled_from([4.0, 8.0, 14.0]))
+        trajectory = QueryTrajectory.linear(
+            1.0, 1.0 + 6 * PERIOD, center, velocity, (half, half)
+        )
+        return (
+            trajectory,
+            draw(st.booleans()),
+            draw(st.integers(0, 2)),
+            draw(st.none() | st.integers(1, TestTheSweepIsEachEngineAlone.TICKS - 1)),
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_engine_gets_its_own_snapshot(self, segments, data):
+        index = build(segments[:600], "bulk")  # all engines read this tree
+        clients = [self.client(data) for _ in range(data.draw(st.integers(1, 8)))]
+        swept, alone, scalar = (
+            [cls(index, exact=exact) for _, exact, _, _ in clients]
+            for cls in (NPDQEngine, NPDQEngine, ScalarNPDQEngine)
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        for tick in range(self.TICKS):
+            t0, t1 = 1.0 + tick * PERIOD, 1.0 + (tick + 1) * PERIOD
+            active = [i for i, c in enumerate(clients) if c[2] <= tick]
+            queries = {i: clients[i][0].frame_query(t0, t1) for i in active}
+            if tick and data.draw(st.booleans()):  # fresh stamps
+                center = clients[0][0].window_at(t0).center
+                for s in arrivals(rng, 90_000 + 10 * tick, t0, center):
+                    index.insert(s)
+            for i in active:
+                if clients[i][3] == tick:
+                    for group in (swept, alone, scalar):
+                        group[i].reset()
+            results = snapshot_all([(swept[i], queries[i]) for i in active])
+            for i, got in zip(active, results):
+                for twin in (alone[i], scalar[i]):
+                    want = twin.snapshot(queries[i])
+                    assert_same_snapshot(got, want, swept[i], twin)
+        for i in range(len(clients)):
+            assert swept[i].cost == alone[i].cost == scalar[i].cost
 
 
 class TestWhatASliverDoesNotBuild:

@@ -6,7 +6,10 @@ from repro.core.naive import NaiveEvaluator
 from repro.core.pdq import PDQEngine
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import QueryError
+from repro.index.nsi import NativeSpaceIndex
 from repro.workload.trajectories import generate_trajectories
+
+from _helpers import make_segment
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,25 @@ class TestCorrectness:
             early = pdq.window(span.low, mid)
             for item in early:
                 assert item.appears_at <= mid + 1e-9
+
+
+    def test_instantaneous_segment_at_a_key_time(self):
+        # A segment valid for one instant, exactly on a key-snapshot time
+        # at the window centre, is an answer like its neighbours off the key.
+        trajectory = QueryTrajectory.linear(
+            0.0, 4.0, (0.0, 0.0), (1.0, 0.0), (4.0, 4.0), key_count=5
+        )
+        index = NativeSpaceIndex(dims=2)
+        index.bulk_load(
+            [
+                make_segment(1, 0, 2.0, 2.0, (2.0, 0.0), (0.0, 0.0)),
+                make_segment(2, 0, 2.5, 2.5, (2.5, 0.0), (0.0, 0.0)),
+                make_segment(3, 0, 1.5, 2.5, (1.5, 0.0), (1.0, 0.0)),
+            ]
+        )
+        with PDQEngine(index, trajectory, track_updates=False) as pdq:
+            items = pdq.window(0.0, 4.0)
+        assert sorted(item.key for item in items) == [(1, 0), (2, 0), (3, 0)]
 
 
 class TestIOOptimality:

@@ -130,6 +130,21 @@ class TestOverlap:
         assert not ts.is_empty
         assert ts.span.low >= 6.0 and ts.span.high <= 7.0
 
+    def test_an_instant_on_a_key_time_meets_the_window(self):
+        """A zero-width segment sitting exactly on a key time is inside
+        the window there: it meets the segment starting at that key (the
+        last one at the final key), never none; past the span, never."""
+        traj = QueryTrajectory.linear(
+            0.0, 4.0, (0.0, 0.0), (1.0, 0.0), (4.0, 4.0), key_count=5
+        )
+        for t in (0.0, 1.0, 2.0, 4.0, 2.5):
+            obj = SpaceTimeSegment(Interval(t, t), (t, 0.0), (0.0, 0.0))
+            assert traj.segment_overlap(obj).components == (Interval(t, t),)
+            box = Box([Interval(t, t), Interval(t, t), Interval(0.0, 0.0)])
+            assert traj.box_overlap(box).components == (Interval(t, t),)
+        after = SpaceTimeSegment(Interval(4.5, 4.5), (4.0, 0.0), (0.0, 0.0))
+        assert traj.segment_overlap(after).is_empty
+
     @settings(max_examples=100)
     @given(
         st.floats(min_value=0.1, max_value=5, allow_nan=False),

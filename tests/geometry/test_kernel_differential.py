@@ -174,6 +174,22 @@ class TestMovingWindowKernels:
         assert got == [Interval(0.0, 5e-324)]
 
 
+@st.composite
+def _sweep_segments(draw, dims):
+    """Segments as ``segments`` draws them, plus the shapes the NPDQ
+    sweep's derived exact test must survive: sub-ulp and huge velocities
+    and validity running to infinity."""
+    seg = draw(segments(dims))
+    velocity = tuple(
+        draw(_VELOCITY | st.sampled_from([1e-300, -1e-300, 1e300]))
+        for _ in range(dims)
+    )
+    time = seg.time
+    if draw(st.booleans()):
+        time = Interval(time.low, math.inf)
+    return SpaceTimeSegment(time, seg.origin, velocity)
+
+
 class TestSegmentBoxKernel:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -185,6 +201,81 @@ class TestSegmentBoxKernel:
         got = kernels.segment_box_overlap_batch(_segment_batch(segs), query)
         want = [segment_box_overlap_interval(s, query) for s in segs]
         assert got == want
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_per_row_boxes_match_the_box_form(self, data):
+        # Each row against its own box (the NPDQ sweep's leaf stage), and
+        # the exact-Q test derived from the open visibility box: Q is that
+        # box cut at Q.t.high, so a row misses Q iff its visibility is
+        # empty or starts after Q.t.high.
+        dims = data.draw(_DIMS)
+        n = data.draw(_PAGE)
+        segs = [data.draw(_sweep_segments(dims)) for _ in range(n)]
+        queries = [
+            data.draw(boxes(dims + 1))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+        ]
+        owner = [
+            data.draw(st.integers(min_value=0, max_value=len(queries) - 1))
+            for _ in range(n)
+        ]
+        batch = _segment_batch(segs)
+        got = kernels.segment_box_overlap_batch(
+            batch,
+            kernels.BoxBatch(
+                [queries[o].lows for o in owner], [queries[o].highs for o in owner]
+            ),
+        )
+        assert got == [
+            kernels.segment_box_overlap_batch(_segment_batch([s]), queries[o])[0]
+            for s, o in zip(segs, owner)
+        ]
+        opened = [
+            Box([Interval(q.extent(0).low, math.inf)] + list(q.extents[1:]))
+            for q in queries
+        ]
+        visible = kernels.segment_box_overlap_batch(
+            batch,
+            kernels.BoxBatch(
+                [opened[o].lows for o in owner], [opened[o].highs for o in owner]
+            ),
+        )
+        derived = [
+            v.is_empty or v.low > queries[o].extent(0).high
+            for v, o in zip(visible, owner)
+        ]
+        explicit = [
+            kernels.segment_box_overlap_batch(_segment_batch([s]), queries[o])[0]
+            for s, o in zip(segs, owner)
+        ]
+        assert derived == [e.is_empty for e in explicit]
+
+    def test_derived_exact_test_on_named_rows(self):
+        query = Box([Interval(1.0, 2.0), Interval(0.0, 1.0)])
+        opened = Box([Interval(1.0, math.inf), Interval(0.0, 1.0)])
+        rows = [
+            SpaceTimeSegment(Interval(0.0, 3.0), (0.5,), (0.0,)),  # at rest inside
+            SpaceTimeSegment(Interval(0.0, 3.0), (0.5,), (1e-300,)),  # sub-ulp move
+            SpaceTimeSegment(Interval(0.0, 3.0), (1.5,), (0.0,)),  # at rest outside
+            SpaceTimeSegment(Interval(1.5, 1.5), (0.5,), (0.0,)),  # an instant in Q
+            SpaceTimeSegment(Interval(2.5, 2.5), (0.5,), (0.0,)),  # an instant after
+            SpaceTimeSegment(Interval(0.0, 3.0), (-1.0,), (0.5,)),  # enters at Q.t.high
+            SpaceTimeSegment(Interval(0.0, 3.0), (-1.0,), (0.4,)),  # enters after
+        ]
+        batch = _segment_batch(rows)
+        visible = kernels.segment_box_overlap_batch(batch, opened)
+        assert visible[5].low == query.extent(0).high
+        derived = [v.is_empty or v.low > 2.0 for v in visible]
+        explicit = kernels.segment_box_overlap_batch(batch, query)
+        assert derived == [e.is_empty for e in explicit]
+        assert derived == [False, False, True, False, True, False, True]
+
+    def test_per_row_boxes_must_match_the_rows(self):
+        seg = SpaceTimeSegment(Interval(0.0, 1.0), (0.5,), (0.0,))
+        two = kernels.BoxBatch([[0.0, 0.0]] * 2, [[1.0, 1.0]] * 2)
+        with pytest.raises(GeometryError):
+            kernels.segment_box_overlap_batch(_segment_batch([seg]), two)
 
     def test_rest_dimension_containment(self):
         # zero-velocity segment at the exact window boundary: the scalar
@@ -306,6 +397,37 @@ class TestLiveRows:
         assert self._check([], [], query, query, clock=3) == []
         page = [Box([Interval(0.0, 1.0)]), Box([Interval(3.0, 2.0)])]
         assert self._check(page, [0, 0], query, Box.empty(1), clock=3) == [0]
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_stacked_rules_match_each_rule(self, data):
+        axes = data.draw(st.integers(min_value=1, max_value=4))
+        n = data.draw(st.integers(min_value=0, max_value=20))
+        page = [
+            Box(tuple(data.draw(intervals(allow_empty=True)) for _ in range(axes)))
+            for _ in range(n)
+        ]
+        stamps = kernels.stamp_column(
+            [data.draw(st.integers(min_value=0, max_value=7)) for _ in range(n)]
+        )
+        rules = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            query = data.draw(dual_boxes(axes))
+            prev = data.draw(
+                st.none() | st.just(Box.empty(axes)) | st.just(query) | dual_boxes(axes)
+            )
+            clock = data.draw(st.integers(min_value=-1, max_value=6))
+            rules.append(kernels.DiscardRule(query, prev, clock))
+        batch = _box_batch(page)
+        each = [kernels.live_rows(batch, stamps, rule) for rule in rules]
+        block = kernels.DiscardRule.stack(rules)
+        assert kernels.live_rows(batch, stamps, block) == each
+        picked = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(rules) - 1))
+        )
+        assert kernels.live_rows(batch, stamps, block.take(picked)) == [
+            each[r] for r in picked
+        ]
 
     def test_axes_mismatch_is_refused(self):
         rule = kernels.DiscardRule(Box([Interval(0.0, 1.0)]))
@@ -528,27 +650,33 @@ class TestTrajectoryPages:
         ]
 
     def test_zero_width_extent_on_a_key_time(self):
-        # ROADMAP item 4: ``_segment_range`` gives a zero-width extent
-        # sitting exactly on a key time no trajectory segment at all, so
-        # the scalar path answers "never" although the window covers the
-        # point.  Reproduced, not fixed.
+        # A zero-width extent sitting exactly on a key time meets the
+        # segment starting there (the last one at the final key), so the
+        # window covering the point finds it on every key, first and last
+        # included, in the scalar path and the kernel alike.
         page = [
             Box.from_bounds([0.0, 0.5], [0.0, 0.5]),
             Box.from_bounds([4.0, 0.5], [4.0, 0.5]),
             Box.from_bounds([6.0, 0.5], [6.0, 0.5]),
-            Box.from_bounds([4.5, 0.5], [4.5, 0.5]),  # off a key: found
+            Box.from_bounds([4.5, 0.5], [4.5, 0.5]),  # off a key
+            Box.from_bounds([6.5, 0.5], [6.5, 0.5]),  # past the span: never
         ]
         trajectory = self._tent()
-        assert trajectory.box_overlap(page[1]).is_empty
         got = self._check_boxes(trajectory, page, 0.0)
-        assert got == [(3, Interval(4.5, 4.5))]
+        assert got == [
+            (0, Interval(0.0, 0.0)),
+            (1, Interval(4.0, 4.0)),
+            (2, Interval(6.0, 6.0)),
+            (3, Interval(4.5, 4.5)),
+        ]
         segs = [
             SpaceTimeSegment(Interval(4.0, 4.0), (0.5,), (0.0,)),
             SpaceTimeSegment(Interval(4.5, 4.5), (0.5,), (0.0,)),
+            SpaceTimeSegment(Interval(6.0, 6.0), (0.5,), (0.0,)),
         ]
         got = trajectory.live_components(_segment_batch(segs), 0.0)
         assert got == _scalar_live(trajectory.segment_overlap, segs, 0.0)
-        assert got == [(1, Interval(4.5, 4.5))]
+        assert [k for k, _ in got] == [0, 1, 2]
 
     def test_structurally_empty_box(self):
         page = [

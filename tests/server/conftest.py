@@ -11,7 +11,7 @@ import pytest
 
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.server.session import NPDQSession
+from repro.server.session import NPDQSession, NPDQSweep
 from repro.storage.disk import DiskManager
 from repro.storage.wal import IntentLog
 from repro.workload.observers import observer_fleet
@@ -22,41 +22,51 @@ PAGE_SIZE = 512
 
 
 @pytest.fixture(autouse=True)
-def _npdq_walk_check(monkeypatch):
-    """Suite-wide safety net for the NPDQ prediction walk.
+def _npdq_sweep_check(monkeypatch):
+    """Suite-wide safety net for the NPDQ sweep.
 
-    Wraps :meth:`NPDQSession.serve` so that, on every serve in the whole
-    serving-layer suite, the tick's walk is held to what evaluation
-    loaded: the mispredict count is exactly the loaded-but-unwalked
-    pages, always — and when the walk hit no storage fault the two page
-    sets are *equal* (the walk descends for the very frame that is
-    evaluated, under the evaluation's own pruning).
+    On every NPDQ serve of the whole serving-layer suite: the session
+    returns the result the sweep of *that* tick computed for it, exactly
+    once — and whatever demand it reported to the batch phase is the
+    page list its engine loaded, in order.
     """
-    original = NPDQSession.serve
+    run, serve = NPDQSweep.run, NPDQSession.serve
+    demand = NPDQSession.frontier_demand
+    swept = {}  # id(session) -> (tick, its result of that tick's sweep)
 
-    def checked(self, tick):
-        result = original(self, tick)
-        record = self.last_prediction
-        if (
-            record is not None
-            and record.served
-            and record.tick_index == tick.index
-        ):
-            missing = set(record.actual) - set(record.pages)
-            assert missing == set(record.mispredicted), (
-                f"{self.client_id}: mispredict accounting drifted at tick "
-                f"{tick.index}: loaded-but-unpredicted {sorted(missing)} vs "
-                f"counted {sorted(record.mispredicted)}"
+    def checked_run(self, tick):
+        fresh = self._tick != tick
+        run(self, tick)
+        if fresh:
+            for session_id, result in self._results.items():
+                swept[session_id] = (tick, result)
+
+    def checked_demand(self, tick):
+        reported = demand(self, tick)
+        pages = [p for _, tree_pages in reported for p in tree_pages]
+        if self.will_serve(tick):
+            assert pages == self.engine.last_loaded_pages, (
+                f"{self.client_id}: tick {tick.index} reported {pages} but "
+                f"the sweep loaded {self.engine.last_loaded_pages}"
             )
-            if record.walk_faults == 0:
-                assert set(record.actual) == set(record.pages), (
-                    f"{self.client_id}: the walk of tick {tick.index} hit "
-                    f"no fault but enumerated {sorted(record.pages)} where "
-                    f"evaluation loaded {sorted(record.actual)}"
-                )
+        return reported
+
+    def checked_serve(self, tick):
+        result = serve(self, tick)
+        entry = swept.pop(id(self), None)
+        assert entry is not None and entry[0] == tick, (
+            f"{self.client_id}: served tick {tick.index} without a result "
+            "of that tick's sweep, or twice"
+        )
+        want = entry[1]
+        assert result.items == tuple(want.items)
+        assert result.prefetched == tuple(want.prefetched)
+        assert result.degraded == want.degraded
         return result
 
-    monkeypatch.setattr(NPDQSession, "serve", checked)
+    monkeypatch.setattr(NPDQSweep, "run", checked_run)
+    monkeypatch.setattr(NPDQSession, "frontier_demand", checked_demand)
+    monkeypatch.setattr(NPDQSession, "serve", checked_serve)
 
 
 @pytest.fixture()

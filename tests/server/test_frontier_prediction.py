@@ -1,17 +1,21 @@
-"""NPDQ prediction walk: the submitted frame, walk, equality, faults.
+"""NPDQ batch reads: the submitted frame, the walk, the sweep, faults.
 
 The shared scan can only batch a non-predictive client's reads if the
-client's page set is known *before* evaluation.  In the closed tick the
-frame is: it was submitted before the batch phase runs.  These tests pin
-the two layers of that machinery: the coverage-pruned prediction walk
-(:meth:`NPDQEngine.predict_pages`) and the serving-layer accounting
-(:class:`PredictionRecord`, mispredict counters, scheduler batching) —
-including the safety half of the design: a walk cut short by a storage
-fault may only cost demand fetches, never answers.
+client's page set is known *before* its answers are handed out.  In the
+closed tick the frame is: it was submitted before the batch phase runs,
+so the batch phase evaluates it.  These tests pin the coverage-pruned
+prediction walk (:meth:`NPDQEngine.predict_pages`, still what auto
+clients batch through), the NPDQ sweep's demand and accounting and the
+scheduler batching — including the safety half of the design: a fault
+on a page the sweep reads for several clients is retried once for all
+of them, and what it still costs is each client's own policy.
 """
+
+import pytest
 
 from repro.core.npdq import NPDQEngine
 from repro.core.trajectory import QueryTrajectory
+from repro.errors import CorruptPageError
 from repro.server import (
     QueryBroker,
     ServerConfig,
@@ -83,53 +87,120 @@ class TestPredictionWalk:
         assert plain.cost.leaf_reads == walked.cost.leaf_reads
 
     def test_session_predictions_converge_to_motion(self, build_dual, fleet):
-        # The walk descends for the frame the tick evaluates, so there is
-        # nothing to converge to: on every tick, the first included, it
-        # enumerates exactly the pages evaluation then reads.
+        # The batch phase evaluates the frame the tick serves, so there is
+        # nothing to converge to: on every tick, the first included, the
+        # demand is exactly the page list evaluation read.
         (trajectory,) = fleet(1)
         session = NPDQSession("c", build_dual(), trajectory, queue_depth=100)
         for tick in self.ticks():
             ((_, pages),) = session.frontier_demand(tick)
+            pages = list(pages)
             session.serve(tick)
-            record = session.last_prediction
-            assert record.served
-            assert record.walk_faults == 0
-            assert record.mispredicted == ()
-            assert set(record.actual) == record.pages == set(pages)
+            assert pages == session.engine.last_loaded_pages
         assert session.metrics.mispredicted_pages == 0
         assert session.metrics.predicted_pages == session.metrics.actual_pages
         assert session.metrics.actual_pages > 0
 
 
+def shared_page(build_dual, trajectory):
+    """A non-root dual-tree page the first tick's frame of ``trajectory``
+    reads (so every client on that frame shares it)."""
+    probe = NPDQSession("probe", build_dual(), trajectory, queue_depth=10)
+    probe.serve(SimulatedClock(start=START, period=PERIOD).next_tick())
+    root = probe.engine.index.tree.root_id
+    return next(p for p in probe.engine.last_loaded_pages if p != root)
+
+
+def faulty_frames(build_dual, trajectory, plan, fault_budget):
+    """Per-tick frames of one isolated client under the fault ``plan``."""
+    dual = build_dual()
+    dual.tree.disk.set_faults(FaultInjector.parse(plan))
+    session = NPDQSession(
+        "iso", dual, trajectory, queue_depth=1000, fault_budget=fault_budget
+    )
+    clock = SimulatedClock(start=START, period=PERIOD)
+    return [
+        (r.items, r.prefetched, r.degraded)
+        for r in (session.serve(tick) for tick in clock.ticks(TICKS))
+    ]
+
+
 class TestMispredictSafety:
+    """Faults on a page the sweep reads for several clients at once."""
+
     def test_deliberate_mispredict_only_costs_demand_fetches(
         self, build_native, build_dual, fleet
     ):
-        # Sabotage the walk the one way left to under-enumerate: fail
-        # its read of the dual tree's root.  The walk enumerates the
-        # root alone, evaluation demand-fetches the rest, the mispredict
-        # counters light up — and the answers stay tick-for-tick
-        # identical.
-        (trajectory,) = fleet(1)
-        baseline = isolated_npdq_frames(build_dual, trajectory)
+        # A one-shot read fault on the root and on a page below it, both
+        # read for two clients at once: the sweep retries each after the
+        # rest, so no client sees it — the answers stay tick-for-tick
+        # identical and nothing counts as mispredicted.
+        trajectories = fleet(2, mode="identical")
+        baseline = isolated_npdq_frames(build_dual, trajectories[0])
+        page = shared_page(build_dual, trajectories[0])
         dual = build_dual()
         broker = make_broker(build_native(), dual)
-        session = broker.register_npdq("c", trajectory)
+        sessions = [
+            broker.register_npdq(f"c{i}", t) for i, t in enumerate(trajectories)
+        ]
         dual.tree.disk.set_faults(
-            FaultInjector().script_read_fault(dual.tree.root_id, times=1)
+            FaultInjector.parse(f"read@{dual.tree.root_id};read@{page}")
         )
-        broker.run_tick()
-        record = session.last_prediction
-        assert record.walk_faults == 1
-        assert record.pages == {dual.tree.root_id}
-        assert set(record.mispredicted) == set(record.actual) - record.pages
-        assert record.mispredicted
-        broker.run(TICKS - 1)
-        assert [(r.items, r.prefetched) for r in session.poll()] == baseline
-        # Only the faulted walk differs from what was read.
-        assert session.metrics.mispredicted_pages == len(record.mispredicted)
-        assert broker.metrics.mispredicted_pages == len(record.mispredicted)
-        assert broker.metrics.mispredict_rate > 0.0
+        broker.run(TICKS)
+        assert dual.tree.disk.faults.stats.read_faults == 2
+        for session in sessions:
+            frames = session.poll()
+            assert [(r.items, r.prefetched) for r in frames] == baseline
+            assert not any(r.degraded for r in frames)
+        assert broker.metrics.mispredicted_pages == 0
+        assert broker.metrics.mispredict_rate == 0.0
+
+    def test_persistent_fault_raises_without_budget(
+        self, build_native, build_dual, fleet
+    ):
+        trajectories = fleet(2, mode="identical")
+        page = shared_page(build_dual, trajectories[0])
+        dual = build_dual()
+        broker = make_broker(build_native(), dual)
+        for i, t in enumerate(trajectories):
+            broker.register_npdq(f"c{i}", t)
+        dual.tree.disk.set_faults(FaultInjector.parse(f"corrupt@{page}"))
+        with pytest.raises(CorruptPageError):
+            broker.run_tick()
+        assert not broker.scheduler.pinned_pages  # the tick was ended
+
+    def test_persistent_fault_degrades_per_client(
+        self, build_native, build_dual, fleet
+    ):
+        # Each client applies its own budget to the shared page: each
+        # one's frames are those of the same client alone under the same
+        # fault — a flagged subset of the fault-free answers.
+        trajectories = fleet(3, mode="identical")
+        page = shared_page(build_dual, trajectories[0])
+        plan = f"corrupt@{page}"
+        clean = isolated_npdq_frames(build_dual, trajectories[0])
+        clean_keys = {i.key for items, pre in clean for i in items + pre}
+        dual = build_dual()
+        broker = make_broker(build_native(), dual)
+        budgets = (0, 1, 3)
+        sessions = [
+            broker.register_npdq(f"c{b}", t, fault_budget=b)
+            for b, t in zip(budgets, trajectories)
+        ]
+        dual.tree.disk.set_faults(FaultInjector.parse(plan))
+        broker.run(TICKS)
+        for budget, session in zip(budgets, sessions):
+            frames = [
+                (r.items, r.prefetched, r.degraded) for r in session.poll()
+            ]
+            assert frames == faulty_frames(
+                build_dual, trajectories[0], plan, budget
+            )
+            assert frames[0][2] and all(degraded for *_, degraded in frames)
+            assert {
+                i.key for items, pre, _ in frames for i in items + pre
+            } <= clean_keys
+            assert session.engine.skipped_subtrees
 
     def test_accurate_fleet_has_zero_mispredict_rate(
         self, build_native, build_dual, fleet
