@@ -680,9 +680,8 @@ def _register_fleet(broker, fleet, cfg: dict):
     Works against any broker tier (they share one registration
     surface).  Spec-expressible kinds go through the declarative front
     door so the planner runs and the summary gains its ``planner:``
-    lines; auto sessions have no spec form (route refresh is a
-    serving-policy knob, not a query property) and register by
-    trajectory, which every tier accepts.
+    lines; auto sessions have no spec form and register by trajectory,
+    which every tier accepts.
     """
     from repro.core.query import QuerySpec
 
@@ -762,17 +761,6 @@ _SERVE_OPTIONS = (
         "inflates boundary replication by delta/2)",
         minimum=0,
         feeds="join_delta",
-    ),
-    _ServeOption(
-        "--route-refresh",
-        "route_refresh",
-        0,
-        "re-anchor auto sessions only after the observer drifts "
-        "this many windows from its last route, serving ghost frames "
-        "meanwhile when the route provably sees nothing (0 disables; "
-        "answers are identical either way)",
-        minimum=0,
-        feeds="auto_route_refresh",
     ),
     _ServeOption(
         "--mode",

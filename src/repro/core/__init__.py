@@ -32,7 +32,7 @@ from repro.core.npdq_open import OpenEndedNPDQEngine
 from repro.core.spdq import SPDQEngine
 from repro.core.cache import CachedObject, ClientCache
 from repro.core.session import DynamicQuerySession, SessionMode
-from repro.core.knn import MovingKNN, incremental_knn, knn_frontier_pages
+from repro.core.knn import MovingKNN, incremental_knn
 from repro.core.query import JoinAnswer, KNNAnswer, QuerySpec
 from repro.core.joins import (
     pair_within_distance_interval,
@@ -63,7 +63,6 @@ __all__ = [
     "SessionMode",
     "MovingKNN",
     "incremental_knn",
-    "knn_frontier_pages",
     "QuerySpec",
     "KNNAnswer",
     "JoinAnswer",

@@ -15,13 +15,13 @@ import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import CorruptPageError, QueryError, TransientIOError
+from repro.errors import QueryError
 from repro.index.nsi import NativeSpaceIndex
 from repro.index.pagearrays import page_arrays
 from repro.motion.segment import MotionSegment
 from repro.storage.metrics import QueryCost
 
-__all__ = ["incremental_knn", "knn_frontier_pages", "MovingKNN"]
+__all__ = ["incremental_knn", "MovingKNN"]
 
 
 def _spatial_min_dist_sq(
@@ -120,54 +120,6 @@ def incremental_knn(
                 heapq.heappush(heap, (d_sq, next(tie), -1, arrays.record(row)))
 
 
-def knn_frontier_pages(
-    index: NativeSpaceIndex,
-    t: float,
-    point: Sequence[float],
-    bound: float,
-    cost: Optional[QueryCost] = None,
-    failed: Optional[List[int]] = None,
-) -> List[int]:
-    """Pages a kNN at ``(t, point)`` bounded by ``bound`` may load.
-
-    The shared-scan hook for continuous-kNN sessions: a best-first walk
-    over a priority queue keyed by *distance to the query point* (not
-    overlap time, which orders range-query frontiers) enumerating every
-    node whose minimum distance is within ``bound`` — a superset of the
-    pages a bounded :func:`incremental_knn` pass will touch, exactly
-    like NPDQ's prediction walk over-approximates its snapshot.  The
-    walk reads internal nodes while enumerating (charged to ``cost``,
-    typically a session's ``prediction_cost``); an infinite bound (cold
-    start) predicts nothing rather than enumerating the whole tree.
-
-    Storage faults never propagate: a failing page is included in the
-    result (and in ``failed``) but its subtree stays unenumerated, so a
-    faulty walk only under-predicts — costing demand fetches, never
-    answers.
-    """
-    if math.isinf(bound):
-        return []
-    tree = index.tree
-    tie = itertools.count()
-    bound_sq = bound * bound
-    pages: List[int] = []
-    heap: List[tuple] = [(0.0, next(tie), tree.root_id)]
-    while heap:
-        _, _, page_id = heapq.heappop(heap)
-        pages.append(page_id)
-        try:
-            node = tree.load_node(page_id, cost)
-        except (TransientIOError, CorruptPageError):
-            if failed is not None:
-                failed.append(page_id)
-            continue
-        if node.is_leaf:
-            continue
-        for d_sq, child_id in _children_in_reach(node, t, point, bound_sq):
-            heapq.heappush(heap, (d_sq, next(tie), child_id))
-    return sorted(set(pages))
-
-
 class MovingKNN:
     """k nearest neighbours of a moving query point, frame by frame.
 
@@ -211,9 +163,7 @@ class MovingKNN:
         """Pruning radius the next :meth:`query` will start from.
 
         Infinite on a cold start (no previous frame) or when the query
-        point's motion is unbounded; the serving layer uses this to
-        enumerate the next frame's page frontier
-        (:func:`knn_frontier_pages`) ahead of evaluation.
+        point's motion is unbounded.
         """
         if math.isinf(self._last_kth) or math.isinf(self.max_step):
             return math.inf

@@ -154,18 +154,6 @@ class DynamicQuerySession:
         """The live PDQ/SPDQ engine, or ``None`` outside predictive mode."""
         return self._pdq
 
-    @property
-    def predicted_trajectory(self) -> Optional[QueryTrajectory]:
-        """The live prediction's trajectory, or ``None`` when not predicting.
-
-        Predictive-mode answers are defined over *this* trajectory's
-        windows (δ-inflated for SPDQ), not the observed ones — any
-        caller reasoning about what a predictive frame can return (the
-        serving layer's ghost-frame reachability proof) must cover these
-        windows too.
-        """
-        return self._predicted
-
     def frontier_pages(self, t_end: float) -> List[int]:
         """Node pages the live predictive engine will expand by ``t_end``.
 
@@ -237,17 +225,13 @@ class DynamicQuerySession:
         since the previous frame and the cover of both windows (the
         region the sweep crossed).  Built only where it is consumed —
         the NPDQ branch of :meth:`observe` and the walk of
-        :meth:`npdq_frontier_pages` — so predictive and ghost frames do
-        not pay for a query nothing reads.
+        :meth:`npdq_frontier_pages` — so predictive frames do not pay
+        for a query nothing reads.
         """
         if swept_from is None:
             return SnapshotQuery(Interval.point(t), window)
         span = Interval(self._last_time, t)  # type: ignore[arg-type]
         return SnapshotQuery(span, window.cover(swept_from))
-
-    def window_for(self, center: Sequence[float]) -> Box:
-        """The observer's view window centred at ``center``."""
-        return self._window(center)
 
     def _window(self, center: Sequence[float]) -> Box:
         return Box.from_bounds(
@@ -314,26 +298,11 @@ class DynamicQuerySession:
 
     # -- the per-frame entry point ---------------------------------------------
 
-    def observe(
-        self, t: float, center: Sequence[float], assume_empty: bool = False
-    ) -> FrameReport:
+    def observe(self, t: float, center: Sequence[float]) -> FrameReport:
         """Process one rendered frame: observer at ``center`` at time ``t``.
 
         Returns the newly delivered objects, evictions and the mode used.
         Frames must advance strictly in time.
-
-        ``assume_empty=True`` is the serving layer's *ghost frame*: the
-        caller has proven (window cover inflated by the index
-        uncertainty clear of the index's root MBR) that the frame query
-        can match nothing, so the index work is skipped entirely while
-        the pure-geometry state — mode machine, motion estimate, cache
-        clock — advances exactly as a real frame would.  The NPDQ memory
-        is reset instead of updated: a memory covering no objects prunes
-        nothing, so a fresh engine answers the next real frame
-        identically (the same gap-in-series rule ``_start_prediction``
-        applies).  Mode decisions depend only on the observed window
-        geometry, never on answers, so a ghosted session's mode stream
-        is identical to a fully evaluated one's.
         """
         center = tuple(center)
         if len(center) != self.native_index.dims:
@@ -383,14 +352,7 @@ class DynamicQuerySession:
                 self._set_mode(t, SessionMode.NON_PREDICTIVE)
 
         # -- evaluate the frame ---------------------------------------------------
-        if assume_empty:
-            # Provably-empty frame: no index work.  The NPDQ memory must
-            # not survive the gap (its timestamps would skew update
-            # management on the next real frame); covering nothing, a
-            # reset loses no pruning power.
-            self._npdq.reset()
-            items = []
-        elif self._mode is SessionMode.PREDICTIVE:
+        if self._mode is SessionMode.PREDICTIVE:
             assert self._pdq is not None
             # a fresh frame is never predictive, so there is a last frame
             items = self._pdq.window(self._last_time, t)  # type: ignore[arg-type]

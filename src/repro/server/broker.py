@@ -87,11 +87,6 @@ class ServerConfig:
     # boxes by δ/2 co-locates every answering pair on some shard);
     # register_join then rejects deltas beyond what routing covers.
     join_delta: float = 0.0
-    # Ghost frames for auto clients: 0 disables; N > 0 lets an auto
-    # session skip index work for ticks whose frame query provably
-    # misses both trees' root MBRs, refreshing the proof (and granting
-    # motion-bounded dormancy leases of) every N ticks.
-    auto_route_refresh: int = 0
     latency: LatencyModel = LatencyModel()
 
     def __post_init__(self) -> None:
@@ -111,8 +106,6 @@ class ServerConfig:
             raise ServerError("buffer_capacity must be >= 1")
         if self.join_delta < 0:
             raise ServerError("join_delta must be >= 0")
-        if self.auto_route_refresh < 0:
-            raise ServerError("auto_route_refresh must be >= 0")
 
 
 class BrokerCore:

@@ -88,7 +88,6 @@ def _auto(
     """``trajectory`` is the observer's trajectory or, in-process only,
     any ``time -> centre`` callable (a teleporting path has no
     trajectory form)."""
-    config = broker.config
     path = (
         path_of(trajectory)
         if isinstance(trajectory, QueryTrajectory)
@@ -100,8 +99,7 @@ def _auto(
             broker.native, broker.dual, half_extents, **session_kwargs
         ),
         path,
-        queue_depth=config.queue_depth,
-        route_refresh=config.auto_route_refresh,
+        queue_depth=broker.config.queue_depth,
     )
 
 

@@ -59,10 +59,6 @@ class ClientMetrics:
     predicted_pages: int = 0
     actual_pages: int = 0
     mispredicted_pages: int = 0
-    # Auto sessions only: ticks served as ghost frames (the route-refresh
-    # reachability proof showed the frame query could match nothing, so
-    # no index work was done).  Answers are unaffected by definition.
-    dormant_ticks: int = 0
 
 
 @dataclass(frozen=True)
@@ -287,8 +283,6 @@ class ServerMetrics:
                         f" predicted={c.predicted_pages}"
                         f" mispredicted={c.mispredicted_pages}"
                     )
-                if c.dormant_ticks:
-                    line += f" dormant={c.dormant_ticks}"
                 lines.append(line)
         if self.plans:
             lines.append("planner:")

@@ -153,7 +153,6 @@ class RemoteSubSession:
         m.predicted_pages = int(stats["predicted_pages"])
         m.actual_pages = int(stats["actual_pages"])
         m.mispredicted_pages = int(stats["mispredicted_pages"])
-        m.dormant_ticks = int(stats["dormant_ticks"])
 
 
 class _WorkerHandle:

@@ -69,10 +69,10 @@ __all__ = [
 ]
 
 #: Version 2 added the query-zoo session types: ``ka``/``ja`` wire
-#: objects, the ``neighbors``/``pairs``/``aggregate``/``k`` tick-result
-#: fields, and the ``dormant_ticks`` per-tick stat.  Both ends reject a
-#: version mismatch outright — the worker is always spawned from the
-#: same installation, so there is no skew to negotiate.
+#: objects and the ``neighbors``/``pairs``/``aggregate``/``k``
+#: tick-result fields.  Both ends reject a version mismatch outright —
+#: the worker is always spawned from the same installation, so there is
+#: no skew to negotiate.
 PROTOCOL_VERSION = 2
 FRAME_MAGIC = b"DQRW"
 

@@ -145,7 +145,6 @@ class ShardWorker:
                 "predicted_pages": m.predicted_pages,
                 "actual_pages": m.actual_pages,
                 "mispredicted_pages": m.mispredicted_pages,
-                "dormant_ticks": m.dormant_ticks,
             }
         return {
             "tick": report.tick,

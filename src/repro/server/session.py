@@ -53,7 +53,7 @@ from typing import (
 
 from repro.core.aggregate import count_timeline
 from repro.core.joins import snapshot_distance_join
-from repro.core.knn import MovingKNN, knn_frontier_pages
+from repro.core.knn import MovingKNN
 from repro.core.npdq import NPDQEngine, snapshot_all
 from repro.core.pdq import PDQEngine
 from repro.core.query import JoinAnswer, KNNAnswer
@@ -62,8 +62,7 @@ from repro.core.session import DynamicQuerySession
 from repro.core.snapshot import SnapshotQuery
 from repro.core.spdq import SPDQEngine
 from repro.core.trajectory import QueryTrajectory
-from repro.errors import CorruptPageError, ServerError, TransientIOError
-from repro.geometry.box import Box
+from repro.errors import ServerError
 from repro.geometry.interval import Interval
 from repro.server.clock import Tick
 from repro.server.metrics import ClientMetrics
@@ -517,12 +516,10 @@ class KNNSession(ClientSession):
     The query point is the centre of the client trajectory's window at
     each tick's end; a :class:`~repro.core.MovingKNN` engine carries the
     previous frame's k-th distance as the next frame's pruning bound.
-    The session joins the shared scan through
-    :func:`~repro.core.knn_frontier_pages` — a best-first page
-    enumeration keyed by *distance to the query point* rather than the
-    overlap time that orders range-query frontiers — so kNN clients
-    batch their reads with everyone else's.  Cold-start frames
-    (infinite bound) contribute no frontier and demand-fetch instead.
+    The session names no batch demand: which pages a best-first pass
+    reads is decided by the distances it finds on the way, so it reads
+    through the tick's shared pool during the drain and piggybacks on
+    whatever the batch phase brought in.
 
     Results are ranked by ``(distance, key)`` and carry their distances,
     making the answer a deterministic function of the record set: a
@@ -549,19 +546,9 @@ class KNNSession(ClientSession):
         self.engine = MovingKNN(
             index, k, max_step=max_step, max_object_step=max_object_step
         )
-        self.prediction_cost = QueryCost()
 
     def _point(self, tick: Tick) -> Tuple[float, ...]:
         return self.trajectory.window_at(tick.end).center
-
-    def _frontiers(self, tick: Tick):
-        yield self.index.tree, knn_frontier_pages(
-            self.index,
-            tick.end,
-            self._point(tick),
-            self.engine.prune_bound,
-            cost=self.prediction_cost,
-        )
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
@@ -741,23 +728,6 @@ class AutoSession(ClientSession):
     frame and a teleport contribute no dual pages (the inner session
     resets its NPDQ memory before evaluating them, so there is nothing
     to walk against); batching resumes on the very next frame.
-
-    ``route_refresh > 0`` enables *ghost frames*: before evaluating a
-    tick, the session proves the frame query can match nothing — its
-    geometric cover (actual windows, plus the predicted trajectory's
-    δ-inflated windows while a predictive engine is live) misses the
-    root MBR of **both** trees.  The dual-tree check matters: a frame
-    empty in native space can still make box-only dual admissions,
-    which feed NPDQ's suppression memory — only double emptiness
-    leaves the skipped frame without a trace on later answers.  A
-    proven-empty frame is observed with ``assume_empty=True`` (no index
-    work, geometry state advances normally), and a *dormancy lease*
-    amortizes the proof itself: when the cover inflated by
-    ``route_refresh`` worth of worst-observed motion is also clear, the
-    next ``route_refresh`` ticks skip even the root-page probe as long
-    as each tick's cover stays inside the leased envelope and no update
-    has touched either tree.  Answers are invariant — only I/O and the
-    ``dormant_ticks`` metric change.
     """
 
     kind = "auto"
@@ -768,129 +738,13 @@ class AutoSession(ClientSession):
         session: DynamicQuerySession,
         path: Callable[[float], Sequence[float]],
         queue_depth: int,
-        route_refresh: int = 0,
     ):
-        if route_refresh < 0:
-            raise ServerError("route_refresh must be >= 0")
         super().__init__(client_id, queue_depth)
         self.session = session
         self.path = path
         self.prediction_cost = QueryCost()
-        self.route_refresh = route_refresh
-        self._last_window: Optional[Box] = None
-        self._last_center: Optional[Tuple[float, ...]] = None
-        self._prev_end: Optional[float] = None
-        self._max_step: Optional[List[float]] = None
-        self._ghost_memo: Tuple[int, bool] = (-1, False)
-        self._lease_until = -1
-        self._lease_cover: Optional[Box] = None
-        self._lease_time: Optional[Interval] = None
-        self._lease_records: Tuple[int, int] = (-1, -1)
-
-    # -- ghost frames ------------------------------------------------------
-
-    def _frame_geometry(self, tick: Tick) -> Tuple[Interval, Box]:
-        """Time interval and spatial cover bounding this tick's frame query.
-
-        A superset of whatever the inner session would actually query:
-        the cover of the current and previous observed windows (the NPDQ
-        span rule), plus — while a prediction is live — the predicted
-        trajectory's windows at the frame endpoints (predictive answers
-        are defined over *those*; by convexity their cover contains the
-        whole swept window region).  Everything is inflated by the SPDQ
-        δ, which also absorbs the window a prediction started this very
-        frame would use.
-        """
-        center = tuple(self.path(tick.end))
-        window = self.session.window_for(center)
-        cover = (
-            window
-            if self._last_window is None
-            else window.cover(self._last_window)
-        )
-        start = tick.start if self._prev_end is None else self._prev_end
-        time = Interval(min(start, tick.end), tick.end)
-        predicted = self.session.predicted_trajectory
-        if predicted is not None:
-            cover = cover.cover(predicted.window_at(time.low))
-            cover = cover.cover(predicted.window_at(time.high))
-        pad = self.session.spdq_delta
-        if pad > 0.0:
-            cover = cover.inflate([pad] * cover.dims)
-        return time, cover
-
-    def _index_clear(self, index, box: Box) -> bool:
-        """True when ``box`` provably misses every entry of ``index``."""
-        if len(index) == 0:
-            return True
-        tree = index.tree
-        try:
-            root = tree.load_node(tree.root_id, self.prediction_cost)
-        except (TransientIOError, CorruptPageError):
-            return False  # can't prove emptiness; evaluate normally
-        return not root.mbr().overlaps(box)
-
-    def _unreachable(self, time: Interval, cover: Box) -> bool:
-        session = self.session
-        native_box = Box([time] + list(cover))
-        if not self._index_clear(session.native_index, native_box):
-            return False
-        dual_box = session.dual_index.query_box(time, cover)
-        return self._index_clear(session.dual_index, dual_box)
-
-    def _record_counts(self) -> Tuple[int, int]:
-        return (len(self.session.native_index), len(self.session.dual_index))
-
-    def _should_ghost(self, tick: Tick) -> bool:
-        if self.route_refresh <= 0:
-            return False
-        index, flag = self._ghost_memo
-        if index != tick.index:
-            flag = self._decide_ghost(tick)
-            self._ghost_memo = (tick.index, flag)
-        return flag
-
-    def _decide_ghost(self, tick: Tick) -> bool:
-        time, cover = self._frame_geometry(tick)
-        counts = self._record_counts()
-        lease_cover = self._lease_cover
-        lease_time = self._lease_time
-        if (
-            tick.index < self._lease_until
-            and counts == self._lease_records
-            and lease_cover is not None
-            and lease_time is not None
-            and lease_cover.contains_box(cover)
-            and lease_time.low <= time.low
-            and time.high <= lease_time.high
-        ):
-            return True
-        self._lease_until = -1
-        if not self._unreachable(time, cover):
-            return False
-        if self._max_step is not None:
-            # Amortize the proof: if the worst observed per-tick motion
-            # cannot escape an inflated envelope within route_refresh
-            # ticks, grant an I/O-free lease for them.  Containment is
-            # still re-checked every tick, so the envelope only gates
-            # how long the root probes are skipped, never soundness.
-            slack = [self.route_refresh * m for m in self._max_step]
-            envelope = cover.inflate(slack)
-            horizon = Interval(
-                time.low, time.high + self.route_refresh * tick.duration
-            )
-            if self._unreachable(horizon, envelope):
-                self._lease_until = tick.index + self.route_refresh
-                self._lease_cover = envelope
-                self._lease_time = horizon
-                self._lease_records = counts
-        return True
-
-    # -- the per-tick contract ---------------------------------------------
 
     def _frontiers(self, tick: Tick):
-        if self._should_ghost(tick):
-            return
         session = self.session
         yield session.native_index.tree, session.frontier_pages(tick.end)
         yield session.dual_index.tree, session.npdq_frontier_pages(
@@ -909,23 +763,7 @@ class AutoSession(ClientSession):
         return total
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
-        center = tuple(self.path(tick.end))
-        window = self.session.window_for(center)
-        ghost = self._should_ghost(tick)
-        report = self.session.observe(tick.end, center, assume_empty=ghost)
-        if ghost:
-            self.metrics.dormant_ticks += 1
-        if self._last_center is not None:
-            steps = [abs(c - p) for c, p in zip(center, self._last_center)]
-            if self._max_step is None:
-                self._max_step = steps
-            else:
-                self._max_step = [
-                    max(m, s) for m, s in zip(self._max_step, steps)
-                ]
-        self._last_window = window
-        self._last_center = center
-        self._prev_end = tick.end
+        report = self.session.observe(tick.end, self.path(tick.end))
         return TickResult(
             index=tick.index,
             start=tick.start,

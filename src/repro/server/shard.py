@@ -699,7 +699,6 @@ class MultiplexBroker(BrokerCore):
         m.mispredicted_pages = sum(
             s.metrics.mispredicted_pages for s in subs
         )
-        m.dormant_ticks = sum(s.metrics.dormant_ticks for s in subs)
 
     def quiesce(self) -> int:
         """Close every client, flush deferred expires on every shard,

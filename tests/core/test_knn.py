@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.knn import MovingKNN, incremental_knn, knn_frontier_pages
+from repro.core.knn import MovingKNN, incremental_knn
 from repro.errors import QueryError
 from repro.index.codec import ChecksummedCodec, NativeNodeCodec
 from repro.index.nsi import NativeSpaceIndex
@@ -113,10 +113,6 @@ class TestPageBackedIndex:
                 runs.append(([pair for _, pair in stream], cost))
             assert runs[0] == runs[1] == runs[2]
             answers += len(runs[0][0])
-            pages = [
-                knn_frontier_pages(index, t, point, 25.0) for index in stores
-            ]
-            assert pages[0] == pages[1] and pages[0]
         assert answers > 40, "the probes found too little to compare"
 
 

@@ -141,13 +141,17 @@ class TestKillChaos:
     def test_resume_ignores_a_retired_option(self, tmp_path, uninterrupted):
         """A store pinned by an earlier ``serve`` still names options
         that have since been retired (``accel``, either value;
-        ``npdq_margin``, whose forecast only ever steered batching).
+        ``npdq_margin``, whose forecast only ever steered batching;
+        ``route_refresh``, whose ghost frames never moved an answer).
         Resume must not trip over the key, and — nothing it once chose
         between could move an answer — must finish the stream an
         uninterrupted run writes today."""
         killed = tmp_path / "killed"
         _kill_at_tick(killed, 5)
-        retired = [("accel", "off"), ("accel", "numpy"), ("npdq_margin", 0.5)]
+        retired = [
+            ("accel", "off"), ("accel", "numpy"), ("npdq_margin", 0.5),
+            ("route_refresh", 3),
+        ]
         for key, value in retired:
             data_dir = tmp_path / f"pinned-{key}-{value}"
             shutil.copytree(killed, data_dir)

@@ -127,6 +127,22 @@ class TestBrokerKNNMatchesOffline:
             assert r.k == KNN_K
             assert len(r.neighbors) == KNN_K
 
+    def test_names_no_batch_demand(self, build_native, zoo_fleet):
+        # A kNN pass picks its pages by the distances it finds, so even a
+        # bounded session tells the batch phase nothing and reads through
+        # the shared pool during the drain.
+        broker = QueryBroker(
+            build_native(), clock=make_clock(), config=zoo_config()
+        )
+        session = broker.register_knn(
+            "knn", zoo_fleet[0], KNN_K, max_step=1.0
+        )
+        for tick in make_clock().ticks(TICKS):
+            assert session.frontier_demand(tick) == []
+            broker.run_tick()
+        assert broker.metrics.batched_pages == 0
+        assert session.metrics.ticks_served == TICKS
+
     def test_neighbors_ranked_by_distance_then_key(
         self, build_native, zoo_fleet
     ):
@@ -371,39 +387,3 @@ class TestPlanQueryUnit:
         assert "\n" not in plan.describe()
         assert "movingknn" in plan.describe()
 
-
-class TestRouteRefresh:
-    @staticmethod
-    def wandering_path(t):
-        """Inside the data for a few ticks, then far outside, then back."""
-        if t < START + 3 * PERIOD:
-            return (45.0 + t, 45.0)
-        if t < START + 7 * PERIOD:
-            return (5000.0, 5000.0)
-        return (45.0 + t, 45.0)
-
-    def run(self, build_native, build_dual, refresh):
-        broker = QueryBroker(
-            build_native(),
-            dual=build_dual(),
-            clock=make_clock(),
-            config=zoo_config(auto_route_refresh=refresh),
-        )
-        session = broker.register_auto(
-            "auto", self.wandering_path, (4.0, 4.0)
-        )
-        frames = drive(broker)
-        return frames, session.metrics.dormant_ticks
-
-    def test_answers_invariant_and_dormancy_counted(
-        self, build_native, build_dual
-    ):
-        baseline, dormant_off = self.run(build_native, build_dual, 0)
-        refreshed, dormant_on = self.run(build_native, build_dual, 3)
-        assert refreshed == baseline
-        assert dormant_off == 0
-        assert dormant_on > 0
-
-    def test_negative_refresh_rejected(self):
-        with pytest.raises(ServerError):
-            ServerConfig(auto_route_refresh=-1)

@@ -168,8 +168,10 @@ class TestShardWorkerInProcess:
         worker = ShardWorker()
         stale = hello_payload()
         stale["config"]["npdq_predict_margin"] = 2.0
+        stale["config"]["auto_route_refresh"] = 3
         with pytest.raises(
-            RemoteProtocolError, match=r"unknown fields \['npdq_predict_margin'\]"
+            RemoteProtocolError,
+            match=r"unknown fields \['auto_route_refresh', 'npdq_predict_margin'\]",
         ):
             worker.handle(proto.MSG_HELLO, stale)
         sparse = hello_payload()

@@ -150,7 +150,7 @@ class TestServe:
         "scenario", "scale", "seed", "clients", "ticks", "kind", "mode",
         "shards", "period", "window", "queue_depth", "shared_scan",
         "promote_after", "churn", "checkpoint_every",
-        "knn_k", "join_delta", "route_refresh", "space_side", "horizon",
+        "knn_k", "join_delta", "space_side", "horizon",
     }
 
     @pytest.mark.parametrize(
@@ -245,7 +245,7 @@ class TestServe:
         capsys.readouterr()
         # A store pinned before sharding (PR 7) and the zoo (PR 10) had
         # none of these keys; it must resume all the same.
-        for key in ("shards", "knn_k", "join_delta", "route_refresh"):
+        for key in ("shards", "knn_k", "join_delta"):
             del pinned[key]
         (store / "store.json").write_text(json.dumps(pinned))
         resumed = self._serve(capsys, *fleet, "--data-dir", str(store))
