@@ -79,7 +79,7 @@ def _serve(index, fleet, durability=None):
         durability=durability,
     )
     for i, t in enumerate(fleet):
-        broker.register_pdq(f"c{i}", t)
+        broker.register("pdq", f"c{i}", trajectory=t)
     for k in range(TICKS):
         batch = _churn_batch(k)
         broker.dispatcher.submit_inserts(

@@ -65,9 +65,9 @@ def register_fleet(broker, fleet, remote):
         kind = ("pdq", "npdq", "auto")[i % 3]
         cid = f"c{i}"
         if kind == "pdq":
-            broker.register_pdq(cid, traj)
+            broker.register("pdq", cid, trajectory=traj)
         elif kind == "npdq":
-            broker.register_npdq(cid, traj)
+            broker.register("npdq", cid, trajectory=traj)
         elif remote:
             broker.register_auto(cid, traj, HALF)
         else:

@@ -77,9 +77,9 @@ def serve_fleet(segments, fleet, n_clients, shared=True, kind="pdq"):
     )
     for i, t in enumerate(fleet[:n_clients]):
         if kind == "npdq" or (kind == "mixed" and i % 2):
-            broker.register_npdq(f"c{i}", t)
+            broker.register("npdq", f"c{i}", trajectory=t)
         else:
-            broker.register_pdq(f"c{i}", t)
+            broker.register("pdq", f"c{i}", trajectory=t)
     broker.run(TICKS)
     reads = broker.metrics.physical_reads
     broker.quiesce()
@@ -91,13 +91,9 @@ def sweep(segments, fleet, kind):
     for n in CLIENT_COUNTS:
         reads, metrics = serve_fleet(segments, fleet, n, kind=kind)
         reads_by_n[n] = reads
-        # The NPDQ demand is the sweep's own reads: predicted = read
-        # (both 0 for a PDQ-only fleet).
-        assert metrics.predicted_pages == metrics.actual_pages
         rows.append(
             f"{n:>8} {reads:>10} {metrics.logical_reads:>10} "
-            f"{metrics.shared_hit_ratio:>8.2%} {metrics.predicted_pages:>10} "
-            f"{metrics.mispredict_rate:>10.2%}"
+            f"{metrics.shared_hit_ratio:>8.2%}"
         )
         artifact_rows.append(
             {
@@ -105,15 +101,13 @@ def sweep(segments, fleet, kind):
                 "physical_reads": reads,
                 "logical_reads": metrics.logical_reads,
                 "shared_hit_ratio": round(metrics.shared_hit_ratio, 6),
-                "predicted_pages": metrics.predicted_pages,
-                "mispredict_rate": round(metrics.mispredict_rate, 6),
             }
         )
     emit(
         f"shared-scan serving ({kind}): N identical observers, "
         f"{TICKS} ticks of {PERIOD}\n"
-        f"{'clients':>8} {'physical':>10} {'logical':>10} {'hit rate':>8} "
-        f"{'predicted':>10} {'mispredict':>10}\n" + "\n".join(rows)
+        f"{'clients':>8} {'physical':>10} {'logical':>10} {'hit rate':>8}\n"
+        + "\n".join(rows)
     )
     write_bench_artifact(
         f"shared_scan_{kind}",
@@ -153,12 +147,11 @@ def test_npdq_batched_halves_unbatched_reads(segments, fleet):
     # Unbatched, the 16 still share one sweep a tick (each page read once
     # a tick); batched, the buffer pool keeps the pages across ticks.
     n = 16
-    batched, metrics = serve_fleet(segments, fleet, n, kind="npdq")
+    batched, _ = serve_fleet(segments, fleet, n, kind="npdq")
     unbatched, _ = serve_fleet(segments, fleet, n, shared=False, kind="npdq")
     emit(
         f"{n} identical NPDQ observers: batched {batched} reads "
-        f"vs unbatched {unbatched} reads "
-        f"(mispredict rate {metrics.mispredict_rate:.2%})"
+        f"vs unbatched {unbatched} reads"
     )
     write_bench_artifact(
         "npdq_batched_vs_unbatched",
@@ -167,11 +160,9 @@ def test_npdq_batched_halves_unbatched_reads(segments, fleet):
             "ticks": TICKS,
             "batched_reads": batched,
             "unbatched_reads": unbatched,
-            "mispredict_rate": round(metrics.mispredict_rate, 6),
         },
     )
     assert batched * 2 <= unbatched
-    assert metrics.mispredicted_pages == 0
 
 
 def test_shared_scan_beats_private_scans(segments, fleet):
@@ -222,7 +213,7 @@ def serve_spread(segments, fleet, shards):
         ),
     )
     for i, t in enumerate(fleet):
-        broker.register_pdq(f"c{i}", t)
+        broker.register("pdq", f"c{i}", trajectory=t)
     broker.run(TICKS)
     total = broker.metrics.physical_reads
     peak = max(

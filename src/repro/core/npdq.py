@@ -136,9 +136,8 @@ class NPDQEngine:
         previous query — without evaluating leaf entries or advancing
         the engine's memory, so calling it changes no answer and no
         per-query cost (reads are charged to the caller-supplied
-        ``cost``, if any, never to :attr:`cost`).  Auto sessions batch
-        their dual-tree reads through it; NPDQ sessions need no walk,
-        their batch phase is the evaluation itself.
+        ``cost``, if any, never to :attr:`cost`).  No serving path
+        calls it; it stays because ``bench/trace.py`` patches it by name.
 
         Because :meth:`~repro.index.DualTimeIndex.frontier_walk` is
         monotone in the query box, predicting with any *superset* of

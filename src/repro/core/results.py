@@ -84,10 +84,5 @@ class SnapshotResult:
     degraded: bool = False
     skipped_subtrees: int = 0
 
-    @property
-    def object_ids(self) -> "set[int]":
-        """Distinct object ids delivered by this snapshot."""
-        return {item.object_id for item in self.items}
-
     def __len__(self) -> int:
         return len(self.items)

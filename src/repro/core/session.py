@@ -18,6 +18,13 @@ research is to find automated ways to handle the PDQ ↔ NPDQ hand-off".
 
 Every answer flows into a shared :class:`~repro.core.ClientCache`, so
 mode switches are invisible to the renderer.
+
+A frame is evaluated when it is observed and nothing is read for it
+beforehand: the only page demand the session names ahead of a frame
+is the live predictive engine's frontier
+(:meth:`~DynamicQuerySession.frontier_pages`), which a server's batch
+phase reads; snapshot and non-predictive frames read the dual-time
+tree during :meth:`~DynamicQuerySession.observe`.
 """
 
 from __future__ import annotations
@@ -166,73 +173,6 @@ class DynamicQuerySession:
             return []
         return self._pdq.frontier_pages(t_end)
 
-    def npdq_frontier_pages(
-        self,
-        t: float,
-        center: Sequence[float],
-        cost: Optional[QueryCost] = None,
-    ) -> List[int]:
-        """Dual-tree pages a non-predictive frame at ``(t, center)`` reads.
-
-        A read-only coverage-pruned walk
-        (:meth:`~repro.core.NPDQEngine.predict_pages`) for the frame's
-        own query (:meth:`_frame_query`) against the session's own NPDQ
-        memory; it never perturbs engine state or answers.  Empty while
-        a predictive engine is live — predictive frames do not touch the
-        dual-time tree — and on a fresh frame (the first, or a
-        teleport), which :meth:`observe` evaluates only after resetting
-        the very memory the walk would prune against.  Lets the serving
-        layer batch an auto-mode session's non-predictive frames exactly
-        like a raw NPDQ client's.
-        """
-        if self._pdq is not None:
-            return []
-        window, swept_from = self._frame_windows(center)
-        if swept_from is None:
-            return []
-        query = self._frame_query(t, window, swept_from)
-        return self._npdq.predict_pages(query, cost=cost)
-
-    def _frame_windows(
-        self, center: Sequence[float]
-    ) -> Tuple[Box, Optional[Box]]:
-        """``(window, swept_from)`` of a frame with the observer at
-        ``center``.  Read-only.
-
-        ``swept_from`` is the previous frame's window when this frame
-        continues the series, and ``None`` on a fresh frame: the first,
-        or a teleport — a window that overlaps the previous one by less
-        than ``teleport_overlap``.
-        """
-        window = self._window(center)
-        if self._last_time is None:
-            return window, None
-        prev_window = self._window(self._last_center)  # type: ignore[arg-type]
-        inter = prev_window.intersect(window)
-        overlap = inter.volume() / window.volume() if window.volume() else 0.0
-        if overlap < self.teleport_overlap:
-            return window, None
-        return window, prev_window
-
-    def _frame_query(
-        self, t: float, window: Box, swept_from: Optional[Box]
-    ) -> SnapshotQuery:
-        """What a non-predictive frame at ``t`` asks of the dual-time
-        tree, given its :meth:`_frame_windows`.  Read-only.
-
-        A fresh frame starts afresh as an instantaneous snapshot of the
-        window.  Any other frame continues the series: it spans the time
-        since the previous frame and the cover of both windows (the
-        region the sweep crossed).  Built only where it is consumed —
-        the NPDQ branch of :meth:`observe` and the walk of
-        :meth:`npdq_frontier_pages` — so predictive frames do not pay
-        for a query nothing reads.
-        """
-        if swept_from is None:
-            return SnapshotQuery(Interval.point(t), window)
-        span = Interval(self._last_time, t)  # type: ignore[arg-type]
-        return SnapshotQuery(span, window.cover(swept_from))
-
     def _window(self, center: Sequence[float]) -> Box:
         return Box.from_bounds(
             [c - h for c, h in zip(center, self.half_extents)],
@@ -241,23 +181,11 @@ class DynamicQuerySession:
 
     def _drop_pdq(self) -> None:
         if self._pdq is not None:
-            self.cost.internal_reads += self._pdq.cost.internal_reads
-            self.cost.leaf_reads += self._pdq.cost.leaf_reads
-            self.cost.distance_computations += self._pdq.cost.distance_computations
-            self.cost.segment_tests += self._pdq.cost.segment_tests
-            self.cost.results += self._pdq.cost.results
+            self.cost.absorb(self._pdq.cost)
             self._pdq.close()
             self._pdq = None
             self._predicted = None
             self._pdq_until = -math.inf
-
-    def _harvest_npdq_cost(self, before) -> None:
-        delta = self._npdq.cost.snapshot() - before
-        self.cost.internal_reads += delta.internal_reads
-        self.cost.leaf_reads += delta.leaf_reads
-        self.cost.distance_computations += delta.distance_computations
-        self.cost.segment_tests += delta.segment_tests
-        self.cost.results += delta.results
 
     def _set_mode(self, t: float, mode: SessionMode) -> None:
         if mode is not self._mode or not self.mode_switches:
@@ -313,8 +241,18 @@ class DynamicQuerySession:
         if self._last_time is not None and t <= self._last_time:
             raise SessionError("frames must advance strictly in time")
 
-        window, swept_from = self._frame_windows(center)
-        fresh = swept_from is None
+        # A frame continues the series unless it is the first or a
+        # teleport: a window overlapping the previous one by less than
+        # ``teleport_overlap``.
+        window = self._window(center)
+        prev_window: Optional[Box] = None
+        if self._last_time is not None:
+            prev_window = self._window(self._last_center)  # type: ignore[arg-type]
+            inter = prev_window.intersect(window)
+            overlap = inter.volume() / window.volume() if window.volume() else 0.0
+            if overlap < self.teleport_overlap:
+                prev_window = None
+        fresh = prev_window is None
         report = FrameReport(time=t, mode=self._mode)
 
         # -- update the motion estimate --------------------------------------
@@ -357,10 +295,17 @@ class DynamicQuerySession:
             # a fresh frame is never predictive, so there is a last frame
             items = self._pdq.window(self._last_time, t)  # type: ignore[arg-type]
         else:
+            # A fresh frame is an instantaneous snapshot of the window;
+            # any other spans the time since the previous frame over the
+            # cover of both windows (the region the sweep crossed).
+            if prev_window is None:
+                query = SnapshotQuery(Interval.point(t), window)
+            else:
+                span = Interval(self._last_time, t)  # type: ignore[arg-type]
+                query = SnapshotQuery(span, window.cover(prev_window))
             before = self._npdq.cost.snapshot()
-            query = self._frame_query(t, window, swept_from)
             result = self._npdq.snapshot(query)
-            self._harvest_npdq_cost(before)
+            self.cost.absorb(self._npdq.cost.snapshot() - before)
             items = result.items
             # Box-only prefetches must reach the cache: the next
             # snapshot's discardability assumes the client holds them.

@@ -199,19 +199,21 @@ class QueryTrajectory:
     def _segment_range(self, time: Interval) -> range:
         """Indices of trajectory segments whose span overlaps ``time``.
 
-        Closed on the left, open on the right — except that a zero-width
-        ``[t, t]`` on a key time selects the segment starting at ``t``
-        (the last segment at the final key): both neighbours give the
-        same window there, and an instant must meet one of them.
+        ``time`` is clamped to the span, then closed on the left, open on
+        the right — except that an instant on a key time selects the
+        segment starting there (the last one at the final key):
+        neighbours give the same window at a shared key, and a closed
+        instant must meet one of them.  Clamped, an extent that touches
+        the span only at its first or last key time is such an instant.
         """
-        if time.is_empty:
+        times, n = self._times, len(self._segments)
+        low, high = max(time.low, times[0]), min(time.high, times[-1])
+        if low > high:
             return range(0)
-        lo = bisect.bisect_right(self._times, time.low) - 1
-        lo = max(lo, 0)
-        at = bisect.bisect_left(self._times, time.high)
-        hi = min(at, len(self._segments))
-        if at < len(self._times) and self._times[at] == time.low:
-            lo = hi - (at == len(self._segments))
+        lo = bisect.bisect_right(times, low) - 1
+        hi = bisect.bisect_left(times, high)
+        if times[hi] == low:
+            lo = hi - (hi == n)
             hi = lo + 1
         return range(lo, hi)
 

@@ -619,9 +619,11 @@ def trajectory_live_components(
     ``box_overlap`` form), same floats.  Each entry meets the trajectory
     segments the scalar ``_segment_range`` would visit: those from the
     one containing its extent's low (closed on the left) up to, and not
-    including, the one starting at or after its high; none when the
-    extent is empty.  A zero-width extent on a key time meets the one
-    segment starting there (the last one at the final key).
+    including, the one starting at or after its high, the extent clamped
+    to the span; none when it is empty.  A zero-width extent on a key
+    time — clamped, also an extent touching the span only at its first
+    or last key time — meets the one segment starting there (the last
+    one at the final key).
     """
     if batch.n == 0:
         return []
@@ -631,14 +633,15 @@ def trajectory_live_components(
         bounds = _box_overlap_bounds
         t_lo, t_hi = batch._lows[:, 0], batch._highs[:, 0]
     keys = np.asarray(key_times)
+    m = len(params)
+    t_lo, t_hi = np.maximum(t_lo, keys[0]), np.minimum(t_hi, keys[-1])
     first = np.searchsorted(keys, t_lo, side="right") - 1
-    first = np.where(first > 0, first, 0)
     at = np.searchsorted(keys, t_hi, side="left")
-    last = np.where(at < len(params), at, len(params))
+    last = np.minimum(at, m)
     instant = t_lo == t_hi
     if instant.any():
-        on_key = instant & (keys[np.minimum(at, len(params))] == t_lo)
-        first = np.where(on_key, last - (at == len(params)), first)
+        on_key = instant & (keys[last] == t_lo)
+        first = np.where(on_key, last - (at == m), first)
         last = np.where(on_key, first + 1, last)
     last = np.where(t_lo > t_hi, first, last)
     ranged = first < last

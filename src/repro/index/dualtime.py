@@ -236,6 +236,9 @@ class DualTimeIndex:
         load is still reported (it *would* be touched) and appended to
         ``failed``, but its subtree cannot be enumerated — the engine's
         own retry/degradation machinery deals with it during evaluation.
+
+        Only :meth:`~repro.core.NPDQEngine.predict_pages` calls it; it
+        stays because ``bench/trace.py`` patches it by name.
         """
         rule = kernels.DiscardRule(query_box, prev_box, prev_clock)
         pages: List[int] = []

@@ -39,7 +39,6 @@ from repro.server.dispatcher import DispatchStats, UpdateDispatcher, UpdateOp
 from repro.server.kinds import KINDS, QueryKind
 from repro.server.metrics import (
     ClientMetrics,
-    LatencyModel,
     ServerMetrics,
     ShardHealth,
     TickMetrics,
@@ -84,7 +83,6 @@ __all__ = [
     "UpdateOp",
     "DispatchStats",
     "ClientMetrics",
-    "LatencyModel",
     "ServerMetrics",
     "TickMetrics",
     "BatchStats",

@@ -11,11 +11,12 @@ the broker:
    strictly *between* ticks, so readers always see a frozen index);
 2. runs the :class:`~repro.server.scheduler.SharedScanScheduler` batch
    phase — the merged frontier of all live clients (priority-queue
-   frontiers over the native tree for PDQ/auto, prediction walks over
-   the dual-time tree for the frames auto clients pose, and the pages
-   the :class:`~repro.server.session.NPDQSweep` read evaluating every
-   NPDQ client's frame of this tick at once) is read once per distinct
-   page;
+   frontiers over the native tree for PDQ/aggregate clients and live
+   predictive auto engines, and the dual-tree pages the
+   :class:`~repro.server.session.NPDQSweep` read evaluating every NPDQ
+   client's frame of this tick at once) is read once per distinct page;
+   kNN clients and non-predictive auto frames name nothing and read
+   through the shared pool during the drain;
 3. serves each session **in registration order** (the determinism the
    answer-invariance property test depends on), pinning after each
    what it demand-fetched mid-tick so later clients piggyback on it;
@@ -24,7 +25,8 @@ the broker:
    δ-inflated SPDQ evaluated every ``shed_stride`` ticks — rather than
    allowed to stall the tick for everyone else;
 5. folds physical/logical read deltas, update counts and simulated
-   latency into :class:`~repro.server.metrics.ServerMetrics`.
+   latency (one unit per physical read plus the disk's injected
+   latency) into :class:`~repro.server.metrics.ServerMetrics`.
 
 :class:`BrokerCore` is what this leaf broker and the sharded front-end
 (:class:`~repro.server.shard.MultiplexBroker`) do identically: the
@@ -49,7 +51,7 @@ from repro.index.nsi import NativeSpaceIndex
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import UpdateDispatcher, UpdateOp
 from repro.server.kinds import KINDS, QueryKind, kind_named, registration_of
-from repro.server.metrics import LatencyModel, ServerMetrics, TickMetrics
+from repro.server.metrics import ServerMetrics, TickMetrics
 from repro.server.planner import IndexStats, plan_query
 from repro.server.scheduler import SharedScanScheduler
 from repro.server.session import ClientSession, NPDQSweep, SessionState
@@ -66,11 +68,11 @@ class ServerConfig:
     evaluated once per ``shed_stride`` ticks, each evaluation covering
     the whole stride conservatively.
 
-    ``promote_after``/``promote_depth`` parameterise the reverse path:
-    a shed client whose post-delivery queue length stays at most
-    ``promote_depth`` for ``promote_after`` consecutive strides is
-    promoted back to an exact per-tick PDQ engine.  ``promote_after=0``
-    (the default) disables promotion — once shed, always shed.
+    ``promote_after`` parameterises the reverse path: a shed client
+    whose post-delivery queue holds at most one result for
+    ``promote_after`` consecutive strides is promoted back to an exact
+    per-tick PDQ engine.  ``promote_after=0`` (the default) disables
+    promotion — once shed, always shed.
     """
 
     max_clients: int = 64
@@ -78,16 +80,14 @@ class ServerConfig:
     shed_delta: float = 0.5
     shed_stride: int = 4
     promote_after: int = 0
-    promote_depth: int = 1
     shared_scan: bool = True
     buffer_capacity: int = 1024
     # Largest join distance this server must answer correctly.  Sharded
     # front-ends inflate their routing boxes by half of it (the midpoint
     # of any sub-δ pair is within δ/2 of both sides, so inflating entry
     # boxes by δ/2 co-locates every answering pair on some shard);
-    # register_join then rejects deltas beyond what routing covers.
+    # a join registration then rejects deltas beyond what routing covers.
     join_delta: float = 0.0
-    latency: LatencyModel = LatencyModel()
 
     def __post_init__(self) -> None:
         if self.max_clients < 1:
@@ -100,8 +100,6 @@ class ServerConfig:
             raise ServerError("shed_stride must be >= 1")
         if self.promote_after < 0:
             raise ServerError("promote_after must be >= 0")
-        if self.promote_depth < 1:
-            raise ServerError("promote_depth must be >= 1")
         if self.buffer_capacity < 1:
             raise ServerError("buffer_capacity must be >= 1")
         if self.join_delta < 0:
@@ -218,34 +216,16 @@ class BrokerCore:
         self.metrics.plans[client_id] = plan
         return session
 
-    def register_pdq(self, client_id, trajectory, **kwargs):
-        """Admit a predictive client over the native-space index."""
-        return self.register("pdq", client_id, trajectory=trajectory, **kwargs)
-
-    def register_npdq(self, client_id, trajectory, **kwargs):
-        """Admit a non-predictive client over the dual-time index."""
-        return self.register("npdq", client_id, trajectory=trajectory, **kwargs)
-
     def register_auto(self, client_id, trajectory, half_extents, **kwargs):
         """Admit an auto-mode client (Sect. 4 mode hand-off session) by
-        trajectory or, in-process, by any ``time -> centre`` callable."""
+        trajectory or, in-process, by any ``time -> centre`` callable.
+
+        The one by-kind form kept: auto has no
+        :class:`~repro.core.QuerySpec`, so :meth:`register_query` cannot
+        admit it."""
         return self.register(
             "auto", client_id, trajectory=trajectory,
             half_extents=half_extents, **kwargs,
-        )
-
-    def register_knn(self, client_id, trajectory, k, **kwargs):
-        """Admit a continuous-kNN client over the native-space index."""
-        return self.register("knn", client_id, trajectory=trajectory, k=k, **kwargs)
-
-    def register_join(self, client_id, trajectory, delta=None):
-        """Admit a moving-join client (δ defaults to ``config.join_delta``)."""
-        return self.register("join", client_id, trajectory=trajectory, delta=delta)
-
-    def register_aggregate(self, client_id, trajectory, **kwargs):
-        """Admit a windowed-aggregate client over the native-space index."""
-        return self.register(
-            "aggregate", client_id, trajectory=trajectory, **kwargs
         )
 
     # -- slow-client policy ------------------------------------------------
@@ -262,9 +242,7 @@ class BrokerCore:
                 session.shed(self.config.shed_delta, self.config.shed_stride)
                 session.metrics.shed_events += 1
                 self.metrics.shed_events += 1
-        elif session.observe_queue(
-            self.config.promote_after, self.config.promote_depth
-        ):
+        elif session.observe_queue(self.config.promote_after):
             session.metrics.promote_events += 1
             self.metrics.promote_events += 1
 
@@ -441,15 +419,8 @@ class QueryBroker(BrokerCore):
             session.metrics.logical_reads += now - seen
             self._logical_seen[session.client_id] = now
 
-        # The sweep is the batch read: what it loaded was predicted, by
-        # construction, and nothing it loaded was mispredicted.
-        npdq_pages = self.npdq_sweep.loaded_pages(tick)
         physical = self._physical_reads() - reads_before
-        latency = (
-            physical * self.config.latency.read
-            + self._sim_latency()
-            - latency_before
-        )
+        latency = physical + self._sim_latency() - latency_before
         self.metrics.writer_crashes += (
             self.dispatcher.stats.crashes_recovered - crashes_before
         )
@@ -465,8 +436,6 @@ class QueryBroker(BrokerCore):
             logical_reads=logical,
             batched_pages=batched_pages,
             piggybacked_reads=piggybacked,
-            predicted_pages=npdq_pages,
-            actual_pages=npdq_pages,
             updates_applied=updates,
             latency=latency,
         )

@@ -4,9 +4,9 @@ The paper measures per-query I/O and CPU; a *server* additionally needs
 per-tick aggregates — how many physical page reads the whole client
 population cost, how much of the logical demand was absorbed by the
 shared scan, how deep the per-client result queues run, and how often
-slow clients were shed.  All latency figures are simulated (one
-configurable unit per physical read plus the disk's injected latency),
-keeping server runs deterministic.
+slow clients were shed.  All latency figures are simulated (one unit
+per physical read plus the disk's injected latency), keeping server
+runs deterministic.
 """
 
 from __future__ import annotations
@@ -17,26 +17,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ServerError
 
 __all__ = [
-    "LatencyModel",
     "ClientMetrics",
     "TickMetrics",
     "ShardHealth",
     "ServerMetrics",
     "merge_tick_metrics",
 ]
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Simulated cost per unit of physical work.
-
-    ``read`` is charged per physical page read, ``cpu`` per distance
-    computation; the disk's own injected latency (fault plans with
-    ``latency=...``) is added on top by the broker.
-    """
-
-    read: float = 1.0
-    cpu: float = 0.0
 
 
 @dataclass
@@ -52,13 +38,6 @@ class ClientMetrics:
     shed_events: int = 0
     promote_events: int = 0
     degraded_ticks: int = 0
-    # NPDQ batch demand (zero for other session kinds): the pages the
-    # tick's sweep read for the client, reported to the batch phase and
-    # read — equal by construction, so nothing is ever mispredicted.
-    # Kept because the worker METRICS frame carries them.
-    predicted_pages: int = 0
-    actual_pages: int = 0
-    mispredicted_pages: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,11 +54,6 @@ class TickMetrics:
     piggybacked_reads: int
     updates_applied: int
     latency: float
-    # NPDQ batch demand, summed over the tick's NPDQ sessions (defaults
-    # keep call sites without NPDQ clients constructible unchanged).
-    predicted_pages: int = 0
-    actual_pages: int = 0
-    mispredicted_pages: int = 0
 
     @property
     def shared_hit_ratio(self) -> float:
@@ -87,13 +61,6 @@ class TickMetrics:
         if not self.logical_reads:
             return 0.0
         return 1.0 - self.physical_reads / self.logical_reads
-
-    @property
-    def mispredict_rate(self) -> float:
-        """Fraction of NPDQ-loaded pages the batch phase did not name (0)."""
-        if not self.actual_pages:
-            return 0.0
-        return self.mispredicted_pages / self.actual_pages
 
 
 def merge_tick_metrics(
@@ -131,9 +98,6 @@ def merge_tick_metrics(
         logical_reads=sum(t.logical_reads for t in ticks),
         batched_pages=sum(t.batched_pages for t in ticks),
         piggybacked_reads=sum(t.piggybacked_reads for t in ticks),
-        predicted_pages=sum(t.predicted_pages for t in ticks),
-        actual_pages=sum(t.actual_pages for t in ticks),
-        mispredicted_pages=sum(t.mispredicted_pages for t in ticks),
         updates_applied=sum(t.updates_applied for t in ticks),
         latency=sum(t.latency for t in ticks),
     )
@@ -175,9 +139,6 @@ class ServerMetrics:
     logical_reads: int = 0
     batched_pages: int = 0
     piggybacked_reads: int = 0
-    predicted_pages: int = 0
-    actual_pages: int = 0
-    mispredicted_pages: int = 0
     updates_applied: int = 0
     updates_deferred: int = 0
     updates_dropped: int = 0
@@ -210,9 +171,6 @@ class ServerMetrics:
         self.logical_reads += tick.logical_reads
         self.batched_pages += tick.batched_pages
         self.piggybacked_reads += tick.piggybacked_reads
-        self.predicted_pages += tick.predicted_pages
-        self.actual_pages += tick.actual_pages
-        self.mispredicted_pages += tick.mispredicted_pages
         self.updates_applied += tick.updates_applied
         self.total_latency += tick.latency
         self.tick_log.append(tick)
@@ -226,14 +184,8 @@ class ServerMetrics:
 
     @property
     def mispredict_rate(self) -> float:
-        """Fraction of NPDQ-loaded pages the batch phase did not name:
-        0 by construction, the NPDQ sweep's reads *are* its demand.
-
-        Kept for the benchmark's ``server.scheduler.mispredict_share``.
-        """
-        if not self.actual_pages:
-            return 0.0
-        return self.mispredicted_pages / self.actual_pages
+        # bench/layers.py reads this; the batch phase predicts nothing.
+        return 0.0
 
     @property
     def reads_per_tick(self) -> float:
@@ -257,9 +209,6 @@ class ServerMetrics:
             f"shared hit ratio  : {self.shared_hit_ratio:.1%}",
             f"batched pages     : {self.batched_pages} "
             f"({self.piggybacked_reads} piggybacked)",
-            f"npdq prediction   : {self.predicted_pages} predicted, "
-            f"{self.actual_pages} read, {self.mispredicted_pages} "
-            f"mispredicted ({self.mispredict_rate:.1%} mispredict rate)",
             f"updates           : {self.updates_applied} applied, "
             f"{self.updates_deferred} deferred, {self.updates_dropped} dropped",
             f"writer crashes    : {self.writer_crashes} (recovered)",
@@ -271,19 +220,13 @@ class ServerMetrics:
             lines.append("per-client:")
             for cid in sorted(self.clients):
                 c = self.clients[cid]
-                line = (
+                lines.append(
                     f"  {cid:<12} ticks={c.ticks_served:<4} "
                     f"items={c.items_delivered:<6} reads={c.logical_reads:<6} "
                     f"queue_peak={c.queue_peak:<3} dropped={c.dropped_results:<3} "
                     f"shed={c.shed_events} promoted={c.promote_events} "
                     f"degraded_ticks={c.degraded_ticks}"
                 )
-                if c.predicted_pages or c.mispredicted_pages:
-                    line += (
-                        f" predicted={c.predicted_pages}"
-                        f" mispredicted={c.mispredicted_pages}"
-                    )
-                lines.append(line)
         if self.plans:
             lines.append("planner:")
             for cid in sorted(self.plans):

@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-from dataclasses import fields as _dataclass_fields
+from dataclasses import asdict
 from functools import partial
 from typing import (
     Any,
@@ -148,11 +148,7 @@ class RemoteSubSession:
         if stats is None:
             return
         self._engine_reads = int(stats["engine_reads"])
-        m = self.metrics
-        m.logical_reads = int(stats["logical_reads"])
-        m.predicted_pages = int(stats["predicted_pages"])
-        m.actual_pages = int(stats["actual_pages"])
-        m.mispredicted_pages = int(stats["mispredicted_pages"])
+        self.metrics.logical_reads = int(stats["logical_reads"])
 
 
 class _WorkerHandle:
@@ -299,13 +295,7 @@ class RemoteMultiplexBroker(MultiplexBroker):
         self._loop = asyncio.new_event_loop()
         self._closed = False
         self.workers = [_WorkerHandle(self, i) for i in range(plan.shard_count)]
-        shard_config = leaf_config(config)
-        wire_config = {
-            f.name: getattr(shard_config, f.name)
-            for f in _dataclass_fields(shard_config)
-        }
-        latency = wire_config.pop("latency")
-        wire_config["latency"] = [latency.read, latency.cpu]
+        wire_config = asdict(leaf_config(config))
         for handle in self.workers:
             handle.hello_request = {
                 "shard_id": handle.shard_id,

@@ -31,7 +31,6 @@ from repro.index.nsi import NativeSpaceIndex
 from repro.server.broker import ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.kinds import KINDS, register_params
-from repro.server.metrics import LatencyModel
 from repro.server.remote import protocol as proto
 from repro.server.shard import IndexShard
 
@@ -54,9 +53,7 @@ def _decode_config(payload: Any) -> ServerConfig:
                 "HELLO config does not match this worker's ServerConfig: "
                 f"unknown fields {unknown}, missing fields {missing}"
             )
-        read, cpu = fields.pop("latency")
-        latency = LatencyModel(float(read), float(cpu))
-        return ServerConfig(latency=latency, **fields)
+        return ServerConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise RemoteProtocolError(f"malformed HELLO config: {exc}") from exc
 
@@ -138,13 +135,9 @@ class ShardWorker:
             polled = session.poll()
             if not quiet:
                 results.append([session.client_id, polled])
-            m = session.metrics
             clients[session.client_id] = {
                 "engine_reads": session.logical_reads,
-                "logical_reads": m.logical_reads,
-                "predicted_pages": m.predicted_pages,
-                "actual_pages": m.actual_pages,
-                "mispredicted_pages": m.mispredicted_pages,
+                "logical_reads": session.metrics.logical_reads,
             }
         return {
             "tick": report.tick,

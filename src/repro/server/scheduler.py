@@ -11,28 +11,28 @@ node reads shared across the whole client population within a tick:
 1. **batch phase** — at tick start it polls every live session's
    :meth:`~repro.server.session.ClientSession.frontier_demand` (the
    priority-queue frontier of :meth:`PDQEngine.frontier_pages` for
-   predictive clients; the prediction walk of
-   :meth:`NPDQEngine.predict_pages` for the frame an auto client is
-   about to pose; for NPDQ clients the pages their evaluation read — the
-   first one's demand runs the :class:`~repro.server.session.NPDQSweep`
-   that evaluates every NPDQ client's frame of the tick at once), merges
-   the per-client page demand *per index tree* — PDQ/auto frontiers live
-   in the native-space tree, the sweep and the walks in the dual-time
+   predictive clients, auto ones while their predictive engine is live;
+   for NPDQ clients the pages their evaluation read — the first one's
+   demand runs the :class:`~repro.server.session.NPDQSweep` that
+   evaluates every NPDQ client's frame of the tick at once; nothing for
+   kNN clients and an auto client's other frames, which read during the
+   drain), merges the per-client page demand *per index tree* — PDQ/auto
+   frontiers live in the native-space tree, the sweep in the dual-time
    tree, and the two trees' page-id namespaces are independent — and
    reads each distinct page once, in page-id order (the simulated
-   analogue of an elevator pass).  The sweep and the walks read pages
-   while producing their demand; those reads flow through the same
-   shared buffer pool, so overlapping demand piggybacks on them exactly
-   like on explicit batch reads.  Each batched page is **pinned** in its
-   tree's shared :class:`~repro.storage.BufferPool` so no client's
-   traversal can evict another client's pending page mid-tick;
+   analogue of an elevator pass).  The sweep reads pages while
+   producing its demand; those reads flow through the same shared
+   buffer pool, so overlapping demand piggybacks on them exactly like on
+   explicit batch reads.  Each batched page is **pinned** in its tree's
+   shared :class:`~repro.storage.BufferPool` so no client's traversal
+   can evict another client's pending page mid-tick;
 2. **drain phase** — sessions then run their normal engine code.  Every
    ``load_node`` goes through the shared disk: pages fetched in the
    batch (or by an earlier client this tick) are buffer hits, i.e.
    late-joining queries piggyback on the in-flight read; pages first
    discovered mid-expansion (children enqueued during this very tick,
-   or the subtree under a page an auto walk failed to read) are fetched
-   once on demand and pinned when the drain of the session that fetched
+   and every page of a session that names no demand) are fetched once
+   on demand and pinned when the drain of the session that fetched
    them ends (:meth:`SharedScanScheduler.pin_resident`);
 3. **end of tick** — all pins are released; the pools keep pages around
    under plain LRU for cross-tick locality.
@@ -51,9 +51,7 @@ Engines still count their *logical* reads in their own
 :class:`QueryCost`, so per-client accounting stays identical to isolated
 execution — only the physical I/O is deduplicated, which is what the
 shared-scan benchmark measures.  (The NPDQ sweep charges each client
-exactly its own reads; auto prediction-walk reads are charged to the
-session's separate ``prediction_cost``, so they surface in tick
-physical I/O without perturbing any per-client logical count.)
+exactly its own reads.)
 """
 
 from __future__ import annotations
@@ -77,9 +75,8 @@ class BatchStats:
     ``demanded`` counts (page, client) demand pairs across every tree;
     ``unique_pages`` counts distinct (tree, page) pairs; ``fetched`` is
     the number of physical reads the batch phase issued, including the
-    reads the NPDQ sweep and auto prediction walks performed while
-    producing their demand; ``piggybacked`` is the demand the batch absorbed without
-    extra I/O (already-buffered pages plus duplicate demand for freshly
+    reads the NPDQ sweep performed while producing its demand;
+    ``piggybacked`` is the demand the batch absorbed without extra I/O (already-buffered pages plus duplicate demand for freshly
     fetched ones); ``failed`` lists pages whose batch read failed (left
     to the owning engines' own retry/degradation machinery during the
     drain phase).
@@ -105,8 +102,8 @@ class SharedScanScheduler:
         disk has none yet.  An existing pool is reused as-is.
     extra_trees:
         Further trees whose frontiers the scan should batch — in
-        practice the dual-time tree the NPDQ sweep and auto walks read.  A
-        tree sharing the primary tree's disk shares its pool.
+        practice the dual-time tree the NPDQ sweep reads.  A tree
+        sharing the primary tree's disk shares its pool.
     """
 
     def __init__(
@@ -163,9 +160,8 @@ class SharedScanScheduler:
         for pool in self._pools():
             pool.drain_admitted()  # what follows is this batch's record
         # Demand is collected per tree: page ids are only unique within
-        # one disk's namespace.  The NPDQ sweep and auto walks run here,
-        # inside the tick, so their physical reads land in this tick's
-        # account.
+        # one disk's namespace.  The NPDQ sweep runs here, inside the
+        # tick, so its physical reads land in this tick's account.
         demand: List[Tuple[RTree, Dict[int, int]]] = []
         buckets: Dict[int, Dict[int, int]] = {}
         for session in sessions:
@@ -177,8 +173,8 @@ class SharedScanScheduler:
                     demand.append((tree, bucket))
                 for page_id in pages:
                     bucket[page_id] = bucket.get(page_id, 0) + 1
-        walk_fetched = self._reads() - reads_before
-        walked = {
+        sweep_fetched = self._reads() - reads_before
+        swept = {
             id(pool): pool.drain_admitted() for pool in self._pools()
         }
         demanded = sum(sum(b.values()) for _, b in demand)
@@ -187,13 +183,13 @@ class SharedScanScheduler:
         failed = 0
         for tree, bucket in demand:
             pool = tree.disk.buffer_pool
-            fresh = walked.get(id(pool), ())
+            fresh = swept.get(id(pool), ())
             for page_id in sorted(bucket):
                 if pool is not None and page_id in pool:
                     # A page resident since before the batch is pure
-                    # piggyback; one the sweep or a walk just fetched
-                    # already cost its one physical read (in
-                    # ``walk_fetched``), so only its *extra* demand is.
+                    # piggyback; one the sweep just fetched already
+                    # cost its one physical read (in
+                    # ``sweep_fetched``), so only its *extra* demand is.
                     extra = 1 if page_id in fresh else 0
                     piggybacked += bucket[page_id] - extra
                     pool.pin(page_id)
@@ -210,7 +206,7 @@ class SharedScanScheduler:
         return BatchStats(
             demanded=demanded,
             unique_pages=sum(len(b) for _, b in demand),
-            fetched=fetched + walk_fetched,
+            fetched=fetched + sweep_fetched,
             piggybacked=piggybacked,
             failed=failed,
         )

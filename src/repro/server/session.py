@@ -13,7 +13,10 @@ uniform per-tick interface:
   across clients — for NPDQ clients, the pages their evaluation *did*
   read: the first NPDQ session's demand runs the :class:`NPDQSweep` that
   evaluates every NPDQ session of the broker in one page-major pass, so
-  its reads are the batch's and :meth:`serve` only hands out the result;
+  its reads are the batch's and :meth:`serve` only hands out the result.
+  A kind whose pages are decided during evaluation (kNN, an auto
+  session's non-predictive frames) names none and reads through the
+  tick's shared pool;
 * :meth:`deliver` / :meth:`poll` implement the bounded result queue that
   admission control and slow-client shedding are built on.
 
@@ -188,7 +191,7 @@ class ClientSession:
 
         Each pair names the R-tree the pages belong to, so the shared
         scan can batch sessions over different indexes (native-space for
-        PDQ/auto frontiers, dual-time for NPDQ/auto walks) without
+        PDQ/auto frontiers, dual-time for the NPDQ sweep) without
         conflating the two trees' page-id namespaces.
         """
         if not self.will_serve(tick):
@@ -234,20 +237,20 @@ class ClientSession:
         """Client-side consumption: drain queued results."""
         return self.queue.drain(limit)
 
-    def observe_queue(self, promote_after: int, promote_depth: int) -> bool:
+    def observe_queue(self, promote_after: int) -> bool:
         """Hysteresis step after one successfully delivered shed stride
         (sheddable kinds only — nothing else is ever ``SHED``).
 
-        Counts consecutive strides whose post-delivery queue length is at
-        most ``promote_depth`` (the client is draining as fast as the
-        broker produces); ``promote_after`` such strides trigger
+        Counts consecutive strides whose post-delivery queue holds at
+        most one result (the client is draining as fast as the broker
+        produces); ``promote_after`` such strides trigger
         :meth:`promote`.  A deep queue resets the streak — one good
         stride must not flap a still-struggling client back to exact
         service.  Returns ``True`` when this call promoted.
         """
         if self.state is not SessionState.SHED or promote_after < 1:
             return False
-        if len(self.queue) <= promote_depth:
+        if len(self.queue) <= 1:
             self._shallow_strides += 1
         else:
             self._shallow_strides = 0
@@ -411,7 +414,6 @@ class NPDQSweep:
         self._members: List["weakref.ref[NPDQSession]"] = []
         self._tick: Optional[Tick] = None
         self._results: Dict[int, SnapshotResult] = {}  # by id(session)
-        self._pages = 0
 
     def join(self, session: "NPDQSession") -> None:
         """Evaluate ``session`` with the other members from now on."""
@@ -433,7 +435,6 @@ class NPDQSweep:
         )
         self._tick = tick
         self._results = {id(s): result for s, result in zip(serving, results)}
-        self._pages = sum(len(s.engine.last_loaded_pages) for s in serving)
 
     def take(self, session: "NPDQSession", tick: Tick) -> SnapshotResult:
         """``session``'s result of the sweep of ``tick``."""
@@ -444,10 +445,6 @@ class NPDQSweep:
             raise ServerError(
                 f"{session.client_id} has no result left in tick {tick.index}"
             ) from None
-
-    def loaded_pages(self, tick: Tick) -> int:
-        """(client, page) reads of the sweep of ``tick``; 0 if none ran."""
-        return self._pages if self._tick == tick else 0
 
 
 class NPDQSession(ClientSession):
@@ -496,9 +493,6 @@ class NPDQSession(ClientSession):
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         result = self.sweep.take(self, tick)
-        loaded = len(self.engine.last_loaded_pages)
-        self.metrics.predicted_pages += loaded
-        self.metrics.actual_pages += loaded
         return TickResult(
             index=tick.index,
             start=tick.start,
@@ -719,15 +713,11 @@ class AutoSession(ClientSession):
     :class:`~repro.core.DynamicQuerySession` exactly as they would for a
     privately driven session.
 
-    Both trees contribute to the shared scan's batch phase: the live
-    predictive engine's priority-queue frontier over the native tree,
-    and — while no predictive engine is live — the dual-tree pages of
-    the frame the inner session is about to pose
-    (:meth:`~repro.core.DynamicQuerySession.npdq_frontier_pages` at the
-    tick's end), enumerated by its read-only prediction walk.  A first
-    frame and a teleport contribute no dual pages (the inner session
-    resets its NPDQ memory before evaluating them, so there is nothing
-    to walk against); batching resumes on the very next frame.
+    The session's batch demand is the live predictive engine's
+    priority-queue frontier over the native tree.  Snapshot and
+    non-predictive frames name no pages: :meth:`serve` evaluates them
+    against the dual tree during the drain, reading through the tick's
+    shared pool like a kNN session.
     """
 
     kind = "auto"
@@ -742,14 +732,10 @@ class AutoSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.session = session
         self.path = path
-        self.prediction_cost = QueryCost()
 
     def _frontiers(self, tick: Tick):
         session = self.session
         yield session.native_index.tree, session.frontier_pages(tick.end)
-        yield session.dual_index.tree, session.npdq_frontier_pages(
-            tick.end, tuple(self.path(tick.end)), cost=self.prediction_cost
-        )
 
     @property
     def logical_reads(self) -> int:

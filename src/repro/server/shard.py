@@ -219,10 +219,6 @@ class ShardRouter:
         """Every shard that must hold (a replica of) ``segment``."""
         return self.plan.shards_for_box(self._spatial(segment, inflate))
 
-    def shards_for_window(self, window: Box) -> List[int]:
-        """Every shard a single query window overlaps."""
-        return self.plan.shards_for_box(window)
-
     def shards_for_trajectory(
         self, trajectory: QueryTrajectory, slack: float = 0.0
     ) -> List[int]:
@@ -684,21 +680,13 @@ class MultiplexBroker(BrokerCore):
                 for _, sub in session.parts
                 for result in sub.poll()
             ]
-            self._roll_up_client(session)
+            session.metrics.logical_reads = sum(
+                sub.metrics.logical_reads for _, sub in session.parts
+            )
             if sub_results:
                 served += 1
                 self._deliver(session, merge_results(sub_results))
         return served
-
-    def _roll_up_client(self, session: "MuxClientSession") -> None:
-        subs = [sub for _, sub in session.parts]
-        m = session.metrics
-        m.logical_reads = sum(s.metrics.logical_reads for s in subs)
-        m.predicted_pages = sum(s.metrics.predicted_pages for s in subs)
-        m.actual_pages = sum(s.metrics.actual_pages for s in subs)
-        m.mispredicted_pages = sum(
-            s.metrics.mispredicted_pages for s in subs
-        )
 
     def quiesce(self) -> int:
         """Close every client, flush deferred expires on every shard,

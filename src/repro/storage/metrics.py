@@ -117,8 +117,9 @@ class QueryCost:
         """All disk accesses (internal + leaf)."""
         return self.internal_reads + self.leaf_reads
 
-    def absorb(self, other: "QueryCost") -> None:
-        """Fold another accumulator's counters into this one."""
+    def absorb(self, other: "QueryCost | CostSnapshot") -> None:
+        """Fold another accumulator's (or a snapshot's) counters into
+        this one."""
         self.internal_reads += other.internal_reads
         self.leaf_reads += other.leaf_reads
         self.distance_computations += other.distance_computations

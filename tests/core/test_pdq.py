@@ -107,6 +107,29 @@ class TestCorrectness:
             items = pdq.window(0.0, 4.0)
         assert sorted(item.key for item in items) == [(1, 0), (2, 0), (3, 0)]
 
+    def test_segment_touching_the_span_at_an_endpoint(self):
+        # Static objects valid up to the trajectory's first key time and
+        # from its last one on are inside the window at that instant
+        # (closed instants): the naive frame series reports them, and so
+        # must PDQ.
+        trajectory = QueryTrajectory.linear(
+            0.0, 4.0, (0.0, 0.0), (1.0, 0.0), (4.0, 4.0), key_count=5
+        )
+        index = NativeSpaceIndex(dims=2)
+        index.bulk_load(
+            [
+                make_segment(1, 0, -1.0, 0.0, (0.0, 0.0), (0.0, 0.0)),
+                make_segment(2, 0, 4.0, 5.0, (4.0, 0.0), (0.0, 0.0)),
+                make_segment(3, 0, 1.0, 2.0, (1.5, 0.0), (0.0, 0.0)),
+            ]
+        )
+        frames = NaiveEvaluator(index).run(trajectory, 1.0)
+        naive = {item.key for frame in frames for item in frame.items}
+        assert naive == {(1, 0), (2, 0), (3, 0)}
+        with PDQEngine(index, trajectory, track_updates=False) as pdq:
+            items = pdq.window(0.0, 4.0)
+        assert {item.key for item in items} == naive
+
 
 class TestIOOptimality:
     def test_each_node_read_at_most_once(

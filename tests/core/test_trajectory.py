@@ -145,6 +145,22 @@ class TestOverlap:
         after = SpaceTimeSegment(Interval(4.5, 4.5), (4.0, 0.0), (0.0, 0.0))
         assert traj.segment_overlap(after).is_empty
 
+    def test_an_extent_touching_the_span_at_an_endpoint_meets_it(self):
+        """An extent ending exactly on the first key time, or starting
+        exactly on the last, meets the window at that one instant; one
+        that stops short of the span meets nothing."""
+        traj = QueryTrajectory.linear(
+            0.0, 4.0, (0.0, 0.0), (1.0, 0.0), (4.0, 4.0), key_count=5
+        )
+        for lo, hi, x, t in ((-1.0, 0.0, 0.0, 0.0), (4.0, 5.0, 4.0, 4.0)):
+            obj = SpaceTimeSegment(Interval(lo, hi), (x, 0.0), (0.0, 0.0))
+            assert traj.segment_overlap(obj).components == (Interval(t, t),)
+            box = Box([Interval(lo, hi), Interval(x, x), Interval(0.0, 0.0)])
+            assert traj.box_overlap(box).components == (Interval(t, t),)
+        for lo, hi in ((-1.0, -0.5), (4.5, 5.0)):
+            obj = SpaceTimeSegment(Interval(lo, hi), (0.0, 0.0), (0.0, 0.0))
+            assert traj.segment_overlap(obj).is_empty
+
     @settings(max_examples=100)
     @given(
         st.floats(min_value=0.1, max_value=5, allow_nan=False),

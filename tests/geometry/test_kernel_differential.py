@@ -678,6 +678,39 @@ class TestTrajectoryPages:
         assert got == _scalar_live(trajectory.segment_overlap, segs, 0.0)
         assert [k for k, _ in got] == [0, 1, 2]
 
+    def test_extent_touching_the_span_at_an_endpoint(self):
+        # An extent ending on the first key time or starting on the last
+        # meets the window at that instant (the first / last trajectory
+        # segment); one stopping short of the span meets nothing.
+        page = [
+            Box.from_bounds([-1.0, 0.5], [0.0, 0.5]),
+            Box.from_bounds([6.0, 0.5], [7.0, 0.5]),
+            Box.from_bounds([-1.0, 0.5], [-0.5, 0.5]),  # before the span
+            Box.from_bounds([6.5, 0.5], [7.0, 0.5]),  # after it
+            Box.from_bounds([-1.0, 0.5], [7.0, 0.5]),  # across all of it
+        ]
+        trajectory = self._tent()
+        got = self._check_boxes(trajectory, page, 0.0)
+        assert got == [
+            (0, Interval(0.0, 0.0)),
+            (1, Interval(6.0, 6.0)),
+            (4, Interval(0.0, 6.0)),
+        ]
+        assert self._check_boxes(trajectory, page, 1.0) == got[1:]
+        segs = [
+            SpaceTimeSegment(Interval(-1.0, 0.0), (0.5,), (0.0,)),
+            SpaceTimeSegment(Interval(6.0, 7.0), (0.5,), (0.0,)),
+            SpaceTimeSegment(Interval(-1.0, 0.0), (1.5,), (0.0,)),  # outside
+            SpaceTimeSegment(Interval(-2.0, 0.0), (-1.5,), (1.0,)),  # arrives
+        ]
+        got = trajectory.live_components(_segment_batch(segs), 0.0)
+        assert got == _scalar_live(trajectory.segment_overlap, segs, 0.0)
+        assert got == [
+            (0, Interval(0.0, 0.0)),
+            (1, Interval(6.0, 6.0)),
+            (3, Interval(0.0, 0.0)),
+        ]
+
     def test_structurally_empty_box(self):
         page = [
             Box([Interval(0.0, 6.0), Interval(1.0, 0.0)]),  # low > high

@@ -87,7 +87,7 @@ def churn(fleet):
 def serve(broker, fleet):
     for i, trajectory in enumerate(fleet):
         if i % 2 == 0:
-            broker.register_npdq(f"npdq-{i}", trajectory)
+            broker.register("npdq", f"npdq-{i}", trajectory=trajectory)
         else:
             broker.register_auto(f"auto-{i}", path_of(trajectory), HALF)
     for op in churn(fleet):

@@ -48,32 +48,32 @@ class TestAdmissionControl:
     def test_capacity_is_enforced(self, build_native, fleet):
         broker = make_broker(build_native(), max_clients=2)
         trajectories = fleet(3, mode="independent")
-        broker.register_pdq("a", trajectories[0])
-        broker.register_pdq("b", trajectories[1])
+        broker.register("pdq", "a", trajectory=trajectories[0])
+        broker.register("pdq", "b", trajectory=trajectories[1])
         with pytest.raises(AdmissionError):
-            broker.register_pdq("c", trajectories[2])
+            broker.register("pdq", "c", trajectory=trajectories[2])
         assert broker.metrics.admissions == 2
         assert broker.metrics.rejections == 1
 
     def test_closing_frees_the_slot(self, build_native, fleet):
         broker = make_broker(build_native(), max_clients=1)
         trajectories = fleet(2, mode="independent")
-        broker.register_pdq("a", trajectories[0])
+        broker.register("pdq", "a", trajectory=trajectories[0])
         broker.close_client("a")
-        broker.register_pdq("b", trajectories[1])  # no raise
+        broker.register("pdq", "b", trajectory=trajectories[1])  # no raise
         assert [s.client_id for s in broker.sessions] == ["b"]
 
     def test_duplicate_id_rejected(self, build_native, fleet):
         broker = make_broker(build_native())
         (trajectory,) = fleet(1)
-        broker.register_pdq("a", trajectory)
+        broker.register("pdq", "a", trajectory=trajectory)
         with pytest.raises(ServerError):
-            broker.register_pdq("a", trajectory)
+            broker.register("pdq", "a", trajectory=trajectory)
 
     def test_npdq_requires_dual_index(self, build_native, fleet):
         broker = make_broker(build_native())
         with pytest.raises(ServerError):
-            broker.register_npdq("n", fleet(1)[0])
+            broker.register("npdq", "n", trajectory=fleet(1)[0])
 
 
 class TestSharedExecution:
@@ -86,7 +86,8 @@ class TestSharedExecution:
         index = build_native()
         broker = make_broker(index)
         sessions = [
-            broker.register_pdq(f"c{i}", t) for i, t in enumerate(trajectories)
+            broker.register("pdq", f"c{i}", trajectory=t)
+            for i, t in enumerate(trajectories)
         ]
         reads_before = index.tree.disk.stats.reads
         broker.run(TICKS)
@@ -106,7 +107,8 @@ class TestSharedExecution:
         ]
         broker = make_broker(build_native())
         sessions = [
-            broker.register_pdq(f"c{i}", t) for i, t in enumerate(trajectories)
+            broker.register("pdq", f"c{i}", trajectory=t)
+            for i, t in enumerate(trajectories)
         ]
         broker.run(TICKS)
         for session, baseline in zip(sessions, baselines):
@@ -119,7 +121,7 @@ class TestSharedExecution:
             index = build_native()
             broker = make_broker(index, shared_scan=shared)
             for i, t in enumerate(trajectories):
-                broker.register_pdq(f"c{i}", t)
+                broker.register("pdq", f"c{i}", trajectory=t)
             before = index.tree.disk.stats.reads
             broker.run(TICKS)
             return index.tree.disk.stats.reads - before
@@ -129,7 +131,7 @@ class TestSharedExecution:
     def test_tick_metrics_account_the_scan(self, build_native, fleet):
         broker = make_broker(build_native())
         for i, t in enumerate(fleet(4, mode="identical")):
-            broker.register_pdq(f"c{i}", t)
+            broker.register("pdq", f"c{i}", trajectory=t)
         broker.run(TICKS)
         m = broker.metrics
         assert m.ticks == TICKS
@@ -191,7 +193,7 @@ class TestNPDQSharedExecution:
         ]
         broker = make_broker(build_native(), dual=build_dual())
         sessions = [
-            broker.register_npdq(f"c{i}", t)
+            broker.register("npdq", f"c{i}", trajectory=t)
             for i, t in enumerate(trajectories)
         ]
         broker.run(TICKS)
@@ -232,8 +234,8 @@ class TestNPDQSharedExecution:
 
         broker = make_broker(build_native(), dual=build_dual())
         sessions = [
-            broker.register_pdq("c0", trajectories[0]),
-            broker.register_npdq("c1", trajectories[1]),
+            broker.register("pdq", "c0", trajectory=trajectories[0]),
+            broker.register("npdq", "c1", trajectory=trajectories[1]),
             broker.register_auto("c2", teleporting, HALF),
         ]
         for op in ops:
@@ -258,8 +260,8 @@ class TestNPDQSharedExecution:
             queue_depth=1,
             promote_after=1,
         )
-        pdq = broker.register_pdq("p", trajectories[0])
-        npdq = broker.register_npdq("n", trajectories[1])
+        pdq = broker.register("pdq", "p", trajectory=trajectories[0])
+        npdq = broker.register("npdq", "n", trajectory=trajectories[1])
         collected = []
         for i in range(TICKS):
             broker.run_tick()
@@ -270,7 +272,6 @@ class TestNPDQSharedExecution:
         assert pdq.metrics.shed_events == 1
         assert pdq.metrics.promote_events >= 1
         assert pdq.state is SessionState.ACTIVE
-        assert npdq.metrics.mispredicted_pages == 0
 
 
 class TestShedding:
@@ -279,7 +280,7 @@ class TestShedding:
         broker = make_broker(
             build_native(), queue_depth=1, shed_delta=0.5, shed_stride=4
         )
-        session = broker.register_pdq("slow", trajectory)
+        session = broker.register("pdq", "slow", trajectory=trajectory)
         broker.run(10)  # nobody polls: the depth-1 queue overflows
         assert session.state is SessionState.SHED
         assert broker.metrics.shed_events == 1
@@ -293,7 +294,7 @@ class TestShedding:
     def test_shed_session_is_served_every_stride(self, build_native, fleet):
         (trajectory,) = fleet(1)
         broker = make_broker(build_native(), queue_depth=1, shed_stride=4)
-        session = broker.register_pdq("slow", trajectory)
+        session = broker.register("pdq", "slow", trajectory=trajectory)
         broker.run(2)  # second deliver overflows -> shed
         assert session.state is SessionState.SHED
         served_before = session.metrics.ticks_served
@@ -305,7 +306,7 @@ class TestShedding:
         (trajectory,) = fleet(1)
         baseline_frames, _ = isolated_answers(build_native, trajectory)
         broker = make_broker(build_native(), queue_depth=1, shed_stride=2)
-        session = broker.register_pdq("slow", trajectory)
+        session = broker.register("pdq", "slow", trajectory=trajectory)
         broker.run(2)  # the depth-1 queue overflows -> shed at tick 1
         assert session.state is SessionState.SHED
         session.poll()
@@ -343,7 +344,7 @@ class TestPromotion:
         config_kw.setdefault("queue_depth", 1)
         config_kw.setdefault("shed_stride", 2)
         broker = make_broker(build_native(), **config_kw)
-        session = broker.register_pdq("slow", trajectory)
+        session = broker.register("pdq", "slow", trajectory=trajectory)
         broker.run(2)
         assert session.state is SessionState.SHED
         session.poll()
@@ -388,22 +389,22 @@ class TestPromotion:
 
     def test_deep_queue_resets_the_streak(self, build_native, fleet):
         _, session = self.shed_session(build_native, fleet)
-        assert not session.observe_queue(2, 1)  # shallow: streak 1
+        assert not session.observe_queue(2)  # shallow: streak 1
         session.queue.items.extend([None, None])
-        assert not session.observe_queue(2, 1)  # deep: streak reset to 0
+        assert not session.observe_queue(2)  # deep: streak reset to 0
         session.queue.items.clear()
-        assert not session.observe_queue(2, 1)  # shallow again: streak 1
-        assert session.observe_queue(2, 1)  # streak 2: promotes
+        assert not session.observe_queue(2)  # shallow again: streak 1
+        assert session.observe_queue(2)  # streak 2: promotes
         assert session.state is SessionState.ACTIVE
 
     def test_promote_is_a_noop_unless_shed(self, build_native, fleet):
         (trajectory,) = fleet(1)
         broker = make_broker(build_native())
-        session = broker.register_pdq("c", trajectory)
+        session = broker.register("pdq", "c", trajectory=trajectory)
         engine = session.engine
         session.promote()  # ACTIVE: nothing happens
         assert session.engine is engine
-        assert not session.observe_queue(1, 1)
+        assert not session.observe_queue(1)
 
     def test_logical_reads_stay_monotonic_across_swaps(
         self, build_native, fleet
@@ -449,7 +450,7 @@ class TestUpdatesAndQuiesce:
         (trajectory,) = fleet(1)
         index = build_native()
         broker = make_broker(index)
-        session = broker.register_pdq("c0", trajectory)
+        session = broker.register("pdq", "c0", trajectory=trajectory)
         center = trajectory.window_at(START + 1.0).center
         span = trajectory.time_span
         seg = make_segment(9001, 9, span.low, span.high, center, (0.0, 0.0))
@@ -464,7 +465,7 @@ class TestUpdatesAndQuiesce:
     ):
         index = build_native()
         broker = make_broker(index)
-        broker.register_pdq("c0", fleet(1)[0])
+        broker.register("pdq", "c0", trajectory=fleet(1)[0])
         broker.dispatcher.submit(
             UpdateOp(START, "expire", tiny_segments[0])
         )
@@ -494,7 +495,7 @@ class TestRaisingSession:
     def test_query_broker_serves_the_next_tick(self, build_native, fleet):
         broker = make_broker(build_native())
         sessions = [
-            broker.register_pdq(f"c{i}", t)
+            broker.register("pdq", f"c{i}", trajectory=t)
             for i, t in enumerate(fleet(4, mode="independent"))
         ]
         broker.run(2)
@@ -514,7 +515,7 @@ class TestRaisingSession:
             page_size=512,
         )
         sessions = [
-            mux.register_pdq(f"c{i}", t)
+            mux.register("pdq", f"c{i}", trajectory=t)
             for i, t in enumerate(fleet(4, mode="independent"))
         ]
         mux.run(2)
@@ -537,8 +538,8 @@ class TestPageViewReuse:
         def run():
             trajectories = fleet(2, mode="independent")
             broker = make_broker(index, queue_depth=1, promote_after=1)
-            slow = broker.register_pdq("slow", trajectories[0])
-            fast = broker.register_pdq("fast", trajectories[1])
+            slow = broker.register("pdq", "slow", trajectory=trajectories[0])
+            fast = broker.register("pdq", "fast", trajectory=trajectories[1])
             frames = []
             for i in range(TICKS):
                 broker.run_tick()

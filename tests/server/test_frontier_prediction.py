@@ -4,16 +4,18 @@ The shared scan can only batch a non-predictive client's reads if the
 client's page set is known *before* its answers are handed out.  In the
 closed tick the frame is: it was submitted before the batch phase runs,
 so the batch phase evaluates it.  These tests pin the coverage-pruned
-prediction walk (:meth:`NPDQEngine.predict_pages`, still what auto
-clients batch through), the NPDQ sweep's demand and accounting and the
-scheduler batching — including the safety half of the design: a fault
-on a page the sweep reads for several clients is retried once for all
-of them, and what it still costs is each client's own policy.
+prediction walk (:meth:`NPDQEngine.predict_pages`, which no serving
+path calls any more), the NPDQ sweep's demand and the scheduler
+batching — including the safety half of the design: a fault on a page
+the sweep reads for several clients is retried once for all of them,
+and what it still costs is each client's own policy — and that an auto
+session names no dual-tree demand at all.
 """
 
 import pytest
 
 from repro.core.npdq import NPDQEngine
+from repro.core.session import DynamicQuerySession, SessionMode
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import CorruptPageError
 from repro.server import (
@@ -97,9 +99,6 @@ class TestPredictionWalk:
             pages = list(pages)
             session.serve(tick)
             assert pages == session.engine.last_loaded_pages
-        assert session.metrics.mispredicted_pages == 0
-        assert session.metrics.predicted_pages == session.metrics.actual_pages
-        assert session.metrics.actual_pages > 0
 
 
 def shared_page(build_dual, trajectory):
@@ -134,14 +133,15 @@ class TestMispredictSafety:
         # A one-shot read fault on the root and on a page below it, both
         # read for two clients at once: the sweep retries each after the
         # rest, so no client sees it — the answers stay tick-for-tick
-        # identical and nothing counts as mispredicted.
+        # identical.
         trajectories = fleet(2, mode="identical")
         baseline = isolated_npdq_frames(build_dual, trajectories[0])
         page = shared_page(build_dual, trajectories[0])
         dual = build_dual()
         broker = make_broker(build_native(), dual)
         sessions = [
-            broker.register_npdq(f"c{i}", t) for i, t in enumerate(trajectories)
+            broker.register("npdq", f"c{i}", trajectory=t)
+            for i, t in enumerate(trajectories)
         ]
         dual.tree.disk.set_faults(
             FaultInjector.parse(f"read@{dual.tree.root_id};read@{page}")
@@ -152,8 +152,6 @@ class TestMispredictSafety:
             frames = session.poll()
             assert [(r.items, r.prefetched) for r in frames] == baseline
             assert not any(r.degraded for r in frames)
-        assert broker.metrics.mispredicted_pages == 0
-        assert broker.metrics.mispredict_rate == 0.0
 
     def test_persistent_fault_raises_without_budget(
         self, build_native, build_dual, fleet
@@ -163,7 +161,7 @@ class TestMispredictSafety:
         dual = build_dual()
         broker = make_broker(build_native(), dual)
         for i, t in enumerate(trajectories):
-            broker.register_npdq(f"c{i}", t)
+            broker.register("npdq", f"c{i}", trajectory=t)
         dual.tree.disk.set_faults(FaultInjector.parse(f"corrupt@{page}"))
         with pytest.raises(CorruptPageError):
             broker.run_tick()
@@ -184,7 +182,7 @@ class TestMispredictSafety:
         broker = make_broker(build_native(), dual)
         budgets = (0, 1, 3)
         sessions = [
-            broker.register_npdq(f"c{b}", t, fault_budget=b)
+            broker.register("npdq", f"c{b}", trajectory=t, fault_budget=b)
             for b, t in zip(budgets, trajectories)
         ]
         dual.tree.disk.set_faults(FaultInjector.parse(plan))
@@ -207,14 +205,14 @@ class TestMispredictSafety:
     ):
         broker = make_broker(build_native(), build_dual())
         for i, t in enumerate(fleet(3, mode="independent")):
-            broker.register_npdq(f"c{i}", t)
+            broker.register("npdq", f"c{i}", trajectory=t)
         broker.run(TICKS)
         m = broker.metrics
-        assert m.predicted_pages > 0
-        assert m.actual_pages > 0
-        assert m.mispredicted_pages == 0
+        # The sweep's reads are the batch: nothing is predicted, so the
+        # rate the benchmark reads is 0 and the report has no such line.
+        assert m.batched_pages > 0
         assert m.mispredict_rate == 0.0
-        assert "npdq prediction" in m.summary()
+        assert "predict" not in m.summary()
 
 
 class TestSharedScanBatching:
@@ -222,7 +220,7 @@ class TestSharedScanBatching:
         dual = build_dual()
         broker = make_broker(build_native(), dual, shared_scan=shared)
         for i, t in enumerate(trajectories):
-            broker.register_npdq(f"c{i}", t)
+            broker.register("npdq", f"c{i}", trajectory=t)
         before = dual.tree.disk.stats.reads
         broker.run(TICKS)
         return dual.tree.disk.stats.reads - before
@@ -254,16 +252,13 @@ class TestSharedScanBatching:
         broker = make_broker(native, dual)
         trajectories = fleet(4, mode="identical")
         for i, t in enumerate(trajectories[:2]):
-            broker.register_pdq(f"p{i}", t)
+            broker.register("pdq", f"p{i}", trajectory=t)
         for i, t in enumerate(trajectories[2:]):
-            broker.register_npdq(f"n{i}", t)
+            broker.register("npdq", f"n{i}", trajectory=t)
         broker.run(TICKS)
         # Both page-id namespaces flow through the one batch phase:
         # second-of-a-kind clients piggyback on both trees.
         assert broker.metrics.piggybacked_reads > 0
-        assert broker.metrics.predicted_pages > 0
-        tick = broker.metrics.tick_log[-1]
-        assert tick.predicted_pages > 0
 
     def test_frontier_demand_names_the_owning_tree(
         self, build_native, build_dual, fleet
@@ -271,8 +266,8 @@ class TestSharedScanBatching:
         native, dual = build_native(), build_dual()
         broker = make_broker(native, dual)
         trajectories = fleet(2, mode="independent")
-        pdq = broker.register_pdq("p", trajectories[0])
-        npdq = broker.register_npdq("n", trajectories[1])
+        pdq = broker.register("pdq", "p", trajectory=trajectories[0])
+        npdq = broker.register("npdq", "n", trajectory=trajectories[1])
         tick = broker.clock.next_tick()
         (pdq_tree, pdq_pages), = pdq.frontier_demand(tick)
         (npdq_tree, npdq_pages), = npdq.frontier_demand(tick)
@@ -297,7 +292,7 @@ class TestAcceleratingObserverRegression:
             broker = make_broker(
                 build_native(), build_dual(), shared_scan=shared
             )
-            session = broker.register_npdq("c", trajectory)
+            session = broker.register("npdq", "c", trajectory=trajectory)
             broker.run(TICKS)
             streams.append([(r.items, r.prefetched) for r in session.poll()])
         batched, unbatched = streams
@@ -306,10 +301,11 @@ class TestAcceleratingObserverRegression:
 
 
 class TestAutoDualFrontier:
-    """Auto sessions contribute dual-tree demand for the frame their
-    inner session is about to pose; a first frame and a teleport (whose
-    evaluation starts from a reset NPDQ memory) contribute none, and
-    batching resumes on the very next frame."""
+    """Auto sessions name no dual-tree demand: the live predictive
+    engine's native-tree frontier is all they give the batch phase, and
+    snapshot and non-predictive frames read the dual tree during the
+    drain — with the answers of the same session driven alone, on the
+    first frame, every later one and across a teleport."""
 
     TELEPORT_TICK = 10
 
@@ -325,52 +321,30 @@ class TestAutoDualFrontier:
 
         return path
 
-    def dual_demand_ticks(self, broker, session, dual):
-        """Tick indexes whose batch phase saw the session's dual pages."""
-        mirror = SimulatedClock(start=START, period=PERIOD)
-        seen = []
-        for _ in range(TICKS):
-            tick = mirror.next_tick()
-            trees = [tree for tree, _ in session.frontier_demand(tick)]
-            if dual.tree in trees:
-                seen.append(tick.index)
-            broker.run_tick()
-        return seen
-
-    def test_auto_session_contributes_dual_frontier(
+    def test_auto_session_names_no_dual_demand(
         self, build_native, build_dual
     ):
-        native, dual = build_native(), build_dual()
-        broker = make_broker(native, dual)
         # Accelerating motion keeps the inner session non-predictive
-        # (velocity never stabilises), i.e. in its NPDQ phase.
-        trajectory = accelerating_trajectory()
-        session = broker.register_auto(
-            "a", path_of(trajectory), (4.0, 4.0)
-        )
-        seen = self.dual_demand_ticks(broker, session, dual)
-        # Tick 0 poses the first frame (a fresh snapshot, nothing to
-        # walk against); every later frame continues the series.
-        assert seen == list(range(1, TICKS))
-        assert session.session.predictive_engine is None
-
-    def test_teleport_resets_then_resumes_batching(
-        self, build_native, build_dual
-    ):
-        native, dual = build_native(), build_dual()
-        broker = make_broker(native, dual)
-        trajectory = accelerating_trajectory()
-        session = broker.register_auto(
-            "a",
-            self.teleporting_path(path_of(trajectory)),
-            (4.0, 4.0),
-        )
-        seen = self.dual_demand_ticks(broker, session, dual)
-        jump = self.TELEPORT_TICK
-        # Batching before the teleport ...
-        assert any(t < jump for t in seen)
-        # ... none on the teleport frame itself (its evaluation starts
-        # from a reset memory) ...
-        assert jump not in seen
-        # ... and again from the very next frame on.
-        assert seen == [t for t in range(1, TICKS) if t != jump]
+        # (velocity never stabilises), so every frame reads the dual tree.
+        base = path_of(accelerating_trajectory())
+        for path in (base, self.teleporting_path(base)):
+            broker = make_broker(build_native(), build_dual())
+            session = broker.register_auto("a", path, (4.0, 4.0))
+            clock = SimulatedClock(start=START, period=PERIOD)
+            for tick in clock.ticks(TICKS):
+                assert session.frontier_demand(tick) == []
+                broker.run_tick()
+            assert session.session.predictive_engine is None
+            fresh = [
+                t for t, mode in session.session.mode_switches
+                if mode is SessionMode.SNAPSHOT
+            ]
+            assert len(fresh) == (1 if path is base else 2)  # the teleport
+            alone = DynamicQuerySession(
+                build_native(), build_dual(), (4.0, 4.0)
+            )
+            clock = SimulatedClock(start=START, period=PERIOD)
+            assert [list(r.items) for r in session.poll()] == [
+                alone.observe(tick.end, path(tick.end)).new_items
+                for tick in clock.ticks(TICKS)
+            ]

@@ -61,15 +61,15 @@ def drive(broker, scenario, trajectories, ops):
     for i, (spec, traj) in enumerate(zip(scenario["clients"], trajectories)):
         cid = f"c{i}"
         if spec == "pdq":
-            broker.register_pdq(cid, traj)
+            broker.register("pdq", cid, trajectory=traj)
         elif spec == "npdq":
-            broker.register_npdq(cid, traj)
+            broker.register("npdq", cid, trajectory=traj)
         elif spec == "knn":
-            broker.register_knn(cid, traj, KNN_K)
+            broker.register("knn", cid, trajectory=traj, k=KNN_K)
         elif spec == "join":
-            broker.register_join(cid, traj)
+            broker.register("join", cid, trajectory=traj)
         elif spec == "aggregate":
-            broker.register_aggregate(cid, traj)
+            broker.register("aggregate", cid, trajectory=traj)
         elif remote:
             # The remote front-end takes the trajectory itself: a path
             # closure cannot cross the process boundary.

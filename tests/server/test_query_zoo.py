@@ -66,9 +66,9 @@ def frame_key(r):
 
 
 def register_zoo(broker, trajectories):
-    broker.register_knn("knn", trajectories[0], KNN_K)
-    broker.register_join("join", trajectories[1], delta=DELTA)
-    broker.register_aggregate("agg", trajectories[2])
+    broker.register("knn", "knn", trajectory=trajectories[0], k=KNN_K)
+    broker.register("join", "join", trajectory=trajectories[1], delta=DELTA)
+    broker.register("aggregate", "agg", trajectory=trajectories[2])
 
 
 def drive(broker):
@@ -109,7 +109,9 @@ class TestBrokerKNNMatchesOffline:
         broker = QueryBroker(
             build_native(), clock=make_clock(), config=zoo_config()
         )
-        broker.register_knn("knn", trajectory, KNN_K, max_step=1.0)
+        broker.register(
+            "knn", "knn", trajectory=trajectory, k=KNN_K, max_step=1.0
+        )
         frames = []
         for _ in range(TICKS):
             broker.run_tick()
@@ -134,8 +136,8 @@ class TestBrokerKNNMatchesOffline:
         broker = QueryBroker(
             build_native(), clock=make_clock(), config=zoo_config()
         )
-        session = broker.register_knn(
-            "knn", zoo_fleet[0], KNN_K, max_step=1.0
+        session = broker.register(
+            "knn", "knn", trajectory=zoo_fleet[0], k=KNN_K, max_step=1.0
         )
         for tick in make_clock().ticks(TICKS):
             assert session.frontier_demand(tick) == []
@@ -149,7 +151,7 @@ class TestBrokerKNNMatchesOffline:
         broker = QueryBroker(
             build_native(), clock=make_clock(), config=zoo_config()
         )
-        broker.register_knn("knn", zoo_fleet[0], KNN_K)
+        broker.register("knn", "knn", trajectory=zoo_fleet[0], k=KNN_K)
         for _ in range(TICKS):
             broker.run_tick()
             for s in broker.sessions:
@@ -201,7 +203,9 @@ class TestZooShardInvariance:
             page_size=PAGE_SIZE,
         )
         with pytest.raises(ServerError):
-            sharded.register_join("join", zoo_fleet[0], delta=DELTA * 2)
+            sharded.register(
+                "join", "join", trajectory=zoo_fleet[0], delta=DELTA * 2
+            )
         remote = RemoteMultiplexBroker.over_segments(
             tiny_segments,
             shards=2,
@@ -211,7 +215,9 @@ class TestZooShardInvariance:
         )
         try:
             with pytest.raises(ServerError):
-                remote.register_join("join", zoo_fleet[0], delta=DELTA * 2)
+                remote.register(
+                    "join", "join", trajectory=zoo_fleet[0], delta=DELTA * 2
+                )
         finally:
             remote.close()
 

@@ -10,7 +10,7 @@ in-process front-end, including straight through a SIGKILL.
 """
 
 import io
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict
 
 import pytest
 
@@ -130,10 +130,6 @@ class TestProtocol:
 
 
 def hello_payload(dual=True):
-    cfg = ServerConfig(queue_depth=1000)
-    payload = {f.name: getattr(cfg, f.name) for f in dataclass_fields(cfg)}
-    latency = payload.pop("latency")
-    payload["latency"] = [latency.read, latency.cpu]
     return {
         "shard_id": 0,
         "dims": 2,
@@ -141,7 +137,7 @@ def hello_payload(dual=True):
         "dual": dual,
         "clock_start": START,
         "clock_period": PERIOD,
-        "config": payload,
+        "config": asdict(ServerConfig(queue_depth=1000)),
     }
 
 
@@ -169,9 +165,12 @@ class TestShardWorkerInProcess:
         stale = hello_payload()
         stale["config"]["npdq_predict_margin"] = 2.0
         stale["config"]["auto_route_refresh"] = 3
+        stale["config"]["latency"] = [1.0, 0.0]
+        stale["config"]["promote_depth"] = 1
         with pytest.raises(
             RemoteProtocolError,
-            match=r"unknown fields \['auto_route_refresh', 'npdq_predict_margin'\]",
+            match=r"unknown fields \['auto_route_refresh', 'latency', "
+            r"'npdq_predict_margin', 'promote_depth'\]",
         ):
             worker.handle(proto.MSG_HELLO, stale)
         sparse = hello_payload()
@@ -180,7 +179,9 @@ class TestShardWorkerInProcess:
             RemoteProtocolError, match=r"missing fields \['queue_depth'\]"
         ):
             worker.handle(proto.MSG_HELLO, sparse)
-        for bad_config in (5, {**hello_payload()["config"], "latency": 5}):
+        for bad_config in (
+            5, {**hello_payload()["config"], "max_clients": "many"}
+        ):
             with pytest.raises(RemoteProtocolError, match="malformed HELLO"):
                 worker.handle(
                     proto.MSG_HELLO, {**hello_payload(), "config": bad_config}
@@ -328,9 +329,9 @@ def register_fleet(broker, trajectories, remote):
         kind = ("pdq", "npdq", "auto")[i % 3]
         cid = f"c{i}"
         if kind == "pdq":
-            broker.register_pdq(cid, traj)
+            broker.register("pdq", cid, trajectory=traj)
         elif kind == "npdq":
-            broker.register_npdq(cid, traj)
+            broker.register("npdq", cid, trajectory=traj)
         elif remote:
             broker.register_auto(cid, traj, HALF)
         else:
@@ -420,7 +421,7 @@ class TestRemoteMultiplexBroker:
         trajectories = fleet(1, duration=self.TICKS * PERIOD + 0.5)
         broker = self.build(tiny_segments, 2, kill_plan={2: 0})
         try:
-            broker.register_pdq("c0", trajectories[0])
+            broker.register("pdq", "c0", trajectory=trajectories[0])
             broker.run(self.TICKS)
             health = broker.metrics.shard_health
             assert health[0].restarts >= 1
@@ -449,7 +450,7 @@ class TestRemoteMultiplexBroker:
                 )
             # The worker survived the failed request and keeps serving.
             assert handle.health.restarts == 0
-            broker.register_pdq("c0", traj)
+            broker.register("pdq", "c0", trajectory=traj)
             broker.run_tick()
         finally:
             broker.close()

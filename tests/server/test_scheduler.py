@@ -171,7 +171,7 @@ def pdq_broker(index, trajectories):
         config=ServerConfig(queue_depth=1000),
     )
     for i, trajectory in enumerate(trajectories):
-        broker.register_pdq(f"c{i}", trajectory)
+        broker.register("pdq", f"c{i}", trajectory=trajectory)
     return broker
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.server.metrics import (
     ClientMetrics,
-    LatencyModel,
     ServerMetrics,
     TickMetrics,
 )
@@ -21,17 +20,6 @@ def make_tick(index=0, physical=10, logical=40, **kw):
     return TickMetrics(
         index=index, physical_reads=physical, logical_reads=logical, **kw
     )
-
-
-class TestLatencyModel:
-    def test_defaults(self):
-        model = LatencyModel()
-        assert model.read == 1.0
-        assert model.cpu == 0.0
-
-    def test_is_immutable(self):
-        with pytest.raises(AttributeError):
-            LatencyModel().read = 2.0
 
 
 class TestTickMetrics:

@@ -223,9 +223,9 @@ def drive(broker, fleet, ops):
         kind = kinds[i % len(kinds)]
         cid = f"{kind}-{i}"
         if kind == "pdq":
-            broker.register_pdq(cid, traj)
+            broker.register("pdq", cid, trajectory=traj)
         elif kind == "npdq":
-            broker.register_npdq(cid, traj)
+            broker.register("npdq", cid, trajectory=traj)
         else:
             broker.register_auto(cid, path_of(traj), (4.0, 4.0))
     for op in ops:
@@ -317,7 +317,7 @@ def occurrences(result_, key):
 def test_boundary_segment_reported_once_per_snapshot():
     segments, trajectory, key = boundary_world()
     mux = make_mux(segments, 2, bounds=((0.0, 0.0), (20.0, 20.0)))
-    session = mux.register_pdq("edge", trajectory)
+    session = mux.register("pdq", "edge", trajectory=trajectory)
     assert session.shard_ids == (0, 1)
     mux.run(TICKS)
     results = session.poll()
@@ -335,7 +335,7 @@ def test_boundary_dedup_survives_shed_and_promote():
         shed_stride=2,
         promote_after=1,
     )
-    session = mux.register_pdq("edge", trajectory)
+    session = mux.register("pdq", "edge", trajectory=trajectory)
 
     # Phase 1: never poll, so the front-end queue overflows and sheds.
     shed_results = []
@@ -377,7 +377,7 @@ def test_tick_metrics_roll_up_across_shards(tiny_config, tiny_segments):
     )
     mux = make_mux(tiny_segments, 4)
     for i, traj in enumerate(fleet):
-        mux.register_pdq(f"c{i}", traj)
+        mux.register("pdq", f"c{i}", trajectory=traj)
     mux.run(TICKS)
     assert mux.metrics.ticks == TICKS
     assert len(mux.metrics.tick_log) == TICKS
@@ -419,16 +419,16 @@ def test_front_end_admission_control(tiny_config, tiny_segments):
         duration=2.0, start_time=START, seed=5,
     )
     mux = make_mux(tiny_segments, 2, max_clients=2)
-    mux.register_pdq("a", fleet[0])
-    mux.register_npdq("b", fleet[1])
+    mux.register("pdq", "a", trajectory=fleet[0])
+    mux.register("npdq", "b", trajectory=fleet[1])
     with pytest.raises(AdmissionError):
-        mux.register_pdq("c", fleet[2])
+        mux.register("pdq", "c", trajectory=fleet[2])
     assert mux.metrics.rejections == 1
     with pytest.raises(ServerError):
-        mux.register_pdq("a", fleet[2])
+        mux.register("pdq", "a", trajectory=fleet[2])
     # Closing frees the slot — on the front-end *and* on every shard.
     mux.close_client("a")
-    mux.register_pdq("c", fleet[2])
+    mux.register("pdq", "c", trajectory=fleet[2])
     assert sorted(s.client_id for s in mux.sessions) == ["b", "c"]
     mux.quiesce()
 

@@ -169,7 +169,7 @@ def test_unknown_kind_is_refused_on_every_surface(tiny_segments, fleet):
         {
             "shard_id": 0, "dims": 2, "page_size": PAGE_SIZE, "dual": False,
             "clock_start": START, "clock_period": PERIOD,
-            "config": {**asdict(ServerConfig()), "latency": [0.0, 0.0]},
+            "config": asdict(ServerConfig()),
         },
     )
     with pytest.raises(RemoteProtocolError, match="unknown session kind"):
@@ -218,9 +218,9 @@ def test_sharded_range_merge_keeps_every_visibility_component():
     """A segment that leaves and re-enters the window inside one tick
     has two answer items in that tick; the merge must keep both."""
     flat = build("leaf", STATIC)
-    flat.register_pdq("c", ZIGZAG)
+    flat.register("pdq", "c", trajectory=ZIGZAG)
     mux = build("mux", STATIC)
-    mux.register_pdq("c", ZIGZAG)
+    mux.register("pdq", "c", trajectory=ZIGZAG)
     expected, got = serve(flat, 3), serve(mux, 3)
     assert got == expected
     first_tick_items = expected["c"][0][2]
@@ -235,7 +235,7 @@ def test_aggregate_counts_every_visibility_component(tier):
     """The count timeline is the naive evaluator's components, counted:
     the second stay of a segment must not overwrite its first."""
     broker = build(tier, STATIC)
-    session = broker.register_aggregate("c", ZIGZAG)
+    session = broker.register("aggregate", "c", trajectory=ZIGZAG)
     broker.run_tick()
     (result,) = session.poll()
     span = Interval(START, START + PERIOD)

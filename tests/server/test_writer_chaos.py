@@ -52,7 +52,8 @@ def run_chaos(build_native, trajectories, injector=None):
         config=ServerConfig(queue_depth=100),
     )
     sessions = [
-        broker.register_pdq(f"c{i}", t) for i, t in enumerate(trajectories)
+        broker.register("pdq", f"c{i}", trajectory=t)
+        for i, t in enumerate(trajectories)
     ]
     ops = insert_stream(trajectories)
     for op in ops:
