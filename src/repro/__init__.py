@@ -72,7 +72,6 @@ from repro.index import (
     collect_stats,
     fsck,
     str_bulk_load,
-    verify_integrity,
 )
 from repro.core import (
     AnswerItem,
@@ -151,7 +150,6 @@ __all__ = [
     "ParametricSpaceIndex",
     "str_bulk_load",
     "collect_stats",
-    "verify_integrity",
     # core
     "SnapshotQuery",
     "AnswerItem",

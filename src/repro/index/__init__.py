@@ -10,13 +10,20 @@ that consecutive snapshot queries can cover each other.
 This package provides:
 
 * :class:`RTree` — Guttman R-tree over a :class:`~repro.storage.DiskManager`
-  with quadratic/linear splits, *forced same-path* splitting (Sect. 4.1
+  with quadratic/linear/R* splits, *forced same-path* splitting (Sect. 4.1
   update management), per-node modification timestamps (Sect. 4.2 update
-  management), insertion listeners, deletion, and integrity checking;
+  management), insertion listeners, deletion, and one search traversal
+  that takes a box or a pruning test;
 * :func:`str_bulk_load` — Sort-Tile-Recursive bulk loading for building
   the paper-scale index quickly;
-* :class:`NativeSpaceIndex` and :class:`DualTimeIndex` — the two
-  spatio-temporal mappings, each with exact leaf-level segment tests;
+* :class:`NativeSpaceIndex`, :class:`DualTimeIndex` and
+  :class:`ParametricSpaceIndex` — the three mappings of motion segments
+  (NSI, dual-time, and the rejected PSI), one facade class body
+  (:mod:`repro.index.facade`) that differs per flavour only in axis
+  count, leaf box and node-pruning test, each with exact leaf-level
+  segment tests;
+* :func:`fsck` / :func:`repair` — the one structural checker, and
+  :func:`collect_stats` for the index geometry;
 * binary page codecs proving nodes fit the claimed 4 KB layout.
 """
 
@@ -24,11 +31,11 @@ from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
 from repro.index.split import SPLITTERS, linear_split, quadratic_split
 from repro.index.rtree import InsertionListener, InsertionNotice, RTree
-from repro.index.bulk import sharded_bulk_load, str_bulk_load
+from repro.index.bulk import str_bulk_load
 from repro.index.nsi import NativeSpaceIndex
 from repro.index.dualtime import DualTimeIndex
 from repro.index.psi import ParametricSpaceIndex
-from repro.index.stats import TreeStats, collect_stats, verify_integrity
+from repro.index.stats import TreeStats, collect_stats
 from repro.index.check import FsckReport, RepairReport, Violation, fsck, repair
 from repro.index.codec import ChecksummedCodec
 
@@ -49,11 +56,9 @@ __all__ = [
     "InsertionListener",
     "InsertionNotice",
     "str_bulk_load",
-    "sharded_bulk_load",
     "NativeSpaceIndex",
     "DualTimeIndex",
     "ParametricSpaceIndex",
     "TreeStats",
     "collect_stats",
-    "verify_integrity",
 ]

@@ -3,8 +3,9 @@
 The paper's experiments build the index once over ~5·10⁵ motion segments
 and then run queries; loading that many records with one-at-a-time
 Guttman insertions is needlessly slow in pure Python.  STR packs leaf
-entries into nodes at a target fill (the paper's 0.5 fill factor gives
-the reported tree height of 3) and builds internal levels bottom-up.
+entries into nodes filled to the paper's 0.5 fill factor
+(:data:`~repro.storage.constants.DEFAULT_FILL_FACTOR`, which gives the
+reported tree height of 3) and builds internal levels bottom-up.
 
 Two tiling modes:
 
@@ -26,14 +27,15 @@ timestamped update management all work on it unchanged.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import IndexStructureError
 from repro.index.entry import Entry, InternalEntry, LeafEntry
 from repro.index.node import Node
 from repro.index.rtree import RTree
+from repro.storage.constants import DEFAULT_FILL_FACTOR
 
-__all__ = ["str_bulk_load", "sharded_bulk_load"]
+__all__ = ["str_bulk_load"]
 
 
 def _center(entry: Entry, axis: int) -> float:
@@ -86,48 +88,9 @@ def _leaf_groups(
     return groups
 
 
-def sharded_bulk_load(
-    indexes: Sequence,
-    records: Iterable,
-    assign: Callable[[object], Sequence[int]],
-    **bulk_kwargs,
-) -> List[int]:
-    """Partition ``records`` across per-shard indexes and STR-pack each.
-
-    ``assign`` maps one record to the shard ids that must hold it; a
-    record assigned to several shards (its extent straddles a shard
-    boundary) is *replicated* into every one of them, which is what lets
-    a sharded front-end answer any query from the union of overlapping
-    shards and dedup at merge.  ``indexes`` are empty index objects
-    exposing ``bulk_load`` (:class:`~repro.index.NativeSpaceIndex`,
-    :class:`~repro.index.DualTimeIndex`, ...); extra keyword arguments
-    are forwarded to each ``bulk_load`` call.  Returns the per-shard
-    record counts (replicas counted once per holding shard).
-
-    Raises
-    ------
-    IndexStructureError
-        If ``assign`` names a shard id outside ``indexes``.
-    """
-    buckets: List[List] = [[] for _ in indexes]
-    for record in records:
-        for shard_id in assign(record):
-            if not 0 <= shard_id < len(buckets):
-                raise IndexStructureError(
-                    f"shard assignment {shard_id} out of range "
-                    f"(have {len(buckets)} shards)"
-                )
-            buckets[shard_id].append(record)
-    for index, bucket in zip(indexes, buckets):
-        if bucket:
-            index.bulk_load(bucket, **bulk_kwargs)
-    return [len(b) for b in buckets]
-
-
 def str_bulk_load(
     tree: RTree,
     entries: Sequence[LeafEntry],
-    target_fill: float = 0.5,
     time_slabs: Optional[int] = None,
     tile_axes: Optional[Sequence[int]] = None,
 ) -> None:
@@ -139,8 +102,6 @@ def str_bulk_load(
         A freshly constructed, empty :class:`RTree`.
     entries:
         Leaf entries; their boxes must match the tree's axes.
-    target_fill:
-        Fraction of fanout to fill each node to (paper: 0.5).
     time_slabs:
         Enable time-major tiling with this many slabs along axis 0
         (``None`` = balanced STR over all axes).
@@ -155,8 +116,6 @@ def str_bulk_load(
     """
     if len(tree):
         raise IndexStructureError("bulk load requires an empty tree")
-    if not 0.0 < target_fill <= 1.0:
-        raise IndexStructureError("target_fill must be in (0, 1]")
     items = list(entries)
     if not items:
         return
@@ -166,8 +125,8 @@ def str_bulk_load(
                 f"entry box has {e.box.dims} axes, tree has {tree.axes}"
             )
 
-    leaf_cap = max(2, int(tree.max_leaf * target_fill))
-    internal_cap = max(2, int(tree.max_internal * target_fill))
+    leaf_cap = max(2, int(tree.max_leaf * DEFAULT_FILL_FACTOR))
+    internal_cap = max(2, int(tree.max_internal * DEFAULT_FILL_FACTOR))
     axes = tuple(range(tree.axes))
     parents: Dict[int, int] = {}
 

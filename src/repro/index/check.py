@@ -1,11 +1,10 @@
 """``fsck`` for the R-tree: exhaustive structural invariant checking.
 
-Unlike :func:`repro.index.stats.verify_integrity` (which raises on the
-first violation — the right shape for test assertions), :func:`fsck`
-walks the *entire* structure, survives corrupt pages, and returns a
-report listing every violation found, so an operator can see the full
-blast radius of a crash or a torn write before deciding whether to
-recover.  Exposed on the command line as ``repro-dq fsck``.
+The one structural checker: :func:`fsck` walks the *entire* structure,
+survives corrupt pages, and returns a report listing every violation
+found, so an operator can see the full blast radius of a crash or a torn
+write before deciding whether to recover, and a test can assert
+``report.ok``.  Exposed on the command line as ``repro-dq fsck``.
 
 Checked invariants:
 

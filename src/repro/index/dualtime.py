@@ -18,21 +18,17 @@ with exact leaf segments, used by the NPDQ engine.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
-from repro.errors import CorruptPageError, QueryError, TransientIOError
+from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.bulk import str_bulk_load
-from repro.index.entry import LeafEntry
+from repro.index.facade import SegmentIndex
 from repro.index.pagearrays import page_arrays
-from repro.index.rtree import RTree
 from repro.motion.segment import MotionSegment
-from repro.motion.uncertainty import inflate_box
-from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
-from repro.storage.disk import DiskManager
+from repro.storage.constants import DEFAULT_FILL_FACTOR
 from repro.storage.metrics import QueryCost
 
 __all__ = ["DualTimeIndex"]
@@ -40,63 +36,24 @@ __all__ = ["DualTimeIndex"]
 _INF = math.inf
 
 
-class DualTimeIndex:
+class DualTimeIndex(SegmentIndex):
     """An R-tree over ``<t_s, t_e, x_1, .., x_d>`` storing motion segments.
 
-    Parameters
-    ----------
-    dims:
-        Spatial dimensionality ``d`` (the tree has ``d + 2`` axes).
-    disk, page_size, uncertainty, split, fill_factor, same_path_splits:
-        As for :class:`~repro.index.NativeSpaceIndex`.  Note the internal
-        fanout is slightly smaller than NSI's because internal entries
-        carry one extra axis; leaf entries are unchanged (end-point
-        representation), so the leaf fanout matches NSI.
+    Parameters are those of :class:`~repro.index.facade.SegmentIndex`;
+    the tree has ``d + 2`` axes.  The internal fanout is slightly
+    smaller than NSI's because internal entries carry one extra axis;
+    leaf entries are unchanged (end-point representation), so the leaf
+    fanout matches NSI.
     """
 
-    def __init__(
-        self,
-        dims: int = 2,
-        disk: Optional[DiskManager] = None,
-        page_size: int = PAGE_SIZE,
-        uncertainty: float = 0.0,
-        split: str = "quadratic",
-        fill_factor: float = 0.5,
-        same_path_splits: bool = True,
-        restore_meta: Optional[dict] = None,
-    ):
-        if dims < 1:
-            raise QueryError("need at least one spatial dimension")
-        if uncertainty < 0:
-            raise QueryError("uncertainty must be non-negative")
-        self.dims = dims
-        self.uncertainty = uncertainty
-        self.tree = RTree(
-            axes=dims + 2,
-            max_internal=internal_fanout(dims + 2, page_size),
-            max_leaf=leaf_fanout(dims, page_size),
-            disk=disk,
-            fill_factor=fill_factor,
-            split=split,
-            same_path_splits=same_path_splits,
-            restore=restore_meta,
-        )
+    _time_axes = 2
 
-    # -- mappings -----------------------------------------------------------
-
-    def _leaf_entry(self, record: MotionSegment) -> LeafEntry:
-        if record.dims != self.dims:
-            raise QueryError(
-                f"segment has {record.dims} spatial dims, index has {self.dims}"
-            )
+    def _leaf_box(self, record: MotionSegment) -> Box:
         t = record.time
-        box = Box(
+        return Box(
             [Interval.point(t.low), Interval.point(t.high)]
             + [record.segment.spatial_extent(i) for i in range(self.dims)]
         )
-        if self.uncertainty:
-            box = inflate_box(box, self.uncertainty, spatial_dims_from=2)
-        return LeafEntry(box, record)
 
     def query_box(self, time: Interval, window: Box) -> Box:
         """Dual-time box of a snapshot query over ``time`` and ``window``.
@@ -105,30 +62,17 @@ class DualTimeIndex:
         ``t_s ≤ q_h`` and ``t_e ≥ q_l``; in dual-time space that is the
         box ``<[-inf, q_h], [q_l, +inf], window>``.
         """
-        if window.dims != self.dims:
-            raise QueryError(
-                f"window has {window.dims} dims, index has {self.dims}"
-            )
-        if time.is_empty:
-            raise QueryError("snapshot query has empty time interval")
+        self._native_box(time, window)  # refuses a malformed query
         return Box(
             [Interval(-_INF, time.high), Interval(time.low, _INF)] + list(window)
         )
 
-    def native_query_box(self, time: Interval, window: Box) -> Box:
-        """The same snapshot query as a native-space box (for exact tests)."""
-        return Box([time] + list(window))
-
-    # -- building -------------------------------------------------------------
-
-    def insert(self, record: MotionSegment):
-        """Insert one motion update (stamps node/entry timestamps)."""
-        return self.tree.insert(self._leaf_entry(record))
+    def _node_test(self, time: Interval, window: Box) -> Callable[[Box], bool]:
+        return self.query_box(time, window).overlaps
 
     def bulk_load(
         self,
         records: Iterable[MotionSegment],
-        target_fill: float = 0.5,
         time_slabs: Optional[int] = None,
     ) -> None:
         """STR-pack many records into an empty index.
@@ -145,7 +89,7 @@ class DualTimeIndex:
         """
         entries = [self._leaf_entry(r) for r in records]
         if time_slabs is None and entries:
-            leaf_cap = max(2, int(self.tree.max_leaf * target_fill))
+            leaf_cap = max(2, int(self.tree.max_leaf * DEFAULT_FILL_FACTOR))
             n_leaves = max(1, len(entries) // leaf_cap)
             lifetimes = sorted(e.record.time.length for e in entries)
             median_lifetime = lifetimes[len(lifetimes) // 2]
@@ -159,50 +103,9 @@ class DualTimeIndex:
         str_bulk_load(
             self.tree,
             entries,
-            target_fill=target_fill,
             time_slabs=time_slabs,
             tile_axes=tuple(range(2, self.dims + 2)),
         )
-
-    # -- queries ------------------------------------------------------------------
-
-    def snapshot_search(
-        self,
-        time: Interval,
-        window: Box,
-        cost: Optional[QueryCost] = None,
-        exact: bool = True,
-        fault_budget: int = 0,
-        skipped: Optional[List[int]] = None,
-    ) -> List[Tuple[MotionSegment, Interval]]:
-        """Plain (non-incremental) snapshot evaluation on the dual index.
-
-        ``fault_budget`` / ``skipped`` forward to
-        :meth:`~repro.index.RTree.search` for graceful degradation.
-        """
-        qbox = self.query_box(time, window)
-        native = self.native_query_box(time, window)
-        results: List[Tuple[MotionSegment, Interval]] = []
-
-        if exact:
-
-            def leaf_test(entry: LeafEntry) -> bool:
-                overlap = segment_box_overlap_interval(entry.record.segment, native)
-                if overlap.is_empty:
-                    return False
-                results.append((entry.record, overlap))
-                return True
-
-            for _ in self.tree.search(
-                qbox, cost, leaf_test, fault_budget=fault_budget, skipped=skipped
-            ):
-                pass
-        else:
-            for entry in self.tree.search(
-                qbox, cost, fault_budget=fault_budget, skipped=skipped
-            ):
-                results.append((entry.record, entry.record.time.intersect(time)))
-        return results
 
     def frontier_walk(
         self,
@@ -265,6 +168,3 @@ class DualTimeIndex:
                 )
             )
         return pages
-
-    def __len__(self) -> int:
-        return len(self.tree)

@@ -8,155 +8,28 @@ segment-vs-query test so that segments whose *bounding box* overlaps the
 query but whose *trajectory* does not are filtered out (the [13]
 optimization).
 
-This is the index flavour used by snapshot queries and by PDQ.
+This is the index flavour used by snapshot queries and by PDQ.  It is
+:class:`~repro.index.facade.SegmentIndex` with its defaults: one time
+axis, the segment's bounding box as leaf box, and the native query box
+as pruning test.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
-
-from repro.errors import QueryError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.geometry.segment import segment_box_overlap_interval
-from repro.index.bulk import str_bulk_load
-from repro.index.entry import LeafEntry
-from repro.index.rtree import RTree
-from repro.motion.segment import MotionSegment
-from repro.motion.uncertainty import inflate_box
-from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
-from repro.storage.disk import DiskManager
-from repro.storage.metrics import QueryCost
+from repro.index.facade import SegmentIndex
 
 __all__ = ["NativeSpaceIndex"]
 
 
-class NativeSpaceIndex:
+class NativeSpaceIndex(SegmentIndex):
     """An R-tree over ``<t, x_1, .., x_d>`` storing motion segments.
 
-    Parameters
-    ----------
-    dims:
-        Spatial dimensionality ``d`` (the tree has ``d + 1`` axes).
-    disk:
-        Optional page store (a counting object-mode one by default).
-    page_size:
-        Page size used to derive fanouts (4096 reproduces the paper's
-        145/127 at d = 2).
-    uncertainty:
-        Non-negative location-error bound ε; indexed boxes are inflated
-        by it so imprecise objects are never missed (Sect. 3.1).
-    split, fill_factor, same_path_splits:
-        Forwarded to :class:`~repro.index.RTree`.
-    restore_meta:
-        Durable-store recovery metadata (root/size/clock); reattach to
-        the pages already on ``disk`` instead of starting empty.
+    Parameters are those of :class:`~repro.index.facade.SegmentIndex`;
+    the tree has ``d + 1`` axes.
     """
-
-    def __init__(
-        self,
-        dims: int = 2,
-        disk: Optional[DiskManager] = None,
-        page_size: int = PAGE_SIZE,
-        uncertainty: float = 0.0,
-        split: str = "quadratic",
-        fill_factor: float = 0.5,
-        same_path_splits: bool = True,
-        restore_meta: Optional[dict] = None,
-    ):
-        if dims < 1:
-            raise QueryError("need at least one spatial dimension")
-        if uncertainty < 0:
-            raise QueryError("uncertainty must be non-negative")
-        self.dims = dims
-        self.uncertainty = uncertainty
-        self.tree = RTree(
-            axes=dims + 1,
-            max_internal=internal_fanout(dims + 1, page_size),
-            max_leaf=leaf_fanout(dims, page_size),
-            disk=disk,
-            fill_factor=fill_factor,
-            split=split,
-            same_path_splits=same_path_splits,
-            restore=restore_meta,
-        )
-
-    # -- building -----------------------------------------------------------
-
-    def _leaf_entry(self, record: MotionSegment) -> LeafEntry:
-        if record.dims != self.dims:
-            raise QueryError(
-                f"segment has {record.dims} spatial dims, index has {self.dims}"
-            )
-        box = record.bounding_box()
-        if self.uncertainty:
-            box = inflate_box(box, self.uncertainty)
-        return LeafEntry(box, record)
-
-    def insert(self, record: MotionSegment):
-        """Insert one motion update (notifies registered listeners)."""
-        return self.tree.insert(self._leaf_entry(record))
-
-    def bulk_load(self, records: Iterable[MotionSegment], target_fill: float = 0.5) -> None:
-        """STR-pack many records into an empty index."""
-        str_bulk_load(
-            self.tree,
-            [self._leaf_entry(r) for r in records],
-            target_fill=target_fill,
-        )
-
-    # -- queries -------------------------------------------------------------
 
     def query_box(self, time: Interval, window: Box) -> Box:
         """The native-space box ``<time, window>`` of a snapshot query."""
-        if window.dims != self.dims:
-            raise QueryError(
-                f"window has {window.dims} dims, index has {self.dims}"
-            )
-        return Box([time] + list(window))
-
-    def snapshot_search(
-        self,
-        time: Interval,
-        window: Box,
-        cost: Optional[QueryCost] = None,
-        exact: bool = True,
-        fault_budget: int = 0,
-        skipped: Optional[List[int]] = None,
-    ) -> List[Tuple[MotionSegment, Interval]]:
-        """All segments inside ``window`` at some instant of ``time``.
-
-        Returns ``(record, overlap_interval)`` pairs; with ``exact=False``
-        the bounding-box filter alone is used (overlap intervals then fall
-        back to the box-level temporal intersection) — the ablation knob
-        for the Sect. 3.2 leaf optimization.  ``fault_budget`` /
-        ``skipped`` forward to :meth:`~repro.index.RTree.search` for
-        graceful degradation under injected faults.
-        """
-        qbox = self.query_box(time, window)
-        results: List[Tuple[MotionSegment, Interval]] = []
-
-        if exact:
-
-            def leaf_test(entry: LeafEntry) -> bool:
-                overlap = segment_box_overlap_interval(entry.record.segment, qbox)
-                if overlap.is_empty:
-                    return False
-                results.append((entry.record, overlap))
-                return True
-
-            for _ in self.tree.search(
-                qbox, cost, leaf_test, fault_budget=fault_budget, skipped=skipped
-            ):
-                pass
-        else:
-            for entry in self.tree.search(
-                qbox, cost, fault_budget=fault_budget, skipped=skipped
-            ):
-                results.append(
-                    (entry.record, entry.record.time.intersect(time))
-                )
-        return results
-
-    def __len__(self) -> int:
-        return len(self.tree)
+        return self._native_box(time, window)

@@ -29,25 +29,16 @@ precisely why PSI reads more pages than NSI on identical workloads.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-import math
-
-from repro.errors import QueryError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.geometry.segment import segment_box_overlap_interval
-from repro.index.bulk import str_bulk_load
-from repro.index.entry import LeafEntry
-from repro.index.rtree import RTree
+from repro.index.facade import SegmentIndex
 from repro.motion.segment import MotionSegment
-from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
+from repro.storage.constants import PAGE_SIZE
 from repro.storage.disk import DiskManager
-from repro.storage.metrics import QueryCost
 
 __all__ = ["ParametricSpaceIndex"]
-
-_INF = math.inf
 
 
 def _corner_products(v: Interval, t: Interval) -> Tuple[float, float]:
@@ -61,15 +52,19 @@ def _corner_products(v: Interval, t: Interval) -> Tuple[float, float]:
     return min(products), max(products)
 
 
-class ParametricSpaceIndex:
+class ParametricSpaceIndex(SegmentIndex):
     """An R-tree over motion parameters (the PSI of [14, 15]).
 
-    Parameters mirror :class:`~repro.index.NativeSpaceIndex`.  The tree
-    has ``2 + 2d`` axes; internal entries therefore carry more floats,
-    so the internal fanout is smaller than NSI's (78 vs 145 at d = 2 on
+    Parameters are those of :class:`~repro.index.facade.SegmentIndex`
+    without ``uncertainty`` and ``restore_meta``.  The tree has
+    ``2 + 2d`` axes; internal entries therefore carry more floats, so
+    the internal fanout is smaller than NSI's (78 vs 145 at d = 2 on
     4 KB pages) — one ingredient of PSI's disadvantage, on top of the
     locality loss.
     """
+
+    _time_axes = 2
+    _axes_per_dim = 2
 
     def __init__(
         self,
@@ -77,27 +72,10 @@ class ParametricSpaceIndex:
         disk: Optional[DiskManager] = None,
         page_size: int = PAGE_SIZE,
         split: str = "quadratic",
-        fill_factor: float = 0.5,
     ):
-        if dims < 1:
-            raise QueryError("need at least one spatial dimension")
-        self.dims = dims
-        self.tree = RTree(
-            axes=2 + 2 * dims,
-            max_internal=internal_fanout(2 + 2 * dims, page_size),
-            max_leaf=leaf_fanout(dims, page_size),
-            disk=disk,
-            fill_factor=fill_factor,
-            split=split,
-        )
+        super().__init__(dims, disk, page_size, split=split)
 
-    # -- mapping ------------------------------------------------------------
-
-    def _leaf_entry(self, record: MotionSegment) -> LeafEntry:
-        if record.dims != self.dims:
-            raise QueryError(
-                f"segment has {record.dims} spatial dims, index has {self.dims}"
-            )
+    def _leaf_box(self, record: MotionSegment) -> Box:
         seg = record.segment
         t0 = seg.time.low
         # Parameters at the global time origin: a = x0 - v * t0.
@@ -109,24 +87,7 @@ class ParametricSpaceIndex:
             Interval.point(x - v * t0) for x, v in zip(seg.origin, seg.velocity)
         )
         extents.extend(Interval.point(v) for v in seg.velocity)
-        return LeafEntry(Box(extents), record)
-
-    # -- building -------------------------------------------------------------
-
-    def insert(self, record: MotionSegment):
-        """Insert one motion update."""
-        return self.tree.insert(self._leaf_entry(record))
-
-    def bulk_load(
-        self, records: Iterable[MotionSegment], target_fill: float = 0.5
-    ) -> None:
-        """STR-pack many records into an empty index."""
-        str_bulk_load(
-            self.tree, [self._leaf_entry(r) for r in records],
-            target_fill=target_fill,
-        )
-
-    # -- queries ---------------------------------------------------------------
+        return Box(extents)
 
     def _node_may_match(
         self, box: Box, time: Interval, window: Box
@@ -151,56 +112,5 @@ class ParametricSpaceIndex:
                 return False
         return True
 
-    def snapshot_search(
-        self,
-        time: Interval,
-        window: Box,
-        cost: Optional[QueryCost] = None,
-        exact: bool = True,
-    ) -> List[Tuple[MotionSegment, Interval]]:
-        """All segments inside ``window`` at some instant of ``time``.
-
-        Same contract as the NSI/dual-time facades; the traversal uses
-        the conservative parametric relaxation for pruning and the exact
-        native-space segment test at leaves.
-        """
-        if window.dims != self.dims:
-            raise QueryError(
-                f"window has {window.dims} dims, index has {self.dims}"
-            )
-        if time.is_empty:
-            raise QueryError("snapshot query has empty time interval")
-        native = Box([time] + list(window))
-        results: List[Tuple[MotionSegment, Interval]] = []
-        stack = [self.tree.root_id]
-        while stack:
-            node = self.tree.load_node(stack.pop(), cost)
-            if node.is_leaf:
-                for e in node.entries:
-                    if cost is not None:
-                        cost.count_distance_computations()
-                    if not self._node_may_match(e.box, time, window):
-                        continue
-                    if exact:
-                        if cost is not None:
-                            cost.count_segment_tests()
-                        overlap = segment_box_overlap_interval(
-                            e.record.segment, native  # type: ignore[union-attr]
-                        )
-                        if overlap.is_empty:
-                            continue
-                    else:
-                        overlap = e.record.time.intersect(time)  # type: ignore[union-attr]
-                    if cost is not None:
-                        cost.count_results()
-                    results.append((e.record, overlap))  # type: ignore[union-attr]
-            else:
-                for e in node.entries:
-                    if cost is not None:
-                        cost.count_distance_computations()
-                    if self._node_may_match(e.box, time, window):
-                        stack.append(e.child_id)  # type: ignore[union-attr]
-        return results
-
-    def __len__(self) -> int:
-        return len(self.tree)
+    def _node_test(self, time: Interval, window: Box) -> Callable[[Box], bool]:
+        return lambda box: self._node_may_match(box, time, window)

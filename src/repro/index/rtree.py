@@ -21,7 +21,7 @@ Sect. 4 of the paper needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (
     CorruptPageError,
@@ -82,14 +82,12 @@ class RTree:
     axes:
         Dimensionality of the indexed boxes.
     max_internal, max_leaf:
-        Fanout limits (entries per node).  Both must be >= 2.
-    fill_factor:
-        Fraction of fanout used as the minimum node fill (paper: 0.5).
+        Fanout limits (entries per node).  Both must be >= 2; the
+        minimum node fill is :data:`DEFAULT_FILL_FACTOR` of each (the
+        paper's 0.5).  Cascading splits are always forced onto one path,
+        which is what guarantees the single-LCA update notice.
     split:
-        ``"quadratic"`` (default) or ``"linear"``.
-    same_path_splits:
-        Force cascading splits onto one path (required for the paper's
-        single-LCA update notification; on by default).
+        ``"quadratic"`` (default), ``"linear"`` or ``"rstar"``.
     restore:
         Recovery metadata (``root_id``/``size``/``clock``) from a
         durable store: reattach to the pages already on ``disk`` instead
@@ -102,25 +100,20 @@ class RTree:
         max_internal: int,
         max_leaf: int,
         disk: Optional[DiskManager] = None,
-        fill_factor: float = DEFAULT_FILL_FACTOR,
         split: str = "quadratic",
-        same_path_splits: bool = True,
         restore: Optional[dict] = None,
     ):
         if axes < 1:
             raise IndexStructureError("axes must be >= 1")
         if max_internal < 2 or max_leaf < 2:
             raise IndexStructureError("fanout must be >= 2")
-        if not 0.0 < fill_factor <= 0.5:
-            raise IndexStructureError("fill_factor must be in (0, 0.5]")
         if split not in SPLITTERS:
             raise IndexStructureError(f"unknown split policy {split!r}")
         self.axes = axes
         self.max_internal = max_internal
         self.max_leaf = max_leaf
-        self.min_internal = max(1, int(max_internal * fill_factor))
-        self.min_leaf = max(1, int(max_leaf * fill_factor))
-        self.same_path_splits = same_path_splits
+        self.min_internal = max(1, int(max_internal * DEFAULT_FILL_FACTOR))
+        self.min_leaf = max(1, int(max_leaf * DEFAULT_FILL_FACTOR))
         self._splitter: Splitter = SPLITTERS[split]
         self.disk = disk if disk is not None else DiskManager()
         self._parents: Dict[int, int] = {}
@@ -315,67 +308,7 @@ class RTree:
         leaf.add(stamped, self._clock)
         self._size += 1
 
-        new_nodes: List[Node] = []
-        root_changed = False
-        pinned: Optional[tuple] = stamped.key if self.same_path_splits else None
-
-        node = leaf
-        level_idx = len(path) - 1
-        while True:
-            limit = self.max_leaf if node.is_leaf else self.max_internal
-            if len(node.entries) <= limit:
-                self._write(node)
-                break
-            min_fill = self.min_leaf if node.is_leaf else self.min_internal
-            keep, new = self._splitter(node.entries, min_fill, pinned)
-            node.replace_entries(keep, self._clock)
-            sibling = self._new_node(node.level)
-            sibling.replace_entries(new, self._clock)
-            self._write(node)
-            self._write(sibling)
-            new_nodes.append(sibling)
-            for child in self._child_ids_of(sibling):
-                self._parents[child] = sibling.page_id
-
-            if level_idx == 0:
-                # Root split: grow the tree.
-                new_root = self._new_node(node.level + 1)
-                new_root.add(
-                    InternalEntry(node.mbr(), node.page_id, timestamp=self._clock),
-                    self._clock,
-                )
-                new_root.add(
-                    InternalEntry(
-                        sibling.mbr(), sibling.page_id, timestamp=self._clock
-                    ),
-                    self._clock,
-                )
-                self._write(new_root)
-                self._parents[node.page_id] = new_root.page_id
-                self._parents[sibling.page_id] = new_root.page_id
-                self._root_id = new_root.page_id
-                new_nodes.append(new_root)
-                root_changed = True
-                break
-
-            parent = path[level_idx - 1]
-            parent.update_child_box(node.page_id, node.mbr(), self._clock)
-            parent.add(
-                InternalEntry(
-                    sibling.mbr(), sibling.page_id, timestamp=self._clock
-                ),
-                self._clock,
-            )
-            self._parents[sibling.page_id] = parent.page_id
-            pinned = (
-                ("node", sibling.page_id) if self.same_path_splits else None
-            )
-            node = parent
-            level_idx -= 1
-
-        if not root_changed:
-            self._adjust_upward(path, level_idx)
-
+        new_nodes, root_changed = self._split_upward(path, stamped.key)
         notice = InsertionNotice(
             entry=stamped,
             subtree_id=new_nodes[-1].page_id if new_nodes else None,
@@ -387,10 +320,66 @@ class RTree:
             listener(notice)
         return notice
 
-    def _child_ids_of(self, node: Node) -> Tuple[int, ...]:
-        if node.is_leaf:
-            return ()
-        return node.child_ids()
+    def _split_upward(
+        self, path: List[Node], pinned: Optional[tuple]
+    ) -> Tuple[List[Node], bool]:
+        """Split overflowing nodes from ``path[-1]`` up, then write back.
+
+        Each overflow splits its node and adds the sibling to the parent,
+        which may overflow in turn; a root split grows the tree.  With a
+        ``pinned`` key (an insertion's record) every split keeps the new
+        entry in the new sibling and the next level pins that sibling,
+        so all new nodes lie on one path (Sect. 4.1); without one
+        (subtree reinsertion) the splitter places entries freely.  MBRs
+        are propagated to the root.  Returns the new nodes, topmost
+        last, and whether the root split.
+        """
+        new_nodes: List[Node] = []
+        node = path[-1]
+        level_idx = len(path) - 1
+        while len(node.entries) > (
+            self.max_leaf if node.is_leaf else self.max_internal
+        ):
+            min_fill = self.min_leaf if node.is_leaf else self.min_internal
+            keep, new = self._splitter(node.entries, min_fill, pinned)
+            node.replace_entries(keep, self._clock)
+            sibling = self._new_node(node.level)
+            sibling.replace_entries(new, self._clock)
+            self._write(node)
+            self._write(sibling)
+            new_nodes.append(sibling)
+            if not sibling.is_leaf:
+                for child in sibling.child_ids():
+                    self._parents[child] = sibling.page_id
+
+            if level_idx == 0:
+                # Root split: grow the tree.
+                new_root = self._new_node(node.level + 1)
+                for half in (node, sibling):
+                    new_root.add(
+                        InternalEntry(half.mbr(), half.page_id, timestamp=self._clock),
+                        self._clock,
+                    )
+                    self._parents[half.page_id] = new_root.page_id
+                self._write(new_root)
+                self._root_id = new_root.page_id
+                new_nodes.append(new_root)
+                return new_nodes, True
+
+            parent = path[level_idx - 1]
+            parent.update_child_box(node.page_id, node.mbr(), self._clock)
+            parent.add(
+                InternalEntry(sibling.mbr(), sibling.page_id, timestamp=self._clock),
+                self._clock,
+            )
+            self._parents[sibling.page_id] = parent.page_id
+            if pinned is not None:
+                pinned = ("node", sibling.page_id)
+            node = parent
+            level_idx -= 1
+        self._write(node)
+        self._adjust_upward(path, level_idx)
+        return new_nodes, False
 
     def _choose_path(self, box: Box, stop_level: int = 0) -> List[Node]:
         """Guttman ChooseLeaf, root down to a node at ``stop_level``:
@@ -512,48 +501,7 @@ class RTree:
             self._clock,
         )
         self._parents[entry.child_id] = node.page_id
-        # A cascading overflow here is possible but rare; handle it by the
-        # same split machinery as insertion.
-        level_idx = len(path) - 1
-        while len(node.entries) > self.max_internal:
-            keep, new = self._splitter(node.entries, self.min_internal, None)
-            node.replace_entries(keep, self._clock)
-            sibling = self._new_node(node.level)
-            sibling.replace_entries(new, self._clock)
-            self._write(node)
-            self._write(sibling)
-            for child in sibling.child_ids():
-                self._parents[child] = sibling.page_id
-            if level_idx == 0:
-                new_root = self._new_node(node.level + 1)
-                new_root.add(
-                    InternalEntry(node.mbr(), node.page_id, timestamp=self._clock),
-                    self._clock,
-                )
-                new_root.add(
-                    InternalEntry(
-                        sibling.mbr(), sibling.page_id, timestamp=self._clock
-                    ),
-                    self._clock,
-                )
-                self._write(new_root)
-                self._parents[node.page_id] = new_root.page_id
-                self._parents[sibling.page_id] = new_root.page_id
-                self._root_id = new_root.page_id
-                return
-            parent = path[level_idx - 1]
-            parent.update_child_box(node.page_id, node.mbr(), self._clock)
-            parent.add(
-                InternalEntry(
-                    sibling.mbr(), sibling.page_id, timestamp=self._clock
-                ),
-                self._clock,
-            )
-            self._parents[sibling.page_id] = parent.page_id
-            node = parent
-            level_idx -= 1
-        self._write(node)
-        self._adjust_upward(path, level_idx)
+        self._split_upward(path, None)
 
     def _subtree_leaf_entries(self, page_id: int) -> List[LeafEntry]:
         """Collect all leaf records under ``page_id`` and free its pages.
@@ -578,15 +526,20 @@ class RTree:
 
     def search(
         self,
-        box: Box,
+        query: Union[Box, Callable[[Box], bool]],
         cost: Optional[QueryCost] = None,
         leaf_test: Optional[Callable[[LeafEntry], bool]] = None,
         *,
         fault_budget: int = 0,
         skipped: Optional[List[int]] = None,
     ) -> Iterator[LeafEntry]:
-        """Range search: yield leaf entries whose indexed box overlaps
-        ``box`` and (if given) pass the exact ``leaf_test``.
+        """Range search: yield leaf entries whose indexed box passes
+        ``query`` and (if given) the exact ``leaf_test``.
+
+        ``query`` is a box (the overlap test against it) or the pruning
+        test itself, a predicate on an entry's box applied to internal
+        and leaf entries alike; the index facades pass the test of their
+        mapping (e.g. PSI's parameter-space relaxation).
 
         Every node load counts one disk access; every entry examined
         counts one distance computation; every ``leaf_test`` invocation
@@ -600,8 +553,12 @@ class RTree:
         making the answer a well-accounted *subset*.  Without
         ``skipped`` the storage error propagates (legacy behaviour).
         """
-        if box.dims != self.axes:
-            raise IndexStructureError(f"query box has {box.dims} axes, tree has {self.axes}")
+        if isinstance(query, Box):
+            if query.dims != self.axes:
+                raise IndexStructureError(
+                    f"query box has {query.dims} axes, tree has {self.axes}"
+                )
+            query = query.overlaps
         stack = [self._root_id]
         attempts: Dict[int, int] = {}
         while stack:
@@ -622,7 +579,7 @@ class RTree:
                 for e in node.entries:
                     if cost is not None:
                         cost.count_distance_computations()
-                    if not e.box.overlaps(box):
+                    if not query(e.box):
                         continue
                     if leaf_test is not None:
                         if cost is not None:
@@ -636,7 +593,7 @@ class RTree:
                 for e in node.entries:
                     if cost is not None:
                         cost.count_distance_computations()
-                    if e.box.overlaps(box):
+                    if query(e.box):
                         stack.append(e.child_id)  # type: ignore[union-attr]
 
     def all_leaf_entries(self) -> Iterator[LeafEntry]:

@@ -1,20 +1,17 @@
-"""Tree statistics and structural integrity checking.
+"""Tree statistics: the index geometry the experiment reports print next
+to the paper's ("fanout is 145 and 127 ...; tree height is 3").
 
-Used by tests (every insertion batch must leave a well-formed tree) and
-by the experiment reports, which print the index geometry next to the
-paper's ("fanout is 145 and 127 ...; tree height is 3").
+Structural invariants are checked by :func:`repro.index.check.fsck`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
-from repro.errors import IndexStructureError
-from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.rtree import RTree
 
-__all__ = ["TreeStats", "collect_stats", "verify_integrity"]
+__all__ = ["TreeStats", "collect_stats"]
 
 
 @dataclass
@@ -61,54 +58,3 @@ def collect_stats(tree: RTree) -> TreeStats:
             stats.internal_nodes * tree.max_internal
         )
     return stats
-
-
-def verify_integrity(tree: RTree) -> None:
-    """Assert structural invariants; raise :class:`IndexStructureError` on violation.
-
-    Checked invariants:
-
-    1. every internal entry's box contains its child's MBR;
-    2. all leaves are at level 0 and levels decrease by one per step;
-    3. the parent directory matches the actual topology;
-    4. the recorded size equals the number of stored records;
-    5. no node except the root is empty.
-    """
-    count = 0
-    stack: List[tuple] = [(tree.root_id, None, None)]
-    while stack:
-        page_id, expected_level, parent_id = stack.pop()
-        node = tree.disk.read(page_id)
-        if expected_level is not None and node.level != expected_level:
-            raise IndexStructureError(
-                f"node {page_id} at level {node.level}, expected {expected_level}"
-            )
-        if parent_id is not None:
-            recorded = tree.parent_of(page_id)
-            if recorded != parent_id:
-                raise IndexStructureError(
-                    f"parent directory says {recorded} for node {page_id}, "
-                    f"topology says {parent_id}"
-                )
-            if not node.entries:
-                raise IndexStructureError(f"non-root node {page_id} is empty")
-        if node.is_leaf:
-            for e in node.entries:
-                if not isinstance(e, LeafEntry):
-                    raise IndexStructureError(f"leaf {page_id} holds {type(e).__name__}")
-                count += 1
-        else:
-            for e in node.entries:
-                if not isinstance(e, InternalEntry):
-                    raise IndexStructureError(
-                        f"internal node {page_id} holds {type(e).__name__}"
-                    )
-                child = tree.disk.read(e.child_id)
-                if not e.box.contains_box(child.mbr()):
-                    raise IndexStructureError(
-                        f"entry box of child {e.child_id} in node {page_id} "
-                        f"does not contain the child's MBR"
-                    )
-                stack.append((e.child_id, node.level - 1, page_id))
-    if count != len(tree):
-        raise IndexStructureError(f"tree reports {len(tree)} records, found {count}")

@@ -14,6 +14,7 @@ from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
+from repro.index.check import fsck
 from repro.index.codec import CHECKSUM_FRAME_BYTES
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
@@ -37,6 +38,12 @@ def make_segment(
 def window(x0: float, y0: float, x1: float, y1: float) -> Box:
     """2-d spatial box literal."""
     return Box.from_bounds((x0, y0), (x1, y1))
+
+
+def assert_fsck_clean(tree) -> None:
+    """Fail with fsck's summary and every violation unless ``tree`` is sound."""
+    report = fsck(tree)
+    assert report.ok, "\n".join([report.summary(), *map(str, report.violations)])
 
 
 class JsonPageCodec:

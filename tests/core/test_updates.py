@@ -15,9 +15,8 @@ from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.stats import verify_integrity
 
-from _helpers import make_segment, window
+from _helpers import assert_fsck_clean, make_segment, window
 
 
 def populated_native(segments, page_size=512):
@@ -90,7 +89,7 @@ class TestPDQUpdates:
                     inserted.append((seg, appear))
                     oid += 1
                 t += 0.5
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)
         keys = [i.key for i in delivered]
         pairs = [(i.key, i.visibility) for i in delivered]
         assert len(pairs) == len(set(pairs))  # no duplicate deliveries
@@ -136,7 +135,7 @@ class TestPDQUpdates:
                 delivered.extend(pdq.window(t, t + 0.25))
         pairs = [(i.key, i.visibility) for i in delivered]
         assert len(pairs) == len(set(pairs))
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)
 
 
 class TestNPDQUpdates:
@@ -198,4 +197,4 @@ class TestNPDQUpdates:
         for seg in inserted:
             if seg.time.overlaps(Interval(4.0, 4.2)):
                 assert seg.key in delivered
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)

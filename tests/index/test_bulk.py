@@ -9,9 +9,8 @@ from repro.geometry.box import Box
 from repro.index.bulk import str_bulk_load
 from repro.index.entry import LeafEntry
 from repro.index.rtree import RTree
-from repro.index.stats import collect_stats, verify_integrity
 
-from _helpers import make_segment
+from _helpers import assert_fsck_clean, make_segment
 
 
 def entries(rng, n):
@@ -37,7 +36,7 @@ class TestBalanced:
         es = entries(rng, 500)
         str_bulk_load(tree, es)
         assert len(tree) == 500
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_empty_input_is_noop(self):
         tree = fresh_tree()
@@ -57,22 +56,10 @@ class TestBalanced:
         with pytest.raises(IndexStructureError):
             str_bulk_load(tree, es[1:])
 
-    def test_bad_fill_rejected(self, rng):
-        with pytest.raises(IndexStructureError):
-            str_bulk_load(fresh_tree(), entries(rng, 10), target_fill=0.0)
-
     def test_wrong_axes_rejected(self):
         tree = RTree(axes=4, max_internal=8, max_leaf=8)
         with pytest.raises(IndexStructureError):
             str_bulk_load(tree, entries(random.Random(0), 5))
-
-    def test_target_fill_shapes_leaves(self, rng):
-        es = entries(rng, 400)
-        half = fresh_tree(cap=20)
-        str_bulk_load(half, es, target_fill=0.5)
-        full = fresh_tree(cap=20)
-        str_bulk_load(full, es, target_fill=1.0)
-        assert collect_stats(half).leaf_nodes > collect_stats(full).leaf_nodes
 
     def test_search_equals_linear_scan(self, rng):
         tree = fresh_tree()
@@ -95,7 +82,7 @@ class TestBalanced:
             rec = make_segment(1000 + i, 0, 1, 2, (5, 5))
             tree.insert(LeafEntry(rec.bounding_box(), rec))
         assert len(tree) == 250
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
 
 class TestTimeMajor:
@@ -104,7 +91,7 @@ class TestTimeMajor:
         es = entries(rng, 500)
         str_bulk_load(tree, es, time_slabs=10, tile_axes=(1, 2))
         assert len(tree) == 500
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_leaves_are_time_narrow(self, rng):
         es = entries(rng, 800)

@@ -4,14 +4,13 @@ import pytest
 
 from repro.errors import QueryError
 from repro.geometry.box import Box
-from repro.geometry.interval import Interval
+from repro.geometry.interval import EMPTY_INTERVAL, Interval
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.stats import verify_integrity
 from repro.storage.metrics import QueryCost
 
-from _helpers import make_segment, window
+from _helpers import assert_fsck_clean, make_segment, window
 
 
 @pytest.fixture(params=["native", "dual"])
@@ -79,6 +78,10 @@ class TestQueryBoxes:
         dti = DualTimeIndex(dims=2)
         with pytest.raises(QueryError):
             dti.query_box(Interval(2, 1), window(0, 0, 1, 1))
+        # One boundary rule for every flavour's search, NSI included.
+        for index in (dti, NativeSpaceIndex(dims=2)):
+            with pytest.raises(QueryError, match="empty time interval"):
+                index.snapshot_search(EMPTY_INTERVAL, window(0, 0, 1, 1))
 
     def test_window_dim_mismatch(self):
         nsi = NativeSpaceIndex(dims=2)
@@ -184,5 +187,5 @@ class TestDualTimeMapping:
             assert e.box.extent(0).low <= e.box.extent(1).low
 
     def test_integrity(self, tiny_native, tiny_dual):
-        verify_integrity(tiny_native.tree)
-        verify_integrity(tiny_dual.tree)
+        assert_fsck_clean(tiny_native.tree)
+        assert_fsck_clean(tiny_dual.tree)

@@ -15,10 +15,9 @@ from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
 from repro.index.rtree import RTree
-from repro.index.stats import verify_integrity
 from repro.storage.constants import PAGE_SIZE
 
-from _helpers import make_segment
+from _helpers import assert_fsck_clean, make_segment
 
 
 def random_leaf_entry(rng, oid):
@@ -57,8 +56,8 @@ class TestInterleavedOperations:
                 alive[oid] = entry
                 oid += 1
             if step % 45 == 0:
-                verify_integrity(tree)
-        verify_integrity(tree)
+                assert_fsck_clean(tree)
+        assert_fsck_clean(tree)
         assert len(tree) == len(alive)
         # Exact search equivalence on a few probes.
         for _ in range(5):

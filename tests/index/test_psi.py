@@ -7,10 +7,9 @@ from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.psi import ParametricSpaceIndex
-from repro.index.stats import verify_integrity
 from repro.storage.metrics import QueryCost
 
-from _helpers import make_segment, window
+from _helpers import assert_fsck_clean, make_segment, window
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +81,7 @@ class TestCorrectness:
         assert exact <= loose
 
     def test_integrity_and_size(self, psi, tiny_segments):
-        verify_integrity(psi.tree)
+        assert_fsck_clean(psi.tree)
         assert len(psi) == len(tiny_segments)
 
     def test_invalid_queries_rejected(self, psi):

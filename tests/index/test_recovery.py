@@ -8,12 +8,11 @@ from repro.errors import TransientIOError
 from repro.index.check import fsck
 from repro.index.entry import LeafEntry
 from repro.index.rtree import RTree
-from repro.index.stats import verify_integrity
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector
 from repro.storage.wal import IntentLog
 
-from _helpers import make_segment
+from _helpers import assert_fsck_clean, make_segment
 
 
 def leaf_entry(oid, t0, t1, origin, velocity=(0.0, 0.0)):
@@ -64,7 +63,7 @@ class TestAtomicOperations:
         assert log.commits == 30
         assert log.rollbacks == 0
         assert len(tree) == 30
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_failed_split_rolls_back_atomically(self):
         tree, log = logged_tree()
@@ -80,7 +79,7 @@ class TestAtomicOperations:
         tree.disk.set_faults(None)
         assert tree_image(tree) == before  # auto rollback restored it all
         assert log.rollbacks == 1
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
         assert fsck(tree).ok
 
     def test_failed_delete_rolls_back(self):
@@ -99,7 +98,7 @@ class TestAtomicOperations:
         assert len(tree) == 25
         # The delete still works once the fault is gone.
         assert tree.delete(victim.record.key, victim.box)
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_orphan_reinsertion_nests_under_one_transaction(self):
         # Condensing after delete reinserts orphans via insert(); that
@@ -113,7 +112,7 @@ class TestAtomicOperations:
         for e in entries[:20]:
             assert tree.delete(e.record.key, e.box)
         assert log.commits == commits_before + 20  # one txn per delete
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
 
 class TestCrashAndRecover:
@@ -142,7 +141,7 @@ class TestCrashAndRecover:
         assert tree.recover()
         assert not log.in_flight
         assert tree_image(tree) == before
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
         assert fsck(tree).ok
 
     def test_recover_without_crash_is_a_noop(self):
@@ -156,7 +155,7 @@ class TestCrashAndRecover:
         tree.recover()
         tree.insert(leaf_entry(99, 0.0, 1.0, (50.0, 50.0)))
         assert len(tree) == 36
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_crash_during_root_split_recovers(self):
         tree, log = logged_tree(auto_rollback=False, max_entries=3)

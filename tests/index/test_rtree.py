@@ -6,10 +6,10 @@ from repro.errors import IndexStructureError
 from repro.geometry.box import Box
 from repro.index.entry import LeafEntry
 from repro.index.rtree import RTree
-from repro.index.stats import collect_stats, verify_integrity
+from repro.index.stats import collect_stats
 from repro.storage.metrics import QueryCost
 
-from _helpers import make_segment
+from _helpers import assert_fsck_clean, make_segment
 
 
 def leaf_entry(oid, t0, t1, origin, velocity=(0.0, 0.0)):
@@ -43,8 +43,6 @@ class TestConstruction:
             RTree(axes=0, max_internal=4, max_leaf=4)
         with pytest.raises(IndexStructureError):
             RTree(axes=2, max_internal=1, max_leaf=4)
-        with pytest.raises(IndexStructureError):
-            RTree(axes=2, max_internal=4, max_leaf=4, fill_factor=0.9)
         with pytest.raises(IndexStructureError):
             RTree(axes=2, max_internal=4, max_leaf=4, split="bogus")
 
@@ -82,7 +80,7 @@ class TestInsertSearch:
             tree.insert(e)
         assert len(tree) == 200
         assert tree.height >= 3
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_search_equals_linear_scan(self, rng):
         tree = small_tree()
@@ -110,7 +108,7 @@ class TestInsertSearch:
         tree = small_tree(split="linear")
         for e in random_entries(rng, 150):
             tree.insert(e)
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_cost_counting_during_search(self, rng):
         tree = small_tree()
@@ -195,7 +193,7 @@ class TestSamePathSplits:
     def test_notice_subtree_contains_inserted_record(self, rng):
         """With forced same-path splits the notified subtree's box always
         contains the record that caused the cascade (Sect. 4.1)."""
-        tree = small_tree(same_path_splits=True)
+        tree = small_tree()
         for e in random_entries(rng, 400):
             notice = tree.insert(e)
             if notice.subtree_id is not None and not notice.root_changed:
@@ -214,7 +212,7 @@ class TestSamePathSplits:
                     else:
                         stack.extend(node.child_ids())
                 assert found
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_root_split_flagged(self):
         tree = small_tree()
@@ -248,7 +246,7 @@ class TestDeletion:
         assert victim.record.key not in {
             e.record.key for e in tree.all_leaf_entries()
         }
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
 
     def test_delete_absent_returns_false(self, rng):
         tree = small_tree()
@@ -277,7 +275,7 @@ class TestDeletion:
         for e in entries[::3]:
             tree.delete(e.record.key, e.box)
             removed.add(e.record.key)
-        verify_integrity(tree)
+        assert_fsck_clean(tree)
         q = Box.from_bounds((0, 0, 0), (50, 100, 100))
         got = {e.record.key for e in tree.search(q)}
         expected = {e.record.key for e in entries} - removed

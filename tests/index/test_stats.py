@@ -1,14 +1,15 @@
-"""Tests for tree statistics and the integrity checker itself."""
+"""Tests for tree statistics and for the structural checker (fsck) on the
+corruptions that matter most to the tests that assert with it."""
 
 import pytest
 
-from repro.errors import IndexStructureError
 from repro.geometry.box import Box
+from repro.index.check import fsck
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.rtree import RTree
-from repro.index.stats import collect_stats, verify_integrity
+from repro.index.stats import collect_stats
 
-from _helpers import make_segment
+from _helpers import assert_fsck_clean, make_segment
 
 
 def small_tree(n=60, cap=4):
@@ -41,15 +42,20 @@ class TestCollectStats:
         assert stats.leaf_nodes == 1
 
 
+def error_kinds(tree):
+    return {v.kind for v in fsck(tree).errors}
+
+
 class TestVerifyIntegrity:
+    """fsck, the one structural checker, on the corruptions tests guard."""
+
     def test_passes_on_valid_tree(self):
-        verify_integrity(small_tree(80))
+        assert_fsck_clean(small_tree(80))
 
     def test_detects_size_mismatch(self):
         tree = small_tree(20)
         tree._size += 1
-        with pytest.raises(IndexStructureError):
-            verify_integrity(tree)
+        assert "record-count" in error_kinds(tree)
 
     def test_detects_box_not_covering_child(self):
         tree = small_tree(60)
@@ -57,16 +63,14 @@ class TestVerifyIntegrity:
         bad_box = Box.from_bounds((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))
         entry = root.entries[0]
         root.entries[0] = InternalEntry(bad_box, entry.child_id)
-        with pytest.raises(IndexStructureError):
-            verify_integrity(tree)
+        assert "mbr-containment" in error_kinds(tree)
 
     def test_detects_parent_directory_corruption(self):
         tree = small_tree(60)
         root = tree.disk.read(tree.root_id)
         child = root.child_ids()[0]
         tree._parents[child] = 987654
-        with pytest.raises(IndexStructureError):
-            verify_integrity(tree)
+        assert "parent-directory" in error_kinds(tree)
 
     def test_detects_level_skew(self):
         tree = small_tree(120)
@@ -80,5 +84,4 @@ class TestVerifyIntegrity:
         # Point the root directly at a grandchild: level gap of 2.
         root.entries[0] = InternalEntry(root.entries[0].box, grandchild)
         tree._parents[grandchild] = root.page_id
-        with pytest.raises(IndexStructureError):
-            verify_integrity(tree)
+        assert "level-mismatch" in error_kinds(tree)

@@ -23,9 +23,10 @@ from repro.geometry.interval import Interval
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.stats import verify_integrity
 from repro.motion.segment import MotionSegment
 from repro.geometry.segment import SpaceTimeSegment
+
+from _helpers import assert_fsck_clean
 
 SIDE = 30.0
 SPAN = Interval(0.0, 6.0)
@@ -97,7 +98,7 @@ class TestPDQUnderRandomInserts:
                     inserted.append((rec, t_next))
                     oid += 1
                 t = t_next
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)
 
         pairs = [(i.key, i.visibility) for i in delivered]
         assert len(pairs) == len(set(pairs)), "duplicate delivery"
@@ -169,4 +170,4 @@ class TestNPDQUnderRandomInserts:
                 oid += 1
             center = [c + v * 0.3 for c, v in zip(center, vel)]
             t = t_next
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)

@@ -15,8 +15,9 @@ from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.stats import verify_integrity
 from repro.motion.segment import MotionSegment
+
+from _helpers import assert_fsck_clean
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +76,8 @@ class Test3D:
         assert dual3d.tree.max_internal == 92
 
     def test_integrity(self, native3d, dual3d):
-        verify_integrity(native3d.tree)
-        verify_integrity(dual3d.tree)
+        assert_fsck_clean(native3d.tree)
+        assert_fsck_clean(dual3d.tree)
 
     def test_snapshot_matches_brute_force(self, native3d, dual3d, segments3d):
         time = Interval(4.0, 4.5)

@@ -4,11 +4,10 @@ import pytest
 
 from repro.core.pdq import PDQEngine
 from repro.errors import ServerError
-from repro.index.stats import verify_integrity
 from repro.server.dispatcher import UpdateDispatcher, UpdateOp
 from repro.storage.faults import FaultInjector
 
-from _helpers import make_segment
+from _helpers import assert_fsck_clean, make_segment
 
 
 def fresh_segment(oid, t0=2.0, origin=(50.0, 50.0)):
@@ -83,7 +82,7 @@ class TestExpires:
         assert dispatcher.flush_expired() == 1
         assert len(index) == before - 1
         assert not dispatcher.deferred_expires
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)
 
     def test_expires_apply_directly_when_quiesced(
         self, build_native, build_dual, tiny_segments
@@ -112,7 +111,7 @@ class TestWriterCrash:
             e.record.key == (9001, 9)
             for e in index.tree.all_leaf_entries()
         )
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)
 
     def test_persistent_crash_drops_the_update(self, build_native):
         index = build_native(intent_log=True)
@@ -128,4 +127,4 @@ class TestWriterCrash:
         index.tree.recover()
         # The tree is structurally whole and back to its pre-insert state.
         assert len(index) == before
-        verify_integrity(index.tree)
+        assert_fsck_clean(index.tree)

@@ -12,9 +12,8 @@ import pytest
 from repro.core.results import AnswerItem
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
-from repro.errors import AdmissionError, IndexStructureError, ServerError
+from repro.errors import AdmissionError, ServerError
 from repro.geometry.box import Box
-from repro.index import NativeSpaceIndex, sharded_bulk_load
 from repro.server import (
     MultiplexBroker,
     QueryBroker,
@@ -138,29 +137,6 @@ class TestShardRouter:
         assert router.shards_for_trajectory(parked) == [0]
         # Slack (the shed-δ window inflation) can pull in the neighbour.
         assert sorted(router.shards_for_trajectory(parked, slack=6.0)) == [0, 1]
-
-
-# -- sharded bulk loading ----------------------------------------------------
-
-
-class TestShardedBulkLoad:
-    def test_counts_and_replication(self, tiny_segments):
-        plan = ShardPlan.grid([0.0, 0.0], [32.0, 32.0], 4)
-        router = ShardRouter(plan)
-        indexes = [NativeSpaceIndex(dims=2) for _ in range(4)]
-        counts = sharded_bulk_load(
-            indexes, tiny_segments, router.shards_for_segment
-        )
-        assert [len(ix) for ix in indexes] == counts
-        # Replication counts straddlers once per holding shard.
-        assert sum(counts) >= len(tiny_segments)
-        assert all(c > 0 for c in counts)
-
-    def test_out_of_range_assignment_is_an_error(self, tiny_segments):
-        with pytest.raises(IndexStructureError):
-            sharded_bulk_load(
-                [NativeSpaceIndex(dims=2)], tiny_segments[:2], lambda s: [1]
-            )
 
 
 # -- result merging ----------------------------------------------------------
@@ -375,7 +351,13 @@ def test_tick_metrics_roll_up_across_shards(tiny_config, tiny_segments):
         tiny_config, 4, mode="independent",
         duration=TICKS * PERIOD + 0.5, start_time=START, seed=5,
     )
-    mux = make_mux(tiny_segments, 4)
+    side = tiny_config.space_side
+    mux = make_mux([], 4, bounds=([0.0, 0.0], [side, side]))
+    counts = mux.load(tiny_segments)
+    # Replication counts straddlers once per holding shard.
+    assert sum(counts) >= len(tiny_segments)
+    assert all(c > 0 for c in counts)
+    assert counts == [len(shard.native) for shard in mux.shards]
     for i, traj in enumerate(fleet):
         mux.register("pdq", f"c{i}", trajectory=traj)
     mux.run(TICKS)
