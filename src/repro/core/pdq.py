@@ -27,6 +27,10 @@ within ``rebuild_depth`` of the root (the paper: "if the lowest common
 ancestor ... is close to the root node, it is better to empty the
 priority queue ... and rebuild"), the queue is rebuilt from the root
 instead.
+
+:func:`sweep_windows` evaluates, page-major, the pages many engines'
+next windows will expand; each engine's ``window`` then pops, expands
+and pushes exactly as it does alone, so answers and costs are its own.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CorruptPageError, QueryError, TransientIOError
 from repro.core.results import AnswerItem, SnapshotResult
 from repro.core.trajectory import QueryTrajectory
+from repro.geometry import kernels
 from repro.geometry.interval import Interval
 from repro.geometry.timeset import TimeSet
 from repro.index.entry import LeafEntry
@@ -47,7 +52,7 @@ from repro.index.pagearrays import page_arrays
 from repro.index.rtree import InsertionNotice
 from repro.storage.metrics import QueryCost
 
-__all__ = ["PDQEngine"]
+__all__ = ["PDQEngine", "sweep_windows"]
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,8 @@ class PDQEngine:
         self._expanded: set = set()
         self._reported: set = set()
         self._fault_attempts: dict = {}
+        # page id -> (PageArrays, frontier, components) from sweep_windows
+        self._stash: Dict[int, tuple] = {}
         self._frontier = trajectory.time_span.low
         self._closed = False
         self._tracking = track_updates
@@ -180,8 +187,10 @@ class PDQEngine:
         The whole page is evaluated by one batch pass
         (:mod:`repro.geometry.kernels`, bit-identical to the scalar
         ``segment_overlap``/``box_overlap``) that hands back only the
-        components still ahead of the frontier; the paper's per-entry
-        costs are charged for the page at once.
+        components still ahead of the frontier, unless a
+        :func:`sweep_windows` stashed them for this page image and
+        frontier; the paper's per-entry costs are charged for the page at
+        once.
         """
         node = self.index.tree.load_node(page_id, self.cost)
         arrays = page_arrays(node)
@@ -189,12 +198,15 @@ class PDQEngine:
         self.cost.count_distance_computations(len(entries))
         if node.is_leaf:
             self.cost.count_segment_tests(len(entries))
-            batch = arrays.segment_batch()
+        stashed = self._stash.pop(page_id, (None, None, None))
+        if stashed[0] is arrays and stashed[1] == self._frontier:
+            components = stashed[2]
         else:
-            batch = arrays.box_batch()
-        for k, component in self.trajectory.live_components(
-            batch, self._frontier
-        ):
+            components = self.trajectory.live_components(
+                arrays.segment_batch() if node.is_leaf else arrays.box_batch(),
+                self._frontier,
+            )
+        for k, component in components:
             if node.is_leaf:
                 self._push(_Pending(component, entry=entries[k]))  # type: ignore[arg-type]
             else:
@@ -203,24 +215,32 @@ class PDQEngine:
     # -- frontier inspection (shared-scan support) --------------------------------
 
     def frontier_pages(self, t_end: float) -> List[int]:
-        """Page ids of queued nodes this engine will expand by ``t_end``.
-
-        The serving layer's shared-scan scheduler polls every live
-        engine's frontier at tick start, batches the union by page id,
-        and reads each page once for all clients.  The heap is only
-        inspected, never mutated, so calling this is always safe; pages
+        """Page ids of queued nodes this engine will expand by ``t_end``
+        — the batch demand of an engine no sweep evaluates (an auto
+        session's).  The heap is only inspected, never mutated; pages
         already expanded (duplicates from update notifications) are
         excluded.  Sorted and de-duplicated.
         """
-        due = {
-            item.page_id
-            for start, _, item in self._heap
-            if start <= t_end
-            and item.is_node
-            and item.page_id not in self._expanded
-            and item.interval.high >= self._frontier
-        }
-        return sorted(due)
+        return sorted(self._due_pages(self._frontier, t_end))
+
+    def _due_pages(self, t_start: float, t_end: float) -> Set[int]:
+        """Pages ``window(t_start, t_end)`` pops and expands from the queue
+        as it stands, by a heap walk that leaves a subtree whose top is
+        due after ``t_end`` (heap order: nothing below is due earlier)."""
+        heap, due, stack = self._heap, set(), [0]
+        while stack:
+            i = stack.pop()
+            if i >= len(heap) or heap[i][0] > t_end:
+                continue
+            item = heap[i][2]
+            if (
+                item.page_id >= 0
+                and item.page_id not in self._expanded
+                and item.interval.high >= t_start
+            ):
+                due.add(item.page_id)
+            stack += (2 * i + 1, 2 * i + 2)
+        return due
 
     # -- Algorithm 4.1 ---------------------------------------------------------------
 
@@ -276,11 +296,13 @@ class PDQEngine:
         return None
 
     def window(self, t_start: float, t_end: float) -> List[AnswerItem]:
-        """All objects appearing during ``[t_start, t_end]``."""
+        """All objects appearing during ``[t_start, t_end]`` (what a
+        sweep stashed for it and it did not take is dropped)."""
         items: List[AnswerItem] = []
         while True:
             item = self.get_next(t_start, t_end)
             if item is None:
+                self._stash.clear()
                 return items
             items.append(item)
 
@@ -316,6 +338,7 @@ class PDQEngine:
         """React to a concurrent insertion into the index."""
         if self._closed:
             return
+        self._stash.clear()  # the tree changed under what a sweep read
         if notice.subtree_id is None:
             # No split: consider the inserted segment directly.
             self.cost.count_segment_tests()
@@ -346,3 +369,73 @@ class PDQEngine:
         self._heap.clear()
         self._expanded.clear()
         self._seed_root()
+
+
+def sweep_windows(
+    requests: Sequence[Tuple[PDQEngine, float, float]],
+    table: Optional[kernels.TrajectoryTable],
+) -> Tuple[List[List[int]], int]:
+    """Evaluate, page-major, every page ``engine.window(t_start, t_end)``
+    will expand, for each ``(engine, t_start, t_end)``.
+
+    The engines share one index.  An engine's seeds are its queued
+    node items due in the window; an internal page's live children whose
+    component starts by ``t_end`` (and that the engine has not expanded)
+    are the next round.  A round loads each of its pages once, in
+    page-id order, and evaluates every (engine, page) pair of it in one
+    kernel call for the leaves and one for the internal pages.  The
+    components wait in each engine's stash, checked against the page's
+    arrays and the engine's frontier, for its own ``window`` — which
+    pops, charges and pushes exactly as without a sweep.  Nothing here
+    touches a queue.
+
+    ``table`` stacks the engines' trajectories' kernel tables, in order
+    (``None`` for no requests).  Returns, per request, the sorted pages
+    loaded for it — the pages its window will expand — and the count of
+    failed page loads (each engine's own expansion reads those under its
+    fault policy).  An index without a buffer pool is not swept: its
+    pages would be read twice.
+    """
+    engines = [engine for engine, _, _ in requests]
+    tree = engines[0].index.tree if engines else None
+    if tree is None or tree.disk.buffer_pool is None:
+        return [[] for _ in engines], 0
+    frontiers, reached, todo, failed = [], [], {}, 0  # todo: page -> slots
+    for slot, (engine, t_start, t_end) in enumerate(requests):
+        engine._stash = {}
+        frontiers.append(max(engine._frontier, t_start))
+        reached.append(engine._due_pages(t_start, t_end))
+        for page_id in reached[-1]:
+            todo.setdefault(page_id, []).append(slot)
+    while todo:
+        leaves: list = []  # (slot, page id, arrays) of this round, by page kind
+        internal: list = []
+        for page_id in sorted(todo):
+            try:
+                arrays = page_arrays(tree.load_node(page_id))
+            except (TransientIOError, CorruptPageError):
+                failed += 1
+                for slot in todo[page_id]:
+                    reached[slot].discard(page_id)
+                continue
+            pairs = leaves if arrays.is_leaf else internal
+            pairs.extend((slot, page_id, arrays) for slot in todo[page_id])
+        todo = {}
+        for pairs in filter(None, (leaves, internal)):  # a kernel call per kind
+            found = kernels.gathered_live_components(table, [
+                (a.segment_batch() if a.is_leaf else a.box_batch(), slot, frontiers[slot])
+                for slot, _, a in pairs
+            ])
+            for (slot, page_id, arrays), components in zip(pairs, found):
+                engine, mine, t_end = engines[slot], reached[slot], requests[slot][2]
+                engine._stash[page_id] = (arrays, frontiers[slot], components)
+                for k, component in [] if arrays.is_leaf else components:
+                    child = arrays.child_id(k)
+                    if (
+                        component.low <= t_end
+                        and child not in mine
+                        and child not in engine._expanded
+                    ):
+                        mine.add(child)
+                        todo.setdefault(child, []).append(slot)
+    return [sorted(pages) for pages in reached], failed

@@ -69,10 +69,6 @@ class SPDQEngine:
         """The underlying PDQ cost accumulator."""
         return self.engine.cost
 
-    def frontier_pages(self, t_end: float) -> "List[int]":
-        """Queued node pages due by ``t_end`` (shared-scan hook)."""
-        return self.engine.frontier_pages(t_end)
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:

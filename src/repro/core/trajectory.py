@@ -60,7 +60,7 @@ class QueryTrajectory:
         window dimensionality.
     """
 
-    __slots__ = ("_keys", "_times", "_segments", "_params")
+    __slots__ = ("_keys", "_times", "_segments", "_table")
 
     def __init__(self, key_snapshots: Sequence[KeySnapshot]):
         keys = tuple(key_snapshots)
@@ -78,8 +78,8 @@ class QueryTrajectory:
             MovingWindow(Interval(a.time, b.time), a.window, b.window)
             for a, b in zip(keys, keys[1:])
         )
-        # Per-segment kernels.WindowParams, built on the first page.
-        self._params: Optional[Tuple["kernels.WindowParams", ...]] = None
+        # The kernels' columns of key times and borders, built on the first page.
+        self._table: Optional["kernels.TrajectoryTable"] = None
 
     # -- constructors -----------------------------------------------------
 
@@ -238,21 +238,23 @@ class QueryTrajectory:
 
     # -- page-at-a-time batch evaluation (repro.geometry.kernels) ----------
 
-    def live_components(
-        self, batch: "kernels.SegmentBatch | kernels.BoxBatch", frontier: float
-    ) -> List[Tuple[int, Interval]]:
+    def kernel_table(self) -> "kernels.TrajectoryTable":
+        """Key times and segment borders as the page kernels' columns."""
+        if self._table is None:
+            self._table = kernels.TrajectoryTable(
+                self._times, [kernels.window_params(s) for s in self._segments]
+            )
+        return self._table
+
+    def live_components(self, batch, frontier: float) -> List[Tuple[int, Interval]]:
         """``(k, component)`` for every visibility component of the
         page's entry ``k`` that ends at or after ``frontier``, in entry
         order then start order: :meth:`segment_overlap` (a leaf page's
         segment batch) or :meth:`box_overlap` (a box batch) of every
         entry in one pass, bit-identical, minus what a queue whose
         frontier is ``frontier`` would drop unseen."""
-        if self._params is None:
-            self._params = tuple(
-                kernels.window_params(s) for s in self._segments
-            )
         return kernels.trajectory_live_components(
-            batch, self._times, self._params, frontier
+            batch, self.kernel_table(), frontier
         )
 
     # -- deriving the frame-level snapshot series ---------------------------------

@@ -65,7 +65,9 @@ __all__ = [
     "window_params",
     "moving_window_box_overlap_batch",
     "moving_window_segment_overlap_batch",
+    "TrajectoryTable",
     "trajectory_live_components",
+    "gathered_live_components",
     "segment_box_overlap_batch",
     "stamp_column",
     "DiscardRule",
@@ -452,7 +454,10 @@ class WindowParams:
     ``t = 0`` (``u(t) = mu·t + uc``) — exactly the subexpressions
     ``u0 - mu * t0`` / ``l0 - ml * t0`` the scalar overlap functions
     compute, evaluated once in Python floats so every kernel row reuses
-    the identical values.
+    the identical values.  The page kernels read each field as a scalar
+    that broadcasts over a page, or as an array holding one value per
+    row (a :class:`TrajectoryTable`'s columns): the same float64
+    operations either way.
     """
 
     __slots__ = ("t_lo", "t_hi", "dims", "mus", "ucs", "mls", "lcs")
@@ -487,6 +492,44 @@ def window_params(window) -> WindowParams:
         mls.append(ml)
         lcs.append(l0 - ml * t0)
     return WindowParams(t0, window.time.high, mus, ucs, mls, lcs)
+
+
+class TrajectoryTable:
+    """The key times and border lines of key-snapshot trajectories, as
+    the columns :func:`gathered_live_components` reads.
+
+    Trajectory ``t`` has ``m[t]`` segments.  Its key times are row ``t``
+    of ``keys``, padded with ``+inf`` to the longest trajectory's; the
+    :class:`WindowParams` of its segment ``j`` are column ``base[t] + j``
+    of ``params``, whose rows are ``t_lo``, ``t_hi``, then ``mus``,
+    ``ucs``, ``mls`` and ``lcs`` per dimension, and entry ``base[t] + j``
+    of ``windows``.  ``end[t]`` is its last key time.
+    """
+
+    __slots__ = ("dims", "keys", "m", "end", "base", "params", "windows")
+
+    def __init__(self, key_times: Sequence[float], params: Sequence[WindowParams]):
+        self.dims, self.m, self.windows = params[0].dims, np.asarray([len(params)]), params
+        self.keys = np.asarray([key_times], dtype=np.float64)
+        self.end, self.base = self.keys[:, -1], np.zeros(1, dtype=np.intp)
+        self.params = np.asarray(
+            [[p.t_lo, p.t_hi, *p.mus, *p.ucs, *p.mls, *p.lcs] for p in params],
+            dtype=np.float64,
+        ).T
+
+    @classmethod
+    def stack(cls, tables: Sequence["TrajectoryTable"]) -> "TrajectoryTable":
+        """One table of every trajectory of ``tables`` (of one dims), in order."""
+        table, width = cls.__new__(cls), max(t.keys.shape[1] for t in tables)
+        table.keys = np.asarray(
+            [[*t.keys[0], *[np.inf] * (width - t.keys.shape[1])] for t in tables]
+        )
+        table.dims, table.m = tables[0].dims, np.concatenate([t.m for t in tables])
+        table.end = np.concatenate([t.end for t in tables])
+        table.base = np.cumsum(table.m) - table.m
+        table.windows = [w for t in tables for w in t.windows]
+        table.params = np.concatenate([t.params for t in tables], axis=1)
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +646,13 @@ def moving_window_segment_overlap_batch(
 
 def trajectory_live_components(
     batch: Union[SegmentBatch, BoxBatch],
-    key_times: Sequence[float],
-    params: Sequence[WindowParams],
+    table: "TrajectoryTable",
     frontier: float,
 ) -> List[Tuple[int, Interval]]:
-    """One page against a whole key-snapshot trajectory, survivors only.
+    """One page against a whole key-snapshot trajectory, survivors only:
+    the one-demand case of :func:`gathered_live_components`.
 
-    ``key_times`` are the trajectory's ``n`` strictly increasing key
-    times and ``params`` its ``n - 1`` trajectory segments.  The result
+    ``table`` is the trajectory's :class:`TrajectoryTable`.  The result
     is ``(k, component)`` for every connected component of entry ``k``'s
     overlap with the trajectory that ends at or after ``frontier``, in
     entry order, then start order — exactly
@@ -625,70 +667,115 @@ def trajectory_live_components(
     or last key time — meets the one segment starting there (the last
     one at the final key).
     """
-    if batch.n == 0:
-        return []
-    if isinstance(batch, SegmentBatch):
-        bounds, t_lo, t_hi = _segment_overlap_bounds, batch.t_lo, batch.t_hi
+    return gathered_live_components(table, [(batch, 0, frontier)])[0]
+
+
+def gathered_live_components(
+    table: "TrajectoryTable",
+    demands: Sequence[Tuple[Union[SegmentBatch, BoxBatch], int, float]],
+) -> List[List[Tuple[int, Interval]]]:
+    """:func:`trajectory_live_components` of many demands in one pass.
+
+    A demand is ``(batch, t, frontier)``: a page (all of them segment
+    batches, or all box batches) against trajectory ``t`` of ``table``.
+    Every row of every demand is evaluated against the params of each
+    trajectory segment it meets, with its own frontier, in one kernel
+    call; the kernels are elementwise, so each demand gets the list it
+    gets alone, same floats, same order.
+    """
+    sizes = [batch.n for batch, _, _ in demands]
+    if not any(sizes):
+        return [[] for _ in demands]
+    full = [batch for batch, _, _ in demands if batch.n]
+    if isinstance(full[0], SegmentBatch):
+        rows = [b._rows for b in full]
+        rows = np.concatenate(rows, axis=1) if full[1:] else rows[0]
+        t_lo, t_hi = rows[0], rows[1]
     else:
-        bounds = _box_overlap_bounds
-        t_lo, t_hi = batch._lows[:, 0], batch._highs[:, 0]
-    keys = np.asarray(key_times)
-    m = len(params)
-    t_lo, t_hi = np.maximum(t_lo, keys[0]), np.minimum(t_hi, keys[-1])
-    first = np.searchsorted(keys, t_lo, side="right") - 1
-    at = np.searchsorted(keys, t_hi, side="left")
+        rows = [(b._lows, b._highs) for b in full]
+        rows = tuple(map(np.concatenate, zip(*rows))) if full[1:] else rows[0]
+        t_lo, t_hi = rows[0][:, 0], rows[1][:, 0]
+    if len(demands) == 1:  # the demand's columns broadcast as one row
+        (_, t, front), = demands
+        traj = slice(t, t + 1)
+    else:
+        owner = np.repeat(np.arange(len(demands)), sizes)
+        traj = np.asarray([t for _, t, _ in demands])[owner]
+        front = np.asarray([f for _, _, f in demands])[owner]
+    # Key-segment selection over key times padded with +inf: the count
+    # of keys <= v is searchsorted "right", of keys < v "left".
+    keys, m = table.keys[traj], table.m[traj]
+    t_lo = np.maximum(t_lo, keys[:, 0])
+    t_hi = np.minimum(t_hi, table.end[traj])
+    first = (keys <= t_lo[:, None]).sum(axis=1) - 1
+    at = (keys < t_hi[:, None]).sum(axis=1)
     last = np.minimum(at, m)
     instant = t_lo == t_hi
     if instant.any():
-        on_key = instant & (keys[last] == t_lo)
+        on_key = instant & (np.take_along_axis(keys, last[:, None], 1)[:, 0] == t_lo)
         first = np.where(on_key, last - (at == m), first)
         last = np.where(on_key, first + 1, last)
-    last = np.where(t_lo > t_hi, first, last)
-    ranged = first < last
-    if not ranged.any():
-        return []
-    j_lo, j_hi = int(first[ranged].min()), int(last[ranged].max())
-
-    def evaluate(j):
-        lo, hi, forced_empty = bounds(params[j], batch)
-        live = ranged & ~(lo > hi)
-        if forced_empty is not None:
-            live &= ~forced_empty
-        return lo, hi, live
-
-    def components(rows, lo, hi):
-        return zip(
-            rows.tolist(), map(Interval, lo[rows].tolist(), hi[rows].tolist())
+    span = np.where(t_lo > t_hi, 0, last - first)
+    most = span.max()
+    if most <= 0:
+        return [[] for _ in demands]
+    if most == 1:  # the usual page: each row against its one segment, or any
+        pair_rows, j = slice(None), np.minimum(first, m - 1)
+    else:  # one (row, trajectory segment) pair per segment a row meets
+        pair_rows, starts = np.repeat(np.arange(len(span)), span), np.cumsum(span) - span
+        j = first[pair_rows] + (np.arange(len(pair_rows)) - np.repeat(starts, span))
+        if isinstance(rows, tuple):
+            rows = (rows[0][pair_rows], rows[1][pair_rows])
+        else:
+            rows = rows[:, pair_rows]
+        if len(demands) > 1:
+            traj, front = traj[pair_rows], front[pair_rows]
+    column, d = table.base[traj] + j, table.dims
+    if column.min() == column.max():  # one window for every row: it broadcasts
+        params = table.windows[column[0]]
+    else:
+        column = table.params[:, column]
+        params = WindowParams(
+            column[0], column[1], *(column[2 + i * d : 2 + (i + 1) * d] for i in range(4))
         )
-
-    if j_hi - j_lo == 1:  # the page meets one trajectory segment: the usual case
-        lo, hi, live = evaluate(j_lo)
-        return list(components(np.flatnonzero(live & (hi >= frontier)), lo, hi))
-    per_j = []
-    pieces = np.zeros(batch.n, dtype=np.intp)
-    for j in range(j_lo, j_hi):
-        lo, hi, live = evaluate(j)
-        live &= (first <= j) & (j < last)
-        pieces += live
-        per_j.append((lo, hi, live))
-    # An entry alive in one trajectory segment is that interval.  Only an
-    # entry alive in several needs TimeSet's sort-and-coalesce, and there
-    # the frontier test applies to the coalesced components.
-    out: List[Tuple[int, Interval]] = []
-    for lo, hi, live in per_j:
-        out.extend(
-            components(
-                np.flatnonzero(live & (pieces == 1) & (hi >= frontier)), lo, hi
-            )
-        )
-    for k in np.flatnonzero(pieces > 1).tolist():
-        union = TimeSet(
-            Interval(float(lo[k]), float(hi[k]))
-            for lo, hi, live in per_j
-            if live[k]
-        )
-        out.extend((k, c) for c in union if c.high >= frontier)
-    out.sort(key=itemgetter(0))  # stable: start order within an entry
+    if isinstance(rows, tuple):
+        lo, hi, forced_empty = _box_overlap_bounds(params, BoxBatch._of(*rows))
+        live = ~((lo > hi) | forced_empty)
+    else:
+        segs = SegmentBatch.__new__(SegmentBatch)
+        segs._rows, segs.n, segs.dims = rows, rows.shape[1], (rows.shape[0] - 2) // 2
+        lo, hi, _ = _segment_overlap_bounds(params, segs)
+        live = ~(lo > hi)
+    if most == 1:
+        live &= span > 0
+        keep = live & (hi >= front)
+        hit = np.flatnonzero(keep)
+    else:
+        # A row alive in one trajectory segment is that interval.  Only
+        # a row alive in several needs TimeSet's sort-and-coalesce, and
+        # there the frontier test applies to the coalesced components.
+        pieces = np.bincount(pair_rows[live], minlength=len(span))
+        keep = live & (hi >= front) & (pieces[pair_rows] == 1)
+        hit = pair_rows[keep]
+    found = list(zip(hit.tolist(), map(Interval, lo[keep].tolist(), hi[keep].tolist())))
+    several = np.flatnonzero(pieces > 1).tolist() if most > 1 else []
+    if several:  # a row's pairs are contiguous, from starts[row]
+        lo, hi, live, starts = lo.tolist(), hi.tolist(), live.tolist(), starts.tolist()
+        for r in several:
+            mine = range(starts[r], starts[r] + int(span[r]))
+            union = TimeSet(Interval(lo[p], hi[p]) for p in mine if live[p])
+            limit = front if len(demands) == 1 else front[mine[0]]
+            found.extend((r, c) for c in union if c.high >= limit)
+        found.sort(key=itemgetter(0))  # stable: start order within a row
+    if len(demands) == 1:
+        return [found]
+    # Each demand's components, renumbered from its page's first row.
+    out: List[List[Tuple[int, Interval]]] = [[] for _ in demands]
+    ends, d, start = np.cumsum(sizes).tolist(), 0, 0
+    for r, component in found:
+        while r >= ends[d]:
+            start, d = ends[d], d + 1
+        out[d].append((r - start, component))
     return out
 
 

@@ -54,7 +54,7 @@ from repro.server.kinds import KINDS, QueryKind, kind_named, registration_of
 from repro.server.metrics import ServerMetrics, TickMetrics
 from repro.server.planner import IndexStats, plan_query
 from repro.server.scheduler import SharedScanScheduler
-from repro.server.session import ClientSession, NPDQSweep, SessionState
+from repro.server.session import ClientSession, NPDQSweep, PDQSweep, SessionState
 
 __all__ = ["ServerConfig", "BrokerCore", "QueryBroker"]
 
@@ -319,6 +319,8 @@ class QueryBroker(BrokerCore):
             )
         #: every NPDQ session of this broker, evaluated in one sweep a tick
         self.npdq_sweep = NPDQSweep()
+        #: every PDQ and aggregate session, evaluated page-major a tick
+        self.pdq_sweep = PDQSweep()
         self._logical_seen: Dict[str, int] = {}
 
     # -- what this tier supplies to BrokerCore -----------------------------

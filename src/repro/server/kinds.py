@@ -61,13 +61,15 @@ __all__ = [
 
 
 def _pdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
-    return PDQSession(
+    session = PDQSession(
         client_id,
         broker.native,
         trajectory,
         queue_depth=broker.config.queue_depth,
         **kwargs,
     )
+    broker.pdq_sweep.join(session)  # one page-major sweep a tick
+    return session
 
 
 def _npdq(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
@@ -127,13 +129,15 @@ def _join(broker, client_id: str, trajectory, delta=None) -> ClientSession:
 
 
 def _aggregate(broker, client_id: str, trajectory, **kwargs) -> ClientSession:
-    return AggregateSession(
+    session = AggregateSession(
         client_id,
         broker.native,
         trajectory,
         queue_depth=broker.config.queue_depth,
         **kwargs,
     )
+    broker.pdq_sweep.join(session)  # with the PDQ sessions
+    return session
 
 
 # -- route rules (router, front-end config, registration params) -------------

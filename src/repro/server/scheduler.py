@@ -9,33 +9,35 @@ traversed once per *batch*, not once per client), the scheduler makes
 node reads shared across the whole client population within a tick:
 
 1. **batch phase** — at tick start it polls every live session's
-   :meth:`~repro.server.session.ClientSession.frontier_demand` (the
-   priority-queue frontier of :meth:`PDQEngine.frontier_pages` for
-   predictive clients, auto ones while their predictive engine is live;
-   for NPDQ clients the pages their evaluation read — the first one's
-   demand runs the :class:`~repro.server.session.NPDQSweep` that
-   evaluates every NPDQ client's frame of the tick at once; nothing for
-   kNN clients and an auto client's other frames, which read during the
-   drain), merges the per-client page demand *per index tree* — PDQ/auto
-   frontiers live in the native-space tree, the sweep in the dual-time
-   tree, and the two trees' page-id namespaces are independent — and
-   reads each distinct page once, in page-id order (the simulated
-   analogue of an elevator pass).  The sweep reads pages while
-   producing its demand; those reads flow through the same shared
-   buffer pool, so overlapping demand piggybacks on them exactly like on
-   explicit batch reads.  Each batched page is **pinned** in its tree's
-   shared :class:`~repro.storage.BufferPool` so no client's traversal
-   can evict another client's pending page mid-tick;
+   :meth:`~repro.server.session.ClientSession.frontier_demand` (for
+   PDQ, aggregate and NPDQ clients the pages their evaluation read —
+   the first one's demand runs the ``PDQSweep`` or ``NPDQSweep`` that
+   evaluates every such client of the tick at once; the priority-queue
+   frontier of :meth:`PDQEngine.frontier_pages` for an auto client's
+   live predictive engine; nothing for kNN clients and an auto client's
+   other frames, which read during the drain), merges the per-client
+   page demand *per index tree* — PDQ/auto pages live in the
+   native-space tree, NPDQ ones in the dual-time tree, and the two
+   trees' page-id namespaces are independent — and reads each distinct
+   page once, in page-id order (the simulated analogue of an elevator
+   pass).  The sweeps read pages while producing their demand; those
+   reads flow through the same shared buffer pool, so overlapping
+   demand piggybacks on them like on explicit batch reads, and a failed
+   sweep read is a failed batch read.  Each batched page is **pinned**
+   in its tree's shared :class:`~repro.storage.BufferPool` so no
+   client's traversal can evict another client's pending page mid-tick;
 2. **drain phase** — sessions then run their normal engine code.  Every
    ``load_node`` goes through the shared disk: pages fetched in the
    batch (or by an earlier client this tick) are buffer hits, i.e.
    late-joining queries piggyback on the in-flight read; pages first
-   discovered mid-expansion (children enqueued during this very tick,
-   and every page of a session that names no demand) are fetched once
-   on demand and pinned when the drain of the session that fetched
-   them ends (:meth:`SharedScanScheduler.pin_resident`);
-3. **end of tick** — all pins are released; the pools keep pages around
-   under plain LRU for cross-tick locality.
+   discovered mid-expansion (an auto session's children enqueued
+   during this very tick, and every page of a session that names no
+   demand) are fetched once on demand and pinned when the drain of the
+   session that fetched them ends
+   (:meth:`SharedScanScheduler.pin_resident`);
+3. **end of tick** — all pins are released and a pool that grew past
+   its capacity while everything in it was pinned evicts back down; the
+   pools keep pages around under plain LRU for cross-tick locality.
 
 The invariant actually kept: **every page resident when a session's
 drain ends stays resident until** ``end_tick``, so a later session of
@@ -43,9 +45,8 @@ the tick never pays for a page an earlier one left behind.  It is weaker
 than "one physical read per page per tick": a page fetched mid-drain is
 unprotected until that drain ends, so with the pool at capacity a
 session can evict its own earlier fetch and a later session re-reads it
-within the tick; and a pool that grew because everything in it was
-pinned is not shrunk afterwards.  Both are known defects, stated as
-``xfail`` tests in ``tests/server/test_scheduler.py``.
+within the tick — a known defect, stated as an ``xfail`` test in
+``tests/server/test_scheduler.py``.
 
 Engines still count their *logical* reads in their own
 :class:`QueryCost`, so per-client accounting stays identical to isolated
@@ -62,7 +63,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.errors import CorruptPageError, ServerError, TransientIOError
 from repro.index.rtree import RTree
 from repro.server.clock import Tick
-from repro.server.session import ClientSession
+from repro.server.session import ClientSession, PDQSweep
 from repro.storage.buffer import BufferPool
 
 __all__ = ["BatchStats", "SharedScanScheduler"]
@@ -75,11 +76,11 @@ class BatchStats:
     ``demanded`` counts (page, client) demand pairs across every tree;
     ``unique_pages`` counts distinct (tree, page) pairs; ``fetched`` is
     the number of physical reads the batch phase issued, including the
-    reads the NPDQ sweep performed while producing its demand;
+    reads the sweeps performed while producing their demand;
     ``piggybacked`` is the demand the batch absorbed without extra I/O (already-buffered pages plus duplicate demand for freshly
-    fetched ones); ``failed`` lists pages whose batch read failed (left
-    to the owning engines' own retry/degradation machinery during the
-    drain phase).
+    fetched ones); ``failed`` counts pages whose batch read — a PDQ
+    sweep's included — failed (left to the owning engines' own
+    retry/degradation machinery during the drain phase).
     """
 
     demanded: int
@@ -160,11 +161,13 @@ class SharedScanScheduler:
         for pool in self._pools():
             pool.drain_admitted()  # what follows is this batch's record
         # Demand is collected per tree: page ids are only unique within
-        # one disk's namespace.  The NPDQ sweep runs here, inside the
-        # tick, so its physical reads land in this tick's account.
+        # one disk's namespace.  The sweeps run here, inside the tick,
+        # so their physical reads land in this tick's account.
         demand: List[Tuple[RTree, Dict[int, int]]] = []
         buckets: Dict[int, Dict[int, int]] = {}
+        sweeps = set()
         for session in sessions:
+            sweeps.add(getattr(session, "sweep", None))
             for tree, pages in session.frontier_demand(tick):
                 self._adopt(tree)
                 bucket = buckets.get(id(tree))
@@ -174,13 +177,15 @@ class SharedScanScheduler:
                 for page_id in pages:
                     bucket[page_id] = bucket.get(page_id, 0) + 1
         sweep_fetched = self._reads() - reads_before
+        # A PDQ sweep's failed load is this batch's failed read: the
+        # owning engine reads the page itself during the drain.
+        failed = sum(s.failed_reads(tick) for s in sweeps if isinstance(s, PDQSweep))
         swept = {
             id(pool): pool.drain_admitted() for pool in self._pools()
         }
         demanded = sum(sum(b.values()) for _, b in demand)
         fetched = 0
         piggybacked = 0
-        failed = 0
         for tree, bucket in demand:
             pool = tree.disk.buffer_pool
             fresh = swept.get(id(pool), ())

@@ -10,13 +10,13 @@ uniform per-tick interface:
   previous conservative answer);
 * :meth:`frontier_demand` names the pages that evaluation will read,
   per index tree, so the shared-scan scheduler can batch page reads
-  across clients — for NPDQ clients, the pages their evaluation *did*
-  read: the first NPDQ session's demand runs the :class:`NPDQSweep` that
-  evaluates every NPDQ session of the broker in one page-major pass, so
-  its reads are the batch's and :meth:`serve` only hands out the result.
-  A kind whose pages are decided during evaluation (kNN, an auto
-  session's non-predictive frames) names none and reads through the
-  tick's shared pool;
+  across clients — for PDQ, aggregate and NPDQ clients, the pages
+  their evaluation *did* read: the first such session's demand runs the
+  :class:`PDQSweep` (resp. :class:`NPDQSweep`) that evaluates all of
+  them in one page-major pass, so its reads are the batch's.  A kind
+  whose pages are decided during evaluation (kNN, an auto session's
+  non-predictive frames) names none and reads through the tick's shared
+  pool;
 * :meth:`deliver` / :meth:`poll` implement the bounded result queue that
   admission control and slow-client shedding are built on.
 
@@ -58,7 +58,7 @@ from repro.core.aggregate import count_timeline
 from repro.core.joins import snapshot_distance_join
 from repro.core.knn import MovingKNN
 from repro.core.npdq import NPDQEngine, snapshot_all
-from repro.core.pdq import PDQEngine
+from repro.core.pdq import PDQEngine, sweep_windows
 from repro.core.query import JoinAnswer, KNNAnswer
 from repro.core.results import AnswerItem, SnapshotResult
 from repro.core.session import DynamicQuerySession
@@ -67,6 +67,7 @@ from repro.core.spdq import SPDQEngine
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import ServerError
 from repro.geometry.interval import Interval
+from repro.geometry.kernels import TrajectoryTable
 from repro.server.clock import Tick
 from repro.server.metrics import ClientMetrics
 from repro.storage.metrics import QueryCost
@@ -74,6 +75,7 @@ from repro.storage.metrics import QueryCost
 __all__ = [
     "SessionState",
     "TickResult",
+    "PDQSweep",
     "NPDQSweep",
     "ClientSession",
     "PDQSession",
@@ -191,8 +193,8 @@ class ClientSession:
 
         Each pair names the R-tree the pages belong to, so the shared
         scan can batch sessions over different indexes (native-space for
-        PDQ/auto frontiers, dual-time for the NPDQ sweep) without
-        conflating the two trees' page-id namespaces.
+        the PDQ sweep and auto frontiers, dual-time for the NPDQ sweep)
+        without conflating the two trees' page-id namespaces.
         """
         if not self.will_serve(tick):
             return []
@@ -269,7 +271,89 @@ class ClientSession:
         self.state = SessionState.CLOSED
 
 
-class PDQSession(ClientSession):
+class _Sweep:
+    """Sessions of one broker evaluated together, once a tick.
+
+    The first :meth:`run` of a tick evaluates every member that serves
+    it — in the scheduler's batch phase that is the first member's
+    :meth:`~ClientSession.frontier_demand`, without a scheduler its
+    ``serve``.  Members are held weakly (each holds its sweep): the
+    broker's session book owns them, and a torn-down broker's indexes
+    are freed at once, not at the next cycle collection.
+    """
+
+    def __init__(self) -> None:
+        self._members: List["weakref.ref[ClientSession]"] = []
+        self._tick: Optional[Tick] = None
+
+    def join(self, session: ClientSession) -> None:
+        """Evaluate ``session`` with the other members from now on."""
+        session.sweep = self  # type: ignore[attr-defined]
+        self._members.append(weakref.ref(session))
+
+    def run(self, tick: Tick) -> None:
+        """Evaluate every serving member's slice of ``tick`` (once a tick)."""
+        if self._tick == tick:
+            return
+        members = [ref() for ref in self._members]
+        self._members = [
+            ref for ref, s in zip(self._members, members)
+            if s is not None and s.state is not SessionState.CLOSED
+        ]
+        self._evaluate(
+            tick, [s for s in members if s is not None and s.will_serve(tick)]
+        )
+        self._tick = tick
+
+
+class PDQSweep(_Sweep):
+    """The sessions of one broker whose tick is one
+    :meth:`~repro.core.PDQEngine.window` call (PDQ, shed PDQ, aggregate):
+    a tick's sweep evaluates every page each serving member's window will
+    expand (:func:`~repro.core.pdq.sweep_windows`), and the pages loaded
+    for a member are its demand."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._demand: Dict[int, List[int]] = {}  # by id(session)
+        self._failed = 0
+        self._stacked: tuple = ((), None)  # the members' trajectory tables
+
+    def _evaluate(self, tick: Tick, serving: List["_WindowSession"]) -> None:
+        # the exact engine, or the one a shed session's SPDQ runs
+        engines = [getattr(s.engine, "engine", s.engine) for s in serving]
+        tables = tuple(e.trajectory.kernel_table() for e in engines)
+        if tables != self._stacked[0]:
+            self._stacked = (tables, TrajectoryTable.stack(tables) if tables else None)
+        demand, self._failed = sweep_windows(
+            [(e, tick.start, s._horizon(tick)) for e, s in zip(engines, serving)],
+            self._stacked[1],
+        )
+        self._demand = {id(s): pages for s, pages in zip(serving, demand)}
+
+    def demand(self, session: "_WindowSession", tick: Tick) -> List[int]:
+        """The pages the sweep of ``tick`` loaded for ``session``."""
+        self.run(tick)
+        return self._demand.get(id(session), [])
+
+    def failed_reads(self, tick: Tick) -> int:
+        """Page loads of the sweep of ``tick`` that failed."""
+        return self._failed if self._tick == tick else 0
+
+
+class _WindowSession(ClientSession):
+    """A session whose tick is one window of its PDQ engine, served as
+    a member of a :class:`PDQSweep` (a sweep of one when built alone)."""
+
+    def _frontiers(self, tick: Tick):
+        yield self.index.tree, self.sweep.demand(self, tick)
+
+    def _window(self, tick: Tick, horizon: float) -> List[AnswerItem]:
+        self.sweep.run(tick)
+        return self.engine.window(tick.start, horizon)
+
+
+class PDQSession(_WindowSession):
     """A predictive client: one PDQ (or, after shedding, SPDQ) engine."""
 
     kind = "pdq"
@@ -304,6 +388,7 @@ class PDQSession(ClientSession):
         # (shed/promote swaps); keeps ``logical_reads`` monotonic across
         # engine replacements so the broker's per-tick deltas stay >= 0.
         self._retired_reads = 0
+        PDQSweep().join(self)
 
     def will_serve(self, tick: Tick) -> bool:
         return super().will_serve(tick) and tick.index >= self._next_eval
@@ -314,14 +399,11 @@ class PDQSession(ClientSession):
             tick.start + self._shed_stride * tick.duration, self.span_end
         )
 
-    def _frontiers(self, tick: Tick):
-        yield self.index.tree, self.engine.frontier_pages(self._horizon(tick))
-
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
             return None
         horizon = self._horizon(tick)
-        items = self.engine.window(tick.start, horizon)
+        items = self._window(tick, horizon)
         self._next_eval = tick.index + self._shed_stride
         shed = self.state is SessionState.SHED
         degraded = shed or getattr(self.engine, "degraded", False)
@@ -395,45 +477,22 @@ class PDQSession(ClientSession):
         self.state = SessionState.ACTIVE
 
 
-class NPDQSweep:
+class NPDQSweep(_Sweep):
     """The non-predictive sessions of one broker, evaluated together.
 
-    Per tick, the first :meth:`run` evaluates the frame of every member
-    that serves the tick in one :func:`~repro.core.npdq.snapshot_all`
-    over their shared dual tree — in the scheduler's batch phase that is
-    the first member's :meth:`~ClientSession.frontier_demand`, without a
-    scheduler its :meth:`~NPDQSession.serve` — and :meth:`take` then
-    hands each member its result, once.
-
-    Members are held weakly (each holds its sweep): the broker's session
-    book owns them, and a torn-down broker's indexes are freed at once,
-    not at the next cycle collection.
+    A tick's sweep evaluates the frame of every serving member in one
+    :func:`~repro.core.npdq.snapshot_all` over their shared dual tree,
+    and :meth:`take` then hands each member its result, once.
     """
 
     def __init__(self) -> None:
-        self._members: List["weakref.ref[NPDQSession]"] = []
-        self._tick: Optional[Tick] = None
+        super().__init__()
         self._results: Dict[int, SnapshotResult] = {}  # by id(session)
 
-    def join(self, session: "NPDQSession") -> None:
-        """Evaluate ``session`` with the other members from now on."""
-        session.sweep = self
-        self._members.append(weakref.ref(session))
-
-    def run(self, tick: Tick) -> None:
-        """Evaluate every serving member's frame of ``tick`` (once a tick)."""
-        if self._tick == tick:
-            return
-        members = [ref() for ref in self._members]
-        self._members = [
-            ref for ref, s in zip(self._members, members)
-            if s is not None and s.state is not SessionState.CLOSED
-        ]
-        serving = [s for s in members if s is not None and s.will_serve(tick)]
+    def _evaluate(self, tick: Tick, serving: List["NPDQSession"]) -> None:
         results = snapshot_all(
             [(s.engine, s._frame_query(tick)) for s in serving]
         )
-        self._tick = tick
         self._results = {id(s): result for s, result in zip(serving, results)}
 
     def take(self, session: "NPDQSession", tick: Tick) -> SnapshotResult:
@@ -624,7 +683,7 @@ class JoinSession(ClientSession):
         return self.cost.internal_reads + self.cost.leaf_reads
 
 
-class AggregateSession(ClientSession):
+class AggregateSession(_WindowSession):
     """A windowed-aggregate client: the visible-object count timeline.
 
     One exact PDQ traversal feeds a live set of answer items keyed by
@@ -664,18 +723,16 @@ class AggregateSession(ClientSession):
         # One entry per visibility component: a segment that leaves and
         # re-enters a bending observer's window is live once per stay.
         self._live: Dict[Tuple[Tuple[int, int], float], AnswerItem] = {}
+        PDQSweep().join(self)
 
     def _horizon(self, tick: Tick) -> float:
         return min(tick.end, self.span_end)
-
-    def _frontiers(self, tick: Tick):
-        yield self.index.tree, self.engine.frontier_pages(self._horizon(tick))
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
         if not self.will_serve(tick):
             return None
         horizon = self._horizon(tick)
-        for item in self.engine.window(tick.start, horizon):
+        for item in self._window(tick, horizon):
             self._live[(item.record.key, item.visibility.low)] = item
         gone = [
             key

@@ -12,11 +12,9 @@ The serving layer (:mod:`repro.server`) reuses the pool for its
 shared scan: the scheduler **pins** the pages a tick has touched so a
 later client piggybacks on the read an earlier one paid for.  Pinned
 pages are exempt from LRU eviction, and when every resident page is
-pinned ``put`` grows the pool past its capacity instead of evicting.
-The pool does not shrink back when the pins are released: a pool that
-overflowed stays above ``capacity`` until enough pages are invalidated
-(a known defect, pinned by an ``xfail`` test in
-``tests/server/test_scheduler.py``).  What the pins guarantee, and what
+pinned ``put`` grows the pool past its capacity instead of evicting;
+releasing the pins (:meth:`BufferPool.unpin_all`, the end of a tick)
+evicts back down to ``capacity``.  What the pins guarantee, and what
 they do not, is stated in :mod:`repro.server.scheduler`.
 
 So that the scheduler can pin what a tick *admitted* instead of
@@ -89,8 +87,8 @@ class BufferPool:
         """Insert (or refresh) a page, evicting the LRU page if full.
 
         Pinned pages are never chosen as eviction victims; if every
-        resident page is pinned the pool grows past its capacity (and is
-        not shrunk when the pins are released).
+        resident page is pinned the pool grows past its capacity until
+        :meth:`unpin_all` releases the pins.
         """
         if page_id in self._pages:
             self._pages.move_to_end(page_id)
@@ -100,14 +98,16 @@ class BufferPool:
         # there is no victim to look for.
         resident = len(self._pages)
         if resident >= self.capacity and len(self._pinned) < resident:
-            victim = next(
-                pid for pid in self._pages if pid not in self._pinned
-            )
-            del self._pages[victim]
-            self._admitted.discard(victim)
-            self.stats.evictions += 1
+            self._evict()
         self._pages[page_id] = payload
         self._admitted.add(page_id)
+
+    def _evict(self) -> None:
+        """Drop the least recently used unpinned page."""
+        victim = next(pid for pid in self._pages if pid not in self._pinned)
+        del self._pages[victim]
+        self._admitted.discard(victim)
+        self.stats.evictions += 1
 
     # -- pinning (shared-scan support) -----------------------------------------
 
@@ -139,8 +139,11 @@ class BufferPool:
         return admitted
 
     def unpin_all(self) -> None:
-        """Release every pin (end of a serving tick)."""
+        """Release every pin (end of a serving tick), then evict by
+        :meth:`put`'s rule until the pool is back within capacity."""
         self._pinned.clear()
+        while len(self._pages) > self.capacity:
+            self._evict()
 
     @property
     def pinned(self) -> "frozenset[int]":

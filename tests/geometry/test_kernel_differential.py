@@ -773,6 +773,88 @@ class TestTrajectoryPages:
         assert self._check_boxes(gap, page, 2.0) == [(0, Interval(3.0, 4.0))]
 
 
+@st.composite
+def keyed_trajectories(draw, dims):
+    """Two to four key snapshots with unrelated windows."""
+    t = draw(_GRID)
+    keys = [KeySnapshot(t, draw(boxes(dims)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        t += draw(_GAP)
+        keys.append(KeySnapshot(t, draw(boxes(dims))))
+    return QueryTrajectory(keys)
+
+
+@st.composite
+def keyed_times(draw, key_times):
+    """A time extent whose bounds are often key times, sometimes the
+    same one (a zero-width extent on a key time)."""
+    bound = st.sampled_from(key_times) | _COORD
+    a, b = sorted((draw(bound), draw(bound)))
+    if draw(st.booleans()):
+        b = a
+    return Interval(a, b)
+
+
+class TestGatheredDemands:
+    """``gathered_live_components``: many (page, trajectory, frontier)
+    demands in one call get, each, what the demand gets alone."""
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_demands_together_equal_each_alone(self, data):
+        dims = data.draw(_DIMS)
+        trajectories = [
+            data.draw(keyed_trajectories(dims))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+        ]
+        table = kernels.TrajectoryTable.stack(
+            [t.kernel_table() for t in trajectories]
+        )
+        leaves = data.draw(st.booleans())
+        demands, alone = [], []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            t = data.draw(st.integers(0, len(trajectories) - 1))
+            trajectory = trajectories[t]
+            key_times = [k.time for k in trajectory.key_snapshots]
+            times = [
+                data.draw(keyed_times(key_times))
+                for _ in range(data.draw(_PAGE))
+            ]
+            if leaves:
+                page = [
+                    SpaceTimeSegment(
+                        time,
+                        tuple(data.draw(_COORD) for _ in range(dims)),
+                        tuple(data.draw(_VELOCITY) for _ in range(dims)),
+                    )
+                    for time in times
+                ]
+                batch, overlap = _segment_batch(page), trajectory.segment_overlap
+            else:
+                page = [Box([time, *data.draw(boxes(dims))]) for time in times]
+                batch, overlap = _box_batch(page), trajectory.box_overlap
+            # frontiers inside the span, on its key times, and outside it
+            frontier = data.draw(
+                st.sampled_from(key_times)
+                | st.floats(
+                    min_value=key_times[0] - 5.0,
+                    max_value=key_times[-1] + 5.0,
+                    allow_nan=False,
+                )
+            )
+            demands.append((batch, t, frontier))
+            alone.append(trajectory.live_components(batch, frontier))
+            assert alone[-1] == _scalar_live(overlap, page, frontier)
+        got = kernels.gathered_live_components(table, demands)
+        assert got == alone
+        for mine, own in zip(got, alone):
+            assert [type(k) for k, _ in mine] == [int] * len(mine)
+            for (_, a), (_, b) in zip(mine, own):  # same floats, signs too
+                assert [(x, math.copysign(1.0, x)) for x in (a.low, a.high)] == [
+                    (x, math.copysign(1.0, x)) for x in (b.low, b.high)
+                ]
+
+
 class TestDegenerateShapes:
     def test_empty_page_every_kernel(self):
         window = MovingWindow(

@@ -33,18 +33,23 @@ class TestBatchPhase:
         scheduler = SharedScanScheduler(index.tree)
         tick = SimulatedClock(start=1.0, period=0.1).next_tick()
 
-        demand = [frontier_pages(s, tick) for s in sessions]
-        assert all(demand[0] == d for d in demand)  # identical frontiers
-        assert demand[0]  # the root, at least
-
         reads_before = index.tree.disk.stats.reads
         stats = scheduler.begin_tick(sessions, tick)
         physical = index.tree.disk.stats.reads - reads_before
 
+        # A session's demand is every page its window expands this tick,
+        # loaded by the sweep the batch phase ran.
+        demand = [frontier_pages(s, tick) for s in sessions]
+        assert all(demand[0] == d for d in demand)  # identical clients
+        assert len(demand[0]) > 1  # the root and the pages below it
         assert stats.demanded == 4 * len(demand[0])
         assert stats.unique_pages == len(demand[0])
         assert stats.fetched == physical == len(demand[0])
         assert stats.piggybacked == stats.demanded - stats.fetched
+        # The drain reads nothing the batch did not.
+        for session in sessions:
+            session.serve(tick)
+        assert index.tree.disk.stats.reads - reads_before == physical
         scheduler.end_tick()
 
     def test_batched_pages_are_pinned_until_end_tick(self, build_native, fleet):
@@ -79,25 +84,26 @@ class TestBatchPhase:
     def test_batch_read_failure_is_left_to_the_engine(
         self, build_native, fleet
     ):
-        index = build_native()
         (trajectory,) = fleet(1)
+        tick = SimulatedClock(start=1.0, period=0.1).next_tick()
+        twin = PDQSession("twin", build_native(), trajectory, queue_depth=100)
+        index = build_native()
         session = PDQSession("c0", index, trajectory, queue_depth=100)
         scheduler = SharedScanScheduler(index.tree)
-        tick = SimulatedClock(start=1.0, period=0.1).next_tick()
-        frontier = frontier_pages(session, tick)
-        assert frontier
         # The default disk has no retry policy, so a single scripted
-        # fault fails the batch read; the engine's own load during the
-        # drain then succeeds.
+        # fault fails the sweep's read of the root; the engine's own
+        # load during the drain then succeeds.
         injector = FaultInjector()
-        injector.script_read_fault(frontier[0], times=1)
+        injector.script_read_fault(index.tree.root_id, times=1)
         index.tree.disk.set_faults(injector)
         stats = scheduler.begin_tick([session], tick)
         assert stats.failed == 1
+        assert frontier_pages(session, tick) == []  # nothing was loaded
         result = session.serve(tick)
         scheduler.end_tick()
         assert result is not None
         assert not getattr(session.engine, "degraded", False)
+        assert result.items == twin.serve(tick).items
 
 
 class TestTickLifecycle:
@@ -130,6 +136,7 @@ class CountingPool(BufferPool):
         self.examined = 0
         self.admitted = []
         self.touched = set()
+        self.peak = 0
 
     def get(self, page_id):
         self.touched.add(page_id)
@@ -139,6 +146,7 @@ class CountingPool(BufferPool):
         if page_id not in self:
             self.admitted.append(page_id)
         super().put(page_id, payload)
+        self.peak = max(self.peak, len(self))
 
     def pin(self, page_id):
         self.examined += 1
@@ -152,6 +160,7 @@ class CountingPool(BufferPool):
         self.examined = 0
         self.admitted = []
         self.touched = set()
+        self.peak = len(self)
 
 
 def pooled(index_cls, segments, capacity, page_size):
@@ -273,22 +282,17 @@ class TestKnownPinningDefects:
             twice += len(pool.admitted) - len(set(pool.admitted))
         assert twice == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="put() grows the pool when every resident page is pinned "
-        "and nothing shrinks it once the pins are released",
-    )
     def test_pool_returns_to_capacity(self, tiny_segments, fleet):
-        index, pool = pooled(NativeSpaceIndex, tiny_segments, 64, 512)
+        # Every resident page pinned, the pool grows past its capacity
+        # mid-tick; the end of the tick evicts it back within capacity.
+        index, pool = pooled(NativeSpaceIndex, tiny_segments, 8, 512)
         broker = pdq_broker(
             index, fleet(32, mode="independent", duration=7.0)
         )
-        light_ticks = 0
+        overflowed = 0
         for _ in range(60):
             pool.new_tick()
             broker.run_tick()
-            if len(pool.touched) <= pool.capacity:
-                light_ticks += 1
-                assert len(pool) <= pool.capacity
-        assert light_ticks  # the invariant was put to the test
+            overflowed += pool.peak > pool.capacity
+            assert len(pool) <= pool.capacity
+        assert overflowed  # the invariant was put to the test
