@@ -41,9 +41,10 @@ _MUTATORS = frozenset(
         "discard",
         "setdefault",
         "replace_entries",
-        "remove_entry",
-        "add_entry",
-        "set_child",
+        "update_child_box",
+        "remove_child",
+        "remove_record",
+        "set_box",
     }
 )
 
@@ -66,13 +67,17 @@ class UnloggedPageMutationRule(Rule):
     """DQC01 — mutating a buffer-pool page in a scope with no WAL evidence.
 
     **Invariant:** any scope that mutates a page object obtained from a
-    :class:`~repro.storage.buffer.BufferPool` (object-mode pages are
-    handed out *by reference*) must also log a WAL pre-image — mention
-    the intent log, or delegate to a helper that does.  Without the
+    :class:`~repro.storage.buffer.BufferPool` (a cached page is handed
+    out *by reference*) must also log a WAL pre-image — mention the
+    intent log, or delegate to a helper that does.  Without the
     pre-image, a crash between the mutation and the next full write is
     unrecoverable: rollback restores every page *except* the one that
     changed in place.  This is the PR-2 writer-crash bug class,
     enforced at review time instead of re-discovered by chaos luck.
+    Every node mutation is a row write, and each form is flagged on a
+    pool-fetched name: assignment or ``del`` through it at any depth
+    (``node.entries[k] = e``, ``del node.entries[k]``) and a node or row
+    mutator call (``update_child_box``, ``set_box``, ``append``, …).
     """
 
     id = "DQC01"
@@ -117,15 +122,16 @@ class UnloggedPageMutationRule(Rule):
         self, func: ast.AST, tracked: Set[str], path: str
     ) -> Iterator[Violation]:
         def roots(node: ast.AST) -> List[str]:
-            """Base names of an attribute chain (``page.entries`` -> page)."""
-            while isinstance(node, ast.Attribute):
+            """Base names of an attribute/subscript chain
+            (``page.entries[0]`` -> page)."""
+            while isinstance(node, (ast.Attribute, ast.Subscript)):
                 node = node.value
             return [node.id] if isinstance(node, ast.Name) else []
 
         for node in ast.walk(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
                 targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                    [node.target] if isinstance(node, ast.AugAssign) else node.targets
                 )
                 for target in targets:
                     if isinstance(

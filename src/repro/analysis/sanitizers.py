@@ -5,8 +5,8 @@ Each sanitizer watches one invariant through the hooks in
 :class:`~repro.errors.SanitizerError` at the first violation:
 
 * :class:`PageWriteSanitizer` — a page cached in a
-  :class:`~repro.storage.buffer.BufferPool` (object-mode pages are
-  shared by reference) must never change state without a WAL pre-image.
+  :class:`~repro.storage.buffer.BufferPool` (a cached page is shared by
+  reference) must never change state without a WAL pre-image.
   This is the PR-2 writer-crash hole, caught on the very mutation
   instead of by a lucky crash seed.
 * :class:`PinLeakSanitizer` — when a broker tick ends, no page may
@@ -46,27 +46,16 @@ _Key = Tuple[int, int]  # (id(disk), page_id)
 def _fingerprint(payload: Any) -> Optional[Tuple]:
     """Cheap structural state of a node page, or None.
 
-    R-tree nodes expose ``entries`` and a modification ``timestamp``;
-    every legitimate mutation path changes one of the two.  An
-    object-mode node's entries are immutable objects in a list, so their
-    identities are the state.  A page-backed node has no entry objects
-    of its own — ``entries[k]`` is built on demand from the page's
-    columns — so its ``entries`` offers ``fingerprint()``, a hash of the
-    columns.  Stored binary-mode cells are ``bytes`` and cannot be
-    mutated in place, so they need no tracking.
+    An R-tree node is its page's columns: ``entries`` offers
+    ``fingerprint()``, a hash of them, and every legitimate mutation path
+    changes it or the node's ``level`` / ``timestamp``.  Stored
+    binary-mode cells are ``bytes`` and cannot be mutated in place, so
+    they need no tracking, and neither does any other payload.
     """
-    entries = getattr(payload, "entries", None)
-    if entries is None:
+    fingerprint = getattr(getattr(payload, "entries", None), "fingerprint", None)
+    if fingerprint is None:
         return None
-    fingerprint = getattr(entries, "fingerprint", None)
-    return (
-        getattr(payload, "level", None),
-        getattr(payload, "timestamp", None),
-        len(entries),
-        fingerprint()
-        if fingerprint is not None
-        else tuple(id(entry) for entry in entries),
-    )
+    return (payload.level, payload.timestamp, fingerprint())
 
 
 class PageWriteSanitizer:

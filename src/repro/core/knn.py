@@ -17,7 +17,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.pagearrays import page_arrays
 from repro.motion.segment import MotionSegment
 from repro.storage.metrics import QueryCost
 
@@ -52,7 +51,7 @@ def _children_in_reach(
     expressions over the surviving rows' floats — they order the answer
     stream, and an array form rounds differently.
     """
-    arrays = page_arrays(node)
+    arrays = node.entries
     boxes = arrays.box_batch()
     rows = boxes.rows_containing(0, t)
     for row, lows, highs in zip(rows, *boxes.bounds(rows)):
@@ -108,7 +107,7 @@ def incremental_knn(
             for d_sq, child_id in _children_in_reach(node, t, point, bound_sq):
                 heapq.heappush(heap, (d_sq, next(tie), child_id, None))
             continue
-        arrays = page_arrays(node)
+        arrays = node.entries
         segments = arrays.segment_batch()
         rows = segments.rows_valid_at(t)
         for row, (t_lo, _, *motion) in zip(rows, segments.values(rows)):

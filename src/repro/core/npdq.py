@@ -51,7 +51,6 @@ from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.index.dualtime import DualTimeIndex
-from repro.index.pagearrays import page_arrays
 from repro.storage.metrics import QueryCost
 
 __all__ = ["NPDQEngine", "snapshot_all"]
@@ -306,7 +305,7 @@ def _descend(tree, clients: List[_Client]):
                 if len(demand) == len(clients)
                 else block.take([c.slot for c in demand])
             )
-            arrays = page_arrays(node)
+            arrays = node.entries
             live = kernels.live_rows(arrays.box_batch(), arrays.stamps(), rule)
             for c, rows in zip(demand, live):
                 if not leaf:

@@ -46,10 +46,9 @@ from repro.core.trajectory import QueryTrajectory
 from repro.geometry import kernels
 from repro.geometry.interval import Interval
 from repro.geometry.timeset import TimeSet
-from repro.index.entry import LeafEntry
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.pagearrays import page_arrays
 from repro.index.rtree import InsertionNotice
+from repro.motion.segment import MotionSegment
 from repro.storage.metrics import QueryCost
 
 __all__ = ["PDQEngine", "sweep_windows"]
@@ -61,7 +60,7 @@ class _Pending:
 
     interval: Interval
     page_id: int = -1  # >= 0 for nodes
-    entry: Optional[LeafEntry] = None  # set for segments
+    record: Optional[MotionSegment] = None  # set for segments
 
     @property
     def is_node(self) -> bool:
@@ -121,7 +120,8 @@ class PDQEngine:
         self._expanded: set = set()
         self._reported: set = set()
         self._fault_attempts: dict = {}
-        # page id -> (PageArrays, frontier, components) from sweep_windows
+        # page id -> (page rows, their write count, frontier, components)
+        # from sweep_windows
         self._stash: Dict[int, tuple] = {}
         self._frontier = trajectory.time_span.low
         self._closed = False
@@ -170,7 +170,7 @@ class PDQEngine:
         )
 
     def _push_components(self, timeset: TimeSet, *, page_id: int = -1,
-                         entry: Optional[LeafEntry] = None) -> None:
+                         record: Optional[MotionSegment] = None) -> None:
         """Enqueue one item per connected visibility component.
 
         Components already entirely behind the query frontier are
@@ -178,7 +178,7 @@ class PDQEngine:
         for component in timeset:
             if component.high >= self._frontier:
                 self._push(
-                    _Pending(component, page_id=page_id, entry=entry)
+                    _Pending(component, page_id=page_id, record=record)
                 )
 
     def _expand(self, page_id: int) -> None:
@@ -188,29 +188,28 @@ class PDQEngine:
         (:mod:`repro.geometry.kernels`, bit-identical to the scalar
         ``segment_overlap``/``box_overlap``) that hands back only the
         components still ahead of the frontier, unless a
-        :func:`sweep_windows` stashed them for this page image and
-        frontier; the paper's per-entry costs are charged for the page at
-        once.
+        :func:`sweep_windows` stashed them for these rows, unwritten
+        since, and this frontier; the paper's per-entry costs are charged
+        for the page at once.
         """
         node = self.index.tree.load_node(page_id, self.cost)
-        arrays = page_arrays(node)
-        entries = node.entries
-        self.cost.count_distance_computations(len(entries))
+        rows = node.entries
+        self.cost.count_distance_computations(len(rows))
         if node.is_leaf:
-            self.cost.count_segment_tests(len(entries))
-        stashed = self._stash.pop(page_id, (None, None, None))
-        if stashed[0] is arrays and stashed[1] == self._frontier:
-            components = stashed[2]
+            self.cost.count_segment_tests(len(rows))
+        stashed = self._stash.pop(page_id, (None, None, None, None))
+        if stashed[0] is rows and stashed[1:3] == (rows.writes, self._frontier):
+            components = stashed[3]
         else:
             components = self.trajectory.live_components(
-                arrays.segment_batch() if node.is_leaf else arrays.box_batch(),
+                rows.segment_batch() if node.is_leaf else rows.box_batch(),
                 self._frontier,
             )
         for k, component in components:
             if node.is_leaf:
-                self._push(_Pending(component, entry=entries[k]))  # type: ignore[arg-type]
+                self._push(_Pending(component, record=rows.record(k)))
             else:
-                self._push(_Pending(component, page_id=arrays.child_id(k)))
+                self._push(_Pending(component, page_id=rows.child_id(k)))
 
     # -- frontier inspection (shared-scan support) --------------------------------
 
@@ -287,12 +286,12 @@ class PDQEngine:
                     else:
                         self.skipped_subtrees.append(item.page_id)
             else:
-                answer_key = (item.entry.record.key, item.interval)
+                answer_key = (item.record.key, item.interval)
                 if answer_key in self._reported:
                     continue  # duplicate from an update notification
                 self._reported.add(answer_key)
                 self.cost.count_results()
-                return AnswerItem(item.entry.record, item.interval)
+                return AnswerItem(item.record, item.interval)
         return None
 
     def window(self, t_start: float, t_end: float) -> List[AnswerItem]:
@@ -343,7 +342,7 @@ class PDQEngine:
             # No split: consider the inserted segment directly.
             self.cost.count_segment_tests()
             timeset = self.trajectory.segment_overlap(notice.entry.record.segment)
-            self._push_components(timeset, entry=notice.entry)
+            self._push_components(timeset, record=notice.entry.record)
             return
         if notice.root_changed or (
             self.index.tree.depth_of(notice.subtree_id) <= self.rebuild_depth
@@ -385,7 +384,8 @@ def sweep_windows(
     page-id order, and evaluates every (engine, page) pair of it in one
     kernel call for the leaves and one for the internal pages.  The
     components wait in each engine's stash, checked against the page's
-    arrays and the engine's frontier, for its own ``window`` — which
+    rows (their identity and write count) and the engine's frontier,
+    for its own ``window`` — which
     pops, charges and pushes exactly as without a sweep.  Nothing here
     touches a queue.
 
@@ -412,7 +412,7 @@ def sweep_windows(
         internal: list = []
         for page_id in sorted(todo):
             try:
-                arrays = page_arrays(tree.load_node(page_id))
+                arrays = tree.load_node(page_id).entries
             except (TransientIOError, CorruptPageError):
                 failed += 1
                 for slot in todo[page_id]:
@@ -428,7 +428,9 @@ def sweep_windows(
             ])
             for (slot, page_id, arrays), components in zip(pairs, found):
                 engine, mine, t_end = engines[slot], reached[slot], requests[slot][2]
-                engine._stash[page_id] = (arrays, frontiers[slot], components)
+                engine._stash[page_id] = (
+                    arrays, arrays.writes, frontiers[slot], components
+                )
                 for k, component in [] if arrays.is_leaf else components:
                     child = arrays.child_id(k)
                     if (

@@ -41,7 +41,6 @@ passes batches around as opaque objects.
 
 from __future__ import annotations
 
-import struct
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -57,6 +56,8 @@ __all__ = [
     "SegmentBatch",
     "BoxBatch",
     "RecordLayout",
+    "id_column",
+    "row_order",
     "append_row",
     "delete_row",
     "columns_digest",
@@ -140,6 +141,16 @@ class SegmentBatch:
         return self.t_lo.tolist(), self.t_hi.tolist()
 
     @classmethod
+    def of(cls, segments: Sequence) -> "SegmentBatch":
+        """The batch of ``segments`` (``SpaceTimeSegment``), one row each."""
+        return cls(
+            [s.time.low for s in segments],
+            [s.time.high for s in segments],
+            [s.origin for s in segments],
+            [s.velocity for s in segments],
+        )
+
+    @classmethod
     def gather(cls, pieces: Sequence[Tuple["SegmentBatch", Sequence[int]]]):
         """The rows of several batches, ``[(batch, rows), …]``, as one
         batch in that order.
@@ -197,10 +208,12 @@ class SegmentBatch:
         origin: Sequence[float],
         velocity: Sequence[float],
     ) -> None:
-        """Add one segment as the last row."""
+        """Add one segment as the last row (a batch with no rows takes
+        the segment's dimensionality)."""
         row = np.asarray([t_lo, t_hi, *origin, *velocity], dtype=np.float64)
-        self._rows = np.concatenate((self._rows, row[:, None]), axis=1)
-        self.n += 1
+        rows = self._rows.reshape(len(row), self.n)
+        self._rows = np.concatenate((rows, row[:, None]), axis=1)
+        self.n, self.dims = self.n + 1, len(origin)
 
     def delete(self, row: int) -> None:
         """Drop one row; later rows move up."""
@@ -239,12 +252,17 @@ class BoxBatch:
         return batch
 
     @classmethod
-    def from_columns(cls, lows: Sequence, highs: Sequence, pad: float) -> "BoxBatch":
+    def from_columns(
+        cls, lows: Sequence, highs: Sequence, pad: Union[None, float, Sequence[float]] = None
+    ) -> "BoxBatch":
         """Boxes given one low and one high column per axis, grown by
-        ``pad`` on both sides of every axis (``Interval.inflate``)."""
-        return cls._of(
-            np.stack(lows, axis=1) - pad, np.stack(highs, axis=1) + pad
-        )
+        ``pad`` — one amount for every axis, or one per axis — on both
+        sides (``Box.inflate``; ``None`` leaves the bounds as given)."""
+        lows, highs = np.stack(lows, axis=1), np.stack(highs, axis=1)
+        if pad is None:
+            return cls._of(lows, highs)
+        pad = np.asarray(pad, dtype=np.float64)
+        return cls._of(lows - pad, highs + pad)
 
     @classmethod
     def from_records(cls, records) -> "BoxBatch":
@@ -266,6 +284,14 @@ class BoxBatch:
         return np.stack((self._lows, self._highs), axis=2).reshape(
             self.n, 2 * self.width
         )
+
+    def take(self, rows: Sequence[int]) -> "BoxBatch":
+        """A new batch of ``rows``, in that order."""
+        return self._of(self._lows[rows], self._highs[rows])
+
+    def centres(self, axis: int):
+        """Per-box centre ``0.5 * (low + high)`` along ``axis``."""
+        return 0.5 * (self._lows[:, axis] + self._highs[:, axis])
 
     def bounds(self, rows: Sequence[int]) -> Tuple[List[List[float]], List[List[float]]]:
         """Low and high corners of each of ``rows``, as plain floats."""
@@ -299,9 +325,10 @@ class BoxBatch:
         )
 
     def append(self, lows: Sequence[float], highs: Sequence[float]) -> None:
-        """Add one box as the last row."""
-        self._lows = append_row(self._lows, lows)
-        self._highs = append_row(self._highs, highs)
+        """Add one box as the last row (a batch with no rows takes the
+        box's axes)."""
+        self._lows = append_row(self._lows.reshape(self.n, len(lows)), lows)
+        self._highs = append_row(self._highs.reshape(self.n, len(highs)), highs)
         self.n += 1
         self.axes = self._lows.shape[1]
 
@@ -332,11 +359,9 @@ class RecordLayout:
     such records between bytes and a pair of columns.
     """
 
-    __slots__ = ("struct", "_dtype")
+    __slots__ = ("_dtype",)
 
     def __init__(self, floats: int, ints: int):
-        #: the same layout for one record at a time
-        self.struct = struct.Struct("<" + "f" * floats + "I" * ints)
         self._dtype = np.dtype(
             [("f", "<f4", (floats,)), ("i", "<u4", (ints,))]
         )
@@ -357,6 +382,8 @@ class RecordLayout:
         infinite value is stored as the largest finite float32 of its
         sign.
         """
+        if floats.shape[0] == 0:
+            return b""
         records = np.empty(floats.shape[0], dtype=self._dtype)
         with np.errstate(over="ignore"):
             narrow = floats.astype(np.float32)
@@ -373,6 +400,18 @@ class RecordLayout:
         records["f"] = narrow
         records["i"] = ints
         return records.tobytes()
+
+
+def id_column(keys: Sequence[Sequence[int]], width: int):
+    """Per-row ids (``width`` ints each) as an int64 ``(n, width)`` column."""
+    return np.asarray(keys, dtype=np.int64).reshape(len(keys), width)
+
+
+def row_order(rows: Sequence[int], keys: Sequence[float]):
+    """``rows`` sorted by ``keys[row]``, equal keys keeping their order —
+    Python's stable ``sorted`` on the same floats — as an int column."""
+    rows = np.asarray(rows)
+    return rows[np.argsort(np.asarray(keys)[rows], kind="stable")]
 
 
 def append_row(column, row):

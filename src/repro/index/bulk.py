@@ -19,6 +19,11 @@ Two tiling modes:
   discardability test (Sect. 4.2) depends on.  The
   :class:`~repro.index.DualTimeIndex` uses it by default.
 
+STR runs on the row numbers of the leaf records' columns
+(:class:`~repro.index.pagearrays.PageRows`): every sort is a stable sort
+of row numbers on the centre floats an entry-object sort compared, every
+group becomes one node's rows by a column take, and a parent's row for a
+child is that child's ``BoxBatch.cover`` — no entry object is built.
 The resulting tree is a perfectly ordinary :class:`~repro.index.RTree`:
 subsequent single-record insertions, listener notifications and
 timestamped update management all work on it unchanged.
@@ -30,78 +35,77 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import IndexStructureError
-from repro.index.entry import Entry, InternalEntry, LeafEntry
+from repro.geometry import kernels
 from repro.index.node import Node
+from repro.index.pagearrays import PageRows
 from repro.index.rtree import RTree
 from repro.storage.constants import DEFAULT_FILL_FACTOR
 
 __all__ = ["str_bulk_load"]
 
 
-def _center(entry: Entry, axis: int) -> float:
-    e = entry.box.extent(axis)
-    return 0.5 * (e.low + e.high)
-
-
 def _tile(
-    items: List[Entry], capacity: int, axes: Sequence[int]
-) -> List[List[Entry]]:
-    """Recursively sort-and-slice ``items`` into groups of ≤ ``capacity``."""
-    if len(items) <= capacity:
-        return [items]
+    centres: Sequence, rows: Sequence[int], capacity: int, axes: Sequence[int]
+) -> List[Sequence[int]]:
+    """Recursively sort-and-slice ``rows`` into groups of ≤ ``capacity``;
+    ``centres[axis]`` is the box-centre column sorted on along ``axis``."""
+    if len(rows) <= capacity:
+        return [rows]
     axis, rest = axes[0], axes[1:]
-    items = sorted(items, key=lambda e: _center(e, axis))
-    groups_needed = math.ceil(len(items) / capacity)
+    rows = kernels.row_order(rows, centres[axis])
+    groups_needed = math.ceil(len(rows) / capacity)
     if not rest:
         # Last axis: chop straight into capacity-sized runs.
-        return [
-            items[i : i + capacity] for i in range(0, len(items), capacity)
-        ]
+        return [rows[i : i + capacity] for i in range(0, len(rows), capacity)]
     slabs = math.ceil(groups_needed ** (1.0 / len(axes)))
-    slab_size = math.ceil(len(items) / slabs)
-    out: List[List[Entry]] = []
-    for i in range(0, len(items), slab_size):
-        out.extend(_tile(items[i : i + slab_size], capacity, rest))
+    slab_size = math.ceil(len(rows) / slabs)
+    out: List[Sequence[int]] = []
+    for i in range(0, len(rows), slab_size):
+        out.extend(_tile(centres, rows[i : i + slab_size], capacity, rest))
     return out
 
 
 def _leaf_groups(
-    items: List[Entry],
+    boxes: kernels.BoxBatch,
     capacity: int,
     axes: Sequence[int],
     time_slabs: Optional[int],
     tile_axes: Optional[Sequence[int]],
-) -> List[List[Entry]]:
-    """Partition leaf entries into node-sized groups."""
+) -> List[Sequence[int]]:
+    """Partition the leaf rows into node-sized groups."""
+    rows = range(boxes.n)
+    centres = [boxes.centres(axis) for axis in axes]
     if time_slabs is None:
-        return _tile(items, capacity, tuple(axes))
+        return _tile(centres, rows, capacity, tuple(axes))
     if time_slabs < 1:
         raise IndexStructureError("time_slabs must be >= 1")
     spatial = tuple(tile_axes) if tile_axes is not None else tuple(axes)[1:]
     if not spatial:
         raise IndexStructureError("time-major tiling needs at least one tile axis")
-    items = sorted(items, key=lambda e: e.box.extent(0).low)
-    per_slab = math.ceil(len(items) / time_slabs)
-    groups: List[List[Entry]] = []
-    for i in range(0, len(items), per_slab):
-        groups.extend(_tile(items[i : i + per_slab], capacity, spatial))
+    rows = kernels.row_order(rows, boxes.extent_bounds(0)[0])
+    per_slab = math.ceil(len(rows) / time_slabs)
+    groups: List[Sequence[int]] = []
+    for i in range(0, len(rows), per_slab):
+        groups.extend(_tile(centres, rows[i : i + per_slab], capacity, spatial))
     return groups
 
 
 def str_bulk_load(
     tree: RTree,
-    entries: Sequence[LeafEntry],
+    rows: PageRows,
     time_slabs: Optional[int] = None,
     tile_axes: Optional[Sequence[int]] = None,
 ) -> None:
-    """Populate an empty tree with ``entries`` using STR packing.
+    """Populate an empty tree with the leaf ``rows`` using STR packing.
 
     Parameters
     ----------
     tree:
         A freshly constructed, empty :class:`RTree`.
-    entries:
-        Leaf entries; their boxes must match the tree's axes.
+    rows:
+        The leaf records as :class:`~repro.index.pagearrays.PageRows`
+        (``PageRows.of(True, entries)`` for entry objects); their boxes
+        must match the tree's axes.
     time_slabs:
         Enable time-major tiling with this many slabs along axis 0
         (``None`` = balanced STR over all axes).
@@ -116,14 +120,13 @@ def str_bulk_load(
     """
     if len(tree):
         raise IndexStructureError("bulk load requires an empty tree")
-    items = list(entries)
-    if not items:
+    if not len(rows):
         return
-    for e in items:
-        if e.box.dims != tree.axes:
-            raise IndexStructureError(
-                f"entry box has {e.box.dims} axes, tree has {tree.axes}"
-            )
+    boxes = rows.box_batch()
+    if boxes.width != tree.axes:
+        raise IndexStructureError(
+            f"entry box has {boxes.width} axes, tree has {tree.axes}"
+        )
 
     leaf_cap = max(2, int(tree.max_leaf * DEFAULT_FILL_FACTOR))
     internal_cap = max(2, int(tree.max_internal * DEFAULT_FILL_FACTOR))
@@ -131,30 +134,31 @@ def str_bulk_load(
     parents: Dict[int, int] = {}
 
     # Leaf level.
-    groups = _leaf_groups(items, leaf_cap, axes, time_slabs, tile_axes)
+    groups = _leaf_groups(boxes, leaf_cap, axes, time_slabs, tile_axes)
     level = 0
     nodes: List[Node] = []
     for group in groups:
-        node = Node(tree.disk.allocate(), level)
-        node.replace_entries(group, clock=0)
+        node = Node.from_rows(tree.disk.allocate(), level, 0, rows.take(group))
         tree.disk.write(node.page_id, node)
         nodes.append(node)
 
-    # Internal levels, bottom-up.
+    # Internal levels, bottom-up: one row per child, its cover.
     while len(nodes) > 1:
         level += 1
-        child_entries: List[Entry] = [
-            InternalEntry(n.mbr(), n.page_id) for n in nodes
-        ]
-        groups = _tile(child_entries, internal_cap, axes)
+        covers = [n.entries.box_batch().cover() for n in nodes]
+        rows = PageRows(
+            kernels.BoxBatch([lo for lo, _ in covers], [hi for _, hi in covers]),
+            kernels.stamp_column([0] * len(nodes)),
+            kernels.id_column([(n.page_id,) for n in nodes], 1),
+        )
+        centres = [rows.box_batch().centres(axis) for axis in axes]
         parents_level: List[Node] = []
-        for group in groups:
-            node = Node(tree.disk.allocate(), level)
-            node.replace_entries(group, clock=0)
+        for group in _tile(centres, range(len(nodes)), internal_cap, axes):
+            node = Node.from_rows(tree.disk.allocate(), level, 0, rows.take(group))
             tree.disk.write(node.page_id, node)
-            for child in group:
-                parents[child.child_id] = node.page_id  # type: ignore[union-attr]
+            for child in node.child_ids():
+                parents[child] = node.page_id
             parents_level.append(node)
         nodes = parents_level
 
-    tree._adopt(nodes[0], parents, size=len(items))
+    tree._adopt(nodes[0], parents, size=boxes.n)

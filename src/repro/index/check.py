@@ -29,7 +29,6 @@ from typing import List, Optional
 from repro.errors import StorageError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
-from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.rtree import RTree
 
 __all__ = ["Violation", "FsckReport", "RepairReport", "fsck", "repair"]
@@ -160,27 +159,18 @@ def fsck(tree: RTree) -> FsckReport:
                     f"{len(node.entries)} entries below minimum fill "
                     f"{min_fill} (legal after bulk load)",
                 )
-        if node.is_leaf:
-            for e in node.entries:
-                if not isinstance(e, LeafEntry):
-                    flag(
-                        "error",
-                        "wrong-entry-kind",
-                        page_id,
-                        f"leaf holds {type(e).__name__}",
-                    )
-                    continue
-                report.records_seen += 1
+        if node.entries.is_leaf != node.is_leaf:
+            held = "leaf" if node.entries.is_leaf else "internal"
+            flag(
+                "error",
+                "wrong-entry-kind",
+                page_id,
+                f"level-{node.level} node holds {held} rows",
+            )
+        elif node.is_leaf:
+            report.records_seen += len(node.entries)
         else:
             for e in node.entries:
-                if not isinstance(e, InternalEntry):
-                    flag(
-                        "error",
-                        "wrong-entry-kind",
-                        page_id,
-                        f"internal node holds {type(e).__name__}",
-                    )
-                    continue
                 try:
                     child = disk.read(e.child_id)
                 except StorageError:
@@ -315,20 +305,14 @@ def repair(tree: RTree) -> RepairReport:
         except StorageError:
             continue
         if node.is_leaf:
-            records += sum(
-                1 for e in node.entries if isinstance(e, LeafEntry)
-            )
+            records += len(node.entries)
             continue
         internal_nodes.append(node)
-        for e in node.entries:
-            if not isinstance(e, InternalEntry):
-                continue
-            if e.child_id != tree.root_id and (
-                tree.parent_of(e.child_id) != page_id
-            ):
-                tree._parents[e.child_id] = page_id
+        for child_id in node.child_ids():
+            if child_id != tree.root_id and tree.parent_of(child_id) != page_id:
+                tree._parents[child_id] = page_id
                 report.parents_fixed += 1
-            stack.append(e.child_id)
+            stack.append(child_id)
 
     # Pass 2: tighten entry boxes bottom-up, so a parent always sees its
     # children's final MBRs.  The entry's own timestamp is preserved —
@@ -336,8 +320,6 @@ def repair(tree: RTree) -> RepairReport:
     for node in sorted(internal_nodes, key=lambda n: n.level):
         changed = False
         for e in list(node.entries):
-            if not isinstance(e, InternalEntry):
-                continue
             try:
                 child = disk.read(e.child_id)
             except StorageError:

@@ -4,8 +4,8 @@ The fanouts in :mod:`repro.storage.constants` (145/127, matching Sect. 5)
 assume a concrete byte layout.  These codecs implement it, and they are
 what the durable tier serves through: ``serve --data-dir`` (and any
 ``DiskManager(codec=...)``) writes every node as one of these pages and
-reads every node back from one.  In-memory indexes run in object mode
-and never meet a codec.
+reads every node back from one.  In-memory indexes keep their nodes on
+a codec-less disk and never meet a codec.
 
 Layout (little-endian):
 
@@ -15,15 +15,12 @@ Layout (little-endian):
 * leaf entry: float32 ``t_lo, t_hi``, ``d`` float32 origin, ``d`` float32
   velocity, ``I`` object id, ``I`` sequence number.
 
-A page *is* its columns: ``decode`` unpacks the records once into the
-float64 columns the batch kernels read
-(:class:`~repro.index.pagearrays.PageRows`) and hands back a page-backed
-:class:`~repro.index.node.Node` over them — no entry object is built
-until somebody asks for ``entries[k]``.  ``encode`` packs a page-backed
-node's columns back to the same bytes; an object-mode node (a bulk-load
-or split product that was never on a page) is packed one entry object at
-a time, which for a node with no columns yet is the cheaper way and
-leaves none behind.
+A node *is* its columns (:class:`~repro.index.pagearrays.PageRows`), so
+``encode`` packs a node's columns as they are — the segment rows of a
+leaf, the box rows of an internal node, the id column beside them — and
+``decode`` unpacks the records once into the same float64 columns and
+hands back a :class:`~repro.index.node.Node` over them; no entry object
+is built until somebody asks for ``entries[k]``.
 
 Coordinates are float32, as the paper's fanout arithmetic implies; the
 decoded leaf box is recomputed from the (rounded) segment and
@@ -38,17 +35,18 @@ stored as the largest finite float32 of its sign.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
-from typing import Any, Callable, Iterator, List, Tuple
+from typing import Any
 
 from repro.errors import CorruptPageError, StorageError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
+from repro.index.dualtime import DualTimeIndex
 from repro.index.node import Node
-from repro.index.pagearrays import PageRows, page_arrays
+from repro.index.nsi import NativeSpaceIndex
+from repro.index.pagearrays import PageRows
 from repro.motion.segment import MotionSegment
 from repro.motion.uncertainty import inflate_box
 
@@ -60,24 +58,6 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<IHHII")
-_F32_MAX = 3.4028235e38
-
-
-def _f32_clip(value: float) -> float:
-    """Map ±inf onto the float32 range so struct 'f' packing succeeds."""
-    if value == math.inf:
-        return _F32_MAX
-    if value == -math.inf:
-        return -_F32_MAX
-    return value
-
-
-def _packed(pack: Callable[..., bytes], values: tuple) -> bytes:
-    try:
-        return pack(*values)
-    except (OverflowError, struct.error):
-        # struct names neither the field nor the number: say which record
-        raise OverflowError(f"record {values!r} does not fit") from None
 
 
 class _BaseCodec:
@@ -110,17 +90,9 @@ class _BaseCodec:
 
     def _leaf_box(self, record: MotionSegment) -> Box:
         """The box a decoded leaf entry is indexed under — the scalar
-        definition :meth:`_leaf_box_columns` is the column form of."""
+        definition whose column form ``_leaf_box_columns`` (the index
+        flavour's ``_leaf_bounds``) gives, before the pad."""
         raise NotImplementedError
-
-    def _leaf_box_columns(self, segments: kernels.SegmentBatch) -> Tuple[List, List]:
-        """Per axis, the low and the high column of :meth:`_leaf_box`
-        over a whole leaf, before the pad."""
-        raise NotImplementedError
-
-    def _spatial_columns(self, segments: kernels.SegmentBatch) -> Tuple[List, List]:
-        bounds = [segments.spatial_bounds(i) for i in range(self.dims)]
-        return [lo for lo, _ in bounds], [hi for _, hi in bounds]
 
     # -- encoding -----------------------------------------------------------
 
@@ -129,17 +101,15 @@ class _BaseCodec:
             node.page_id, node.level, len(node.entries), node.timestamp, 0
         )
         try:
-            if node._page_backed:
-                return header + self._pack_rows(node.entries)
-            return header + b"".join(self._pack_entries(node))
-        except (OverflowError, struct.error) as exc:
+            return header + self._pack_rows(node.entries)
+        except OverflowError as exc:
             raise StorageError(
                 f"page {node.page_id}: {exc}; a page holds float32 bounds "
                 "and uint32 ids"
             ) from None
 
     def _pack_rows(self, rows: PageRows) -> bytes:
-        """A page-backed node's records: its columns, packed as they are."""
+        """A node's records: its columns, packed as they are."""
         if rows.is_leaf:
             return self._leaf.pack(
                 rows.segment_batch().records(), rows.ids(), clip_inf=False
@@ -147,27 +117,6 @@ class _BaseCodec:
         return self._internal.pack(
             rows.box_batch().records(), rows.ids(), clip_inf=True
         )
-
-    def _pack_entries(self, node: Node) -> Iterator[bytes]:
-        """An object-mode node's records, one entry object at a time."""
-        if node.is_leaf:
-            pack = self._leaf.struct.pack
-            for e in node.entries:
-                rec = e.record  # type: ignore[union-attr]
-                seg = rec.segment
-                values = (
-                    seg.time.low, seg.time.high, *seg.origin, *seg.velocity,
-                    rec.object_id, rec.seq,
-                )
-                yield _packed(pack, values)
-        else:
-            pack = self._internal.struct.pack
-            for e in node.entries:
-                coords: List[float] = []
-                for ext in e.box:
-                    coords.append(_f32_clip(ext.low))
-                    coords.append(_f32_clip(ext.high))
-                yield _packed(pack, (*coords, e.child_id))  # type: ignore[union-attr]
 
     # -- decoding -------------------------------------------------------------
 
@@ -270,9 +219,7 @@ class NativeNodeCodec(_BaseCodec):
         pad = self.uncertainty + self._ROUNDING_EPS
         return inflate_box(box, pad, spatial_dims_from=0)
 
-    def _leaf_box_columns(self, segments):
-        lows, highs = self._spatial_columns(segments)
-        return [segments.t_lo] + lows, [segments.t_hi] + highs
+    _leaf_box_columns = staticmethod(NativeSpaceIndex._leaf_bounds)
 
 
 class DualTimeNodeCodec(_BaseCodec):
@@ -293,7 +240,4 @@ class DualTimeNodeCodec(_BaseCodec):
         pad = self.uncertainty + self._ROUNDING_EPS
         return inflate_box(box, pad, spatial_dims_from=0)
 
-    def _leaf_box_columns(self, segments):
-        lows, highs = self._spatial_columns(segments)
-        times = [segments.t_lo, segments.t_hi]
-        return times + lows, times + highs
+    _leaf_box_columns = staticmethod(DualTimeIndex._leaf_bounds)

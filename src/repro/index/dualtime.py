@@ -18,7 +18,7 @@ with exact leaf segments, used by the NPDQ engine.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry import kernels
@@ -26,7 +26,6 @@ from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.index.bulk import str_bulk_load
 from repro.index.facade import SegmentIndex
-from repro.index.pagearrays import page_arrays
 from repro.motion.segment import MotionSegment
 from repro.storage.constants import DEFAULT_FILL_FACTOR
 from repro.storage.metrics import QueryCost
@@ -55,6 +54,12 @@ class DualTimeIndex(SegmentIndex):
             + [record.segment.spatial_extent(i) for i in range(self.dims)]
         )
 
+    @staticmethod
+    def _leaf_bounds(segments: kernels.SegmentBatch):
+        times = [segments.t_lo, segments.t_hi]
+        lows, highs = SegmentIndex._leaf_bounds(segments)
+        return times + lows[1:], times + highs[1:]
+
     def query_box(self, time: Interval, window: Box) -> Box:
         """Dual-time box of a snapshot query over ``time`` and ``window``.
 
@@ -67,8 +72,8 @@ class DualTimeIndex(SegmentIndex):
             [Interval(-_INF, time.high), Interval(time.low, _INF)] + list(window)
         )
 
-    def _node_test(self, time: Interval, window: Box) -> Callable[[Box], bool]:
-        return self.query_box(time, window).overlaps
+    def _node_test(self, time: Interval, window: Box) -> Box:
+        return self.query_box(time, window)
 
     def bulk_load(
         self,
@@ -87,14 +92,15 @@ class DualTimeIndex(SegmentIndex):
         query).  Pass ``time_slabs=1`` for a purely spatial tiling or an
         explicit count to control the trade-off.
         """
-        entries = [self._leaf_entry(r) for r in records]
-        if time_slabs is None and entries:
+        records = list(records)
+        rows = self._leaf_rows(records)
+        if time_slabs is None and records:
             leaf_cap = max(2, int(self.tree.max_leaf * DEFAULT_FILL_FACTOR))
-            n_leaves = max(1, len(entries) // leaf_cap)
-            lifetimes = sorted(e.record.time.length for e in entries)
+            n_leaves = max(1, len(records) // leaf_cap)
+            lifetimes = sorted(r.time.length for r in records)
             median_lifetime = lifetimes[len(lifetimes) // 2]
-            ts_lo = min(e.record.time.low for e in entries)
-            ts_hi = max(e.record.time.low for e in entries)
+            ts_lo = min(r.time.low for r in records)
+            ts_hi = max(r.time.low for r in records)
             if median_lifetime > 0:
                 time_slabs = round((ts_hi - ts_lo) / median_lifetime)
             else:
@@ -102,7 +108,7 @@ class DualTimeIndex(SegmentIndex):
             time_slabs = max(1, min(time_slabs, n_leaves))
         str_bulk_load(
             self.tree,
-            entries,
+            rows,
             time_slabs=time_slabs,
             tile_axes=tuple(range(2, self.dims + 2)),
         )
@@ -157,14 +163,11 @@ class DualTimeIndex(SegmentIndex):
                 continue
             if node.is_leaf:
                 continue
-            entries = node.entries
+            rows = node.entries
             if cost is not None:
-                cost.count_distance_computations(len(entries))
-            arrays = page_arrays(node)
+                cost.count_distance_computations(len(rows))
             stack.extend(
-                entries[k].child_id
-                for k in kernels.live_rows(
-                    arrays.box_batch(), arrays.stamps(), rule
-                )
+                rows.child_id(k)
+                for k in kernels.live_rows(rows.box_batch(), rows.stamps(), rule)
             )
         return pages

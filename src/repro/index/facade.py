@@ -5,26 +5,33 @@ the same motion segments and answer the same snapshot query; they differ
 in three things only, which is all a flavour supplies:
 
 * its axis count, ``_time_axes + _axes_per_dim * dims``;
-* the box a segment is filed under, :meth:`SegmentIndex._leaf_box`;
+* the box a segment is filed under, :meth:`SegmentIndex._leaf_box`, and
+  the same boxes as columns over many segments,
+  :meth:`SegmentIndex._leaf_bounds`;
 * which node boxes a query may prune, :meth:`SegmentIndex._node_test`
-  (by default the overlap test against the native query box).
+  (by default the overlap test against the native query box, which the
+  search evaluates on a page's box column).
 
 Construction, insertion, bulk loading and the snapshot search are written
-once here.  The search is one :meth:`~repro.index.RTree.search`
-traversal pruned by the flavour's test, with the exact segment test of
-[13] at the leaves.
+once here.  Bulk loading hands STR the records' columns — segment rows,
+box rows from :meth:`SegmentIndex._leaf_bounds`, the records themselves
+as the record column — and builds no entry object.  The search is one
+:meth:`~repro.index.RTree.search` traversal pruned by the flavour's
+test, with the exact segment test of [13] at the leaves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.index.bulk import str_bulk_load
 from repro.index.entry import LeafEntry
+from repro.index.pagearrays import PageRows
 from repro.index.rtree import RTree
 from repro.motion.segment import MotionSegment
 from repro.motion.uncertainty import inflate_box
@@ -92,15 +99,47 @@ class SegmentIndex:
         """The box ``record`` is filed under (native space by default)."""
         return record.bounding_box()
 
-    def _leaf_entry(self, record: MotionSegment) -> LeafEntry:
+    @staticmethod
+    def _leaf_bounds(segments: kernels.SegmentBatch) -> Tuple[List, List]:
+        """Per axis, the low and the high column of :meth:`_leaf_box` over
+        ``segments`` — the same floats (a page codec files a decoded leaf
+        row under them too)."""
+        bounds = [segments.spatial_bounds(i) for i in range(segments.dims)]
+        lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
+        return [segments.t_lo] + lows, [segments.t_hi] + highs
+
+    def _check_dims(self, record: MotionSegment) -> None:
         if record.dims != self.dims:
             raise QueryError(
                 f"segment has {record.dims} spatial dims, index has {self.dims}"
             )
+
+    def _leaf_entry(self, record: MotionSegment) -> LeafEntry:
+        self._check_dims(record)
         box = self._leaf_box(record)
         if self.uncertainty:
             box = inflate_box(box, self.uncertainty, spatial_dims_from=self._time_axes)
         return LeafEntry(box, record)
+
+    def _leaf_rows(self, records: Iterable[MotionSegment]) -> PageRows:
+        """The leaf rows :meth:`_leaf_entry` would give ``records``, as
+        columns; the records themselves are the record column."""
+        records = list(records)
+        for record in records:
+            self._check_dims(record)
+        segments = kernels.SegmentBatch.of([r.segment for r in records])
+        lows, highs = self._leaf_bounds(segments)
+        pad = None
+        if self.uncertainty:  # inflate_box's amounts: none on the time axes
+            spatial = len(lows) - self._time_axes
+            pad = [0.0] * self._time_axes + [self.uncertainty] * spatial
+        return PageRows(
+            kernels.BoxBatch.from_columns(lows, highs, pad),
+            kernels.stamp_column([0] * len(records)),
+            kernels.id_column([r.key for r in records], 2),
+            segments,
+            records,
+        )
 
     def insert(self, record: MotionSegment):
         """Insert one motion update (stamps timestamps, notifies listeners)."""
@@ -108,7 +147,7 @@ class SegmentIndex:
 
     def bulk_load(self, records: Iterable[MotionSegment]) -> None:
         """STR-pack many records into an empty index."""
-        str_bulk_load(self.tree, [self._leaf_entry(r) for r in records])
+        str_bulk_load(self.tree, self._leaf_rows(records))
 
     # -- queries ------------------------------------------------------------
 
@@ -126,9 +165,12 @@ class SegmentIndex:
             raise QueryError("snapshot query has empty time interval")
         return Box([time] + list(window))
 
-    def _node_test(self, time: Interval, window: Box) -> Callable[[Box], bool]:
-        """May a subtree (or leaf entry) with this box hold an answer?"""
-        return self._native_box(time, window).overlaps
+    def _node_test(
+        self, time: Interval, window: Box
+    ) -> Union[Box, Callable[[Box], bool]]:
+        """May a subtree (or leaf entry) with this box hold an answer?  A
+        box means: iff it overlaps that box."""
+        return self._native_box(time, window)
 
     def snapshot_search(
         self,

@@ -9,25 +9,23 @@ its last structural modification.  Sect. 4.2's NPDQ update management
 reads it: if a node changed after the previous query ran, discardability
 against that query must not be applied to the node.
 
-A node keeps its entries in one of two forms.  An **object-mode** node
-(built by the index in memory) holds a plain ``list`` of entry objects;
-that list is its state.  A **page-backed** node (built by a page codec,
-:meth:`Node.from_rows`) holds the page's columns
-(:class:`~repro.index.pagearrays.PageRows`): ``entries`` is then a
-sequence view over the rows that builds an entry object only for the row
-asked for, and the mutators below write rows instead of list items.
-Either way the methods mean the same thing; ``replace_entries`` (a
-split) turns a page-backed node into an object-mode one.
+A node is its page's columns
+(:class:`~repro.index.pagearrays.PageRows`), however it was made:
+``Node()`` and a split's ``replace_entries`` turn the entry objects they
+are given into rows, bulk load and the page codecs write the columns
+directly.  ``entries`` is that column object — a sequence view that
+builds an entry object only for the row asked for, and the batch
+kernels' view of the page — and the mutators below write rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.errors import DimensionalityError, IndexStructureError
+from repro.errors import IndexStructureError
 from repro.geometry.box import Box
-from repro.geometry.interval import Interval
 from repro.index.entry import Entry, InternalEntry, LeafEntry
+from repro.index.pagearrays import PageRows
 
 __all__ = ["Node"]
 
@@ -35,41 +33,36 @@ __all__ = ["Node"]
 class Node:
     """One R-tree node, resident on one disk page."""
 
-    __slots__ = ("page_id", "level", "entries", "timestamp", "_mbr", "_arrays")
+    __slots__ = ("page_id", "level", "entries", "timestamp", "_mbr")
 
     def __init__(
         self,
         page_id: int,
         level: int,
-        entries: Optional[Sequence[Entry]] = None,
+        entries: Sequence[Entry] = (),
         timestamp: int = 0,
     ):
         if level < 0:
             raise IndexStructureError(f"negative node level {level}")
         self.page_id = page_id
         self.level = level
-        self.entries: List[Entry] = list(entries) if entries else []
+        entries = list(entries)
+        for e in entries:
+            self._check_entry_kind(e)
+        self.entries: PageRows = PageRows.of(self.is_leaf, entries)
         self.timestamp = timestamp
         self._mbr: Optional[Box] = None
-        self._arrays = None  # cached PageArrays view (repro.index.pagearrays)
 
     @classmethod
-    def from_rows(cls, page_id: int, level: int, timestamp: int, rows) -> "Node":
-        """A page-backed node over ``rows``
-        (:class:`~repro.index.pagearrays.PageRows`), which is both its
-        ``entries`` and the kernel view ``page_arrays`` hands out."""
+    def from_rows(cls, page_id: int, level: int, timestamp: int, rows: PageRows) -> "Node":
+        """The node whose columns are ``rows``."""
         node = cls.__new__(cls)
         node.page_id = page_id
         node.level = level
         node.entries = rows
         node.timestamp = timestamp
         node._mbr = None
-        node._arrays = rows
         return node
-
-    @property
-    def _page_backed(self) -> bool:
-        return self._arrays is self.entries
 
     # -- classification ------------------------------------------------------
 
@@ -82,11 +75,11 @@ class Node:
         return len(self.entries)
 
     def clone(self) -> "Node":
-        """Independent copy (entries are immutable, so a shallow list copy
-        suffices).  Used by the intent log to capture page pre-images in
-        object-storage mode, where the disk hands out this very object
-        by reference."""
-        return Node(self.page_id, self.level, list(self.entries), self.timestamp)
+        """Independent copy of the columns.  Used by the intent log to
+        capture page pre-images on a codec-less disk, which hands out
+        this very object by reference."""
+        rows = self.entries.take(list(range(len(self.entries))))
+        return Node.from_rows(self.page_id, self.level, self.timestamp, rows)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -99,28 +92,9 @@ class Node:
             If the node has no entries.
         """
         if self._mbr is None:
-            if not self.entries:
+            if not len(self.entries):
                 raise IndexStructureError(f"node {self.page_id} has no entries")
-            if self._page_backed:
-                self._mbr = self.entries.mbr()
-                return self._mbr
-            # One pass, same result as folding Box.cover over the entries:
-            # empty boxes are skipped (when every box is empty the fold
-            # ends on the last), min/max keep the first of equal bounds.
-            boxes = [e.box for e in self.entries]
-            dims = boxes[0].dims
-            if any(b.dims != dims for b in boxes):
-                raise DimensionalityError(
-                    f"node {self.page_id} mixes box dimensionalities"
-                )
-            full = [b for b in boxes if not b.is_empty]
-            if len(full) < 2:
-                self._mbr = full[0] if full else boxes[-1]
-            else:
-                self._mbr = Box(
-                    Interval(min(x.low for x in axis), max(x.high for x in axis))
-                    for axis in zip(*(b.extents for b in full))
-                )
+            self._mbr = self.entries.mbr()
         return self._mbr
 
     # -- mutation (invalidates the cached MBR) -----------------------------------
@@ -128,8 +102,6 @@ class Node:
     def _touched(self, clock: int) -> None:
         self.timestamp = max(self.timestamp, clock)
         self._mbr = None
-        if not self._page_backed:
-            self._arrays = None
 
     def add(self, entry: Entry, clock: int) -> None:
         """Append an entry and stamp the modification time."""
@@ -138,11 +110,10 @@ class Node:
         self._touched(clock)
 
     def replace_entries(self, entries: Sequence[Entry], clock: int) -> None:
-        """Swap in a whole new entry list (used by splits)."""
+        """Swap in the rows of a whole new entry list (used by splits)."""
         for e in entries:
             self._check_entry_kind(e)
-        self.entries = list(entries)
-        self._arrays = None
+        self.entries = PageRows.of(self.is_leaf, entries)
         self._touched(clock)
 
     def remove_child(self, child_id: int, clock: int) -> InternalEntry:
@@ -169,31 +140,18 @@ class Node:
 
     def update_child_box(self, child_id: int, box: Box, clock: int) -> None:
         """Tighten/grow the box of the entry pointing at ``child_id``."""
-        row = self._child_row(child_id)
-        if self._page_backed:
-            self.entries.set_box(row, box, clock)
-        else:
-            self.entries[row] = InternalEntry(box, child_id, timestamp=clock)
+        self.entries.set_box(self._child_row(child_id), box, clock)
         self._touched(clock)
 
     def child_ids(self) -> "tuple[int, ...]":
         """Page ids of all children (internal nodes only)."""
         if self.is_leaf:
             raise IndexStructureError("leaves have no child entries")
-        return tuple(self._keys())
-
-    def _keys(self) -> list:
-        """Per entry, what it is looked up by: the child page id, or on a
-        leaf the record's segment key."""
-        if self._page_backed:
-            return self.entries.keys()
-        if self.is_leaf:
-            return [e.record.key for e in self.entries]  # type: ignore[union-attr]
-        return [e.child_id for e in self.entries]  # type: ignore[union-attr]
+        return tuple(self.entries.keys())
 
     def _row(self, what: str, key) -> int:
         try:
-            return self._keys().index(key)
+            return self.entries.keys().index(key)
         except ValueError:
             raise IndexStructureError(
                 f"node {self.page_id} has no {what} {key}"

@@ -89,6 +89,15 @@ class ParametricSpaceIndex(SegmentIndex):
         extents.extend(Interval.point(v) for v in seg.velocity)
         return Box(extents)
 
+    @staticmethod
+    def _leaf_bounds(segments):
+        # the point of _leaf_box, column by column: a = x0 - v * t0
+        t0, dims = segments.t_lo, range(segments.dims)
+        columns = [t0, segments.t_hi]
+        columns += [segments.origin(i) - segments.velocity(i) * t0 for i in dims]
+        columns += [segments.velocity(i) for i in dims]
+        return columns, columns
+
     def _node_may_match(
         self, box: Box, time: Interval, window: Box
     ) -> bool:

@@ -32,7 +32,6 @@ from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.index.entry import Entry, InternalEntry, LeafEntry
 from repro.index.node import Node
-from repro.index.pagearrays import page_arrays
 from repro.index.split import SPLITTERS, Splitter
 from repro.storage.constants import DEFAULT_FILL_FACTOR
 from repro.storage.disk import DiskManager
@@ -388,9 +387,10 @@ class RTree:
         node = self.disk.read(self._root_id)
         path = [node]
         while node.level > stop_level:
-            arrays = page_arrays(node)
-            row = kernels.choose_subtree(arrays.box_batch(), lows, highs)
-            node = self.disk.read(arrays.child_id(row))
+            rows = node.entries
+            node = self.disk.read(
+                rows.child_id(kernels.choose_subtree(rows.box_batch(), lows, highs))
+            )
             path.append(node)
         return path
 
@@ -428,16 +428,14 @@ class RTree:
 
     def _find_leaf(self, page_id: int, key: tuple, box: Box) -> Optional[Node]:
         node = self.disk.read(page_id)
+        rows = node.entries
         if node.is_leaf:
-            for e in node.entries:
-                if e.record.key == key:  # type: ignore[union-attr]
-                    return node
-            return None
-        for e in node.entries:
-            if e.box.overlaps(box):
-                hit = self._find_leaf(e.child_id, key, box)  # type: ignore[union-attr]
-                if hit is not None:
-                    return hit
+            return node if key in rows.keys() else None
+        rule = kernels.DiscardRule(box)  # no previous query: the overlap test
+        for k in kernels.live_rows(rows.box_batch(), rows.stamps(), rule):
+            hit = self._find_leaf(rows.child_id(k), key, box)
+            if hit is not None:
+                return hit
         return None
 
     def _condense(self, leaf: Node) -> None:
@@ -536,10 +534,12 @@ class RTree:
         """Range search: yield leaf entries whose indexed box passes
         ``query`` and (if given) the exact ``leaf_test``.
 
-        ``query`` is a box (the overlap test against it) or the pruning
-        test itself, a predicate on an entry's box applied to internal
-        and leaf entries alike; the index facades pass the test of their
-        mapping (e.g. PSI's parameter-space relaxation).
+        ``query`` is a box (the overlap test against it, evaluated on the
+        page's box column) or the pruning test itself, a predicate on an
+        entry's box applied to internal and leaf entries alike; the index
+        facades pass the test of their mapping (e.g. PSI's
+        parameter-space relaxation).  Only a leaf row that passes it is
+        built as an entry object.
 
         Every node load counts one disk access; every entry examined
         counts one distance computation; every ``leaf_test`` invocation
@@ -558,7 +558,16 @@ class RTree:
                 raise IndexStructureError(
                     f"query box has {query.dims} axes, tree has {self.axes}"
                 )
-            query = query.overlaps
+            rule = kernels.DiscardRule(query)  # no previous query: the overlap test
+
+            def passing(rows) -> List[int]:
+                return kernels.live_rows(rows.box_batch(), rows.stamps(), rule)
+        else:
+            test = query
+
+            def passing(rows) -> List[int]:
+                return [k for k, e in enumerate(rows) if test(e.box)]
+
         stack = [self._root_id]
         attempts: Dict[int, int] = {}
         while stack:
@@ -575,26 +584,23 @@ class RTree:
                 else:
                     skipped.append(page_id)
                 continue
-            if node.is_leaf:
-                for e in node.entries:
+            rows = node.entries
+            if cost is not None:
+                cost.count_distance_computations(len(rows))
+            hits = passing(rows)
+            if not node.is_leaf:
+                stack.extend(rows.child_id(k) for k in hits)
+                continue
+            for k in hits:
+                e = rows[k]
+                if leaf_test is not None:
                     if cost is not None:
-                        cost.count_distance_computations()
-                    if not query(e.box):
+                        cost.count_segment_tests()
+                    if not leaf_test(e):  # type: ignore[arg-type]
                         continue
-                    if leaf_test is not None:
-                        if cost is not None:
-                            cost.count_segment_tests()
-                        if not leaf_test(e):  # type: ignore[arg-type]
-                            continue
-                    if cost is not None:
-                        cost.count_results()
-                    yield e  # type: ignore[misc]
-            else:
-                for e in node.entries:
-                    if cost is not None:
-                        cost.count_distance_computations()
-                    if query(e.box):
-                        stack.append(e.child_id)  # type: ignore[union-attr]
+                if cost is not None:
+                    cost.count_results()
+                yield e  # type: ignore[misc]
 
     def all_leaf_entries(self) -> Iterator[LeafEntry]:
         """Uncounted full scan (test oracle)."""

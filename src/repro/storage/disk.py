@@ -86,9 +86,10 @@ class StorageStats:
 def _snapshot(stored: Any) -> Any:
     """Pre-image copy of a raw page cell.
 
-    Bytes, ``None`` and sentinels are immutable; object-mode nodes are
-    handed out *by reference* and mutated in place by the index, so they
-    must be cloned or the pre-image would alias the post-image.
+    Bytes, ``None`` and sentinels are immutable; an object-mode cell is
+    the node itself, handed out *by reference* and mutated in place by
+    the index, so it is cloned (a copy of its columns) or the pre-image
+    would alias the post-image.
     """
     clone = getattr(stored, "clone", None)
     if clone is not None:

@@ -7,6 +7,8 @@ import itertools
 import json
 import math
 import struct
+import zlib
+from functools import reduce
 
 from repro.core.npdq import NPDQEngine, _PreviousQuery
 from repro.core.results import AnswerItem, SnapshotResult
@@ -17,7 +19,6 @@ from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interva
 from repro.index.check import fsck
 from repro.index.codec import CHECKSUM_FRAME_BYTES
 from repro.index.entry import InternalEntry, LeafEntry
-from repro.index.node import Node
 from repro.motion.segment import MotionSegment
 
 
@@ -40,6 +41,13 @@ def window(x0: float, y0: float, x1: float, y1: float) -> Box:
     return Box.from_bounds((x0, y0), (x1, y1))
 
 
+def replace_row(node, row: int, entry) -> None:
+    """Corrupt ``node`` by hand: its entry ``row`` becomes ``entry``."""
+    entries = list(node.entries)
+    entries[row] = entry
+    node.replace_entries(entries, node.timestamp)
+
+
 def assert_fsck_clean(tree) -> None:
     """Fail with fsck's summary and every violation unless ``tree`` is sound."""
     report = fsck(tree)
@@ -58,16 +66,59 @@ class JsonPageCodec:
 
 # -- the page codecs and the insert path, one entry object at a time ---------
 #
-# What ``index/codec.py`` and ``RTree._choose_path`` ran before a decoded
-# page became its columns, kept as the reference the column forms are
+# What ``index/codec.py`` and ``RTree._choose_path`` ran before a node
+# became its page's columns, kept as the reference the column forms are
 # tested against.
 
 _PAGE_HEADER = struct.Struct("<IHHII")
 
 
-def reference_decode(codec, data: bytes) -> Node:
-    """The eager page decode: an object-mode node, one entry object per
-    record, every float a ``struct`` ``'f'`` unpacked one.
+class ReferenceNode:
+    """A node as a plain list of entry objects: ``mbr`` is the scalar
+    ``Box.cover`` fold and the mutators are list edits — the independent
+    reference a column ``Node`` is tested against (the read side of a
+    tree walk and the mutators a codec test applies to both)."""
+
+    def __init__(self, page_id: int, level: int, timestamp: int, entries=()):
+        self.page_id, self.level, self.timestamp = page_id, level, timestamp
+        self.entries = list(entries)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.level == 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def mbr(self) -> Box:
+        return reduce(Box.cover, (e.box for e in self.entries))
+
+    def child_ids(self):
+        return tuple(e.child_id for e in self.entries)
+
+    def _pop(self, keys, key, clock):
+        self.timestamp = max(self.timestamp, clock)
+        return self.entries.pop(keys.index(key))
+
+    def add(self, entry, clock: int) -> None:
+        self.timestamp = max(self.timestamp, clock)
+        self.entries.append(entry)
+
+    def remove_record(self, key, clock: int):
+        return self._pop([e.record.key for e in self.entries], key, clock)
+
+    def remove_child(self, child_id: int, clock: int):
+        return self._pop(list(self.child_ids()), child_id, clock)
+
+    def update_child_box(self, child_id: int, box: Box, clock: int) -> None:
+        self.timestamp = max(self.timestamp, clock)
+        row = self.child_ids().index(child_id)
+        self.entries[row] = InternalEntry(box, child_id, timestamp=clock)
+
+
+def reference_decode(codec, data: bytes) -> ReferenceNode:
+    """The eager page decode: a :class:`ReferenceNode`, one entry object
+    per record, every float a ``struct`` ``'f'`` unpacked one.
 
     ``codec`` is a ``NativeNodeCodec`` / ``DualTimeNodeCodec``, bare or
     inside a ``ChecksummedCodec`` (whose frame it then checks and strips).
@@ -80,7 +131,7 @@ def reference_decode(codec, data: bytes) -> Node:
     internal = struct.Struct("<" + "f" * (2 * axes) + "I")
     leaf = struct.Struct("<" + "f" * (2 + 2 * dims) + "II")
     page_id, level, count, timestamp, _flags = _PAGE_HEADER.unpack_from(data, 0)
-    node = Node(page_id, level, timestamp=timestamp)
+    node = ReferenceNode(page_id, level, timestamp)
     offset = _PAGE_HEADER.size
     for _ in range(count):
         if level == 0:
@@ -108,10 +159,58 @@ def reference_decode(codec, data: bytes) -> Node:
     return node
 
 
+_F32_MAX = 3.4028235e38
+
+
+def _f32_clip(value: float) -> float:
+    """Map ±inf onto the float32 range so struct 'f' packing succeeds."""
+    if value == math.inf:
+        return _F32_MAX
+    if value == -math.inf:
+        return -_F32_MAX
+    return value
+
+
+def reference_encode(codec, node) -> bytes:
+    """The page bytes of ``node``, packed one entry object at a time with
+    ``struct`` (``'f'`` bounds and coordinates, ``'I'`` ids); an internal
+    page stores an infinite bound as the largest float32 of its sign.
+
+    ``node`` is anything with ``page_id``, ``level``, ``timestamp`` and
+    ``entries`` (a :class:`ReferenceNode` or a column ``Node``).  ``codec``
+    is a ``NativeNodeCodec`` / ``DualTimeNodeCodec``, bare or inside a
+    ``ChecksummedCodec`` (whose frame this then writes with ``zlib``).
+    """
+    inner = getattr(codec, "inner", None)
+    if inner is not None:
+        payload = reference_encode(inner, node)
+        frame = struct.pack("<2sHI", b"RP", len(payload), zlib.crc32(payload))
+        return frame + payload
+    dims, axes = codec.dims, codec._axes_count()
+    internal = struct.Struct("<" + "f" * (2 * axes) + "I")
+    leaf = struct.Struct("<" + "f" * (2 + 2 * dims) + "II")
+    entries = list(node.entries)
+    out = [_PAGE_HEADER.pack(node.page_id, node.level, len(entries), node.timestamp, 0)]
+    for e in entries:
+        if node.level == 0:
+            rec = e.record
+            seg = rec.segment
+            out.append(leaf.pack(
+                seg.time.low, seg.time.high, *seg.origin, *seg.velocity,
+                rec.object_id, rec.seq,
+            ))
+        else:
+            coords = []
+            for ext in e.box:
+                coords += [_f32_clip(ext.low), _f32_clip(ext.high)]
+            out.append(internal.pack(*coords, e.child_id))
+    return b"".join(out)
+
+
 class ReferenceDecodeCodec:
     """A page codec that writes ``codec``'s bytes and reads them back
     through :func:`reference_decode`: the same store, served as
-    object-mode nodes."""
+    :class:`ReferenceNode` entry lists (for walks that only read)."""
 
     def __init__(self, codec):
         self.codec = codec
@@ -120,7 +219,7 @@ class ReferenceDecodeCodec:
     def encode(self, payload) -> bytes:
         return self.codec.encode(payload)
 
-    def decode(self, data: bytes) -> Node:
+    def decode(self, data: bytes) -> ReferenceNode:
         return reference_decode(self.codec, data)
 
 

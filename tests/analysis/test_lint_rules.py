@@ -6,6 +6,8 @@ it, and asserts the run exits non-zero naming that rule — proving the
 rule fires end to end, not just at the AST-visitor level.
 """
 
+import pytest
+
 from repro.analysis.engine import CATALOGUE
 from repro.cli import main
 
@@ -371,6 +373,29 @@ class TestCrashSafetyRules:
             "def widen(pool, pid, entry):\n"
             "    node = pool.get(pid)\n"
             "    node.entries.append(entry)\n",
+        )
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            "node.entries[0] = entry",
+            "node[0] = entry",
+            "del node.entries[0]",
+            "node.update_child_box(entry.child_id, entry.box, 2)",
+            "node.remove_child(entry.child_id, 2)",
+            "node.remove_record(entry.record.key, 2)",
+            "node.entries.set_box(0, entry.box, 2)",
+        ],
+    )
+    def test_dqc01_every_row_write_form(self, tmp_path, capsys, write):
+        assert_flags(
+            tmp_path,
+            capsys,
+            "DQC01",
+            "repro/index/mod.py",
+            "def widen(pool, pid, entry):\n"
+            "    node = pool.get(pid)\n"
+            f"    {write}\n",
         )
 
     def test_dqc01_wal_evidence_clears_it(self, tmp_path, capsys):

@@ -19,13 +19,15 @@ from repro.analysis.sanitizers import (
 from repro.errors import SanitizerError
 from repro.geometry.box import Box
 from repro.index.codec import ChecksummedCodec, NativeNodeCodec
-from repro.index.entry import InternalEntry
+from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
 from repro.server.clock import SimulatedClock
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.file import open_durable
 from repro.storage.wal import IntentLog
+
+from _helpers import make_segment
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -67,7 +69,8 @@ class TestPageWriteSanitizer:
     def test_unlogged_mutation_caught_at_checkpoint(self, suite):
         disk, pid = make_disk()
         node = disk.read(pid)
-        node.entries.append(object())  # never re-read before teardown
+        rec = make_segment(7)
+        node.entries.append(LeafEntry(rec.bounding_box(), rec))  # never re-read
         with pytest.raises(SanitizerError, match="detected at checkpoint"):
             suite.checkpoint_and_reset()
 

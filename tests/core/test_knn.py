@@ -72,21 +72,25 @@ class TestIncremental:
 
 
 class TestPageBackedIndex:
-    """A store served as its pages' columns answers exactly as the same
-    store served as entry objects, and as the entry-at-a-time walk did."""
+    """A store served as its pages' columns answers exactly as the
+    entry-at-a-time walk does over the same pages served as entry lists."""
 
     @pytest.fixture()
     def stores(self, tiny_segments):
         codec = ChecksummedCodec(NativeNodeCodec(2))
-        out = []
-        for page_codec in (codec, ReferenceDecodeCodec(codec)):
-            disk = DiskManager(codec=page_codec, buffer_pool=BufferPool(64))
-            index = NativeSpaceIndex(dims=2, disk=disk)
-            index.bulk_load(tiny_segments[:600])
-            for record in tiny_segments[600:700]:  # rows written after a decode
-                index.insert(record)
-            out.append(index)
-        return out
+        disk = DiskManager(codec=codec, buffer_pool=BufferPool(64))
+        index = NativeSpaceIndex(dims=2, disk=disk)
+        index.bulk_load(tiny_segments[:600])
+        for record in tiny_segments[600:700]:  # rows written after a decode
+            index.insert(record)
+        # the same page bytes, read back through the reference decode
+        lists = DiskManager(codec=ReferenceDecodeCodec(codec))
+        for _ in range(max(disk.page_ids()) + 1):
+            lists.allocate()
+        for page_id in disk.page_ids():
+            lists.write(page_id, disk.read(page_id))
+        meta = index.tree.recovery_meta()
+        return index, NativeSpaceIndex(dims=2, disk=lists, restore_meta=meta)
 
     @pytest.mark.parametrize("max_distance", [25.0, math.inf])
     def test_same_stream_and_cost_as_entry_objects(
@@ -103,7 +107,6 @@ class TestPageBackedIndex:
             runs = []
             for walk, index in (
                 (incremental_knn, columns),
-                (incremental_knn, objects),
                 (scalar_incremental_knn, objects),
             ):
                 cost = QueryCost()
@@ -111,7 +114,7 @@ class TestPageBackedIndex:
                     zip(range(40), walk(index, t, point, cost, max_distance))
                 )
                 runs.append(([pair for _, pair in stream], cost))
-            assert runs[0] == runs[1] == runs[2]
+            assert runs[0] == runs[1]
             answers += len(runs[0][0])
         assert answers > 40, "the probes found too little to compare"
 

@@ -25,7 +25,7 @@ from repro.core.snapshot import SnapshotQuery
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
 from repro.index.dualtime import DualTimeIndex
-from repro.index.pagearrays import PageArrays
+from repro.index.pagearrays import PageRows
 from repro.storage.faults import FaultInjector
 from repro.storage.metrics import QueryCost
 
@@ -231,17 +231,14 @@ class TestWhatASliverDoesNotBuild:
         # small pages: the descent reaches many leaves, few of them uncovered
         index, engine, second = self.world(tiny_segments, 20.0, page_size=512)
         prev = engine._prev
-        built = []
-        segment_batch = PageArrays.segment_batch
+        read = []  # the pages whose segment column this snapshot reads
+        segment_batch = PageRows.segment_batch
 
-        def spy(arrays):
-            built.append(arrays)
-            return segment_batch(arrays)
+        def spy(rows):
+            read.append(rows)
+            return segment_batch(rows)
 
-        monkeypatch.setattr(PageArrays, "segment_batch", spy)
-        # so that a leaf can only have got its view from this snapshot
-        for pid in index.tree.disk.page_ids():
-            index.tree.load_node(pid)._arrays = None
+        monkeypatch.setattr(PageRows, "segment_batch", spy)
         engine.snapshot(second)
         dual = index.query_box(second.time, second.window)
         leaves = live_leaves = 0
@@ -252,7 +249,7 @@ class TestWhatASliverDoesNotBuild:
             leaves += 1
             live = scalar_live_rows(node.entries, dual, prev.dual_box, prev.clock)
             live_leaves += bool(live)
-            assert (node._arrays in built) == bool(live)
+            assert any(rows is node.entries for rows in read) == bool(live)
         assert 0 < live_leaves < leaves / 2  # the usual leaf has no live row
 
     def test_interval_constructions_follow_the_answers(

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core.naive import NaiveEvaluator
-from repro.core.pdq import PDQEngine
+from repro.core.pdq import PDQEngine, sweep_windows
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import QueryError
+from repro.geometry.kernels import TrajectoryTable
+from repro.index.entry import LeafEntry
 from repro.index.nsi import NativeSpaceIndex
+from repro.motion.segment import MotionSegment
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager
 from repro.workload.trajectories import generate_trajectories
 
 from _helpers import make_segment
@@ -222,3 +227,41 @@ class TestAPI:
             frames = pdq.run(tiny_queries.snapshot_period)
         total = sum(f.cost.total_reads for f in frames)
         assert total == pdq.cost.total_reads
+
+
+class TestSweepStash:
+    """Components a sweep stashed for a page are used only while the
+    page's rows are unwritten since."""
+
+    @pytest.mark.parametrize("write", ["delete", "add"])
+    def test_a_page_written_after_the_sweep_is_evaluated_afresh(
+        self, tiny_segments, trajectories, write
+    ):
+        disk = DiskManager(buffer_pool=BufferPool(64))
+        index = NativeSpaceIndex(dims=2, disk=disk, page_size=512)
+        index.bulk_load(tiny_segments)
+        trajectory = trajectories[0]
+        span = trajectory.time_span
+        swept = PDQEngine(index, trajectory, track_updates=False)
+        demand, failed = sweep_windows(
+            [(swept, span.low, span.high)],
+            TrajectoryTable.stack((trajectory.kernel_table(),)),
+        )
+        assert failed == 0
+        leaves = [
+            pid for pid in demand[0]
+            if index.tree.load_node(pid).is_leaf and swept._stash[pid][3]
+        ]
+        node = index.tree.load_node(leaves[0])
+        seen = node.entries[swept._stash[leaves[0]][3][0][0]]  # a visible row
+        if write == "delete":  # shifts every later row's number
+            node.remove_record(seen.record.key, clock=1)
+        else:  # a visible record no stashed row covers
+            twin = MotionSegment(10**6, 0, seen.record.segment)
+            node.add(LeafEntry(seen.box, twin), clock=1)
+        # the same page under a fresh engine that never swept it
+        fresh = PDQEngine(index, trajectory, track_updates=False)
+        got = swept.window(span.low, span.high)
+        want = fresh.window(span.low, span.high)
+        key = lambda a: (a.record.key, a.visibility.low, a.visibility.high)  # noqa: E731
+        assert sorted(map(key, got)) == sorted(map(key, want))

@@ -8,6 +8,7 @@ from repro.errors import IndexStructureError
 from repro.geometry.box import Box
 from repro.index.bulk import str_bulk_load
 from repro.index.entry import LeafEntry
+from repro.index.pagearrays import PageRows
 from repro.index.rtree import RTree
 
 from _helpers import assert_fsck_clean, make_segment
@@ -34,18 +35,18 @@ class TestBalanced:
     def test_loads_all_entries(self, rng):
         tree = fresh_tree()
         es = entries(rng, 500)
-        str_bulk_load(tree, es)
+        str_bulk_load(tree, PageRows.of(True, es))
         assert len(tree) == 500
         assert_fsck_clean(tree)
 
     def test_empty_input_is_noop(self):
         tree = fresh_tree()
-        str_bulk_load(tree, [])
+        str_bulk_load(tree, PageRows.of(True, []))
         assert len(tree) == 0
 
     def test_single_entry(self, rng):
         tree = fresh_tree()
-        str_bulk_load(tree, entries(rng, 1))
+        str_bulk_load(tree, PageRows.of(True, entries(rng, 1)))
         assert len(tree) == 1
         assert tree.height == 1
 
@@ -54,17 +55,17 @@ class TestBalanced:
         es = entries(rng, 10)
         tree.insert(es[0])
         with pytest.raises(IndexStructureError):
-            str_bulk_load(tree, es[1:])
+            str_bulk_load(tree, PageRows.of(True, es[1:]))
 
     def test_wrong_axes_rejected(self):
         tree = RTree(axes=4, max_internal=8, max_leaf=8)
         with pytest.raises(IndexStructureError):
-            str_bulk_load(tree, entries(random.Random(0), 5))
+            str_bulk_load(tree, PageRows.of(True, entries(random.Random(0), 5)))
 
     def test_search_equals_linear_scan(self, rng):
         tree = fresh_tree()
         es = entries(rng, 400)
-        str_bulk_load(tree, es)
+        str_bulk_load(tree, PageRows.of(True, es))
         for _ in range(20):
             t0 = rng.uniform(0, 50)
             x0, y0 = rng.uniform(0, 100), rng.uniform(0, 100)
@@ -76,7 +77,7 @@ class TestBalanced:
     def test_inserts_after_bulk_load_work(self, rng):
         tree = fresh_tree()
         es = entries(rng, 200)
-        str_bulk_load(tree, es)
+        str_bulk_load(tree, PageRows.of(True, es))
         more = entries(rng, 50)
         for i, e in enumerate(more):
             rec = make_segment(1000 + i, 0, 1, 2, (5, 5))
@@ -89,16 +90,16 @@ class TestTimeMajor:
     def test_loads_all_entries(self, rng):
         tree = fresh_tree()
         es = entries(rng, 500)
-        str_bulk_load(tree, es, time_slabs=10, tile_axes=(1, 2))
+        str_bulk_load(tree, PageRows.of(True, es), time_slabs=10, tile_axes=(1, 2))
         assert len(tree) == 500
         assert_fsck_clean(tree)
 
     def test_leaves_are_time_narrow(self, rng):
         es = entries(rng, 800)
         balanced = fresh_tree()
-        str_bulk_load(balanced, es)
+        str_bulk_load(balanced, PageRows.of(True, es))
         major = fresh_tree()
-        str_bulk_load(major, es, time_slabs=25, tile_axes=(1, 2))
+        str_bulk_load(major, PageRows.of(True, es), time_slabs=25, tile_axes=(1, 2))
 
         def median_ts_width(tree):
             widths = []
@@ -116,12 +117,12 @@ class TestTimeMajor:
 
     def test_invalid_slab_count_rejected(self, rng):
         with pytest.raises(IndexStructureError):
-            str_bulk_load(fresh_tree(), entries(rng, 10), time_slabs=0)
+            str_bulk_load(fresh_tree(), PageRows.of(True, entries(rng, 10)), time_slabs=0)
 
     def test_search_equals_linear_scan(self, rng):
         tree = fresh_tree()
         es = entries(rng, 300)
-        str_bulk_load(tree, es, time_slabs=8, tile_axes=(1, 2))
+        str_bulk_load(tree, PageRows.of(True, es), time_slabs=8, tile_axes=(1, 2))
         for _ in range(15):
             t0 = rng.uniform(0, 50)
             x0, y0 = rng.uniform(0, 100), rng.uniform(0, 100)

@@ -5,10 +5,11 @@ import random
 from repro.index.bulk import str_bulk_load
 from repro.index.check import FsckReport, Violation, fsck
 from repro.index.entry import InternalEntry, LeafEntry
+from repro.index.pagearrays import PageRows
 from repro.index.rtree import RTree
 from repro.storage.faults import FaultInjector
 
-from _helpers import make_segment
+from _helpers import make_segment, replace_row
 
 
 def leaf_entry(oid, t0, t1, origin, velocity=(0.0, 0.0)):
@@ -57,7 +58,7 @@ class TestCleanTrees:
     def test_bulk_loaded_tree_underfill_is_warning_not_error(self):
         tree = RTree(axes=3, max_internal=8, max_leaf=8)
         # 65 records leave a short tail node at some level.
-        str_bulk_load(tree, random_entries(random.Random(5), 65))
+        str_bulk_load(tree, PageRows.of(True, random_entries(random.Random(5), 65)))
         report = fsck(tree)
         assert report.ok  # warnings never flip ok
         for v in report.warnings:
@@ -103,7 +104,7 @@ class TestDetection:
         for pid in tree.disk.page_ids():
             node = tree.disk.read(pid)
             if node.is_leaf and node.entries:
-                node.entries.pop()
+                del node.entries[-1]
                 tree.disk.write(pid, node)
                 break
         report = fsck(tree)
@@ -128,8 +129,8 @@ class TestDetection:
                     [Interval(shrunk.low, shrunk.low)]
                     + list(e.box.extents[1:])
                 )
-                node.entries[0] = InternalEntry(
-                    bad_box, e.child_id, timestamp=e.timestamp
+                replace_row(
+                    node, 0, InternalEntry(bad_box, e.child_id, timestamp=e.timestamp)
                 )
                 tree.disk.write(pid, node)
                 break
@@ -145,8 +146,10 @@ class TestDetection:
             if not node.is_leaf and len(node.entries) >= 2:
                 first = node.entries[0]
                 second = node.entries[1]
-                node.entries[1] = InternalEntry(
-                    second.box, first.child_id, timestamp=second.timestamp
+                replace_row(
+                    node,
+                    1,
+                    InternalEntry(second.box, first.child_id, timestamp=second.timestamp),
                 )
                 tree.disk.write(pid, node)
                 break

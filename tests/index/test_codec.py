@@ -20,12 +20,11 @@ from repro.index.nsi import NativeSpaceIndex
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.errors import CorruptPageError, ReproError, StorageError
-from repro.index.pagearrays import page_arrays
 from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
 from repro.storage.faults import FaultInjector
 from repro.storage.disk import DiskManager
 
-from _helpers import make_segment, reference_decode
+from _helpers import make_segment, reference_decode, reference_encode
 
 
 class TestNativeCodec:
@@ -358,7 +357,7 @@ def _bits(box):
 
 
 def _assert_same_state(framed, decoded, reference):
-    """The page-backed node and the entry-list node are one node."""
+    """The decoded node and the reference entry list are one node."""
     assert len(decoded.entries) == len(reference.entries) == len(decoded)
     assert list(decoded.entries) == reference.entries
     assert decoded.timestamp == reference.timestamp
@@ -369,9 +368,13 @@ def _assert_same_state(framed, decoded, reference):
         assert decoded.mbr() == reference.mbr()
         if not reference.mbr().is_empty:
             assert _bits(decoded.mbr()) == _bits(reference.mbr())
-    assert framed.encode(decoded) == framed.encode(reference)
-    # what the kernels are handed is what the entry list would build
-    got, want = page_arrays(decoded), page_arrays(reference)
+    # the page is what ``struct`` packs of the reference's entries, and so
+    # is the page of the rows ``Node()`` makes of them
+    page = reference_encode(framed, reference)
+    twin = Node(reference.page_id, reference.level, reference.entries, reference.timestamp)
+    assert framed.encode(decoded) == page
+    assert framed.encode(twin) == page
+    got, want = decoded.entries, twin.entries
     assert got.stamps().tolist() == want.stamps().tolist()
     assert [tuple(row) for row in got.ids().tolist()] == [
         e.record.key if reference.is_leaf else (e.child_id,)
@@ -404,7 +407,9 @@ class TestPageBackedNodeMatchesEagerDecode:
         codec = ChecksummedCodec(inner) if framed else inner
         fanout = leaf_fanout(2) if leaf else internal_fanout(inner._axes_count())
         count = {"empty": 0, "one": 1, "some": rng.randrange(2, 12), "full": fanout}[fill]
-        page = codec.encode(_page(inner, rng, leaf, count))
+        built = _page(inner, rng, leaf, count)
+        page = codec.encode(built)
+        assert page == reference_encode(codec, built)
         assert len(page) <= PAGE_SIZE
 
         decoded, reference = codec.decode(page), reference_decode(codec, page)

@@ -101,9 +101,12 @@ class TestMBR:
         assert node.mbr().is_empty == want.is_empty
 
     def test_mbr_refuses_mixed_dimensionalities(self):
-        node = Node(0, 1, [internal_entry(1), InternalEntry(Box.from_point((0.0,)), 2)])
+        # a node's box rows have one width: the mix is refused on the way in
         with pytest.raises(DimensionalityError):
-            node.mbr()
+            Node(0, 1, [internal_entry(1), InternalEntry(Box.from_point((0.0,)), 2)])
+        node = Node(0, 1, [internal_entry(1)])
+        with pytest.raises(DimensionalityError):
+            node.add(InternalEntry(Box.from_point((0.0,)), 2), clock=1)
 
 
 class TestKindChecks:

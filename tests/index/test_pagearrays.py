@@ -1,12 +1,10 @@
-"""The kernel view of a node page: columns, caching, invalidation.
+"""A node page's columns: the node's storage and the kernels' view.
 
-``page_arrays(node)`` hands the engines the float64 columns the batch
-kernels read.  The columns must be exactly the node's floats — also for
-a page that came back from the codec, since that is what the file
-backend evaluates.  On an object-mode node the view is a cache and must
-never outlive a mutation (with one evaluation path a stale view is a
-wrong answer); on a page-backed node it is the storage, so it stays and
-the mutation lands in it.
+``node.entries`` is the float64 columns the batch kernels read.  They
+must be exactly the node's floats — also for a page that came back from
+the codec, since that is what the file backend evaluates — and every
+mutation must land in them (with one evaluation path a stale column is
+a wrong answer).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
 from repro.index.nsi import NativeSpaceIndex
-from repro.index.pagearrays import PageRows, page_arrays
+from repro.index.pagearrays import PageArrays, PageRows
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -76,23 +74,23 @@ class TestCodecRoundTrip:
     def test_leaf_round_trip_is_byte_identical(self, codec):
         node = leaf_node(codec)
         decoded = codec.decode(codec.encode(node))
-        assert box_columns(page_arrays(decoded)) == box_columns(
-            page_arrays(node)
+        assert box_columns(PageArrays(decoded)) == box_columns(
+            PageArrays(node)
         )
-        assert segment_columns(page_arrays(decoded)) == segment_columns(
-            page_arrays(node)
+        assert segment_columns(PageArrays(decoded)) == segment_columns(
+            PageArrays(node)
         )
 
     def test_internal_round_trip_is_byte_identical(self, codec):
         node = internal_node(axes=codec._axes_count())
         decoded = codec.decode(codec.encode(node))
-        assert box_columns(page_arrays(decoded)) == box_columns(
-            page_arrays(node)
+        assert box_columns(PageArrays(decoded)) == box_columns(
+            PageArrays(node)
         )
 
     def test_empty_page_round_trip(self, codec):
         decoded = codec.decode(codec.encode(Node(11, 0, timestamp=5)))
-        arrays = page_arrays(decoded)
+        arrays = PageArrays(decoded)
         assert arrays.box_batch().n == 0
         assert arrays.segment_batch().n == 0
         assert box_columns(arrays) == []
@@ -102,7 +100,7 @@ class TestArrayShapes:
     def test_leaf_fields(self):
         codec = NativeNodeCodec(dims=2)
         node = leaf_node(codec, n=3)
-        arrays = page_arrays(node)
+        arrays = PageArrays(node)
         assert arrays.is_leaf
         boxes = arrays.box_batch()
         assert (boxes.n, boxes.axes) == (3, 3)
@@ -123,7 +121,7 @@ class TestArrayShapes:
 
     def test_internal_fields(self):
         node = internal_node(n=4)
-        arrays = page_arrays(node)
+        arrays = PageArrays(node)
         assert not arrays.is_leaf
         boxes = arrays.box_batch()
         assert (boxes.n, boxes.axes) == (4, 3)
@@ -133,7 +131,7 @@ class TestArrayShapes:
         )
 
     def test_internal_page_has_no_segment_batch(self):
-        arrays = page_arrays(internal_node())
+        arrays = PageArrays(internal_node())
         with pytest.raises(IndexStructureError):
             arrays.segment_batch()
 
@@ -161,13 +159,16 @@ def scalar_keys(index, trajectory):
 
 
 class TestCaching:
+    """Nothing is cached beside a node: its columns are the one state."""
+
     def test_view_is_cached(self):
-        codec = NativeNodeCodec(dims=2)
-        node = leaf_node(codec)
-        assert page_arrays(node) is page_arrays(node)
+        # the name the bench times hands back the node's own columns
+        node = leaf_node(NativeNodeCodec(dims=2))
+        assert PageArrays(node) is node.entries
+        assert isinstance(node.entries, PageRows)
 
     def test_every_mutation_invalidates(self):
-        """Every ``Node`` mutator drops the cached view, and the next
+        """Every ``Node`` mutator lands in the columns, and the next
         engine over the tree evaluates the entry set as it is now."""
         # a window wide enough to hold every segment for the whole span
         trajectory = QueryTrajectory.linear(
@@ -213,18 +214,13 @@ class TestCaching:
         for which, mutate in mutations:
             index, root, leaf = world()
             node = leaf if which == "leaf" else root
-            # the first engine leaves a cached view on every node it read
             keys_before = engine_keys(index, trajectory)
             assert keys_before == scalar_keys(index, trajectory)
-            before = node._arrays
-            assert before is not None
-            # all three lazy columns are built and cached on the old view
-            stale = before.stamps().tolist()
+            stale = node.entries.stamps().tolist()
             assert stale == [e.timestamp for e in node.entries]
             mutate(node, index)
-            assert page_arrays(node) is not before
-            assert page_arrays(node).box_batch().n == len(node.entries)
-            stamps = page_arrays(node).stamps().tolist()
+            assert PageArrays(node).box_batch().n == len(node.entries)
+            stamps = PageArrays(node).stamps().tolist()
             assert stamps == [e.timestamp for e in node.entries]
             assert stamps != stale
             keys_after = engine_keys(index, trajectory)
@@ -233,16 +229,16 @@ class TestCaching:
 
     def test_rebuilt_view_reflects_mutation(self):
         node = internal_node(n=3, axes=3)
-        page_arrays(node).box_batch()
+        PageArrays(node).box_batch()
         node.remove_child(51, clock=4)
-        assert box_columns(page_arrays(node)) == [
+        assert box_columns(PageArrays(node)) == [
             (
                 [e.box.lows[axis] for e in node.entries],
                 [e.box.highs[axis] for e in node.entries],
             )
             for axis in range(3)
         ]
-        assert page_arrays(node).box_batch().n == 2
+        assert PageArrays(node).box_batch().n == 2
 
 
 class TestPageBackedNode:
@@ -250,15 +246,15 @@ class TestPageBackedNode:
 
     def test_view_is_the_storage_and_survives_mutation(self, codec):
         node = codec.decode(codec.encode(internal_node(axes=codec._axes_count())))
-        rows = page_arrays(node)
+        rows = PageArrays(node)
         assert isinstance(rows, PageRows) and rows is node.entries
         far = Box.from_bounds([500.0] * rows.box_batch().axes, [501.0] * rows.box_batch().axes)
         node.update_child_box(51, far, clock=9)
-        assert page_arrays(node) is rows
+        assert PageArrays(node) is rows
         assert node.entries[1] == InternalEntry(far, 51, timestamp=9)
         assert rows.stamps().tolist() == [2, 9, 2, 2]
         node.remove_child(50, clock=9)
-        assert page_arrays(node) is rows and node.child_ids() == (51, 52, 53)
+        assert PageArrays(node) is rows and node.child_ids() == (51, 52, 53)
         assert node.entries[0] == InternalEntry(far, 51, timestamp=9)
 
     def test_entries_are_built_per_row_and_kept(self, codec):
@@ -270,11 +266,10 @@ class TestPageBackedNode:
         assert [e.record.key for e in rows[1:3]] == [(101, 1), (102, 2)]
         with pytest.raises(IndexError):
             rows[5]
-        # a split hands the node a list: it is an object-mode node again
+        # a split hands the node entry objects: it gets their rows
         node.replace_entries(rows[:2], clock=4)
-        assert isinstance(node.entries, list) and not isinstance(
-            page_arrays(node), PageRows
-        )
+        assert isinstance(node.entries, PageRows) and node.entries is not rows
+        assert list(node.entries) == rows[:2]
 
     def test_wrong_shape_is_refused_before_any_row_is_written(self, codec):
         node = codec.decode(codec.encode(leaf_node(codec)))
@@ -282,7 +277,7 @@ class TestPageBackedNode:
         with pytest.raises(DimensionalityError):
             node.add(LeafEntry(Box.from_bounds([0.0], [1.0]), seg), clock=9)
         assert len(node.entries) == 5
-        assert page_arrays(node).segment_batch().n == 5
+        assert PageArrays(node).segment_batch().n == 5
 
 
 class TestUnsplitInsertBuildsNoEntries:

@@ -9,7 +9,7 @@ from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.rtree import RTree
 from repro.index.stats import collect_stats
 
-from _helpers import assert_fsck_clean, make_segment
+from _helpers import assert_fsck_clean, make_segment, replace_row
 
 
 def small_tree(n=60, cap=4):
@@ -62,7 +62,7 @@ class TestVerifyIntegrity:
         root = tree.disk.read(tree.root_id)
         bad_box = Box.from_bounds((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))
         entry = root.entries[0]
-        root.entries[0] = InternalEntry(bad_box, entry.child_id)
+        replace_row(root, 0, InternalEntry(bad_box, entry.child_id))
         assert "mbr-containment" in error_kinds(tree)
 
     def test_detects_parent_directory_corruption(self):
@@ -82,6 +82,6 @@ class TestVerifyIntegrity:
             pytest.skip("tree too shallow for this corruption")
         grandchild = mid.child_ids()[0]
         # Point the root directly at a grandchild: level gap of 2.
-        root.entries[0] = InternalEntry(root.entries[0].box, grandchild)
+        replace_row(root, 0, InternalEntry(root.entries[0].box, grandchild))
         tree._parents[grandchild] = root.page_id
         assert "level-mismatch" in error_kinds(tree)
