@@ -19,6 +19,12 @@ group is every module in the same package; the worker is the group's
 ``write_frame`` call in the group, plus the ``MSG_RESULT`` /
 ``MSG_ERROR`` conventions — are emitted, not dispatched, so they need
 no handler.
+
+The protocol module's typed-object registry is the fourth view: every
+wire-object tag its encoder table ``_BY_TYPE`` emits (the first item of
+each ``(tag, encoder)`` value — ``cb``, the packed answer block, among
+them) must have a decoder in ``_BY_TAG``, and every decoder must decode
+a tag something emits.
 """
 
 from __future__ import annotations
@@ -32,6 +38,25 @@ from repro.analysis.rules import Violation
 __all__ = ["ProtocolDriftRule"]
 
 _REPLY_NAMES = frozenset({"MSG_RESULT", "MSG_ERROR"})
+
+
+def _registry_tags(info: ModuleInfo, name: str) -> Dict[str, int]:
+    """Tag -> line of the ``_BY_TYPE`` values' ``(tag, encoder)`` tags
+    or of the ``_BY_TAG`` keys (``name``), string literals only."""
+    tags: Dict[str, int] = {}
+    for stmt in info.node.body:
+        target = stmt.target if isinstance(stmt, ast.AnnAssign) else (
+            stmt.targets[0] if isinstance(stmt, ast.Assign) else None
+        )
+        if getattr(target, "id", None) != name or not isinstance(stmt.value, ast.Dict):
+            continue
+        d = stmt.value
+        for node in d.keys if name == "_BY_TAG" else [
+            v.elts[0] for v in d.values if isinstance(v, ast.Tuple) and v.elts
+        ]:
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                tags.setdefault(node.value, node.lineno)
+    return tags
 
 
 def _toplevel_assign_line(info: ModuleInfo, name: str) -> int:
@@ -136,6 +161,7 @@ class ProtocolDriftRule(GraphRule):
     ) -> Iterator[Violation]:
         yield from self._duplicate_values(proto, consts)
         yield from self._message_names(proto, consts)
+        yield from self._wire_tags(proto)
         yield from self._version_pins(proto, group)
         worker = self._find_worker(group)
         if worker is not None:
@@ -160,6 +186,24 @@ class ProtocolDriftRule(GraphRule):
                 f"message types {', '.join(names)} share wire value "
                 f"{value}; dispatch on them is ambiguous",
             )
+
+    def _wire_tags(self, proto: ModuleInfo) -> Iterator[Violation]:
+        emitted = _registry_tags(proto, "_BY_TYPE")
+        decoded = _registry_tags(proto, "_BY_TAG")
+        for tag, line in sorted(emitted.items()):
+            if tag not in decoded:
+                yield self.violation(
+                    proto.display, line, 0,
+                    f"wire-object tag {tag!r} is encoded but _BY_TAG has no "
+                    "decoder; the peer would refuse it as an unknown tag",
+                )
+        for tag, line in sorted(decoded.items()):
+            if tag not in emitted:
+                yield self.violation(
+                    proto.display, line, 0,
+                    f"_BY_TAG decodes wire-object tag {tag!r}, which no "
+                    "_BY_TYPE entry encodes",
+                )
 
     def _message_names(
         self, proto: ModuleInfo, consts: Dict[str, int]

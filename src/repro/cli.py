@@ -605,8 +605,11 @@ class _AnswerStream:
     ``answers.log`` or ``--answer-log``).
 
     One line per delivered result —
-    ``tick<TAB>client<TAB>mode<TAB>degraded<TAB>key,key,...`` with the
-    segment keys sorted — appended as clients read their queues.  The
+    ``tick<TAB>client<TAB>mode<TAB>degraded<TAB>answer,answer,...`` —
+    appended as clients read their queues.  A range-kind answer is
+    ``oid:seq@low/high`` (the visibility in ``repr``), sorted by key
+    then low, so two runs agree only if every visibility agrees bit for
+    bit.  The
     file is first truncated to tick ``through``: on resume that discards
     lines from ticks whose transactions the WAL replay discarded, and
     ``-1`` starts the stream empty.
@@ -635,12 +638,10 @@ class _AnswerStream:
         elif result.mode == "aggregate":
             keys = [f"{t!r}:{c}" for t, c in result.aggregate]
         else:
-            keys = sorted(
-                {
-                    f"{item.record.object_id}:{item.record.seq}"
-                    for item in result.items
-                }
-            )
+            keys = [
+                f"{oid}:{seq}@{low!r}/{high!r}"
+                for oid, seq, low, high in sorted(result.items.rows)
+            ]
         self._fh.write(
             f"{result.index}\t{client_id}\t{result.mode}\t"
             f"{int(result.degraded)}\t{','.join(keys)}\n"

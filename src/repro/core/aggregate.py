@@ -17,7 +17,7 @@ side* with no further disk accesses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.pdq import PDQEngine
 from repro.core.results import AnswerItem
@@ -28,6 +28,8 @@ from repro.index.nsi import NativeSpaceIndex
 
 __all__ = [
     "count_timeline",
+    "visible_part",
+    "timeline_of",
     "max_concurrent",
     "time_weighted_average",
     "ContinuousCount",
@@ -47,13 +49,34 @@ def count_timeline(
     """
     if span.is_empty:
         raise QueryError("aggregation span is empty")
+    return timeline_of(
+        ((i.visibility.low, i.visibility.high) for i in items), span.low, span.high
+    )
+
+
+def visible_part(
+    low: float, high: float, start: float, end: float
+) -> Optional[Tuple[float, float]]:
+    """``[low, high] ∩ [start, end]`` in ``Interval.intersect``'s floats,
+    or ``None`` when that is empty or of zero length (``Interval.length``)."""
+    low = low if low >= start else start
+    high = high if high <= end else end
+    return (low, high) if high - low > 0.0 else None
+
+
+def timeline_of(
+    visibilities: Iterable[Tuple[float, float]], start: float, end: float
+) -> List[Tuple[float, int]]:
+    """:func:`count_timeline` of visibility ``(low, high)`` pairs over
+    the non-empty span ``[start, end]``, with no answer object built."""
     deltas: dict = {}
-    for item in items:
-        visible = item.visibility.intersect(span)
-        if visible.is_empty or visible.length == 0.0:
+    for low, high in visibilities:
+        visible = visible_part(low, high, start, end)
+        if visible is None:
             continue
-        deltas[visible.low] = deltas.get(visible.low, 0) + 1
-        deltas[visible.high] = deltas.get(visible.high, 0) - 1
+        low, high = visible
+        deltas[low] = deltas.get(low, 0) + 1
+        deltas[high] = deltas.get(high, 0) - 1
     timeline: List[Tuple[float, int]] = []
     count = 0
     for t in sorted(deltas):
@@ -62,8 +85,8 @@ def count_timeline(
             timeline[-1] = (t, count)
         else:
             timeline.append((t, count))
-    if not timeline or timeline[0][0] > span.low:
-        timeline.insert(0, (span.low, 0))
+    if not timeline or timeline[0][0] > start:
+        timeline.insert(0, (start, 0))
     return timeline
 
 

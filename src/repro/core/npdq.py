@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.results import AnswerItem, SnapshotResult
+from repro.core.results import AnswerBlock, SnapshotResult
 from repro.core.snapshot import SnapshotQuery
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import CorruptPageError, QueryError, TransientIOError
@@ -221,7 +221,8 @@ class _Client:
             else kernels.DiscardRule(self.dual, prev.dual_box, prev.clock)
         )
         self.children: Dict[int, List[int]] = {}  # internal page -> live children
-        self.answers: Dict[int, Tuple[list, list]] = {}  # leaf -> items, prefetched
+        # leaf -> rows and records of its items, then of its prefetches
+        self.answers: Dict[int, Tuple[list, list, list, list]] = {}
 
     def assemble(self, root: int, fails: Dict[int, int]) -> SnapshotResult:
         """Replay the depth-first descent over what the sweep found, so
@@ -230,8 +231,7 @@ class _Client:
         engine = self.engine
         stack, tried = [root], {}
         loaded: List[int] = []
-        items: List[AnswerItem] = []
-        prefetched: List[AnswerItem] = []
+        found: Tuple[list, list, list, list] = ([], [], [], [])
         skips = 0
         while stack:
             page_id = stack.pop()
@@ -250,9 +250,8 @@ class _Client:
             if children is not None:
                 stack.extend(children)
             elif page_id in self.answers:
-                found, admitted = self.answers[page_id]
-                items.extend(found)
-                prefetched.extend(admitted)
+                for column, part in zip(found, self.answers[page_id]):
+                    column.extend(part)
         engine.last_loaded_pages = loaded
         query = self.query
         engine._prev = _PreviousQuery(
@@ -260,9 +259,9 @@ class _Client:
         )
         return SnapshotResult(
             query_time=query.time,
-            items=items,
+            items=AnswerBlock.of(found[0], found[1]),
             cost=self.cost.snapshot() - self.before,
-            prefetched=prefetched,
+            prefetched=AnswerBlock.of(found[2], found[3]),
             degraded=engine._degraded,
             skipped_subtrees=skips,
         )
@@ -349,7 +348,8 @@ def _evaluate_leaves(leaves) -> None:
     )
     survivors = []
     for (c, _page_id, _arrays, rows), old in zip(leaves, old_rows):
-        delivered = {k for k in old if not next(seen).is_empty}
+        # zip takes exactly len(old) bounds: ``old`` is its first argument
+        delivered = {k for k, (low, high) in zip(old, seen) if low <= high}
         live = [k for k in rows if k not in delivered]
         if c.engine.exact:
             c.cost.count_segment_tests(len(live))
@@ -360,30 +360,32 @@ def _evaluate_leaves(leaves) -> None:
         if live
     )
     for (c, page_id, arrays, _rows), live in zip(leaves, survivors):
-        items: List[AnswerItem] = []
-        prefetched: List[AnswerItem] = []
+        found: Tuple[list, list, list, list] = ([], [], [], [])
         horizon = c.query.time
         for k in live:
             record = arrays.record(k)
-            visibility = next(visible)
-            missed = visibility.is_empty or visibility.low > horizon.high
-            if visibility.is_empty:
+            low, high = next(visible)
+            missed = low > high or low > horizon.high
+            if low > high:
                 # A box-only admission never enters the window: give it
                 # a retention-hint interval instead.
-                visibility = Interval(horizon.low, record.time.high)
+                low, high = horizon.low, record.time.high
+            row = (record.object_id, record.seq, low, high)
             if c.engine.exact and missed:
                 # Box-only admission: not an answer of Q, but future
                 # snapshots may assume the client got it (see the module
                 # docstring).
-                prefetched.append(AnswerItem(record, visibility))
+                found[2].append(row)
+                found[3].append(record)
                 continue
             c.cost.count_results()
-            items.append(AnswerItem(record, visibility))
-        c.answers[page_id] = (items, prefetched)
+            found[0].append(row)
+            found[1].append(record)
+        c.answers[page_id] = found
 
 
-def _overlaps(tasks) -> Iterator[Interval]:
-    """``segment_box_overlap_batch`` of every ``(box, arrays, rows)``
+def _overlaps(tasks) -> Iterator[Tuple[float, float]]:
+    """``segment_box_overlap_bounds`` of every ``(box, arrays, rows)``
     task's rows against its box, in task order, in one call."""
     tasks = list(tasks)
     if not tasks:
@@ -392,7 +394,7 @@ def _overlaps(tasks) -> Iterator[Interval]:
     for box, _arrays, rows in tasks:
         lows.extend([box.lows] * len(rows))
         highs.extend([box.highs] * len(rows))
-    return iter(kernels.segment_box_overlap_batch(
+    return iter(kernels.segment_box_overlap_bounds(
         kernels.SegmentBatch.gather(
             [(arrays.segment_batch(), rows) for _box, arrays, rows in tasks]
         ),

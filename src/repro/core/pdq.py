@@ -28,6 +28,11 @@ ancestor ... is close to the root node, it is better to empty the
 priority queue ... and rebuild"), the queue is rebuilt from the root
 instead.
 
+Queue items are plain tuples ``(low, tie, high, page id, record)``, and
+an answer is the atomic row ``(object id, seq, low, high)`` the
+reported set keys on; a window's answers are one
+:class:`~repro.core.results.AnswerBlock` of those rows.
+
 :func:`sweep_windows` evaluates, page-major, the pages many engines'
 next windows will expand; each engine's ``window`` then pops, expands
 and pushes exactly as it does alone, so answers and costs are its own.
@@ -37,11 +42,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CorruptPageError, QueryError, TransientIOError
-from repro.core.results import AnswerItem, SnapshotResult
+from repro.core.results import AnswerBlock, AnswerItem, SnapshotResult
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry import kernels
 from repro.geometry.interval import Interval
@@ -52,19 +56,6 @@ from repro.motion.segment import MotionSegment
 from repro.storage.metrics import QueryCost
 
 __all__ = ["PDQEngine", "sweep_windows"]
-
-
-@dataclass(frozen=True)
-class _Pending:
-    """A queue item: a node or a segment, with one visibility component."""
-
-    interval: Interval
-    page_id: int = -1  # >= 0 for nodes
-    record: Optional[MotionSegment] = None  # set for segments
-
-    @property
-    def is_node(self) -> bool:
-        return self.page_id >= 0
 
 
 class PDQEngine:
@@ -153,9 +144,12 @@ class PDQEngine:
 
     # -- queue plumbing ----------------------------------------------------------
 
-    def _push(self, item: _Pending) -> None:
+    def _push(self, low: float, high: float, page_id: int = -1,
+              record: Optional[MotionSegment] = None) -> None:
+        """Enqueue a node (``page_id`` >= 0) or a segment's ``record``
+        over one visibility component ``[low, high]``."""
         heapq.heappush(
-            self._heap, (item.interval.low, next(self._tie), item)
+            self._heap, (low, next(self._tie), high, page_id, record)
         )
 
     def _seed_root(self) -> None:
@@ -165,9 +159,8 @@ class PDQEngine:
         known before the first read); using the full span is correct and
         costs nothing because the root is explored immediately anyway.
         """
-        self._push(
-            _Pending(self.trajectory.time_span, page_id=self.index.tree.root_id)
-        )
+        span = self.trajectory.time_span
+        self._push(span.low, span.high, page_id=self.index.tree.root_id)
 
     def _push_components(self, timeset: TimeSet, *, page_id: int = -1,
                          record: Optional[MotionSegment] = None) -> None:
@@ -177,9 +170,7 @@ class PDQEngine:
         dropped (they can never be requested again)."""
         for component in timeset:
             if component.high >= self._frontier:
-                self._push(
-                    _Pending(component, page_id=page_id, record=record)
-                )
+                self._push(component.low, component.high, page_id, record)
 
     def _expand(self, page_id: int) -> None:
         """Load a node (one disk access) and enqueue its children.
@@ -205,11 +196,13 @@ class PDQEngine:
                 rows.segment_batch() if node.is_leaf else rows.box_batch(),
                 self._frontier,
             )
-        for k, component in components:
-            if node.is_leaf:
-                self._push(_Pending(component, record=rows.record(k)))
-            else:
-                self._push(_Pending(component, page_id=rows.child_id(k)))
+        heap, tie, push = self._heap, self._tie, heapq.heappush
+        if node.is_leaf:
+            for k, low, high in components:
+                push(heap, (low, next(tie), high, -1, rows.record(k)))
+        else:
+            for k, low, high in components:
+                push(heap, (low, next(tie), high, rows.child_id(k), None))
 
     # -- frontier inspection (shared-scan support) --------------------------------
 
@@ -231,13 +224,9 @@ class PDQEngine:
             i = stack.pop()
             if i >= len(heap) or heap[i][0] > t_end:
                 continue
-            item = heap[i][2]
-            if (
-                item.page_id >= 0
-                and item.page_id not in self._expanded
-                and item.interval.high >= t_start
-            ):
-                due.add(item.page_id)
+            _, _, high, page_id, _ = heap[i]
+            if page_id >= 0 and page_id not in self._expanded and high >= t_start:
+                due.add(page_id)
             stack += (2 * i + 1, 2 * i + 2)
         return due
 
@@ -251,59 +240,72 @@ class PDQEngine:
         stay queued for future calls).  Calls must use non-decreasing
         ``t_start`` values (time flows forward).
         """
+        self._begin(t_start, t_end)
+        found = self._pop(t_start, t_end)
+        if found is None:
+            return None
+        row, record = found
+        return AnswerItem(record, Interval(row[2], row[3]))
+
+    def window(self, t_start: float, t_end: float) -> AnswerBlock:
+        """All objects appearing during ``[t_start, t_end]``, as one
+        :class:`~repro.core.results.AnswerBlock` in appearance order
+        (what a sweep stashed for it and it did not take is dropped)."""
+        self._begin(t_start, t_end)
+        rows: list = []
+        records: list = []
+        found = self._pop(t_start, t_end)
+        while found is not None:
+            rows.append(found[0])
+            records.append(found[1])
+            found = self._pop(t_start, t_end)
+        self._stash.clear()
+        return AnswerBlock.of(rows, records)
+
+    def _begin(self, t_start: float, t_end: float) -> None:
         if self._closed:
             raise QueryError("engine is closed")
         if t_end < t_start:
             raise QueryError("t_end must be >= t_start")
         self._frontier = max(self._frontier, t_start)
-        while self._heap:
-            start, _, item = self._heap[0]
-            if start > t_end:
-                return None
-            heapq.heappop(self._heap)
-            if item.interval.high < t_start:
-                continue  # expired: the window has moved past this item
-            if item.is_node:
-                if item.page_id in self._expanded:
-                    continue  # duplicate from an update notification
-                self._expanded.add(item.page_id)
-                try:
-                    self._expand(item.page_id)
-                except (TransientIOError, CorruptPageError):
-                    # The load failed after the disk's own retries; the
-                    # node was not expanded (nothing was enqueued yet).
-                    self._expanded.discard(item.page_id)
-                    if self.fault_budget is None:
-                        raise
-                    tries = self._fault_attempts.get(item.page_id, 0)
-                    if tries < self.fault_budget:
-                        # Re-enqueue over its remaining visibility so a
-                        # later pop gets a fresh round of disk retries.
-                        self._fault_attempts[item.page_id] = tries + 1
-                        self._push(
-                            _Pending(item.interval, page_id=item.page_id)
-                        )
-                    else:
-                        self.skipped_subtrees.append(item.page_id)
-            else:
-                answer_key = (item.record.key, item.interval)
-                if answer_key in self._reported:
-                    continue  # duplicate from an update notification
-                self._reported.add(answer_key)
-                self.cost.count_results()
-                return AnswerItem(item.record, item.interval)
-        return None
 
-    def window(self, t_start: float, t_end: float) -> List[AnswerItem]:
-        """All objects appearing during ``[t_start, t_end]`` (what a
-        sweep stashed for it and it did not take is dropped)."""
-        items: List[AnswerItem] = []
-        while True:
-            item = self.get_next(t_start, t_end)
-            if item is None:
-                self._stash.clear()
-                return items
-            items.append(item)
+    def _pop(self, t_start: float, t_end: float) -> Optional[tuple]:
+        """Algorithm 4.1's next answer: ``(row, record)``, where ``row``
+        is the atomic ``(object id, seq, low, high)``, or ``None``."""
+        heap = self._heap
+        while heap:
+            if heap[0][0] > t_end:
+                return None
+            low, _, high, page_id, record = heapq.heappop(heap)
+            if high < t_start:
+                continue  # expired: the window has moved past this item
+            if page_id < 0:
+                row = (record.object_id, record.seq, low, high)
+                if row in self._reported:
+                    continue  # duplicate from an update notification
+                self._reported.add(row)
+                self.cost.count_results()
+                return row, record
+            if page_id in self._expanded:
+                continue  # duplicate from an update notification
+            self._expanded.add(page_id)
+            try:
+                self._expand(page_id)
+            except (TransientIOError, CorruptPageError):
+                # The load failed after the disk's own retries; the
+                # node was not expanded (nothing was enqueued yet).
+                self._expanded.discard(page_id)
+                if self.fault_budget is None:
+                    raise
+                tries = self._fault_attempts.get(page_id, 0)
+                if tries < self.fault_budget:
+                    # Re-enqueue over its remaining visibility so a
+                    # later pop gets a fresh round of disk retries.
+                    self._fault_attempts[page_id] = tries + 1
+                    self._push(low, high, page_id)
+                else:
+                    self.skipped_subtrees.append(page_id)
+        return None
 
     def run(self, period: float) -> List[SnapshotResult]:
         """Drive the whole dynamic query at the given frame period.
@@ -431,10 +433,10 @@ def sweep_windows(
                 engine._stash[page_id] = (
                     arrays, arrays.writes, frontiers[slot], components
                 )
-                for k, component in [] if arrays.is_leaf else components:
+                for k, low, _ in [] if arrays.is_leaf else components:
                     child = arrays.child_id(k)
                     if (
-                        component.low <= t_end
+                        low <= t_end
                         and child not in mine
                         and child not in engine._expanded
                     ):

@@ -65,7 +65,7 @@ class FrameReport:
 
     time: float
     mode: SessionMode
-    new_items: List[AnswerItem] = field(default_factory=list)
+    new_items: Sequence[AnswerItem] = field(default_factory=list)
     evicted_ids: List[int] = field(default_factory=list)
     visible_count: int = 0
 

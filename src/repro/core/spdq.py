@@ -14,10 +14,10 @@ once it is known — CPU-only work, no extra I/O.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.core.pdq import PDQEngine
-from repro.core.results import AnswerItem, SnapshotResult
+from repro.core.results import AnswerBlock, AnswerItem, SnapshotResult
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import QueryError
 from repro.geometry.box import Box
@@ -83,7 +83,7 @@ class SPDQEngine:
 
     # -- evaluation ------------------------------------------------------------
 
-    def window(self, t_start: float, t_end: float) -> List[AnswerItem]:
+    def window(self, t_start: float, t_end: float) -> AnswerBlock:
         """Conservative answers appearing during ``[t_start, t_end]``.
 
         Superset guarantee: any object visible from *any* observer
@@ -97,7 +97,7 @@ class SPDQEngine:
 
     @staticmethod
     def refine(
-        items: List[AnswerItem], actual_window: Box, at: Interval
+        items: Sequence[AnswerItem], actual_window: Box, at: Interval
     ) -> List[AnswerItem]:
         """Client-side filter: keep answers truly visible from the
         observer's actual window during ``at``.  CPU-only; visibility

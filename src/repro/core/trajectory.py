@@ -246,8 +246,8 @@ class QueryTrajectory:
             )
         return self._table
 
-    def live_components(self, batch, frontier: float) -> List[Tuple[int, Interval]]:
-        """``(k, component)`` for every visibility component of the
+    def live_components(self, batch, frontier: float) -> List[Tuple[int, float, float]]:
+        """``(k, low, high)`` for every visibility component of the
         page's entry ``k`` that ends at or after ``frontier``, in entry
         order then start order: :meth:`segment_overlap` (a leaf page's
         segment batch) or :meth:`box_overlap` (a box batch) of every

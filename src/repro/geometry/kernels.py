@@ -49,7 +49,6 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
-from repro.geometry.timeset import TimeSet
 
 __all__ = [
     "available",
@@ -70,6 +69,7 @@ __all__ = [
     "trajectory_live_components",
     "gathered_live_components",
     "segment_box_overlap_batch",
+    "segment_box_overlap_bounds",
     "stamp_column",
     "DiscardRule",
     "live_rows",
@@ -577,9 +577,9 @@ class TrajectoryTable:
 
 
 def _solve_ge(slope, intercept):
-    """Row-wise ``solve_linear_ge``: bounds of ``{t : slope·t + c >= 0}``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = -intercept / slope
+    """Row-wise ``solve_linear_ge``: bounds of ``{t : slope·t + c >= 0}``
+    (the caller ignores the zero slopes' division errors)."""
+    root = -intercept / slope
     zero_lo = np.where(intercept >= 0.0, -np.inf, np.inf)
     zero_hi = np.where(intercept >= 0.0, np.inf, -np.inf)
     lo = np.where(slope > 0.0, root, -np.inf)
@@ -618,6 +618,7 @@ def _to_intervals(lo, hi, forced_empty=None) -> List[Interval]:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # for _solve_ge
 def _box_overlap_bounds(params: WindowParams, boxes: BoxBatch):
     """Raw ``(lo, hi, forced_empty)`` rows of ``moving_window_box_overlap``."""
     if boxes.axes != params.dims + 1:
@@ -641,6 +642,7 @@ def _box_overlap_bounds(params: WindowParams, boxes: BoxBatch):
     return lo, hi, forced_empty
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # for _solve_ge
 def _segment_overlap_bounds(params: WindowParams, segs: SegmentBatch):
     """Raw ``(lo, hi, None)`` rows of ``moving_window_segment_overlap``."""
     if segs.dims != params.dims:
@@ -687,15 +689,15 @@ def trajectory_live_components(
     batch: Union[SegmentBatch, BoxBatch],
     table: "TrajectoryTable",
     frontier: float,
-) -> List[Tuple[int, Interval]]:
+) -> List[Tuple[int, float, float]]:
     """One page against a whole key-snapshot trajectory, survivors only:
     the one-demand case of :func:`gathered_live_components`.
 
     ``table`` is the trajectory's :class:`TrajectoryTable`.  The result
-    is ``(k, component)`` for every connected component of entry ``k``'s
+    is ``(k, low, high)`` for every connected component of entry ``k``'s
     overlap with the trajectory that ends at or after ``frontier``, in
     entry order, then start order — exactly
-    ``[(k, c) for k, e in enumerate(page) for c in
+    ``[(k, c.low, c.high) for k, e in enumerate(page) for c in
     trajectory.segment_overlap(e) if c.high >= frontier]`` (or the
     ``box_overlap`` form), same floats.  Each entry meets the trajectory
     segments the scalar ``_segment_range`` would visit: those from the
@@ -712,7 +714,7 @@ def trajectory_live_components(
 def gathered_live_components(
     table: "TrajectoryTable",
     demands: Sequence[Tuple[Union[SegmentBatch, BoxBatch], int, float]],
-) -> List[List[Tuple[int, Interval]]]:
+) -> List[List[Tuple[int, float, float]]]:
     """:func:`trajectory_live_components` of many demands in one pass.
 
     A demand is ``(batch, t, frontier)``: a page (all of them segment
@@ -796,26 +798,41 @@ def gathered_live_components(
         pieces = np.bincount(pair_rows[live], minlength=len(span))
         keep = live & (hi >= front) & (pieces[pair_rows] == 1)
         hit = pair_rows[keep]
-    found = list(zip(hit.tolist(), map(Interval, lo[keep].tolist(), hi[keep].tolist())))
+    found = list(zip(hit.tolist(), lo[keep].tolist(), hi[keep].tolist()))
     several = np.flatnonzero(pieces > 1).tolist() if most > 1 else []
     if several:  # a row's pairs are contiguous, from starts[row]
         lo, hi, live, starts = lo.tolist(), hi.tolist(), live.tolist(), starts.tolist()
         for r in several:
             mine = range(starts[r], starts[r] + int(span[r]))
-            union = TimeSet(Interval(lo[p], hi[p]) for p in mine if live[p])
+            union = _coalesce(sorted(
+                ((lo[p], hi[p]) for p in mine if live[p]), key=itemgetter(0)
+            ))
             limit = front if len(demands) == 1 else front[mine[0]]
-            found.extend((r, c) for c in union if c.high >= limit)
+            found.extend((r, low, high) for low, high in union if high >= limit)
         found.sort(key=itemgetter(0))  # stable: start order within a row
     if len(demands) == 1:
         return [found]
     # Each demand's components, renumbered from its page's first row.
-    out: List[List[Tuple[int, Interval]]] = [[] for _ in demands]
+    out: List[List[Tuple[int, float, float]]] = [[] for _ in demands]
     ends, d, start = np.cumsum(sizes).tolist(), 0, 0
-    for r, component in found:
+    for r, low, high in found:
         while r >= ends[d]:
             start, d = ends[d], d + 1
-        out[d].append((r - start, component))
+        out[d].append((r - start, low, high))
     return out
+
+
+def _coalesce(pieces: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """``TimeSet``'s normalisation of non-empty ``(low, high)`` pieces
+    sorted by low: merge any that touch or overlap, same floats."""
+    merged = pieces[:1]
+    for low, high in pieces[1:]:
+        last_low, last_high = merged[-1]
+        if low > last_high:
+            merged.append((low, high))
+        elif high > last_high:
+            merged[-1] = (last_low, high)
+    return merged
 
 
 def segment_box_overlap_batch(
@@ -826,6 +843,17 @@ def segment_box_overlap_batch(
     ``query`` is one :class:`Box` for every row, or a :class:`BoxBatch`
     holding each row's own box — the same arithmetic, broadcast.
     """
+    return [
+        EMPTY_INTERVAL if low > high else Interval(low, high)
+        for low, high in segment_box_overlap_bounds(segs, query)
+    ]
+
+
+def segment_box_overlap_bounds(
+    segs: SegmentBatch, query: Union[Box, BoxBatch]
+) -> List[Tuple[float, float]]:
+    """:func:`segment_box_overlap_batch` as ``(low, high)`` floats, no
+    ``Interval`` built: an empty row is ``(inf, -inf)``."""
     if segs.n == 0:
         return []
     if isinstance(query, BoxBatch):
@@ -859,7 +887,10 @@ def segment_box_overlap_batch(
         new_lo, new_hi = _intersect(lo, hi, o_lo, o_hi)
         lo = np.where(rest, lo, new_lo)
         hi = np.where(rest, hi, new_hi)
-    return _to_intervals(lo, hi, forced_empty)
+    empty = forced_empty | (lo > hi)
+    return list(zip(
+        np.where(empty, np.inf, lo).tolist(), np.where(empty, -np.inf, hi).tolist()
+    ))
 
 
 def stamp_column(stamps: Sequence[int]):

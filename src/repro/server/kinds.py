@@ -26,14 +26,15 @@ Adding a kind is one row here, its session class in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.aggregate import count_timeline
+from repro.core.aggregate import timeline_of
 from repro.core.query import QuerySpec
+from repro.core.results import AnswerBlock, NeighborBlock
 from repro.core.session import DynamicQuerySession
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import ServerError
-from repro.geometry.interval import Interval
 from repro.server.session import (
     AggregateSession,
     AutoSession,
@@ -181,33 +182,15 @@ def _broadcast_join(router, config, params) -> List[int]:
 # -- merge rules (one client's per-shard results, the shared fields) ---------
 
 
-def _dedup(items, key) -> List:
-    """Keep the first replica per ``key(item)``.  A replicated boundary
-    segment answers identically in every holding shard (exact tests are
-    pure geometry), so keep-first in shard order loses nothing."""
-    seen = set()
-    out = []
-    for item in items:
-        k = key(item)
-        if k not in seen:
-            seen.add(k)
-            out.append(item)
-    return out
-
-
-def _component(item) -> Tuple:
-    """A segment that leaves and re-enters a bending observer's window
-    has one answer item per visibility component; replicas agree on
-    both fields."""
-    return (item.key, item.visibility)
-
-
 def _merge_range(results: Sequence[TickResult], common: Dict) -> TickResult:
+    """Concatenate the blocks and keep the first replica of each atomic
+    row ``(object id, seq, low, high)``: a replicated boundary segment
+    answers identically in every holding shard (exact tests are pure
+    geometry), and a segment that leaves and re-enters a bending
+    observer's window has one row per visibility component."""
     return TickResult(
-        items=tuple(_dedup((i for r in results for i in r.items), _component)),
-        prefetched=tuple(
-            _dedup((i for r in results for i in r.prefetched), _component)
-        ),
+        items=AnswerBlock.concat([r.items for r in results]),
+        prefetched=AnswerBlock.concat([r.prefetched for r in results]),
         **common,
     )
 
@@ -217,37 +200,39 @@ def _merge_knn(results: Sequence[TickResult], common: Dict) -> TickResult:
     to k: a global top-k member ranks within the top-k of every shard
     holding it, so the union contains the global answer."""
     k = results[0].k
-    pool = _dedup((n for r in results for n in r.neighbors), lambda n: n.key)
-    pool.sort(key=lambda n: (n.distance, n.key))
-    if k:
-        pool = pool[:k]
-    return TickResult(items=(), neighbors=tuple(pool), k=k, **common)
+    pool = NeighborBlock.concat(
+        [r.neighbors for r in results], key=itemgetter(0, 1)
+    )
+    rows = pool.rows
+    order = sorted(range(len(rows)), key=lambda j: (rows[j][2], rows[j][:2]))
+    return TickResult(neighbors=pool.take(order[:k] if k else order), k=k, **common)
 
 
 def _merge_join(results: Sequence[TickResult], common: Dict) -> TickResult:
     """A qualifying pair is co-resident on some shard (δ/2 replication
-    slack) with a shard-independent interval: dedup by unordered pair."""
-    pairs = _dedup((p for r in results for p in r.pairs), lambda p: p.key)
-    pairs.sort(key=lambda p: p.key)
-    return TickResult(items=(), pairs=tuple(pairs), **common)
+    slack) with a shard-independent interval: dedup by unordered pair,
+    first replica kept."""
+    unique: Dict[Tuple, Any] = {}
+    for r in results:
+        for pair in r.pairs:
+            unique.setdefault(pair.key, pair)
+    pairs = sorted(unique.values(), key=lambda p: p.key)
+    return TickResult(pairs=tuple(pairs), **common)
 
 
 def _merge_aggregate(
     results: Sequence[TickResult], common: Dict
 ) -> TickResult:
     """Per-shard timelines cannot be summed (a replica would count once
-    per holding shard): recount over the deduplicated items."""
-    items = _dedup((i for r in results for i in r.items), _component)
-    items.sort(key=lambda item: (item.record.key, item.visibility.low))
+    per holding shard): recount over the deduplicated rows, sorted by
+    ``(key, low)``."""
+    items = AnswerBlock.concat([r.items for r in results])
+    rows = items.rows
+    items = items.take(sorted(range(len(rows)), key=lambda j: rows[j][:3]))
     horizon = common["covers_until"]
-    span = Interval(
-        common["start"], common["end"] if horizon is None else horizon
-    )
-    return TickResult(
-        items=tuple(items),
-        aggregate=tuple(count_timeline(items, span)),
-        **common,
-    )
+    end = common["end"] if horizon is None else horizon
+    timeline = timeline_of((row[2:] for row in items.rows), common["start"], end)
+    return TickResult(items=items, aggregate=tuple(timeline), **common)
 
 
 # -- the table ---------------------------------------------------------------
@@ -361,10 +346,13 @@ def register_params(kind: QueryKind, payload: Mapping[str, Any]) -> Dict[str, An
 
 
 def merge_results(results: Sequence[TickResult]) -> TickResult:
-    """Merge one client's per-shard results for one tick."""
+    """Merge one client's per-shard results for one tick, by column;
+    one shard's result is the merge of itself."""
     if not results:
         raise ServerError("cannot merge an empty result set")
     first = results[0]
+    if len(results) == 1:
+        return first
     if any(
         r.index != first.index or r.mode != first.mode or r.k != first.k
         for r in results[1:]

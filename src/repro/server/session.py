@@ -54,13 +54,13 @@ from typing import (
     Tuple,
 )
 
-from repro.core.aggregate import count_timeline
+from repro.core.aggregate import timeline_of, visible_part
 from repro.core.joins import snapshot_distance_join
 from repro.core.knn import MovingKNN
 from repro.core.npdq import NPDQEngine, snapshot_all
 from repro.core.pdq import PDQEngine, sweep_windows
-from repro.core.query import JoinAnswer, KNNAnswer
-from repro.core.results import AnswerItem, SnapshotResult
+from repro.core.query import JoinAnswer
+from repro.core.results import AnswerBlock, NeighborBlock, SnapshotResult
 from repro.core.session import DynamicQuerySession
 from repro.core.snapshot import SnapshotQuery
 from repro.core.spdq import SPDQEngine
@@ -111,17 +111,21 @@ class TickResult:
     visible-object timeline over ``[start, horizon]``, recomputable from
     ``items`` — which an aggregate result *does* carry, so cross-shard
     merges can rebuild the timeline from the deduplicated union).
+
+    ``items``, ``prefetched`` and ``neighbors`` are column blocks
+    (:class:`~repro.core.results.AnswerBlock`), built into answer objects
+    only when read.
     """
 
     index: int
     start: float
     end: float
     mode: str
-    items: Tuple[AnswerItem, ...]
-    prefetched: Tuple[AnswerItem, ...] = ()
+    items: AnswerBlock = AnswerBlock.EMPTY
+    prefetched: AnswerBlock = AnswerBlock.EMPTY
     degraded: bool = False
     covers_until: Optional[float] = None
-    neighbors: Tuple[KNNAnswer, ...] = ()
+    neighbors: NeighborBlock = NeighborBlock.EMPTY
     pairs: Tuple[JoinAnswer, ...] = ()
     aggregate: Tuple[Tuple[float, int], ...] = ()
     k: int = 0
@@ -348,7 +352,7 @@ class _WindowSession(ClientSession):
     def _frontiers(self, tick: Tick):
         yield self.index.tree, self.sweep.demand(self, tick)
 
-    def _window(self, tick: Tick, horizon: float) -> List[AnswerItem]:
+    def _window(self, tick: Tick, horizon: float) -> AnswerBlock:
         self.sweep.run(tick)
         return self.engine.window(tick.start, horizon)
 
@@ -412,7 +416,7 @@ class PDQSession(_WindowSession):
             start=tick.start,
             end=tick.end,
             mode="spdq" if shed else "pdq",
-            items=tuple(items),
+            items=items,
             degraded=degraded,
             covers_until=horizon if shed else None,
         )
@@ -557,8 +561,8 @@ class NPDQSession(ClientSession):
             start=tick.start,
             end=tick.end,
             mode="npdq",
-            items=tuple(result.items),
-            prefetched=tuple(result.prefetched),
+            items=result.items,
+            prefetched=result.prefetched,
             degraded=result.degraded,
         )
 
@@ -612,9 +616,9 @@ class KNNSession(ClientSession):
             start=tick.start,
             end=tick.end,
             mode="knn",
-            items=(),
-            neighbors=tuple(
-                KNNAnswer(rec, dist) for rec, dist in results
+            neighbors=NeighborBlock.of(
+                ((rec.object_id, rec.seq, dist) for rec, dist in results),
+                (rec for rec, _ in results),
             ),
             k=self.engine.k,
         )
@@ -674,7 +678,6 @@ class JoinSession(ClientSession):
             start=tick.start,
             end=tick.end,
             mode="join",
-            items=(),
             pairs=tuple(answers),
         )
 
@@ -722,7 +725,8 @@ class AggregateSession(_WindowSession):
         )
         # One entry per visibility component: a segment that leaves and
         # re-enters a bending observer's window is live once per stay.
-        self._live: Dict[Tuple[Tuple[int, int], float], AnswerItem] = {}
+        # (object id, seq, low) -> (answer row, record)
+        self._live: Dict[Tuple[int, int, float], tuple] = {}
         PDQSweep().join(self)
 
     def _horizon(self, tick: Tick) -> float:
@@ -732,29 +736,25 @@ class AggregateSession(_WindowSession):
         if not self.will_serve(tick):
             return None
         horizon = self._horizon(tick)
-        for item in self._window(tick, horizon):
-            self._live[(item.record.key, item.visibility.low)] = item
-        gone = [
-            key
-            for key, item in self._live.items()
-            if item.visibility.high < tick.start
-        ]
+        found = self._window(tick, horizon)
+        for row, record in zip(found.rows, found.records):
+            self._live[row[:3]] = (row, record)
+        gone = [key for key, (row, _) in self._live.items() if row[3] < tick.start]
         for key in gone:
             del self._live[key]
-        span = Interval(tick.start, horizon)
-        relevant = []
-        for item in self._live.values():
-            visible = item.visibility.intersect(span)
-            if not visible.is_empty and visible.length > 0.0:
-                relevant.append(item)
-        relevant.sort(key=lambda item: (item.record.key, item.visibility.low))
-        timeline = count_timeline(relevant, span)
+        relevant = [  # by (key, low)
+            self._live[key]
+            for key in sorted(self._live)
+            if visible_part(*self._live[key][0][2:], tick.start, horizon)
+        ]
+        rows = [row for row, _ in relevant]
+        timeline = timeline_of((row[2:] for row in rows), tick.start, horizon)
         return TickResult(
             index=tick.index,
             start=tick.start,
             end=tick.end,
             mode="aggregate",
-            items=tuple(relevant),
+            items=AnswerBlock.of(rows, (record for _, record in relevant)),
             aggregate=tuple(timeline),
             covers_until=horizon,
             degraded=getattr(self.engine, "degraded", False),
@@ -812,7 +812,7 @@ class AutoSession(ClientSession):
             start=tick.start,
             end=tick.end,
             mode=report.mode.value,
-            items=tuple(report.new_items),
+            items=report.new_items,
         )
 
     def close(self) -> None:

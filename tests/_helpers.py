@@ -11,7 +11,8 @@ import zlib
 from functools import reduce
 
 from repro.core.npdq import NPDQEngine, _PreviousQuery
-from repro.core.results import AnswerItem, SnapshotResult
+from repro.core.query import KNNAnswer
+from repro.core.results import AnswerBlock, AnswerItem, NeighborBlock, SnapshotResult
 from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
@@ -34,6 +35,17 @@ def make_segment(
     return MotionSegment(
         oid, seq, SpaceTimeSegment(Interval(t0, t1), tuple(origin), tuple(velocity))
     )
+
+
+def block_of(answers):
+    """The column block whose items are ``answers`` (``AnswerItem``s, or
+    ``KNNAnswer``s for a ``NeighborBlock``)."""
+    answers = list(answers)
+    if answers and isinstance(answers[0], KNNAnswer):
+        rows = [(*a.record.key, a.distance) for a in answers]
+        return NeighborBlock.of(rows, (a.record for a in answers))
+    rows = [(*a.record.key, a.visibility.low, a.visibility.high) for a in answers]
+    return AnswerBlock.of(rows, (a.record for a in answers))
 
 
 def window(x0: float, y0: float, x1: float, y1: float) -> Box:

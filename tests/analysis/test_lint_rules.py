@@ -429,6 +429,29 @@ class TestCrashSafetyRules:
         )
 
 
+class TestProtocolRules:
+    def test_dqp01_answer_block_tag_without_a_decoder(self, tmp_path, capsys):
+        # protocol v3's packed answer block: encoded under tag "cb" but
+        # missing from the decoder table, so the peer would refuse it
+        code, out = lint_file(
+            tmp_path,
+            capsys,
+            "repro/rpc/protocol.py",
+            "from typing import Any, Dict, Tuple\n\n"
+            "PROTOCOL_VERSION = 3\n"
+            "MSG_TICK = 4\n"
+            "MSG_RESULT = 32\n\n\n"
+            "class AnswerBlock:\n    pass\n\n\n"
+            "def _enc_block(block):\n    return ''\n\n\n"
+            "_BY_TYPE: Dict[type, Tuple[str, Any]] = {\n"
+            "    AnswerBlock: ('cb', _enc_block),\n"
+            "}\n"
+            "_BY_TAG: Dict[str, Any] = {}\n",
+        )
+        assert code == 1, out
+        assert "DQP01" in out and "'cb'" in out
+
+
 class TestRuleHygiene:
     def test_every_rule_has_id_title_and_why(self):
         seen = set()

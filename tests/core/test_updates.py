@@ -111,7 +111,7 @@ class TestPDQUpdates:
             index.insert(new)
             later = pdq.window(3.0, 6.0)
         assert any(i.key == (9999, 0) for i in later)
-        pairs = [(i.key, i.visibility) for i in first + later]
+        pairs = [(i.key, i.visibility) for i in [*first, *later]]
         assert len(pairs) == len(set(pairs))
 
     def test_root_split_triggers_rebuild(self):

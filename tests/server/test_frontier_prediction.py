@@ -177,7 +177,7 @@ class TestMispredictSafety:
         page = shared_page(build_dual, trajectories[0])
         plan = f"corrupt@{page}"
         clean = isolated_npdq_frames(build_dual, trajectories[0])
-        clean_keys = {i.key for items, pre in clean for i in items + pre}
+        clean_keys = {i.key for items, pre in clean for i in [*items, *pre]}
         dual = build_dual()
         broker = make_broker(build_native(), dual)
         budgets = (0, 1, 3)
@@ -196,7 +196,7 @@ class TestMispredictSafety:
             )
             assert frames[0][2] and all(degraded for *_, degraded in frames)
             assert {
-                i.key for items, pre, _ in frames for i in items + pre
+                i.key for items, pre, _ in frames for i in [*items, *pre]
             } <= clean_keys
             assert session.engine.skipped_subtrees
 

@@ -9,11 +9,18 @@ respawn-and-replay — must produce answer streams identical to the
 in-process front-end, including straight through a SIGKILL.
 """
 
+import base64
 import io
+import json
+import math
+import struct
+import zlib
 from dataclasses import asdict
 
 import pytest
 
+from repro.core.query import KNNAnswer
+from repro.core.results import AnswerBlock, AnswerItem, NeighborBlock
 from repro.core.trajectory import KeySnapshot, QueryTrajectory
 from repro.errors import (
     QueryError,
@@ -28,13 +35,14 @@ from repro.server import (
     RemoteMultiplexBroker,
     ServerConfig,
     SimulatedClock,
+    TickResult,
     UpdateOp,
 )
 from repro.server.remote import protocol as proto
 from repro.server.remote.worker import ShardWorker, serve
 from repro.workload.observers import path_of
 
-from _helpers import make_segment
+from _helpers import block_of, make_segment
 
 START, PERIOD = 1.0, 0.1
 PAGE_SIZE = 512
@@ -127,6 +135,100 @@ class TestProtocol:
         )
         with pytest.raises(RemoteProtocolError, match="tag"):
             proto.read_frame(io.BytesIO(header + body))
+
+
+def _answers(dims, bounds):
+    """Answer items over ``dims``-d segments with the given visibilities."""
+    return [
+        AnswerItem(
+            make_segment(
+                10 + i, i, -1.5, 4.25, tuple(0.5 * i + d for d in range(dims)),
+                tuple(-0.125 * d for d in range(dims)),
+            ),
+            Interval(low, high),
+        )
+        for i, (low, high) in enumerate(bounds)
+    ]
+
+
+EDGES = [(-0.0, 1.5), (-math.inf, math.inf), (0.25, -0.0), (1.0 / 3.0, 2.0 ** -40)]
+
+
+def _block_frame(tamper):
+    """A RESULT frame whose one answer block went through ``tamper``."""
+    result = TickResult(
+        index=0, start=0.0, end=0.1, mode="pdq", items=block_of(_answers(2, EDGES))
+    )
+    body = json.loads(proto.pack_frame(proto.MSG_RESULT, [result])[16:])
+    block = body[0]["v"]["items"]
+    block["v"] = base64.b64encode(tamper(base64.b64decode(block["v"]))).decode()
+    raw = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
+    header = struct.Struct("<4sBB2xII").pack(
+        proto.FRAME_MAGIC, proto.PROTOCOL_VERSION, proto.MSG_RESULT,
+        len(raw), zlib.crc32(raw) & 0xFFFFFFFF,
+    )
+    return header + raw
+
+
+class TestAnswerBlocks:
+    """Protocol v3: a result's answers cross as packed column blocks."""
+
+    @staticmethod
+    def bits(items):
+        return [
+            (i.record, struct.pack("<2d", i.visibility.low, i.visibility.high))
+            for i in items
+        ]
+
+    def test_blocks_round_trip_byte_exactly(self):
+        two, three = _answers(2, EDGES), _answers(3, EDGES[::-1])
+        neighbors = [KNNAnswer(i.record, d) for i, d in zip(three, (-0.0, 0.5, math.inf, 0.0))]
+        results = [
+            TickResult(index=4, start=1.0, end=1.1, mode="npdq",
+                       items=block_of(two), prefetched=block_of(three[:1])),
+            TickResult(index=4, start=1.0, end=1.1, mode="knn",
+                       neighbors=block_of(neighbors), k=4),
+            TickResult(index=4, start=1.0, end=1.1, mode="pdq"),
+        ]
+        frame = proto.pack_frame(proto.MSG_RESULT, {"results": results})
+        msg_type, decoded = proto.read_frame(io.BytesIO(frame))
+        assert msg_type == proto.MSG_RESULT
+        assert proto.pack_frame(proto.MSG_RESULT, decoded) == frame
+        got = decoded["results"]
+        assert self.bits(got[0].items) == self.bits(two)
+        assert self.bits(got[0].prefetched) == self.bits(three[:1])
+        assert [(n.record, struct.pack("<d", n.distance)) for n in got[1].neighbors] == [
+            (n.record, struct.pack("<d", n.distance)) for n in neighbors
+        ]
+        assert got[2].items is AnswerBlock.EMPTY
+        assert got[2].neighbors is NeighborBlock.EMPTY
+        assert got[1] == results[1] and got[0] == results[0]
+
+    def test_untampered_block_frame_decodes(self):
+        _, (result,) = proto.read_frame(io.BytesIO(_block_frame(lambda b: b)))
+        assert self.bits(result.items) == self.bits(_answers(2, EDGES))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # the id column claims one value fewer than the block's rows
+            (lambda b: b[:12] + struct.pack("<I", 3) + b[16:], r"\[3, 4, 4, 4\] for 4 rows"),
+            (lambda b: b[:-8], "bytes"),
+            (lambda b: b[:5], "truncated"),
+            (lambda b: b[:16] + b"f" + b[17:], "dtype code"),
+            (lambda b: b"\x07" + b[1:], "block kind"),
+        ],
+        ids=["column-length", "short-body", "short-header", "dtype", "kind"],
+    )
+    def test_malformed_block_is_refused_whole(self, tamper, message):
+        with pytest.raises(RemoteProtocolError, match=message):
+            proto.read_frame(io.BytesIO(_block_frame(tamper)))
+
+    def test_version_2_frame_is_refused(self):
+        raw = bytearray(_block_frame(lambda b: b))
+        raw[4] = 2
+        with pytest.raises(RemoteProtocolError, match="version 2"):
+            proto.read_frame(io.BytesIO(bytes(raw)))
 
 
 def hello_payload(dual=True):

@@ -28,7 +28,7 @@ from repro.server import (
 )
 from repro.workload.observers import observer_fleet, path_of
 
-from _helpers import make_segment
+from _helpers import block_of, make_segment
 
 # Match the suite-wide small page so shard trees stay several levels deep.
 PAGE_SIZE = 512
@@ -145,8 +145,8 @@ class TestShardRouter:
 def result(index=0, mode="pdq", items=(), prefetched=(), degraded=False,
            covers_until=None):
     return TickResult(
-        index=index, start=1.0, end=1.1, mode=mode, items=tuple(items),
-        prefetched=tuple(prefetched), degraded=degraded,
+        index=index, start=1.0, end=1.1, mode=mode, items=block_of(items),
+        prefetched=block_of(prefetched), degraded=degraded,
         covers_until=covers_until,
     )
 
