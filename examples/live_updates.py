@@ -54,10 +54,10 @@ def main() -> None:
     delivered = []
     splits = 0
 
-    def count_splits(notice):
+    def count_splits(notices):
+        # a listener hears each committed write batch's notices at once
         nonlocal splits
-        if notice.subtree_id is not None:
-            splits += 1
+        splits += sum(notice.subtree_id is not None for notice in notices)
 
     index.tree.add_listener(count_splits)
     with PDQEngine(index, corridor) as pdq:

@@ -66,8 +66,10 @@ class PageWriteSanitizer:
     shared) and an intent log (so crash safety is in scope).  A changed
     fingerprint with no recorded pre-image since the last checkpoint is
     the unrecoverable-crash bug, reported at the earliest of: the next
-    read of the page, the broker's tick end, or the test's teardown
-    checkpoint.
+    read of the page, the first pre-image a transaction takes of it (a
+    write or free it did not read first — e.g. a write batch's
+    write-back of a node it got without ``disk.read``), the broker's
+    tick end, or the test's teardown checkpoint.
     """
 
     def __init__(self) -> None:
@@ -102,6 +104,19 @@ class PageWriteSanitizer:
 
     def page_logged(self, disk: Any, page_id: int) -> None:
         key = (id(disk), page_id)
+        known = self._states.get(key)
+        if known is not None and key not in self._logged:
+            # A first pre-image taken by a write or free: the shared copy
+            # must still be what was last read, or it changed unlogged.
+            pool = disk.buffer_pool
+            cached = pool.peek(page_id) if pool is not None else None
+            state = _fingerprint(disk.raw_page(page_id) if cached is None else cached)
+            if state is not None and state != known:
+                raise SanitizerError(
+                    f"page {page_id} was mutated in place without a WAL "
+                    "pre-image (unrecoverable after a crash); detected "
+                    "when its pre-image was taken"
+                )
         self._logged.add(key)
         self._disks[id(disk)] = disk
         log = disk.intent_log

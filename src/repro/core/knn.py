@@ -92,31 +92,35 @@ def incremental_knn(
     dims = index.dims
     tie = itertools.count()
     bound_sq = max_distance * max_distance
-    heap: List[tuple] = [(0.0, next(tie), tree.root_id, None)]
+    # (d², tie, page id, None, -1) or a leaf row (d², tie, -1, its page's
+    # rows, row), whose record is built only if it pops as an answer
+    heap: List[tuple] = [(0.0, next(tie), tree.root_id, None, -1)]
     while heap:
-        dist_sq, _, page_id, record = heapq.heappop(heap)
+        dist_sq, _, page_id, leaf, k = heapq.heappop(heap)
         if dist_sq > bound_sq:
             return
-        if record is not None:
-            yield record, math.sqrt(dist_sq)
+        if leaf is not None:
+            yield leaf.record(k), math.sqrt(dist_sq)
             continue
         node = tree.load_node(page_id, cost)
         if cost is not None:
             cost.count_distance_computations(len(node.entries))
         if not node.is_leaf:
             for d_sq, child_id in _children_in_reach(node, t, point, bound_sq):
-                heapq.heappush(heap, (d_sq, next(tie), child_id, None))
+                heapq.heappush(heap, (d_sq, next(tie), child_id, None, -1))
             continue
         arrays = node.entries
         segments = arrays.segment_batch()
         rows = segments.rows_valid_at(t)
         for row, (t_lo, _, *motion) in zip(rows, segments.values(rows)):
-            # MotionSegment.position_at(t), on the row's own floats
+            # MotionSegment.position_at(t) on the row's own floats
             dt = t - t_lo
-            pos = [o + v * dt for o, v in zip(motion[:dims], motion[dims:])]
-            d_sq = sum((a - b) ** 2 for a, b in zip(pos, point))
+            d_sq = sum([
+                (o + v * dt - p) ** 2
+                for o, v, p in zip(motion[:dims], motion[dims:], point)
+            ])
             if d_sq <= bound_sq:
-                heapq.heappush(heap, (d_sq, next(tie), -1, arrays.record(row)))
+                heapq.heappush(heap, (d_sq, next(tie), -1, arrays, row))
 
 
 class MovingKNN:

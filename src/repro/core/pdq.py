@@ -15,14 +15,16 @@ claims:
   trajectory deviations waste no work and object updates are maximally
   fresh.
 
-Update management (Sect. 4.1, Fig. 4): the engine registers as an
-insertion listener on the underlying tree.  A non-splitting insert pushes
+Update management (Sect. 4.1, Fig. 4): the update-tracking engines over
+one tree share one insertion listener on it.  A non-splitting insert pushes
 the new segment straight into the queue; a splitting insert pushes the
 lowest common ancestor of the freshly created nodes (a single node,
-thanks to forced same-path splits).  Duplicate deliveries are eliminated
-at pop time via expanded-node and reported-answer sets — equivalent to
-the paper's "compare with the previously popped item" trick but robust
-to any number of concurrent duplicates.  When the notified ancestor sits
+thanks to forced same-path splits); :func:`notify_inserts` serves a
+committed write batch to every live engine of the tree at once.
+Duplicate deliveries are eliminated at pop time via expanded-node and
+reported-answer sets — equivalent to the paper's "compare with the
+previously popped item" trick but robust to any number of concurrent
+duplicates.  When the notified ancestor sits
 within ``rebuild_depth`` of the root (the paper: "if the lowest common
 ancestor ... is close to the root node, it is better to empty the
 priority queue ... and rebuild"), the queue is rebuilt from the root
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CorruptPageError, QueryError, TransientIOError
@@ -49,13 +52,12 @@ from repro.core.results import AnswerBlock, AnswerItem, SnapshotResult
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry import kernels
 from repro.geometry.interval import Interval
-from repro.geometry.timeset import TimeSet
 from repro.index.nsi import NativeSpaceIndex
 from repro.index.rtree import InsertionNotice
 from repro.motion.segment import MotionSegment
 from repro.storage.metrics import QueryCost
 
-__all__ = ["PDQEngine", "sweep_windows"]
+__all__ = ["PDQEngine", "notify_inserts", "sweep_windows"]
 
 
 class PDQEngine:
@@ -85,7 +87,7 @@ class PDQEngine:
         is kept in :attr:`skipped_subtrees`).
 
     Use as a context manager, or call :meth:`close` when done, so the
-    insertion listener is detached.
+    engine stops hearing the tree's inserts.
     """
 
     def __init__(
@@ -118,7 +120,12 @@ class PDQEngine:
         self._closed = False
         self._tracking = track_updates
         if track_updates:
-            self.index.tree.add_listener(self._on_insert)
+            tree = index.tree
+            live = _LIVE.get(id(tree))
+            if live is None:
+                live = _LIVE[id(tree)] = _LiveEngines()
+                tree.add_listener(live)
+            live.engines.append(self)
         self._seed_root()
 
     @property
@@ -134,7 +141,12 @@ class PDQEngine:
             return
         self._closed = True
         if self._tracking:
-            self.index.tree.remove_listener(self._on_insert)
+            tree = self.index.tree
+            live = _LIVE[id(tree)]
+            live.engines.remove(self)
+            if not live.engines:
+                tree.remove_listener(live)
+                del _LIVE[id(tree)]
 
     def __enter__(self) -> "PDQEngine":
         return self
@@ -161,16 +173,6 @@ class PDQEngine:
         """
         span = self.trajectory.time_span
         self._push(span.low, span.high, page_id=self.index.tree.root_id)
-
-    def _push_components(self, timeset: TimeSet, *, page_id: int = -1,
-                         record: Optional[MotionSegment] = None) -> None:
-        """Enqueue one item per connected visibility component.
-
-        Components already entirely behind the query frontier are
-        dropped (they can never be requested again)."""
-        for component in timeset:
-            if component.high >= self._frontier:
-                self._push(component.low, component.high, page_id, record)
 
     def _expand(self, page_id: int) -> None:
         """Load a node (one disk access) and enqueue its children.
@@ -335,31 +337,6 @@ class PDQEngine:
 
     # -- update management (Sect. 4.1) ------------------------------------------------
 
-    def _on_insert(self, notice: InsertionNotice) -> None:
-        """React to a concurrent insertion into the index."""
-        if self._closed:
-            return
-        self._stash.clear()  # the tree changed under what a sweep read
-        if notice.subtree_id is None:
-            # No split: consider the inserted segment directly.
-            self.cost.count_segment_tests()
-            timeset = self.trajectory.segment_overlap(notice.entry.record.segment)
-            self._push_components(timeset, record=notice.entry.record)
-            return
-        if notice.root_changed or (
-            self.index.tree.depth_of(notice.subtree_id) <= self.rebuild_depth
-        ):
-            self._rebuild()
-            return
-        assert notice.subtree_box is not None
-        self.cost.count_distance_computations()
-        timeset = self.trajectory.box_overlap(notice.subtree_box)
-        self._push_components(timeset, page_id=notice.subtree_id)
-        # The sibling that kept the old page id may already have been
-        # expanded with entries that have since moved; those entries are
-        # covered by the new subtree, and re-deliveries are suppressed by
-        # the reported-answer set.
-
     def _rebuild(self) -> None:
         """Empty and re-seed the queue from the root (paper's heuristic).
 
@@ -370,6 +347,74 @@ class PDQEngine:
         self._heap.clear()
         self._expanded.clear()
         self._seed_root()
+
+
+class _LiveEngines:
+    """The live update-tracking engines of one tree, in registration
+    order: the tree's one insertion listener, which notifies them all."""
+
+    def __init__(self) -> None:
+        self.engines: List[PDQEngine] = []
+        self._stacked: tuple = ((), None)  # the engines' trajectory tables
+
+    def __call__(self, notices: Sequence[InsertionNotice]) -> None:
+        tables = tuple(e.trajectory.kernel_table() for e in self.engines)
+        if tables != self._stacked[0]:
+            self._stacked = (tables, kernels.TrajectoryTable.stack(tables))
+        notify_inserts(self.engines, notices, self._stacked[1])
+
+
+#: ``id(tree)`` -> its live engines; an entry dies with its tree
+_LIVE: "weakref.WeakValueDictionary[int, _LiveEngines]" = weakref.WeakValueDictionary()
+
+
+def notify_inserts(
+    engines: Sequence[PDQEngine],
+    notices: Sequence[InsertionNotice],
+    table: kernels.TrajectoryTable,
+) -> None:
+    """Sect. 4.1's update management for one committed insert batch, for
+    the live ``engines`` at once (``table`` stacks their trajectory
+    tables, in order).
+
+    Each engine takes the notices in insert order, as one at a time: a
+    new segment (no split) is pushed over its visibility components, a
+    split that grew the root or sits within ``rebuild_depth`` of it
+    rebuilds the queue, and any other split pushes its subtree over its
+    box's components.  Every (engine, row) pair is evaluated by one
+    gathered kernel call per row kind over the stacked trajectory
+    tables, with the scalar overlaps' floats, so heaps, tie counters,
+    costs and answers are those of per-insert notification.
+    """
+    for engine in engines:
+        engine._stash.clear()  # the tree changed under what a sweep read
+    plain = [i for i, n in enumerate(notices) if n.subtree_id is None]
+    split = [i for i, n in enumerate(notices) if n.subtree_id is not None]
+    boxes = [notices[i].subtree_box for i in split]
+    found: Dict[Tuple[int, int], list] = {}  # (engine, notice) -> components
+    for rows, batch in (
+        (plain, kernels.SegmentBatch.of([notices[i].entry.record.segment for i in plain])),
+        (split, kernels.BoxBatch([b.lows for b in boxes], [b.highs for b in boxes])),  # type: ignore[union-attr]
+    ):
+        demands = [(batch, slot, e._frontier) for slot, e in enumerate(engines)]
+        for slot, components in enumerate(kernels.gathered_live_components(table, demands)):
+            for k, low, high in components:
+                found.setdefault((slot, rows[k]), []).append((low, high))
+    for slot, engine in enumerate(engines):
+        for i, notice in enumerate(notices):
+            if notice.subtree_id is None:
+                engine.cost.count_segment_tests()
+                for low, high in found.get((slot, i), ()):
+                    engine._push(low, high, record=notice.entry.record)
+            elif notice.root_changed or notice.subtree_depth <= engine.rebuild_depth:
+                engine._rebuild()
+            else:
+                # The sibling that kept the old page id may have been
+                # expanded already; the new subtree covers its moved
+                # entries and the reported set suppresses re-deliveries.
+                engine.cost.count_distance_computations()
+                for low, high in found.get((slot, i), ()):
+                    engine._push(low, high, page_id=notice.subtree_id)
 
 
 def sweep_windows(

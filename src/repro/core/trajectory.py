@@ -8,7 +8,8 @@ which the window interpolates linearly, sweeping one
 two geometric services:
 
 * ``T_{Q,R} = ∪_j T^j`` — the :class:`~repro.geometry.TimeSet` during
-  which a bounding box overlaps the dynamic query (Eq. 3), and
+  which a bounding box overlaps the dynamic query (Eq. 3), evaluated a
+  page of boxes at a time (:meth:`QueryTrajectory.live_components`), and
 * its leaf-level analogue for exact motion segments.
 
 Only trajectory segments whose time range can overlap the operand are
@@ -30,7 +31,6 @@ from repro.geometry.timeset import TimeSet
 from repro.geometry import kernels
 from repro.geometry.trapezoid import (
     MovingWindow,
-    moving_window_box_overlap,
     moving_window_segment_overlap,
 )
 from repro.core.snapshot import SnapshotQuery
@@ -217,17 +217,6 @@ class QueryTrajectory:
             hi = lo + 1
         return range(lo, hi)
 
-    def box_overlap(self, box: Box) -> TimeSet:
-        """``T_{Q,R}``: when does a native-space box overlap the query?
-
-        ``box`` has axes ``<t, x_1, .., x_d>``.
-        """
-        intervals = [
-            moving_window_box_overlap(self._segments[j], box)
-            for j in self._segment_range(box.extent(0))
-        ]
-        return TimeSet(intervals)
-
     def segment_overlap(self, segment: SpaceTimeSegment) -> TimeSet:
         """When is a moving object inside the query window?"""
         intervals = [
@@ -249,9 +238,11 @@ class QueryTrajectory:
     def live_components(self, batch, frontier: float) -> List[Tuple[int, float, float]]:
         """``(k, low, high)`` for every visibility component of the
         page's entry ``k`` that ends at or after ``frontier``, in entry
-        order then start order: :meth:`segment_overlap` (a leaf page's
-        segment batch) or :meth:`box_overlap` (a box batch) of every
-        entry in one pass, bit-identical, minus what a queue whose
+        order then start order: :meth:`segment_overlap` of every entry
+        of a leaf page's segment batch, bit-identical — or, for a box
+        batch, ``T_{Q,R}`` of every box: the union of
+        ``moving_window_box_overlap`` over the trajectory segments the
+        box's time extent meets — in one pass, minus what a queue whose
         frontier is ``frontier`` would drop unseen."""
         return kernels.trajectory_live_components(
             batch, self.kernel_table(), frontier

@@ -145,6 +145,11 @@ class SegmentIndex:
         """Insert one motion update (stamps timestamps, notifies listeners)."""
         return self.tree.insert(self._leaf_entry(record))
 
+    def insert_batch(self, records: Iterable[MotionSegment]):
+        """Insert motion updates in order as one write batch
+        (:meth:`~repro.index.RTree.insert_batch`)."""
+        return self.tree.insert_batch([self._leaf_entry(r) for r in records])
+
     def bulk_load(self, records: Iterable[MotionSegment]) -> None:
         """STR-pack many records into an empty index."""
         str_bulk_load(self.tree, self._leaf_rows(records))

@@ -8,8 +8,10 @@ Sect. 4 of the paper needs:
   all new nodes (and of the inserted record) is simply the *topmost* new
   node.  Live dynamic queries are notified with that one node
   (Sect. 4.1, update management, Fig. 4);
-* **insertion listeners** — registered PDQ engines receive an
-  :class:`InsertionNotice` after every insert;
+* **insertion listeners** — registered PDQ engines receive the
+  :class:`InsertionNotice` of every insert of a committed write batch
+  (:meth:`RTree.insert_batch`: one insert at a time, one transaction,
+  each dirtied node written once);
 * **operation-clock timestamps** — every node touched by an insertion is
   stamped, and leaf entries record their insertion time, enabling NPDQ's
   timestamp check (Sect. 4.2, update management);
@@ -21,7 +23,7 @@ Sect. 4 of the paper needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
     CorruptPageError,
@@ -42,7 +44,7 @@ __all__ = ["RTree", "InsertionNotice", "InsertionListener"]
 
 @dataclass(frozen=True)
 class InsertionNotice:
-    """Delivered to listeners after each single-record insertion.
+    """One record's insertion, captured when it went in.
 
     Attributes
     ----------
@@ -52,23 +54,24 @@ class InsertionNotice:
         Page id of the lowest common ancestor of all nodes created by the
         insertion, or ``None`` when no split occurred (the record went
         into an existing leaf and ``entry`` itself is the notice).
-    subtree_level:
-        Level of that node (0 = leaf); meaningless when ``subtree_id`` is
-        ``None``.
     subtree_box:
         MBR of that node at notification time (``None`` without a split).
     root_changed:
         True when the insertion grew the tree by splitting the root.
+    subtree_depth:
+        That node's distance from the root right after the insertion
+        (a later root split in the same batch does not move it).
     """
 
     entry: LeafEntry
     subtree_id: Optional[int]
-    subtree_level: int
     root_changed: bool
     subtree_box: Optional["Box"] = None
+    subtree_depth: int = 0
 
 
-InsertionListener = Callable[[InsertionNotice], None]
+#: Called with a committed batch's notices, in insert order.
+InsertionListener = Callable[[Sequence[InsertionNotice]], None]
 
 
 class RTree:
@@ -117,6 +120,10 @@ class RTree:
         self.disk = disk if disk is not None else DiskManager()
         self._parents: Dict[int, int] = {}
         self._listeners: List[InsertionListener] = []
+        # insert_batch's dirty map (page id -> node), and its pages
+        # written since the batch last read them
+        self._batch: Optional[Dict[int, Node]] = None
+        self._unread: Set[int] = set()
         self._clock = 0
         self._size = 0
         if restore is None:
@@ -203,8 +210,25 @@ class RTree:
         page_id = self.disk.allocate()
         return Node(page_id, level, timestamp=self._clock)
 
+    def _read(self, page_id: int) -> Node:
+        """A node as the update in progress sees it: a page the write
+        batch wrote comes from its dirty map as a disk read would hand it
+        out after that write (``DiskManager.as_written``)."""
+        batch = self._batch
+        if batch is None or page_id not in batch:
+            return self.disk.read(page_id)
+        if page_id in self._unread:
+            self._unread.discard(page_id)
+            batch[page_id] = self.disk.as_written(batch[page_id])
+        return batch[page_id]
+
     def _write(self, node: Node) -> None:
-        self.disk.write(node.page_id, node)
+        """Write a node, or inside a write batch mark it dirty."""
+        if self._batch is None:
+            self.disk.write(node.page_id, node)
+        else:
+            self._batch[node.page_id] = node
+            self._unread.add(node.page_id)
 
     # -- crash consistency -------------------------------------------------------
 
@@ -285,16 +309,41 @@ class RTree:
     # -- insertion -------------------------------------------------------------------
 
     def insert(self, entry: LeafEntry) -> InsertionNotice:
-        """Insert one record, notify listeners, return the notice.
+        """Insert one record: the batch of one (:meth:`insert_batch`)."""
+        return self.insert_batch([entry])[0]
 
-        The entry's ``timestamp`` is overwritten with the current clock
-        tick so that NPDQ's update management sees a consistent order.
-        With an intent log attached the multi-page update is atomic:
-        a failure mid-split rolls the tree back to its pre-insert state.
+    def insert_batch(self, entries: Sequence[LeafEntry]) -> List[InsertionNotice]:
+        """Insert records in order as one write batch; return their notices.
+
+        Each record goes in as it would alone (ChooseLeaf over the boxes
+        the records before it left, forced same-path splits, the next
+        clock tick as its ``timestamp``), so pages, root, size and clock
+        come out as one insert at a time leaves them.  The batch is one
+        intent-log transaction that writes each dirtied node once, at
+        the end; listeners hear the notices, in order, after the commit.
+        A failure rolls the whole batch back and nobody hears of it.
         """
-        return self._crash_safe(lambda: self._insert_impl(entry))  # type: ignore[return-value]
+        entries = list(entries)
+        if not entries:
+            return []
+        notices: List[InsertionNotice] = self._crash_safe(  # type: ignore[assignment]
+            lambda: self._insert_batch_impl(entries)
+        )
+        for listener in list(self._listeners):
+            listener(notices)
+        return notices
 
-    def _insert_impl(self, entry: LeafEntry) -> InsertionNotice:
+    def _insert_batch_impl(self, entries: List[LeafEntry]) -> List[InsertionNotice]:
+        self._batch, self._unread = {}, set()
+        try:
+            notices = [self._insert_one(entry) for entry in entries]
+            for node in self._batch.values():
+                self.disk.write(node.page_id, node)
+        finally:
+            self._batch = None
+        return notices
+
+    def _insert_one(self, entry: LeafEntry) -> InsertionNotice:
         if entry.box.dims != self.axes:
             raise IndexStructureError(
                 f"entry box has {entry.box.dims} axes, tree has {self.axes}"
@@ -308,16 +357,16 @@ class RTree:
         self._size += 1
 
         new_nodes, root_changed = self._split_upward(path, stamped.key)
-        notice = InsertionNotice(
+        if not new_nodes:
+            return InsertionNotice(stamped, None, False)
+        top = new_nodes[-1]
+        return InsertionNotice(
             entry=stamped,
-            subtree_id=new_nodes[-1].page_id if new_nodes else None,
-            subtree_level=new_nodes[-1].level if new_nodes else 0,
+            subtree_id=top.page_id,
             root_changed=root_changed,
-            subtree_box=new_nodes[-1].mbr() if new_nodes else None,
+            subtree_box=top.mbr(),
+            subtree_depth=self.depth_of(top.page_id),
         )
-        for listener in self._listeners:
-            listener(notice)
-        return notice
 
     def _split_upward(
         self, path: List[Node], pinned: Optional[tuple]
@@ -384,11 +433,11 @@ class RTree:
         """Guttman ChooseLeaf, root down to a node at ``stop_level``:
         least enlargement, then least volume, then the first entry."""
         lows, highs = box.lows, box.highs
-        node = self.disk.read(self._root_id)
+        node = self._read(self._root_id)
         path = [node]
         while node.level > stop_level:
             rows = node.entries
-            node = self.disk.read(
+            node = self._read(
                 rows.child_id(kernels.choose_subtree(rows.box_batch(), lows, highs))
             )
             path.append(node)

@@ -19,12 +19,16 @@ the serving-side half:
   (a freed page may still sit in a live priority queue), so expire ops
   are *deferred* while any tracked query is live and applied by
   :meth:`flush_expired` once the broker quiesces;
+* **write batches** — a tick's due inserts go to each index as one
+  :meth:`~repro.index.RTree.insert_batch`;
 * **writer-crash recovery** — a mid-insert storage fault with an
   intent log attached leaves the tree half-updated; the dispatcher rolls
   it back via :meth:`RTree.recover` (page ids are stable across
-  rollback, so live engines' queues and expanded sets remain valid), and
-  retries once.  An update dropped after retry shrinks answers to a
-  well-flagged subset — never corrupts them.
+  rollback, so live engines' queues and expanded sets remain valid).  A
+  batch that fails is rolled back whole — no engine heard any of it —
+  and its inserts are applied again one at a time, each retried once.
+  An update dropped after retry shrinks answers to a well-flagged
+  subset — never corrupts them.
 """
 
 from __future__ import annotations
@@ -129,26 +133,29 @@ class UpdateDispatcher:
     def apply_until(self, t: float, live_queries: bool = True) -> int:
         """Apply every op due at or before ``t``; returns ops applied.
 
-        Called by the broker between ticks.  ``live_queries`` gates
+        Called by the broker between ticks.  The due inserts go to each
+        index as one write batch, in stream order; an expire that is
+        applied, not deferred, ends a batch.  ``live_queries`` gates
         physical deletion: with any tracked query alive, expires are
         deferred instead of freeing pages out from under live priority
         queues.
         """
         applied = 0
+        batch: List[UpdateOp] = []
         while self._stream and self._stream[0][0] <= t:
             _, _, op = heapq.heappop(self._stream)
             if op.kind == "insert":
-                if self._insert(op):
-                    applied += 1
+                batch.append(op)
+            elif live_queries:
+                self._deferred.append(op)
+                self.stats.expires_deferred += 1
             else:
-                if live_queries:
-                    self._deferred.append(op)
-                    self.stats.expires_deferred += 1
-                else:
-                    self._delete(op.segment)
-                    self.stats.expires_applied += 1
-                    applied += 1
-        return applied
+                applied += self._insert(batch)
+                batch = []
+                self._delete(op.segment)
+                self.stats.expires_applied += 1
+                applied += 1
+        return applied + self._insert(batch)
 
     def flush_expired(self) -> int:
         """Physically delete every deferred expire (broker quiesced)."""
@@ -162,29 +169,43 @@ class UpdateDispatcher:
 
     # -- single-writer fault handling -------------------------------------------
 
-    def _insert(self, op: UpdateOp) -> bool:
-        """Insert into both indexes, recovering from writer crashes.
+    def _insert(self, ops: List[UpdateOp]) -> int:
+        """Insert ``ops`` into both indexes as one batch each; returns
+        how many landed in every index.
 
-        A failed insert is rolled back before anything else happens, so
-        a crash can never leave one index ahead of the other by a
-        half-applied split — only by one whole (dropped) update, which
-        degrades answers to a subset instead of corrupting them.
+        A failed batch is rolled back, then its ops go in one at a time
+        (:meth:`_insert_one`), so a crash can leave one index ahead of
+        the other only by whole dropped updates (a subset of answers),
+        never by a half-applied split.  An op one index dropped is not
+        offered to the next.
         """
         for index in self._indexes():
-            attempts = 2 if self.retry_crashed else 1
-            for attempt in range(attempts):
+            if not ops:
+                break
+            if len(ops) > 1:
                 try:
-                    index.insert(op.segment)
-                    break
+                    index.insert_batch([op.segment for op in ops])
+                    continue
                 except StorageError:
                     if self._recover(index):
                         self.stats.crashes_recovered += 1
-                    if attempt == attempts - 1:
-                        self.stats.updates_dropped += 1
-                        self.stats.dropped_keys.append(op.segment.key)
-                        return False
-        self.stats.inserts_applied += 1
-        return True
+            ops = [op for op in ops if self._insert_one(index, op)]
+        self.stats.inserts_applied += len(ops)
+        return len(ops)
+
+    def _insert_one(self, index, op: UpdateOp) -> bool:
+        """Insert one op, retried once after a rolled-back crash."""
+        attempts = 2 if self.retry_crashed else 1
+        for _ in range(attempts):
+            try:
+                index.insert(op.segment)
+                return True
+            except StorageError:
+                if self._recover(index):
+                    self.stats.crashes_recovered += 1
+        self.stats.updates_dropped += 1
+        self.stats.dropped_keys.append(op.segment.key)
+        return False
 
     def _delete(self, segment: MotionSegment) -> None:
         # Each flavour stores its own box geometry for the same record;

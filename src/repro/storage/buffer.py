@@ -83,6 +83,11 @@ class BufferPool:
         self.stats.hits += 1
         return payload
 
+    def peek(self, page_id: int) -> Optional[Any]:
+        """The cached payload or ``None``, without counting an access or
+        refreshing recency (inspection only)."""
+        return self._pages.get(page_id)
+
     def put(self, page_id: int, payload: Any) -> None:
         """Insert (or refresh) a page, evicting the LRU page if full.
 

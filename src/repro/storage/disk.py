@@ -233,6 +233,16 @@ class DiskManager:
             # not warm the read cache.
             self._buffer.invalidate(page_id)
 
+    def as_written(self, payload: Any) -> Any:
+        """What :meth:`read` would hand out once ``payload`` is written:
+        the payload itself in object mode, the codec's decoding of its
+        encoding in binary mode.  Nothing is stored or counted; a writer
+        that defers its writes reads its own pending pages through this.
+        """
+        if self._codec is None:
+            return payload
+        return self._codec.decode(self._codec.encode(payload))
+
     def read(self, page_id: int) -> Any:
         """Fetch the payload of ``page_id``.
 

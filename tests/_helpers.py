@@ -17,6 +17,8 @@ from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
+from repro.geometry.timeset import TimeSet
+from repro.geometry.trapezoid import moving_window_box_overlap
 from repro.index.check import fsck
 from repro.index.codec import CHECKSUM_FRAME_BYTES
 from repro.index.entry import InternalEntry, LeafEntry
@@ -233,6 +235,17 @@ class ReferenceDecodeCodec:
 
     def decode(self, data: bytes) -> ReferenceNode:
         return reference_decode(self.codec, data)
+
+
+def scalar_box_overlap(trajectory, box) -> TimeSet:
+    """``T_{Q,R}`` of one native-space box ``<t, x_1, .., x_d>``, the
+    scalar way: the union of ``moving_window_box_overlap`` over the
+    trajectory segments the box's time extent meets (the oracle of
+    ``QueryTrajectory.live_components`` on a box batch)."""
+    return TimeSet(
+        moving_window_box_overlap(trajectory.segments[j], box)
+        for j in trajectory._segment_range(box.extent(0))
+    )
 
 
 def scalar_choose_subtree(boxes, box) -> int:

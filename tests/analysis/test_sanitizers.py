@@ -21,6 +21,8 @@ from repro.geometry.box import Box
 from repro.index.codec import ChecksummedCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry, LeafEntry
 from repro.index.node import Node
+from repro.index.nsi import NativeSpaceIndex
+from repro.index.rtree import RTree
 from repro.server.clock import SimulatedClock
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -159,6 +161,55 @@ class TestPageWriteSanitizer:
         suite.checkpoint_and_reset()
 
 
+def batch_tree():
+    """A small-paged native tree on a pooled, logged object-mode disk,
+    every page read once since the last write (so every page is tracked)."""
+    disk = DiskManager(buffer_pool=BufferPool(64), intent_log=IntentLog())
+    index = NativeSpaceIndex(dims=2, disk=disk, page_size=256)
+    for oid in range(30):
+        index.insert(make_segment(oid, 0, 0.0, 1.0, (oid % 6, oid // 6), (0.1, 0.0)))
+    assert sum(1 for _ in index.tree.all_leaf_entries()) == 30
+    return index
+
+
+NEW = [make_segment(100 + k, 0, 0.0, 1.0, (k, 5.0 - k), (0.0, 0.1)) for k in range(4)]
+
+
+class TestWriteBatches:
+    """A write batch reads the nodes it wrote from its dirty map, not
+    from ``disk.read``; a node it mutates must still have a pre-image."""
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_a_batch_is_clean(self, suite, size):
+        batch_tree().insert_batch(NEW[:size])
+        suite.checkpoint_and_reset()
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_a_batch_mutating_a_node_it_did_not_read_is_caught(
+        self, suite, size, monkeypatch
+    ):
+        # The bug: the batch takes the root's live node without
+        # disk.read, so the transaction records no pre-image before the
+        # batch mutates it; its write-back then "legitimises" it.  Caught
+        # for the batch of one (a single insert) and for a batch of four.
+        index = batch_tree()
+        root, read = index.tree.root_id, RTree._read
+
+        def leaky_read(tree, page_id):
+            if page_id == root and page_id not in tree._batch:
+                return tree.disk.raw_page(page_id)
+            return read(tree, page_id)
+
+        monkeypatch.setattr(RTree, "_read", leaky_read)
+        with pytest.raises(SanitizerError, match="without a WAL pre-image") as caught:
+            index.insert_batch(NEW[:size])
+        # First at the write-back (the rollback's re-read then reports it
+        # again, with the first error as its context).
+        first = caught.value.__context__ or caught.value
+        assert "when its pre-image was taken" in str(first)
+        suite.page_writes.reset()
+
+
 class TestPinLeakSanitizer:
     def broker_over(self, disk):
         index = SimpleNamespace(tree=SimpleNamespace(disk=disk))
@@ -262,6 +313,8 @@ class TestPytestPluginEndToEnd:
 
     BUGGY_TEST = """
 from repro.index.node import Node
+from repro.index.nsi import NativeSpaceIndex
+from repro.index.rtree import RTree
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.file import open_durable
@@ -276,9 +329,42 @@ def test_mutates_a_cached_page_without_logging():
     node.timestamp = 99  # unlogged in-place mutation, never re-read
 """
 
-    def run_pytest(self, tmp_path, sanitize):
+    BUGGY_BATCH_TEST = """
+from repro.index.nsi import NativeSpaceIndex
+from repro.index.rtree import RTree
+from repro.motion.segment import MotionSegment
+from repro.geometry.interval import Interval
+from repro.geometry.segment import SpaceTimeSegment
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager
+from repro.storage.wal import IntentLog
+
+
+def segment(oid, x, y):
+    return MotionSegment(oid, 0, SpaceTimeSegment(Interval(0.0, 1.0), (x, y), (0.1, 0.0)))
+
+
+def test_a_batch_mutates_a_node_it_did_not_read():
+    disk = DiskManager(buffer_pool=BufferPool(64), intent_log=IntentLog())
+    index = NativeSpaceIndex(dims=2, disk=disk, page_size=256)
+    for oid in range(30):
+        index.insert(segment(oid, oid % 6, oid // 6))
+    list(index.tree.all_leaf_entries())
+    root, read = index.tree.root_id, RTree._read
+    # the root's live node, without disk.read: no pre-image
+    RTree._read = lambda tree, pid: (
+        tree.disk.raw_page(pid) if pid == root and pid not in tree._batch
+        else read(tree, pid)
+    )
+    try:
+        index.insert_batch([segment(100 + k, k, 5.0 - k) for k in range(4)])
+    finally:
+        RTree._read = read
+"""
+
+    def run_pytest(self, tmp_path, sanitize, source=BUGGY_TEST):
         test_file = tmp_path / "test_buggy.py"
-        test_file.write_text(self.BUGGY_TEST)
+        test_file.write_text(source)
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env.pop("REPRO_SANITIZE", None)
@@ -312,3 +398,12 @@ def test_mutates_a_cached_page_without_logging():
         # The point of the sanitizer: without it this bug is invisible.
         proc = self.run_pytest(tmp_path, sanitize=False)
         assert proc.returncode == 0
+
+    def test_sanitized_run_catches_a_batch(self, tmp_path):
+        proc = self.run_pytest(tmp_path, True, self.BUGGY_BATCH_TEST)
+        assert proc.returncode != 0
+        assert "when its pre-image was taken" in proc.stdout + proc.stderr
+
+    def test_plain_run_misses_a_batch(self, tmp_path):
+        proc = self.run_pytest(tmp_path, False, self.BUGGY_BATCH_TEST)
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -220,6 +220,16 @@ class TestAPI:
             assert len(tiny_native.tree._listeners) == before + 1
         assert len(tiny_native.tree._listeners) == before
 
+    def test_engines_of_a_tree_share_one_listener(self, tiny_native, trajectories):
+        before = len(tiny_native.tree._listeners)
+        first = PDQEngine(tiny_native, trajectories[0])
+        second = PDQEngine(tiny_native, trajectories[1])
+        assert len(tiny_native.tree._listeners) == before + 1
+        first.close()
+        assert len(tiny_native.tree._listeners) == before + 1
+        second.close()
+        assert len(tiny_native.tree._listeners) == before
+
     def test_frames_report_their_own_cost(
         self, tiny_native, trajectories, tiny_queries
     ):

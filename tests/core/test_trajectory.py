@@ -1,15 +1,26 @@
 """Tests for query trajectories and their overlap-time services."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.trajectory import KeySnapshot, QueryTrajectory
 from repro.errors import TrajectoryError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment
 
 from _helpers import window
+
+
+def box_overlap(traj, box):
+    """``T_{Q,R}`` of one box as the page kernel gives it: ``(0, low,
+    high)`` per component."""
+    return traj.live_components(
+        kernels.BoxBatch([box.lows], [box.highs]), -math.inf
+    )
 
 
 def simple_traj(speed=2.0, half=2.0, t0=0.0, t1=10.0, start=(0.0, 0.0)):
@@ -101,15 +112,15 @@ class TestOverlap:
     def test_box_overlap_single_component(self):
         traj = simple_traj(speed=2.0, half=2.0)  # leading edge 2t+2
         box = Box([Interval(0.0, 10.0), Interval(10.0, 12.0), Interval(-1.0, 1.0)])
-        ts = traj.box_overlap(box)
-        assert len(ts) == 1
-        assert ts.start == pytest.approx(4.0)  # 2t+2 = 10
-        assert ts.end == pytest.approx(7.0)  # 2t-2 = 12
+        (k, start, end), = box_overlap(traj, box)
+        assert k == 0
+        assert start == pytest.approx(4.0)  # 2t+2 = 10
+        assert end == pytest.approx(7.0)  # 2t-2 = 12
 
     def test_box_overlap_outside_time(self):
         traj = simple_traj()
         box = Box([Interval(20.0, 30.0), Interval(0.0, 1.0), Interval(0.0, 1.0)])
-        assert traj.box_overlap(box).is_empty
+        assert box_overlap(traj, box) == []
 
     def test_segment_overlap_multiple_components(self):
         """An observer that sweeps right then back catches a static
@@ -141,7 +152,7 @@ class TestOverlap:
             obj = SpaceTimeSegment(Interval(t, t), (t, 0.0), (0.0, 0.0))
             assert traj.segment_overlap(obj).components == (Interval(t, t),)
             box = Box([Interval(t, t), Interval(t, t), Interval(0.0, 0.0)])
-            assert traj.box_overlap(box).components == (Interval(t, t),)
+            assert box_overlap(traj, box) == [(0, t, t)]
         after = SpaceTimeSegment(Interval(4.5, 4.5), (4.0, 0.0), (0.0, 0.0))
         assert traj.segment_overlap(after).is_empty
 
@@ -156,7 +167,7 @@ class TestOverlap:
             obj = SpaceTimeSegment(Interval(lo, hi), (x, 0.0), (0.0, 0.0))
             assert traj.segment_overlap(obj).components == (Interval(t, t),)
             box = Box([Interval(lo, hi), Interval(x, x), Interval(0.0, 0.0)])
-            assert traj.box_overlap(box).components == (Interval(t, t),)
+            assert box_overlap(traj, box) == [(0, t, t)]
         for lo, hi in ((-1.0, -0.5), (4.5, 5.0)):
             obj = SpaceTimeSegment(Interval(lo, hi), (0.0, 0.0), (0.0, 0.0))
             assert traj.segment_overlap(obj).is_empty

@@ -16,6 +16,7 @@ boundaries actually touch.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry
 from repro.motion.segment import MotionSegment
 
-from _helpers import scalar_choose_subtree, scalar_live_rows
+from _helpers import scalar_box_overlap, scalar_choose_subtree, scalar_live_rows
 
 # Exactly-representable grid values make "touching" cases genuinely
 # touch; the continuous component exercises arbitrary doubles.
@@ -580,7 +581,7 @@ class TestTrajectoryPages:
         ]
         frontier = data.draw(_FRONTIER)
         got = trajectory.live_components(_box_batch(page), frontier)
-        assert got == _scalar_live(trajectory.box_overlap, page, frontier)
+        assert got == _scalar_live(partial(scalar_box_overlap, trajectory), page, frontier)
 
     @staticmethod
     def _tent():
@@ -595,7 +596,7 @@ class TestTrajectoryPages:
 
     def _check_boxes(self, trajectory, page, frontier):
         got = trajectory.live_components(_box_batch(page), frontier)
-        assert got == _scalar_live(trajectory.box_overlap, page, frontier)
+        assert got == _scalar_live(partial(scalar_box_overlap, trajectory), page, frontier)
         return got
 
     def test_empty_page(self):
@@ -832,7 +833,7 @@ class TestGatheredDemands:
                 batch, overlap = _segment_batch(page), trajectory.segment_overlap
             else:
                 page = [Box([time, *data.draw(boxes(dims))]) for time in times]
-                batch, overlap = _box_batch(page), trajectory.box_overlap
+                batch, overlap = _box_batch(page), partial(scalar_box_overlap, trajectory)
             # frontiers inside the span, on its key times, and outside it
             frontier = data.draw(
                 st.sampled_from(key_times)

@@ -23,7 +23,7 @@ from repro.index.pagearrays import PageArrays, PageRows
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
-from _helpers import make_segment
+from _helpers import make_segment, scalar_box_overlap
 
 
 def box_columns(arrays):
@@ -151,7 +151,7 @@ def scalar_keys(index, trajectory):
         node = tree.load_node(stack.pop())
         for e in node.entries:
             if not node.is_leaf:
-                if trajectory.box_overlap(e.box):
+                if scalar_box_overlap(trajectory, e.box):
                     stack.append(e.child_id)
             elif trajectory.segment_overlap(e.record.segment):
                 keys.append(e.record.key)

@@ -228,7 +228,10 @@ class TestSamePathSplits:
         tree.add_listener(notices.append)
         for i in range(10):
             tree.insert(leaf_entry(i, 0, 1, (i, i)))
-        assert len(notices) == 10
+        # an insert is a write batch of one: one call with its one notice
+        assert [[n.entry.record.object_id for n in heard] for heard in notices] == [
+            [i] for i in range(10)
+        ]
         tree.remove_listener(notices.append)
         tree.insert(leaf_entry(99, 0, 1, (0, 0)))
         assert len(notices) == 10
