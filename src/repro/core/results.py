@@ -16,7 +16,6 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.query import KNNAnswer
 from repro.geometry.interval import Interval
-from repro.geometry.segment import SpaceTimeSegment
 from repro.motion.segment import MotionSegment
 from repro.storage.metrics import CostSnapshot
 
@@ -116,7 +115,7 @@ class AnswerBlock(Sequence):
         """The record column, rebuilt from packed rows on first read."""
         if not self._resolved:
             self._records = [
-                r if isinstance(r, MotionSegment) else _motion(row, r)
+                r if isinstance(r, MotionSegment) else MotionSegment.from_row(row[0], row[1], r)
                 for row, r in zip(self.rows, self._records)
             ]
             self._resolved = True
@@ -161,13 +160,6 @@ class NeighborBlock(AnswerBlock):
 
 
 AnswerBlock.EMPTY, NeighborBlock.EMPTY = AnswerBlock(), NeighborBlock()
-
-
-def _motion(row: tuple, packed: tuple) -> MotionSegment:
-    """The record of a packed segment row ``(t0, t1, *origin, *velocity)``."""
-    d = (len(packed) - 2) // 2
-    segment = SpaceTimeSegment(Interval(packed[0], packed[1]), packed[2 : 2 + d], packed[2 + d :])
-    return MotionSegment(row[0], row[1], segment)
 
 
 @dataclass

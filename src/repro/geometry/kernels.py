@@ -46,15 +46,19 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import GeometryError
+from repro.errors import DimensionalityError, GeometryError
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
 
 __all__ = [
     "available",
     "SegmentBatch",
+    "route_rows",
+    "pack_table",
+    "unpack_table",
     "BoxBatch",
     "RecordLayout",
+    "key_column",
     "id_column",
     "row_order",
     "append_row",
@@ -140,15 +144,30 @@ class SegmentBatch:
         """Per-segment validity bounds as plain floats."""
         return self.t_lo.tolist(), self.t_hi.tolist()
 
+    def start_range_and_median_life(self) -> Tuple[float, float, float]:
+        """The least and the greatest ``t_lo`` and the validity length
+        at sorted position ``n // 2``, as plain floats."""
+        life = np.sort(self.t_hi - self.t_lo)
+        return self.t_lo.min().item(), self.t_lo.max().item(), life[self.n // 2].item()
+
     @classmethod
     def of(cls, segments: Sequence) -> "SegmentBatch":
-        """The batch of ``segments`` (``SpaceTimeSegment``), one row each."""
-        return cls(
-            [s.time.low for s in segments],
-            [s.time.high for s in segments],
-            [s.origin for s in segments],
-            [s.velocity for s in segments],
-        )
+        """The batch of ``segments`` (``SpaceTimeSegment``), one row each,
+        filled field by field; mixed dimensionalities are refused."""
+        n, dims = len(segments), {len(s.origin) for s in segments}
+        if len(dims) > 1:
+            raise DimensionalityError(f"segments mix dimensionalities {sorted(dims)}")
+        batch = cls.__new__(cls)
+        batch.n, batch.dims = n, dims.pop() if dims else 0
+        batch._rows = rows = np.empty((2 + 2 * batch.dims, n), dtype=np.float64)
+        rows[0] = np.fromiter((s.time.low for s in segments), np.float64, n)
+        rows[1] = np.fromiter((s.time.high for s in segments), np.float64, n)
+        for i in range(batch.dims):
+            rows[2 + i] = np.fromiter((s.origin[i] for s in segments), np.float64, n)
+            rows[2 + batch.dims + i] = np.fromiter(
+                (s.velocity[i] for s in segments), np.float64, n
+            )
+        return batch
 
     @classmethod
     def gather(cls, pieces: Sequence[Tuple["SegmentBatch", Sequence[int]]]):
@@ -201,6 +220,12 @@ class SegmentBatch:
         b = a + self.velocity(i) * (self.t_hi - self.t_lo)
         return np.where(a <= b, a, b), np.where(a <= b, b, a)
 
+    def box_bounds(self) -> Tuple[List, List]:
+        """Per axis (time, then space) the low and the high column of the
+        segments' bounding boxes (``SpaceTimeSegment.bounding_box``)."""
+        bounds = [self.spatial_bounds(i) for i in range(self.dims)]
+        return [self.t_lo] + [b[0] for b in bounds], [self.t_hi] + [b[1] for b in bounds]
+
     def append(
         self,
         t_lo: float,
@@ -219,6 +244,38 @@ class SegmentBatch:
         """Drop one row; later rows move up."""
         self._rows = np.delete(self._rows, row, axis=1)
         self.n -= 1
+
+
+def route_rows(segments: SegmentBatch, pad: float, cell_lows, cell_highs) -> List[List[int]]:
+    """Per closed cell, the rows whose spatial extent (grown by ``pad``
+    when ``pad > 0``, as ``Box.inflate`` grows it) overlaps the cell by
+    ``Box.overlaps``'s closed rule, in row order; a row that overlaps no
+    cell is in every cell's list."""
+    lows, highs = np.asarray(cell_lows), np.asarray(cell_highs)
+    if segments.n and segments.dims != lows.shape[1]:
+        raise DimensionalityError(f"{segments.dims}-d segments, {lows.shape[1]}-d cells")
+    hit = np.ones((len(lows), segments.n), dtype=bool)
+    for i in range(segments.dims):
+        low, high = segments.spatial_bounds(i)
+        if pad > 0:
+            low, high = low - pad, high + pad
+        hit &= (lows[:, i, None] <= high) & (low <= highs[:, i, None])
+    hit |= ~hit.any(axis=0)
+    return [cell.nonzero()[0].tolist() for cell in hit]
+
+
+def pack_table(ids, segments: SegmentBatch) -> bytes:
+    """Little-endian bytes of a segment table: each of the ``(n, width)``
+    ``ids``' columns, then per segment ``t_lo, t_hi``, origin, velocity."""
+    return ids.T.astype("<i8").tobytes() + segments.records().astype("<f8").tobytes()
+
+
+def unpack_table(data: bytes, offset: int, n: int, width: int, dims: int):
+    """:func:`pack_table`'s ``(ids, segments)`` from ``data[offset:]``."""
+    ids = np.frombuffer(data, "<i8", width * n, offset).reshape(width, n)
+    rows = np.frombuffer(data, "<f8", n * (2 + 2 * dims), offset + 8 * width * n)
+    ids = np.ascontiguousarray(ids.T, dtype=np.int64)
+    return ids, SegmentBatch.from_records(rows.reshape(n, 2 + 2 * dims))
 
 
 class BoxBatch:
@@ -400,6 +457,14 @@ class RecordLayout:
         records["f"] = narrow
         records["i"] = ints
         return records.tobytes()
+
+
+def key_column(records: Sequence):
+    """The records' ``(object_id, seq)`` as an int64 ``(n, 2)`` column."""
+    ids = np.empty((len(records), 2), dtype=np.int64)
+    ids[:, 0] = np.fromiter((r.object_id for r in records), np.int64, len(records))
+    ids[:, 1] = np.fromiter((r.seq for r in records), np.int64, len(records))
+    return ids
 
 
 def id_column(keys: Sequence[Sequence[int]], width: int):

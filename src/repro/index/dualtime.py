@@ -18,14 +18,14 @@ with exact leaf segments, used by the NPDQ engine.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.index.bulk import str_bulk_load
-from repro.index.facade import SegmentIndex
+from repro.index.facade import Records, SegmentIndex
 from repro.motion.segment import MotionSegment
 from repro.storage.constants import DEFAULT_FILL_FACTOR
 from repro.storage.metrics import QueryCost
@@ -77,10 +77,10 @@ class DualTimeIndex(SegmentIndex):
 
     def bulk_load(
         self,
-        records: Iterable[MotionSegment],
+        records: Records,
         time_slabs: Optional[int] = None,
     ) -> None:
-        """STR-pack many records into an empty index.
+        """STR-pack many records (or a table of them) into an empty index.
 
         Uses *time-major* tiling by default: start-time-narrow,
         spatially compact leaves are what makes NPDQ's discardability
@@ -92,15 +92,13 @@ class DualTimeIndex(SegmentIndex):
         query).  Pass ``time_slabs=1`` for a purely spatial tiling or an
         explicit count to control the trade-off.
         """
-        records = list(records)
         rows = self._leaf_rows(records)
-        if time_slabs is None and records:
+        if time_slabs is None and len(rows):
             leaf_cap = max(2, int(self.tree.max_leaf * DEFAULT_FILL_FACTOR))
-            n_leaves = max(1, len(records) // leaf_cap)
-            lifetimes = sorted(r.time.length for r in records)
-            median_lifetime = lifetimes[len(lifetimes) // 2]
-            ts_lo = min(r.time.low for r in records)
-            ts_hi = max(r.time.low for r in records)
+            n_leaves = max(1, len(rows) // leaf_cap)
+            ts_lo, ts_hi, median_lifetime = (
+                rows.segment_batch().start_range_and_median_life()
+            )
             if median_lifetime > 0:
                 time_slabs = round((ts_hi - ts_lo) / median_lifetime)
             else:

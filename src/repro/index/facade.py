@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
-from repro.errors import QueryError
+from repro.errors import DimensionalityError, QueryError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
@@ -33,13 +33,15 @@ from repro.index.bulk import str_bulk_load
 from repro.index.entry import LeafEntry
 from repro.index.pagearrays import PageRows
 from repro.index.rtree import RTree
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import MotionSegment, SegmentTable
 from repro.motion.uncertainty import inflate_box
 from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
 from repro.storage.disk import DiskManager
 from repro.storage.metrics import QueryCost
 
 __all__ = ["SegmentIndex"]
+
+Records = Union[SegmentTable, Iterable[MotionSegment]]  # what bulk_load takes
 
 
 class SegmentIndex:
@@ -104,9 +106,7 @@ class SegmentIndex:
         """Per axis, the low and the high column of :meth:`_leaf_box` over
         ``segments`` — the same floats (a page codec files a decoded leaf
         row under them too)."""
-        bounds = [segments.spatial_bounds(i) for i in range(segments.dims)]
-        lows, highs = [lo for lo, _ in bounds], [hi for _, hi in bounds]
-        return [segments.t_lo] + lows, [segments.t_hi] + highs
+        return segments.box_bounds()
 
     def _check_dims(self, record: MotionSegment) -> None:
         if record.dims != self.dims:
@@ -121,13 +121,20 @@ class SegmentIndex:
             box = inflate_box(box, self.uncertainty, spatial_dims_from=self._time_axes)
         return LeafEntry(box, record)
 
-    def _leaf_rows(self, records: Iterable[MotionSegment]) -> PageRows:
+    def _leaf_rows(self, records: Records) -> PageRows:
         """The leaf rows :meth:`_leaf_entry` would give ``records``, as
-        columns; the records themselves are the record column."""
-        records = list(records)
-        for record in records:
-            self._check_dims(record)
-        segments = kernels.SegmentBatch.of([r.segment for r in records])
+        columns; the table's record column is theirs."""
+        if not isinstance(records, SegmentTable):
+            records = list(records)
+            try:
+                records = SegmentTable.of(records)
+            except DimensionalityError:  # mixed: name the first stranger
+                for record in records:
+                    self._check_dims(record)
+                raise
+        table, segments = records, records.segments
+        if len(table) and segments.dims != self.dims:
+            raise QueryError(f"segment has {segments.dims} spatial dims, index has {self.dims}")
         lows, highs = self._leaf_bounds(segments)
         pad = None
         if self.uncertainty:  # inflate_box's amounts: none on the time axes
@@ -135,10 +142,10 @@ class SegmentIndex:
             pad = [0.0] * self._time_axes + [self.uncertainty] * spatial
         return PageRows(
             kernels.BoxBatch.from_columns(lows, highs, pad),
-            kernels.stamp_column([0] * len(records)),
-            kernels.id_column([r.key for r in records], 2),
+            kernels.stamp_column([0] * len(table)),
+            table.ids,
             segments,
-            records,
+            table.records,
         )
 
     def insert(self, record: MotionSegment):
@@ -150,8 +157,8 @@ class SegmentIndex:
         (:meth:`~repro.index.RTree.insert_batch`)."""
         return self.tree.insert_batch([self._leaf_entry(r) for r in records])
 
-    def bulk_load(self, records: Iterable[MotionSegment]) -> None:
-        """STR-pack many records into an empty index."""
+    def bulk_load(self, records: Records) -> None:
+        """STR-pack many records (or a table of them) into an empty index."""
         str_bulk_load(self.tree, self._leaf_rows(records))
 
     # -- queries ------------------------------------------------------------

@@ -30,10 +30,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 from repro.errors import DimensionalityError, IndexStructureError
 from repro.geometry import kernels
 from repro.geometry.box import Box
-from repro.geometry.interval import Interval
-from repro.geometry.segment import SpaceTimeSegment
 from repro.index.entry import Entry, InternalEntry, LeafEntry
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import MotionSegment, SegmentTable
 
 __all__ = ["PageArrays", "PageRows"]
 
@@ -84,14 +82,8 @@ class PageRows:
         stamps = kernels.stamp_column([e.timestamp for e in entries])
         if not is_leaf:
             return cls(batch, stamps, kernels.id_column([(e.child_id,) for e in entries], 1))
-        records = [e.record for e in entries]  # type: ignore[union-attr]
-        return cls(
-            batch,
-            stamps,
-            kernels.id_column([r.key for r in records], 2),
-            kernels.SegmentBatch.of([r.segment for r in records]),
-            records,
-        )
+        table = SegmentTable.of(e.record for e in entries)  # type: ignore[union-attr]
+        return cls(batch, stamps, table.ids, table.segments, table.records)
 
     # -- the kernel columns ----------------------------------------------------
 
@@ -125,17 +117,11 @@ class PageRows:
 
     def _make_records(self, rows: List[int]) -> List[MotionSegment]:
         """Build, keep and return the records of ``rows`` from their columns."""
-        dims = self._seg_batch.dims
         made = []
         for row, motion, (oid, seq) in zip(
             rows, self._seg_batch.values(rows), self._ids[rows].tolist()
         ):
-            segment = SpaceTimeSegment(
-                Interval(motion[0], motion[1]),
-                tuple(motion[2 : 2 + dims]),
-                tuple(motion[2 + dims :]),
-            )
-            record = self._records[row] = MotionSegment(oid, seq, segment)
+            record = self._records[row] = MotionSegment.from_row(oid, seq, motion)
             made.append(record)
         return made
 

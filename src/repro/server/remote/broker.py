@@ -56,7 +56,7 @@ from typing import (
 import repro
 from repro.errors import RemoteWorkerError
 from repro.geometry.box import Box
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import SegmentTable
 from repro.server.broker import ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import UpdateOp
@@ -184,9 +184,9 @@ class _WorkerHandle:
             if self.hello[key] is not None
         )
 
-    def _note(self, record: MotionSegment) -> None:
-        box = record.bounding_box()
-        self._records += 1
+    def _note(self, table: SegmentTable) -> None:
+        box = table.bounding_box()
+        self._records += len(table)
         self._domain = box if self._domain is None else self._domain.cover(box)
 
     def index_stats(self) -> IndexStats:
@@ -207,10 +207,9 @@ class _WorkerHandle:
         for msg_type, payload in pending:
             await self._request(msg_type, payload)
 
-    async def load(self, segments: Sequence[MotionSegment]) -> None:
-        for record in segments:
-            self._note(record)
-        await self._request(proto.MSG_LOAD, {"segments": segments})
+    async def load(self, table: SegmentTable) -> None:
+        self._note(table)
+        await self._request(proto.MSG_LOAD, {"segments": table})
 
     async def register(
         self, kind: str, client_id: str, params: Dict[str, Any]
@@ -225,7 +224,7 @@ class _WorkerHandle:
 
     async def submit(self, op: UpdateOp) -> None:
         if op.kind == "insert":
-            self._note(op.segment)
+            self._note(SegmentTable.of([op.segment]))
         await self._request(proto.MSG_SUBMIT, {"op": op})
 
     async def run_tick(self, tick: Tick) -> ShardTick:

@@ -7,7 +7,7 @@ corrupted frame is detected before any payload is interpreted:
 
     offset  size  field
     0       4     magic ``DQRW``
-    4       1     protocol version (currently 3)
+    4       1     protocol version (currently 4)
     5       1     message type
     6       2     (padding)
     8       4     body length in bytes (little-endian)
@@ -29,7 +29,8 @@ as one ``{"!dq": "cb", "v": <base64>}`` wire object whose bytes are
 packed columns, little-endian:
 
     offset      size        field
-    0           1           block kind (0 answers, 1 neighbours)
+    0           1           block kind (0 answers, 1 neighbours,
+                            2 segment table)
     1           1           column count ``c``
     2           1           segment dimensions ``d`` (0 when empty)
     3           1           (padding)
@@ -38,13 +39,16 @@ packed columns, little-endian:
                             ``d`` float64), 3 pad bytes, length (= n)
     8 + 8·c     8·n·c       the columns, in order: object id ``q``,
                             seq ``q``, then ``low``, ``high`` ``d``
-                            (answers) or ``distance`` ``d`` (neighbours)
+                            (answers), ``distance`` ``d`` (neighbours)
+                            or nothing more (segment table)
     ...         8·n·(2+2d)  segment rows, float64: ``t0, t1``, origin,
                             velocity
 
-Both ends move a block's values with one ``struct`` call (faster than
-numpy at a frame's few rows); the receiver keeps each segment row as a
-tuple of floats until a record is asked for.  Every length is
+Both ends move an answer block's values with one ``struct`` call
+(faster than numpy at a frame's few rows); the receiver keeps each
+segment row as a tuple of floats until a record is asked for.  A LOAD's
+``segments``, a shard's whole bucket, is a segment table block, moved as
+arrays (:func:`~repro.geometry.kernels.pack_table`).  Every length is
 checked against ``n`` and the buffer's exact size, so a short, long or
 mislabelled block is a :class:`~repro.errors.RemoteProtocolError`, not
 a partial result.
@@ -63,11 +67,12 @@ from typing import Any, BinaryIO, Dict, Optional, Tuple
 from repro.core.query import JoinAnswer
 from repro.core.results import AnswerBlock, NeighborBlock
 from repro.core.trajectory import KeySnapshot, QueryTrajectory
-from repro.errors import RemoteProtocolError
+from repro.errors import GeometryError, RemoteProtocolError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import MotionSegment, SegmentTable
 from repro.server.dispatcher import UpdateOp
 from repro.server.metrics import TickMetrics
 from repro.server.session import TickResult
@@ -94,6 +99,7 @@ __all__ = [
     "parse_header",
     "decode_body",
     "read_frame",
+    "read_body",
     "write_frame",
 ]
 
@@ -102,9 +108,11 @@ __all__ = [
 #: tick-result fields.  Version 3 ships a result's answers as packed
 #: column blocks (``cb``, in the module docstring) in place of the
 #: per-answer ``ai``/``ka`` objects.  Both ends reject a version
-#: mismatch outright — the worker is always spawned from the same
+#: per-answer ``ai``/``ka`` objects; version 4 a LOAD's segments as one
+#: segment table block in place of ``seg`` objects.  Both ends reject a
+#: version mismatch outright — the worker is always spawned from the same
 #: installation, so there is no skew to negotiate.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 FRAME_MAGIC = b"DQRW"
 
 #: magic, version, message type, 2 pad bytes, body length, body CRC32.
@@ -214,8 +222,9 @@ def _dec_trajectory(v: Any) -> QueryTrajectory:
 
 _BLOCK = struct.Struct("<BBBxI")  # kind, columns, segment dims, rows
 _COLUMN = struct.Struct("<c3xI")  # dtype code, length
-_BLOCK_KINDS = (AnswerBlock, NeighborBlock)
-_BLOCK_CODES = (b"qqdd", b"qqd")
+_BLOCK_KINDS = (AnswerBlock, NeighborBlock, SegmentTable)
+_BLOCK_CODES = (b"qqdd", b"qqd", b"qq")
+_TABLE = 2
 
 
 def _enc_block(block: AnswerBlock) -> Any:
@@ -237,7 +246,16 @@ def _enc_block(block: AnswerBlock) -> Any:
     return base64.b64encode(data).decode("ascii")
 
 
-def _dec_block(v: Any) -> AnswerBlock:
+def _enc_table(table: SegmentTable) -> Any:
+    n = len(table)
+    head = struct.pack(
+        "<BBBxIc3xIc3xI", _TABLE, 2, table.segments.dims if n else 0, n, b"q", n, b"q", n
+    )
+    data = head + kernels.pack_table(table.ids, table.segments)
+    return base64.b64encode(data).decode("ascii")
+
+
+def _dec_block(v: Any) -> Any:
     try:
         data = base64.b64decode(v, validate=True)
         kind, count, dims, n = _BLOCK.unpack_from(data)
@@ -246,22 +264,27 @@ def _dec_block(v: Any) -> AnswerBlock:
             for i in range(count)
         ]
     except (binascii.Error, TypeError, struct.error) as exc:
-        raise RemoteProtocolError(f"answer block is truncated or not base64: {exc}")
+        raise RemoteProtocolError(f"column block is truncated or not base64: {exc}")
     codes = b"".join(code for code, _ in table)
     bad = [code for code, _ in table if code not in (b"q", b"d")]
     if bad:
         raise RemoteProtocolError(f"unknown column dtype code {bad[0]!r}")
     if any(length != n for _, length in table):
         raise RemoteProtocolError(
-            f"answer block column lengths {[x for _, x in table]} for {n} rows"
+            f"column block column lengths {[x for _, x in table]} for {n} rows"
         )
     if kind >= len(_BLOCK_KINDS) or codes != _BLOCK_CODES[kind]:
-        raise RemoteProtocolError(f"unknown answer block kind {kind} of columns {codes!r}")
+        raise RemoteProtocolError(f"unknown column block kind {kind} of columns {codes!r}")
     offset, width = _BLOCK.size + count * _COLUMN.size, 2 + 2 * dims
     if len(data) != offset + 8 * n * (count + width) or (n and not dims):
         raise RemoteProtocolError(
-            f"answer block of {n} rows in {dims} dims is {len(data)} bytes"
+            f"column block of {n} rows in {dims} dims is {len(data)} bytes"
         )
+    if kind == _TABLE:
+        try:
+            return SegmentTable(*kernels.unpack_table(data, offset, n, count, dims))
+        except GeometryError as exc:
+            raise RemoteProtocolError(f"segment table row refused: {exc}")
     ints = codes.count(b"q") * n
     values = struct.unpack_from(f"<{ints}q{n * (count + width) - ints}d", data, offset)
     flat = values[count * n :]
@@ -364,6 +387,7 @@ _BY_TYPE: Dict[type, Tuple[str, Any]] = {
     QueryTrajectory: ("traj", _enc_trajectory),
     AnswerBlock: ("cb", _enc_block),
     NeighborBlock: ("cb", _enc_block),
+    SegmentTable: ("cb", _enc_table),
     JoinAnswer: ("ja", _enc_join_answer),
     TickResult: ("tr", _enc_tick_result),
     TickMetrics: ("tm", _enc_tick_metrics),
@@ -478,12 +502,20 @@ def read_frame(fp: BinaryIO) -> Optional[Tuple[int, Any]]:
     frame boundary (the peer closed the pipe).  EOF *inside* a frame is
     corruption and raises :class:`~repro.errors.RemoteProtocolError`.
     """
+    frame = read_body(fp)
+    if frame is None:
+        return None
+    msg_type, body, crc = frame
+    return msg_type, decode_body(body, crc)
+
+
+def read_body(fp: BinaryIO) -> Optional[Tuple[int, bytes, int]]:
+    """:func:`read_frame` short of :func:`decode_body`."""
     header = _read_exactly(fp, FRAME_HEADER_SIZE, allow_eof=True)
     if header is None:
         return None
     msg_type, length, crc = parse_header(header)
-    body = _read_exactly(fp, length, allow_eof=False)
-    return msg_type, decode_body(body, crc)
+    return msg_type, _read_exactly(fp, length, allow_eof=False), crc
 
 
 def _read_exactly(

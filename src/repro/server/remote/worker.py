@@ -28,6 +28,7 @@ from typing import Any, BinaryIO, Dict, Optional
 from repro.errors import RemoteProtocolError, ReproError
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
+from repro.motion.segment import SegmentTable
 from repro.server.broker import ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.kinds import KINDS, register_params
@@ -105,8 +106,12 @@ class ShardWorker:
         }
 
     def _load(self, p: Any) -> Any:
-        if p["segments"]:
-            self.shard.load(p["segments"])
+        table = p.get("segments")
+        if not isinstance(table, SegmentTable):
+            raise RemoteProtocolError("LOAD carries no segment table")
+        if len(table):
+            # records built here, once, so a tick reads them as in process
+            self.shard.load(table.with_records())
         return {"records": self.shard.record_count}
 
     def _register(self, p: Any) -> Any:
@@ -190,19 +195,20 @@ _HANDLERS = {
 def serve(stdin: BinaryIO, stdout: BinaryIO) -> int:
     """Request/reply loop until SHUTDOWN or the front-end closes the pipe.
 
-    A :class:`~repro.errors.ReproError` from a handler becomes an ERROR
-    reply (the worker survives: the failure is the request's, not the
-    process's); anything else escapes and kills the worker, which the
-    front-end observes as a crash and handles via respawn-and-replay.
+    A :class:`~repro.errors.ReproError` from a whole frame's body (its
+    decoding or its handler) becomes an ERROR reply (the worker survives:
+    the failure is the request's, not the process's); anything else
+    escapes and kills the worker, which the front-end observes as a crash
+    and handles via respawn-and-replay.
     """
     worker = ShardWorker()
     while True:
-        frame = proto.read_frame(stdin)
+        frame = proto.read_body(stdin)
         if frame is None:
             return 0
-        msg_type, payload = frame
+        msg_type, body, crc = frame
         try:
-            reply = worker.handle(msg_type, payload)
+            reply = worker.handle(msg_type, proto.decode_body(body, crc))
         except ReproError as exc:
             proto.write_frame(
                 stdout,

@@ -71,10 +71,11 @@ from typing import (
 
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import ServerError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import MotionSegment, SegmentTable
 from repro.server.broker import BrokerCore, QueryBroker, ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import UpdateOp
@@ -101,6 +102,11 @@ __all__ = [
 #: Shard brokers never shed on their own: the front-end drains every
 #: sub-session queue each tick, so this depth is never approached.
 _SHARD_QUEUE_DEPTH = 1 << 20
+
+#: Rows routed per kernel call: population-sized arrays freed while the
+#: trees grow raised ``spread_mux2``'s peak RSS by 2–4 % (EXPERIMENTS.md,
+#: "A population moves as columns"); a chunk's die before any tree exists.
+_ROUTE_CHUNK = 2048
 
 
 def _grid_shape(shards: int, dims: int) -> List[int]:
@@ -205,19 +211,26 @@ class ShardRouter:
 
     def __init__(self, plan: ShardPlan):
         self.plan = plan
+        self._cells = [c.lows for c in plan.cells], [c.highs for c in plan.cells]
 
-    def _spatial(self, segment: MotionSegment, inflate: float) -> Box:
-        box = segment.bounding_box()
-        spatial = box.project(range(1, box.dims))
-        if inflate > 0:
-            spatial = spatial.inflate([inflate] * spatial.dims)
-        return spatial
+    def route(
+        self, segments: kernels.SegmentBatch, inflate: float = 0.0
+    ) -> List[List[int]]:
+        """Per shard, the rows of ``segments`` it must hold, in row order.
+
+        The one routing rule: a row goes to every shard whose cell
+        overlaps its spatial extent grown by ``inflate``, and a row that
+        overlaps no cell (outside the plan's domain) to every shard.
+        """
+        return kernels.route_rows(segments, inflate, *self._cells)
 
     def shards_for_segment(
         self, segment: MotionSegment, inflate: float = 0.0
     ) -> List[int]:
-        """Every shard that must hold (a replica of) ``segment``."""
-        return self.plan.shards_for_box(self._spatial(segment, inflate))
+        """Every shard that must hold (a replica of) ``segment``: the
+        batch of one of :meth:`route`, so updates go where loads went."""
+        rows = self.route(kernels.SegmentBatch.of([segment.segment]), inflate)
+        return [shard_id for shard_id, hit in enumerate(rows) if hit]
 
     def shards_for_trajectory(
         self, trajectory: QueryTrajectory, slack: float = 0.0
@@ -265,8 +278,8 @@ class ShardBackend(Protocol):
     #: widest index uncertainty on the shard (segment replication slack)
     uncertainty: float
 
-    def load(self, segments: Sequence[MotionSegment]) -> Any:
-        """Bulk-load this shard's subset into its empty indexes."""
+    def load(self, table: SegmentTable) -> Any:
+        """Bulk-load this shard's bucket into its empty indexes."""
 
     def register(
         self, kind: str, client_id: str, params: Dict[str, Any]
@@ -326,12 +339,12 @@ class IndexShard:
         """Segments (incl. replicas) this shard's native index holds."""
         return len(self.native)
 
-    def load(self, segments: Sequence[MotionSegment]) -> None:
-        # Both flavours take the same subset, so auto-mode sessions see
+    def load(self, table: SegmentTable) -> None:
+        # Both flavours take the same rows, so auto-mode sessions see
         # one consistent population per shard.
-        self.native.bulk_load(segments)
+        self.native.bulk_load(table)
         if self.dual is not None:
-            self.dual.bulk_load(segments)
+            self.dual.bulk_load(table)
 
     def register(
         self, kind: str, client_id: str, params: Dict[str, Any]
@@ -423,18 +436,6 @@ class MuxClientSession(ClientSession):
         for _, sub in self.parts:
             sub.close()
         super().close()
-
-
-def _spatial_bounds(
-    segments: Sequence[MotionSegment], dims: int
-) -> Tuple[List[float], List[float]]:
-    if not segments:
-        raise ServerError("cannot derive shard bounds from an empty population")
-    boxes = [s.bounding_box() for s in segments]
-    return (
-        [min(b.extent(1 + a).low for b in boxes) for a in range(dims)],
-        [max(b.extent(1 + a).high for b in boxes) for a in range(dims)],
-    )
 
 
 class MultiplexBroker(BrokerCore):
@@ -556,7 +557,12 @@ class MultiplexBroker(BrokerCore):
         ``config``, ...) go to the tier's constructor.
         """
         segments = list(segments)
-        low, high = bounds or _spatial_bounds(segments, dims)
+        if bounds is None:
+            if not segments:
+                raise ServerError("cannot derive shard bounds from an empty population")
+            box = SegmentTable.of(segments).bounding_box()
+            bounds = (box.lows[1:], box.highs[1:])
+        low, high = bounds
         plan = ShardPlan.grid(list(low), list(high), shards)
         broker = cls._empty(plan, dims, dual, page_size, **kwargs)
         try:
@@ -569,17 +575,22 @@ class MultiplexBroker(BrokerCore):
     def load(self, segments: Iterable[MotionSegment]) -> List[int]:
         """Bulk-load the population, replicating boundary segments.
 
-        Returns per-shard record counts (each shard receives its subset
-        in population order).
+        Routing is one kernel call per :data:`_ROUTE_CHUNK` rows
+        (:meth:`ShardRouter.route`); each shard then takes its bucket, in
+        population order, as one :class:`SegmentTable` for every index
+        it loads.  Returns per-shard record counts.
         """
+        records = list(segments)
         buckets: List[List[MotionSegment]] = [[] for _ in self.shards]
-        for record in segments:
-            for shard_id in self.router.shards_for_segment(
-                record, inflate=self._route_inflation
+        for start in range(0, len(records), _ROUTE_CHUNK):
+            chunk = records[start : start + _ROUTE_CHUNK]
+            batch = kernels.SegmentBatch.of([r.segment for r in chunk])
+            for bucket, rows in zip(
+                buckets, self.router.route(batch, self._route_inflation)
             ):
-                buckets[shard_id].append(record)
+                bucket.extend(chunk[k] for k in rows)
         self._gather(
-            partial(shard.load, bucket)
+            partial(shard.load, SegmentTable.of(bucket))
             for shard, bucket in zip(self.shards, buckets)
             if bucket
         )

@@ -39,6 +39,27 @@ def make_segment(
     )
 
 
+def box_route(plan, segment, inflate=0.0):
+    """The shards ``segment`` goes to, by Box algebra one segment at a
+    time: its native bounding box projected on the spatial axes, grown
+    by ``inflate`` when positive, matched by ``ShardPlan.shards_for_box``
+    — the oracle of ``ShardRouter.route``."""
+    box = segment.bounding_box()
+    spatial = box.project(range(1, box.dims))
+    if inflate > 0:
+        spatial = spatial.inflate([inflate] * spatial.dims)
+    return plan.shards_for_box(spatial)
+
+
+def box_buckets(plan, segments, inflate=0.0):
+    """Per shard, the keys :func:`box_route` sends it, in population order."""
+    buckets = [[] for _ in plan.cells]
+    for segment in segments:
+        for shard_id in box_route(plan, segment, inflate):
+            buckets[shard_id].append(segment.key)
+    return buckets
+
+
 def block_of(answers):
     """The column block whose items are ``answers`` (``AnswerItem``s, or
     ``KNNAnswer``s for a ``NeighborBlock``)."""

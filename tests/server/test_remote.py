@@ -30,6 +30,7 @@ from repro.errors import (
 )
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
+from repro.motion.segment import SegmentTable
 from repro.server import (
     MultiplexBroker,
     RemoteMultiplexBroker,
@@ -231,6 +232,94 @@ class TestAnswerBlocks:
             proto.read_frame(io.BytesIO(bytes(raw)))
 
 
+def _table(dims=2):
+    """A segment table whose floats include both zeros and extremes."""
+    return SegmentTable.of(
+        make_segment(
+            7 - i, 2 * i, (-0.0, 0.5, 1.0 / 3.0, 2.0)[i], (0.0, 0.5, 1.0, 2.0 ** 40)[i],
+            tuple((-0.0, 1e-300, -2.5, 9.75)[(i + d) % 4] for d in range(dims)),
+            tuple((0.0, -0.0, 0.125, -1e6)[(i + 2 * d) % 4] for d in range(dims)),
+        )
+        for i in range(4)
+    )
+
+
+def _table_frame(tamper):
+    """A LOAD frame, CRC intact, whose table block went through ``tamper``."""
+    body = json.loads(proto.pack_frame(proto.MSG_LOAD, {"segments": _table()})[16:])
+    block = body["segments"]
+    block["v"] = base64.b64encode(tamper(base64.b64decode(block["v"]))).decode()
+    raw = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
+    header = struct.Struct("<4sBB2xII").pack(
+        proto.FRAME_MAGIC, proto.PROTOCOL_VERSION, proto.MSG_LOAD,
+        len(raw), zlib.crc32(raw) & 0xFFFFFFFF,
+    )
+    return header + raw
+
+
+class TestSegmentTables:
+    """A LOAD ships a shard's bucket as one packed segment table."""
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_table_round_trips_byte_exactly(self, dims):
+        table = _table(dims)
+        for sent in (table, SegmentTable.of([])):  # a bucket, an empty bucket
+            frame = proto.pack_frame(proto.MSG_LOAD, {"segments": sent})
+            _, payload = proto.read_frame(io.BytesIO(frame))
+            got = payload["segments"]
+            assert proto.pack_frame(proto.MSG_LOAD, payload) == frame
+            assert len(got) == len(sent) and got.records is None
+            assert got.ids.tobytes() == sent.ids.tobytes()
+            assert got.segments.records().tobytes() == sent.segments.records().tobytes()
+        _, payload = proto.read_frame(
+            io.BytesIO(proto.pack_frame(proto.MSG_LOAD, {"segments": table}))
+        )
+        first = payload["segments"].segments.records()[0].tolist()
+        assert [struct.pack("<d", x) for x in first[:3]] == [
+            struct.pack("<d", x) for x in (-0.0, 0.0, -0.0)
+        ]
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda b: b[:-8], "bytes"),
+            # the seq column claims one value fewer than the table's rows
+            (lambda b: b[:20] + struct.pack("<I", 3) + b[24:], r"\[4, 3\] for 4 rows"),
+            (lambda b: b[:8] + b"f" + b[9:], "dtype code"),
+            # rows declared 3-d, sent 2-d
+            (lambda b: b[:2] + b"\x03" + b[3:], "in 3 dims is"),
+            # a crossed validity interval: t0 = 2**40 > t1
+            (lambda b: b[:88] + struct.pack("<d", 2.0 ** 41) + b[96:], "refused"),
+        ],
+        ids=["short-body", "column-length", "dtype", "row-width", "crossed"],
+    )
+    def test_malformed_table_is_refused_whole(self, tamper, message):
+        with pytest.raises(RemoteProtocolError, match=message):
+            proto.read_frame(io.BytesIO(_table_frame(tamper)))
+
+    def test_worker_refuses_a_malformed_load_and_keeps_serving(self):
+        requests = io.BytesIO()
+        proto.write_frame(requests, proto.MSG_HELLO, hello_payload())
+        requests.write(_table_frame(lambda b: b[:-8]))
+        proto.write_frame(requests, proto.MSG_LOAD, {"segments": []})
+        proto.write_frame(requests, proto.MSG_LOAD, {"segments": _table()})
+        proto.write_frame(requests, proto.MSG_SHUTDOWN, {})
+        requests.seek(0)
+        replies = io.BytesIO()
+        assert serve(requests, replies) == 0
+        replies.seek(0)
+        frames = []
+        while (frame := proto.read_frame(replies)) is not None:
+            frames.append(frame)
+        assert [t for t, _ in frames] == [
+            proto.MSG_RESULT, proto.MSG_ERROR, proto.MSG_ERROR,
+            proto.MSG_RESULT, proto.MSG_RESULT,
+        ]
+        assert "bytes" in frames[1][1]["error"]
+        assert "no segment table" in frames[2][1]["error"]
+        assert frames[3][1] == {"records": 4}
+
+
 def hello_payload(dual=True):
     return {
         "shard_id": 0,
@@ -299,7 +388,9 @@ class TestShardWorkerInProcess:
         ]
         requests = io.BytesIO()
         proto.write_frame(requests, proto.MSG_HELLO, hello_payload())
-        proto.write_frame(requests, proto.MSG_LOAD, {"segments": segments})
+        proto.write_frame(
+            requests, proto.MSG_LOAD, {"segments": SegmentTable.of(segments)}
+        )
         proto.write_frame(
             requests,
             proto.MSG_REGISTER,
@@ -372,10 +463,10 @@ class TestShardWorkerInProcess:
         worker.handle(proto.MSG_HELLO, hello_payload())
         worker.handle(
             proto.MSG_LOAD,
-            {"segments": [
+            {"segments": SegmentTable.of(
                 make_segment(i, 0, START, START + 2.0, (float(i), 0.0), (0.1, 0.0))
                 for i in range(8)
-            ]},
+            )},
         )
         for cid, traj in zip(("c0", "c1", "c2"), fleet(3, duration=1.0)):
             worker.handle(
@@ -515,6 +606,16 @@ class TestRemoteMultiplexBroker:
         baseline, expired0 = self.scenario(tiny_segments, fleet, shards=2)
         chaotic, expired1 = self.scenario(
             tiny_segments, fleet, shards=2, kill_plan={3: 1}
+        )
+        assert chaotic == baseline
+        assert expired1 == expired0
+
+    def test_kill_right_after_load_replays_the_packed_table(
+        self, tiny_segments, fleet
+    ):
+        baseline, expired0 = self.scenario(tiny_segments, fleet, shards=2)
+        chaotic, expired1 = self.scenario(
+            tiny_segments, fleet, shards=2, kill_plan={0: 0}
         )
         assert chaotic == baseline
         assert expired1 == expired0
