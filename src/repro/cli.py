@@ -127,15 +127,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.session import DynamicQuerySession
     from repro.index.dualtime import DualTimeIndex
     from repro.index.nsi import NativeSpaceIndex
+    from repro.motion.segment import SegmentTable
     from repro.workload.config import WorkloadConfig
     from repro.workload.objects import generate_motion_segments
 
     config = WorkloadConfig.tiny(seed=args.seed)
-    segments = list(generate_motion_segments(config))
+    table = SegmentTable.of(generate_motion_segments(config))
     native = NativeSpaceIndex(dims=2)
-    native.bulk_load(segments)
+    native.bulk_load(table)
     dual = DualTimeIndex(dims=2)
-    dual.bulk_load(segments)
+    dual.bulk_load(table)
     with DynamicQuerySession(native, dual, half_extents=(4.0, 4.0)) as session:
         t, x, y = 1.0, 30.0, 30.0
         for frame in range(40):
@@ -989,6 +990,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.errors import ServerError
     from repro.index import DualTimeIndex, NativeSpaceIndex
+    from repro.motion.segment import SegmentTable
     from repro.server import (
         MultiplexBroker,
         QueryBroker,
@@ -1089,16 +1091,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 config=server_config,
             )
             cleanup.callback(broker.close)
-            loaders = [broker.load]
+            load = broker.load
         else:
             native, dual = native_of(), dual_of() if dual_of else None
             broker = QueryBroker(
                 native, dual=dual, clock=clock, config=server_config
             )
-            loaders = [i.bulk_load for i in (native, dual) if i is not None]
+
+            def load(segments):
+                # one conversion for both flavours, as a shard's load does
+                table = SegmentTable.of(segments)
+                for index in (native, dual):
+                    if index is not None:
+                        index.bulk_load(table)
+
         if not resume:
-            for load in loaders:
-                load(segments)
+            load(segments)
             if store is not None:
                 store.pin()
         _register_fleet(broker, fleet, cfg)

@@ -32,9 +32,10 @@ after ``P`` ran is never suppressed.
 
 Evaluation is page-major (:func:`snapshot_all`): the snapshots of many
 engines over one tree are evaluated in one level-by-level sweep that
-loads each page once and applies every reader's discard rule to it in
-one kernel call, then replays each engine's depth-first order over what
-it found.  :meth:`NPDQEngine.snapshot` is the sweep of one engine.
+loads each page once and then applies the discard rule to every
+``(engine, page)`` pair of the level in one kernel call, then replays
+each engine's depth-first order over what it found.
+:meth:`NPDQEngine.snapshot` is the sweep of one engine.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ class NPDQEngine:
 
 
 class _Client:
-    """One engine's share of a sweep: its query, rule and what it found."""
+    """One engine's share of a sweep: its query and what it found."""
 
     def __init__(self, slot: int, engine: NPDQEngine, query: SnapshotQuery):
         if query.dims != engine.index.dims:
@@ -214,11 +215,6 @@ class _Client:
         # the object stays inside the *current* window from now on.
         self.open_native = Box(
             [Interval(query.time.low, math.inf)] + list(query.window)
-        )
-        self.rule = (
-            kernels.DiscardRule(self.dual)
-            if prev is None
-            else kernels.DiscardRule(self.dual, prev.dual_box, prev.clock)
         )
         self.children: Dict[int, List[int]] = {}  # internal page -> live children
         # leaf -> rows and records of its items, then of its prefetches
@@ -274,15 +270,22 @@ def _descend(tree, clients: List[_Client]):
     rows)``, and the failed attempts per page.  Each demanding client is
     charged the read and one distance computation per entry, as its own
     ``load_node`` would; a page whose load fails is retried after the
-    rest while a demanding client still allows it.
+    rest while a demanding client still allows it.  The pages a level
+    loaded are evaluated for all their readers in one
+    :func:`kernels.level_live_rows` call.
     """
-    block = kernels.DiscardRule.stack([c.rule for c in clients])
+    # one rule block for the sweep, row ``c.slot`` for each client
+    rule = kernels.DiscardRule.of(
+        [c.dual for c in clients],
+        [None if c.prev is None else c.prev.dual_box for c in clients],
+        [-1 if c.prev is None else c.prev.clock for c in clients],
+    )
     leaves = []
     fails: Dict[int, int] = {}
     pending: Dict[int, List[_Client]] = {tree.root_id: clients}
     retry: Dict[int, List[_Client]] = {}
     while pending:
-        below: Dict[int, List[_Client]] = {}
+        loaded = []
         for page_id in sorted(pending):
             demand = pending[page_id]
             try:
@@ -295,19 +298,23 @@ def _descend(tree, clients: List[_Client]):
                 if again:
                     retry[page_id] = again
                 continue
-            leaf, size = node.is_leaf, len(node.entries)
+            leaf, arrays = node.is_leaf, node.entries
             for c in demand:
                 c.cost.count_node_read(leaf)
-                c.cost.count_distance_computations(size)
-            rule = (
-                block
-                if len(demand) == len(clients)
-                else block.take([c.slot for c in demand])
-            )
-            arrays = node.entries
-            live = kernels.live_rows(arrays.box_batch(), arrays.stamps(), rule)
-            for c, rows in zip(demand, live):
-                if not leaf:
+                c.cost.count_distance_computations(len(arrays))
+            loaded.append((page_id, arrays, demand))
+        live = iter(kernels.level_live_rows(
+            [
+                (arrays.box_batch(), arrays.stamps(), [c.slot for c in demand])
+                for _, arrays, demand in loaded
+            ],
+            rule,
+        ))
+        below: Dict[int, List[_Client]] = {}
+        for page_id, arrays, demand in loaded:
+            for c in demand:
+                rows = next(live)
+                if not arrays.is_leaf:
                     children = c.children[page_id] = [
                         arrays.child_id(k) for k in rows
                     ]
@@ -409,10 +416,11 @@ def snapshot_all(
 
     Every engine must run over the same :class:`DualTimeIndex`.  The
     tree is swept level by level: each page some engine's descent
-    reaches is loaded once, in page-id order, and its discard rule
-    evaluated for all the engines reading it in one
-    :func:`kernels.live_rows` call; the leaf rows that survive go
-    through two segment-kernel calls for the whole sweep.  Each engine
+    reaches is loaded once, in page-id order, and then the discard rule
+    is evaluated for every ``(engine, page)`` pair of the level in one
+    :func:`kernels.level_live_rows` call, against one rule block built
+    for the sweep; the leaf rows that survive go through two
+    segment-kernel calls for the whole sweep.  Each engine
     gets what :meth:`NPDQEngine.snapshot` alone would give it — answers,
     page list and skips in depth-first order, every ``QueryCost`` count
     — except that the sweep reads a shared page once, and that one

@@ -20,7 +20,7 @@ from repro.core.results import SnapshotResult
 from repro.core.trajectory import QueryTrajectory
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import MotionSegment, SegmentTable
 from repro.storage.metrics import AverageCost, CostSnapshot
 from repro.workload.config import QueryWorkload, WorkloadConfig
 from repro.workload.objects import generate_motion_segments
@@ -79,12 +79,14 @@ class ExperimentContext:
         self.segments: List[MotionSegment] = list(generate_motion_segments(data))
         self.native: Optional[NativeSpaceIndex] = None
         self.dual: Optional[DualTimeIndex] = None
+        # one conversion of the population for both flavours
+        table = SegmentTable.of(self.segments)
         if build_native:
             self.native = NativeSpaceIndex(dims=data.dims)
-            self.native.bulk_load(self.segments)
+            self.native.bulk_load(table)
         if build_dual:
             self.dual = DualTimeIndex(dims=data.dims)
-            self.dual.bulk_load(self.segments)
+            self.dual.bulk_load(table)
 
     def trajectories(
         self, overlap_percent: float, window_side: float

@@ -76,6 +76,7 @@ __all__ = [
     "segment_box_overlap_bounds",
     "stamp_column",
     "DiscardRule",
+    "level_live_rows",
     "live_rows",
     "box_query_masks",
 ]
@@ -959,109 +960,243 @@ def segment_box_overlap_bounds(
 
 
 def stamp_column(stamps: Sequence[int]):
-    """Per-entry operation-clock stamps as the int64 column :func:`live_rows` reads."""
+    """Per-entry operation-clock stamps as the int64 column :func:`level_live_rows` reads."""
     return np.asarray(stamps, dtype=np.int64)
 
 
 class DiscardRule:
-    """Query side of the dual-tree discard rule ``(Q ∩ R) ⊆ P`` (Lemma 1).
+    """Query side of the dual-tree discard rule ``(Q ∩ R) ⊆ P`` (Lemma 1)
+    for a block of clients, one row each.
 
-    ``query`` is ``Q`` in dual-time space; ``prev`` is ``P``, read at
-    operation clock ``clock``.  The bounds become arrays here, once per
-    descent, so each page costs only the row arithmetic.  Without a
-    ``prev`` (or with an empty one, which contains nothing) no row is
-    ever covered and the rule is a plain overlap test.
+    Row ``c`` holds client ``c``'s query ``Q`` in dual-time space and its
+    previous query ``P``, read at operation clock ``clock``.  Without a
+    ``P`` (or with an empty one, which contains nothing) no entry is ever
+    covered for that client and the rule is a plain overlap test.
 
-    The arrays are ``(clients, axes)`` blocks: a rule built here is a
-    block of one row, :meth:`stack` makes one block of many clients'
-    rules and :meth:`take` a block of some of its rows, so one
-    :func:`live_rows` call evaluates a page for every client reading it.
+    The bounds become arrays here, once per block, held per axis,
+    together with the per-client halves of the coverage test — ``P.low ≤
+    Q.low`` and ``Q.high ≤ P.high`` — and whether ``Q`` itself is empty,
+    so a page costs only the comparisons of its rows.  ``DiscardRule(Q,
+    P, clock)`` is the block of one client and :meth:`of` the block of
+    many, built from their columns.
     """
 
-    __slots__ = ("axes", "block", "stacked")
+    __slots__ = ("axes", "_query", "_prev")
 
     def __init__(self, query: Box, prev: Optional[Box] = None, clock: int = -1):
-        self.axes, self.stacked = query.dims, False
-        has_prev = prev is not None and not prev.is_empty
-        if has_prev and prev.dims != query.dims:
-            raise GeometryError(f"prev has {prev.dims} axes, query {query.dims}")
-        p = prev if has_prev else query  # masked out by has_prev: any will do
-        #: ``(Q lows, Q highs, P lows, P highs, has P, clock)``, a row each
-        self.block = (
-            np.asarray([query.lows], dtype=np.float64),
-            np.asarray([query.highs], dtype=np.float64),
-            np.asarray([p.lows], dtype=np.float64),
-            np.asarray([p.highs], dtype=np.float64),
-            np.asarray([has_prev]),
-            np.asarray([clock], dtype=np.int64),
-        )
-
-    def _of(self, block) -> "DiscardRule":
-        rule = DiscardRule.__new__(DiscardRule)
-        rule.axes, rule.block, rule.stacked = self.axes, tuple(block), True
-        return rule
+        self._build([query], [prev], [clock])
 
     @classmethod
-    def stack(cls, rules: Sequence["DiscardRule"]) -> "DiscardRule":
-        """One block of ``rules``, one row each, in order."""
-        if any(r.axes != rules[0].axes for r in rules):
-            raise GeometryError("stacked rules differ in axes")
-        return rules[0]._of(map(np.concatenate, zip(*(r.block for r in rules))))
+    def of(
+        cls,
+        queries: Sequence[Box],
+        prevs: Sequence[Optional[Box]],
+        clocks: Sequence[int],
+    ) -> "DiscardRule":
+        """The block of ``len(queries)`` clients, row ``c`` from
+        ``queries[c]``, ``prevs[c]`` (``None`` for no ``P``) and
+        ``clocks[c]``."""
+        rule = cls.__new__(cls)
+        rule._build(queries, prevs, clocks)
+        return rule
 
-    def take(self, rows: Sequence[int]) -> "DiscardRule":
-        """The block of just ``rows`` of this one, in that order."""
-        return self._of(column[rows] for column in self.block)
+    def _build(self, queries, prevs, clocks) -> None:
+        axes, n = queries[0].dims, len(queries)
+        for q, p in zip(queries, prevs):
+            if q.dims != axes:
+                raise GeometryError(f"block mixes {q.dims}- and {axes}-axis queries")
+            if p is not None and p.dims != axes:
+                raise GeometryError(f"prev has {p.dims} axes, query {axes}")
+        self.axes = axes
+        if all(p is None for p in prevs):
+            q_lows, q_highs = _bound_columns(axes, _lows(queries), _highs(queries))
+            #: ``(Q lows, Q highs, Q empty)``: per axis ``(axes, clients,
+            #: 1)``, per client ``(clients, 1)`` — shaped to broadcast
+            #: against ``(axes, clients, rows)`` box planes
+            self._query = (q_lows, q_highs, (q_lows > q_highs).any(axis=0))
+            #: ``(P lows, P highs, P.low ≤ Q.low, Q.high ≤ P.high, clock)``,
+            #: shaped alike; ``None`` when no client has a ``P``
+            self._prev = None
+            return
+        # A client without P gets its Q in P's place and a clock before
+        # every stamp, so P covers nothing for it.  An empty P needs no
+        # mark: P.low ≤ max(R.low, Q.low) ≤ min(R.high, Q.high) ≤ P.high
+        # cannot hold on an axis where P.low > P.high.
+        covering = [q if p is None else p for q, p in zip(queries, prevs)]
+        clock = [_NO_CLOCK if p is None else c for p, c in zip(prevs, clocks)]
+        # in this order the coverage halves are the first two columns
+        # against the last two
+        bounds = _bound_columns(
+            axes,
+            _lows(covering),
+            _highs(queries),
+            _lows(queries),
+            _highs(covering),
+        )
+        p_lows, q_highs, q_lows, p_highs = bounds
+        low_side, high_side = bounds[:2] <= bounds[2:]
+        self._query = (q_lows, q_highs, (q_lows > q_highs).any(axis=0))
+        self._prev = (
+            p_lows,
+            p_highs,
+            low_side,
+            high_side,
+            np.array(clock, dtype=np.int64)[:, None],
+        )
+
+    def _per_pair(self, clients: Sequence[int]):
+        """The ``(query, prev)`` columns of the client of each pair."""
+        pick = np.asarray(clients, dtype=np.intp)
+        return tuple(
+            None if side is None else tuple(c[..., pick, :] for c in side)
+            for side in (self._query, self._prev)
+        )
 
 
-def _discard_masks(boxes: BoxBatch, rule: DiscardRule):
-    """``(clients, rows)`` masks ``(empty, covered)`` of one non-empty
-    page under each row of ``rule``.
+#: the clock of a client whose ``P`` covers nothing: before every stamp
+_NO_CLOCK = np.iinfo(np.int64).min
 
-    ``empty[c, k]`` iff ``boxes[k].intersect(Q_c)`` is empty;
-    ``covered[c, k]`` iff ``P_c`` contains that intersection — the scalar
-    ``prev.contains_box(shared)`` with ``shared`` known non-empty, so the
-    raw (unnormalised) bounds are exactly the scalar's and ``covered``
-    means nothing on an ``empty`` row.  Without a ``P_c`` nothing is
-    covered.
+
+def _lows(boxes: Sequence[Box]) -> List[float]:
+    return [e.low for b in boxes for e in b.extents]
+
+
+def _highs(boxes: Sequence[Box]) -> List[float]:
+    return [e.high for b in boxes for e in b.extents]
+
+
+def _bound_columns(axes: int, *fields: List[float]):
+    """Each of ``fields`` (one bound of ``axes`` values per box, box by
+    box) as an ``(axes, boxes, 1)`` column, in one array."""
+    bounds = np.array(fields, dtype=np.float64).reshape(len(fields), -1, axes)
+    return bounds.transpose(0, 2, 1)[..., None]
+
+
+def _discard_masks(lows, highs, query, prev):
+    """``(pairs, rows)`` masks ``(empty, covered)`` of box planes ``lows``,
+    ``highs`` (``(axes, pairs or 1, rows)``) under the per-pair ``query``
+    and ``prev`` columns of a rule (:meth:`DiscardRule._per_pair`).
+
+    ``empty[j, k]`` iff row ``k`` of pair ``j``'s page misses that pair's
+    ``Q``; ``covered[j, k]`` iff its ``P`` contains their intersection.
+    This is the one statement of Lemma 1's rule, axis by axis.  The
+    scalar reference intersects first — ``lo = max(R.low, Q.low)``,
+    ``hi = min(R.high, Q.high)`` — and asks ``lo > hi`` and ``P.low ≤ lo
+    ∧ hi ≤ P.high``; for the NaN-free bounds of every box the same
+    answers are the comparisons of the bounds themselves:
+
+    * the intersection is empty iff ``R.low > Q.high``, ``Q.low >
+      R.high``, ``R.low > R.high`` or ``Q.low > Q.high``;
+    * ``P.low ≤ max(R.low, Q.low)`` iff ``P.low ≤ R.low ∨ P.low ≤ Q.low``,
+      and ``min(R.high, Q.high) ≤ P.high`` iff ``R.high ≤ P.high ∨ Q.high
+      ≤ P.high`` — the second half of each is per client, in the rule.
+
+    ``covered`` therefore means nothing on an ``empty`` row (as the
+    scalar's ``prev.contains_box(shared)`` is only asked of a non-empty
+    ``shared``), nor for a client without a ``P``, whose clock precedes
+    every stamp; it is ``None`` when no client of the rule has a ``P``.
     """
-    if rule.axes != boxes.axes:
+    q_lows, q_highs, q_empty = query
+    apart = (lows > q_highs) | (highs < q_lows) | (lows > highs)
+    empty = apart.any(axis=0) | q_empty
+    if prev is None:
+        return empty, None
+    p_lows, p_highs, low_side, high_side, _clock = prev
+    inside = ((lows >= p_lows) | low_side) & ((highs <= p_highs) | high_side)
+    return empty, inside.all(axis=0)
+
+
+def _check_axes(boxes: BoxBatch, rule: DiscardRule) -> None:
+    if boxes.axes != rule.axes:
         raise GeometryError(f"query has {rule.axes} axes, boxes {boxes.axes}")
-    q_lows, q_highs, p_lows, p_highs, has_prev, _clock = rule.block
-    lows, highs = boxes._lows[None], boxes._highs[None]
-    i_lo = np.where(lows >= q_lows[:, None], lows, q_lows[:, None])
-    i_hi = np.where(highs <= q_highs[:, None], highs, q_highs[:, None])
-    empty = (i_lo > i_hi).any(axis=2)
-    if not has_prev.any():
-        return empty, np.zeros(empty.shape, dtype=bool)
-    covered = (p_lows[:, None] <= i_lo) & (i_hi <= p_highs[:, None])
-    return empty, covered.all(axis=2) & has_prev[:, None]
 
 
-def live_rows(boxes: BoxBatch, stamps, rule: DiscardRule):
-    """Rows of one dual-tree page a descent for ``rule`` must still look at.
+def _planes(boxes: BoxBatch):
+    """One page's bounds as ``(axes, 1, rows)`` planes, to broadcast
+    against every reader of the page."""
+    return boxes._lows.T[:, None], boxes._highs.T[:, None]
 
-    Entry ``k`` (box ``boxes[k]``, stamp ``stamps[k]`` from
-    :func:`stamp_column`) is *dead* when its box misses ``Q``, or when it
-    is no newer than ``P``'s clock reading and ``P`` covers its share of
-    ``Q`` — ``P``'s run already inspected everything of it that matters.
-    Returns the others, in entry order: one list for a rule, one list
-    per row for a :meth:`~DiscardRule.stack` of rules.  This is the only
-    implementation of the rule: the prediction walk and the NPDQ sweep
-    both descend through it.
-    """
-    clock = rule.block[-1]
-    if boxes.n == 0:
-        return [[] for _ in clock] if rule.stacked else []
-    empty, covered = _discard_masks(boxes, rule)
-    live = ~(empty | (covered & (stamps <= clock[:, None])))
-    if not rule.stacked:
-        return live[0].nonzero()[0].tolist()
+
+def _rows_per_pair(live) -> List[List[int]]:
+    """The true columns of each row of a ``(pairs, rows)`` mask, in order."""
     rows = live.nonzero()[1].tolist()
     out, at = [], 0
     for count in live.sum(axis=1).tolist():
         out.append(rows[at : at + count])
         at += count
     return out
+
+
+def level_live_rows(
+    pages: Sequence[Tuple[BoxBatch, object, Sequence[int]]], rule: DiscardRule
+) -> List[List[int]]:
+    """Rows of many dual-tree pages that each of their readers' descents
+    must still look at, in one evaluation of the rule.
+
+    ``pages`` holds ``(boxes, stamps, readers)`` per page: its box batch,
+    its :func:`stamp_column` and the rows of ``rule`` (the clients) that
+    read it.  Entry ``k`` of a page is *dead* for a reader when its box
+    misses the reader's ``Q``, or when it is no newer than ``P``'s clock
+    reading and ``P`` covers its share of ``Q`` — ``P``'s run already
+    inspected everything of it that matters.  Returns the live rows of
+    every ``(page, reader)`` pair, in entry order, pairs in page order
+    and then reader order.
+
+    The pages are padded to the longest one with rows that miss every
+    query, so the pairs form ``(axes, pairs, rows)`` planes; one page is
+    broadcast against its readers instead of copied per reader.
+    """
+    live_pages = [boxes for boxes, _, _ in pages if boxes.n]
+    for boxes in live_pages:
+        _check_axes(boxes, rule)
+    if not live_pages:
+        return [[] for _, _, readers in pages for _ in readers]
+    if len(pages) == 1:
+        boxes, stamps, clients = pages[0]
+        (lows, highs), stamps = _planes(boxes), stamps[None]
+    else:
+        sizes = np.asarray([len(stamps) for _, stamps, _ in pages], dtype=np.intp)
+        counts = [len(readers) for _, _, readers in pages]
+        # one more row past the real ones: an empty box, dead for every reader
+        pad = sizes.sum()
+        grid = np.arange(sizes.max())
+        starts = np.cumsum(sizes) - sizes
+        cells = np.where(grid < sizes[:, None], starts[:, None] + grid, pad)
+        cells = cells.repeat(counts, axis=0)
+        axes = rule.axes
+        # ``take``, not ``[:, cells]``: that result is laid out pairs-first,
+        # and every plane operation below would stride through it
+        lows = np.concatenate(
+            [b._lows.T for b in live_pages] + [np.full((axes, 1), np.inf)], axis=1
+        ).take(cells, axis=1)
+        highs = np.concatenate(
+            [b._highs.T for b in live_pages] + [np.full((axes, 1), -np.inf)], axis=1
+        ).take(cells, axis=1)
+        stamps = np.concatenate(
+            [s for _, s, _ in pages] + [np.zeros(1, dtype=np.int64)]
+        ).take(cells)
+        clients = [c for _, _, readers in pages for c in readers]
+    return _rows_per_pair(_live(lows, highs, stamps, *rule._per_pair(clients)))
+
+
+def _live(lows, highs, stamps, query, prev):
+    """The ``(pairs, rows)`` mask of the rows still live: not ``empty``,
+    and not ``covered`` by a ``P`` read no earlier than their stamp."""
+    empty, covered = _discard_masks(lows, highs, query, prev)
+    if covered is not None:
+        empty |= covered & (stamps <= prev[-1])
+    return ~empty
+
+
+def live_rows(boxes: BoxBatch, stamps, rule: DiscardRule) -> List[int]:
+    """The live rows of one page for a one-client ``rule``, in entry order:
+    the one-page case of :func:`level_live_rows`, which the range search,
+    the delete path's leaf lookup and the prediction walk descend through."""
+    if boxes.n == 0:
+        return []
+    _check_axes(boxes, rule)
+    live = _live(*_planes(boxes), stamps, rule._query, rule._prev)
+    return live[0].nonzero()[0].tolist()
 
 
 def box_query_masks(
@@ -1074,5 +1209,7 @@ def box_query_masks(
     """
     if boxes.n == 0:
         return [], []
-    empty, covered = _discard_masks(boxes, DiscardRule(query, prev))
-    return empty[0].tolist(), covered[0].tolist()
+    rule = DiscardRule(query, prev)
+    _check_axes(boxes, rule)
+    empty, covered = _discard_masks(*_planes(boxes), rule._query, rule._prev)
+    return empty[0].tolist(), [False] * boxes.n if covered is None else covered[0].tolist()

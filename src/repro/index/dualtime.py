@@ -130,7 +130,8 @@ class DualTimeIndex(SegmentIndex):
         order — the page set :meth:`~repro.core.NPDQEngine.snapshot`
         would load for the same query against the same previous state,
         because both descend through the one implementation of the
-        rule, :func:`repro.geometry.kernels.live_rows`, a page at a time.
+        rule, :func:`repro.geometry.kernels.level_live_rows` (the walk
+        through its one-page case, ``live_rows``, a page at a time).
 
         **Monotonicity** (the shared-scan superset lemma): enlarging
         ``query_box`` can only grow the result.  A bigger box passes the

@@ -92,7 +92,7 @@ class PageRows:
         return self._box_batch
 
     def stamps(self):
-        """Entry stamps as the int64 column of :func:`kernels.live_rows`."""
+        """Entry stamps as the int64 column of :func:`kernels.level_live_rows`."""
         return self._stamps
 
     def segment_batch(self) -> kernels.SegmentBatch:

@@ -466,7 +466,8 @@ class RTree:
 
     def _delete_impl(self, key: tuple, box: Box) -> bool:
         self._clock += 1
-        found = self._find_leaf(self._root_id, key, box)
+        # no previous query: the rule is the overlap test
+        found = self._find_leaf(self._root_id, key, kernels.DiscardRule(box))
         if found is None:
             return False
         leaf = found
@@ -475,14 +476,15 @@ class RTree:
         self._condense(leaf)
         return True
 
-    def _find_leaf(self, page_id: int, key: tuple, box: Box) -> Optional[Node]:
+    def _find_leaf(
+        self, page_id: int, key: tuple, rule: kernels.DiscardRule
+    ) -> Optional[Node]:
         node = self.disk.read(page_id)
         rows = node.entries
         if node.is_leaf:
             return node if key in rows.keys() else None
-        rule = kernels.DiscardRule(box)  # no previous query: the overlap test
         for k in kernels.live_rows(rows.box_batch(), rows.stamps(), rule):
-            hit = self._find_leaf(rows.child_id(k), key, box)
+            hit = self._find_leaf(rows.child_id(k), key, rule)
             if hit is not None:
                 return hit
         return None

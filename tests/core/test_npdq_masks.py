@@ -206,6 +206,84 @@ class TestTheSweepIsEachEngineAlone:
             assert swept[i].cost == alone[i].cost == scalar[i].cost
 
 
+class TestAFaultySweepIsEachEngineAlone:
+    """One sweep of four engines, at ``fault_budget`` None, 0, 1 and 2,
+    under scripted read faults: a shared internal page fails once and a
+    leaf below it twice.  The sweep loads a level's pages before it
+    evaluates any of them, so a failed load sits beside the level's one
+    kernel call; each engine must still get exactly its run alone on a
+    twin tree with the same script — answers, page list, skips,
+    ``degraded``, every ``QueryCost`` count and the memory of the query."""
+
+    TIME = Interval(2.0, 2.1)
+    HALF = (6.0, 6.0)
+
+    @classmethod
+    def windows(cls, index):
+        """Two windows and two pages: the one with the leaf reads the
+        internal page and the leaf, the other the internal page only."""
+        tree = index.tree
+        parent = {}
+        reads = {}
+        for cx in range(10, 95, 10):
+            for cy in range(10, 95, 10):
+                engine = NPDQEngine(index)
+                center = (float(cx), float(cy))
+                engine.snapshot(SnapshotQuery.around(cls.TIME, center, cls.HALF))
+                reads[center] = engine.last_loaded_pages
+                for pid in engine.last_loaded_pages:
+                    node = tree.load_node(pid)
+                    if not node.is_leaf:
+                        for k in range(len(node.entries)):
+                            parent[node.entries.child_id(k)] = pid
+        for with_leaf, pages in reads.items():
+            for without, others in reads.items():
+                for leaf in pages:
+                    internal = parent.get(leaf)
+                    if (
+                        leaf not in others
+                        and tree.load_node(leaf).is_leaf
+                        and internal != tree.root_id
+                        and internal in others
+                    ):
+                        return with_leaf, without, internal, leaf
+        raise AssertionError("no window pair shares an internal page")
+
+    def test_each_engine_gets_its_run_alone(self, segments):
+        with_leaf, without, internal, leaf = self.windows(build(segments, "bulk"))
+
+        def faulty_tree():
+            index = build(segments, "bulk")
+            index.tree.disk.set_faults(
+                FaultInjector()
+                .script_read_fault(internal, times=1)
+                .script_read_fault(leaf, times=2)
+            )
+            return index
+
+        budgets = (None, 0, 1, 2)
+        queries = [
+            SnapshotQuery.around(self.TIME, without if b is None else with_leaf, self.HALF)
+            for b in budgets
+        ]
+        shared = faulty_tree()
+        swept = [NPDQEngine(shared, fault_budget=b) for b in budgets]
+        results = snapshot_all(list(zip(swept, queries)))
+        for engine, query, got in zip(swept, queries, results):
+            alone = NPDQEngine(faulty_tree(), fault_budget=engine.fault_budget)
+            want = alone.snapshot(query)
+            assert_same_snapshot(got, want, engine, alone)
+            assert engine.skipped_subtrees == alone.skipped_subtrees
+            assert engine.cost == alone.cost
+            assert engine._prev == alone._prev
+        # the script did what the test is about: None and 2 absorb both
+        # faults, 0 loses the internal page, 1 the leaf
+        assert [e.skipped_subtrees for e in swept] == [[], [internal], [leaf], []]
+        assert [r.degraded for r in results] == [False, True, True, False]
+        assert leaf in swept[3].last_loaded_pages
+        assert internal in swept[0].last_loaded_pages
+
+
 class TestWhatASliverDoesNotBuild:
     """The second snapshot moved by a sliver: almost every entry it
     examines is covered by the first, and it must not pay for those."""

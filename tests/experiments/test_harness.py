@@ -15,6 +15,9 @@ from repro.experiments.runner import (
     run_pdq_point,
     split_first_subsequent,
 )
+from repro.index.dualtime import DualTimeIndex
+from repro.index.nsi import NativeSpaceIndex
+from repro.motion.segment import SegmentTable
 from repro.workload.config import QueryWorkload, WorkloadConfig
 
 
@@ -44,6 +47,42 @@ class TestContext:
         b = ctx.trajectories(50.0, 8.0)
         assert len(a) == len(b) == ctx.queries.trajectories
         assert a[0].time_span == b[0].time_span
+
+
+def page_digests(index):
+    """``(page id, level, columns digest)`` of every page, depth first."""
+    tree, out, stack = index.tree, [], [index.tree.root_id]
+    while stack:
+        node = tree.load_node(stack.pop())
+        rows = node.entries
+        out.append((node.page_id, node.level, rows.fingerprint()))
+        if not node.is_leaf:
+            stack.extend(rows.child_id(k) for k in range(len(rows)))
+    return out
+
+
+class TestOneConversion:
+    def test_both_flavours_load_one_table(self, monkeypatch):
+        """The context converts its population once for both indexes, and
+        each tree holds exactly the columns a load of the list gives."""
+        made = []  # rows of every conversion (a new empty root makes one)
+        of = SegmentTable.of.__func__
+
+        def counting(cls, records):
+            records = list(records)
+            made.append(len(records))
+            return of(cls, records)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SegmentTable, "of", classmethod(counting))
+            ctx = ExperimentContext(
+                WorkloadConfig.tiny(seed=3), QueryWorkload.tiny(seed=1)
+            )
+        assert sum(made) == len(ctx.segments)
+        for flavour, index in ((NativeSpaceIndex, ctx.native), (DualTimeIndex, ctx.dual)):
+            listed = flavour(dims=2)
+            listed.bulk_load(list(ctx.segments))
+            assert page_digests(index) == page_digests(listed)
 
 
 class TestGridPoints:

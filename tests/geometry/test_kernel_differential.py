@@ -401,7 +401,10 @@ class TestLiveRows:
 
     @given(st.data())
     @settings(deadline=None)
-    def test_stacked_rules_match_each_rule(self, data):
+    def test_level_kernel_matches_each_rule(self, data):
+        """One ``level_live_rows`` call over one page, read by the whole
+        block in order or by any pick of its clients (repeats and any
+        order), gives each reader what its own one-client rule gives."""
         axes = data.draw(st.integers(min_value=1, max_value=4))
         n = data.draw(st.integers(min_value=0, max_value=20))
         page = [
@@ -411,22 +414,23 @@ class TestLiveRows:
         stamps = kernels.stamp_column(
             [data.draw(st.integers(min_value=0, max_value=7)) for _ in range(n)]
         )
-        rules = []
+        queries, prevs, clocks = [], [], []
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-            query = data.draw(dual_boxes(axes))
-            prev = data.draw(
-                st.none() | st.just(Box.empty(axes)) | st.just(query) | dual_boxes(axes)
-            )
-            clock = data.draw(st.integers(min_value=-1, max_value=6))
-            rules.append(kernels.DiscardRule(query, prev, clock))
+            queries.append(data.draw(dual_boxes(axes)))
+            prevs.append(data.draw(
+                st.none() | st.just(Box.empty(axes)) | st.just(queries[-1]) | dual_boxes(axes)
+            ))
+            clocks.append(data.draw(st.integers(min_value=-1, max_value=6)))
         batch = _box_batch(page)
-        each = [kernels.live_rows(batch, stamps, rule) for rule in rules]
-        block = kernels.DiscardRule.stack(rules)
-        assert kernels.live_rows(batch, stamps, block) == each
-        picked = data.draw(
-            st.lists(st.integers(min_value=0, max_value=len(rules) - 1))
-        )
-        assert kernels.live_rows(batch, stamps, block.take(picked)) == [
+        each = [
+            kernels.live_rows(batch, stamps, kernels.DiscardRule(q, p, c))
+            for q, p, c in zip(queries, prevs, clocks)
+        ]
+        block = kernels.DiscardRule.of(queries, prevs, clocks)
+        everyone = list(range(len(queries)))
+        assert kernels.level_live_rows([(batch, stamps, everyone)], block) == each
+        picked = data.draw(st.lists(st.sampled_from(everyone)))
+        assert kernels.level_live_rows([(batch, stamps, picked)], block) == [
             each[r] for r in picked
         ]
 
@@ -437,6 +441,156 @@ class TestLiveRows:
             kernels.live_rows(_box_batch(page), kernels.stamp_column([0]), rule)
         with pytest.raises(GeometryError):
             kernels.DiscardRule(page[0], Box([Interval(0.0, 1.0)]))
+        with pytest.raises(GeometryError):
+            kernels.DiscardRule.of(
+                [Box([Interval(0.0, 1.0)]), page[0]], [None, None], [-1, -1]
+            )
+        one = [Box([Interval(0.0, 1.0)])]
+        with pytest.raises(GeometryError):  # in any page of the level
+            kernels.level_live_rows(
+                [
+                    (_box_batch(one), kernels.stamp_column([0]), [0]),
+                    (_box_batch(page), kernels.stamp_column([0]), [0]),
+                ],
+                rule,
+            )
+
+
+def _crossed(box):
+    """``box`` with its last extent crossed (``low > high``): empty."""
+    last = box.extents[-1]
+    return Box(box.extents[:-1] + (Interval(last.high + 1.0, last.low),))
+
+
+def _grid_box(draw, axes):
+    """A box on the grid, one draw a bound; one in eight is empty (its last
+    extent crossed)."""
+    extents = [Interval.ordered(draw(_GRID), draw(_GRID)) for _ in range(axes)]
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        extents[-1] = Interval(extents[-1].high + 1.0, extents[-1].low)
+    return Box(extents)
+
+
+@st.composite
+def level_pages(draw, axes, clients):
+    """One level of dual-tree pages: each its boxes, stamps and readers.
+
+    A page may be empty, and is read by one client, by some (in any
+    order) or by all of them; boxes sit on the grid, so they touch.
+    """
+    pages = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=0, max_value=6))
+        page = [_grid_box(draw, axes) for _ in range(n)]
+        stamps = [draw(st.integers(min_value=0, max_value=7)) for _ in range(n)]
+        everyone = list(range(clients))
+        readers = draw(
+            st.sampled_from(["one", "some", "all"]).flatmap(
+                lambda how: st.lists(st.sampled_from(everyone), min_size=1, max_size=1)
+                if how == "one"
+                else st.permutations(everyone).map(lambda p: p[: max(1, len(p) // 2)])
+                if how == "some"
+                else st.just(everyone)
+            )
+        )
+        pages.append((page, stamps, readers))
+    return pages
+
+
+class TestLevelLiveRows:
+    """``kernels.level_live_rows`` — one call for every ``(client, page)``
+    pair of a dual-tree level — against the scalar rule, pair by pair.
+
+    The kernel asks Lemma 1 axis by axis with the bounds' own comparisons
+    (``R.low > Q.high``, ``P.low ≤ R.low ∨ P.low ≤ Q.low`` …), where the
+    scalar reference intersects first (``max``/``min`` by branch, the
+    form the kernels otherwise mirror with ``np.where``); every case
+    below must agree with it."""
+
+    @staticmethod
+    def _check(pages, queries, prevs, clocks):
+        rule = kernels.DiscardRule.of(queries, prevs, clocks)
+        got = kernels.level_live_rows(
+            [
+                (_box_batch(page), kernels.stamp_column(stamps), readers)
+                for page, stamps, readers in pages
+            ],
+            rule,
+        )
+        want = []
+        for page, stamps, readers in pages:
+            entries = [
+                InternalEntry(box, k, timestamp=stamp)
+                for k, (box, stamp) in enumerate(zip(page, stamps))
+            ]
+            for c in readers:
+                want.append(
+                    scalar_live_rows(entries, queries[c], prevs[c], clocks[c])
+                )
+        assert got == want
+        return got
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_every_pair_matches_the_scalar_rule(self, data):
+        axes = data.draw(st.integers(min_value=1, max_value=4))
+        clients = data.draw(st.integers(min_value=1, max_value=4))
+        # sometimes a Q with its last extent crossed: an empty query
+        queries = [
+            data.draw(dual_boxes(axes) | dual_boxes(axes).map(_crossed))
+            for _ in range(clients)
+        ]
+        # no P, an empty P, P = Q, P = Q moved by a sliver, an unrelated P
+        prevs = [
+            data.draw(
+                st.none()
+                | st.just(Box.empty(axes))
+                | st.just(q)
+                | st.sampled_from([0.5, 1.0]).map(
+                    lambda d, q=q: Box(
+                        Interval(e.low - d, e.high - d) for e in q.extents
+                    )
+                )
+                | dual_boxes(axes)
+            )
+            for q in queries
+        ]
+        # stamps are 0..7: the clock falls on either side of them
+        clocks = [data.draw(st.integers(min_value=-1, max_value=6)) for _ in queries]
+        self._check(data.draw(level_pages(axes, clients)), queries, prevs, clocks)
+
+    def test_named_cases(self):
+        """The cases the property must reach, each written down once."""
+        inf = math.inf
+        q = Box([Interval(-inf, 2.0), Interval(1.0, inf)])  # a dual query
+        p = Box([Interval(-inf, 1.5), Interval(1.0, inf)])
+        page = [
+            Box([Interval(2.0, 3.0), Interval(0.0, 1.0)]),  # touches Q at a corner
+            Box([Interval(0.0, 1.5), Interval(1.0, 4.0)]),  # Q's share ends on P's edge
+            Box([Interval(0.0, 1.75), Interval(1.0, 4.0)]),  # pokes out of P
+            Box([Interval(2.5, 3.0), Interval(1.0, 4.0)]),  # misses Q
+            Box([Interval(-inf, inf), Interval(-inf, inf)]),  # unbounded row
+        ]
+        pages = [
+            (page, [0, 1, 0, 0, 0], [0, 1, 2, 3]),  # read by all
+            ([], [], [1, 3]),  # empty page, read by some
+            (page, [0, 0, 0, 0, 9], [2]),  # read by one
+            (page[:2], [5, 5], [3, 0]),  # some, out of order
+            (page, [0, 0, 0, 0, 0], [4]),  # an empty Q: nothing is live
+        ]
+        got = self._check(
+            pages,
+            [q, q, q, q, _crossed(q)],
+            [p, None, Box.empty(2), p, None],  # P, no P, empty P, P
+            [0, -1, 3, 6, -1],  # clock after stamp 5 but before 9
+        )
+        assert got == [
+            [0, 1, 2, 4], [0, 1, 2, 4], [0, 1, 2, 4], [0, 2, 4],
+            [], [],
+            [0, 1, 2, 4],
+            [0], [0, 1],
+            [],
+        ]
 
 
 _F32_MAX = 3.4028235e38
