@@ -30,19 +30,20 @@ not be discarded against ``P`` (``P`` never saw its new content); the
 normal overlap test is used instead.  Likewise a leaf entry inserted
 after ``P`` ran is never suppressed.
 
-Evaluation is page-major (:func:`snapshot_all`): the snapshots of many
-engines over one tree are evaluated in one level-by-level sweep that
-loads each page once and then applies the discard rule to every
-``(engine, page)`` pair of the level in one kernel call, then replays
+Evaluation is page-major (:func:`snapshot_block`): the snapshots of
+many engines over one tree are one block of rows — the queries, each
+engine's remembered ``P`` and the rule built from both are columns — evaluated
+in one level-by-level sweep that loads each page once and then applies
+the discard rule to every ``(engine, page)`` pair of the level in one
+kernel call, tests the surviving leaf rows in one more, then replays
 each engine's depth-first order over what it found.
 :meth:`NPDQEngine.snapshot` is the sweep of one engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import AnswerBlock, SnapshotResult
 from repro.core.snapshot import SnapshotQuery
@@ -52,14 +53,14 @@ from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.index.dualtime import DualTimeIndex
-from repro.storage.metrics import QueryCost
+from repro.storage.metrics import CostSnapshot, QueryCost
 
-__all__ = ["NPDQEngine", "snapshot_all"]
+__all__ = ["NPDQEngine", "snapshot_all", "snapshot_block"]
 
 
 @dataclass(frozen=True)
 class _PreviousQuery:
-    """What the engine remembers about the last snapshot."""
+    """What the engine remembers about the last snapshot, as boxes."""
 
     dual_box: Box
     native_box: Box
@@ -97,7 +98,9 @@ class NPDQEngine:
         self.skipped_subtrees: List[int] = []
         self.cost = QueryCost()
         self.last_loaded_pages: List[int] = []
-        self._prev: Optional[_PreviousQuery] = None
+        #: the last snapshot's native box lows, highs and the clock
+        #: reading, as :meth:`kernels.QueryBlock.memory` gives it
+        self._memory: Optional[List[float]] = None
         self._degraded = False
 
     # -- state -------------------------------------------------------------
@@ -108,8 +111,19 @@ class NPDQEngine:
         Also clears the sticky ``degraded`` flag: with no history to
         over-trust, the next snapshot is evaluated from scratch.
         """
-        self._prev = None
+        self._memory = None
         self._degraded = False
+
+    @property
+    def _prev(self) -> Optional[_PreviousQuery]:
+        """The memory of the last snapshot as boxes."""
+        row = self._memory
+        if row is None:
+            return None
+        axes = self.index.dims + 1
+        native = Box.from_bounds(row[:axes], row[axes:-1])
+        dual = self.index.query_box(native.extent(0), Box(native.extents[1:]))
+        return _PreviousQuery(dual, native, int(row[-1]), native.extent(0))
 
     @property
     def degraded(self) -> bool:
@@ -119,7 +133,7 @@ class NPDQEngine:
     @property
     def has_history(self) -> bool:
         """True once at least one snapshot has been evaluated."""
-        return self._prev is not None
+        return self._memory is not None
 
     # -- prediction ----------------------------------------------------------
 
@@ -190,100 +204,100 @@ class NPDQEngine:
         return [self.snapshot(q) for q in trajectory.frame_queries(period)]
 
 
-class _Client:
-    """One engine's share of a sweep: its query and what it found."""
+class _Block:
+    """The clients of one sweep, engine ``c`` row ``c`` of a
+    :class:`kernels.QueryBlock`, and what the sweep found for each."""
 
-    def __init__(self, slot: int, engine: NPDQEngine, query: SnapshotQuery):
-        if query.dims != engine.index.dims:
-            raise QueryError(
-                f"query has {query.dims} dims, index has {engine.index.dims}"
-            )
-        prev = engine._prev
-        if prev is not None and not prev.time.precedes(query.time):
-            raise QueryError(
-                "snapshots of a dynamic query must be temporally ordered"
-            )
-        self.slot, self.engine, self.query, self.prev = slot, engine, query, prev
-        self.cost, self.before = engine.cost, engine.cost.snapshot()
-        engine.last_loaded_pages = []
+    def __init__(self, engines: Sequence[NPDQEngine], queries: kernels.QueryBlock):
+        # Every refusal comes before any engine is touched.
+        index = engines[0].index
+        if any(e.index is not index for e in engines):
+            raise QueryError("a sweep evaluates engines over one index")
+        if len({id(e) for e in engines}) != len(engines):
+            raise QueryError("an engine evaluates one snapshot per sweep")
+        if queries.dims != index.dims:
+            raise QueryError(f"query has {queries.dims} dims, index has {index.dims}")
+        axes = index.dims + 1
+        for e, time in zip(engines, queries.times):
+            if time.is_empty:
+                raise QueryError("snapshot query has empty temporal extent")
+            if e._memory is not None and not e._memory[axes] <= time.low:
+                raise QueryError("snapshots of a dynamic query must be temporally ordered")
+        self.engines, self.queries = engines, queries
+        self.rule = queries.recall([e._memory for e in engines])
         # fault_budget=None still gets the one retry after the rest of
         # the sweep, and raises only if that fails too
-        self.retries = 1 if engine.fault_budget is None else engine.fault_budget
-        self.dual = engine.index.query_box(query.time, query.window)
-        self.native = query.to_native_box()
-        # Open-ended variant used to compute disappearance times: how long
-        # the object stays inside the *current* window from now on.
-        self.open_native = Box(
-            [Interval(query.time.low, math.inf)] + list(query.window)
-        )
-        self.children: Dict[int, List[int]] = {}  # internal page -> live children
-        # leaf -> rows and records of its items, then of its prefetches
-        self.answers: Dict[int, Tuple[list, list, list, list]] = {}
+        self.retries = [1 if e.fault_budget is None else e.fault_budget for e in engines]
+        # per client: internal and leaf reads, distance computations,
+        # segment tests and results (charged once a sweep); internal page
+        # -> live children; leaf -> rows and records of items, prefetches
+        self.tally = [[0, 0, 0, 0, 0] for _ in engines]
+        self.children: List[Dict[int, List[int]]] = [{} for _ in engines]
+        self.answers: List[Dict[int, Tuple[list, list, list, list]]] = [{} for _ in engines]
+        for e in engines:
+            e.last_loaded_pages = []
 
-    def assemble(self, root: int, fails: Dict[int, int]) -> SnapshotResult:
-        """Replay the depth-first descent over what the sweep found, so
-        the answers, page list and skips come out in its order: children
-        in entry order, a failed page retried after the rest."""
-        engine = self.engine
-        stack, tried = [root], {}
-        loaded: List[int] = []
-        found: Tuple[list, list, list, list] = ([], [], [], [])
-        skips = 0
-        while stack:
-            page_id = stack.pop()
-            n = tried.get(page_id, 0)
-            if n < fails.get(page_id, 0):  # this attempt failed
-                if n < self.retries:
-                    tried[page_id] = n + 1
-                    stack.insert(0, page_id)  # retry after the rest
-                else:
-                    engine.skipped_subtrees.append(page_id)
-                    skips += 1
-                    engine._degraded = True
-                continue
-            loaded.append(page_id)
-            children = self.children.get(page_id)
-            if children is not None:
-                stack.extend(children)
-            elif page_id in self.answers:
-                for column, part in zip(found, self.answers[page_id]):
-                    column.extend(part)
-        engine.last_loaded_pages = loaded
-        query = self.query
-        engine._prev = _PreviousQuery(
-            self.dual, self.native, engine.index.tree.clock, query.time
-        )
-        return SnapshotResult(
-            query_time=query.time,
-            items=AnswerBlock.of(found[0], found[1]),
-            cost=self.cost.snapshot() - self.before,
-            prefetched=AnswerBlock.of(found[2], found[3]),
-            degraded=engine._degraded,
-            skipped_subtrees=skips,
-        )
+    def assemble(self, root: int, fails: Dict[int, int], shares) -> List[SnapshotResult]:
+        """Replay each client's depth-first descent over what the sweep
+        found, so its answers, page list and skips come out in that
+        order: children in entry order, a failed page retried after the
+        rest."""
+        memory = self.queries.memory(self.engines[0].index.tree.clock)
+        results = []
+        for c, engine in enumerate(self.engines):
+            children, answers, retries = self.children[c], self.answers[c], self.retries[c]
+            stack, tried = [root], {}
+            loaded: List[int] = []
+            found: Tuple[list, list, list, list] = ([], [], [], [])
+            skips = 0
+            while stack:
+                page_id = stack.pop()
+                n = tried.get(page_id, 0)
+                if n < fails.get(page_id, 0):  # this attempt failed
+                    if n < retries:
+                        tried[page_id] = n + 1
+                        stack.insert(0, page_id)  # retry after the rest
+                    else:
+                        engine.skipped_subtrees.append(page_id)
+                        skips += 1
+                        engine._degraded = True
+                    continue
+                loaded.append(page_id)
+                below = children.get(page_id)
+                if below is not None:
+                    stack.extend(below)
+                elif page_id in answers:
+                    for column, part in zip(found, answers[page_id]):
+                        column.extend(part)
+            engine.last_loaded_pages = loaded
+            engine._memory = memory[c]
+            results.append(SnapshotResult(
+                query_time=self.queries.times[c],
+                items=AnswerBlock.of(found[0], found[1]),
+                cost=shares[c],
+                prefetched=AnswerBlock.of(found[2], found[3]),
+                degraded=engine._degraded,
+                skipped_subtrees=skips,
+            ))
+        return results
 
 
-def _descend(tree, clients: List[_Client]):
+def _descend(tree, block: _Block):
     """Load every page some client's descent reaches, each once a level.
 
     Returns the leaf pages with live rows, ``(client, page id, arrays,
     rows)``, and the failed attempts per page.  Each demanding client is
-    charged the read and one distance computation per entry, as its own
+    tallied the read and one distance computation per entry, as its own
     ``load_node`` would; a page whose load fails is retried after the
     rest while a demanding client still allows it.  The pages a level
     loaded are evaluated for all their readers in one
-    :func:`kernels.level_live_rows` call.
+    :func:`kernels.level_live_rows` call against the block's rule.
     """
-    # one rule block for the sweep, row ``c.slot`` for each client
-    rule = kernels.DiscardRule.of(
-        [c.dual for c in clients],
-        [None if c.prev is None else c.prev.dual_box for c in clients],
-        [-1 if c.prev is None else c.prev.clock for c in clients],
-    )
     leaves = []
     fails: Dict[int, int] = {}
-    pending: Dict[int, List[_Client]] = {tree.root_id: clients}
-    retry: Dict[int, List[_Client]] = {}
+    pending: Dict[int, List[int]] = {tree.root_id: list(range(len(block.engines)))}
+    retry: Dict[int, List[int]] = {}
+    tally = block.tally
     while pending:
         loaded = []
         for page_id in sorted(pending):
@@ -292,30 +306,28 @@ def _descend(tree, clients: List[_Client]):
                 node = tree.load_node(page_id)
             except (TransientIOError, CorruptPageError):
                 n = fails[page_id] = fails.get(page_id, 0) + 1
-                if n > 1 and any(c.engine.fault_budget is None for c in demand):
+                if n > 1 and any(block.engines[c].fault_budget is None for c in demand):
                     raise
-                again = [c for c in demand if n <= c.retries]
+                again = [c for c in demand if n <= block.retries[c]]
                 if again:
                     retry[page_id] = again
                 continue
-            leaf, arrays = node.is_leaf, node.entries
+            arrays = node.entries
+            read, size = int(node.is_leaf), len(arrays)
             for c in demand:
-                c.cost.count_node_read(leaf)
-                c.cost.count_distance_computations(len(arrays))
+                tally[c][read] += 1
+                tally[c][2] += size
             loaded.append((page_id, arrays, demand))
         live = iter(kernels.level_live_rows(
-            [
-                (arrays.box_batch(), arrays.stamps(), [c.slot for c in demand])
-                for _, arrays, demand in loaded
-            ],
-            rule,
+            [(arrays.box_batch(), arrays.stamps(), demand) for _, arrays, demand in loaded],
+            block.rule,
         ))
-        below: Dict[int, List[_Client]] = {}
+        below: Dict[int, List[int]] = {}
         for page_id, arrays, demand in loaded:
             for c in demand:
                 rows = next(live)
                 if not arrays.is_leaf:
-                    children = c.children[page_id] = [
+                    children = block.children[c][page_id] = [
                         arrays.child_id(k) for k in rows
                     ]
                     for child in children:
@@ -328,9 +340,10 @@ def _descend(tree, clients: List[_Client]):
     return leaves, fails
 
 
-def _evaluate_leaves(leaves) -> None:
-    """The segment tests of every live leaf row of a sweep, two kernel
-    calls in all, each row against its own client's boxes.
+def _evaluate_leaves(block: _Block, leaves) -> None:
+    """The segment tests of every live leaf row of a sweep, in one
+    :meth:`kernels.QueryBlock.leaf_tests` call, each row against its own
+    client's boxes.
 
     Suppression mirrors Lemma 1's box semantics: if ``P``'s boxes
     covered an entry, ``P``'s run delivered it (possibly as a prefetch)
@@ -340,104 +353,86 @@ def _evaluate_leaves(leaves) -> None:
     own: ``Q`` is the visibility box cut at ``Q.t̄.high``, so the row
     misses ``Q`` iff its visibility is empty or starts after that.
     """
-    old_rows = []
-    for c, _page_id, arrays, rows in leaves:
-        old: List[int] = []
-        if c.prev is not None:
-            stamps, clock = arrays.stamps(), c.prev.clock
-            old = [k for k in rows if stamps[k] <= clock]
-            c.cost.count_segment_tests(len(old))
-        old_rows.append(old)
-    seen = _overlaps(
-        (c.prev.native_box, arrays, old)
-        for (c, _, arrays, _), old in zip(leaves, old_rows)
-        if old
-    )
-    survivors = []
-    for (c, _page_id, _arrays, rows), old in zip(leaves, old_rows):
-        # zip takes exactly len(old) bounds: ``old`` is its first argument
-        delivered = {k for k, (low, high) in zip(old, seen) if low <= high}
-        live = [k for k in rows if k not in delivered]
-        if c.engine.exact:
-            c.cost.count_segment_tests(len(live))
-        survivors.append(live)
-    visible = _overlaps(
-        (c.open_native, arrays, live)
-        for (c, _, arrays, _), live in zip(leaves, survivors)
-        if live
-    )
-    for (c, page_id, arrays, _rows), live in zip(leaves, survivors):
+    if not leaves:
+        return
+    tests = block.queries.leaf_tests([
+        (arrays.segment_batch(), arrays.stamps(), rows, c)
+        for c, _page_id, arrays, rows in leaves
+    ])
+    times = block.queries.times
+    for c, page_id, arrays, rows in leaves:
+        tally, exact, horizon = block.tally[c], block.engines[c].exact, times[c]
         found: Tuple[list, list, list, list] = ([], [], [], [])
-        horizon = c.query.time
-        for k in live:
+        for k in rows:
+            old, seen, low, high = next(tests)
+            tally[3] += old + exact * (not seen)
+            if seen:
+                continue
             record = arrays.record(k)
-            low, high = next(visible)
             missed = low > high or low > horizon.high
             if low > high:
                 # A box-only admission never enters the window: give it
                 # a retention-hint interval instead.
                 low, high = horizon.low, record.time.high
-            row = (record.object_id, record.seq, low, high)
-            if c.engine.exact and missed:
+            if exact and missed:
                 # Box-only admission: not an answer of Q, but future
                 # snapshots may assume the client got it (see the module
                 # docstring).
-                found[2].append(row)
+                found[2].append((record.object_id, record.seq, low, high))
                 found[3].append(record)
                 continue
-            c.cost.count_results()
-            found[0].append(row)
+            tally[4] += 1
+            found[0].append((record.object_id, record.seq, low, high))
             found[1].append(record)
-        c.answers[page_id] = found
-
-
-def _overlaps(tasks) -> Iterator[Tuple[float, float]]:
-    """``segment_box_overlap_bounds`` of every ``(box, arrays, rows)``
-    task's rows against its box, in task order, in one call."""
-    tasks = list(tasks)
-    if not tasks:
-        return iter(())
-    lows, highs = [], []
-    for box, _arrays, rows in tasks:
-        lows.extend([box.lows] * len(rows))
-        highs.extend([box.highs] * len(rows))
-    return iter(kernels.segment_box_overlap_bounds(
-        kernels.SegmentBatch.gather(
-            [(arrays.segment_batch(), rows) for _box, arrays, rows in tasks]
-        ),
-        kernels.BoxBatch(lows, highs),
-    ))
+        block.answers[c][page_id] = found
 
 
 def snapshot_all(
     pairs: Sequence[Tuple[NPDQEngine, SnapshotQuery]]
 ) -> List[SnapshotResult]:
-    """Evaluate one snapshot for each ``(engine, query)``, page-major.
-
-    Every engine must run over the same :class:`DualTimeIndex`.  The
-    tree is swept level by level: each page some engine's descent
-    reaches is loaded once, in page-id order, and then the discard rule
-    is evaluated for every ``(engine, page)`` pair of the level in one
-    :func:`kernels.level_live_rows` call, against one rule block built
-    for the sweep; the leaf rows that survive go through two
-    segment-kernel calls for the whole sweep.  Each engine
-    gets what :meth:`NPDQEngine.snapshot` alone would give it — answers,
-    page list and skips in depth-first order, every ``QueryCost`` count
-    — except that the sweep reads a shared page once, and that one
-    failed load is retried after the rest of the sweep for everybody: an
-    engine without a fault budget raises only if that retry fails too,
-    one with a budget re-queues up to its count and then skips the
-    subtree.
-    """
+    """Evaluate one snapshot for each ``(engine, query)``, page-major:
+    :func:`snapshot_block` of the block of the queries."""
     if not pairs:
         return []
-    index = pairs[0][0].index
-    if any(e.index is not index for e, _ in pairs):
-        raise QueryError("a sweep evaluates engines over one index")
-    if len({id(e) for e, _ in pairs}) != len(pairs):
-        raise QueryError("an engine evaluates one snapshot per sweep")
-    clients = [_Client(slot, e, q) for slot, (e, q) in enumerate(pairs)]
-    leaves, fails = _descend(index.tree, clients)
-    _evaluate_leaves(leaves)
-    return [c.assemble(index.tree.root_id, fails) for c in clients]
+    dims = pairs[0][0].index.dims
+    if any(q.dims != dims for _, q in pairs):
+        raise QueryError(f"a query's dims differ from the index's {dims}")
+    return snapshot_block(
+        [e for e, _ in pairs], kernels.QueryBlock.of([q for _, q in pairs])
+    )
 
+
+def snapshot_block(
+    engines: Sequence[NPDQEngine], queries: kernels.QueryBlock
+) -> List[SnapshotResult]:
+    """Evaluate query ``c`` of the block for engine ``c``, page-major.
+
+    Every engine must run over the same :class:`DualTimeIndex`, once;
+    a sweep that refuses a member refuses all of them before it touches
+    any engine.  The tree is swept level by level: each page some
+    engine's descent reaches is loaded once, in page-id order, and then
+    the discard rule is evaluated for every ``(engine, page)`` pair of
+    the level in one :func:`kernels.level_live_rows` call, against one
+    rule block built from the query block and the engines' ``P`` rows;
+    the leaf rows that survive go through one
+    :meth:`kernels.QueryBlock.leaf_tests` call for the whole sweep.
+    Each engine gets what :meth:`NPDQEngine.snapshot` alone would give
+    it — answers, page list and skips in depth-first order, every
+    ``QueryCost`` count — except that the sweep reads a shared page
+    once, and that one failed load is retried after the rest of the
+    sweep for everybody: an engine without a fault budget raises only if
+    that retry fails too, one with a budget re-queues up to its count
+    and then skips the subtree.
+    """
+    if not engines:
+        return []
+    block = _Block(engines, queries)
+    tree = engines[0].index.tree
+    try:
+        leaves, fails = _descend(tree, block)
+        _evaluate_leaves(block, leaves)
+    finally:  # what a raising sweep read is charged, as each load was
+        shares = [CostSnapshot(*tally) for tally in block.tally]
+        for engine, share in zip(engines, shares):
+            engine.cost.absorb(share)
+    return block.assemble(tree.root_id, fails, shares)

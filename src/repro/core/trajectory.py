@@ -228,10 +228,12 @@ class QueryTrajectory:
     # -- page-at-a-time batch evaluation (repro.geometry.kernels) ----------
 
     def kernel_table(self) -> "kernels.TrajectoryTable":
-        """Key times and segment borders as the page kernels' columns."""
+        """Key times, key windows and segment borders as the kernels' columns."""
         if self._table is None:
             self._table = kernels.TrajectoryTable(
-                self._times, [kernels.window_params(s) for s in self._segments]
+                self._times,
+                [kernels.window_params(s) for s in self._segments],
+                [k.window for k in self._keys],
             )
         return self._table
 
@@ -271,14 +273,10 @@ class QueryTrajectory:
         (clamped to the span) plus any key-snapshot window falling
         strictly inside the frame (the sweep is linear between key
         snapshots, so covering those extremes covers the whole swept
-        trapezoid).
+        trapezoid): :func:`kernels.frame_windows` of this trajectory alone.
         """
-        window = self.window_at(start).cover(self.window_at(end))
-        for j in self._segment_range(Interval(start, end)):
-            key = self._keys[j + 1]
-            if start < key.time < end:
-                window = window.cover(key.window)
-        return SnapshotQuery(Interval(start, end), window)
+        block = kernels.QueryBlock.frames(self.kernel_table(), start, end)
+        return SnapshotQuery(block.times[0], block.window(0))
 
     def frame_queries(self, period: float) -> Iterator[SnapshotQuery]:
         """The snapshot query series the application would pose: one

@@ -42,11 +42,11 @@ passes batches around as opaque objects.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import DimensionalityError, GeometryError
+from repro.errors import DimensionalityError, GeometryError, QueryError
 from repro.geometry.box import Box
 from repro.geometry.interval import EMPTY_INTERVAL, Interval
 
@@ -70,12 +70,13 @@ __all__ = [
     "moving_window_box_overlap_batch",
     "moving_window_segment_overlap_batch",
     "TrajectoryTable",
+    "frame_windows",
     "trajectory_live_components",
     "gathered_live_components",
     "segment_box_overlap_batch",
-    "segment_box_overlap_bounds",
     "stamp_column",
     "DiscardRule",
+    "QueryBlock",
     "level_live_rows",
     "live_rows",
     "box_query_masks",
@@ -600,20 +601,25 @@ def window_params(window) -> WindowParams:
 
 
 class TrajectoryTable:
-    """The key times and border lines of key-snapshot trajectories, as
-    the columns :func:`gathered_live_components` reads.
+    """The key times, key windows and border lines of key-snapshot
+    trajectories, as the columns :func:`gathered_live_components` and
+    :func:`frame_windows` read.
 
     Trajectory ``t`` has ``m[t]`` segments.  Its key times are row ``t``
-    of ``keys``, padded with ``+inf`` to the longest trajectory's; the
+    of ``keys``, padded with ``+inf`` to the longest trajectory's, and
+    its key windows' corners rows ``t`` of ``lows`` and ``highs``
+    (``(trajectories, keys, dims)``, padded alike); the
     :class:`WindowParams` of its segment ``j`` are column ``base[t] + j``
     of ``params``, whose rows are ``t_lo``, ``t_hi``, then ``mus``,
     ``ucs``, ``mls`` and ``lcs`` per dimension, and entry ``base[t] + j``
     of ``windows``.  ``end[t]`` is its last key time.
     """
 
-    __slots__ = ("dims", "keys", "m", "end", "base", "params", "windows")
+    __slots__ = ("dims", "keys", "m", "end", "base", "params", "windows", "lows", "highs")
 
-    def __init__(self, key_times: Sequence[float], params: Sequence[WindowParams]):
+    def __init__(
+        self, key_times: Sequence[float], params: Sequence[WindowParams], key_windows: Sequence[Box]
+    ):
         self.dims, self.m, self.windows = params[0].dims, np.asarray([len(params)]), params
         self.keys = np.asarray([key_times], dtype=np.float64)
         self.end, self.base = self.keys[:, -1], np.zeros(1, dtype=np.intp)
@@ -621,6 +627,8 @@ class TrajectoryTable:
             [[p.t_lo, p.t_hi, *p.mus, *p.ucs, *p.mls, *p.lcs] for p in params],
             dtype=np.float64,
         ).T
+        self.lows = np.asarray([[w.lows for w in key_windows]], dtype=np.float64)
+        self.highs = np.asarray([[w.highs for w in key_windows]], dtype=np.float64)
 
     @classmethod
     def stack(cls, tables: Sequence["TrajectoryTable"]) -> "TrajectoryTable":
@@ -634,7 +642,58 @@ class TrajectoryTable:
         table.base = np.cumsum(table.m) - table.m
         table.windows = [w for t in tables for w in t.windows]
         table.params = np.concatenate([t.params for t in tables], axis=1)
+        table.lows, table.highs = (
+            np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1]), (0, 0))) for c in cs])
+            for cs in ([t.lows for t in tables], [t.highs for t in tables])
+        )
         return table
+
+
+def frame_windows(table: TrajectoryTable, start: float, end: float):
+    """The frame window of every trajectory of ``table`` over ``[start,
+    end]``, as ``(lows, highs)`` arrays of ``(trajectories, dims)``.
+
+    Row ``t`` is ``QueryTrajectory.frame_query``'s window, same floats:
+    the windows at ``start`` and at ``end`` (``window_at``: the instant
+    clamped to the span, the segment of the last key time at or before
+    it, ``s.low + frac · (e.low − s.low)``) and every key window strictly
+    inside the frame after the first key, covered in that order as
+    ``Box.cover`` does.
+    """
+    keys, m = table.keys, table.m
+    # both instants at once: axis 0 is (start, end), axis 1 the trajectory
+    t = np.array([[start], [end]], dtype=np.float64)
+    t = np.where(keys[:, 0] > t, keys[:, 0], t)  # min(max(t, low), high)
+    t = np.where(table.end < t, table.end, t)
+    j = np.clip((keys <= t[..., None]).sum(axis=2) - 1, 0, m - 1)  # bisect_right - 1
+    rows = np.arange(len(m))
+    t0, t1 = keys[rows, j], keys[rows, j + 1]
+    frac = ((t - t0) / (t1 - t0))[..., None]  # key times increase: never 0/0
+    s_lo, s_hi = table.lows[rows, j], table.highs[rows, j]
+    e_lo, e_hi = table.lows[rows, j + 1], table.highs[rows, j + 1]
+    w_lo, w_hi = s_lo + frac * (e_lo - s_lo), s_hi + frac * (e_hi - s_hi)
+    lows, highs = _cover(w_lo[0], w_hi[0], w_lo[1], w_hi[1])
+    inside = (keys[:, 1:] > start) & (keys[:, 1:] < end)
+    row, key = inside.nonzero()  # row-major: each row's keys in key order
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    key += 1
+    for step in range(rank.max() + 1 if len(rank) else 0):
+        r, k = row[rank == step], key[rank == step]
+        lows[r], highs[r] = _cover(
+            lows[r], highs[r], table.lows[r, k], table.highs[r, k]
+        )
+    return lows, highs
+
+
+def _cover(a_lo, a_hi, b_lo, b_hi):
+    """Row-wise ``Box.cover``: the other box for an empty one, else per
+    axis ``min``/``max`` keeping the first operand on a tie."""
+    lo = np.where(b_lo < a_lo, b_lo, a_lo)
+    hi = np.where(b_hi > a_hi, b_hi, a_hi)
+    a_empty = (a_lo > a_hi).any(axis=1)[:, None]
+    b_empty = (b_lo > b_hi).any(axis=1)[:, None]
+    lo = np.where(a_empty, b_lo, np.where(b_empty, a_lo, lo))
+    return lo, np.where(a_empty, b_hi, np.where(b_empty, a_hi, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -909,17 +968,6 @@ def segment_box_overlap_batch(
     ``query`` is one :class:`Box` for every row, or a :class:`BoxBatch`
     holding each row's own box — the same arithmetic, broadcast.
     """
-    return [
-        EMPTY_INTERVAL if low > high else Interval(low, high)
-        for low, high in segment_box_overlap_bounds(segs, query)
-    ]
-
-
-def segment_box_overlap_bounds(
-    segs: SegmentBatch, query: Union[Box, BoxBatch]
-) -> List[Tuple[float, float]]:
-    """:func:`segment_box_overlap_batch` as ``(low, high)`` floats, no
-    ``Interval`` built: an empty row is ``(inf, -inf)``."""
     if segs.n == 0:
         return []
     if isinstance(query, BoxBatch):
@@ -930,6 +978,17 @@ def segment_box_overlap_bounds(
         dims, q_lows, q_highs = query.dims, query.lows, query.highs
     if dims != segs.dims + 1:
         raise GeometryError(f"query has {dims} dims, expected {segs.dims + 1}")
+    lo, hi = _segment_box_bounds(segs, q_lows, q_highs)
+    return [
+        EMPTY_INTERVAL if low > high else Interval(low, high)
+        for low, high in zip(lo.tolist(), hi.tolist())
+    ]
+
+
+def _segment_box_bounds(segs: SegmentBatch, q_lows, q_highs):
+    """:func:`segment_box_overlap_batch` as ``(low, high)`` arrays — an
+    empty row is ``(inf, -inf)`` — the query's bounds given per axis (a
+    float, or one per row)."""
     lo, hi = _intersect(segs.t_lo, segs.t_hi, q_lows[0], q_highs[0])
     forced_empty = np.zeros(segs.n, dtype=bool)
     # Interval.length is max(0.0, high - low); mirror Python's max()
@@ -954,9 +1013,7 @@ def segment_box_overlap_bounds(
         lo = np.where(rest, lo, new_lo)
         hi = np.where(rest, hi, new_hi)
     empty = forced_empty | (lo > hi)
-    return list(zip(
-        np.where(empty, np.inf, lo).tolist(), np.where(empty, -np.inf, hi).tolist()
-    ))
+    return np.where(empty, np.inf, lo), np.where(empty, -np.inf, hi)
 
 
 def stamp_column(stamps: Sequence[int]):
@@ -984,7 +1041,7 @@ class DiscardRule:
     __slots__ = ("axes", "_query", "_prev")
 
     def __init__(self, query: Box, prev: Optional[Box] = None, clock: int = -1):
-        self._build([query], [prev], [clock])
+        self._build(*_box_rows([query], [prev], [clock]))
 
     @classmethod
     def of(
@@ -997,51 +1054,29 @@ class DiscardRule:
         ``queries[c]``, ``prevs[c]`` (``None`` for no ``P``) and
         ``clocks[c]``."""
         rule = cls.__new__(cls)
-        rule._build(queries, prevs, clocks)
+        rule._build(*_box_rows(queries, prevs, clocks))
         return rule
 
-    def _build(self, queries, prevs, clocks) -> None:
-        axes, n = queries[0].dims, len(queries)
-        for q, p in zip(queries, prevs):
-            if q.dims != axes:
-                raise GeometryError(f"block mixes {q.dims}- and {axes}-axis queries")
-            if p is not None and p.dims != axes:
-                raise GeometryError(f"prev has {p.dims} axes, query {axes}")
-        self.axes = axes
-        if all(p is None for p in prevs):
-            q_lows, q_highs = _bound_columns(axes, _lows(queries), _highs(queries))
-            #: ``(Q lows, Q highs, Q empty)``: per axis ``(axes, clients,
-            #: 1)``, per client ``(clients, 1)`` — shaped to broadcast
-            #: against ``(axes, clients, rows)`` box planes
-            self._query = (q_lows, q_highs, (q_lows > q_highs).any(axis=0))
+    def _build(self, q_lows, q_highs, p_lows=None, p_highs=None, clock=None) -> None:
+        """The block of ``(clients, axes)`` bound rows of ``Q`` and ``P``
+        (none when no client has a ``P``; one without has its ``Q`` in
+        ``P``'s place and a clock before every stamp, so ``P`` covers
+        nothing for it).  An empty ``P`` needs no mark: ``P.low ≤ max(R.low,
+        Q.low) ≤ min(R.high, Q.high) ≤ P.high`` fails where ``P.low > P.high``."""
+        self.axes = q_lows.shape[1]
+        q_lows, q_highs = q_lows.T[..., None], q_highs.T[..., None]
+        #: ``(Q lows, Q highs, Q empty)``: per axis ``(axes, clients, 1)``,
+        #: per client ``(clients, 1)`` — shaped to broadcast against
+        #: ``(axes, clients, rows)`` box planes
+        self._query = (q_lows, q_highs, (q_lows > q_highs).any(axis=0))
+        if p_lows is None:
             #: ``(P lows, P highs, P.low ≤ Q.low, Q.high ≤ P.high, clock)``,
             #: shaped alike; ``None`` when no client has a ``P``
             self._prev = None
             return
-        # A client without P gets its Q in P's place and a clock before
-        # every stamp, so P covers nothing for it.  An empty P needs no
-        # mark: P.low ≤ max(R.low, Q.low) ≤ min(R.high, Q.high) ≤ P.high
-        # cannot hold on an axis where P.low > P.high.
-        covering = [q if p is None else p for q, p in zip(queries, prevs)]
-        clock = [_NO_CLOCK if p is None else c for p, c in zip(prevs, clocks)]
-        # in this order the coverage halves are the first two columns
-        # against the last two
-        bounds = _bound_columns(
-            axes,
-            _lows(covering),
-            _highs(queries),
-            _lows(queries),
-            _highs(covering),
-        )
-        p_lows, q_highs, q_lows, p_highs = bounds
-        low_side, high_side = bounds[:2] <= bounds[2:]
-        self._query = (q_lows, q_highs, (q_lows > q_highs).any(axis=0))
+        p_lows, p_highs = p_lows.T[..., None], p_highs.T[..., None]
         self._prev = (
-            p_lows,
-            p_highs,
-            low_side,
-            high_side,
-            np.array(clock, dtype=np.int64)[:, None],
+            p_lows, p_highs, p_lows <= q_lows, q_highs <= p_highs, clock[:, None]
         )
 
     def _per_pair(self, clients: Sequence[int]):
@@ -1057,19 +1092,140 @@ class DiscardRule:
 _NO_CLOCK = np.iinfo(np.int64).min
 
 
-def _lows(boxes: Sequence[Box]) -> List[float]:
-    return [e.low for b in boxes for e in b.extents]
+def _box_rows(queries, prevs, clocks):
+    """:meth:`DiscardRule._build`'s bound rows of ``Q`` and ``P`` boxes."""
+    axes = queries[0].dims
+    for b in (*queries, *prevs):
+        if b is not None and b.dims != axes:
+            raise GeometryError(f"a {b.dims}-axis box in a block of {axes}-axis queries")
+    if all(p is None for p in prevs):
+        return _corners(queries)
+    clock = [_NO_CLOCK if p is None else c for p, c in zip(prevs, clocks)]
+    return (
+        *_corners(queries),
+        *_corners([q if p is None else p for q, p in zip(queries, prevs)]),
+        np.array(clock, dtype=np.int64),
+    )
 
 
-def _highs(boxes: Sequence[Box]) -> List[float]:
-    return [e.high for b in boxes for e in b.extents]
+def _corners(boxes: Sequence[Box]):
+    return (
+        np.array([b.lows for b in boxes], dtype=np.float64),
+        np.array([b.highs for b in boxes], dtype=np.float64),
+    )
 
 
-def _bound_columns(axes: int, *fields: List[float]):
-    """Each of ``fields`` (one bound of ``axes`` values per box, box by
-    box) as an ``(axes, boxes, 1)`` column, in one array."""
-    bounds = np.array(fields, dtype=np.float64).reshape(len(fields), -1, axes)
-    return bounds.transpose(0, 2, 1)[..., None]
+class QueryBlock:
+    """The snapshot queries of a sweep's clients as columns, row ``c``
+    client ``c``'s: native-space boxes ``<t̄, window>`` as ``(clients, 1
+    + dims)`` arrays ``lows`` and ``highs``, and each ``t̄`` in ``times``.
+    A client remembers its previous query ``P`` as the float row
+    :meth:`memory` gives it (native lows, highs, then the clock reading);
+    :meth:`recall` makes a sweep's rows the block's ``P``."""
+
+    __slots__ = ("lows", "highs", "times", "prev")
+
+    def __init__(self, lows, highs, times: Sequence[Interval]):
+        self.lows, self.highs, self.times = lows, highs, times
+        #: ``(P lows, P highs, clock)`` arrays, once recalled
+        self.prev = None
+
+    @classmethod
+    def of(cls, queries: Sequence) -> "QueryBlock":
+        """The block of snapshot queries of one dimensionality."""
+        return cls(
+            np.array([(q.time.low, *q.window.lows) for q in queries], dtype=np.float64),
+            np.array([(q.time.high, *q.window.highs) for q in queries], dtype=np.float64),
+            [q.time for q in queries],
+        )
+
+    @classmethod
+    def frames(cls, table: TrajectoryTable, start: float, end: float) -> "QueryBlock":
+        """The frame queries over ``[start, end]`` of every trajectory of
+        ``table`` (:func:`frame_windows`)."""
+        lows, highs = frame_windows(table, start, end)
+        if (lows > highs).any():  # rounding can cross an interpolated window
+            raise QueryError("snapshot query has empty spatial window")
+        return cls(
+            np.insert(lows, 0, start, axis=1),
+            np.insert(highs, 0, end, axis=1),
+            [Interval(start, end)] * len(lows),
+        )
+
+    @property
+    def dims(self) -> int:
+        """Spatial dimensionality of the windows."""
+        return self.lows.shape[1] - 1
+
+    def window(self, c: int) -> Box:
+        """Client ``c``'s window."""
+        return Box.from_bounds(self.lows[c, 1:].tolist(), self.highs[c, 1:].tolist())
+
+    def memory(self, clock: int) -> List[List[float]]:
+        """Every client's row of ``P`` for its next query, read at ``clock``."""
+        clocks = np.full((len(self.lows), 1), clock, dtype=np.float64)
+        return np.concatenate((self.lows, self.highs, clocks), axis=1).tolist()
+
+    def recall(self, memory: Sequence[Optional[Sequence[float]]]) -> DiscardRule:
+        """Take ``memory`` — per client a :meth:`memory` row, or ``None``
+        — as the block's ``P``; returns the block's :class:`DiscardRule`
+        in dual-time space."""
+        rule = DiscardRule.__new__(DiscardRule)
+        if all(row is None for row in memory):
+            rule._build(*_dual(self.lows, self.highs))
+            return rule
+        # a client without P has its Q in P's place and a clock before
+        # every stamp, as in DiscardRule.of
+        own = self.memory(_NO_CLOCK)
+        rows = np.array([o if m is None else m for m, o in zip(memory, own)], dtype=np.float64)
+        axes = self.lows.shape[1]
+        self.prev = rows[:, :axes], rows[:, axes:-1], rows[:, -1].astype(np.int64)
+        rule._build(*_dual(self.lows, self.highs), *_dual(*self.prev[:2]), self.prev[2])
+        return rule
+
+    def leaf_tests(self, pieces: Sequence[tuple]) -> Iterator[tuple]:
+        """The segment tests of ``rows`` of each ``(segments, stamps,
+        rows, client)`` (leaf page, client) pair: per row, pairs in
+        order, ``(old, seen, low, high)`` — ``old`` when
+        ``P`` was read no earlier than the row's stamp, ``seen`` when
+        ``P``'s native box also meets its segment, ``(low, high)`` the
+        :func:`segment_box_overlap_batch` bounds against the client's box
+        ``<[t̄.low, +inf], window>``.  A page's columns are stacked once
+        however many clients read it, and rows gathered by index into it."""
+        at: dict = {}  # id(segments) -> offset of the page in the stack
+        pages, index, sizes, stacked = [], [], [], 0
+        for segments, stamps, rows, _client in pieces:
+            offset = at.get(id(segments))
+            if offset is None:
+                offset = at[id(segments)] = stacked
+                stacked += segments.n
+                pages.append((segments._rows, stamps))
+            index.extend([offset + k for k in rows])
+            sizes.append(len(rows))
+        n, index = len(index), np.asarray(index, dtype=np.intp)
+        client = np.repeat([p[3] for p in pieces], sizes)
+        segments, stamps = zip(*pages)
+        lows, highs, old = self.lows[client], self.highs[client], np.zeros(n, dtype=bool)
+        highs[:, 0] = np.inf
+        tested = index
+        if self.prev is not None:
+            p_lows, p_highs, clock = self.prev
+            old = np.concatenate(stamps)[index] <= clock[client]
+            lows = np.concatenate((lows, p_lows[client]))
+            highs = np.concatenate((highs, p_highs[client]))
+            tested = np.concatenate((index, index))
+        segs = SegmentBatch.__new__(SegmentBatch)
+        segs._rows = np.concatenate(segments, axis=1)[:, tested]
+        segs.n, segs.dims = len(tested), pieces[0][0].dims
+        low, high = _segment_box_bounds(segs, lows.T, highs.T)
+        seen = old & (low[n:] <= high[n:]) if self.prev is not None else old
+        return zip(old.tolist(), seen.tolist(), low[:n].tolist(), high[:n].tolist())
+
+
+def _dual(lows, highs):
+    """Dual-time bounds ``<[-inf, t̄.high], [t̄.low, +inf], window>`` of
+    native-space rows ``<t̄, window>``."""
+    return np.insert(lows, 0, -np.inf, axis=1), np.insert(highs, 1, np.inf, axis=1)
 
 
 def _discard_masks(lows, highs, query, prev):

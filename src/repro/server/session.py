@@ -57,17 +57,16 @@ from typing import (
 from repro.core.aggregate import timeline_of, visible_part
 from repro.core.joins import snapshot_distance_join
 from repro.core.knn import MovingKNN
-from repro.core.npdq import NPDQEngine, snapshot_all
+from repro.core.npdq import NPDQEngine, snapshot_block
 from repro.core.pdq import PDQEngine, sweep_windows
 from repro.core.query import JoinAnswer
 from repro.core.results import AnswerBlock, NeighborBlock, SnapshotResult
 from repro.core.session import DynamicQuerySession
-from repro.core.snapshot import SnapshotQuery
 from repro.core.spdq import SPDQEngine
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import ServerError
 from repro.geometry.interval import Interval
-from repro.geometry.kernels import TrajectoryTable
+from repro.geometry.kernels import QueryBlock, TrajectoryTable
 from repro.server.clock import Tick
 from repro.server.metrics import ClientMetrics
 from repro.storage.metrics import QueryCost
@@ -289,6 +288,7 @@ class _Sweep:
     def __init__(self) -> None:
         self._members: List["weakref.ref[ClientSession]"] = []
         self._tick: Optional[Tick] = None
+        self._stacked: tuple = ((), None)  # the serving members' trajectory tables
 
     def join(self, session: ClientSession) -> None:
         """Evaluate ``session`` with the other members from now on."""
@@ -309,6 +309,14 @@ class _Sweep:
         )
         self._tick = tick
 
+    def _table(self, trajectories) -> Optional[TrajectoryTable]:
+        """One table of ``trajectories``' kernel tables, restacked only
+        when the serving members change."""
+        tables = tuple(t.kernel_table() for t in trajectories)
+        if tables != self._stacked[0]:
+            self._stacked = (tables, TrajectoryTable.stack(tables) if tables else None)
+        return self._stacked[1]
+
 
 class PDQSweep(_Sweep):
     """The sessions of one broker whose tick is one
@@ -321,17 +329,13 @@ class PDQSweep(_Sweep):
         super().__init__()
         self._demand: Dict[int, List[int]] = {}  # by id(session)
         self._failed = 0
-        self._stacked: tuple = ((), None)  # the members' trajectory tables
 
     def _evaluate(self, tick: Tick, serving: List["_WindowSession"]) -> None:
         # the exact engine, or the one a shed session's SPDQ runs
         engines = [getattr(s.engine, "engine", s.engine) for s in serving]
-        tables = tuple(e.trajectory.kernel_table() for e in engines)
-        if tables != self._stacked[0]:
-            self._stacked = (tables, TrajectoryTable.stack(tables) if tables else None)
         demand, self._failed = sweep_windows(
             [(e, tick.start, s._horizon(tick)) for e, s in zip(engines, serving)],
-            self._stacked[1],
+            self._table(e.trajectory for e in engines),
         )
         self._demand = {id(s): pages for s, pages in zip(serving, demand)}
 
@@ -484,9 +488,11 @@ class PDQSession(_WindowSession):
 class NPDQSweep(_Sweep):
     """The non-predictive sessions of one broker, evaluated together.
 
-    A tick's sweep evaluates the frame of every serving member in one
-    :func:`~repro.core.npdq.snapshot_all` over their shared dual tree,
-    and :meth:`take` then hands each member its result, once.
+    A tick's sweep builds the frame of every serving member in one
+    :meth:`~repro.geometry.kernels.QueryBlock.frames` call over their
+    stacked trajectory tables and evaluates them in one
+    :func:`~repro.core.npdq.snapshot_block` over their shared dual tree;
+    :meth:`take` then hands each member its result, once.
     """
 
     def __init__(self) -> None:
@@ -494,9 +500,12 @@ class NPDQSweep(_Sweep):
         self._results: Dict[int, SnapshotResult] = {}  # by id(session)
 
     def _evaluate(self, tick: Tick, serving: List["NPDQSession"]) -> None:
-        results = snapshot_all(
-            [(s.engine, s._frame_query(tick)) for s in serving]
-        )
+        results = snapshot_block(
+            [s.engine for s in serving],
+            QueryBlock.frames(
+                self._table(s.trajectory for s in serving), tick.start, tick.end
+            ),
+        ) if serving else []
         self._results = {id(s): result for s, result in zip(serving, results)}
 
     def take(self, session: "NPDQSession", tick: Tick) -> SnapshotResult:
@@ -540,15 +549,7 @@ class NPDQSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.trajectory = trajectory
         self.engine = NPDQEngine(index, exact=exact, fault_budget=fault_budget)
-        self._frame: Optional[Tuple[Tick, SnapshotQuery]] = None
         NPDQSweep().join(self)
-
-    def _frame_query(self, tick: Tick) -> SnapshotQuery:
-        """The frame the client submitted for ``tick``."""
-        if self._frame is None or self._frame[0] != tick:
-            query = self.trajectory.frame_query(tick.start, tick.end)
-            self._frame = (tick, query)
-        return self._frame[1]
 
     def _frontiers(self, tick: Tick):
         self.sweep.run(tick)

@@ -10,8 +10,9 @@ import struct
 import zlib
 from functools import reduce
 
-from repro.core.npdq import NPDQEngine, _PreviousQuery
+from repro.core.npdq import NPDQEngine
 from repro.core.query import KNNAnswer
+from repro.core.snapshot import SnapshotQuery
 from repro.core.results import AnswerBlock, AnswerItem, NeighborBlock, SnapshotResult
 from repro.errors import CorruptPageError, TransientIOError
 from repro.geometry.box import Box
@@ -269,6 +270,25 @@ def scalar_box_overlap(trajectory, box) -> TimeSet:
     )
 
 
+def scalar_frame_window(trajectory, start, end):
+    """The window of ``QueryTrajectory.frame_query`` before it became the
+    one-row case of ``kernels.frame_windows``: the windows at both ends
+    covered, then every key window strictly inside the frame, one
+    ``Box.cover`` at a time."""
+    window = trajectory.window_at(start).cover(trajectory.window_at(end))
+    for j in trajectory._segment_range(Interval(start, end)):
+        key = trajectory.key_snapshots[j + 1]
+        if start < key.time < end:
+            window = window.cover(key.window)
+    return window
+
+
+def scalar_frame_query(trajectory, start, end):
+    """``QueryTrajectory.frame_query`` as it was: the scalar frame window
+    over ``[start, end]``, refused by ``SnapshotQuery`` when empty."""
+    return SnapshotQuery(Interval(start, end), scalar_frame_window(trajectory, start, end))
+
+
 def scalar_choose_subtree(boxes, box) -> int:
     """Guttman ChooseLeaf as ``RTree._choose_path`` folded it: the first
     index whose ``(enlargement, volume)`` is least under tuple ``<``."""
@@ -449,7 +469,7 @@ class ScalarNPDQEngine(NPDQEngine):
                 )
                 for k in live:  # the others are discardable (Lemma 1)
                     stack.append(node.entries[k].child_id)
-        self._prev = _PreviousQuery(dual, native, tree.clock, query.time)
+        self._memory = [*native.lows, *native.highs, float(tree.clock)]
         return SnapshotResult(
             query_time=query.time,
             items=items,

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.naive import NaiveEvaluator
-from repro.core.npdq import NPDQEngine
+from repro.core.npdq import NPDQEngine, snapshot_all
 from repro.core.snapshot import SnapshotQuery
 from repro.errors import QueryError
+from repro.geometry.box import Box
 from repro.geometry.interval import Interval
+from repro.index.dualtime import DualTimeIndex
 from repro.geometry.segment import segment_box_overlap_interval
 from repro.workload.trajectories import generate_trajectories
 
@@ -227,3 +229,50 @@ class TestBoxExactSoundness:
                 assert not item.visibility.is_empty
                 assert item.visibility.high >= t - 1e-9
             t += 0.2
+
+
+class TestARefusedSweepIsRefusedWhole:
+    """A sweep checks every member — dims, temporal order, a duplicate
+    engine, one index — before it touches any engine: a refused sweep
+    leaves every engine's cost, memory and page list as they were, the
+    members ahead of the flawed one included."""
+
+    @staticmethod
+    def state(engine):
+        return (
+            engine.cost.snapshot(),
+            engine._memory,
+            list(engine.last_loaded_pages),
+            list(engine.skipped_subtrees),
+        )
+
+    @pytest.mark.parametrize("flaw", ["dims", "order", "duplicate", "index"])
+    def test_no_engine_is_touched(self, tiny_dual, tiny_segments, flaw):
+        engines = [NPDQEngine(tiny_dual) for _ in range(3)]
+        queries = []
+        for k, engine in enumerate(engines):
+            engine.snapshot(
+                SnapshotQuery(Interval(3.0, 3.5), window(10 + 20 * k, 20, 30 + 20 * k, 40))
+            )
+            queries.append(
+                SnapshotQuery(Interval(3.5, 4.0), window(12 + 20 * k, 20, 32 + 20 * k, 40))
+            )
+        pairs = list(zip(engines, queries))
+        if flaw == "dims":
+            flat = Box.from_bounds([0.0, 0.0, 0.0], [9.0, 9.0, 9.0])
+            pairs.append((NPDQEngine(tiny_dual), SnapshotQuery(Interval(3.5, 4.0), flat)))
+        elif flaw == "order":
+            late = NPDQEngine(tiny_dual)
+            late.snapshot(SnapshotQuery(Interval(5.0, 6.0), window(20, 20, 40, 40)))
+            pairs.append((late, queries[0]))
+        elif flaw == "duplicate":
+            pairs.append((engines[0], queries[0]))
+        else:
+            other = DualTimeIndex(dims=2)
+            other.bulk_load(tiny_segments[:200])
+            pairs.append((NPDQEngine(other), queries[0]))
+        assert all(e.last_loaded_pages for e in engines)
+        before = [self.state(e) for e, _ in pairs]
+        with pytest.raises(QueryError):
+            snapshot_all(pairs)
+        assert [self.state(e) for e, _ in pairs] == before

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.trajectory import KeySnapshot, QueryTrajectory
-from repro.errors import GeometryError
+from repro.errors import GeometryError, QueryError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
@@ -40,7 +40,13 @@ from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry
 from repro.motion.segment import MotionSegment
 
-from _helpers import scalar_box_overlap, scalar_choose_subtree, scalar_live_rows
+from _helpers import (
+    scalar_box_overlap,
+    scalar_choose_subtree,
+    scalar_frame_query,
+    scalar_frame_window,
+    scalar_live_rows,
+)
 
 # Exactly-representable grid values make "touching" cases genuinely
 # touch; the continuous component exercises arbitrary doubles.
@@ -1008,6 +1014,48 @@ class TestGatheredDemands:
                 assert [(x, math.copysign(1.0, x)) for x in a] == [
                     (x, math.copysign(1.0, x)) for x in b
                 ]
+
+
+def _bits(box: Box):
+    """A box's bounds as hex strings: ``-0.0`` and ``0.0`` differ."""
+    return [(float(e.low).hex(), float(e.high).hex()) for e in box.extents]
+
+
+class TestFrameWindows:
+    """``frame_windows`` — every row of a stacked table at once — and
+    ``frame_query``, its one-row case, against the scalar frame query
+    (``window_at`` at both ends, then the key windows strictly inside
+    the frame, one ``Box.cover`` at a time): same floats, bit for bit,
+    on multi-key trajectories, frames that start or end on a key
+    instant, straddle either end of a span or lie past it, and frames of
+    zero length."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=120)
+    def test_every_row_is_the_scalar_frame(self, data):
+        dims = data.draw(_DIMS)
+        trajectories = [
+            data.draw(keyed_trajectories(dims))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=4)))
+        ]
+        table = kernels.TrajectoryTable.stack([t.kernel_table() for t in trajectories])
+        key_times = sorted({k.time for t in trajectories for k in t.key_snapshots})
+        instant = st.sampled_from(key_times) | st.floats(
+            min_value=key_times[0] - 5.0, max_value=key_times[-1] + 5.0, allow_nan=False
+        )
+        start = data.draw(instant)
+        start, end = sorted((start, data.draw(instant | st.just(start))))
+        lows, highs = kernels.frame_windows(table, start, end)
+        for t, trajectory in enumerate(trajectories):
+            window = scalar_frame_window(trajectory, start, end)
+            want = _bits(window)
+            assert _bits(Box.from_bounds(lows[t].tolist(), highs[t].tolist())) == want
+            if window.is_empty:  # rounding crossed an interpolated window
+                for frame_query in (scalar_frame_query, QueryTrajectory.frame_query):
+                    with pytest.raises(QueryError):
+                        frame_query(trajectory, start, end)
+            else:
+                assert _bits(trajectory.frame_query(start, end).window) == want
 
 
 class TestDegenerateShapes:

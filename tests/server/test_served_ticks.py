@@ -19,11 +19,11 @@ import gc
 import pytest
 
 from repro.core import QuerySpec
-from repro.core.npdq import _Client
 from repro.core.query import KNNAnswer
 from repro.core.results import AnswerItem
 from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
+from repro.geometry.kernels import QueryBlock
 from repro.index.codec import ChecksummedCodec, DualTimeNodeCodec, NativeNodeCodec
 from repro.index.pagearrays import PageRows
 from repro.index.dualtime import DualTimeIndex
@@ -88,13 +88,13 @@ def test_no_entry_object_after_registration(backing, tiny_segments, fleet, monke
 
 
 #: Where a served tick still builds an ``Interval`` that is no answer's:
-#: the client's query geometry (its window and the frame's query boxes)
-#: and, on a codec-backed tree, the records a decoded leaf builds once
-#: for its record column.
+#: the client's query geometry (its window and the frame's time, once a
+#: sweep) and, on a codec-backed tree, the records a decoded leaf builds
+#: once for its record column.
 _NOT_ANSWERS = (
     (QueryTrajectory, "window_at"),
     (QueryTrajectory, "frame_query"),
-    (_Client, "__init__"),
+    (QueryBlock, "frames"),
     (PageRows, "_make_records"),
 )
 
