@@ -19,10 +19,11 @@ effect or a forbidden layer is:
 * :mod:`repro.analysis.graph.effects` holds the effect contracts
   (``EFFECT_CONTRACTS``): a site inside a bound module is
   DQD01/02 or DQL05–07, a bound module that can *reach* one elsewhere
-  is DQG02–DQG04;
-* :mod:`repro.analysis.graph.protocol` cross-references the remote
-  protocol registry, the worker's ``_HANDLERS`` table, and every
-  front-end send site (DQP01).
+  is DQG02–DQG04.
+
+The remote wire protocol needs no rule here: its message types, worker
+handlers, replay set and wire objects are each declared once, in
+:mod:`repro.server.remote.protocol`, so there are no copies to drift.
 
 :class:`~repro.analysis.engine.LintEngine` runs these over the same
 parsed files as the syntactic per-file rules and settles every finding
@@ -40,7 +41,6 @@ from repro.analysis.graph.model import (
     build_program,
     module_name_for,
 )
-from repro.analysis.graph.protocol import ProtocolDriftRule
 
 __all__ = [
     "GRAPH_RULES",
@@ -53,10 +53,9 @@ __all__ = [
     "EFFECT_CONTRACTS",
     "LayerReachRule",
     "EffectRule",
-    "ProtocolDriftRule",
     "build_program",
     "module_name_for",
 ]
 
 #: Every whole-program rule.
-GRAPH_RULES = (LayerReachRule(), EffectRule(), ProtocolDriftRule())
+GRAPH_RULES = (LayerReachRule(), EffectRule())

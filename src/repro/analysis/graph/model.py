@@ -212,13 +212,6 @@ class ModuleInfo:
     export_origin: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: local alias -> dotted module for plain imports.
     module_aliases: Dict[str, str] = field(default_factory=dict)
-    #: top-level ``NAME = <int|str constant>`` assignments (DQP01 input).
-    constants: Dict[str, object] = field(default_factory=dict)
-    #: top-level dict-literal assignments with Name keys (DQP01 input):
-    #: var name -> [(key name, key line, value node), ...]
-    name_key_dicts: Dict[str, List[Tuple[str, int, ast.AST]]] = field(
-        default_factory=dict
-    )
 
 
 class Program:
@@ -570,30 +563,6 @@ class _ModuleScanner:
             return f"{dotted}.{orig}"
         return None
 
-    # -- constants / dict literals (DQP01) ----------------------------------
-
-    def record_assign(self, node: ast.Assign) -> None:
-        if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-            return
-        name = node.targets[0].id
-        value = node.value
-        if isinstance(value, ast.Constant) and isinstance(
-            value.value, (int, str)
-        ):
-            self.info.constants[name] = value.value
-        elif isinstance(value, ast.Dict):
-            entries: List[Tuple[str, int, ast.AST]] = []
-            for key, val in zip(value.keys, value.values):
-                key_name = None
-                if isinstance(key, ast.Name):
-                    key_name = key.id
-                elif isinstance(key, ast.Attribute):
-                    key_name = key.attr
-                if key_name is not None:
-                    entries.append((key_name, key.lineno, val))
-            if entries:
-                self.info.name_key_dicts[name] = entries
-
     # -- deferred __getattr__ exports ---------------------------------------
 
     def record_getattr(self, node: ast.FunctionDef) -> None:
@@ -704,7 +673,6 @@ def _scan_body(
                 and not class_prefix
                 and isinstance(stmt, ast.Assign)
             ):
-                scanner.record_assign(stmt)
                 scanner.record_lazy_map(stmt)
             _scan_stmt(scanner, stmt, qual, class_prefix, lazy)
 

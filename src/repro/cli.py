@@ -492,7 +492,7 @@ class _DurableStore:
 
         self.cfg = cfg = cfg or self.cfg
         flavours = [("native", NativeSpaceIndex, NativeNodeCodec)]
-        if cfg["kind"] in _DUAL_KINDS:
+        if _needs_dual(cfg["kind"]):
             flavours.append(("dual", DualTimeIndex, DualTimeNodeCodec))
         places = [(0, self.data_dir, "")]
         if cfg["shards"] > 1:
@@ -672,8 +672,12 @@ _FLEET_KINDS = {
     "zoo": ["pdq", "knn", "join", "aggregate"],
 }
 
-#: ``--kind`` values that need the dual-time index built.
-_DUAL_KINDS = ("npdq", "auto", "mixed")
+
+def _needs_dual(fleet_kind: str) -> bool:
+    """Whether a ``--kind`` value's fleet needs the dual-time index built."""
+    from repro.server.kinds import KINDS
+
+    return any(KINDS[kind].needs_dual for kind in _FLEET_KINDS[fleet_kind])
 
 
 def _register_fleet(broker, fleet, cfg: dict):
@@ -1011,7 +1015,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     process_workers = args.workers == "process"
     shards = cfg["shards"]
     shards_note = f", {shards} shards" if shards > 1 else ""
-    need_dual = cfg["kind"] in _DUAL_KINDS
+    need_dual = _needs_dual(cfg["kind"])
 
     with contextlib.ExitStack() as cleanup:
         through = -1

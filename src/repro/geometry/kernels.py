@@ -985,6 +985,7 @@ def segment_box_overlap_batch(
     ]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # v == 0, inf spans
 def _segment_box_bounds(segs: SegmentBatch, q_lows, q_highs):
     """:func:`segment_box_overlap_batch` as ``(low, high)`` arrays — an
     empty row is ``(inf, -inf)`` — the query's bounds given per axis (a
@@ -1004,9 +1005,8 @@ def _segment_box_bounds(segs: SegmentBatch, q_lows, q_highs):
         # containment decides, the algebraic branch is skipped.
         rest = (v == 0.0) | (x0 + v * length == x0)
         forced_empty |= rest & ~((w_lo <= x0) & (x0 <= w_hi))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ta = segs.t_lo + (w_lo - x0) / v
-            tb = segs.t_lo + (w_hi - x0) / v
+        ta = segs.t_lo + (w_lo - x0) / v
+        tb = segs.t_lo + (w_hi - x0) / v
         o_lo = np.where(ta <= tb, ta, tb)
         o_hi = np.where(ta <= tb, tb, ta)
         new_lo, new_hi = _intersect(lo, hi, o_lo, o_hi)

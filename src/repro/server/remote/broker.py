@@ -85,21 +85,6 @@ class _TransportError(RemoteWorkerError):
     """A worker stopped answering (timeout, EOF, torn frame) — retryable."""
 
 
-#: Message types replayed against a respawned worker.  METRICS and
-#: SHUTDOWN are read-only / terminal and never journaled.
-_REPLAYABLE = frozenset(
-    {
-        proto.MSG_LOAD,
-        proto.MSG_REGISTER,
-        proto.MSG_TICK,
-        proto.MSG_SUBMIT,
-        proto.MSG_SHED,
-        proto.MSG_PROMOTE,
-        proto.MSG_CLOSE,
-    }
-)
-
-
 class RemoteSubSession:
     """Front-end proxy for one client's sub-session on one worker.
 
@@ -414,7 +399,7 @@ class RemoteMultiplexBroker(MultiplexBroker):
                     )
                 await self._respawn(handle)
                 continue
-            if msg_type in _REPLAYABLE:
+            if msg_type in proto.REPLAYABLE:
                 handle.journal.append((msg_type, payload))
             return reply
 

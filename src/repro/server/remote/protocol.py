@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import enum
 import json
 import struct
 import zlib
@@ -82,18 +83,11 @@ __all__ = [
     "FRAME_MAGIC",
     "FRAME_HEADER_SIZE",
     "MAX_FRAME_BYTES",
-    "MSG_HELLO",
-    "MSG_LOAD",
-    "MSG_REGISTER",
-    "MSG_TICK",
-    "MSG_SUBMIT",
-    "MSG_SHED",
-    "MSG_PROMOTE",
-    "MSG_CLOSE",
-    "MSG_METRICS",
-    "MSG_SHUTDOWN",
-    "MSG_RESULT",
-    "MSG_ERROR",
+    "Msg",
+    "Role",
+    "REQUESTS",
+    "REPLAYABLE",
+    "WIRE_OBJECTS",
     "message_name",
     "pack_frame",
     "parse_header",
@@ -107,7 +101,6 @@ __all__ = [
 #: objects and the ``neighbors``/``pairs``/``aggregate``/``k``
 #: tick-result fields.  Version 3 ships a result's answers as packed
 #: column blocks (``cb``, in the module docstring) in place of the
-#: per-answer ``ai``/``ka`` objects.  Both ends reject a version
 #: per-answer ``ai``/``ka`` objects; version 4 a LOAD's segments as one
 #: segment table block in place of ``seg`` objects.  Both ends reject a
 #: version mismatch outright — the worker is always spawned from the same
@@ -125,38 +118,57 @@ MAX_FRAME_BYTES = 1 << 28
 
 # -- message types ---------------------------------------------------------
 
-MSG_HELLO = 1  # front-end -> worker: build the shard's broker
-MSG_LOAD = 2  # front-end -> worker: bulk-load this shard's segment subset
-MSG_REGISTER = 3  # front-end -> worker: admit one client sub-session
-MSG_TICK = 4  # front-end -> worker: run one master tick, return results
-MSG_SUBMIT = 5  # front-end -> worker: enqueue one insert/expire op
-MSG_SHED = 6  # front-end -> worker: degrade one sub-session to SPDQ
-MSG_PROMOTE = 7  # front-end -> worker: restore one sub-session
-MSG_CLOSE = 8  # front-end -> worker: close one sub-session
-MSG_METRICS = 9  # front-end -> worker: report shard-level counters
-MSG_SHUTDOWN = 10  # front-end -> worker: quiesce and exit
-MSG_RESULT = 32  # worker -> front-end: successful reply
-MSG_ERROR = 33  # worker -> front-end: the request raised a ReproError
 
-_MESSAGE_NAMES = {
-    MSG_HELLO: "HELLO",
-    MSG_LOAD: "LOAD",
-    MSG_REGISTER: "REGISTER",
-    MSG_TICK: "TICK",
-    MSG_SUBMIT: "SUBMIT",
-    MSG_SHED: "SHED",
-    MSG_PROMOTE: "PROMOTE",
-    MSG_CLOSE: "CLOSE",
-    MSG_METRICS: "METRICS",
-    MSG_SHUTDOWN: "SHUTDOWN",
-    MSG_RESULT: "RESULT",
-    MSG_ERROR: "ERROR",
-}
+class Role(enum.Enum):
+    """What a message type is for, and so who handles and who replays it."""
+
+    HANDSHAKE = "handshake"  # request: builds the worker, first on a respawn too
+    REPLAYABLE = "replayable"  # request: journaled, replayed on a respawn
+    READ_ONLY = "read-only"  # request: never journaled
+    REPLY = "reply"  # worker -> front-end
+
+
+@enum.unique
+class Msg(enum.IntEnum):
+    """Every message type, declared once: its wire value, its name and
+    its :class:`Role`.  The worker's dispatch (one ``ShardWorker._<name>``
+    per request type), the broker's replay journal and
+    :func:`message_name` are all read off this table, and each member is
+    also a module constant ``MSG_<NAME>``."""
+
+    def __new__(cls, value: int, role: Role) -> "Msg":
+        member = int.__new__(cls, value)
+        member._value_ = value
+        member.role = role
+        return member
+
+    HELLO = 1, Role.HANDSHAKE  # build the shard's broker
+    LOAD = 2, Role.REPLAYABLE  # bulk-load this shard's segment subset
+    REGISTER = 3, Role.REPLAYABLE  # admit one client sub-session
+    TICK = 4, Role.REPLAYABLE  # run one master tick, return results
+    SUBMIT = 5, Role.REPLAYABLE  # enqueue one insert/expire op
+    SHED = 6, Role.REPLAYABLE  # degrade one sub-session to SPDQ
+    PROMOTE = 7, Role.REPLAYABLE  # restore one sub-session
+    CLOSE = 8, Role.REPLAYABLE  # close one sub-session
+    METRICS = 9, Role.READ_ONLY  # report shard-level counters
+    SHUTDOWN = 10, Role.READ_ONLY  # quiesce and exit
+    RESULT = 32, Role.REPLY  # successful reply
+    ERROR = 33, Role.REPLY  # the request raised a ReproError
+
+
+globals().update((f"MSG_{msg.name}", msg) for msg in Msg)
+
+#: The types a worker handles, and those its front-end replays.
+REQUESTS = frozenset(msg for msg in Msg if msg.role is not Role.REPLY)
+REPLAYABLE = frozenset(msg for msg in Msg if msg.role is Role.REPLAYABLE)
 
 
 def message_name(msg_type: int) -> str:
     """Human-readable name for a message type (for diagnostics)."""
-    return _MESSAGE_NAMES.get(msg_type, f"UNKNOWN({msg_type})")
+    try:
+        return Msg(msg_type).name
+    except ValueError:
+        return f"UNKNOWN({msg_type})"
 
 
 # -- the typed-object registry ---------------------------------------------
@@ -378,35 +390,27 @@ def _dec_update_op(v: Any) -> UpdateOp:
     return UpdateOp(float(v["time"]), str(v["kind"]), _dec_motion(v["seg"]))
 
 
+#: One row per wire type: ``(type, tag, encoder, decoder)``.  A tag may
+#: serve several types (``cb``) but has one decoder.
+WIRE_OBJECTS: Tuple[Tuple[type, str, Any, Any], ...] = (
+    (Interval, "iv", _enc_interval, _dec_interval),
+    (Box, "box", _enc_box, _dec_box),
+    (SpaceTimeSegment, "sts", _enc_sts, _dec_sts),
+    (MotionSegment, "seg", _enc_motion, _dec_motion),
+    (KeySnapshot, "ks", _enc_key_snapshot, _dec_key_snapshot),
+    (QueryTrajectory, "traj", _enc_trajectory, _dec_trajectory),
+    (AnswerBlock, "cb", _enc_block, _dec_block),
+    (NeighborBlock, "cb", _enc_block, _dec_block),
+    (SegmentTable, "cb", _enc_table, _dec_block),
+    (JoinAnswer, "ja", _enc_join_answer, _dec_join_answer),
+    (TickResult, "tr", _enc_tick_result, _dec_tick_result),
+    (TickMetrics, "tm", _enc_tick_metrics, _dec_tick_metrics),
+    (UpdateOp, "op", _enc_update_op, _dec_update_op),
+)
 _BY_TYPE: Dict[type, Tuple[str, Any]] = {
-    Interval: ("iv", _enc_interval),
-    Box: ("box", _enc_box),
-    SpaceTimeSegment: ("sts", _enc_sts),
-    MotionSegment: ("seg", _enc_motion),
-    KeySnapshot: ("ks", _enc_key_snapshot),
-    QueryTrajectory: ("traj", _enc_trajectory),
-    AnswerBlock: ("cb", _enc_block),
-    NeighborBlock: ("cb", _enc_block),
-    SegmentTable: ("cb", _enc_table),
-    JoinAnswer: ("ja", _enc_join_answer),
-    TickResult: ("tr", _enc_tick_result),
-    TickMetrics: ("tm", _enc_tick_metrics),
-    UpdateOp: ("op", _enc_update_op),
+    cls: (tag, encode) for cls, tag, encode, _ in WIRE_OBJECTS
 }
-
-_BY_TAG: Dict[str, Any] = {
-    "iv": _dec_interval,
-    "box": _dec_box,
-    "sts": _dec_sts,
-    "seg": _dec_motion,
-    "ks": _dec_key_snapshot,
-    "traj": _dec_trajectory,
-    "cb": _dec_block,
-    "ja": _dec_join_answer,
-    "tr": _dec_tick_result,
-    "tm": _dec_tick_metrics,
-    "op": _dec_update_op,
-}
+_BY_TAG: Dict[str, Any] = {tag: decode for _, tag, _, decode in WIRE_OBJECTS}
 
 
 def _to_wire(value: Any) -> Any:

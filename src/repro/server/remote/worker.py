@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Any, BinaryIO, Dict, Optional
+from typing import Any, BinaryIO, Callable, Dict, Optional
 
 from repro.errors import RemoteProtocolError, ReproError
 from repro.index.dualtime import DualTimeIndex
@@ -178,17 +178,10 @@ class ShardWorker:
         return {"expired": self.shard.quiesce()}
 
 
-_HANDLERS = {
-    proto.MSG_HELLO: ShardWorker._hello,
-    proto.MSG_LOAD: ShardWorker._load,
-    proto.MSG_REGISTER: ShardWorker._register,
-    proto.MSG_TICK: ShardWorker._tick,
-    proto.MSG_SUBMIT: ShardWorker._submit,
-    proto.MSG_SHED: ShardWorker._shed,
-    proto.MSG_PROMOTE: ShardWorker._promote,
-    proto.MSG_CLOSE: ShardWorker._close,
-    proto.MSG_METRICS: ShardWorker._metrics,
-    proto.MSG_SHUTDOWN: ShardWorker._shutdown,
+#: One handler per request type, ``ShardWorker._<name>``: a request type
+#: without one fails here, at import, not when it is first sent.
+_HANDLERS: Dict[int, Callable[[ShardWorker, Any], Any]] = {
+    msg: getattr(ShardWorker, f"_{msg.name.lower()}") for msg in proto.REQUESTS
 }
 
 

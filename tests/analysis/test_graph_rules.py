@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-program rules (DQG01–04, DQP01).
+"""Fixture tests for the whole-program rules (DQG01–04).
 
 Each violating fixture is built so *no direct rule fires* — the
 effect site lives in a module its layer allows, and the forbidden
@@ -200,113 +200,6 @@ class TestEffectReach:
             tmp_path, capsys, {"repro/server/remote/spawner.py": spawner}
         )
         assert code == 0, out
-
-
-PROTO = """\
-PROTOCOL_VERSION = 1
-MSG_HELLO = 1
-MSG_TICK = 2
-MSG_RESULT = 32
-MSG_ERROR = 33
-_MESSAGE_NAMES = {
-    MSG_HELLO: "HELLO",
-    MSG_TICK: "TICK",
-    MSG_RESULT: "RESULT",
-    MSG_ERROR: "ERROR",
-}
-"""
-
-WORKER = """\
-from repro.rpc import protocol as proto
-
-
-class W:
-    def _hello(self, p):
-        return {}
-
-    def _tick(self, p):
-        return {}
-
-
-_HANDLERS = {
-    proto.MSG_HELLO: W._hello,
-    proto.MSG_TICK: W._tick,
-}
-"""
-
-
-class TestProtocolDrift:
-    def test_agreeing_registry_and_handlers_are_clean(self, tmp_path, capsys):
-        code, out = lint_graph(
-            tmp_path,
-            capsys,
-            {"repro/rpc/protocol.py": PROTO, "repro/rpc/worker.py": WORKER},
-        )
-        assert code == 0, out
-
-    def test_dropped_handler_entry_fails(self, tmp_path, capsys):
-        code, out = lint_graph(
-            tmp_path,
-            capsys,
-            {
-                "repro/rpc/protocol.py": PROTO,
-                "repro/rpc/worker.py": WORKER.replace(
-                    "    proto.MSG_TICK: W._tick,\n", ""
-                ),
-            },
-        )
-        assert code == 1
-        assert "DQP01" in out and "MSG_TICK" in out
-
-    def test_handler_for_undefined_type_fails(self, tmp_path, capsys):
-        code, out = lint_graph(
-            tmp_path,
-            capsys,
-            {
-                "repro/rpc/protocol.py": PROTO,
-                "repro/rpc/worker.py": WORKER.replace(
-                    "proto.MSG_TICK: W._tick", "proto.MSG_GONE: W._tick"
-                ),
-            },
-        )
-        assert code == 1
-        assert "MSG_GONE" in out
-
-    def test_version_mismatch_fails(self, tmp_path, capsys):
-        code, out = lint_graph(
-            tmp_path,
-            capsys,
-            {
-                "repro/rpc/protocol.py": PROTO,
-                "repro/rpc/worker.py": WORKER + "\nPROTOCOL_VERSION = 2\n",
-            },
-        )
-        assert code == 1
-        assert "PROTOCOL_VERSION" in out
-
-    def test_duplicate_wire_value_fails(self, tmp_path, capsys):
-        code, out = lint_graph(
-            tmp_path,
-            capsys,
-            {
-                "repro/rpc/protocol.py": PROTO.replace(
-                    "MSG_TICK = 2", "MSG_TICK = 1"
-                ),
-                "repro/rpc/worker.py": WORKER,
-            },
-        )
-        assert code == 1
-        assert "share wire value" in out
-
-    def test_reply_types_need_no_handler(self, tmp_path, capsys):
-        # MSG_RESULT / MSG_ERROR are emitted, never dispatched.
-        code, out = lint_graph(
-            tmp_path,
-            capsys,
-            {"repro/rpc/protocol.py": PROTO, "repro/rpc/worker.py": WORKER},
-        )
-        assert code == 0, out
-        assert "MSG_RESULT" not in out and "MSG_ERROR" not in out
 
 
 class TestGraphPlumbing:

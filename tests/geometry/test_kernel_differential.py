@@ -16,6 +16,7 @@ boundaries actually touch.
 from __future__ import annotations
 
 import math
+import warnings
 from functools import partial
 
 import pytest
@@ -277,6 +278,20 @@ class TestSegmentBoxKernel:
         explicit = kernels.segment_box_overlap_batch(batch, query)
         assert derived == [e.is_empty for e in explicit]
         assert derived == [False, False, True, False, True, False, True]
+
+    def test_an_unbounded_segment_at_rest_is_silent(self):
+        # v == 0 over an infinite span: the displacement v * length is
+        # 0 * inf, a nan the rest test discards.  It must not warn (a
+        # kernel warning is an error under this suite's pytest filter).
+        segs = [
+            SpaceTimeSegment(Interval(0.0, math.inf), (1.0, 2.0), (0.0, 0.5)),
+            SpaceTimeSegment(Interval(-math.inf, math.inf), (5.0, 2.0), (1.0, 0.0)),
+        ]
+        query = Box.from_bounds((0.0, 0.0, 0.0), (10.0, 3.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.segment_box_overlap_batch(_segment_batch(segs), query)
+        assert got == [segment_box_overlap_interval(s, query) for s in segs]
 
     def test_per_row_boxes_must_match_the_rows(self):
         seg = SpaceTimeSegment(Interval(0.0, 1.0), (0.5,), (0.0,))

@@ -156,6 +156,67 @@ def test_kind_on_tier_matches_unsharded(kind, tier, tiny_segments, fleet):
         assert {cid: plan.shards for cid, plan in plans.items()} == fanout
 
 
+#: tick -> what the front-end does to the first PDQ client before it
+LIFECYCLE = {
+    2: lambda b: b.session("pdq-0").shed(1.0, 2),
+    5: lambda b: b.session("pdq-0").promote(),
+    7: lambda b: b.close_client("pdq-0"),
+}
+
+
+@pytest.mark.parametrize("tier", ["mux", "remote"])
+def test_shed_promote_close_match_unsharded(tier, tiny_segments, fleet):
+    """SHED, PROMOTE and CLOSE from the front-end, mid-run: each sharded
+    tier delivers the unsharded broker's stream frame by frame, and on
+    the process tier SUBMIT and METRICS cross a spawned worker too."""
+    trajectories = fleet(3, mode="spread", duration=TICKS * PERIOD + 0.5)
+    insert = UpdateOp(
+        START + 3 * PERIOD,
+        "insert",
+        make_segment(
+            9600, 0, START + 3 * PERIOD, START + 1.5,
+            trajectories[0].window_at(START + 4 * PERIOD).center, (0.0, 0.0),
+        ),
+    )
+
+    def run(broker):
+        try:
+            for i, t in enumerate(trajectories):
+                FRONT_DOOR["pdq"](broker, f"pdq-{i}", t)
+            broker.submit(insert)
+            frames, states = {}, []
+            for tick in range(TICKS):
+                if tick in LIFECYCLE:
+                    LIFECYCLE[tick](broker)
+                states.append(broker.session("pdq-0").state.name)
+                for cid, got in serve(broker, 1).items():
+                    frames.setdefault(cid, []).extend(got)
+            return frames, states, broker._shard_reports()
+        finally:
+            broker.quiesce()
+
+    expected, states, _ = run(build("leaf", tiny_segments))
+    assert states == ["ACTIVE"] * 2 + ["SHED"] * 3 + ["ACTIVE"] * 2 + ["CLOSED"]
+    modes = [frame[1] for frame in expected["pdq-0"]]
+    assert "spdq" in modes and modes[-1] == "pdq" and len(modes) < TICKS
+    got, got_states, reports = run(build(tier, tiny_segments))
+    assert got_states == states
+    for cid in expected:
+        for k, (want, frame) in enumerate(zip(expected[cid], got[cid])):
+            assert frame == want, f"{tier} {cid} frame {k}"
+        assert len(got[cid]) == len(expected[cid]), cid
+    if tier == "remote":
+        # METRICS answers the in-process shard's counters, the SUBMIT
+        # among them.  Physical reads are left out: the in-process
+        # planner reads each shard's root through its pool at register.
+        fields = ("records", "clients", "logical_reads", "updates_applied")
+        in_process = run(build("mux", tiny_segments))[2]
+        assert [[r[f] for f in fields] for r in reports] == [
+            [r[f] for f in fields] for r in in_process
+        ]
+        assert sum(r["updates_applied"] for r in reports) >= 1
+
+
 def test_unknown_kind_is_refused_on_every_surface(tiny_segments, fleet):
     trajectory = fleet(1, duration=1.0)[0]
     with pytest.raises(ServerError, match="unknown query kind"):
