@@ -11,8 +11,9 @@ path from outside with ``perf_counter``:
 * ``route`` — shard routing (``ShardRouter.route``, or the per-segment
   ``ShardRouter.shards_for_segment`` of an older checkout; the
   conversion of each routed chunk is in ``build`` only);
-* ``note`` — the process front-end's record count and domain
-  (``_WorkerHandle._note``);
+* ``note`` — the front-end's per-shard record count and domain
+  (``MultiplexBroker._note``; ``_WorkerHandle._note``, the process tier
+  alone, in an older checkout);
 * ``pack`` — framing the LOAD messages (``protocol.pack_frame``);
 * ``load rt`` — the slowest worker's LOAD round trip (pack, pipe, the
   worker's decode and bulk load, reply);
@@ -30,7 +31,7 @@ in-process shard is loaded with exactly the keys, in population order,
 that the per-segment Box-algebra routing (``tests/_helpers.py``'s
 ``box_buckets``) sends it, and that each process worker's record count
 and domain, as its front-end noted them and as the worker reports them,
-equal the in-process shard's.  Exit status 1 on a mismatch.
+equal the in-process shard's (its domain read off its tree's root).  Exit status 1 on a mismatch.
 
 The timers wrap whichever entry points the checkout has, so the same
 script measures a parent commit too.
@@ -56,6 +57,7 @@ from repro.server import MultiplexBroker, RemoteMultiplexBroker  # noqa: E402
 from repro.server import ServerConfig, SimulatedClock  # noqa: E402
 from repro.server.remote import broker as remote_mod  # noqa: E402
 from repro.server.remote import protocol  # noqa: E402
+from repro.server.planner import IndexStats  # noqa: E402
 from repro.server.shard import IndexShard, ShardRouter  # noqa: E402
 from repro.workload.config import WorkloadConfig  # noqa: E402
 from repro.workload.objects import generate_motion_segments  # noqa: E402
@@ -92,7 +94,10 @@ def _install() -> None:
         _timed(ShardRouter, "route", "route")
     else:
         _timed(ShardRouter, "shards_for_segment", "route")
-    _timed(remote_mod._WorkerHandle, "_note", "note")
+    if hasattr(MultiplexBroker, "_note"):
+        _timed(MultiplexBroker, "_note", "note")
+    else:
+        _timed(remote_mod._WorkerHandle, "_note", "note")
     _timed(protocol, "pack_frame", "pack", lambda a: a[0] == protocol.MSG_LOAD)
 
     bulk = IndexShard.load
@@ -147,12 +152,13 @@ def _check(segments, side: float) -> bool:
             oracle = box_buckets(mux.plan, segments, mux._route_inflation)
             got = [loaded.get(i, []) for i in range(shards)]
             reports = proc._shard_reports()
-            for i, (shard, handle) in enumerate(zip(mux.shards, proc.workers)):
-                domain = shard.index_stats().domain
+            for i, shard in enumerate(mux.shards):
+                records, domain = proc._routed[i]
                 same = (
                     got[i] == oracle[i],
-                    handle._records == shard.record_count == reports[i]["records"],
-                    handle._domain == domain,
+                    records == shard.record_count == reports[i]["records"],
+                    domain == mux._routed[i][1]
+                    == IndexStats.from_index(shard.native).domain,
                 )
                 print(
                     f"K={shards} shard {i}: {len(oracle[i])} rows, bucket "

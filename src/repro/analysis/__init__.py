@@ -32,8 +32,8 @@ Two halves:
 * the runtime sanitizers (:mod:`repro.analysis.sanitizers`), activated
   by ``REPRO_SANITIZE=1`` through the pytest plugin
   (:mod:`repro.analysis.pytest_plugin`), catch what static analysis
-  cannot prove: unlogged cached-page mutation, leaked buffer pins at
-  tick end, and non-monotonic tick streams — deterministically, instead
+  cannot prove: unlogged cached-page mutation, buffer pools still held
+  at tick end, and non-monotonic tick streams — deterministically, instead
   of by chaos-test luck.
 
 This module deliberately imports nothing at package-import time: the

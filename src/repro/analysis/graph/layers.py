@@ -102,7 +102,7 @@ CONTRACTS: Tuple[LayerContract, ...] = (
             :class:`~repro.storage.disk.DiskManager` directly; every physical
             read flows through an index object and its attached
             :class:`~repro.storage.buffer.BufferPool`.  A direct disk import up
-            here is how pages get read outside the shared scan's pin window —
+            here is how pages get read outside the shared scan's held pools —
             uncounted, unbatched, and invisible to the crash-safety pre-image
             capture.""",
         ),

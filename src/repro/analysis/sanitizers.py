@@ -9,9 +9,9 @@ Each sanitizer watches one invariant through the hooks in
   reference) must never change state without a WAL pre-image.
   This is the PR-2 writer-crash hole, caught on the very mutation
   instead of by a lucky crash seed.
-* :class:`PinLeakSanitizer` — when a broker tick ends, no page may
-  still be pinned; a leaked pin silently exempts pages from LRU
-  eviction forever and the pool "capacity" becomes fiction.
+* :class:`PinLeakSanitizer` — when a broker tick ends, no buffer pool
+  may still be held; a leaked hold silently stops all eviction and the
+  pool "capacity" becomes fiction.
 * :class:`ClockSanitizer` — tick streams are strictly monotonic,
   gap-free, and bit-identical to the boundary formula; a drifting
   clock breaks the answer-invariance replay guarantee.
@@ -194,13 +194,12 @@ class PageWriteSanitizer:
 
 
 class PinLeakSanitizer:
-    """Catches buffer-pool pins that survive the end of a serving tick.
+    """Catches buffer pools still held when a serving tick ends.
 
-    The shared-scan guarantee pins pages only *within* a tick; a pin
-    that outlives :meth:`SharedScanScheduler.end_tick` shields its page
-    from eviction for the rest of the run, so the pool's capacity bound
-    (and every buffer-ablation number derived from it) quietly stops
-    being true.
+    The shared scan holds its pools only *within* a tick; a hold that
+    outlives :meth:`SharedScanScheduler.end_tick` stops eviction for the
+    rest of the run, so the pool's capacity bound (and every
+    buffer-ablation number derived from it) quietly stops being true.
     """
 
     def tick_end(self, broker: Any) -> None:
@@ -209,22 +208,14 @@ class PinLeakSanitizer:
         if scheduler is not None:
             pools.append(scheduler.pool)
         for index in (broker.native, getattr(broker, "dual", None)):
-            if index is None:
-                continue
-            pool = index.tree.disk.buffer_pool
-            if pool is not None:
-                pools.append(pool)
-        seen = set()
+            if index is not None:
+                pools.append(index.tree.disk.buffer_pool)
         for pool in pools:
-            if id(pool) in seen:
-                continue
-            seen.add(id(pool))
-            pinned = pool.pinned
-            if pinned:
+            if pool is not None and pool.held:
                 raise SanitizerError(
-                    f"{len(pinned)} page(s) still pinned at tick end "
-                    f"(ids {sorted(pinned)[:8]}...); pins must not outlive "
-                    "their tick"
+                    f"a buffer pool is still held at tick end ({len(pool)} "
+                    f"page(s), capacity {pool.capacity}); a hold must not "
+                    "outlive its tick"
                 )
 
     def reset(self) -> None:

@@ -84,6 +84,7 @@ class SegmentIndex:
         if uncertainty < 0:
             raise QueryError("uncertainty must be non-negative")
         self.dims = dims
+        self.page_size = page_size
         self.uncertainty = uncertainty
         axes = self._time_axes + self._axes_per_dim * dims
         self.tree = RTree(

@@ -18,8 +18,9 @@ the broker:
    kNN clients and non-predictive auto frames name nothing and read
    through the shared pool during the drain;
 3. serves each session **in registration order** (the determinism the
-   answer-invariance property test depends on), pinning after each
-   what it demand-fetched mid-tick so later clients piggyback on it;
+   answer-invariance property test depends on); the scheduler holds the
+   pools until the tick ends, so a page one client fetched mid-tick is a
+   hit for every later one;
 4. delivers results into bounded per-client queues; a client whose
    queue overflows is *shed* — its exact PDQ engine is swapped for a
    δ-inflated SPDQ evaluated every ``shed_stride`` ticks — rather than
@@ -391,16 +392,14 @@ class QueryBroker(BrokerCore):
                 piggybacked = batch.piggybacked
             for session in serving:
                 result = session.serve(tick)
-                if self.scheduler is not None:
-                    self.scheduler.pin_resident()
                 if result is None:
                     continue
                 served += 1
                 self._deliver(session, result)
         finally:
             # A frontier poll or a session that raises must not leave
-            # this tick's pins and the scheduler's open tick behind to
-            # fail every later tick.
+            # held pools and the scheduler's open tick behind to fail
+            # every later tick.
             if self.scheduler is not None:
                 self.scheduler.end_tick()
         _sanitize.tick_end(self)

@@ -55,14 +55,12 @@ from typing import (
 
 import repro
 from repro.errors import RemoteWorkerError
-from repro.geometry.box import Box
 from repro.motion.segment import SegmentTable
 from repro.server.broker import ServerConfig
 from repro.server.clock import SimulatedClock, Tick
 from repro.server.dispatcher import UpdateOp
 from repro.server.kinds import kind_named, register_payload
 from repro.server.metrics import ClientMetrics, ShardHealth
-from repro.server.planner import IndexStats
 from repro.server.remote import protocol as proto
 from repro.server.session import TickResult
 from repro.server.shard import (
@@ -71,6 +69,7 @@ from repro.server.shard import (
     ShardTick,
     leaf_config,
 )
+from repro.storage.constants import PAGE_SIZE
 
 # The benchmark's outside-in tracer times the planner and the merge
 # through a module global of every tier's module; this tier plans in
@@ -152,10 +151,6 @@ class _WorkerHandle:
         self.journal: List[Tuple[int, Any]] = []
         self.pending: List[Tuple[int, Any]] = []
         self.subs: Dict[str, RemoteSubSession] = {}
-        # The front-end never touches a tree, so the planner's view of
-        # this shard is what flowed through load()/submit().
-        self._records = 0
-        self._domain: Optional[Box] = None
 
     @property
     def has_dual(self) -> bool:
@@ -169,20 +164,14 @@ class _WorkerHandle:
             if self.hello[key] is not None
         )
 
-    def _note(self, table: SegmentTable) -> None:
-        box = table.bounding_box()
-        self._records += len(table)
-        self._domain = box if self._domain is None else self._domain.cover(box)
+    @property
+    def dims(self) -> int:
+        return int(self.hello_request["dims"])
 
-    def index_stats(self) -> IndexStats:
-        """Estimated from the paper's page-layout arithmetic."""
+    @property
+    def page_size(self) -> int:
         page_size = self.hello_request["page_size"]
-        return IndexStats.estimate(
-            self._records,
-            self._domain,
-            dims=self.hello_request["dims"],
-            **({} if page_size is None else {"page_size": page_size}),
-        )
+        return PAGE_SIZE if page_size is None else int(page_size)
 
     def _request(self, msg_type: int, payload: Any) -> Any:
         return self._owner._request(self, msg_type, payload)
@@ -193,7 +182,6 @@ class _WorkerHandle:
             await self._request(msg_type, payload)
 
     async def load(self, table: SegmentTable) -> None:
-        self._note(table)
         await self._request(proto.MSG_LOAD, {"segments": table})
 
     async def register(
@@ -208,8 +196,6 @@ class _WorkerHandle:
         return sub
 
     async def submit(self, op: UpdateOp) -> None:
-        if op.kind == "insert":
-            self._note(SegmentTable.of([op.segment]))
         await self._request(proto.MSG_SUBMIT, {"op": op})
 
     async def run_tick(self, tick: Tick) -> ShardTick:

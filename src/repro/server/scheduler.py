@@ -23,30 +23,26 @@ node reads shared across the whole client population within a tick:
    pass).  The sweeps read pages while producing their demand; those
    reads flow through the same shared buffer pool, so overlapping
    demand piggybacks on them like on explicit batch reads, and a failed
-   sweep read is a failed batch read.  Each batched page is **pinned**
-   in its tree's shared :class:`~repro.storage.BufferPool` so no
-   client's traversal can evict another client's pending page mid-tick;
+   sweep read is a failed batch read;
 2. **drain phase** — sessions then run their normal engine code.  Every
    ``load_node`` goes through the shared disk: pages fetched in the
    batch (or by an earlier client this tick) are buffer hits, i.e.
    late-joining queries piggyback on the in-flight read; pages first
    discovered mid-expansion (an auto session's children enqueued
    during this very tick, and every page of a session that names no
-   demand) are fetched once on demand and pinned when the drain of the
-   session that fetched them ends
-   (:meth:`SharedScanScheduler.pin_resident`);
-3. **end of tick** — all pins are released and a pool that grew past
-   its capacity while everything in it was pinned evicts back down; the
-   pools keep pages around under plain LRU for cross-tick locality.
+   demand) are fetched once on demand;
+3. **end of tick** — the pools are released and evict, LRU-first, back
+   down to their capacity; between ticks they keep pages under plain
+   LRU for cross-tick locality.
 
-The invariant actually kept: **every page resident when a session's
-drain ends stays resident until** ``end_tick``, so a later session of
-the tick never pays for a page an earlier one left behind.  It is weaker
-than "one physical read per page per tick": a page fetched mid-drain is
-unprotected until that drain ends, so with the pool at capacity a
-session can evict its own earlier fetch and a later session re-reads it
-within the tick — a known defect, stated as an ``xfail`` test in
-``tests/server/test_scheduler.py``.
+The whole tick **holds** every pool it serves
+(:meth:`~repro.storage.BufferPool.hold`): from ``begin_tick`` to
+``end_tick`` a pool evicts nothing, growing past its capacity instead.
+So the invariant kept is the paper's read-once rule at the scale of the
+tick: **every page is read at most once a tick** — once resident, a page
+stays resident until ``end_tick``, whichever session fetched it and
+whenever.  A pool the scheduler first meets mid-tick (the dual tree's,
+named by a session's demand) is held from that moment on.
 
 Engines still count their *logical* reads in their own
 :class:`QueryCost`, so per-client accounting stays identical to isolated
@@ -77,9 +73,10 @@ class BatchStats:
     ``unique_pages`` counts distinct (tree, page) pairs; ``fetched`` is
     the number of physical reads the batch phase issued, including the
     reads the sweeps performed while producing their demand;
-    ``piggybacked`` is the demand the batch absorbed without extra I/O (already-buffered pages plus duplicate demand for freshly
-    fetched ones); ``failed`` counts pages whose batch read — a PDQ
-    sweep's included — failed (left to the owning engines' own
+    ``piggybacked`` is the demand on pages resident after the batch
+    minus the batch's physical reads (the demand the batch absorbed
+    without extra I/O); ``failed`` counts pages whose batch read — a
+    PDQ sweep's included — failed (left to the owning engines' own
     retry/degradation machinery during the drain phase).
     """
 
@@ -117,15 +114,14 @@ class SharedScanScheduler:
         self.buffer_capacity = buffer_capacity
         self.trees: List[RTree] = []
         self._disks: List[object] = []
+        self._in_tick = False
         for t in (tree, *extra_trees):
             self._adopt(t)
         self.pool: BufferPool = tree.disk.buffer_pool  # type: ignore[assignment]
-        self._in_tick = False
-        # True once pin_resident has pinned every pool whole this tick.
-        self._all_pinned = False
 
     def _adopt(self, tree: RTree) -> None:
-        """Track ``tree``, attaching a shared pool to its disk if bare."""
+        """Track ``tree``, attaching a shared pool to its disk if bare;
+        a pool met mid-tick is held at once."""
         if any(t is tree for t in self.trees):
             return
         disk = tree.disk
@@ -134,6 +130,8 @@ class SharedScanScheduler:
         self.trees.append(tree)
         if not any(d is disk for d in self._disks):
             self._disks.append(disk)
+            if self._in_tick:
+                disk.buffer_pool.hold()
 
     def _pools(self) -> List[BufferPool]:
         return [
@@ -157,9 +155,9 @@ class SharedScanScheduler:
         if self._in_tick:
             raise ServerError("previous tick was not ended")
         self._in_tick = True
-        reads_before = self._reads()
         for pool in self._pools():
-            pool.drain_admitted()  # what follows is this batch's record
+            pool.hold()
+        reads_before = self._reads()
         # Demand is collected per tree: page ids are only unique within
         # one disk's namespace.  The sweeps run here, inside the tick,
         # so their physical reads land in this tick's account.
@@ -176,81 +174,46 @@ class SharedScanScheduler:
                     demand.append((tree, bucket))
                 for page_id in pages:
                     bucket[page_id] = bucket.get(page_id, 0) + 1
-        sweep_fetched = self._reads() - reads_before
         # A PDQ sweep's failed load is this batch's failed read: the
         # owning engine reads the page itself during the drain.
         failed = sum(s.failed_reads(tick) for s in sweeps if isinstance(s, PDQSweep))
-        swept = {
-            id(pool): pool.drain_admitted() for pool in self._pools()
-        }
-        demanded = sum(sum(b.values()) for _, b in demand)
-        fetched = 0
-        piggybacked = 0
         for tree, bucket in demand:
             pool = tree.disk.buffer_pool
-            fresh = swept.get(id(pool), ())
             for page_id in sorted(bucket):
-                if pool is not None and page_id in pool:
-                    # A page resident since before the batch is pure
-                    # piggyback; one the sweep just fetched already
-                    # cost its one physical read (in
-                    # ``sweep_fetched``), so only its *extra* demand is.
-                    extra = 1 if page_id in fresh else 0
-                    piggybacked += bucket[page_id] - extra
-                    pool.pin(page_id)
+                if page_id in pool:
                     continue
                 try:
                     tree.load_node(page_id)
                 except (TransientIOError, CorruptPageError):
                     failed += 1
-                    continue
-                fetched += 1
-                piggybacked += bucket[page_id] - 1
-                if pool is not None:
-                    pool.pin(page_id)
+        # Held pools evict nothing, so every physical read of the batch
+        # is one page resident now: its first demand cost that read and
+        # the rest piggybacked.
+        fetched = self._reads() - reads_before
+        resident_demand = sum(
+            count
+            for tree, bucket in demand
+            for page_id, count in bucket.items()
+            if page_id in tree.disk.buffer_pool
+        )
         return BatchStats(
-            demanded=demanded,
+            demanded=sum(sum(b.values()) for _, b in demand),
             unique_pages=sum(len(b) for _, b in demand),
-            fetched=fetched + sweep_fetched,
-            piggybacked=piggybacked,
+            fetched=fetched,
+            piggybacked=resident_demand - fetched,
             failed=failed,
         )
 
     def pin_resident(self) -> None:
-        """Pin every resident page for the rest of the tick.
+        """Does nothing: the held pools keep every page the tick read.
 
-        Called by the broker after each session's drain so that pages a
-        session demand-fetched mid-tick cannot be evicted before a later
-        session piggybacks on them.  The first call of a tick pins each
-        pool whole; after it every resident page is pinned, so a later
-        call only has to pin what was admitted since the previous one —
-        the pin set after every call is the full re-pin's, for
-        O(pool + admitted) a tick instead of O(sessions x pool).
+        Kept by name because ``bench/trace.py`` wraps it.
         """
-        for pool in self._pools():
-            if self._all_pinned:
-                for page_id in pool.drain_admitted():
-                    pool.pin(page_id)
-            else:
-                pool.pin_all()
-                pool.drain_admitted()
-        self._all_pinned = True
 
     def end_tick(self) -> None:
-        """Release every pin; LRU governs the pools again until next tick."""
+        """Release every pool; LRU governs them again until next tick."""
         if not self._in_tick:
             raise ServerError("no tick in progress")
         for pool in self._pools():
-            pool.unpin_all()
+            pool.release()
         self._in_tick = False
-        self._all_pinned = False
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def pinned_pages(self) -> List[int]:
-        """Currently pinned page ids (mid-tick debugging aid)."""
-        pinned = set()
-        for pool in self._pools():
-            pinned.update(pool.pinned)
-        return sorted(pinned)

@@ -277,6 +277,9 @@ class ShardBackend(Protocol):
     has_dual: bool
     #: widest index uncertainty on the shard (segment replication slack)
     uncertainty: float
+    #: spatial dimensions and page size of the shard's indexes
+    dims: int
+    page_size: int
 
     def load(self, table: SegmentTable) -> Any:
         """Bulk-load this shard's bucket into its empty indexes."""
@@ -297,9 +300,6 @@ class ShardBackend(Protocol):
 
     def report(self) -> Any:
         """Replies with the counters of the shard's summary line."""
-
-    def index_stats(self) -> IndexStats:
-        """What the planner may know about this shard (never deferred)."""
 
 
 def leaf_config(config: ServerConfig) -> ServerConfig:
@@ -333,6 +333,8 @@ class IndexShard:
         self.uncertainty = max(
             index.uncertainty for index in (native, dual) if index is not None
         )
+        self.dims = native.dims
+        self.page_size = native.page_size
 
     @property
     def record_count(self) -> int:
@@ -377,9 +379,6 @@ class IndexShard:
             "logical_reads": m.logical_reads,
             "updates_applied": m.updates_applied,
         }
-
-    def index_stats(self) -> IndexStats:
-        return IndexStats.from_index(self.native)
 
 
 class MuxClientSession(ClientSession):
@@ -493,6 +492,9 @@ class MultiplexBroker(BrokerCore):
             config,
             durability,
         )
+        # An index opened from a store holds rows no load() routed here;
+        # the planner sees their count, not their domain.
+        self._routed = [(shard.record_count, None) for shard in self.shards]
 
     def _front(
         self,
@@ -511,6 +513,11 @@ class MultiplexBroker(BrokerCore):
         self.router = ShardRouter(plan)
         self.shards = list(shards)
         self.shard_count = plan.shard_count
+        #: per shard: the rows routed to it and their cover, which is
+        #: all the planner knows (no sharded tier reads a tree to plan)
+        self._routed: List[Tuple[int, Optional[Box]]] = [
+            (0, None) for _ in self.shards
+        ]
         # Replication slack: index uncertainty covers entry-box overlap,
         # plus δ/2 for joins — two segments within δ share a midpoint
         # within δ/2 of both, so inflating each segment's box by δ/2
@@ -589,12 +596,21 @@ class MultiplexBroker(BrokerCore):
                 buckets, self.router.route(batch, self._route_inflation)
             ):
                 bucket.extend(chunk[k] for k in rows)
+        tables = {
+            i: SegmentTable.of(bucket) for i, bucket in enumerate(buckets) if bucket
+        }
+        for i, table in tables.items():
+            self._note(i, len(table), table.bounding_box())
         self._gather(
-            partial(shard.load, SegmentTable.of(bucket))
-            for shard, bucket in zip(self.shards, buckets)
-            if bucket
+            partial(self.shards[i].load, table) for i, table in tables.items()
         )
         return [len(bucket) for bucket in buckets]
+
+    def _note(self, shard_id: int, rows: int, box: Box) -> None:
+        records, domain = self._routed[shard_id]
+        self._routed[shard_id] = (
+            records + rows, box if domain is None else domain.cover(box)
+        )
 
     def close(self) -> None:
         """Release what the backends hold outside this interpreter
@@ -615,13 +631,20 @@ class MultiplexBroker(BrokerCore):
         )
 
     def _index_stats(self) -> IndexStats:
-        """Fold per-shard index statistics into one population view.
+        """Fold per-shard estimates of what was routed into one
+        population view.
 
-        Record and leaf-page counts sum over shards (replicas inflate
-        them slightly — acceptable, the planner's decisions are
-        categorical); the domain is the cover of the shard domains.
+        Each shard's statistics come from page-layout arithmetic over the
+        rows routed to it (:meth:`IndexStats.estimate`), so planning
+        reads no page and every sharded tier plans alike.  Record and
+        leaf-page counts sum over shards (replicas inflate them slightly
+        — acceptable, the planner's decisions are categorical); the
+        domain is the cover of the shard domains.
         """
-        per = [shard.index_stats() for shard in self.shards]
+        per = [
+            IndexStats.estimate(records, domain, shard.dims, shard.page_size)
+            for shard, (records, domain) in zip(self.shards, self._routed)
+        ]
         records = sum(s.records for s in per)
         if records == 0:
             return IndexStats(0, 0, 0, None)
@@ -643,12 +666,13 @@ class MultiplexBroker(BrokerCore):
 
     def submit(self, op: UpdateOp) -> None:
         """Route one insert/expire to every shard holding its segment."""
-        self._gather(
-            partial(self.shards[i].submit, op)
-            for i in self.router.shards_for_segment(
-                op.segment, inflate=self._route_inflation
-            )
+        route = self.router.shards_for_segment(
+            op.segment, inflate=self._route_inflation
         )
+        if op.kind == "insert":
+            for i in route:
+                self._note(i, 1, op.segment.bounding_box())
+        self._gather(partial(self.shards[i].submit, op) for i in route)
 
     # -- the serving loop ----------------------------------------------------
 

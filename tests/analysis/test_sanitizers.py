@@ -218,11 +218,11 @@ class TestPinLeakSanitizer:
     def test_leaked_pin_at_tick_end(self):
         disk, pid = make_disk()
         pool = disk.buffer_pool
+        pool.hold()
         disk.read(pid)
-        pool.pin(pid)
-        with pytest.raises(SanitizerError, match="still pinned at tick end"):
+        with pytest.raises(SanitizerError, match="still held at tick end"):
             PinLeakSanitizer().tick_end(self.broker_over(disk))
-        pool.unpin_all()
+        pool.release()
 
     def test_unpinned_pool_is_fine(self):
         disk, pid = make_disk()

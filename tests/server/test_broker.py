@@ -479,7 +479,7 @@ class TestUpdatesAndQuiesce:
 
 class TestRaisingSession:
     """A session that raises fails its tick and nothing after it: the
-    tick's pins are released and the scheduler's tick is closed on the
+    tick's pools are released and the scheduler's tick is closed on the
     way out, so the next ``run_tick`` serves everyone again."""
 
     @staticmethod
@@ -502,9 +502,9 @@ class TestRaisingSession:
         self._raise_once(sessions[2])
         with pytest.raises(QueryError, match="engine failed"):
             broker.run_tick()
-        pinned = broker.scheduler.pinned_pages
+        held = broker.scheduler.pool.held
         assert broker.run_tick().clients_served == 4
-        assert pinned == []
+        assert held is False
 
     def test_multiplex_broker_serves_the_next_tick(self, tiny_segments, fleet):
         mux = MultiplexBroker.over_segments(
@@ -522,9 +522,9 @@ class TestRaisingSession:
         self._raise_once(sessions[2].parts[0][1])
         with pytest.raises(QueryError, match="engine failed"):
             mux.run_tick()
-        pinned = [s.broker.scheduler.pinned_pages for s in mux.shards]
+        held = [s.broker.scheduler.pool.held for s in mux.shards]
         assert mux.run_tick().clients_served == 4
-        assert pinned == [[], []]
+        assert held == [False, False]
 
 
 class TestPageViewReuse:

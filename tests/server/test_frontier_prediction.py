@@ -165,7 +165,9 @@ class TestMispredictSafety:
         dual.tree.disk.set_faults(FaultInjector.parse(f"corrupt@{page}"))
         with pytest.raises(CorruptPageError):
             broker.run_tick()
-        assert not broker.scheduler.pinned_pages  # the tick was ended
+        # the tick was ended: neither tree's pool is still held
+        assert not broker.native.tree.disk.buffer_pool.held
+        assert not dual.tree.disk.buffer_pool.held
 
     def test_persistent_fault_degrades_per_client(
         self, build_native, build_dual, fleet

@@ -1,6 +1,8 @@
 """The shared-scan scheduler: one physical read per page per tick."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServerError
 from repro.index.dualtime import DualTimeIndex
@@ -12,6 +14,7 @@ from repro.server.session import PDQSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.faults import FaultInjector
+from repro.workload.observers import observer_fleet
 
 
 def make_sessions(index, trajectories):
@@ -53,14 +56,17 @@ class TestBatchPhase:
         scheduler.end_tick()
 
     def test_batched_pages_are_pinned_until_end_tick(self, build_native, fleet):
+        # The pool is held from the batch phase to the end of the tick.
         index = build_native()
         sessions = make_sessions(index, fleet(2, mode="identical"))
         scheduler = SharedScanScheduler(index.tree)
         tick = SimulatedClock(start=1.0, period=0.1).next_tick()
+        assert not scheduler.pool.held
         scheduler.begin_tick(sessions, tick)
-        assert scheduler.pinned_pages
+        assert scheduler.pool.held
+        assert all(p in scheduler.pool for p in frontier_pages(sessions[0], tick))
         scheduler.end_tick()
-        assert not scheduler.pinned_pages
+        assert not scheduler.pool.held
 
     def test_drain_hits_the_buffer(self, build_native, fleet):
         index = build_native()
@@ -128,38 +134,25 @@ class TestTickLifecycle:
 
 
 class CountingPool(BufferPool):
-    """A pool that says what pinning examined and what each tick
-    admitted and touched."""
+    """A pool that says what each tick admitted, and how large it grew
+    and whether it was held when it did."""
 
     def __init__(self, capacity):
         super().__init__(capacity)
-        self.examined = 0
         self.admitted = []
-        self.touched = set()
+        self.unheld_puts = 0
         self.peak = 0
-
-    def get(self, page_id):
-        self.touched.add(page_id)
-        return super().get(page_id)
 
     def put(self, page_id, payload):
         if page_id not in self:
             self.admitted.append(page_id)
+            self.unheld_puts += not self.held
         super().put(page_id, payload)
         self.peak = max(self.peak, len(self))
 
-    def pin(self, page_id):
-        self.examined += 1
-        super().pin(page_id)
-
-    def pin_all(self):
-        self.examined += len(self)
-        super().pin_all()
-
     def new_tick(self):
-        self.examined = 0
         self.admitted = []
-        self.touched = set()
+        self.unheld_puts = 0
         self.peak = len(self)
 
 
@@ -184,92 +177,11 @@ def pdq_broker(index, trajectories):
     return broker
 
 
-class TestPinning:
-    """``pin_resident`` after every session costs O(pool + admitted) a
-    tick, not O(sessions x pool), and pins exactly what a full re-pin
-    would."""
+class TestHeldTick:
+    """A tick holds its pools: nothing is evicted until it ends, so a
+    page is read at most once a tick, and the end of the tick brings
+    every pool back within its capacity."""
 
-    SESSIONS, TICKS = 64, 12
-
-    def _serve(self, broker, pools):
-        """Run the ticks, checking every ``pin_resident`` call."""
-        scheduler = broker.scheduler
-        pin_resident = scheduler.pin_resident
-        examined = [0]
-
-        def checked():
-            before = sum(p.examined for p in pools())
-            pin_resident()
-            examined[0] += sum(p.examined for p in pools()) - before
-            for pool in pools():
-                assert pool.pinned == frozenset(pool.resident_pages())
-
-        scheduler.pin_resident = checked
-        for _ in range(self.TICKS):
-            for pool in pools():
-                pool.new_tick()
-            examined[0] = 0
-            broker.run_tick()
-            resident = sum(len(p) for p in pools())
-            admitted = sum(len(p.admitted) for p in pools())
-            assert examined[0] <= resident + admitted + self.SESSIONS
-
-    def test_native_only_warm(self, tiny_segments, fleet):
-        index, pool = pooled(NativeSpaceIndex, tiny_segments, 2048, 256)
-        for page_id in index.tree.disk.page_ids():
-            index.tree.load_node(page_id)
-        assert len(pool) >= 500  # a full re-pin examines 64 x that a tick
-        broker = pdq_broker(
-            index, fleet(self.SESSIONS, mode="independent", duration=3.0)
-        )
-        self._serve(broker, lambda: [pool])
-
-    def test_native_only_cold_and_too_small(self, tiny_segments, fleet):
-        # admissions and evictions between the calls: what was admitted
-        # and evicted again before the next call must not be pinned
-        index, pool = pooled(NativeSpaceIndex, tiny_segments, 48, 256)
-        broker = pdq_broker(
-            index, fleet(self.SESSIONS, mode="independent", duration=3.0)
-        )
-        self._serve(broker, lambda: [pool])
-        assert pool.stats.evictions
-
-    def test_dual_pool_adopted_mid_tick(self, tiny_segments, fleet):
-        native, pool = pooled(NativeSpaceIndex, tiny_segments, 2048, 256)
-        dual, dual_pool = pooled(DualTimeIndex, tiny_segments, 2048, 256)
-        for index in (native, dual):
-            for page_id in index.tree.disk.page_ids():
-                index.tree.load_node(page_id)
-        broker = QueryBroker(
-            native,
-            dual=dual,
-            clock=SimulatedClock(start=1.0, period=0.1),
-            config=ServerConfig(queue_depth=1000),
-        )
-        # a scheduler that has not met the dual tree: its pool is
-        # adopted by the first batch phase that hears of it
-        broker.scheduler = SharedScanScheduler(native.tree)
-        trajectories = fleet(self.SESSIONS, mode="independent", duration=3.0)
-        for i, trajectory in enumerate(trajectories):
-            kind = "pdq" if i % 2 else "npdq"
-            broker.register(kind, f"c{i}", trajectory=trajectory)
-        self._serve(broker, lambda: [pool, dual_pool])
-        assert any(t is dual.tree for t in broker.scheduler.trees)
-
-
-class TestKnownPinningDefects:
-    """What the pins should guarantee and do not yet.  Fixing either
-    moves the benchmark's read and eviction counts, so each is a
-    follow-up with re-baselined numbers; until then the intended
-    invariant is written down here."""
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a page fetched mid-drain is unpinned until that drain "
-        "ends: at capacity a session evicts its own earlier fetch and a "
-        "later session of the tick reads it again",
-    )
     def test_one_physical_read_per_page_per_tick(self, tiny_segments, fleet):
         index, pool = pooled(NativeSpaceIndex, tiny_segments, 4, 512)
         broker = pdq_broker(
@@ -283,8 +195,8 @@ class TestKnownPinningDefects:
         assert twice == 0
 
     def test_pool_returns_to_capacity(self, tiny_segments, fleet):
-        # Every resident page pinned, the pool grows past its capacity
-        # mid-tick; the end of the tick evicts it back within capacity.
+        # Held, the pool grows past its capacity mid-tick; the end of
+        # the tick evicts it back within capacity.
         index, pool = pooled(NativeSpaceIndex, tiny_segments, 8, 512)
         broker = pdq_broker(
             index, fleet(32, mode="independent", duration=7.0)
@@ -294,5 +206,108 @@ class TestKnownPinningDefects:
             pool.new_tick()
             broker.run_tick()
             overflowed += pool.peak > pool.capacity
-            assert len(pool) <= pool.capacity
+            assert len(pool) <= pool.capacity and not pool.held
         assert overflowed  # the invariant was put to the test
+        assert pool.stats.evictions
+
+    def test_dual_pool_adopted_mid_tick(self, tiny_segments, fleet):
+        native, pool = pooled(NativeSpaceIndex, tiny_segments, 2048, 256)
+        dual, dual_pool = pooled(DualTimeIndex, tiny_segments, 48, 256)
+        broker = QueryBroker(
+            native,
+            dual=dual,
+            clock=SimulatedClock(start=1.0, period=0.1),
+            config=ServerConfig(queue_depth=1000),
+        )
+        # a scheduler that has not met the dual tree: its pool is
+        # adopted, and held, by the first batch phase that hears of it
+        broker.scheduler = scheduler = SharedScanScheduler(native.tree)
+        begin_tick = scheduler.begin_tick
+        held = []
+
+        def observed(sessions, tick):
+            stats = begin_tick(sessions, tick)
+            held.append((pool.held, dual_pool.held))
+            return stats
+
+        scheduler.begin_tick = observed
+        trajectories = fleet(16, mode="independent", duration=3.0)
+        for i, trajectory in enumerate(trajectories):
+            kind = "pdq" if i % 2 else "npdq"
+            broker.register(kind, f"c{i}", trajectory=trajectory)
+        for tick in range(12):
+            for p in (pool, dual_pool):
+                p.new_tick()
+            broker.run_tick()
+            assert len(dual_pool) <= dual_pool.capacity
+            if tick:  # adopted: held from the tick's first read on
+                assert dual_pool.unheld_puts == 0
+                assert len(dual_pool.admitted) == len(set(dual_pool.admitted))
+        assert held == [(True, True)] * 12
+        assert any(t is dual.tree for t in scheduler.trees)
+        assert not dual_pool.held and dual_pool.stats.evictions
+
+
+@pytest.fixture(scope="module")
+def served_trees(tiny_segments):
+    """One bulk-loaded native and dual tree pair, served read-only by
+    every example below (each run gives their disks a fresh pool)."""
+    trees = tuple(
+        index_cls(dims=2, disk=DiskManager(), page_size=512)
+        for index_cls in (NativeSpaceIndex, DualTimeIndex)
+    )
+    for index in trees:
+        index.bulk_load(tiny_segments)
+    return trees
+
+
+def serve_held(trees, kinds, trajectories, capacity, ticks=12):
+    """Serve a fleet over pools of ``capacity``, checking the hold's
+    rules every tick; returns every client's frames."""
+    pools = [CountingPool(capacity) for _ in trees]
+    for index, pool in zip(trees, pools):
+        index.tree.disk.set_buffer_pool(pool)
+    native, dual = trees
+    broker = QueryBroker(
+        native,
+        dual=dual,
+        clock=SimulatedClock(start=1.0, period=0.1),
+        config=ServerConfig(queue_depth=1000),
+    )
+    sessions = [
+        broker.register(kind, f"c{i}", trajectory=trajectory)
+        for i, (kind, trajectory) in enumerate(zip(kinds, trajectories))
+    ]
+    frames = []
+    for _ in range(ticks):
+        for pool in pools:
+            pool.new_tick()
+        broker.run_tick()
+        for pool in pools:
+            assert len(pool.admitted) == len(set(pool.admitted)), "read twice"
+            assert len(pool) <= pool.capacity and not pool.held
+        frames.append(
+            [[(r.mode, tuple(r.items)) for r in s.poll()] for s in sessions]
+        )
+    return frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=16),
+    kinds=st.lists(st.sampled_from(["pdq", "npdq"]), min_size=4, max_size=32),
+    mode=st.sampled_from(["identical", "clustered", "independent"]),
+    seed=st.integers(min_value=0, max_value=4),
+)
+def test_every_page_is_read_at_most_once_a_tick(
+    capacity, kinds, mode, seed, tiny_config, served_trees
+):
+    """Any pool capacity, any PDQ/NPDQ mix: no page is admitted twice in
+    a tick, every pool is within capacity when the tick ends, and the
+    answers are those of a pool that never evicts."""
+    trajectories = observer_fleet(
+        tiny_config, len(kinds), mode=mode, duration=1.5, start_time=1.0,
+        seed=seed,
+    )
+    small = serve_held(served_trees, kinds, trajectories, capacity)
+    assert small == serve_held(served_trees, kinds, trajectories, 1024)

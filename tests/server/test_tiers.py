@@ -207,14 +207,35 @@ def test_shed_promote_close_match_unsharded(tier, tiny_segments, fleet):
         assert len(got[cid]) == len(expected[cid]), cid
     if tier == "remote":
         # METRICS answers the in-process shard's counters, the SUBMIT
-        # among them.  Physical reads are left out: the in-process
-        # planner reads each shard's root through its pool at register.
-        fields = ("records", "clients", "logical_reads", "updates_applied")
+        # and the physical reads among them.
+        fields = (
+            "records", "clients", "physical_reads", "logical_reads",
+            "updates_applied",
+        )
         in_process = run(build("mux", tiny_segments))[2]
         assert [[r[f] for f in fields] for r in reports] == [
             [r[f] for f in fields] for r in in_process
         ]
         assert sum(r["updates_applied"] for r in reports) >= 1
+
+
+def test_planning_reads_no_page(tiny_segments, fleet):
+    """A sharded front-end plans from the rows it routed: registering
+    through the planner front door reads no shard's tree."""
+    mux = build("mux", tiny_segments)
+    disks = [
+        index.tree.disk
+        for shard in mux.shards
+        for index in (shard.native, shard.dual)
+    ]
+    reads = [disk.stats.reads for disk in disks]
+    for i, t in enumerate(fleet(4, mode="spread", duration=1.0)):
+        FRONT_DOOR["pdq"](mux, f"pdq-{i}", t)
+        FRONT_DOOR["knn"](mux, f"knn-{i}", t)
+    assert [disk.stats.reads for disk in disks] == reads
+    assert {plan.engine for plan in mux.metrics.plans.values()} == {
+        "pdq", "movingknn"
+    }
 
 
 def test_unknown_kind_is_refused_on_every_surface(tiny_segments, fleet):
