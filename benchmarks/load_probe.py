@@ -31,7 +31,8 @@ in-process shard is loaded with exactly the keys, in population order,
 that the per-segment Box-algebra routing (``tests/_helpers.py``'s
 ``box_buckets``) sends it, and that each process worker's record count
 and domain, as its front-end noted them and as the worker reports them,
-equal the in-process shard's (its domain read off its tree's root).  Exit status 1 on a mismatch.
+equal the in-process shard's — its index's own domain and its tree's
+root cover, read off the root.  Exit status 1 on a mismatch.
 
 The timers wrap whichever entry points the checkout has, so the same
 script measures a parent commit too.
@@ -57,7 +58,6 @@ from repro.server import MultiplexBroker, RemoteMultiplexBroker  # noqa: E402
 from repro.server import ServerConfig, SimulatedClock  # noqa: E402
 from repro.server.remote import broker as remote_mod  # noqa: E402
 from repro.server.remote import protocol  # noqa: E402
-from repro.server.planner import IndexStats  # noqa: E402
 from repro.server.shard import IndexShard, ShardRouter  # noqa: E402
 from repro.workload.config import WorkloadConfig  # noqa: E402
 from repro.workload.objects import generate_motion_segments  # noqa: E402
@@ -154,11 +154,12 @@ def _check(segments, side: float) -> bool:
             reports = proc._shard_reports()
             for i, shard in enumerate(mux.shards):
                 records, domain = proc._routed[i]
+                tree = shard.native.tree
                 same = (
                     got[i] == oracle[i],
                     records == shard.record_count == reports[i]["records"],
-                    domain == mux._routed[i][1]
-                    == IndexStats.from_index(shard.native).domain,
+                    domain == mux._routed[i][1] == shard.native.domain
+                    == tree.load_node(tree.root_id).mbr(),
                 )
                 print(
                     f"K={shards} shard {i}: {len(oracle[i])} rows, bucket "

@@ -206,16 +206,7 @@ class PDQEngine:
             for k, low, high in components:
                 push(heap, (low, next(tie), high, rows.child_id(k), None))
 
-    # -- frontier inspection (shared-scan support) --------------------------------
-
-    def frontier_pages(self, t_end: float) -> List[int]:
-        """Page ids of queued nodes this engine will expand by ``t_end``
-        — the batch demand of an engine no sweep evaluates (an auto
-        session's).  The heap is only inspected, never mutated; pages
-        already expanded (duplicates from update notifications) are
-        excluded.  Sorted and de-duplicated.
-        """
-        return sorted(self._due_pages(self._frontier, t_end))
+    # -- the sweep's seeds ----------------------------------------------------------
 
     def _due_pages(self, t_start: float, t_end: float) -> Set[int]:
         """Pages ``window(t_start, t_end)`` pops and expands from the queue
@@ -420,7 +411,7 @@ def notify_inserts(
 def sweep_windows(
     requests: Sequence[Tuple[PDQEngine, float, float]],
     table: Optional[kernels.TrajectoryTable],
-) -> Tuple[List[List[int]], int]:
+) -> List[List[int]]:
     """Evaluate, page-major, every page ``engine.window(t_start, t_end)``
     will expand, for each ``(engine, t_start, t_end)``.
 
@@ -438,16 +429,16 @@ def sweep_windows(
 
     ``table`` stacks the engines' trajectories' kernel tables, in order
     (``None`` for no requests).  Returns, per request, the sorted pages
-    loaded for it — the pages its window will expand — and the count of
-    failed page loads (each engine's own expansion reads those under its
-    fault policy).  An index without a buffer pool is not swept: its
+    loaded for it — the pages its window will expand.  A page whose load
+    fails is left out: each engine's own expansion reads it under its
+    fault policy.  An index without a buffer pool is not swept: its
     pages would be read twice.
     """
     engines = [engine for engine, _, _ in requests]
     tree = engines[0].index.tree if engines else None
     if tree is None or tree.disk.buffer_pool is None:
-        return [[] for _ in engines], 0
-    frontiers, reached, todo, failed = [], [], {}, 0  # todo: page -> slots
+        return [[] for _ in engines]
+    frontiers, reached, todo = [], [], {}  # todo: page -> slots
     for slot, (engine, t_start, t_end) in enumerate(requests):
         engine._stash = {}
         frontiers.append(max(engine._frontier, t_start))
@@ -461,7 +452,6 @@ def sweep_windows(
             try:
                 arrays = tree.load_node(page_id).entries
             except (TransientIOError, CorruptPageError):
-                failed += 1
                 for slot in todo[page_id]:
                     reached[slot].discard(page_id)
                 continue
@@ -487,4 +477,4 @@ def sweep_windows(
                     ):
                         mine.add(child)
                         todo.setdefault(child, []).append(slot)
-    return [sorted(pages) for pages in reached], failed
+    return [sorted(pages) for pages in reached]

@@ -20,11 +20,10 @@ Every answer flows into a shared :class:`~repro.core.ClientCache`, so
 mode switches are invisible to the renderer.
 
 A frame is evaluated when it is observed and nothing is read for it
-beforehand: the only page demand the session names ahead of a frame
-is the live predictive engine's frontier
-(:meth:`~DynamicQuerySession.frontier_pages`), which a server's batch
-phase reads; snapshot and non-predictive frames read the dual-time
-tree during :meth:`~DynamicQuerySession.observe`.
+beforehand: every mode reads its pages during
+:meth:`~DynamicQuerySession.observe` — the predictive engine from the
+native-space tree, snapshot and non-predictive frames from the
+dual-time tree.
 """
 
 from __future__ import annotations
@@ -160,18 +159,6 @@ class DynamicQuerySession:
     def predictive_engine(self):
         """The live PDQ/SPDQ engine, or ``None`` outside predictive mode."""
         return self._pdq
-
-    def frontier_pages(self, t_end: float) -> List[int]:
-        """Node pages the live predictive engine will expand by ``t_end``.
-
-        Empty outside predictive mode (snapshot/NPDQ frames have no
-        standing priority queue to batch).  Lets the serving layer's
-        shared-scan scheduler treat auto-mode sessions uniformly with
-        raw PDQ engines.
-        """
-        if self._pdq is None:
-            return []
-        return self._pdq.frontier_pages(t_end)
 
     def _window(self, center: Sequence[float]) -> Box:
         return Box.from_bounds(

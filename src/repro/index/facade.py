@@ -39,9 +39,19 @@ from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
 from repro.storage.disk import DiskManager
 from repro.storage.metrics import QueryCost
 
-__all__ = ["SegmentIndex"]
+__all__ = ["SegmentIndex", "widen_domain"]
 
 Records = Union[SegmentTable, Iterable[MotionSegment]]  # what bulk_load takes
+
+
+def widen_domain(domain: Optional[Box], records: int, box: Box) -> Optional[Box]:
+    """``domain`` — the cover of what ``records`` rows were noted with —
+    widened by the box of rows about to go in.  Unknown stays unknown
+    once rows nobody noted are in (an index opened from a store), so a
+    later insert's box never passes for the whole domain."""
+    if domain is not None:
+        return domain.cover(box)
+    return None if records else box
 
 
 class SegmentIndex:
@@ -95,6 +105,11 @@ class SegmentIndex:
             split=split,
             restore=restore_meta,
         )
+        #: The cover of the native boxes of the rows bulk-loaded and
+        #: inserted here (what a planner may know without a read);
+        #: ``None`` while empty, and for good once rows nobody noted are
+        #: here — an index opened from a store.
+        self.domain: Optional[Box] = None
 
     # -- building -----------------------------------------------------------
 
@@ -124,7 +139,8 @@ class SegmentIndex:
 
     def _leaf_rows(self, records: Records) -> PageRows:
         """The leaf rows :meth:`_leaf_entry` would give ``records``, as
-        columns; the table's record column is theirs."""
+        columns; the table's record column is theirs.  Their cover goes
+        into :attr:`domain`."""
         if not isinstance(records, SegmentTable):
             records = list(records)
             try:
@@ -136,6 +152,13 @@ class SegmentIndex:
         table, segments = records, records.segments
         if len(table) and segments.dims != self.dims:
             raise QueryError(f"segment has {segments.dims} spatial dims, index has {self.dims}")
+        if len(table):  # no segment's box is empty: the cover is min and max
+            native_lows, native_highs = segments.box_bounds()
+            box = Box.from_bounds(
+                [float(c.min()) for c in native_lows],
+                [float(c.max()) for c in native_highs],
+            )
+            self.domain = widen_domain(self.domain, len(self), box)
         lows, highs = self._leaf_bounds(segments)
         pad = None
         if self.uncertainty:  # inflate_box's amounts: none on the time axes
@@ -151,12 +174,19 @@ class SegmentIndex:
 
     def insert(self, record: MotionSegment):
         """Insert one motion update (stamps timestamps, notifies listeners)."""
-        return self.tree.insert(self._leaf_entry(record))
+        entry = self._leaf_entry(record)
+        box = record.bounding_box()
+        self.domain = widen_domain(self.domain, len(self), box)
+        return self.tree.insert(entry)
 
     def insert_batch(self, records: Iterable[MotionSegment]):
         """Insert motion updates in order as one write batch
         (:meth:`~repro.index.RTree.insert_batch`)."""
-        return self.tree.insert_batch([self._leaf_entry(r) for r in records])
+        entries = [self._leaf_entry(r) for r in records]
+        for entry in entries:
+            box = entry.record.bounding_box()
+            self.domain = widen_domain(self.domain, len(self), box)
+        return self.tree.insert_batch(entries)
 
     def bulk_load(self, records: Records) -> None:
         """STR-pack many records (or a table of them) into an empty index."""

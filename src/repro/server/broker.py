@@ -10,13 +10,13 @@ the broker:
    :class:`~repro.server.dispatcher.UpdateDispatcher` (the writer runs
    strictly *between* ticks, so readers always see a frozen index);
 2. runs the :class:`~repro.server.scheduler.SharedScanScheduler` batch
-   phase — the merged frontier of all live clients (priority-queue
-   frontiers over the native tree for PDQ/aggregate clients and live
-   predictive auto engines, and the dual-tree pages the
-   :class:`~repro.server.session.NPDQSweep` read evaluating every NPDQ
-   client's frame of this tick at once) is read once per distinct page;
-   kNN clients and non-predictive auto frames name nothing and read
-   through the shared pool during the drain;
+   phase, which is the tick's sweeps: the
+   :class:`~repro.server.session.PDQSweep` evaluates every PDQ and
+   aggregate client's window over the native tree and the
+   :class:`~repro.server.session.NPDQSweep` every NPDQ client's frame
+   over the dual tree, each page loaded once for all its readers; kNN,
+   join and auto clients name nothing and read through the held pools
+   during the drain;
 3. serves each session **in registration order** (the determinism the
    answer-invariance property test depends on); the scheduler holds the
    pools until the tick ends, so a page one client fetched mid-tick is a
@@ -335,7 +335,10 @@ class QueryBroker(BrokerCore):
         return session
 
     def _index_stats(self) -> IndexStats:
-        return IndexStats.from_index(self.native)
+        native = self.native
+        return IndexStats.estimate(
+            len(native), native.domain, native.dims, native.page_size
+        )
 
     def submit(self, op: UpdateOp) -> None:
         """Queue one insert/expire for the single writer."""

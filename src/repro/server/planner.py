@@ -4,7 +4,8 @@ A client hands the broker a declarative :class:`~repro.core.QuerySpec`;
 the planner turns it into a :class:`QueryPlan` — which engine evaluates
 it and how many shards it fans out to — from cheap index statistics
 (:class:`IndexStats`): record count, tree height, leaf-page estimate and
-the data's bounding domain.
+the data's bounding domain, all estimated from counts and domains — no
+tier reads a page to plan.
 
 The cost model is deliberately coarse (the decisions it must get right
 are categorical, not marginal):
@@ -34,14 +35,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.query import QuerySpec
-from repro.errors import CorruptPageError, ServerError, TransientIOError
+from repro.errors import ServerError
 from repro.geometry.box import Box
-from repro.storage.constants import (
-    DEFAULT_FILL_FACTOR,
-    PAGE_SIZE,
-    internal_fanout,
-    leaf_fanout,
-)
+from repro.storage.constants import PAGE_SIZE, internal_fanout, leaf_fanout
 
 __all__ = ["C_SEEK", "C_PAGE", "C_NET", "IndexStats", "QueryPlan", "plan_query"]
 
@@ -60,30 +56,14 @@ class IndexStats:
     """What the planner knows about the population being queried.
 
     ``domain`` is the native-space bounding box (axis 0 = time, axes
-    1..d = space) of every record, or ``None`` when unknown (empty
-    index, or a front-end that could not probe the root).
+    1..d = space) of every record, or ``None`` when unknown (an empty
+    index, or one opened from a store).
     """
 
     records: int
     height: int
     leaf_pages: int
     domain: Optional[Box]
-
-    @classmethod
-    def from_index(cls, index, cost=None) -> "IndexStats":
-        """Exact statistics read off a live native-space index."""
-        records = len(index)
-        if records == 0:
-            return cls(0, 0, 0, None)
-        tree = index.tree
-        try:
-            root = tree.load_node(tree.root_id, cost)
-            domain: Optional[Box] = root.mbr()
-        except (TransientIOError, CorruptPageError):
-            domain = None
-        per_leaf = max(1, int(tree.max_leaf * 2 * DEFAULT_FILL_FACTOR))
-        leaf_pages = max(1, math.ceil(records / per_leaf))
-        return cls(records, tree.height, leaf_pages, domain)
 
     @classmethod
     def estimate(
@@ -95,10 +75,11 @@ class IndexStats:
     ) -> "IndexStats":
         """Statistics derived from page-layout arithmetic alone.
 
-        For front-ends that never touch the tree (the out-of-process
-        tier): the paper's fanout formulae predict leaf count and height
-        from the record count, and ``domain`` comes from whatever bounds
-        the caller tracked while routing the load.
+        No tier reads a tree to plan: the paper's fanout formulae
+        predict leaf count and height from the record count, and
+        ``domain`` comes from whatever bounds the caller tracked while
+        loading and inserting (the index's own, or the rows a sharded
+        front-end routed).
         """
         if records == 0:
             return cls(0, 0, 0, None)

@@ -8,15 +8,13 @@ uniform per-tick interface:
 * :meth:`serve` evaluates the session's slice of one tick and returns a
   :class:`TickResult` (or ``None`` when a shed session is coasting on a
   previous conservative answer);
-* :meth:`frontier_demand` names the pages that evaluation will read,
-  per index tree, so the shared-scan scheduler can batch page reads
-  across clients — for PDQ, aggregate and NPDQ clients, the pages
-  their evaluation *did* read: the first such session's demand runs the
+* :meth:`frontier_demand` runs the tick's batch phase for the kinds
+  that have one and names the pages it read, per index tree — for PDQ,
+  aggregate and NPDQ clients the first such session's demand runs the
   :class:`PDQSweep` (resp. :class:`NPDQSweep`) that evaluates all of
-  them in one page-major pass, so its reads are the batch's.  A kind
-  whose pages are decided during evaluation (kNN, an auto session's
-  non-predictive frames) names none and reads through the tick's shared
-  pool;
+  them in one page-major pass, so the sweeps' reads are the batch.  A
+  kind whose pages are decided during evaluation (kNN, join, auto)
+  names none and reads through the tick's held pool in :meth:`serve`;
 * :meth:`deliver` / :meth:`poll` implement the bounded result queue that
   admission control and slow-client shedding are built on.
 
@@ -194,10 +192,9 @@ class ClientSession:
     def frontier_demand(self, tick: Tick) -> List[Tuple[object, List[int]]]:
         """``(tree, page ids)`` demand pairs for the batch phase.
 
-        Each pair names the R-tree the pages belong to, so the shared
-        scan can batch sessions over different indexes (native-space for
-        the PDQ sweep and auto frontiers, dual-time for the NPDQ sweep)
-        without conflating the two trees' page-id namespaces.
+        Each pair names the R-tree the pages belong to (native-space
+        for the PDQ sweep, dual-time for the NPDQ sweep), so the two
+        trees' page-id namespaces are never conflated.
         """
         if not self.will_serve(tick):
             return []
@@ -328,12 +325,11 @@ class PDQSweep(_Sweep):
     def __init__(self) -> None:
         super().__init__()
         self._demand: Dict[int, List[int]] = {}  # by id(session)
-        self._failed = 0
 
     def _evaluate(self, tick: Tick, serving: List["_WindowSession"]) -> None:
         # the exact engine, or the one a shed session's SPDQ runs
         engines = [getattr(s.engine, "engine", s.engine) for s in serving]
-        demand, self._failed = sweep_windows(
+        demand = sweep_windows(
             [(e, tick.start, s._horizon(tick)) for e, s in zip(engines, serving)],
             self._table(e.trajectory for e in engines),
         )
@@ -343,10 +339,6 @@ class PDQSweep(_Sweep):
         """The pages the sweep of ``tick`` loaded for ``session``."""
         self.run(tick)
         return self._demand.get(id(session), [])
-
-    def failed_reads(self, tick: Tick) -> int:
-        """Page loads of the sweep of ``tick`` that failed."""
-        return self._failed if self._tick == tick else 0
 
 
 class _WindowSession(ClientSession):
@@ -771,11 +763,10 @@ class AutoSession(ClientSession):
     :class:`~repro.core.DynamicQuerySession` exactly as they would for a
     privately driven session.
 
-    The session's batch demand is the live predictive engine's
-    priority-queue frontier over the native tree.  Snapshot and
-    non-predictive frames name no pages: :meth:`serve` evaluates them
-    against the dual tree during the drain, reading through the tick's
-    shared pool like a kNN session.
+    The session names no batch demand: :meth:`serve` evaluates every
+    frame during the drain — the predictive engine over the native tree,
+    snapshot and non-predictive frames over the dual tree — reading
+    through the tick's held pool like a kNN session.
     """
 
     kind = "auto"
@@ -790,10 +781,6 @@ class AutoSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.session = session
         self.path = path
-
-    def _frontiers(self, tick: Tick):
-        session = self.session
-        yield session.native_index.tree, session.frontier_pages(tick.end)
 
     @property
     def logical_reads(self) -> int:

@@ -74,6 +74,7 @@ from repro.errors import ServerError
 from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.index.dualtime import DualTimeIndex
+from repro.index.facade import widen_domain
 from repro.index.nsi import NativeSpaceIndex
 from repro.motion.segment import MotionSegment, SegmentTable
 from repro.server.broker import BrokerCore, QueryBroker, ServerConfig
@@ -609,7 +610,7 @@ class MultiplexBroker(BrokerCore):
     def _note(self, shard_id: int, rows: int, box: Box) -> None:
         records, domain = self._routed[shard_id]
         self._routed[shard_id] = (
-            records + rows, box if domain is None else domain.cover(box)
+            records + rows, widen_domain(domain, records, box)
         )
 
     def close(self) -> None:

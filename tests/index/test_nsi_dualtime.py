@@ -58,6 +58,40 @@ class TestConstruction:
             dti.insert(rec)
 
 
+class TestDomain:
+    """What a planner may know without a read: the cover of the native
+    boxes of every row loaded or inserted, unknown for a reopened one."""
+
+    @pytest.mark.parametrize("cls", [NativeSpaceIndex, DualTimeIndex])
+    def test_loaded_and_inserted_rows_are_covered(self, cls, tiny_segments):
+        index = cls(dims=2)
+        assert index.domain is None
+        index.bulk_load(tiny_segments[:50])
+        want = tiny_segments[0].bounding_box()
+        for record in tiny_segments[1:50]:
+            want = want.cover(record.bounding_box())
+        assert index.domain == want
+        far = make_segment(oid=10**6, t0=0.0, t1=1.0, origin=(500.0, 500.0))
+        index.insert_batch([far])
+        assert index.domain == want.cover(far.bounding_box())
+
+    def test_an_empty_index_takes_its_first_insert(self):
+        index = NativeSpaceIndex(dims=2)
+        record = make_segment()
+        index.insert(record)
+        assert index.domain == record.bounding_box()
+
+    def test_a_reopened_index_stays_unknown_after_inserts(self, tiny_segments):
+        built = NativeSpaceIndex(dims=2)
+        built.bulk_load(tiny_segments[:50])
+        reopened = NativeSpaceIndex(
+            dims=2, disk=built.tree.disk, restore_meta=built.tree.recovery_meta()
+        )
+        assert len(reopened) == 50 and reopened.domain is None
+        reopened.insert(make_segment(oid=10**6))
+        assert reopened.domain is None
+
+
 class TestQueryBoxes:
     def test_native_query_box_layout(self):
         nsi = NativeSpaceIndex(dims=2)

@@ -9,7 +9,7 @@ path calls any more), the NPDQ sweep's demand and the scheduler
 batching — including the safety half of the design: a fault on a page
 the sweep reads for several clients is retried once for all of them,
 and what it still costs is each client's own policy — and that an auto
-session names no dual-tree demand at all.
+session names no demand at all.
 """
 
 import pytest
@@ -303,11 +303,10 @@ class TestAcceleratingObserverRegression:
 
 
 class TestAutoDualFrontier:
-    """Auto sessions name no dual-tree demand: the live predictive
-    engine's native-tree frontier is all they give the batch phase, and
-    snapshot and non-predictive frames read the dual tree during the
-    drain — with the answers of the same session driven alone, on the
-    first frame, every later one and across a teleport."""
+    """Auto sessions name no batch demand: snapshot and non-predictive
+    frames read the dual tree during the drain — with the answers of the
+    same session driven alone, on the first frame, every later one and
+    across a teleport."""
 
     TELEPORT_TICK = 10
 

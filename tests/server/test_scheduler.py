@@ -9,7 +9,7 @@ from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
 from repro.server import QueryBroker, ServerConfig
 from repro.server.clock import SimulatedClock
-from repro.server.scheduler import SharedScanScheduler
+from repro.server.scheduler import BatchStats, SharedScanScheduler
 from repro.server.session import PDQSession
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -45,10 +45,10 @@ class TestBatchPhase:
         demand = [frontier_pages(s, tick) for s in sessions]
         assert all(demand[0] == d for d in demand)  # identical clients
         assert len(demand[0]) > 1  # the root and the pages below it
-        assert stats.demanded == 4 * len(demand[0])
-        assert stats.unique_pages == len(demand[0])
-        assert stats.fetched == physical == len(demand[0])
-        assert stats.piggybacked == stats.demanded - stats.fetched
+        # The first client's demand cost the reads; the other three
+        # piggybacked on them.
+        assert physical == len(demand[0])
+        assert stats == BatchStats(fetched=physical, piggybacked=3 * physical)
         # The drain reads nothing the batch did not.
         for session in sessions:
             session.serve(tick)
@@ -102,8 +102,7 @@ class TestBatchPhase:
         injector = FaultInjector()
         injector.script_read_fault(index.tree.root_id, times=1)
         index.tree.disk.set_faults(injector)
-        stats = scheduler.begin_tick([session], tick)
-        assert stats.failed == 1
+        scheduler.begin_tick([session], tick)
         assert frontier_pages(session, tick) == []  # nothing was loaded
         result = session.serve(tick)
         scheduler.end_tick()
@@ -210,42 +209,71 @@ class TestHeldTick:
         assert overflowed  # the invariant was put to the test
         assert pool.stats.evictions
 
-    def test_dual_pool_adopted_mid_tick(self, tiny_segments, fleet):
-        native, pool = pooled(NativeSpaceIndex, tiny_segments, 2048, 256)
-        dual, dual_pool = pooled(DualTimeIndex, tiny_segments, 48, 256)
+    def test_a_demand_on_a_tree_it_does_not_hold_is_refused(
+        self, build_native, build_dual, fleet
+    ):
+        # The pools are fixed at construction: a scheduler built without
+        # the dual tree refuses the NPDQ sweep's demand, which it read
+        # through a pool the tick did not hold.
+        native, dual = build_native(), build_dual()
         broker = QueryBroker(
             native,
             dual=dual,
             clock=SimulatedClock(start=1.0, period=0.1),
             config=ServerConfig(queue_depth=1000),
         )
-        # a scheduler that has not met the dual tree: its pool is
-        # adopted, and held, by the first batch phase that hears of it
-        broker.scheduler = scheduler = SharedScanScheduler(native.tree)
+        broker.scheduler = SharedScanScheduler(native.tree)
+        (trajectory,) = fleet(1)
+        broker.register("npdq", "n", trajectory=trajectory)
+        with pytest.raises(ServerError, match="does not hold"):
+            broker.run_tick()
+        assert not native.tree.disk.buffer_pool.held  # the tick was ended
+
+
+class TestAutoReadsInItsDrain:
+    def test_predictive_auto_frontier_is_read_once_in_the_drain(
+        self, tiny_segments, fleet
+    ):
+        # An auto session names no batch demand: its predictive engine
+        # reads the frontier the tick expands during the session's own
+        # serve, each page once, and the batch phase reads nothing.
+        native, pool = pooled(NativeSpaceIndex, tiny_segments, 1, 512)
+        dual, dual_pool = pooled(DualTimeIndex, tiny_segments, 1, 512)
+        broker = QueryBroker(
+            native,
+            dual=dual,
+            clock=SimulatedClock(start=1.0, period=0.1),
+            config=ServerConfig(queue_depth=1000),
+        )
+        (trajectory,) = fleet(1, mode="independent", duration=7.0)
+        session = broker.register_auto("a", trajectory, (3.0, 3.0))
+        scheduler = broker.scheduler
         begin_tick = scheduler.begin_tick
-        held = []
+        due, batch_reads = [], []
+
+        def reads():
+            return native.tree.disk.stats.reads + dual.tree.disk.stats.reads
 
         def observed(sessions, tick):
+            engine = session.session.predictive_engine
+            pages = set() if engine is None else engine._due_pages(
+                engine._frontier, tick.end
+            )
+            due.append({p for p in pages if p not in pool})
+            before = reads()
             stats = begin_tick(sessions, tick)
-            held.append((pool.held, dual_pool.held))
+            batch_reads.append(reads() - before)
             return stats
 
         scheduler.begin_tick = observed
-        trajectories = fleet(16, mode="independent", duration=3.0)
-        for i, trajectory in enumerate(trajectories):
-            kind = "pdq" if i % 2 else "npdq"
-            broker.register(kind, f"c{i}", trajectory=trajectory)
-        for tick in range(12):
+        for _ in range(40):
             for p in (pool, dual_pool):
                 p.new_tick()
             broker.run_tick()
-            assert len(dual_pool) <= dual_pool.capacity
-            if tick:  # adopted: held from the tick's first read on
-                assert dual_pool.unheld_puts == 0
-                assert len(dual_pool.admitted) == len(set(dual_pool.admitted))
-        assert held == [(True, True)] * 12
-        assert any(t is dual.tree for t in scheduler.trees)
-        assert not dual_pool.held and dual_pool.stats.evictions
+            assert len(pool.admitted) == len(set(pool.admitted)), "read twice"
+            assert due[-1] <= set(pool.admitted)
+        assert sum(map(len, due)) > 0  # predictive ticks read a frontier
+        assert batch_reads == [0] * 40
 
 
 @pytest.fixture(scope="module")

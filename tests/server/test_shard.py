@@ -14,6 +14,7 @@ from repro.core.trajectory import QueryTrajectory
 from repro.geometry.interval import Interval
 from repro.errors import AdmissionError, ServerError
 from repro.geometry.box import Box
+from repro.index.nsi import NativeSpaceIndex
 from repro.server import (
     MultiplexBroker,
     QueryBroker,
@@ -413,6 +414,28 @@ def test_front_end_admission_control(tiny_config, tiny_segments):
     mux.register("pdq", "c", trajectory=fleet[2])
     assert sorted(s.client_id for s in mux.sessions) == ["b", "c"]
     mux.quiesce()
+
+
+def test_a_store_opened_shard_keeps_its_domain_unknown(tiny_segments):
+    # A shard whose index holds rows no load() routed (a store it was
+    # opened from) has no known domain, and an insert routed to it does
+    # not make that insert's box its whole domain: the planner keeps
+    # assuming a scan, as it does for a reopened index of its own.
+    def opened():
+        index = NativeSpaceIndex(dims=2, page_size=PAGE_SIZE)
+        index.bulk_load(tiny_segments)
+        return index
+
+    mux = MultiplexBroker(
+        ShardPlan.grid([0.0, 0.0], [32.0, 32.0], 2),
+        opened,
+        clock=SimulatedClock(start=START, period=PERIOD),
+    )
+    assert mux._index_stats().domain is None
+    mux.submit(UpdateOp(0.5, "insert", make_segment(oid=10**6, origin=(1.0, 1.0))))
+    stats = mux._index_stats()
+    assert stats.domain is None
+    assert stats.records > 2 * len(tiny_segments)  # both shards, counted
 
 
 def test_auto_clients_route_to_every_shard(tiny_config, tiny_segments):

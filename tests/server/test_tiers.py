@@ -220,22 +220,24 @@ def test_shed_promote_close_match_unsharded(tier, tiny_segments, fleet):
 
 
 def test_planning_reads_no_page(tiny_segments, fleet):
-    """A sharded front-end plans from the rows it routed: registering
-    through the planner front door reads no shard's tree."""
-    mux = build("mux", tiny_segments)
-    disks = [
-        index.tree.disk
-        for shard in mux.shards
-        for index in (shard.native, shard.dual)
-    ]
-    reads = [disk.stats.reads for disk in disks]
-    for i, t in enumerate(fleet(4, mode="spread", duration=1.0)):
-        FRONT_DOOR["pdq"](mux, f"pdq-{i}", t)
-        FRONT_DOOR["knn"](mux, f"knn-{i}", t)
-    assert [disk.stats.reads for disk in disks] == reads
-    assert {plan.engine for plan in mux.metrics.plans.values()} == {
-        "pdq", "movingknn"
-    }
+    """Every in-process tier plans from counts and domains — the leaf
+    broker from its index's, a sharded front-end from the rows it
+    routed: registering through the planner front door reads no tree."""
+    for tier in ("leaf", "mux"):
+        broker = build(tier, tiny_segments)
+        disks = [
+            index.tree.disk
+            for holder in ([broker] if tier == "leaf" else broker.shards)
+            for index in (holder.native, holder.dual)
+        ]
+        reads = [disk.stats.reads for disk in disks]
+        for i, t in enumerate(fleet(4, mode="spread", duration=1.0)):
+            FRONT_DOOR["pdq"](broker, f"pdq-{i}", t)
+            FRONT_DOOR["knn"](broker, f"knn-{i}", t)
+        assert [disk.stats.reads for disk in disks] == reads, tier
+        assert {plan.engine for plan in broker.metrics.plans.values()} == {
+            "pdq", "movingknn"
+        }
 
 
 def test_unknown_kind_is_refused_on_every_surface(tiny_segments, fleet):
