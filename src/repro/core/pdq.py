@@ -346,13 +346,11 @@ class _LiveEngines:
 
     def __init__(self) -> None:
         self.engines: List[PDQEngine] = []
-        self._stacked: tuple = ((), None)  # the engines' trajectory tables
+        self._table = kernels.StackedTables()  # the engines' trajectory tables
 
     def __call__(self, notices: Sequence[InsertionNotice]) -> None:
-        tables = tuple(e.trajectory.kernel_table() for e in self.engines)
-        if tables != self._stacked[0]:
-            self._stacked = (tables, kernels.TrajectoryTable.stack(tables))
-        notify_inserts(self.engines, notices, self._stacked[1])
+        tables = (e.trajectory.kernel_table() for e in self.engines)
+        notify_inserts(self.engines, notices, self._table(tables))
 
 
 #: ``id(tree)`` -> its live engines; an entry dies with its tree

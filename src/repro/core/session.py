@@ -20,10 +20,17 @@ Every answer flows into a shared :class:`~repro.core.ClientCache`, so
 mode switches are invisible to the renderer.
 
 A frame is evaluated when it is observed and nothing is read for it
-beforehand: every mode reads its pages during
-:meth:`~DynamicQuerySession.observe` — the predictive engine from the
-native-space tree, snapshot and non-predictive frames from the
-dual-time tree.
+beforehand: every mode reads its pages during the observation — the
+predictive engine from the native-space tree, snapshot and
+non-predictive frames from the dual-time tree.
+
+Sessions over one pair of indexes observe a frame each as one block
+(:func:`observe_block`): the teleport test, velocity and stability are
+columns, the predicted centres one kernel call, the predictive frames
+one page-major :func:`~repro.core.pdq.sweep_windows` and the others one
+:func:`~repro.core.npdq.snapshot_all`; only a session whose engine
+changes hands takes the scalar hand-off.
+:meth:`DynamicQuerySession.observe` is the block of one.
 """
 
 from __future__ import annotations
@@ -31,23 +38,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import ClientCache
-from repro.core.npdq import NPDQEngine
-from repro.core.pdq import PDQEngine
+from repro.core.npdq import NPDQEngine, snapshot_all
+from repro.core.pdq import PDQEngine, sweep_windows
 from repro.core.spdq import SPDQEngine
 from repro.core.results import AnswerItem
 from repro.core.snapshot import SnapshotQuery
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import SessionError
+from repro.geometry import kernels
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.index.dualtime import DualTimeIndex
 from repro.index.nsi import NativeSpaceIndex
 from repro.storage.metrics import QueryCost
 
-__all__ = ["SessionMode", "FrameReport", "DynamicQuerySession"]
+__all__ = ["SessionMode", "FrameReport", "DynamicQuerySession", "observe_block"]
 
 
 class SessionMode(enum.Enum):
@@ -147,6 +155,7 @@ class DynamicQuerySession:
         self._last_center: Optional[Tuple[float, ...]] = None
         self._last_velocity: Optional[Tuple[float, ...]] = None
         self._stable_count = 0
+        self._tables = (kernels.StackedTables(), kernels.StackedTables())
 
     # -- helpers -----------------------------------------------------------
 
@@ -159,12 +168,6 @@ class DynamicQuerySession:
     def predictive_engine(self):
         """The live PDQ/SPDQ engine, or ``None`` outside predictive mode."""
         return self._pdq
-
-    def _window(self, center: Sequence[float]) -> Box:
-        return Box.from_bounds(
-            [c - h for c, h in zip(center, self.half_extents)],
-            [c + h for c, h in zip(center, self.half_extents)],
-        )
 
     def _drop_pdq(self) -> None:
         if self._pdq is not None:
@@ -203,113 +206,16 @@ class DynamicQuerySession:
         # when we eventually fall back.
         self._npdq.reset()
 
-    def _prediction_holds(self, t: float, center: Sequence[float]) -> bool:
-        assert self._predicted is not None
-        if t > self._pdq_until:
-            return False
-        predicted = self._predicted.window_at(t).center
-        deviation = math.dist(tuple(center), predicted)
-        return deviation <= max(self.deviation_tolerance, self.spdq_delta)
-
     # -- the per-frame entry point ---------------------------------------------
 
     def observe(self, t: float, center: Sequence[float]) -> FrameReport:
         """Process one rendered frame: observer at ``center`` at time ``t``.
 
         Returns the newly delivered objects, evictions and the mode used.
-        Frames must advance strictly in time.
+        Frames must advance strictly in time.  This is the one-session
+        case of :func:`observe_block`.
         """
-        center = tuple(center)
-        if len(center) != self.native_index.dims:
-            raise SessionError(
-                f"center has {len(center)} dims, indexes have "
-                f"{self.native_index.dims}"
-            )
-        if self._last_time is not None and t <= self._last_time:
-            raise SessionError("frames must advance strictly in time")
-
-        # A frame continues the series unless it is the first or a
-        # teleport: a window overlapping the previous one by less than
-        # ``teleport_overlap``.
-        window = self._window(center)
-        prev_window: Optional[Box] = None
-        if self._last_time is not None:
-            prev_window = self._window(self._last_center)  # type: ignore[arg-type]
-            inter = prev_window.intersect(window)
-            overlap = inter.volume() / window.volume() if window.volume() else 0.0
-            if overlap < self.teleport_overlap:
-                prev_window = None
-        fresh = prev_window is None
-        report = FrameReport(time=t, mode=self._mode)
-
-        # -- update the motion estimate --------------------------------------
-        velocity: Optional[Tuple[float, ...]] = None
-        if not fresh:
-            dt = t - self._last_time  # type: ignore[operator]
-            velocity = tuple(
-                (c - p) / dt for c, p in zip(center, self._last_center)  # type: ignore[arg-type]
-            )
-            if self._last_velocity is not None and all(
-                abs(a - b) <= self.velocity_tolerance
-                for a, b in zip(velocity, self._last_velocity)
-            ):
-                self._stable_count += 1
-            else:
-                self._stable_count = 0
-        else:
-            self._stable_count = 0
-
-        # -- pick the mode ------------------------------------------------------
-        if fresh:
-            self._drop_pdq()
-            self._npdq.reset()
-            self._set_mode(t, SessionMode.SNAPSHOT)
-        elif self._pdq is not None and self._prediction_holds(t, center):
-            self._set_mode(t, SessionMode.PREDICTIVE)
-        else:
-            self._drop_pdq()
-            if self._stable_count >= self.stability_frames:
-                assert velocity is not None
-                self._last_velocity = velocity
-                self._start_prediction(t, center)
-                self._set_mode(t, SessionMode.PREDICTIVE)
-            else:
-                self._set_mode(t, SessionMode.NON_PREDICTIVE)
-
-        # -- evaluate the frame ---------------------------------------------------
-        if self._mode is SessionMode.PREDICTIVE:
-            assert self._pdq is not None
-            # a fresh frame is never predictive, so there is a last frame
-            items = self._pdq.window(self._last_time, t)  # type: ignore[arg-type]
-        else:
-            # A fresh frame is an instantaneous snapshot of the window;
-            # any other spans the time since the previous frame over the
-            # cover of both windows (the region the sweep crossed).
-            if prev_window is None:
-                query = SnapshotQuery(Interval.point(t), window)
-            else:
-                span = Interval(self._last_time, t)  # type: ignore[arg-type]
-                query = SnapshotQuery(span, window.cover(prev_window))
-            before = self._npdq.cost.snapshot()
-            result = self._npdq.snapshot(query)
-            self.cost.absorb(self._npdq.cost.snapshot() - before)
-            items = result.items
-            # Box-only prefetches must reach the cache: the next
-            # snapshot's discardability assumes the client holds them.
-            for item in result.prefetched:
-                self.cache.insert(item)
-
-        for item in items:
-            self.cache.insert(item)
-        report.mode = self._mode
-        report.new_items = items
-        report.evicted_ids = self.cache.advance(t)
-        report.visible_count = len(self.cache)
-
-        self._last_time = t
-        self._last_center = center
-        self._last_velocity = velocity if velocity is not None else self._last_velocity
-        return report
+        return observe_block([self], t, [center], self._tables)[0]
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -322,3 +228,153 @@ class DynamicQuerySession:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def observe_block(
+    sessions: Sequence[DynamicQuerySession],
+    t: float,
+    centres: Sequence[Sequence[float]],
+    tables: Optional[Tuple[kernels.StackedTables, kernels.StackedTables]] = None,
+) -> List[FrameReport]:
+    """Process one rendered frame at ``t`` for every session of a block,
+    session ``i``'s observer at ``centres[i]``; returns their reports.
+
+    The sessions share one pair of indexes and observe once each, and
+    every refusal comes before any session is touched.  Each session
+    gets the report, mode switches, cost and cache contents it would get
+    observing alone (see the module docstring for how the block
+    evaluates them together).  ``tables`` stack the live predictions'
+    and the predictive engines' trajectories; pass the same pair tick
+    after tick and an unchanged set is not restacked.  A failed
+    evaluation (a page load that raises) leaves every member handed off
+    to its new mode with its last frame, velocity and cache not advanced.
+    """
+    centres = [tuple(c) for c in centres]
+    if len(centres) != len(sessions):
+        raise SessionError(f"{len(centres)} centres for {len(sessions)} sessions")
+    if len({id(s) for s in sessions}) != len(sessions):
+        raise SessionError("a session observes one frame per block")
+    if not sessions:
+        return []
+    predicted_table, engine_table = tables or (kernels.StackedTables(), kernels.StackedTables())
+    native, dual = sessions[0].native_index, sessions[0].dual_index
+    for s, center in zip(sessions, centres):
+        if s.native_index is not native or s.dual_index is not dual:
+            raise SessionError("a block's sessions share their indexes")
+        if len(center) != s.native_index.dims:
+            raise SessionError(
+                f"center has {len(center)} dims, indexes have "
+                f"{s.native_index.dims}"
+            )
+        if s._last_time is not None and t <= s._last_time:
+            raise SessionError("frames must advance strictly in time")
+
+    # -- the motion estimate, in columns ----------------------------------------
+    # A frame continues the series unless it is the first or a teleport:
+    # a window overlapping the previous one by less than
+    # ``teleport_overlap``.
+    nan = (math.nan,) * len(centres[0])
+    overlaps, velocities, held = kernels.frame_motion(
+        centres,
+        [c if s._last_time is None else s._last_center for s, c in zip(sessions, centres)],
+        [s.half_extents for s in sessions],
+        [1.0 if s._last_time is None else t - s._last_time for s in sessions],
+        [s._last_velocity or nan for s in sessions],
+        [s.velocity_tolerance for s in sessions],
+    )
+    fresh = [
+        s._last_time is None or overlap < s.teleport_overlap
+        for s, overlap in zip(sessions, overlaps)
+    ]
+    # live predictions not past their horizon, checked against the
+    # observed centres
+    live = [
+        i for i, s in enumerate(sessions)
+        if not fresh[i] and s._pdq is not None and t <= s._pdq_until
+    ]
+    holds = set()
+    if live:
+        predicted = kernels.window_centres(
+            predicted_table(
+                sessions[i]._predicted.kernel_table() for i in live  # type: ignore[union-attr]
+            ),
+            t,
+        )
+        for i, centre in zip(live, predicted):
+            s = sessions[i]
+            if math.dist(centres[i], centre) <= max(s.deviation_tolerance, s.spdq_delta):
+                holds.add(i)
+
+    # -- pick the modes: only a hand-off touches an engine -----------------------
+    for i, s in enumerate(sessions):
+        s._stable_count = s._stable_count + 1 if held[i] and not fresh[i] else 0
+        if fresh[i]:
+            s._drop_pdq()
+            s._npdq.reset()
+            mode = SessionMode.SNAPSHOT
+        elif i in holds:
+            mode = SessionMode.PREDICTIVE
+        else:
+            s._drop_pdq()
+            mode = SessionMode.NON_PREDICTIVE
+            if s._stable_count >= s.stability_frames:
+                s._last_velocity = tuple(velocities[i])
+                s._start_prediction(t, centres[i])
+                mode = SessionMode.PREDICTIVE
+        s._set_mode(t, mode)
+
+    # -- evaluate the frames --------------------------------------------------------
+    items: Dict[int, Sequence[AnswerItem]] = {}
+    predictive = [i for i, s in enumerate(sessions) if s._mode is SessionMode.PREDICTIVE]
+    if predictive:
+        # a fresh frame is never predictive, so each has a last frame;
+        # an SPDQ engine's sweep is its inner engine's
+        engines = [getattr(sessions[i]._pdq, "engine", sessions[i]._pdq) for i in predictive]
+        sweep_windows(
+            [(e, sessions[i]._last_time, t) for e, i in zip(engines, predictive)],
+            engine_table(e.trajectory.kernel_table() for e in engines),
+        )
+        for i in predictive:
+            items[i] = sessions[i]._pdq.window(sessions[i]._last_time, t)  # type: ignore
+    pairs = []
+    for i, s in enumerate(sessions):
+        if i in items:
+            continue
+        # A fresh frame is an instantaneous snapshot of the window; any
+        # other spans the time since the previous frame over the cover
+        # of both windows (the region the sweep crossed).
+        window = _box_around(centres[i], s.half_extents)
+        if fresh[i]:
+            query = SnapshotQuery(Interval.point(t), window)
+        else:
+            swept = window.cover(_box_around(s._last_center, s.half_extents))  # type: ignore[arg-type]
+            query = SnapshotQuery(Interval(s._last_time, t), swept)  # type: ignore[arg-type]
+        pairs.append((i, s._npdq, query))
+    results = snapshot_all([(engine, query) for _, engine, query in pairs])
+    for (i, _, _), result in zip(pairs, results):
+        s = sessions[i]
+        s.cost.absorb(result.cost)
+        # Box-only prefetches must reach the cache: the next snapshot's
+        # discardability assumes the client holds them.
+        for item in result.prefetched:
+            s.cache.insert(item)
+        items[i] = result.items
+
+    reports = []
+    for i, s in enumerate(sessions):
+        for item in items[i]:
+            s.cache.insert(item)
+        evicted = s.cache.advance(t)
+        reports.append(FrameReport(t, s._mode, items[i], evicted, len(s.cache)))
+        if not fresh[i]:
+            s._last_velocity = tuple(velocities[i])
+        s._last_time = t
+        s._last_center = centres[i]
+    return reports
+
+
+def _box_around(center: Sequence[float], half_extents: Sequence[float]) -> Box:
+    return Box.from_bounds(
+        [c - h for c, h in zip(center, half_extents)],
+        [c + h for c, h in zip(center, half_extents)],
+    )

@@ -42,7 +42,7 @@ passes batches around as opaque objects.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,7 +70,10 @@ __all__ = [
     "moving_window_box_overlap_batch",
     "moving_window_segment_overlap_batch",
     "TrajectoryTable",
+    "StackedTables",
     "frame_windows",
+    "window_centres",
+    "frame_motion",
     "trajectory_live_components",
     "gathered_live_components",
     "segment_box_overlap_batch",
@@ -507,6 +510,33 @@ def _volume(lows, highs):
     return volume
 
 
+def frame_motion(centres, lasts, halves, dts, velocities, tolerances):
+    """Per frame of a block, the scalar session's floats: row ``r`` is at
+    ``centres[r]``, ``dts[r]`` after ``lasts[r]``, with half-extents
+    ``halves[r]``, last velocity ``velocities[r]`` (NaNs for none) and
+    velocity tolerance ``tolerances[r]``.  Returns per row the volume of
+    ``Box.intersect`` of the windows ``p ± h`` and ``c ± h`` over the
+    latter's (0.0 for a window of no volume), the velocity ``(c − p) /
+    dt`` and whether it is within the tolerance of the last on every axis.
+    """
+    c, p, h = (np.asarray(x, dtype=np.float64) for x in (centres, lasts, halves))
+    lows, highs, p_lows, p_highs = c - h, c + h, p - h, p + h
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Interval.intersect: the previous window's bound wins a tie
+        i_lows = np.where(p_lows >= lows, p_lows, lows)
+        i_highs = np.where(p_highs <= highs, p_highs, highs)
+        inter, area = (
+            np.where((lo > hi).any(axis=1), 0.0, _volume(lo, hi))
+            for lo, hi in ((i_lows, i_highs), (lows, highs))
+        )
+        overlap = np.divide(inter, area, out=np.zeros(len(area)), where=area != 0.0)
+        velocity = (c - p) / np.asarray(dts, dtype=np.float64)[:, None]
+        held = np.abs(velocity - np.asarray(velocities, dtype=np.float64)) <= np.asarray(
+            tolerances, dtype=np.float64
+        )[:, None]
+    return overlap.tolist(), velocity.tolist(), held.all(axis=1).tolist()
+
+
 def choose_subtree(
     boxes: BoxBatch, lows: Sequence[float], highs: Sequence[float]
 ) -> int:
@@ -649,20 +679,30 @@ class TrajectoryTable:
         return table
 
 
-def frame_windows(table: TrajectoryTable, start: float, end: float):
-    """The frame window of every trajectory of ``table`` over ``[start,
-    end]``, as ``(lows, highs)`` arrays of ``(trajectories, dims)``.
+class StackedTables:
+    """The stack of one owner's trajectory tables (a sweep's serving
+    members, a tree's live engines), restacked only when they change;
+    ``None`` for no tables."""
 
-    Row ``t`` is ``QueryTrajectory.frame_query``'s window, same floats:
-    the windows at ``start`` and at ``end`` (``window_at``: the instant
-    clamped to the span, the segment of the last key time at or before
-    it, ``s.low + frac · (e.low − s.low)``) and every key window strictly
-    inside the frame after the first key, covered in that order as
-    ``Box.cover`` does.
-    """
+    def __init__(self) -> None:
+        self._stacked: tuple = ((), None)
+
+    def __call__(self, tables: Iterable[TrajectoryTable]) -> Optional[TrajectoryTable]:
+        tables = tuple(tables)
+        if tables != self._stacked[0]:
+            self._stacked = (tables, TrajectoryTable.stack(tables) if tables else None)
+        return self._stacked[1]
+
+
+def _windows_at(table: TrajectoryTable, instants: Sequence[float]):
+    """``window_at`` of every trajectory of ``table`` at each of
+    ``instants``, as ``(lows, highs)`` arrays of ``(instants,
+    trajectories, dims)``, same floats: the instant clamped to the span,
+    the segment of the last key time at or before it, ``s.low + frac ·
+    (e.low − s.low)``."""
     keys, m = table.keys, table.m
-    # both instants at once: axis 0 is (start, end), axis 1 the trajectory
-    t = np.array([[start], [end]], dtype=np.float64)
+    # axis 0 is the instant, axis 1 the trajectory
+    t = np.array([[x] for x in instants], dtype=np.float64)
     t = np.where(keys[:, 0] > t, keys[:, 0], t)  # min(max(t, low), high)
     t = np.where(table.end < t, table.end, t)
     j = np.clip((keys <= t[..., None]).sum(axis=2) - 1, 0, m - 1)  # bisect_right - 1
@@ -671,7 +711,20 @@ def frame_windows(table: TrajectoryTable, start: float, end: float):
     frac = ((t - t0) / (t1 - t0))[..., None]  # key times increase: never 0/0
     s_lo, s_hi = table.lows[rows, j], table.highs[rows, j]
     e_lo, e_hi = table.lows[rows, j + 1], table.highs[rows, j + 1]
-    w_lo, w_hi = s_lo + frac * (e_lo - s_lo), s_hi + frac * (e_hi - s_hi)
+    return s_lo + frac * (e_lo - s_lo), s_hi + frac * (e_hi - s_hi)
+
+
+def frame_windows(table: TrajectoryTable, start: float, end: float):
+    """The frame window of every trajectory of ``table`` over ``[start,
+    end]``, as ``(lows, highs)`` arrays of ``(trajectories, dims)``.
+
+    Row ``t`` is ``QueryTrajectory.frame_query``'s window, same floats:
+    the windows at ``start`` and at ``end`` (:func:`_windows_at`) and
+    every key window strictly inside the frame after the first key,
+    covered in that order as ``Box.cover`` does.
+    """
+    keys = table.keys
+    w_lo, w_hi = _windows_at(table, (start, end))
     lows, highs = _cover(w_lo[0], w_hi[0], w_lo[1], w_hi[1])
     inside = (keys[:, 1:] > start) & (keys[:, 1:] < end)
     row, key = inside.nonzero()  # row-major: each row's keys in key order
@@ -683,6 +736,14 @@ def frame_windows(table: TrajectoryTable, start: float, end: float):
             lows[r], highs[r], table.lows[r, k], table.highs[r, k]
         )
     return lows, highs
+
+
+def window_centres(table: TrajectoryTable, t: float) -> List[List[float]]:
+    """The window centre at ``t`` of every trajectory of ``table``:
+    ``window_at(t).center`` (``Interval.midpoint``, ``0.5 * (low +
+    high)``), same floats."""
+    lows, highs = _windows_at(table, (t,))
+    return (0.5 * (lows[0] + highs[0])).tolist()
 
 
 def _cover(a_lo, a_hi, b_lo, b_hi):

@@ -112,6 +112,17 @@ class SegmentTable:
 
     def bounding_box(self) -> Box:
         """The cover of the rows' native-space bounding boxes, as folding
-        ``Box.cover`` over them gives it; the table must have rows."""
-        boxes = kernels.BoxBatch.from_columns(*self.segments.box_bounds())
-        return Box.from_bounds(*boxes.cover())
+        ``Box.cover`` over them gives it; the table must have rows.
+
+        A row is never an empty box, so the fold's rule for one (skip
+        it) never applies: ``SpaceTimeSegment`` refuses an empty validity
+        interval (``t_lo > t_hi``), and each spatial extent is the two
+        endpoints ordered (``Interval.ordered``), which no float pair —
+        NaN included — makes ``low > high``.  Per axis the first least
+        low and first greatest high are taken (``argmin``/``argmax``, as
+        :meth:`kernels.BoxBatch.cover` keeps the first of equal bounds).
+        """
+        lows, highs = self.segments.box_bounds()
+        return Box.from_bounds(
+            [c[c.argmin()].item() for c in lows], [c[c.argmax()].item() for c in highs]
+        )

@@ -16,7 +16,8 @@ the broker:
    :class:`~repro.server.session.NPDQSweep` every NPDQ client's frame
    over the dual tree, each page loaded once for all its readers; kNN,
    join and auto clients name nothing and read through the held pools
-   during the drain;
+   during the drain, where the :class:`~repro.server.session.AutoSweep`
+   observes every auto client as one block at the first one's serve;
 3. serves each session **in registration order** (the determinism the
    answer-invariance property test depends on); the scheduler holds the
    pools until the tick ends, so a page one client fetched mid-tick is a
@@ -55,7 +56,13 @@ from repro.server.kinds import KINDS, QueryKind, kind_named, registration_of
 from repro.server.metrics import ServerMetrics, TickMetrics
 from repro.server.planner import IndexStats, plan_query
 from repro.server.scheduler import SharedScanScheduler
-from repro.server.session import ClientSession, NPDQSweep, PDQSweep, SessionState
+from repro.server.session import (
+    AutoSweep,
+    ClientSession,
+    NPDQSweep,
+    PDQSweep,
+    SessionState,
+)
 
 __all__ = ["ServerConfig", "BrokerCore", "QueryBroker"]
 
@@ -322,6 +329,8 @@ class QueryBroker(BrokerCore):
         self.npdq_sweep = NPDQSweep()
         #: every PDQ and aggregate session, evaluated page-major a tick
         self.pdq_sweep = PDQSweep()
+        #: every auto session, observed as one block a tick
+        self.auto_sweep = AutoSweep()
         self._logical_seen: Dict[str, int] = {}
 
     # -- what this tier supplies to BrokerCore -----------------------------

@@ -96,7 +96,7 @@ def _auto(
         if isinstance(trajectory, QueryTrajectory)
         else trajectory
     )
-    return AutoSession(
+    session = AutoSession(
         client_id,
         DynamicQuerySession(
             broker.native, broker.dual, half_extents, **session_kwargs
@@ -104,6 +104,8 @@ def _auto(
         path,
         queue_depth=broker.config.queue_depth,
     )
+    broker.auto_sweep.join(session)  # observed as one block a tick
+    return session
 
 
 def _knn(broker, client_id: str, trajectory, k, **kwargs) -> ClientSession:

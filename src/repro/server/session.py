@@ -59,12 +59,12 @@ from repro.core.npdq import NPDQEngine, snapshot_block
 from repro.core.pdq import PDQEngine, sweep_windows
 from repro.core.query import JoinAnswer
 from repro.core.results import AnswerBlock, NeighborBlock, SnapshotResult
-from repro.core.session import DynamicQuerySession
+from repro.core.session import DynamicQuerySession, FrameReport, observe_block
 from repro.core.spdq import SPDQEngine
 from repro.core.trajectory import QueryTrajectory
 from repro.errors import ServerError
 from repro.geometry.interval import Interval
-from repro.geometry.kernels import QueryBlock, TrajectoryTable
+from repro.geometry.kernels import QueryBlock, StackedTables
 from repro.server.clock import Tick
 from repro.server.metrics import ClientMetrics
 from repro.storage.metrics import QueryCost
@@ -74,6 +74,7 @@ __all__ = [
     "TickResult",
     "PDQSweep",
     "NPDQSweep",
+    "AutoSweep",
     "ClientSession",
     "PDQSession",
     "NPDQSession",
@@ -276,16 +277,18 @@ class _Sweep:
 
     The first :meth:`run` of a tick evaluates every member that serves
     it — in the scheduler's batch phase that is the first member's
-    :meth:`~ClientSession.frontier_demand`, without a scheduler its
-    ``serve``.  Members are held weakly (each holds its sweep): the
-    broker's session book owns them, and a torn-down broker's indexes
-    are freed at once, not at the next cycle collection.
+    :meth:`~ClientSession.frontier_demand`, in the drain (auto, or
+    without a scheduler) its ``serve`` — and keeps what each member gets
+    by ``id(session)``.  Members are held weakly (each holds its sweep):
+    the broker's session book owns them, and a torn-down broker's
+    indexes are freed at once, not at the next cycle collection.
     """
 
     def __init__(self) -> None:
         self._members: List["weakref.ref[ClientSession]"] = []
         self._tick: Optional[Tick] = None
-        self._stacked: tuple = ((), None)  # the serving members' trajectory tables
+        self._results: Dict[int, object] = {}  # by id(session)
+        self._table = StackedTables()  # the serving members' trajectory tables
 
     def join(self, session: ClientSession) -> None:
         """Evaluate ``session`` with the other members from now on."""
@@ -301,18 +304,17 @@ class _Sweep:
             ref for ref, s in zip(self._members, members)
             if s is not None and s.state is not SessionState.CLOSED
         ]
-        self._evaluate(
-            tick, [s for s in members if s is not None and s.will_serve(tick)]
-        )
+        serving = [s for s in members if s is not None and s.will_serve(tick)]
+        self._results = dict(zip(map(id, serving), self._evaluate(tick, serving)))
         self._tick = tick
 
-    def _table(self, trajectories) -> Optional[TrajectoryTable]:
-        """One table of ``trajectories``' kernel tables, restacked only
-        when the serving members change."""
-        tables = tuple(t.kernel_table() for t in trajectories)
-        if tables != self._stacked[0]:
-            self._stacked = (tables, TrajectoryTable.stack(tables) if tables else None)
-        return self._stacked[1]
+    def take(self, session: ClientSession, tick: Tick):
+        """``session``'s result of the sweep of ``tick``, once."""
+        self.run(tick)
+        try:
+            return self._results.pop(id(session))
+        except KeyError:
+            raise ServerError(f"{session.client_id} has no result left in tick {tick.index}") from None
 
 
 class PDQSweep(_Sweep):
@@ -322,23 +324,18 @@ class PDQSweep(_Sweep):
     expand (:func:`~repro.core.pdq.sweep_windows`), and the pages loaded
     for a member are its demand."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._demand: Dict[int, List[int]] = {}  # by id(session)
-
-    def _evaluate(self, tick: Tick, serving: List["_WindowSession"]) -> None:
+    def _evaluate(self, tick: Tick, serving: List["_WindowSession"]) -> List[List[int]]:
         # the exact engine, or the one a shed session's SPDQ runs
         engines = [getattr(s.engine, "engine", s.engine) for s in serving]
-        demand = sweep_windows(
+        return sweep_windows(
             [(e, tick.start, s._horizon(tick)) for e, s in zip(engines, serving)],
-            self._table(e.trajectory for e in engines),
+            self._table(e.trajectory.kernel_table() for e in engines),
         )
-        self._demand = {id(s): pages for s, pages in zip(serving, demand)}
 
     def demand(self, session: "_WindowSession", tick: Tick) -> List[int]:
         """The pages the sweep of ``tick`` loaded for ``session``."""
         self.run(tick)
-        return self._demand.get(id(session), [])
+        return self._results.get(id(session), [])
 
 
 class _WindowSession(ClientSession):
@@ -487,28 +484,13 @@ class NPDQSweep(_Sweep):
     :meth:`take` then hands each member its result, once.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._results: Dict[int, SnapshotResult] = {}  # by id(session)
-
-    def _evaluate(self, tick: Tick, serving: List["NPDQSession"]) -> None:
-        results = snapshot_block(
+    def _evaluate(self, tick: Tick, serving: List["NPDQSession"]) -> List[SnapshotResult]:
+        return snapshot_block(
             [s.engine for s in serving],
             QueryBlock.frames(
-                self._table(s.trajectory for s in serving), tick.start, tick.end
+                self._table(s.trajectory.kernel_table() for s in serving), tick.start, tick.end
             ),
         ) if serving else []
-        self._results = {id(s): result for s, result in zip(serving, results)}
-
-    def take(self, session: "NPDQSession", tick: Tick) -> SnapshotResult:
-        """``session``'s result of the sweep of ``tick``."""
-        self.run(tick)
-        try:
-            return self._results.pop(id(session))
-        except KeyError:
-            raise ServerError(
-                f"{session.client_id} has no result left in tick {tick.index}"
-            ) from None
 
 
 class NPDQSession(ClientSession):
@@ -754,6 +736,23 @@ class AggregateSession(_WindowSession):
         )
 
 
+class AutoSweep(_Sweep):
+    """The auto sessions of one broker: a tick's sweep observes every
+    serving member at the tick's end in one
+    :func:`~repro.core.session.observe_block`, at the first member's
+    ``serve`` (in the drain: the mode a centre picks decides what its
+    frame reads, so there is no batch demand to name)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._engine_table = StackedTables()  # and ``_table`` the live predictions
+
+    def _evaluate(self, tick: Tick, serving: List["AutoSession"]) -> List[FrameReport]:
+        centres = [s.path(tick.end) for s in serving]
+        tables = (self._table, self._engine_table)
+        return observe_block([s.session for s in serving], tick.end, centres, tables)
+
+
 class AutoSession(ClientSession):
     """An auto-mode client: the Sect. 4 mode hand-off session.
 
@@ -763,10 +762,9 @@ class AutoSession(ClientSession):
     :class:`~repro.core.DynamicQuerySession` exactly as they would for a
     privately driven session.
 
-    The session names no batch demand: :meth:`serve` evaluates every
-    frame during the drain — the predictive engine over the native tree,
-    snapshot and non-predictive frames over the dual tree — reading
-    through the tick's held pool like a kNN session.
+    The session names no batch demand: its :class:`AutoSweep` (every
+    auto session of its broker; a block of one when built alone)
+    observes it during the drain, reading through the tick's held pools.
     """
 
     kind = "auto"
@@ -781,6 +779,7 @@ class AutoSession(ClientSession):
         super().__init__(client_id, queue_depth)
         self.session = session
         self.path = path
+        AutoSweep().join(self)
 
     @property
     def logical_reads(self) -> int:
@@ -794,7 +793,7 @@ class AutoSession(ClientSession):
         return total
 
     def serve(self, tick: Tick) -> Optional[TickResult]:
-        report = self.session.observe(tick.end, self.path(tick.end))
+        report = self.sweep.take(self, tick)
         return TickResult(
             index=tick.index,
             start=tick.start,

@@ -25,6 +25,7 @@ walls like the single-query generator in
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -169,12 +170,24 @@ def path_of(
     """The observer's centre path as a callable (for auto sessions).
 
     Clamps to the trajectory's time span so a broker tick that slightly
-    overshoots the span end still observes a valid position.
+    overshoots the span end still observes a valid position.  The centre
+    is ``trajectory.window_at(t).center`` on plain floats, same floats:
+    the segment of the last key time at or before ``t``, each bound
+    ``s + frac · (e − s)``, then ``0.5 * (low + high)``.
     """
-    span = trajectory.time_span
+    keys = trajectory.key_snapshots
+    times = [k.time for k in keys]
+    lows = [k.window.lows for k in keys]
+    highs = [k.window.highs for k in keys]
+    last = len(keys) - 2  # the last segment
 
     def path(t: float) -> Tuple[float, ...]:
-        clamped = min(max(t, span.low), span.high)
-        return trajectory.window_at(clamped).center
+        t = min(max(t, times[0]), times[-1])
+        j = min(max(bisect.bisect_right(times, t) - 1, 0), last)
+        frac = (t - times[j]) / (times[j + 1] - times[j])  # key times increase
+        return tuple(
+            0.5 * ((sl + frac * (el - sl)) + (sh + frac * (eh - sh)))
+            for sl, el, sh, eh in zip(lows[j], lows[j + 1], highs[j], highs[j + 1])
+        )
 
     return path

@@ -11,10 +11,11 @@ import zlib
 from functools import reduce
 
 from repro.core.npdq import NPDQEngine
+from repro.core.session import DynamicQuerySession, FrameReport, SessionMode
 from repro.core.query import KNNAnswer
 from repro.core.snapshot import SnapshotQuery
 from repro.core.results import AnswerBlock, AnswerItem, NeighborBlock, SnapshotResult
-from repro.errors import CorruptPageError, TransientIOError
+from repro.errors import CorruptPageError, SessionError, TransientIOError
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.geometry.segment import SpaceTimeSegment, segment_box_overlap_interval
@@ -478,3 +479,106 @@ class ScalarNPDQEngine(NPDQEngine):
             degraded=self._degraded,
             skipped_subtrees=snapshot_skips,
         )
+
+
+class ScalarDynamicQuerySession(DynamicQuerySession):
+    """``DynamicQuerySession`` with ``observe`` as it was before the
+    block: one session at a time, ``Box`` algebra for the teleport test,
+    ``window_at(t).center`` for the prediction check, and each frame
+    evaluated alone — a predictive engine's own ``window``, a
+    snapshot/non-predictive frame's own ``NPDQEngine.snapshot``."""
+
+    def _window(self, center):
+        return Box.from_bounds(
+            [c - h for c, h in zip(center, self.half_extents)],
+            [c + h for c, h in zip(center, self.half_extents)],
+        )
+
+    def _prediction_holds(self, t, center):
+        assert self._predicted is not None
+        if t > self._pdq_until:
+            return False
+        predicted = self._predicted.window_at(t).center
+        deviation = math.dist(tuple(center), predicted)
+        return deviation <= max(self.deviation_tolerance, self.spdq_delta)
+
+    def observe(self, t, center):
+        center = tuple(center)
+        if len(center) != self.native_index.dims:
+            raise SessionError(
+                f"center has {len(center)} dims, indexes have "
+                f"{self.native_index.dims}"
+            )
+        if self._last_time is not None and t <= self._last_time:
+            raise SessionError("frames must advance strictly in time")
+
+        window = self._window(center)
+        prev_window = None
+        if self._last_time is not None:
+            prev_window = self._window(self._last_center)
+            inter = prev_window.intersect(window)
+            overlap = inter.volume() / window.volume() if window.volume() else 0.0
+            if overlap < self.teleport_overlap:
+                prev_window = None
+        fresh = prev_window is None
+        report = FrameReport(time=t, mode=self._mode)
+
+        velocity = None
+        if not fresh:
+            dt = t - self._last_time
+            velocity = tuple(
+                (c - p) / dt for c, p in zip(center, self._last_center)
+            )
+            if self._last_velocity is not None and all(
+                abs(a - b) <= self.velocity_tolerance
+                for a, b in zip(velocity, self._last_velocity)
+            ):
+                self._stable_count += 1
+            else:
+                self._stable_count = 0
+        else:
+            self._stable_count = 0
+
+        if fresh:
+            self._drop_pdq()
+            self._npdq.reset()
+            self._set_mode(t, SessionMode.SNAPSHOT)
+        elif self._pdq is not None and self._prediction_holds(t, center):
+            self._set_mode(t, SessionMode.PREDICTIVE)
+        else:
+            self._drop_pdq()
+            if self._stable_count >= self.stability_frames:
+                assert velocity is not None
+                self._last_velocity = velocity
+                self._start_prediction(t, center)
+                self._set_mode(t, SessionMode.PREDICTIVE)
+            else:
+                self._set_mode(t, SessionMode.NON_PREDICTIVE)
+
+        if self._mode is SessionMode.PREDICTIVE:
+            assert self._pdq is not None
+            items = self._pdq.window(self._last_time, t)
+        else:
+            if prev_window is None:
+                query = SnapshotQuery(Interval.point(t), window)
+            else:
+                span = Interval(self._last_time, t)
+                query = SnapshotQuery(span, window.cover(prev_window))
+            before = self._npdq.cost.snapshot()
+            result = self._npdq.snapshot(query)
+            self.cost.absorb(self._npdq.cost.snapshot() - before)
+            items = result.items
+            for item in result.prefetched:
+                self.cache.insert(item)
+
+        for item in items:
+            self.cache.insert(item)
+        report.mode = self._mode
+        report.new_items = items
+        report.evicted_ids = self.cache.advance(t)
+        report.visible_count = len(self.cache)
+
+        self._last_time = t
+        self._last_center = center
+        self._last_velocity = velocity if velocity is not None else self._last_velocity
+        return report

@@ -39,7 +39,8 @@ from repro.geometry.trapezoid import (
 )
 from repro.index.codec import DualTimeNodeCodec, NativeNodeCodec
 from repro.index.entry import InternalEntry
-from repro.motion.segment import MotionSegment
+from repro.motion.segment import MotionSegment, SegmentTable
+from repro.workload.observers import path_of
 
 from _helpers import (
     scalar_box_overlap,
@@ -1122,3 +1123,72 @@ class TestDegenerateShapes:
             moving_window_segment_overlap(window, s)
             for s in (seg_in, seg_out)
         ]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def short_trajectories(draw):
+    """Two to four key snapshots whose gaps include the shortest a key
+    time allows (the next float: strictly increasing times rule out a
+    segment of zero length) and windows that include unmoving ones."""
+    t = draw(_GRID)
+    keys = [KeySnapshot(t, draw(boxes(2)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        t = math.nextafter(t, math.inf) if draw(st.booleans()) else t + draw(_GAP)
+        still = draw(st.booleans())
+        keys.append(KeySnapshot(t, keys[-1].window if still else draw(boxes(2))))
+    return QueryTrajectory(keys)
+
+
+class TestFloatPaths:
+    """Plain-float paths that replace a per-call ``Box``: bit-equal to
+    the ``Box`` algebra they stand for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trajectory=short_trajectories(), data=st.data())
+    def test_path_of_is_the_window_centre(self, trajectory, data):
+        times = [k.time for k in trajectory.key_snapshots]
+        t = data.draw(
+            st.sampled_from(times)  # on a key time
+            | st.floats(min_value=times[0], max_value=times[-1])  # inside
+            | st.floats(min_value=times[0] - 50.0, max_value=times[0])  # before
+            | st.floats(min_value=times[-1], max_value=times[-1] + 50.0)  # after
+        )
+        span = trajectory.time_span
+        clamped = min(max(t, span.low), span.high)
+        try:
+            want = trajectory.window_at(clamped).center
+        except GeometryError:  # rounding crossed an interpolated window
+            return
+        assert _hex(path_of(trajectory)(t)) == _hex(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                segments(2),
+                st.booleans(),  # an unbounded span
+                st.booleans(),  # a signed zero in the origin
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_bounding_box_is_the_box_batch_fold(self, rows):
+        records = []
+        for k, (seg, unbounded, signed_zero) in enumerate(rows):
+            time = Interval(seg.time.low, math.inf) if unbounded else seg.time
+            origin = ((-0.0 if k % 2 else 0.0), *seg.origin[1:]) if signed_zero else seg.origin
+            records.append(MotionSegment(k, 0, SpaceTimeSegment(time, origin, seg.velocity)))
+        table = SegmentTable.of(records)
+        # a still row of unbounded span ends at 0 * inf = NaN, as the
+        # scalar segment's does; that row is part of what is compared
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = table.bounding_box()
+            lows, highs = kernels.BoxBatch.from_columns(*table.segments.box_bounds()).cover()
+        assert _hex(got.lows) == _hex(lows)
+        assert _hex(got.highs) == _hex(highs)

@@ -134,7 +134,7 @@ def _pdq_sweep_check(monkeypatch):
             if faults.get(id(sweep)) != (tick, sweep_faults(sweep)):
                 return result  # a fault fired: the drain may read on its own
             expanded = engine._expanded - expanded_before
-            demand = sweep._demand[id(self)]
+            demand = sweep.demand(self, tick)
             assert demand == sorted(expanded), (
                 f"{self.client_id}: tick {tick.index} demanded {demand} but "
                 f"expanded {sorted(expanded)}"
